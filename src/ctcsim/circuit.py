@@ -207,7 +207,3 @@ def evolve(state, circuit):
     for g in circuit.gates:
         state = apply_gate(state, g.matrix, g.targets)
     return state
-
-
-def has_nonunitary_gate(circuit):
-    return any(not g.unitary for g in circuit.gates)

@@ -20,6 +20,12 @@ paradox.  The other models relax the projection:
   measure d(theta) d(xi) on [0, pi] x [0, 2*pi] (not the Haar measure; the
   flat measure is what the closed forms in the catalog assume).
 
+One evolution feeds every model: by channel-state duality (Lloyd et al.,
+arXiv:1007.2615) the evolved pair state holds every pair-basis outcome and
+every eigenstate history.  A 4x4 change of basis along each pair axis gives
+the projection table; regrouping reference and loop bits gives the history
+tensor.  Each model is then one contraction of these arrays.
+
 Z conventions: exact/noisy values include the 2^-m normalization of the m
 reference pairs; weight-matrix weights are normalized to sum d except for the
 delta built-in, which carries the flat-measure constant so that it equals the
@@ -29,13 +35,16 @@ Reported density operators are always trace-1, with Z separate.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import evolve, with_init
+from .circuit import REF_SUFFIX, evolve
 from .errors import (
     ConfigError,
     NoCtcError,
@@ -48,8 +57,6 @@ from .states import (
     PureState,
     _permute_density,
     apply_gate,
-    project,
-    tensor,
     tensor_all,
 )
 
@@ -66,23 +73,30 @@ PAIR_BASIS = {
     "-N": np.array([0, _SQ2, -_SQ2, 0], dtype=complex),
 }
 PAIR_LABELS = ("B", "-", "N", "-N")
+# rows are the conjugated basis vectors: contracting a pair axis with this
+# matrix projects the pair onto all four outcomes at once
+_PAIR_BRAS = np.array([PAIR_BASIS[label] for label in PAIR_LABELS]).conj()
 
 
 def resolve_tolerance(tol=None):
-    """Paradox tolerance: explicit argument, else environment, else 1e-12."""
-    if tol is not None:
-        return float(tol)
-    env = os.environ.get(TOLERANCE_ENV_VAR)
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            raise ConfigError("bad %s value %r" % (TOLERANCE_ENV_VAR, env))
-    return DEFAULT_PARADOX_TOL
+    """Paradox tolerance: explicit argument, else environment, else 1e-12.
 
-
-def _ref(label):
-    return label + ".ref"
+    A tolerance that is not a finite positive number would switch the paradox
+    check off, so it raises ConfigError wherever it comes from.
+    """
+    where = "tolerance"
+    if tol is None:
+        tol = os.environ.get(TOLERANCE_ENV_VAR)
+        if not tol:
+            return DEFAULT_PARADOX_TOL
+        where = "%s value" % TOLERANCE_ENV_VAR
+    try:
+        value = float(tol)
+    except (TypeError, ValueError):
+        raise ConfigError("bad %s %r" % (where, tol)) from None
+    if not 0.0 < value < math.inf:
+        raise ConfigError("%s %r is not a finite positive number" % (where, tol))
+    return value
 
 
 @dataclass(frozen=True)
@@ -92,20 +106,36 @@ class ProjectionEntry:
     weight: float  # squared norm of that state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionSet:
-    entries: tuple
+    """Labelled outcomes, one row of surviving external amplitudes each.
+
+    ProjectionEntry objects are built only when `entries`, `[label]` or
+    `to_dict` reads them.
+    """
+
+    amps: np.ndarray  # (outcomes, 2^e) unnormalized external amplitudes
+    weights: np.ndarray  # (outcomes,) weight of each outcome
+    make_labels: object  # zero-argument callable: outcome labels in row order
     channel_order: tuple  # looped channel labels, declaration order
+    ext_labels: tuple  # external qubits of each row
+
+    @functools.cached_property
+    def labels(self):
+        return tuple(self.make_labels())
+
+    @property
+    def entries(self):
+        return _Entries(self)
 
     def __getitem__(self, label):
-        for e in self.entries:
-            if e.label == label:
-                return e
-        raise KeyError(label)
+        if label not in self.labels:
+            raise KeyError(label)
+        return self.entries[self.labels.index(label)]
 
     @property
     def total_weight(self):
-        return float(sum(e.weight for e in self.entries))
+        return float(self.weights.sum())
 
     def to_dict(self):
         return {
@@ -116,6 +146,22 @@ class ProjectionSet:
                 for e in self.entries
             ],
         }
+
+
+class _Entries(Sequence):
+    """Read-only view of a ProjectionSet that builds each entry on access."""
+
+    def __init__(self, table):
+        self._table = table
+
+    def __len__(self):
+        return len(self._table.weights)
+
+    def __getitem__(self, i):
+        t = self._table
+        i = range(len(self))[i]
+        return ProjectionEntry(t.labels[i], PureState(t.amps[i], t.ext_labels),
+                               float(t.weights[i]))
 
 
 @dataclass(frozen=True)
@@ -157,11 +203,52 @@ def pair_out_state(circuit, pair_states=None):
             if amps.shape != (4,) or abs(np.linalg.norm(amps) - 1.0) > 1e-9:
                 raise ConfigError("pair state for %r must be a normalized 2-qubit state"
                                   % (label,))
-        factors.append(PureState(amps, (_ref(label), label)))
+        factors.append(PureState(amps, (label + REF_SUFFIX, label)))
     ext = circuit.initial_external_state()
     if ext.n_qubits:
         factors.append(ext)
     return tensor_all(factors)
+
+
+def _evolved_pairs(circuit, pair_states=None):
+    """The one evolution of a run: amplitudes of shape (4,)*m + (2^e,), ext labels.
+
+    Axis q indexes pair q as 2 * reference bit + loop bit.
+    """
+    m = len(_require_loops(circuit))
+    state = evolve(pair_out_state(circuit, pair_states), circuit)
+    return state.amps.reshape((4,) * m + (-1,)), state.labels[2 * m:]
+
+
+def _project_pairs(t, bras):
+    """Contract pair axis q of `t` with bras[q] (rows: conjugated pair states)."""
+    for bra in bras:
+        t = np.tensordot(t, bra, axes=(0, 1))
+    return np.ascontiguousarray(np.moveaxis(t, 0, -1))
+
+
+def _history_tensor(circuit):
+    """A[i, j]: unnormalized external state of the loop history e_i -> e_j.
+
+    The reference pair of the evolved state records the emerging eigenstate
+    e_i, so A[i, j] = sqrt(d) * <ref = i, loop = j| evolved pair state.
+    """
+    t, ext = _evolved_pairs(circuit)
+    m = t.ndim - 1
+    d = 2**m
+    # (ref_1, loop_1, ..., ref_m, loop_m, ext) -> (ref bits, loop bits, ext)
+    t = t.reshape((2,) * (2 * m) + (-1,))
+    t = t.transpose(tuple(range(0, 2 * m, 2)) + tuple(range(1, 2 * m, 2)) + (2 * m,))
+    # dividing by the pair amplitude 1/sqrt(2) per pair, rather than multiplying
+    # by sqrt(d), cancels its rounding in the consistent histories
+    return t.reshape(d, d, -1) / _SQ2**m, ext
+
+
+def _mix(rows, weights):
+    """sum_k weights[k] |rows[k]><rows[k]| (exactly Hermitian) and its trace."""
+    num = (rows.T * weights) @ rows.conj()
+    num = (num + num.conj().T) / 2  # the product alone is Hermitian only to rounding
+    return float(np.trace(num).real), num
 
 
 def _rho_from_matrix(mat, labels, circuit):
@@ -187,15 +274,11 @@ def projection_table(circuit, pair_states=None):
     loops = _require_loops(circuit)
     if pair_states:
         raise ConfigError("projection_table requires the standard pair basis")
-    state = evolve(pair_out_state(circuit), circuit)
-    entries = []
-    for combo in itertools.product(PAIR_LABELS, repeat=len(loops)):
-        surv = state
-        for label, outcome in zip(loops, combo):
-            bra = PureState(PAIR_BASIS[outcome], (_ref(label), label))
-            surv = project(surv, bra)
-        entries.append(ProjectionEntry(",".join(combo), surv, surv.norm**2))
-    return ProjectionSet(tuple(entries), loops)
+    t, ext = _evolved_pairs(circuit)
+    amps = _project_pairs(t, [_PAIR_BRAS] * len(loops)).reshape(4 ** len(loops), -1)
+    weights = (amps.real**2 + amps.imag**2).sum(axis=1)
+    combos = functools.partial(itertools.product, PAIR_LABELS, repeat=len(loops))
+    return ProjectionSet(amps, weights, lambda: map(",".join, combos()), loops, ext)
 
 
 def run_exact_bell(circuit, tol=None, pair_states=None):
@@ -203,26 +286,23 @@ def run_exact_bell(circuit, tol=None, pair_states=None):
     tol = resolve_tolerance(tol)
     loops = _require_loops(circuit)
     if pair_states:
-        state = evolve(pair_out_state(circuit, pair_states), circuit)
-        surv = state
-        for label in loops:
-            amps = pair_states.get(label, PAIR_BASIS["B"])
-            bra = PureState(np.asarray(amps, dtype=complex), (_ref(label), label))
-            surv = project(surv, bra)
+        t, ext = _evolved_pairs(circuit, pair_states)
+        bras = [np.asarray(pair_states.get(label, PAIR_BASIS["B"]),
+                           dtype=complex).conj()[None] for label in loops]
+        matched = _project_pairs(t, bras).reshape(-1)
         table = None
-        matched = surv
     else:
         table = projection_table(circuit)
-        matched = table[",".join(["B"] * len(loops))].state
-    n = matched.norm
+        matched, ext = table.amps[0], table.ext_labels  # the all-"B" row
+    n = float(np.linalg.norm(matched))
     if n < tol:
         raise ParadoxError(
             "matched-pair amplitude %.3e below tolerance %.3e: no consistent history"
             % (n, tol),
             projections=table,
         )
-    unit = PureState(matched.amps / n, matched.labels)
-    rho = _rho_from_matrix(np.outer(unit.amps, unit.amps.conj()), unit.labels, circuit)
+    unit = matched / n
+    rho = _rho_from_matrix(np.outer(unit, unit.conj()), ext, circuit)
     return PostSelectionResult(
         model="exact_bell", z=n**2, rho=rho, n=n, projections=table,
         metadata={"tolerance": tol},
@@ -235,26 +315,18 @@ def run_noisy_bell(circuit, lam, tol=None):
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ConfigError("noise parameter lam must lie in [0, 1]")
-    loops = _require_loops(circuit)
     table = projection_table(circuit)
-    z = 0.0
-    dim = 2 ** len(table.entries[0].state.labels)
-    num = np.zeros((dim, dim), dtype=complex)
-    weights = {}
-    for entry in table.entries:
-        combo = entry.label.split(",")
-        w = 1.0
-        for outcome in combo:
-            w *= (1.0 - 0.75 * lam) if outcome == "B" else 0.25 * lam
-        weights[entry.label] = w
-        z += w * entry.weight
-        num += w * np.outer(entry.state.amps, entry.state.amps.conj())
+    per_pair = np.array([1.0 - 0.75 * lam] + [0.25 * lam] * 3)
+    w = functools.reduce(np.kron, [per_pair] * len(table.channel_order))
+    z, num = _mix(table.amps, w)
     if z < tol:
         raise ParadoxError("acceptance rate %.3e below tolerance" % z, projections=table)
-    rho = _rho_from_matrix(num / z, table.entries[0].state.labels, circuit)
+    rho = _rho_from_matrix(num / z, table.ext_labels, circuit)
     return PostSelectionResult(
         model="noisy_bell", z=z, rho=rho, projections=table,
-        metadata={"lam": lam, "mixture_weights": weights, "tolerance": tol},
+        metadata={"lam": lam,
+                  "mixture_weights": dict(zip(table.labels, w.tolist())),
+                  "tolerance": tol},
     )
 
 
@@ -265,21 +337,9 @@ def loop_histories(circuit):
     register emerges as |e_i>, evolves with the externals, and is projected
     onto |e_j> at the end.  Consistent histories are the diagonal i == j.
     """
-    loops = _require_loops(circuit)
-    m = len(loops)
-    d = 2**m
-    ext0 = circuit.initial_external_state()
-    histories = {}
-    for i in range(d):
-        bits = [(i >> (m - 1 - q)) & 1 for q in range(m)]
-        start = PureState.computational(bits, loops)
-        state = start if not ext0.n_qubits else tensor(start, ext0)
-        state = evolve(state, circuit)
-        for j in range(d):
-            bits_j = [(j >> (m - 1 - q)) & 1 for q in range(m)]
-            bra = PureState.computational(bits_j, loops)
-            histories[(i, j)] = project(state, bra)
-    return histories, d
+    a, ext = _history_tensor(circuit)
+    d = len(a)
+    return {(i, j): PureState(a[i, j], ext) for i in range(d) for j in range(d)}, d
 
 
 def run_classical(circuit, k, floor=False, tol=None):
@@ -298,49 +358,31 @@ def run_classical(circuit, k, floor=False, tol=None):
     if not 0.0 <= k <= 1.0:
         raise ConfigError("flip rate k must lie in [0, 1]")
     loops = circuit.loop_labels
-    histories, d = loop_histories(circuit)
-    m = len(loops)
-    ext_labels = histories[(0, 0)].labels
-    dim = 2 ** len(ext_labels)
-    num = np.zeros((dim, dim), dtype=complex)
-    loop_num = np.zeros((d, d), dtype=complex)
-    z = 0.0
-    entries = []
+    a, ext = _history_tensor(circuit)
+    d = len(a)
+    rows = a.reshape(d * d, -1)
     if floor:
         # The k/d term is an unconditional random reemission: the loop comes
         # out in |j> regardless of history, so the external register sees the
         # circuit with the entering state traced out rather than matched.
-        for j in range(d):
-            h = histories[(j, j)]
-            traced = 0.0
-            for l in range(d):
-                g = histories[(j, l)]
-                traced += g.norm**2
-                num += (k / d) * np.outer(g.amps, g.amps.conj())
-            w = (k / d) * traced + (1.0 - k) * h.norm**2
-            z += w
-            loop_num[j, j] += w
-            num += (1.0 - k) * np.outer(h.amps, h.amps.conj())
-            entries.append(ProjectionEntry("%d|%d" % (j, j), h, w))
+        w = (1.0 - k) * np.eye(d) + k / d
     else:
-        for (i, j), h in histories.items():
-            flips = bin(i ^ j).count("1")
-            w = (1.0 - k) ** (m - flips) * k**flips
-            z += w * h.norm**2
-            loop_num[i, i] += w * h.norm**2
-            num += w * np.outer(h.amps, h.amps.conj())
-            entries.append(ProjectionEntry("%d|%d" % (i, j), h, w * h.norm**2))
+        flip = np.array([[1.0 - k, k], [k, 1.0 - k]])
+        w = functools.reduce(np.kron, [flip] * len(loops))
+    hist = w * (a.real**2 + a.imag**2).sum(axis=2)  # weighted history norms
+    z, num = _mix(rows, w.reshape(-1))
     if z < tol:
         raise ParadoxError("classical acceptance rate %.3e below tolerance" % z)
-    if ext_labels and np.trace(num).real < tol:
-        raise ParadoxError(
-            "no external state survives any weighted classical history"
-        )
-    rho = _rho_from_matrix(num / z, ext_labels, circuit)
+    # floor=True reports each diagonal history with the weight of its whole row
+    keep = np.arange(d) * (d + 1) if floor else np.arange(d * d)
+    weights = hist.sum(axis=1) if floor else hist.reshape(-1)
+    table = ProjectionSet(rows[keep], weights,
+                          lambda: ("%d|%d" % divmod(i, d) for i in keep), loops, ext)
+    rho = _rho_from_matrix(num / z, ext, circuit)
     return PostSelectionResult(
         model="classical", z=z, rho=rho,
-        rho_loop=DensityOperator(loop_num / z, loops),
-        projections=ProjectionSet(tuple(entries), loops),
+        rho_loop=DensityOperator(np.diag(hist.sum(axis=1)) / z, loops),
+        projections=table,
         metadata={"k": k, "floor": bool(floor), "tolerance": tol},
     )
 
@@ -372,9 +414,8 @@ def run_weight_matrix(circuit, omega="flat", tol=None):
     to the incoherent diagonal sum.
     """
     tol = resolve_tolerance(tol)
-    histories, d = loop_histories(circuit)
-    ext_labels = histories[(0, 0)].labels
-    dim = 2 ** len(ext_labels)
+    a, ext = _history_tensor(circuit)
+    d = len(a)
     name = omega if isinstance(omega, str) else "custom"
     coherent_delta = name == "delta" and d == 2
     if isinstance(omega, str):
@@ -391,30 +432,15 @@ def run_weight_matrix(circuit, omega="flat", tol=None):
         mat = mat * (d / total)
 
     if coherent_delta:
-        a00, a11 = histories[(0, 0)].amps, histories[(1, 1)].amps
-        a01, a10 = histories[(0, 1)].amps, histories[(1, 0)].amps
-        t = a00 + a11
-        s_diag = np.vdot(a00, a00).real + np.vdot(a11, a11).real
-        s_off = np.vdot(a01, a01).real + np.vdot(a10, a10).real
-        z = _FLAT_MEASURE * (2.0 * s_diag + np.vdot(t, t).real + s_off)
-        num = _FLAT_MEASURE * (
-            2.0 * (np.outer(a00, a00.conj()) + np.outer(a11, a11.conj()))
-            + np.outer(t, t.conj())
-            + np.outer(a01, a01.conj())
-            + np.outer(a10, a10.conj())
-        )
+        # diagonal histories weigh 2, off-diagonal 1, plus the coherent sum of
+        # the diagonal ones, all times the flat-measure constant
+        rows = np.concatenate([a.reshape(4, -1), (a[0, 0] + a[1, 1])[None]])
+        z, num = _mix(rows, _FLAT_MEASURE * np.array([2.0, 1.0, 1.0, 2.0, 1.0]))
     else:
-        z = 0.0
-        num = np.zeros((dim, dim), dtype=complex)
-        for (i, j), h in histories.items():
-            w = mat[i, j]
-            if w == 0.0:
-                continue
-            z += w * h.norm**2
-            num += w * np.outer(h.amps, h.amps.conj())
+        z, num = _mix(a.reshape(d * d, -1), mat.reshape(-1))
     if z < tol:
         raise ParadoxError("weighted acceptance rate %.3e below tolerance" % z)
-    rho = _rho_from_matrix(num / z, ext_labels, circuit)
+    rho = _rho_from_matrix(num / z, ext, circuit)
     return PostSelectionResult(
         model="weight_matrix", z=z, rho=rho,
         metadata={
@@ -456,27 +482,20 @@ def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
         raise UnsupportedError(
             "continuous boundary quadrature supports exactly one loop qubit"
         )
-    histories, _ = loop_histories(circuit)
-    a = np.stack(
-        [
-            np.stack([histories[(0, 0)].amps, histories[(0, 1)].amps]),
-            np.stack([histories[(1, 0)].amps, histories[(1, 1)].amps]),
-        ]
-    )  # shape (emerge, enter, ext)
+    a, ext = _history_tensor(circuit)  # shape (emerge, enter, ext)
     theta, w_theta, xi, w_xi = flat_measure_nodes(n_theta, n_xi)
     c0 = np.cos(theta)[:, None] * np.ones_like(xi)[None, :]
     c1 = np.sin(theta)[:, None] * np.exp(1j * xi)[None, :]
     phi = np.stack([c0, c1])  # (2, n_theta, n_xi)
     # history (i, j) carries amplitude c_i * conj(c_j) (emerge i, project j)
     coef = phi[:, None, :, :] * phi.conj()[None, :, :, :]
-    psi = np.einsum("ijtx,ije->txe", coef, a)
+    psi = np.tensordot(coef, a, axes=([0, 1], [0, 1]))  # (n_theta, n_xi, ext)
     wgrid = w_theta[:, None] * w_xi[None, :]
-    dens = np.einsum("txe,txe->tx", psi, psi.conj()).real
-    z = float(np.sum(wgrid * dens))
+    dens = (psi.real**2 + psi.imag**2).sum(axis=2)
+    z, num = _mix(psi.reshape(-1, psi.shape[2]), wgrid.reshape(-1))
     if z < tol:
         raise ParadoxError("quadrature acceptance rate %.3e below tolerance" % z)
-    num = np.einsum("txe,txf,tx->ef", psi, psi.conj(), wgrid)
-    rho = _rho_from_matrix(num / z, histories[(0, 0)].labels, circuit)
+    rho = _rho_from_matrix(num / z, ext, circuit)
     loop_num = np.einsum("atx,btx,tx->ab", phi, phi.conj(), wgrid * dens)
     rho_loop = DensityOperator(loop_num / z, loops)
     return PostSelectionResult(

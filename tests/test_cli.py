@@ -148,6 +148,15 @@ def test_paradox_exit_code_and_projection_report(capsys):
     assert weights["B"] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "0"])
+def test_bad_tolerance_env_is_a_clean_config_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("CTC_SIM_TOLERANCE", value)
+    code = main(["scenario", "grandfather_not"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "CTC_SIM_TOLERANCE" in err
+
+
 def test_scenario_faulty_gun_survival(capsys):
     code, out = invoke(
         "scenario", "faulty_gun", "--param", "zeta=%r" % (math.pi / 3),

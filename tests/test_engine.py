@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ctcsim as cs
-from ctcsim import Channel, build_circuit, make_gate
+from ctcsim import Channel, PureState, build_circuit, make_gate
+from ctcsim.circuit import evolve
+from ctcsim.states import project, tensor
 
 SQ2 = 2**-0.5
 
@@ -54,6 +57,172 @@ def test_projection_weights_complete_with_two_loops(theta):
     table = cs.projection_table(two_loop_circuit(theta))
     assert len(table.entries) == 16
     assert table.total_weight == pytest.approx(1.0, abs=1e-10)
+
+
+# (kind, arity, parameter count)
+RANDOM_GATES = (("H", 1, 0), ("ROT", 1, 1), ("PHASE", 1, 1), ("CX", 2, 0),
+                ("CROT", 2, 1), ("CPHASE", 2, 1), ("SWAP", 2, 0),
+                ("CCROT", 3, 1), ("TOFFOLI", 3, 0))
+
+
+def random_circuit(seed, n_loops, n_ext, n_gates=12):
+    """Random circuit whose loop and external channels are declared shuffled."""
+    rng = np.random.default_rng(seed)
+    channels = [Channel("t%d" % i, looped=True) for i in range(n_loops)]
+    for i in range(n_ext):
+        t, p = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+        amps = (math.cos(t), math.sin(t) * complex(math.cos(p), math.sin(p)))
+        channels.append(Channel("e%d" % i, init=amps))
+    channels = [channels[i] for i in rng.permutation(len(channels))]
+    labels = [c.label for c in channels]
+    kinds = [g for g in RANDOM_GATES if g[1] <= len(labels)]
+    gates = []
+    for _ in range(n_gates):
+        kind, arity, n_params = kinds[rng.integers(len(kinds))]
+        targets = tuple(rng.choice(labels, size=arity, replace=False))
+        gates.append(make_gate(kind, targets,
+                               params=tuple(rng.uniform(-math.pi, math.pi, n_params))))
+    return build_circuit(channels, gates)
+
+
+def _bits(i, m):
+    return [(i >> (m - 1 - q)) & 1 for q in range(m)]
+
+
+def histories_by_evolution(circuit):
+    """Reference: evolve each loop eigenstate separately, then project on each."""
+    loops = circuit.loop_labels
+    m = len(loops)
+    ext0 = circuit.initial_external_state()
+    histories = {}
+    for i in range(2**m):
+        start = PureState.computational(_bits(i, m), loops)
+        state = evolve(start if not ext0.n_qubits else tensor(start, ext0), circuit)
+        for j in range(2**m):
+            bra = PureState.computational(_bits(j, m), loops)
+            histories[(i, j)] = project(state, bra)
+    return histories
+
+
+def table_by_projection(circuit):
+    """Reference: project the evolved pair state on each outcome combination in turn."""
+    loops = circuit.loop_labels
+    state = evolve(cs.pair_out_state(circuit), circuit)
+    table = {}
+    for combo in itertools.product(cs.engine.PAIR_LABELS, repeat=len(loops)):
+        surv = state
+        for label, outcome in zip(loops, combo):
+            bra = PureState(cs.engine.PAIR_BASIS[outcome], (label + ".ref", label))
+            surv = project(surv, bra)
+        table[",".join(combo)] = surv
+    return table
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 3))
+def test_history_tensor_matches_per_eigenstate_evolution(seed, n_loops, n_ext):
+    circuit = random_circuit(seed, n_loops, n_ext)
+    histories, d = cs.engine.loop_histories(circuit)
+    reference = histories_by_evolution(circuit)
+    assert d == 2**n_loops
+    assert histories.keys() == reference.keys()
+    for key, ref in reference.items():
+        assert histories[key].labels == ref.labels
+        assert np.max(np.abs(histories[key].amps - ref.amps)) <= 1e-12
+    table = cs.projection_table(circuit)
+    assert table.total_weight == pytest.approx(1.0, abs=1e-12)
+    table_ref = table_by_projection(circuit)
+    assert len(table.entries) == len(table_ref) == 4**n_loops
+    for entry in table.entries:
+        ref = table_ref[entry.label]
+        assert entry.state.labels == ref.labels
+        assert np.max(np.abs(entry.state.amps - ref.amps)) <= 1e-12
+        assert entry.weight == pytest.approx(ref.norm**2, abs=1e-12)
+
+
+def mixture_by_loop(states, weights):
+    """Reference: Z and trace-1 rho of a weighted mixture, one state at a time."""
+    z, num = 0.0, 0.0
+    for state, w in zip(states, weights):
+        z += w * state.norm**2
+        num = num + w * np.outer(state.amps, state.amps.conj())
+    return z, num / z
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(0, 2),
+       st.floats(0.05, 1.0), st.floats(0.05, 0.95))
+def test_mixture_models_match_loop_references(seed, n_loops, n_ext, lam, k):
+    circuit = random_circuit(seed, n_loops, n_ext)
+    d = 2**n_loops
+    table = table_by_projection(circuit)
+    noisy = [math.prod(1 - 0.75 * lam if outcome == "B" else 0.25 * lam
+                       for outcome in label.split(",")) for label in table]
+    histories = histories_by_evolution(circuit)
+    flips = [bin(i ^ j).count("1") for i, j in histories]
+    same = [float(i == j) for i, j in histories]
+    cases = [
+        (cs.run_noisy_bell(circuit, lam), table.values(), noisy),
+        (cs.run_classical(circuit, k), histories.values(),
+         [(1 - k) ** (n_loops - f) * k**f for f in flips]),
+        (cs.run_classical(circuit, k, floor=True), histories.values(),
+         [(1 - k) * s + k / d for s in same]),
+        (cs.run_weight_matrix(circuit, "flat"), histories.values(), [1 / d] * d * d),
+        (cs.run_weight_matrix(circuit, "quad"), histories.values(),
+         [(2 * s + 1) / (d + 2) for s in same]),
+    ]
+    for result, states, weights in cases:
+        z, rho = mixture_by_loop(states, weights)
+        assert result.z == pytest.approx(z, rel=1e-12, abs=1e-14)
+        assert np.max(np.abs(result.rho.mat - rho)) <= 1e-10
+
+
+def p_ctc_output(circuit):
+    """Tr_loop(U)|ext>/2^m with U from compile_unitary (the P-CTC output formula).
+
+    The external register is in declaration order, like the engine's rho.
+    """
+    labels = circuit.labels
+    n = len(labels)
+    loop = [labels.index(l) for l in circuit.loop_labels]
+    ext = [labels.index(l) for l in circuit.external_labels]
+    d, e = 2 ** len(loop), 2 ** len(ext)
+    u = cs.compile_unitary(circuit).reshape((2,) * (2 * n))
+    u = u.transpose(loop + [n + q for q in loop] + ext + [n + q for q in ext])
+    ext0 = np.ones(1, dtype=complex)
+    for c in circuit.channels:
+        if not c.looped:
+            ext0 = np.kron(ext0, c.init)
+    return np.einsum("iiab,b->a", u.reshape(d, d, e, e), ext0) / d
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_exact_model_matches_p_ctc_trace_formula(seed, data):
+    n_channels = data.draw(st.integers(1, 7))
+    n_loops = data.draw(st.integers(1, n_channels))
+    circuit = random_circuit(seed, n_loops, n_channels - n_loops)
+    psi = p_ctc_output(circuit)
+    n_ref = np.linalg.norm(psi)
+    assume(not 1e-14 < n_ref < 1e-9)
+    if n_ref <= 1e-14:
+        with pytest.raises(cs.ParadoxError):
+            cs.run_exact_bell(circuit)
+        return
+    r = cs.run_exact_bell(circuit)
+    assert r.n == pytest.approx(n_ref, abs=1e-12)
+    unit = psi / n_ref
+    assert np.max(np.abs(r.rho.mat - np.outer(unit, unit.conj()))) <= 1e-10
+
+
+def test_exact_paradox_carries_the_full_projection_table():
+    circuit = cs.build_scenario("grandfather_not").circuit
+    with pytest.raises(cs.ParadoxError) as info:
+        cs.run_exact_bell(circuit)
+    table = info.value.projections
+    assert len(table.entries) == 4 ** len(circuit.loop_labels)
+    assert table["N"].weight == pytest.approx(1.0, abs=1e-12)
+    assert table.total_weight == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -127,6 +296,20 @@ def test_tolerance_env_override(monkeypatch):
         cs.run_exact_bell(circuit)
     monkeypatch.delenv("CTC_SIM_TOLERANCE")
     assert cs.run_exact_bell(circuit).n == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_tolerance_env_must_be_finite_and_positive(monkeypatch, value):
+    """A tolerance that would switch the paradox check off is a config error."""
+    monkeypatch.setenv("CTC_SIM_TOLERANCE", value)
+    with pytest.raises(cs.ConfigError):
+        cs.run_exact_bell(cs.build_scenario("grandfather_not").circuit)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), "abc"])
+def test_tolerance_argument_must_be_finite_and_positive(tol):
+    with pytest.raises(cs.ConfigError):
+        cs.run_exact_bell(cs.build_scenario("grandfather_not").circuit, tol=tol)
 
 
 # classical channel ----------------------------------------------------------
