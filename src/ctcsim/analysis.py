@@ -23,9 +23,8 @@ from .engine import (
     NoisyBell,
     WeightMatrix,
     flat_measure_nodes,
-    run_weight_matrix,
 )
-from .errors import ConfigError, InfiniteSkew, NumericsError
+from .errors import ConfigError, InfiniteSkew, LabelError, NumericsError, ParadoxError
 from .states import DensityOperator
 
 
@@ -235,13 +234,15 @@ def flip_probability(result, channel_a, channel_b=None):
     rho = result.rho
     n = rho.n_qubits
     diag = np.real(np.diag(rho.mat))
-    ax_a = rho.labels.index(channel_a)
-    bits_a = (np.arange(2**n) >> (n - 1 - ax_a)) & 1
+
+    def bits(label):
+        if label not in rho.labels:
+            raise LabelError("no external channel labeled %r" % (label,))
+        return (np.arange(2**n) >> (n - 1 - rho.labels.index(label))) & 1
+
     if channel_b is None:
-        return float(diag[bits_a == 1].sum())
-    ax_b = rho.labels.index(channel_b)
-    bits_b = (np.arange(2**n) >> (n - 1 - ax_b)) & 1
-    return float(diag[bits_a != bits_b].sum())
+        return float(diag[bits(channel_a) == 1].sum())
+    return float(diag[bits(channel_a) != bits(channel_b)].sum())
 
 
 def input_bias(circuit, channel, model, nodes=64):
@@ -250,9 +251,14 @@ def input_bias(circuit, channel, model, nodes=64):
     Scans the channel's input over the flat single-qubit measure (polar angle
     on [0, pi], phase on [0, 2*pi]) and averages |psi><psi| weighted by the
     model's acceptance rate Z(psi).  A channel that deselects nothing returns
-    the unbiased I/2.  Halving the node count must agree to 1e-6, otherwise
-    NumericsError.
+    the unbiased I/2.  Inputs that make the circuit a paradox weigh 0; when
+    every input does, ParadoxError.  Halving the node count must agree to
+    1e-6, otherwise NumericsError.
     """
+    # the delta model's closed form is exact and far cheaper than nested
+    # quadrature, so the input scan uses it
+    if isinstance(model, DeltaQuadrature):
+        model = WeightMatrix("delta")
     fine = _input_bias_once(circuit, channel, model, nodes)
     coarse = _input_bias_once(circuit, channel, model, max(4, nodes // 2))
     if np.max(np.abs(fine - coarse)) > 1e-6:
@@ -267,21 +273,17 @@ def _input_bias_once(circuit, channel, model, nodes):
     for t, wt in zip(theta, w_theta):
         for x, wx in zip(xi, w_xi):
             amps = (math.cos(t), math.sin(t) * np.exp(1j * x))
-            c = with_init(circuit, channel, amps)
-            z = _acceptance(c, model)
+            try:
+                z = model.run(with_init(circuit, channel, amps)).z
+            except ParadoxError:
+                z = 0.0
             w = wt * wx * z
             v = np.array(amps)
             num += w * np.outer(v, v.conj())
             den += w
+    if den == 0.0:
+        raise ParadoxError("every input state of channel %r is a paradox" % (channel,))
     return num / den
-
-
-def _acceptance(circuit, model):
-    # the delta model's closed form is exact and far cheaper than nested
-    # quadrature, so the input scan uses it
-    if isinstance(model, DeltaQuadrature):
-        return run_weight_matrix(circuit, "delta").z
-    return model.run(circuit).z
 
 
 def _check_prob(p):

@@ -9,13 +9,12 @@ looped channels, labeled "<name>.ref") are never addressable from a circuit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LabelCollision, LabelError, UnsupportedError
-from .gates import Gate, make_gate
-from .states import MAX_QUBITS, PureState, apply_gate, tensor, tensor_all
+from .errors import ConfigError, LabelError, UnsupportedError
+from .states import MAX_QUBITS, PureState, apply_gate, tensor_all
 
 REF_SUFFIX = ".ref"
 
@@ -57,8 +56,8 @@ def _coerce_qubit_init(init, label):
     init = tuple(complex(a) for a in init)
     if len(init) != 2:
         raise ConfigError("channel %r init must be a single-qubit amplitude pair" % label)
-    n = abs(init[0]) ** 2 + abs(init[1]) ** 2
-    if abs(n - 1.0) > 1e-9:
+    n = abs(init[0]) * abs(init[0]) + abs(init[1]) * abs(init[1])  # ** 2 can overflow
+    if not abs(n - 1.0) <= 1e-9:  # also rejects nan
         raise ConfigError("channel %r init has norm %.6f != 1" % (label, n))
     return init
 

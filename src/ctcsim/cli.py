@@ -11,28 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from . import __version__, analysis
 from .circuit import Channel, build_circuit
-from .engine import (
-    Classical,
-    DeltaQuadrature,
-    ExactBell,
-    NoisyBell,
-    WeightMatrix,
-    projection_table,
-    resolve_tolerance,
-)
-from .errors import (
-    ConfigError,
-    CtcSimError,
-    ParadoxError,
-    ParseError,
-    UnsupportedError,
-)
+from .engine import MODELS, projection_table, resolve_tolerance
+from .errors import ConfigError, CtcSimError, ParadoxError, ParseError
 from .gates import make_gate
 from .scenarios import build_scenario, list_scenarios
 
@@ -58,23 +46,104 @@ def _check_keys(obj, allowed, path):
         _fail(path, "unknown keys: %s" % ", ".join(sorted(extra)))
 
 
+def _items(value, path):
+    """(item, JSON path of the item) for each entry of a list."""
+    if not isinstance(value, list):
+        _fail(path, "expected a list")
+    return [(item, "%s[%d]" % (path, i)) for i, item in enumerate(value)]
+
+
+# ---------------------------------------------------------------------------
+# values: every number a document or argv supplies is read by _number
+
+
+def _number(value, path):
+    """A finite JSON number (not a bool) as a float, else ConfigError at `path`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    _fail(path, "expected a finite number, got %r" % (value,))
+
+
+def _integer(value, path):
+    number = _number(value, path)
+    if number != int(number):
+        _fail(path, "expected an integer, got %r" % (value,))
+    return int(number)
+
+
+def _boolean(value, path):
+    if not isinstance(value, bool):
+        _fail(path, "expected true or false, got %r" % (value,))
+    return value
+
+
+def _numbers(value, path):
+    return tuple(_number(v, here) for v, here in _items(value, path))
+
+
+def _name_or_matrix(value, path):
+    """A built-in name, or a matrix given as equal-length rows of numbers."""
+    if isinstance(value, str):
+        return value
+    rows = [_numbers(row, here) for row, here in _items(value, path)]
+    if len({len(row) for row in rows}) > 1:
+        _fail(path, "matrix rows must have equal length")
+    return np.array(rows, dtype=float)
+
+
+# annotation of a model field (a string: engine.py postpones annotations), or
+# type name of a scenario default -> the reader of its document value
+_READERS = {"float": _number, "int": _integer, "bool": _boolean,
+            "tuple": _numbers, "object": _name_or_matrix}
+
+
+def _key_values(items, path):
+    """['k=0.2', 'omega=flat'] -> {'k': 0.2, 'omega': 'flat'} (non-JSON stays text)."""
+    out = {}
+    for item in items:
+        key, sep, raw = item.partition("=")
+        if not sep:
+            _fail(path, "%r is not key=value" % (item,))
+        try:
+            out[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            out[key] = raw
+    return out
+
+
+def _read_doc(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+# ---------------------------------------------------------------------------
+# documents
+
+
 def _amps_from_pairs(values, path):
-    if not isinstance(values, list) or len(values) % 2:
+    flat = _numbers(values, path)
+    if len(flat) % 2:
         _fail(path, "amplitude list must hold [re, im] pairs")
-    flat = []
-    for v in values:
-        if not isinstance(v, (int, float)):
-            _fail(path, "amplitude entries must be numbers")
-        flat.append(float(v))
     return [complex(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
+
+
+def _channel_names(value, path, least):
+    if (not isinstance(value, list) or len(value) < least
+            or not all(isinstance(name, str) for name in value)):
+        _fail(path, "expected %s channel names"
+              % ("two or more" if least > 1 else "a list of"))
+    return tuple(value)
 
 
 def _parse_channels(items, path):
     if not isinstance(items, list) or not items:
         _fail(path, "expected a non-empty channel list")
     channels = []
-    for i, item in enumerate(items):
-        here = "%s[%d]" % (path, i)
+    for item, here in _items(items, path):
         _check_keys(item, ("name", "role", "init"), here)
         name = item.get("name")
         role = item.get("role", "external")
@@ -88,49 +157,40 @@ def _parse_channels(items, path):
             if len(amps) != 2:
                 _fail(here + ".init", "channel init must describe one qubit")
             init = tuple(amps)
+        elif init is not None and not isinstance(init, str):
+            _fail(here + ".init", "expected a named state or [re, im] pairs")
         channels.append(Channel(name, looped=(role == "ctc"), init=init))
     return channels
 
 
 def _parse_entangled(items, path):
     groups = []
-    for i, item in enumerate(items):
-        here = "%s[%d]" % (path, i)
+    for item, here in _items(items, path):
         _check_keys(item, ("channels", "amplitudes"), here)
-        labels = item.get("channels")
-        if not isinstance(labels, list) or len(labels) < 2:
-            _fail(here + ".channels", "expected two or more channel names")
+        labels = _channel_names(item.get("channels"), here + ".channels", 2)
         amps = _amps_from_pairs(item.get("amplitudes", []), here + ".amplitudes")
-        groups.append((tuple(labels), np.array(amps, dtype=complex)))
+        groups.append((labels, np.array(amps, dtype=complex)))
     return groups
 
 
 def _parse_gates(items, path):
     gates = []
-    for i, item in enumerate(items):
-        here = "%s[%d]" % (path, i)
+    for item, here in _items(items, path):
         _check_keys(item, ("kind", "targets", "params"), here)
-        kind = item.get("kind")
-        targets = item.get("targets")
-        if not isinstance(targets, list) or not targets:
-            _fail(here + ".targets", "expected a list of channel names")
+        targets = _channel_names(item.get("targets"), here + ".targets", 1)
         raw = item.get("params", {})
         _check_keys(raw, ("theta", "xi"), here + ".params")
-        params = tuple(float(v) for v in raw.values())
+        params = tuple(_number(v, "%s.params.%s" % (here, k)) for k, v in raw.items())
         try:
-            gates.append(make_gate(kind, tuple(targets), params=params))
+            gates.append(make_gate(item.get("kind"), targets, params=params))
         except CtcSimError as err:
             _fail(here, str(err))
     return gates
 
 
-_MODEL_KEYS = {
-    "exact_bell": (),
-    "noisy_bell": ("lambda",),
-    "classical": ("k", "floor"),
-    "weight_matrix": ("omega",),
-    "delta": ("nodes_theta", "nodes_xi"),
-}
+def _model_keys(cls):
+    """Document key -> field of a model descriptor class."""
+    return {f.metadata.get("key", f.name): f for f in fields(cls)}
 
 
 def _parse_model(spec, path):
@@ -139,40 +199,34 @@ def _parse_model(spec, path):
     if not isinstance(spec, dict):
         _fail(path, "expected a model object")
     kind = spec.get("type")
-    if kind not in _MODEL_KEYS:
+    cls = MODELS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         _fail(path + ".type", "unknown model %r (have: %s)"
-              % (kind, ", ".join(sorted(_MODEL_KEYS))))
-    _check_keys(spec, ("type",) + _MODEL_KEYS[kind], path)
-    if kind == "exact_bell":
-        return ExactBell()
-    if kind == "noisy_bell":
-        if "lambda" not in spec:
-            _fail(path, "noisy_bell requires 'lambda'")
-        return NoisyBell(float(spec["lambda"]))
-    if kind == "classical":
-        if "k" not in spec:
-            _fail(path, "classical requires 'k'")
-        return Classical(float(spec["k"]), floor=bool(spec.get("floor", False)))
-    if kind == "weight_matrix":
-        omega = spec.get("omega", "flat")
-        if isinstance(omega, list):
-            omega = np.array(omega, dtype=float)
-        return WeightMatrix(omega)
-    return DeltaQuadrature(
-        n_theta=int(spec.get("nodes_theta", 64)),
-        n_xi=int(spec.get("nodes_xi", 64)),
-    )
+              % (kind, ", ".join(sorted(MODELS))))
+    keys = _model_keys(cls)
+    _check_keys(spec, ("type",) + tuple(keys), path)
+    values = {}
+    for key, f in keys.items():
+        if key in spec:
+            values[f.name] = _READERS[f.type](spec[key], "%s.%s" % (path, key))
+        elif f.default is MISSING:
+            _fail(path, "%s requires %r" % (kind, key))
+    return cls(**values)
+
+
+def _model_arg(value):
+    """'noisy_bell,lambda=0.2' -> NoisyBell(0.2)"""
+    head, *rest = value.split(",")
+    return _parse_model(dict(_key_values(rest, "arg.model"), type=head), "arg.model")
 
 
 def _parse_outputs(items, path):
-    if not isinstance(items, list):
-        _fail(path, "expected a list of output names")
-    for name in items:
-        if name in ("Z", "N", "rho", "projections"):
+    for name, here in _items(items, path):
+        if name in _DEFAULT_OUTPUTS or isinstance(name, str) and (
+                name.startswith("input_bias:")
+                or name.startswith("flip:") and name.count(",") < 2):
             continue
-        if isinstance(name, str) and name.startswith(("flip:", "input_bias:")):
-            continue
-        _fail(path, "unknown output %r" % (name,))
+        _fail(here, "unknown output %r" % (name,))
     return tuple(items)
 
 
@@ -192,12 +246,7 @@ def parse_circuit_doc(text):
     model = _parse_model(doc.get("model", "exact_bell"), "doc.model")
     outputs = _parse_outputs(doc.get("outputs", list(_DEFAULT_OUTPUTS)),
                              "doc.outputs")
-    if isinstance(model, DeltaQuadrature) and len(circuit.loop_labels) != 1:
-        raise UnsupportedError(
-            "the delta model integrates a single looped qubit; this circuit "
-            "has %d. Use model weight_matrix with omega='delta', or reduce "
-            "to one looped channel." % len(circuit.loop_labels)
-        )
+    model.check_circuit(circuit)
     return circuit, model, outputs
 
 
@@ -235,6 +284,18 @@ def _derived_outputs(circuit, model, result, outputs):
     return derived
 
 
+def _metadata(model=None):
+    meta = {
+        "measure": "flat-theta-xi",
+        "conventions": dict(_CONVENTIONS),
+        "version": __version__,
+    }
+    if model is not None:
+        meta["model"] = model.describe()
+    meta["tolerance"] = resolve_tolerance(None)
+    return meta
+
+
 def build_report(circuit, model, result, outputs):
     report = {}
     if "Z" in outputs:
@@ -249,13 +310,7 @@ def build_report(circuit, model, result, outputs):
             else _projection_rows(result.projections)
         )
     report["derived"] = _derived_outputs(circuit, model, result, outputs)
-    report["metadata"] = {
-        "measure": "flat-theta-xi",
-        "conventions": dict(_CONVENTIONS),
-        "version": __version__,
-        "model": model.describe(),
-        "tolerance": resolve_tolerance(None),
-    }
+    report["metadata"] = _metadata(model)
     return report
 
 
@@ -270,12 +325,7 @@ def _paradox_report(err, circuit):
         "error": "paradox",
         "message": str(err),
         "projections": None if projections is None else projections.to_dict(),
-        "metadata": {
-            "measure": "flat-theta-xi",
-            "conventions": dict(_CONVENTIONS),
-            "version": __version__,
-            "tolerance": resolve_tolerance(None),
-        },
+        "metadata": _metadata(),
     }
 
 
@@ -295,67 +345,50 @@ def _dump(obj):
 # verbs
 
 
-def _run_and_report(circuit, model, outputs, out_path):
+def _report(circuit, model, outputs):
+    """(report, result) of one run; result is None when the run is a paradox."""
     try:
         result = model.run(circuit)
     except ParadoxError as err:
-        _emit(_dump(_paradox_report(err, circuit)), out_path)
-        return 2
-    _emit(_dump(build_report(circuit, model, result, outputs)), out_path)
-    return 0
+        return _paradox_report(err, circuit), None
+    return build_report(circuit, model, result, outputs), result
+
+
+def _run_and_report(circuit, model, outputs, out_path):
+    report, result = _report(circuit, model, outputs)
+    _emit(_dump(report), out_path)
+    return 2 if result is None else 0
 
 
 def _cmd_run(args):
-    with open(args.doc, encoding="utf-8") as fh:
-        text = fh.read()
-    circuit, model, outputs = parse_circuit_doc(text)
+    circuit, model, outputs = parse_circuit_doc(_read_doc(args.doc))
     if args.model:
-        model = _parse_model(_model_from_arg(args.model), "arg.model")
+        model = _model_arg(args.model)
     return _run_and_report(circuit, model, outputs, args.out)
 
 
-def _model_from_arg(value):
-    """'noisy_bell,lambda=0.2' -> {'type': 'noisy_bell', 'lambda': 0.2}"""
-    head, *rest = value.split(",")
-    spec = {"type": head}
-    for item in rest:
-        if "=" not in item:
-            raise ConfigError("model argument %r is not key=value" % (item,))
-        key, raw = item.split("=", 1)
-        try:
-            spec[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            spec[key] = raw
-    return spec
-
-
 def _cmd_scenario(args):
-    params = {}
-    for item in args.param or []:
-        if "=" not in item:
-            raise ConfigError("--param %r is not key=value" % (item,))
-        key, raw = item.split("=", 1)
-        try:
-            params[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            params[key] = raw
+    defaults = next((sc["params"] for sc in list_scenarios()
+                     if sc["name"] == args.name), {})
+    params = _key_values(args.param or [], "arg.param")
+    for key, value in params.items():
+        if key in defaults:  # unknown keys are reported by build_scenario
+            reader = _READERS[type(defaults[key]).__name__]
+            params[key] = reader(value, "arg.param." + key)
     scenario = build_scenario(args.name, **params)
-    model = _parse_model(_model_from_arg(args.model), "arg.model")
+    model = _model_arg(args.model)
     outputs = _parse_outputs(args.outputs.split(",") if args.outputs
                              else list(_DEFAULT_OUTPUTS), "arg.outputs")
     return _run_and_report(scenario.circuit, model, outputs, args.out)
 
 
 def _sweep_documents(text, param, values):
+    _, model, _ = parse_circuit_doc(text)  # the document is well formed from here on
     doc = json.loads(text)
-    model_spec = doc.get("model", {"type": "exact_bell"})
-    if isinstance(model_spec, str):
-        model_spec = {"type": model_spec}
-    in_model = param in _MODEL_KEYS.get(model_spec.get("type", ""), ())
-    gate_hits = [
-        g for g in doc.get("gates", [])
-        if isinstance(g.get("params"), dict) and param in g["params"]
-    ]
+    spec = doc.get("model")
+    spec = dict(spec) if isinstance(spec, dict) else {"type": model.type}
+    in_model = param in _model_keys(type(model))
+    gate_hits = [g for g in doc.get("gates", []) if param in g.get("params", {})]
     if not in_model and not gate_hits:
         raise ConfigError(
             "sweep parameter %r is neither a model parameter nor a gate "
@@ -363,8 +396,8 @@ def _sweep_documents(text, param, values):
         )
     for value in values:
         if in_model:
-            model_spec[param] = value
-            doc["model"] = model_spec
+            spec[param] = value
+            doc["model"] = spec
         for g in gate_hits:
             g["params"][param] = value
         yield json.dumps(doc)
@@ -373,27 +406,18 @@ def _sweep_documents(text, param, values):
 def _cmd_sweep(args):
     if args.steps < 1:
         raise ConfigError("sweep needs at least one step")
-    with open(args.doc, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_doc(args.doc)
     values = np.linspace(args.start, args.stop, args.steps)
     lines = ["%s\tZ\tN" % args.param]
     reports = []
     for value, doc_text in zip(values, _sweep_documents(text, args.param, values)):
-        circuit, model, outputs = parse_circuit_doc(doc_text)
-        row = {"param": args.param, "value": float(value)}
-        try:
-            result = model.run(circuit)
-        except ParadoxError as err:
-            row["report"] = _paradox_report(err, circuit)
+        report, result = _report(*parse_circuit_doc(doc_text))
+        reports.append({"param": args.param, "value": float(value), "report": report})
+        if result is None:
             lines.append("%r\tparadox\tparadox" % float(value))
         else:
-            row["report"] = build_report(circuit, model, result, outputs)
-            n = result.n
-            lines.append("%r\t%r\t%s" % (
-                float(value), float(result.z),
-                "" if n is None else repr(float(n)),
-            ))
-        reports.append(row)
+            n = "" if result.n is None else repr(float(result.n))
+            lines.append("%r\t%r\t%s" % (float(value), float(result.z), n))
     _emit("\n".join(lines) + "\n" + _dump(reports), args.out)
     return 0
 
@@ -450,10 +474,7 @@ def main(argv=None):
     except ParadoxError as err:
         _emit(_dump(_paradox_report(err, None)), getattr(args, "out", None))
         return 2
-    except CtcSimError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (CtcSimError, OSError, UnicodeDecodeError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
 

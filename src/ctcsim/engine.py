@@ -40,7 +40,7 @@ import itertools
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -261,19 +261,16 @@ def _rho_from_matrix(mat, labels, circuit):
     return rho
 
 
-def projection_table(circuit, pair_states=None):
+def projection_table(circuit):
     """Project the evolved state onto the full pair basis of every loop.
 
     Returns a ProjectionSet with one entry per outcome label combination
     (4^m entries for m looped channels).  For unitary circuits the weights
     sum to 1 (resolution of the identity on the reference pairs).
-    Custom pair states only replace the matched ("B") basis vector and are
-    rejected here because the remaining outcomes would not stay orthonormal;
-    use run_exact_bell for those.
+    Custom pair states replace only the matched ("B") basis vector, so they
+    run through run_exact_bell, which projects onto that vector alone.
     """
     loops = _require_loops(circuit)
-    if pair_states:
-        raise ConfigError("projection_table requires the standard pair basis")
     t, ext = _evolved_pairs(circuit)
     amps = _project_pairs(t, [_PAIR_BRAS] * len(loops)).reshape(4 ** len(loops), -1)
     weights = (amps.real**2 + amps.imag**2).sum(axis=1)
@@ -567,62 +564,81 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
 
 
 # ---------------------------------------------------------------------------
-# Model descriptors (used by the catalog verifier and the CLI)
+# Model descriptors, the one table of models (MODELS).  Each names its
+# document `type` and report `name`; a field whose document key differs from
+# its attribute name keeps the key in its metadata.  The CLI reads documents
+# through these fields.
+
+
+class _Model:
+    def describe(self):
+        return {"name": self.name, **asdict(self)}
+
+    def check_circuit(self, circuit):
+        """Raise before any run when the model cannot handle this circuit."""
+
 
 @dataclass(frozen=True)
-class ExactBell:
+class ExactBell(_Model):
+    type = name = "exact_bell"
+
     def run(self, circuit, tol=None):
         return run_exact_bell(circuit, tol=tol)
 
-    def describe(self):
-        return {"name": "exact_bell"}
-
 
 @dataclass(frozen=True)
-class NoisyBell:
-    lam: float
+class NoisyBell(_Model):
+    type = name = "noisy_bell"
+    lam: float = field(metadata={"key": "lambda"})
 
     def run(self, circuit, tol=None):
         return run_noisy_bell(circuit, self.lam, tol=tol)
 
-    def describe(self):
-        return {"name": "noisy_bell", "lam": self.lam}
-
 
 @dataclass(frozen=True)
-class Classical:
+class Classical(_Model):
+    type = name = "classical"
     k: float
     floor: bool = False
 
     def run(self, circuit, tol=None):
         return run_classical(circuit, self.k, floor=self.floor, tol=tol)
 
-    def describe(self):
-        return {"name": "classical", "k": self.k, "floor": self.floor}
-
 
 @dataclass(frozen=True)
-class WeightMatrix:
-    omega: object = "flat"
+class WeightMatrix(_Model):
+    type = name = "weight_matrix"
+    omega: object = "flat"  # a built-in name or a d x d matrix
 
     def run(self, circuit, tol=None):
         return run_weight_matrix(circuit, self.omega, tol=tol)
 
     def describe(self):
         name = self.omega if isinstance(self.omega, str) else "custom"
-        return {"name": "weight_matrix", "omega": name}
+        return {"name": self.name, "omega": name}
 
 
 @dataclass(frozen=True)
-class DeltaQuadrature:
-    n_theta: int = 64
-    n_xi: int = 64
+class DeltaQuadrature(_Model):
+    type, name = "delta", "delta_quadrature"
+    n_theta: int = field(default=64, metadata={"key": "nodes_theta"})
+    n_xi: int = field(default=64, metadata={"key": "nodes_xi"})
 
     def run(self, circuit, tol=None):
         return run_delta_quadrature(circuit, self.n_theta, self.n_xi, tol=tol)
 
-    def describe(self):
-        return {"name": "delta_quadrature", "n_theta": self.n_theta, "n_xi": self.n_xi}
+    def check_circuit(self, circuit):
+        if len(circuit.loop_labels) != 1:
+            raise UnsupportedError(
+                "the delta model integrates a single looped qubit; this circuit "
+                "has %d. Use model weight_matrix with omega='delta', or reduce "
+                "to one looped channel." % len(circuit.loop_labels)
+            )
+
+
+# document type -> descriptor class
+MODELS = {cls.type: cls for cls in (ExactBell, NoisyBell, Classical, WeightMatrix,
+                                    DeltaQuadrature)}
 
 
 def run(circuit, model, tol=None):

@@ -68,10 +68,6 @@ class Gate:
     matrix: np.ndarray = field(default=None, repr=False)
     unitary: bool = True
 
-    @property
-    def arity(self):
-        return len(self.targets)
-
 
 def make_gate(kind, targets, params=(), matrix=None):
     """Build a gate from the vocabulary, or a CUSTOM gate from a matrix.

@@ -20,8 +20,6 @@ from .circuit import Channel, build_circuit, with_init
 from .engine import (
     Classical,
     DeltaQuadrature,
-    ExactBell,
-    NoisyBell,
     projection_table,
     run_classical,
     run_conditional,
@@ -32,7 +30,6 @@ from .engine import (
 )
 from .errors import ParadoxError, ScenarioNotFound
 from .gates import make_gate
-from .states import PureState
 
 _SQ2 = 2**-0.5
 
@@ -49,10 +46,6 @@ def _g(kind, *targets, **kw):
     params = kw.pop("params", ())
     matrix = kw.pop("matrix", None)
     return make_gate(kind, targets, params=params, matrix=matrix)
-
-
-def _rot_params(theta):
-    return {"params": (theta,)}
 
 
 def _scalarize(x):
@@ -83,15 +76,9 @@ def _paradox_rec(model, quantity, fn):
         ok = True
     else:
         ok = False
-    return {
-        "model": model,
-        "quantity": quantity,
-        "expected": "ParadoxError",
-        "actual": "ParadoxError" if ok else "no paradox",
-        "delta": 0.0 if ok else 1.0,
-        "tol": 0.0,
-        "passed": ok,
-    }
+    rec = _rec(model, quantity, 0.0, 0.0 if ok else 1.0, tol=0.0)
+    rec.update(expected="ParadoxError", actual="ParadoxError" if ok else "no paradox")
+    return rec
 
 
 def _proj(x):

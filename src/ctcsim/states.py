@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LabelCollision, LabelError, ParadoxError, UnsupportedError
+from .errors import (ConfigError, LabelCollision, LabelError, ParadoxError,
+                     UnsupportedError)
 
 MAX_QUBITS = 14
 DEFAULT_PARADOX_TOL = 1e-12
@@ -46,7 +47,7 @@ class PureState:
             )
         _check_labels(self.labels)
         if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("non-finite amplitude")
+            raise ConfigError("non-finite amplitude")
 
     @property
     def n_qubits(self):

@@ -187,3 +187,30 @@ def test_input_bias_favors_surviving_inputs():
     bias = cs.input_bias(circuit, "gun", cs.DeltaQuadrature(), nodes=32)
     assert bias.mat[0, 0].real == pytest.approx(0.65, abs=1e-6)
     assert bias.mat[0, 1] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_flip_probability_unknown_channel_is_label_error():
+    rho = cs.DensityOperator(np.diag([0.5, 0.5]), ("a",))
+    result = cs.PostSelectionResult(model="test", z=1.0, rho=rho)
+    with pytest.raises(cs.LabelError, match="nope"):
+        cs.flip_probability(result, "nope")
+    with pytest.raises(cs.LabelError, match="nope"):
+        cs.flip_probability(result, "a", "nope")
+
+
+def test_input_bias_odd_node_count_gives_paradox_inputs_zero_weight():
+    # with an odd count one polar node sits on theta = pi/2, where the
+    # exact CNOT gun is a paradox; that input must weigh 0, not abort
+    circuit = cs.build_scenario("cnot_gun").circuit
+    odd = cs.input_bias(circuit, "gun", cs.ExactBell(), nodes=33)
+    even = cs.input_bias(circuit, "gun", cs.ExactBell(), nodes=32)
+    assert np.allclose(odd.mat, even.mat, atol=1e-12)
+    assert np.isfinite(odd.mat).all()
+
+
+def test_input_bias_raises_paradox_when_every_input_is_one():
+    circuit = build_circuit(
+        [Channel("tm", looped=True), Channel("s")], [make_gate("X", ("tm",))]
+    )
+    with pytest.raises(cs.ParadoxError, match="every input"):
+        cs.input_bias(circuit, "s", cs.ExactBell(), nodes=8)

@@ -4,9 +4,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctcsim.cli import main, parse_circuit_doc
-from ctcsim.engine import DeltaQuadrature, NoisyBell
+from ctcsim.engine import MODELS, DeltaQuadrature, NoisyBell
 from ctcsim.errors import ConfigError, ParseError, UnsupportedError
 
 SIMPLE_LOOP_DOC = {
@@ -108,6 +110,184 @@ def test_parse_entangled_inits():
     }
     circuit, _, _ = parse_circuit_doc(json.dumps(doc))
     assert circuit.entangled
+
+
+def _with(**changes):
+    doc = json.loads(json.dumps(SIMPLE_LOOP_DOC))
+    doc.update(changes)
+    return doc
+
+
+# (case, document or its text or argv, text stderr must contain); each input
+# used to escape main() as a Python exception or to run with a misread value.
+# json.dumps writes math.nan and math.inf as the JSON extensions NaN, Infinity.
+MALFORMED = [
+    ("lambda_text", _with(model={"type": "noisy_bell", "lambda": "abc"}),
+     "doc.model.lambda"),
+    ("nodes_text", _with(model={"type": "delta", "nodes_theta": "x"}),
+     "doc.model.nodes_theta"),
+    ("nodes_infinite", _with(model={"type": "delta", "nodes_theta": math.inf}),
+     "doc.model.nodes_theta"),
+    ("omega_text_entry",
+     _with(model={"type": "weight_matrix", "omega": [[1, "a"], [0, 1]]}),
+     "doc.model.omega[0][1]"),
+    ("omega_ragged", _with(model={"type": "weight_matrix", "omega": [[1, 0], [1]]}),
+     "doc.model.omega"),
+    ("gate_param_text",
+     _with(gates=[{"kind": "ROT", "targets": ["tm"], "params": {"theta": "abc"}}]),
+     "doc.gates[0].params.theta"),
+    ("nested_targets", _with(gates=[{"kind": "X", "targets": [["tm"]]}]),
+     "doc.gates[0].targets"),
+    ("init_nan", json.dumps(SIMPLE_LOOP_DOC).replace("[0.8,", "[NaN,"),
+     "doc.channels[1].init[0]"),
+    ("init_bool", json.dumps(SIMPLE_LOOP_DOC).replace("[0.8,", "[true,"),
+     "doc.channels[1].init[0]"),
+    ("floor_text", _with(model={"type": "classical", "k": 0.3, "floor": "false"}),
+     "doc.model.floor"),
+    ("model_type_list", _with(model={"type": ["noisy_bell"]}), "doc.model.type"),
+    ("flip_unknown_channel", _with(outputs=["flip:nope"]), "'nope'"),
+    ("alpha_text", ["scenario", "cnot_gun", "--param", "alpha=abc"],
+     "arg.param.alpha"),
+    ("alphas_number", ["scenario", "n_controlled_not", "--param", "alphas=3"],
+     "arg.param.alphas"),
+    ("model_arg_text", ["scenario", "simple_loop", "--model", "noisy_bell,lambda=x"],
+     "arg.model.lambda"),
+    ("sweep_bad_json", "{not json", "line 1"),
+]
+
+
+@pytest.mark.parametrize("case,given,where", MALFORMED, ids=[c[0] for c in MALFORMED])
+def test_malformed_input_exits_one_and_names_its_path(case, given, where, tmp_path,
+                                                      capsys):
+    if isinstance(given, list):
+        argv = given
+    else:
+        path = tmp_path / "doc.json"
+        path.write_text(given if isinstance(given, str) else json.dumps(given))
+        argv = ["run", str(path)]
+        if case.startswith("sweep"):
+            argv = ["sweep", str(path), "--param", "lambda", "--from", "0",
+                    "--to", "1", "--steps", "2"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert where in err
+
+
+# document model -> the descriptor's report (model metadata of every report)
+REGISTRY_CASES = [
+    ({"type": "exact_bell"}, {"name": "exact_bell"}),
+    ({"type": "noisy_bell", "lambda": 0.3}, {"name": "noisy_bell", "lam": 0.3}),
+    ({"type": "classical", "k": 0.3}, {"name": "classical", "k": 0.3, "floor": False}),
+    ({"type": "classical", "k": 0.3, "floor": True},
+     {"name": "classical", "k": 0.3, "floor": True}),
+    ({"type": "weight_matrix"}, {"name": "weight_matrix", "omega": "flat"}),
+    ({"type": "weight_matrix", "omega": "quad"}, {"name": "weight_matrix", "omega": "quad"}),
+    ({"type": "weight_matrix", "omega": [[2, 1], [1, 2]]},
+     {"name": "weight_matrix", "omega": "custom"}),
+    ({"type": "delta"}, {"name": "delta_quadrature", "n_theta": 64, "n_xi": 64}),
+    ({"type": "delta", "nodes_theta": 16, "nodes_xi": 8},
+     {"name": "delta_quadrature", "n_theta": 16, "n_xi": 8}),
+]
+
+
+def test_model_registry_round_trip(tmp_path, capsys):
+    assert {spec["type"] for spec, _ in REGISTRY_CASES} == set(MODELS)
+    for spec, described in REGISTRY_CASES:
+        _, model, _ = parse_circuit_doc(json.dumps(_with(model=spec)))
+        assert type(model) is MODELS[spec["type"]]
+        assert model.describe() == described
+        path = write_doc(tmp_path, _with(model=spec, outputs=["Z"]))
+        assert main(["run", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["metadata"]["model"] == described
+
+
+@pytest.mark.parametrize("spec,key,start,stop", [
+    ({"type": "noisy_bell", "lambda": 0.1}, "lambda", 0.0, 1.0),
+    ({"type": "classical", "k": 0.1}, "k", 0.1, 0.4),
+    ({"type": "delta"}, "nodes_theta", 8, 16),
+    ({"type": "delta"}, "nodes_xi", 8, 16),
+])
+def test_sweep_recognises_every_numeric_model_key(spec, key, start, stop, tmp_path,
+                                                   capsys):
+    path = write_doc(tmp_path, _with(model=spec, outputs=["Z"]))
+    code = main(["sweep", path, "--param", key, "--from", str(start),
+                 "--to", str(stop), "--steps", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = json.loads(out[out.index("\n["):])
+    assert [r["value"] for r in rows] == [start, stop]
+
+
+@pytest.mark.parametrize("key", ["floor", "omega"])
+def test_sweep_names_a_non_numeric_model_key(key, tmp_path, capsys):
+    spec = {"type": "classical", "k": 0.2} if key == "floor" else {"type": "weight_matrix"}
+    path = write_doc(tmp_path, _with(model=spec))
+    code = main(["sweep", path, "--param", key, "--from", "0", "--to", "1",
+                 "--steps", "2"])
+    assert code == 1
+    assert "doc.model.%s" % key in capsys.readouterr().err
+
+
+def test_model_argument_reads_booleans_and_names(capsys):
+    code = main(["scenario", "faulty_gun", "--model", "classical,k=0.3,floor=true",
+                 "--outputs", "Z"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["model"]["floor"] is True
+    code = main(["scenario", "faulty_gun", "--model", "weight_matrix,omega=quad",
+                 "--outputs", "Z"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["model"]["omega"] == "quad"
+
+
+FUZZ_DOC = {
+    "channels": [
+        {"name": "tm", "role": "ctc"},
+        {"name": "sys", "role": "external", "init": [0.8, 0.0, 0.6, 0.0]},
+        {"name": "b", "init": "+"},
+    ],
+    "gates": [
+        {"kind": "CROT", "targets": ["sys", "tm"], "params": {"theta": 0.4}},
+        {"kind": "PHASE", "targets": ["b"], "params": {"xi": 0.3}},
+    ],
+    "model": {"type": "classical", "k": 0.2, "floor": False},
+    "outputs": ["Z", "N", "rho", "projections", "flip:sys,b"],
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.just(10**400)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+        ["", "tm", "sys", "b", "x", "+", "delta", "flip:nope", "input_bias:tm"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["type", "name", "lambda"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _json_paths(obj, path=()):
+    yield path
+    if isinstance(obj, list):
+        obj = dict(enumerate(obj))
+    if isinstance(obj, dict):
+        for key, child in obj.items():
+            yield from _json_paths(child, path + (key,))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_documents_exit_cleanly(data, tmp_path, capsys):
+    doc = json.loads(json.dumps(FUZZ_DOC))
+    *parents, last = data.draw(st.sampled_from(list(_json_paths(doc))[1:]))
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = data.draw(JSON_VALUES)
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) in (0, 1, 2)
+    capsys.readouterr()
 
 
 # execution ------------------------------------------------------------------

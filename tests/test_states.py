@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctcsim.errors import LabelError, ParadoxError
+from ctcsim.errors import ConfigError, CtcSimError, LabelError, ParadoxError
 from ctcsim.states import (
     DensityOperator,
     PureState,
@@ -99,3 +99,10 @@ def test_normalize_returns_norm():
     unit, n = normalize(s)
     assert n == pytest.approx(0.6)
     assert unit.norm == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_non_finite_amplitude_is_a_typed_error(bad):
+    with pytest.raises(ConfigError, match="non-finite"):
+        PureState(np.array([bad, 0.0], dtype=complex), ("a",))
+    assert issubclass(ConfigError, CtcSimError)
