@@ -16,14 +16,7 @@ import math
 import numpy as np
 
 from .circuit import with_init
-from .engine import (
-    Classical,
-    DeltaQuadrature,
-    ExactBell,
-    NoisyBell,
-    WeightMatrix,
-    flat_measure_nodes,
-)
+from .engine import Classical, ExactBell, NoisyBell, _mix, flat_measure_states
 from .errors import ConfigError, InfiniteSkew, LabelError, NumericsError, ParadoxError
 from .states import DensityOperator
 
@@ -254,33 +247,37 @@ def input_bias(circuit, channel, model, nodes=64):
     the unbiased I/2.  Inputs that make the circuit a paradox weigh 0; when
     every input does, ParadoxError.  Halving the node count must agree to
     1e-6, otherwise NumericsError.
+
+    The circuit is linear in the channel's amplitudes and every model's Z is
+    a weighted sum of squared norms, so Z(psi) = psi^dagger M psi: four runs,
+    on |0>, |1>, |+> and |+i>, fix the 2x2 form M, and `nodes` sets only the
+    quadrature of the average.
     """
-    # the delta model's closed form is exact and far cheaper than nested
-    # quadrature, so the input scan uses it
-    if isinstance(model, DeltaQuadrature):
-        model = WeightMatrix("delta")
-    fine = _input_bias_once(circuit, channel, model, nodes)
-    coarse = _input_bias_once(circuit, channel, model, max(4, nodes // 2))
+    h = 2**-0.5
+    z0, z1, zp, zi = (_acceptance(circuit, channel, model, amps)
+                      for amps in ((1, 0), (0, 1), (h, h), (h, 1j * h)))
+    # Z(a|0> + b|1>) = z0 |a|^2 + z1 |b|^2 + 2 Re(conj(a) b m01)
+    m01 = zp - (z0 + z1) / 2 - 1j * (zi - (z0 + z1) / 2)
+    form = np.array([[z0, m01], [np.conj(m01), z1]])
+    fine = _input_bias_once(form, channel, nodes)
+    coarse = _input_bias_once(form, channel, max(4, nodes // 2))
     if np.max(np.abs(fine - coarse)) > 1e-6:
         raise NumericsError("input-bias quadrature did not converge at %d nodes" % nodes)
     return DensityOperator(fine, (channel,))
 
 
-def _input_bias_once(circuit, channel, model, nodes):
-    theta, w_theta, xi, w_xi = flat_measure_nodes(nodes, nodes)
-    num = np.zeros((2, 2), dtype=complex)
-    den = 0.0
-    for t, wt in zip(theta, w_theta):
-        for x, wx in zip(xi, w_xi):
-            amps = (math.cos(t), math.sin(t) * np.exp(1j * x))
-            try:
-                z = model.run(with_init(circuit, channel, amps)).z
-            except ParadoxError:
-                z = 0.0
-            w = wt * wx * z
-            v = np.array(amps)
-            num += w * np.outer(v, v.conj())
-            den += w
+def _acceptance(circuit, channel, model, amps):
+    """Z of the circuit with `channel` started in `amps`; 0 for a paradox."""
+    try:
+        return model.run(with_init(circuit, channel, amps)).z
+    except ParadoxError:
+        return 0.0
+
+
+def _input_bias_once(form, channel, nodes):
+    states, w = flat_measure_states(nodes, nodes)
+    z = np.einsum("ka,ab,kb->k", states.conj(), form, states).real
+    den, num = _mix(states, w * z)
     if den == 0.0:
         raise ParadoxError("every input state of channel %r is a paradox" % (channel,))
     return num / den

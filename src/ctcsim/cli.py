@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import MISSING, fields
 
@@ -21,7 +22,7 @@ from . import __version__, analysis
 from .circuit import Channel, build_circuit
 from .engine import MODELS, projection_table, resolve_tolerance
 from .errors import ConfigError, CtcSimError, ParadoxError, ParseError
-from .gates import make_gate
+from .gates import make_gate, param_names
 from .scenarios import build_scenario, list_scenarios
 
 _DEFAULT_OUTPUTS = ("Z", "N", "rho", "projections")
@@ -43,7 +44,8 @@ def _check_keys(obj, allowed, path):
         _fail(path, "expected an object")
     extra = set(obj) - set(allowed)
     if extra:
-        _fail(path, "unknown keys: %s" % ", ".join(sorted(extra)))
+        _fail("%s.%s" % (path, min(extra)),
+              "unknown key (allowed: %s)" % (", ".join(allowed) or "none"))
 
 
 def _items(value, path):
@@ -178,9 +180,14 @@ def _parse_gates(items, path):
     for item, here in _items(items, path):
         _check_keys(item, ("kind", "targets", "params"), here)
         targets = _channel_names(item.get("targets"), here + ".targets", 1)
+        try:
+            names = param_names(item.get("kind"))  # documents carry no CUSTOM matrix
+        except ConfigError as err:
+            _fail(here, str(err))
         raw = item.get("params", {})
-        _check_keys(raw, ("theta", "xi"), here + ".params")
-        params = tuple(_number(v, "%s.params.%s" % (here, k)) for k, v in raw.items())
+        _check_keys(raw, names, here + ".params")
+        params = tuple(_number(raw[k], "%s.params.%s" % (here, k))
+                       for k in names if k in raw)
         try:
             gates.append(make_gate(item.get("kind"), targets, params=params))
         except CtcSimError as err:
@@ -215,8 +222,8 @@ def _parse_model(spec, path):
 
 
 def _model_arg(value):
-    """'noisy_bell,lambda=0.2' -> NoisyBell(0.2)"""
-    head, *rest = value.split(",")
+    """'noisy_bell,lambda=0.2' -> NoisyBell(0.2); only a comma before key= splits."""
+    head, *rest = re.split(r",(?=[^,=\[\]]*=)", value)
     return _parse_model(dict(_key_values(rest, "arg.model"), type=head), "arg.model")
 
 
@@ -246,7 +253,6 @@ def parse_circuit_doc(text):
     model = _parse_model(doc.get("model", "exact_bell"), "doc.model")
     outputs = _parse_outputs(doc.get("outputs", list(_DEFAULT_OUTPUTS)),
                              "doc.outputs")
-    model.check_circuit(circuit)
     return circuit, model, outputs
 
 

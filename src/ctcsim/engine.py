@@ -465,6 +465,17 @@ def flat_measure_nodes(n_theta, n_xi):
     return theta, w_theta, xi, w_xi
 
 
+def flat_measure_states(n_theta, n_xi):
+    """Flat-measure grid as states: rows cos(theta)|0> + e^{i xi} sin(theta)|1>.
+
+    Returns the (N, 2) states, polar angle major, and their (N,) weights.
+    """
+    theta, w_theta, xi, w_xi = flat_measure_nodes(n_theta, n_xi)
+    c0 = np.repeat(np.cos(theta), len(xi))
+    c1 = np.outer(np.sin(theta), np.exp(1j * xi)).reshape(-1)
+    return np.stack([c0, c1], axis=1), np.outer(w_theta, w_xi).reshape(-1)
+
+
 def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
     """Continuous boundary condition on a single loop qubit, by quadrature.
 
@@ -476,25 +487,19 @@ def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
     tol = resolve_tolerance(tol)
     loops = _require_loops(circuit)
     if len(loops) != 1:
-        raise UnsupportedError(
-            "continuous boundary quadrature supports exactly one loop qubit"
-        )
+        raise UnsupportedError("the delta model integrates one looped qubit, not %d; use "
+                               "model weight_matrix with omega='delta'" % len(loops))
     a, ext = _history_tensor(circuit)  # shape (emerge, enter, ext)
-    theta, w_theta, xi, w_xi = flat_measure_nodes(n_theta, n_xi)
-    c0 = np.cos(theta)[:, None] * np.ones_like(xi)[None, :]
-    c1 = np.sin(theta)[:, None] * np.exp(1j * xi)[None, :]
-    phi = np.stack([c0, c1])  # (2, n_theta, n_xi)
+    phi, w = flat_measure_states(n_theta, n_xi)
     # history (i, j) carries amplitude c_i * conj(c_j) (emerge i, project j)
-    coef = phi[:, None, :, :] * phi.conj()[None, :, :, :]
-    psi = np.tensordot(coef, a, axes=([0, 1], [0, 1]))  # (n_theta, n_xi, ext)
-    wgrid = w_theta[:, None] * w_xi[None, :]
-    dens = (psi.real**2 + psi.imag**2).sum(axis=2)
-    z, num = _mix(psi.reshape(-1, psi.shape[2]), wgrid.reshape(-1))
+    coef = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(-1, 4)
+    psi = coef @ a.reshape(4, -1)  # (nodes, ext)
+    dens = (psi.real**2 + psi.imag**2).sum(axis=1)
+    z, num = _mix(psi, w)
     if z < tol:
         raise ParadoxError("quadrature acceptance rate %.3e below tolerance" % z)
     rho = _rho_from_matrix(num / z, ext, circuit)
-    loop_num = np.einsum("atx,btx,tx->ab", phi, phi.conj(), wgrid * dens)
-    rho_loop = DensityOperator(loop_num / z, loops)
+    rho_loop = DensityOperator(_mix(phi, w * dens)[1] / z, loops)
     return PostSelectionResult(
         model="delta_quadrature", z=z, rho=rho, rho_loop=rho_loop,
         metadata={
@@ -574,9 +579,6 @@ class _Model:
     def describe(self):
         return {"name": self.name, **asdict(self)}
 
-    def check_circuit(self, circuit):
-        """Raise before any run when the model cannot handle this circuit."""
-
 
 @dataclass(frozen=True)
 class ExactBell(_Model):
@@ -626,14 +628,6 @@ class DeltaQuadrature(_Model):
 
     def run(self, circuit, tol=None):
         return run_delta_quadrature(circuit, self.n_theta, self.n_xi, tol=tol)
-
-    def check_circuit(self, circuit):
-        if len(circuit.loop_labels) != 1:
-            raise UnsupportedError(
-                "the delta model integrates a single looped qubit; this circuit "
-                "has %d. Use model weight_matrix with omega='delta', or reduce "
-                "to one looped channel." % len(circuit.loop_labels)
-            )
 
 
 # document type -> descriptor class

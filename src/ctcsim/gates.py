@@ -40,22 +40,30 @@ def _controlled(block, n_controls):
     return mat
 
 
-# kind -> (arity, parameter count, matrix builder)
+# kind -> (arity, parameter names in positional order, matrix builder)
 _VOCAB = {
-    "X": (1, 0, lambda: _X),
-    "Z": (1, 0, lambda: _Z),
-    "H": (1, 0, lambda: _H),
-    "ROT": (1, 1, _rot),
-    "PHASE": (1, 1, _phase),
-    "SWAP": (2, 0, lambda: _SWAP),
-    "CX": (2, 0, lambda: _controlled(_X, 1)),
-    "CZ": (2, 0, lambda: _controlled(_Z, 1)),
-    "CROT": (2, 1, lambda th: _controlled(_rot(th), 1)),
-    "CPHASE": (2, 1, lambda xi: _controlled(_phase(xi), 1)),
-    "CCROT": (3, 1, lambda th: _controlled(_rot(th), 2)),
-    "TOFFOLI": (3, 0, lambda: _controlled(_X, 2)),
-    "CCCROT": (4, 1, lambda th: _controlled(_rot(th), 3)),
+    "X": (1, (), lambda: _X),
+    "Z": (1, (), lambda: _Z),
+    "H": (1, (), lambda: _H),
+    "ROT": (1, ("theta",), _rot),
+    "PHASE": (1, ("xi",), _phase),
+    "SWAP": (2, (), lambda: _SWAP),
+    "CX": (2, (), lambda: _controlled(_X, 1)),
+    "CZ": (2, (), lambda: _controlled(_Z, 1)),
+    "CROT": (2, ("theta",), lambda th: _controlled(_rot(th), 1)),
+    "CPHASE": (2, ("xi",), lambda xi: _controlled(_phase(xi), 1)),
+    "CCROT": (3, ("theta",), lambda th: _controlled(_rot(th), 2)),
+    "TOFFOLI": (3, (), lambda: _controlled(_X, 2)),
+    "CCCROT": (4, ("theta",), lambda th: _controlled(_rot(th), 3)),
 }
+
+
+def param_names(kind):
+    """Parameter names of a vocabulary gate kind, in make_gate's positional order."""
+    kind = str(kind).upper()
+    if kind not in _VOCAB:
+        raise ConfigError("unknown gate kind %r" % (kind,))
+    return _VOCAB[kind][1]
 
 
 @dataclass(frozen=True)
@@ -101,15 +109,14 @@ def make_gate(kind, targets, params=(), matrix=None):
         unitary = bool(np.allclose(matrix.conj().T @ matrix, np.eye(d), atol=1e-12))
         return Gate(kind, targets, params, matrix, unitary)
 
-    if kind not in _VOCAB:
-        raise ConfigError("unknown gate kind %r" % (kind,))
-    arity, n_params, builder = _VOCAB[kind]
+    names = param_names(kind)
+    arity, _, builder = _VOCAB[kind]
     if len(targets) != arity:
         raise ArityError(
             "%s acts on %d qubits, got %d targets" % (kind, arity, len(targets))
         )
-    if len(params) != n_params:
+    if len(params) != len(names):
         raise ConfigError(
-            "%s takes %d parameter(s), got %d" % (kind, n_params, len(params))
+            "%s takes %d parameter(s), got %d" % (kind, len(names), len(params))
         )
     return Gate(kind, targets, params, builder(*params), True)

@@ -214,3 +214,96 @@ def test_input_bias_raises_paradox_when_every_input_is_one():
     )
     with pytest.raises(cs.ParadoxError, match="every input"):
         cs.input_bias(circuit, "s", cs.ExactBell(), nodes=8)
+
+
+def input_bias_by_node(circuit, channel, model, nodes):
+    """Reference: the per-node scan, one model run per flat-measure node."""
+    theta, w_theta, xi, w_xi = cs.flat_measure_nodes(nodes, nodes)
+    num, den = np.zeros((2, 2), dtype=complex), 0.0
+    for t, wt in zip(theta, w_theta):
+        for x, wx in zip(xi, w_xi):
+            amps = (math.cos(t), math.sin(t) * np.exp(1j * x))
+            try:
+                z = model.run(cs.with_init(circuit, channel, amps)).z
+            except cs.ParadoxError:
+                z = 0.0
+            v = np.array(amps)
+            num += wt * wx * z * np.outer(v, v.conj())
+            den += wt * wx * z
+    return num / den
+
+
+def random_one_loop_circuit(seed):
+    """One looped channel, two externals ("in" is scanned), eight random gates.
+
+    The leading phase gate makes the acceptance form of "in" complex.
+    """
+    rng = np.random.default_rng(seed)
+    labels = ["tm", "in", "aux"]
+    gates = [make_gate("PHASE", ("in",), params=(0.9,))]
+    for _ in range(8):
+        kind, arity, n_params = [("ROT", 1, 1), ("H", 1, 0), ("CROT", 2, 1),
+                                 ("CPHASE", 2, 1), ("CX", 2, 0)][rng.integers(5)]
+        gates.append(make_gate(kind, tuple(rng.choice(labels, arity, replace=False)),
+                               params=tuple(rng.uniform(-math.pi, math.pi, n_params))))
+    return build_circuit(
+        [Channel("tm", looped=True), Channel("in"), Channel("aux", init=(0.6, 0.8j))],
+        gates,
+    )
+
+
+BIAS_MODELS = [cs.ExactBell(), cs.NoisyBell(0.3), cs.Classical(0.3),
+               cs.Classical(0.3, floor=True), cs.WeightMatrix("flat"),
+               cs.WeightMatrix("quad"), cs.WeightMatrix("delta"),
+               cs.WeightMatrix(np.array([[3.0, 1.0], [1.0, 3.0]])),
+               cs.DeltaQuadrature(16, 8)]
+
+
+@pytest.mark.parametrize("model", BIAS_MODELS, ids=lambda m: str(m.describe()))
+@pytest.mark.parametrize("seed", [2, 7])
+def test_input_bias_matches_the_per_node_scan(model, seed):
+    circuit = random_one_loop_circuit(seed)
+    bias = cs.input_bias(circuit, "in", model, nodes=16)
+    assert np.max(np.abs(bias.mat - input_bias_by_node(circuit, "in", model, 16))) <= 1e-9
+
+
+def test_input_bias_matches_the_per_node_scan_across_paradox_inputs():
+    # the |1> input of the exact CNOT gun is a paradox, so one of the four
+    # probe runs raises and counts as Z = 0
+    circuit = cs.build_scenario("cnot_gun").circuit
+    with pytest.raises(cs.ParadoxError):
+        cs.run_exact_bell(cs.with_init(circuit, "gun", (0.0, 1.0)))
+    bias = cs.input_bias(circuit, "gun", cs.ExactBell(), nodes=16)
+    reference = input_bias_by_node(circuit, "gun", cs.ExactBell(), 16)
+    assert np.max(np.abs(bias.mat - reference)) <= 1e-9
+
+
+class CountingModel:
+    def __init__(self, model):
+        self.model, self.runs = model, 0
+
+    def run(self, circuit, tol=None):
+        self.runs += 1
+        return self.model.run(circuit, tol=tol)
+
+
+def test_input_bias_makes_four_model_runs_whatever_the_node_count():
+    circuit = cs.build_scenario("cnot_gun").circuit
+    model = CountingModel(cs.NoisyBell(0.3))
+    cs.input_bias(circuit, "gun", model, nodes=64)
+    assert model.runs == 4
+    # at 8 nodes the 4-node coarse check is off by about 1e-3 and raises,
+    # after the same four runs
+    model = CountingModel(cs.NoisyBell(0.3))
+    with pytest.raises(cs.NumericsError):
+        cs.input_bias(circuit, "gun", model, nodes=8)
+    assert model.runs == 4
+
+
+def test_input_bias_delta_model_on_two_loops_is_unsupported():
+    circuit = build_circuit(
+        [Channel("t1", looped=True), Channel("t2", looped=True), Channel("s")],
+        [make_gate("CX", ("t1", "t2")), make_gate("CX", ("s", "t1"))],
+    )
+    with pytest.raises(cs.UnsupportedError, match="weight_matrix"):
+        cs.input_bias(circuit, "s", cs.DeltaQuadrature(), nodes=8)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ctcsim.cli import main, parse_circuit_doc
 from ctcsim.engine import MODELS, DeltaQuadrature, NoisyBell
-from ctcsim.errors import ConfigError, ParseError, UnsupportedError
+from ctcsim.errors import ConfigError, ParseError
 
 SIMPLE_LOOP_DOC = {
     "channels": [
@@ -63,17 +63,31 @@ def test_parse_rejects_gate_on_reference_qubit():
         parse_circuit_doc(json.dumps(doc))
 
 
-def test_parse_delta_with_two_loops_unsupported():
-    doc = {
-        "channels": [
-            {"name": "t1", "role": "ctc"},
-            {"name": "t2", "role": "ctc"},
-        ],
-        "gates": [{"kind": "CX", "targets": ["t1", "t2"]}],
-        "model": {"type": "delta"},
-    }
-    with pytest.raises(UnsupportedError, match="weight_matrix"):
-        parse_circuit_doc(json.dumps(doc))
+TWO_LOOP_DOC = {
+    "channels": [
+        {"name": "t1", "role": "ctc"},
+        {"name": "t2", "role": "ctc"},
+    ],
+    "gates": [{"kind": "CX", "targets": ["t1", "t2"]}],
+    "model": {"type": "delta"},
+}
+
+
+@pytest.mark.parametrize("case", ["document", "run_override", "scenario_override"])
+def test_delta_with_two_loops_exits_one_with_weight_matrix_hint(case, tmp_path, capsys):
+    # the delta model's one-loop restriction is checked by the run itself, so
+    # a model given on the command line reports the same hint as a document
+    exact = write_doc(tmp_path, dict(TWO_LOOP_DOC, model={"type": "exact_bell"}))
+    argv = {
+        "document": ["run", write_doc(tmp_path, TWO_LOOP_DOC, "delta.json")],
+        "run_override": ["run", exact, "--model", "delta"],
+        "scenario_override": ["scenario", "two_ctc_cx", "--model", "delta"],
+    }[case]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "weight_matrix" in captured.err and "omega='delta'" in captured.err
 
 
 def test_parse_model_variants():
@@ -118,8 +132,8 @@ def _with(**changes):
     return doc
 
 
-# (case, document or its text or argv, text stderr must contain); each input
-# used to escape main() as a Python exception or to run with a misread value.
+# (case, document or its text or argv, text stderr must contain); most of these
+# inputs once escaped main() as a Python exception or ran with a misread value.
 # json.dumps writes math.nan and math.inf as the JSON extensions NaN, Infinity.
 MALFORMED = [
     ("lambda_text", _with(model={"type": "noisy_bell", "lambda": "abc"}),
@@ -136,6 +150,15 @@ MALFORMED = [
     ("gate_param_text",
      _with(gates=[{"kind": "ROT", "targets": ["tm"], "params": {"theta": "abc"}}]),
      "doc.gates[0].params.theta"),
+    ("gate_param_wrong_name",
+     _with(gates=[{"kind": "PHASE", "targets": ["tm"], "params": {"theta": 1.0}}]),
+     "doc.gates[0].params.theta"),
+    ("gate_param_on_fixed_gate",
+     _with(gates=[{"kind": "CX", "targets": ["tm", "sys"], "params": {"xi": 1.0}}]),
+     "doc.gates[0].params.xi"),
+    ("gate_kind_unknown_with_params",
+     _with(gates=[{"kind": "FOO", "targets": ["tm"], "params": {"theta": 1.0}}]),
+     "doc.gates[0]: unknown gate kind 'FOO'"),
     ("nested_targets", _with(gates=[{"kind": "X", "targets": [["tm"]]}]),
      "doc.gates[0].targets"),
     ("init_nan", json.dumps(SIMPLE_LOOP_DOC).replace("[0.8,", "[NaN,"),
@@ -240,6 +263,23 @@ def test_model_argument_reads_booleans_and_names(capsys):
                  "--outputs", "Z"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["metadata"]["model"]["omega"] == "quad"
+
+
+def test_model_argument_takes_a_matrix(tmp_path, capsys):
+    # the commas inside the matrix do not split the argument
+    omega = [[3, 1], [1, 3]]
+    in_doc = write_doc(tmp_path, _with(model={"type": "weight_matrix", "omega": omega}))
+    assert main(["run", in_doc]) == 0
+    expect = capsys.readouterr().out
+    plain = write_doc(tmp_path, SIMPLE_LOOP_DOC, "plain.json")
+    assert main(["run", plain, "--model", "weight_matrix,omega=[[3,1],[1,3]]"]) == 0
+    assert capsys.readouterr().out == expect
+    assert json.loads(expect)["metadata"]["model"]["omega"] == "custom"
+    code = main(["scenario", "simple_loop", "--model", "delta,nodes_theta=16,nodes_xi=8",
+                 "--outputs", "Z"])
+    assert code == 0
+    model = json.loads(capsys.readouterr().out)["metadata"]["model"]
+    assert (model["n_theta"], model["n_xi"]) == (16, 8)
 
 
 FUZZ_DOC = {

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -213,6 +214,50 @@ def test_exact_model_matches_p_ctc_trace_formula(seed, data):
     assert r.n == pytest.approx(n_ref, abs=1e-12)
     unit = psi / n_ref
     assert np.max(np.abs(r.rho.mat - np.outer(unit, unit.conj()))) <= 1e-10
+
+
+def noisy_by_density_matrix(circuit, lam):
+    """Z and trace-1 rho of Tr_pairs[(W^m x I) rho_out], W = (1-lam)|B><B| + lam I/4.
+
+    rho_out is the density matrix of the (reference, loop) pairs and the
+    externals, conjugated by I_ref x U with U from compile_unitary.  The
+    register runs (references, loops, externals); externals in declaration order.
+    """
+    labels = circuit.labels
+    n = len(labels)
+    order = [labels.index(l) for l in circuit.loop_labels + circuit.external_labels]
+    m = len(circuit.loop_labels)
+    d, e = 2**m, 2 ** (n - m)
+    u = cs.compile_unitary(circuit).reshape((2,) * (2 * n))
+    u = u.transpose(order + [n + q for q in order]).reshape(d * e, d * e)
+    ext0 = np.ones(1, dtype=complex)
+    for c in circuit.channels:
+        if not c.looped:
+            ext0 = np.kron(ext0, c.init)
+    psi = np.kron(np.eye(d).reshape(-1) / np.sqrt(d), ext0)  # Bell pairs, then externals
+    full = np.kron(np.eye(d), u)
+    rho_out = full @ np.outer(psi, psi.conj()) @ full.conj().T
+    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    w_pair = (1 - lam) * np.outer(bell, bell) + lam * np.eye(4) / 4
+    w = functools.reduce(np.kron, [w_pair] * m).reshape((2,) * (4 * m))
+    # pair operators act on (r1, l1, r2, l2, ...); the register is (refs, loops)
+    pairs_to_register = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
+    w = w.transpose(pairs_to_register + [2 * m + a for a in pairs_to_register])
+    num = (np.kron(w.reshape(d * d, d * d), np.eye(e)) @ rho_out).reshape(d * d, e, d * d, e)
+    num = np.einsum("iaib->ab", num)
+    z = float(np.trace(num).real)
+    return z, num / z
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(0, 2),
+       st.floats(0.05, 1.0))
+def test_noisy_model_matches_werner_projection_of_density_matrix(seed, n_loops, n_ext, lam):
+    circuit = random_circuit(seed, n_loops, n_ext)
+    z, rho = noisy_by_density_matrix(circuit, lam)
+    r = cs.run_noisy_bell(circuit, lam)
+    assert r.z == pytest.approx(z, rel=1e-12, abs=1e-14)
+    assert np.max(np.abs(r.rho.mat - rho)) <= 1e-10
 
 
 def test_exact_paradox_carries_the_full_projection_table():

@@ -23,6 +23,16 @@ def test_flat_measure_nodes_total_weight():
     assert xi[0] == 0.0
 
 
+def test_flat_measure_states_are_the_node_states():
+    theta, wt, xi, wx = cs.flat_measure_nodes(6, 5)
+    states, w = cs.engine.flat_measure_states(6, 5)
+    # polar angle major: row 5 * i + j is node (theta_i, xi_j)
+    expect = [[math.cos(t), math.sin(t) * np.exp(1j * x)] for t in theta for x in xi]
+    assert states.shape == (30, 2)
+    assert np.allclose(states, expect, rtol=0, atol=1e-15)
+    assert np.allclose(w, [a * b for a in wt for b in wx], rtol=1e-15, atol=0)
+
+
 def test_nodes_require_positive_counts():
     with pytest.raises(cs.ConfigError):
         cs.flat_measure_nodes(0, 16)
