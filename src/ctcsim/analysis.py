@@ -246,13 +246,15 @@ def input_bias(circuit, channel, model, nodes=64):
     model's acceptance rate Z(psi).  A channel that deselects nothing returns
     the unbiased I/2.  Inputs that make the circuit a paradox weigh 0; when
     every input does, ParadoxError.  Halving the node count must agree to
-    1e-6, otherwise NumericsError.
+    1e-6, otherwise NumericsError; `nodes` below 2 is a ConfigError.
 
     The circuit is linear in the channel's amplitudes and every model's Z is
     a weighted sum of squared norms, so Z(psi) = psi^dagger M psi: four runs,
     on |0>, |1>, |+> and |+i>, fix the 2x2 form M, and `nodes` sets only the
     quadrature of the average.
     """
+    if nodes < 2:
+        raise ConfigError("input_bias needs at least 2 nodes, got %r" % (nodes,))
     h = 2**-0.5
     z0, z1, zp, zi = (_acceptance(circuit, channel, model, amps)
                       for amps in ((1, 0), (0, 1), (h, h), (h, 1j * h)))
@@ -260,7 +262,7 @@ def input_bias(circuit, channel, model, nodes=64):
     m01 = zp - (z0 + z1) / 2 - 1j * (zi - (z0 + z1) / 2)
     form = np.array([[z0, m01], [np.conj(m01), z1]])
     fine = _input_bias_once(form, channel, nodes)
-    coarse = _input_bias_once(form, channel, max(4, nodes // 2))
+    coarse = _input_bias_once(form, channel, nodes // 2)
     if np.max(np.abs(fine - coarse)) > 1e-6:
         raise NumericsError("input-bias quadrature did not converge at %d nodes" % nodes)
     return DensityOperator(fine, (channel,))

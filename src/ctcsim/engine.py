@@ -384,6 +384,7 @@ def run_classical(circuit, k, floor=False, tol=None):
     )
 
 
+_MAX_GRID_NODES = 2**20  # largest n_theta * n_xi of a flat-measure grid
 _FLAT_MEASURE = np.pi**2 / 4.0  # integral of |c_0|^2 |c_1|^2 over the flat measure
 
 
@@ -453,10 +454,12 @@ def flat_measure_nodes(n_theta, n_xi):
     """Nodes/weights for the flat measure on [0, pi] x [0, 2*pi].
 
     Gauss-Legendre in the polar angle, uniform (periodic trapezoid) in the
-    phase.  Total weight is 2*pi^2.
+    phase.  Total weight is 2*pi^2.  At most 2**20 nodes in all.
     """
     if int(n_theta) < 1 or int(n_xi) < 1:
         raise ConfigError("quadrature node counts must be positive")
+    if int(n_theta) * int(n_xi) > _MAX_GRID_NODES:
+        raise ConfigError("quadrature grid n_theta * n_xi exceeds %d nodes" % _MAX_GRID_NODES)
     x, w = np.polynomial.legendre.leggauss(int(n_theta))
     theta = (x + 1.0) * (np.pi / 2.0)
     w_theta = w * (np.pi / 2.0)

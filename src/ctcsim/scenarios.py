@@ -112,61 +112,40 @@ def _b_simple_loop_2q(p):
     )
 
 
+def _angle(angle, p):
+    """Gate params for an angle given as a number, a parameter name or None."""
+    if angle is None:
+        return ()
+    return (p[angle] if isinstance(angle, str) else angle,)
+
+
 def _b_grandfather(gate):
     def build(p):
-        return build_circuit([Channel("tm", looped=True)], [gate()])
+        return build_circuit([Channel("tm", looped=True)], [gate(p)])
     return build
 
 
-def _b_grandfather_perturbed(p):
+def _near_not(p):
     eps = p["eps"]
     mat = (1 - eps) * np.array([[0, 1], [1, 0]]) + eps * np.eye(2)
-    return build_circuit(
-        [Channel("tm", looped=True)], [_g("CUSTOM", "tm", matrix=mat)]
-    )
+    return _g("CUSTOM", "tm", matrix=mat)
 
 
-def _b_faulty_gun(p):
-    return build_circuit(
-        [Channel("tm", looped=True)], [_g("ROT", "tm", params=(p["zeta"],))]
-    )
-
-
-def _b_cnot_gun(p):
-    return build_circuit(
-        [Channel("tm", looped=True), Channel("gun", init=(p["alpha"], p["beta"]))],
-        [_g("CX", "gun", "tm")],
-    )
-
-
-def _b_cpf_gun(p):
-    return build_circuit(
-        [Channel("tm", looped=True), Channel("gun", init=(p["alpha"], p["beta"]))],
-        [_g("CPHASE", "gun", "tm", params=(math.pi,))],
-    )
-
-
-def _b_crot_gun(p):
-    return build_circuit(
-        [Channel("tm", looped=True), Channel("gun", init=(p["alpha"], p["beta"]))],
-        [_g("CROT", "gun", "tm", params=(p["zeta"],))],
-    )
-
-
-def _b_phase_gun(p):
-    return build_circuit(
-        [Channel("tm", looped=True), Channel("gun", init=(p["alpha"], p["beta"]))],
-        [_g("CPHASE", "gun", "tm", params=(p["xi"],))],
-    )
-
-
-def _b_proof(gate_kind, angle=None):
+def _b_gun(kind, angle=None):
     def build(p):
-        params = (angle,) if angle is not None else ()
+        return build_circuit(
+            [Channel("tm", looped=True), Channel("gun", init=(p["alpha"], p["beta"]))],
+            [_g(kind, "gun", "tm", params=_angle(angle, p))],
+        )
+    return build
+
+
+def _b_proof(kind, angle=None):
+    def build(p):
         return build_circuit(
             [Channel("tm", looped=True),
              Channel("probe", init=(p["alpha"], p["beta"]))],
-            [_g(gate_kind, "tm", "probe", params=params)],
+            [_g(kind, "tm", "probe", params=_angle(angle, p))],
         )
     return build
 
@@ -278,25 +257,20 @@ def _b_n_controlled_not(p):
     return build_circuit(channels, gates)
 
 
-def _b_ccrot_selector(p):
-    return build_circuit(
-        [Channel("tm", looped=True),
-         Channel("c1", init=(p["a1"], p["b1"])),
-         Channel("c2", init=(p["a2"], p["b2"]))],
-        [_g("CCROT", "c1", "c2", "tm", params=(p["theta1"],)),
-         _g("ROT", "tm", params=(p["theta2"],))],
-    )
+def _controls(p, n):
+    return [(p["a%d" % i], p["b%d" % i]) for i in range(1, n + 1)]
 
 
-def _b_cccrot_selector(p):
-    return build_circuit(
-        [Channel("tm", looped=True),
-         Channel("c1", init=(p["a1"], p["b1"])),
-         Channel("c2", init=(p["a2"], p["b2"])),
-         Channel("c3", init=(p["a3"], p["b3"]))],
-        [_g("CCCROT", "c1", "c2", "c3", "tm", params=(p["theta1"],)),
-         _g("ROT", "tm", params=(p["theta2"],))],
-    )
+def _b_selector(n):
+    def build(p):
+        labels = ["c%d" % i for i in range(1, n + 1)]
+        return build_circuit(
+            [Channel("tm", looped=True)]
+            + [Channel(label, init=ab) for label, ab in zip(labels, _controls(p, n))],
+            [_g("C" * n + "ROT", *labels, "tm", params=(p["theta1"],)),
+             _g("ROT", "tm", params=(p["theta2"],))],
+        )
+    return build
 
 
 def _parity_ec_input(p):
@@ -327,12 +301,18 @@ def _b_tourist_trap(p):
 # expectation tables
 
 
+def _exact(c, n, rho=None, model="exact_bell", **run):
+    """Run the exact model once; its result and the "n" (and "rho") records."""
+    r = run_exact_bell(c, **run)
+    rec = [_rec(model, "n", n, r.n, 1e-12)]
+    if rho is not None:
+        rec.append(_rec(model, "rho", rho, r.rho.mat, 1e-12))
+    return r, rec
+
+
 def _c_simple_loop(p, c):
     psi = _qubit(p["alpha"], p["beta"])
-    rec = []
-    r = run_exact_bell(c)
-    rec.append(_rec("exact_bell", "n", 0.5, r.n, 1e-12))
-    rec.append(_rec("exact_bell", "rho", _proj(psi), r.rho.mat, 1e-12))
+    _, rec = _exact(c, 0.5, _proj(psi))
     rn = run_noisy_bell(c, 0.3)
     rec.append(_rec("noisy_bell(0.3)", "z", 0.25, rn.z, 1e-12))
     rd = run_delta_quadrature(c)
@@ -353,10 +333,7 @@ def _c_simple_loop(p, c):
 def _c_simple_loop_2q(p, c):
     gamma = np.array([p["g00"], p["g01"], p["g10"], p["g11"]], dtype=complex)
     gamma = gamma / np.linalg.norm(gamma)
-    rec = []
-    r = run_exact_bell(c)
-    rec.append(_rec("exact_bell", "n", 0.25, r.n, 1e-12))
-    rec.append(_rec("exact_bell", "rho", _proj(gamma), r.rho.mat, 1e-12))
+    _, rec = _exact(c, 0.25, _proj(gamma))
     k = 0.3
     rc = run_classical(c, k, floor=True)
     rho_cl = 0.25 * k * np.eye(4) + (1 - k) * np.diag(np.abs(gamma) ** 2)
@@ -367,19 +344,14 @@ def _c_simple_loop_2q(p, c):
 
 def _c_twist_pair(p, c):
     a, b = p["alpha"], p["beta"]
-    rec = []
     twist = np.array([_SQ2, 0.5, 0.0, 0.5], dtype=complex)
-    r = run_exact_bell(c, pair_states={"tm": twist})
     expect = np.array([a / 2 + b / math.sqrt(8), a / math.sqrt(8) + b / 2])
     n = np.linalg.norm(expect)
-    rec.append(_rec("exact_bell(twist)", "n", n, r.n, 1e-12))
-    rec.append(_rec("exact_bell(twist)", "rho", _proj(expect / n), r.rho.mat, 1e-12))
+    _, rec = _exact(c, n, _proj(expect / n), "exact_bell(twist)", pair_states={"tm": twist})
     alt = 0.5 * np.array([1, 1, 1, -1], dtype=complex)
-    r2 = run_exact_bell(c, pair_states={"tm": alt})
-    psi = _qubit(a, b)
-    rec.append(_rec("exact_bell(rotated)", "n", 0.5, r2.n, 1e-12))
-    rec.append(_rec("exact_bell(rotated)", "rho", _proj(psi), r2.rho.mat, 1e-12))
-    return rec
+    _, rotated = _exact(c, 0.5, _proj(_qubit(a, b)), "exact_bell(rotated)",
+                        pair_states={"tm": alt})
+    return rec + rotated
 
 
 def _c_grandfather(label):
@@ -410,16 +382,13 @@ def _c_grandfather_not_extra(p, c):
 
 
 def _c_grandfather_perturbed(p, c):
-    r = run_exact_bell(c)
-    return [_rec("exact_bell", "n", p["eps"], r.n, 1e-12)]
+    return _exact(c, p["eps"])[1]
 
 
 def _c_faulty_gun(p, c):
     z = p["zeta"]
     cz, sz = math.cos(z), math.sin(z)
-    rec = []
-    r = run_exact_bell(c)
-    rec.append(_rec("exact_bell", "n", abs(cz), r.n, 1e-12))
+    _, rec = _exact(c, abs(cz))
     lam = 0.25
     rn = run_noisy_bell(c, lam)
     rec.append(_rec("noisy_bell(0.25)", "z", (1 - lam) * cz**2 + lam / 4, rn.z, 1e-12))
@@ -433,10 +402,7 @@ def _c_faulty_gun(p, c):
 
 def _c_cnot_gun(p, c):
     a, b = p["alpha"], p["beta"]
-    rec = []
-    r = run_exact_bell(c)
-    rec.append(_rec("exact_bell", "n", abs(a), r.n, 1e-12))
-    rec.append(_rec("exact_bell", "rho", np.diag([1.0, 0.0]), r.rho.mat, 1e-12))
+    _, rec = _exact(c, abs(a), np.diag([1.0, 0.0]))
     lam = 0.2
     rn = run_noisy_bell(c, lam)
     rec.append(_rec("noisy_bell(0.2)", "z", (1 - lam) * a**2 + lam / 4, rn.z, 1e-12))
@@ -462,9 +428,7 @@ def _c_cnot_gun(p, c):
 
 def _c_cpf_gun(p, c):
     a, b = p["alpha"], p["beta"]
-    rec = []
-    r = run_exact_bell(c)
-    rec.append(_rec("exact_bell", "n", abs(a), r.n, 1e-12))
+    _, rec = _exact(c, abs(a))
     lam = 0.2
     rn = run_noisy_bell(c, lam)
     rec.append(_rec("noisy_bell(0.2)", "z", (1 - lam) * a**2 + lam / 4, rn.z, 1e-12))
@@ -477,7 +441,7 @@ def _c_cpf_gun(p, c):
 
 def _c_cpf_delta(p, c):
     a, b = p["alpha"], p["beta"]
-    rec = [_rec("exact_bell", "n", abs(a), run_exact_bell(c).n, 1e-12)]
+    _, rec = _exact(c, abs(a))
     rd = run_delta_quadrature(c)
     rec.append(_rec("delta", "z", math.pi**2 * (1 + a**2), rd.z, 1e-8))
     expect = np.diag([2 * a**2 / (1 + a**2), b**2 / (1 + a**2)])
@@ -490,12 +454,9 @@ def _c_cpf_delta(p, c):
 
 def _c_crot_gun(p, c):
     a, b, z = p["alpha"], p["beta"], p["zeta"]
-    rec = []
-    r = run_exact_bell(c)
     n2 = 1 - b**2 * math.sin(z) ** 2
     psi_b = np.array([a, b * math.cos(z)])
-    rec.append(_rec("exact_bell", "n", math.sqrt(n2), r.n, 1e-12))
-    rec.append(_rec("exact_bell", "rho", _proj(psi_b) / n2, r.rho.mat, 1e-12))
+    _, rec = _exact(c, math.sqrt(n2), _proj(psi_b) / n2)
     lam = 0.2
     rn = run_noisy_bell(c, lam)
     expect = 1 - 0.75 * lam - (1 - lam) * b**2 * math.sin(z) ** 2
@@ -507,10 +468,7 @@ def _c_phase_gun(p, c):
     a, b, xi = p["alpha"], p["beta"], p["xi"]
     psi_b = np.array([a, b * (1 + np.exp(1j * xi)) / 2])
     n2 = float(np.vdot(psi_b, psi_b).real)
-    rec = []
-    r = run_exact_bell(c)
-    rec.append(_rec("exact_bell", "n", math.sqrt(n2), r.n, 1e-12))
-    rec.append(_rec("exact_bell", "rho", _proj(psi_b) / n2, r.rho.mat, 1e-12))
+    _, rec = _exact(c, math.sqrt(n2), _proj(psi_b) / n2)
     lam = 0.2
     rn = run_noisy_bell(c, lam)
     rec.append(_rec("noisy_bell(0.2)", "z", (1 - lam) * n2 + lam / 4, rn.z, 1e-12))
@@ -540,9 +498,7 @@ def _c_proof_cx(p, c):
 
 def _c_proof_crot(p, c):
     a, b = p["alpha"], p["beta"]
-    rec = []
-    r = run_exact_bell(c)
-    rec.append(_rec("exact_bell", "n", _SQ2, r.n, 1e-12))
+    _, rec = _exact(c, _SQ2)
     rd = run_delta_quadrature(c)
     rec.append(_rec("delta", "z", 1.5 * math.pi**2, rd.z, 1e-8))
     rho00 = 0.5 - a * (b + b) / 6.0
@@ -561,11 +517,7 @@ def _c_proof_crot(p, c):
 
 
 def _c_proof_cpf(p, c):
-    r = run_exact_bell(c)
-    return [
-        _rec("exact_bell", "n", abs(p["alpha"]), r.n, 1e-12),
-        _rec("exact_bell", "rho", np.diag([1.0, 0.0]), r.rho.mat, 1e-12),
-    ]
+    return _exact(c, abs(p["alpha"]), np.diag([1.0, 0.0]))[1]
 
 
 def _c_pot_product(p, c):
@@ -573,10 +525,7 @@ def _c_pot_product(p, c):
     psi2 = _qubit(p["a2"], p["b2"])
     v = np.kron(psi1, psi2) + np.kron(psi1[::-1], psi2[::-1])
     n2 = float(np.vdot(v, v).real) / 4.0
-    rec = []
-    r = run_exact_bell(c)
-    rec.append(_rec("exact_bell", "n", math.sqrt(n2), r.n, 1e-12))
-    rec.append(_rec("exact_bell", "rho", _proj(v) / np.vdot(v, v).real, r.rho.mat, 1e-12))
+    _, rec = _exact(c, math.sqrt(n2), _proj(v) / np.vdot(v, v).real)
     lam = 0.3
     rn = run_noisy_bell(c, lam)
     rec.append(_rec("noisy_bell(0.3)", "z", (1 - lam) * n2 + lam / 4, rn.z, 1e-12))
@@ -587,19 +536,15 @@ def _c_pot_entangled(p, c):
     g = np.array([p["g00"], p["g11"]], dtype=float)
     g = g / np.linalg.norm(g)
     n2 = (g[0] + g[1]) ** 2 / 2.0
-    r = run_exact_bell(c)
-    return [_rec("exact_bell", "n", math.sqrt(n2), r.n, 1e-12)]
+    return _exact(c, math.sqrt(n2))[1]
 
 
 def _c_two_ctc_cx(p, c):
     psi = _qubit(p["alpha"], p["beta"])
     xpsi = psi[::-1]
-    rec = []
-    r = run_exact_bell(c)
-    rec.append(_rec("exact_bell", "n", 0.5, r.n, 1e-12))
-    rec.append(_rec("exact_bell", "rho", _proj(psi), r.rho.mat, 1e-12))
+    r, rec = _exact(c, 0.5, _proj(psi))
     for lam in (0.0, 0.2, 1.0):
-        res = run_exact_bell(c) if lam == 0.0 else run_noisy_bell(c, lam)
+        res = r if lam == 0.0 else run_noisy_bell(c, lam)
         z_expect = 0.25 * (1 - lam / 2) ** 2
         w_keep = (4 - 3 * lam) / (4 - 2 * lam)
         w_flip = lam / (4 - 2 * lam)
@@ -612,9 +557,7 @@ def _c_two_ctc_cx(p, c):
 def _c_mutual_paradox(p, c):
     a, b, z = p["alpha"], p["beta"], p["zeta"]
     cz, sz = math.cos(z), math.sin(z)
-    rec = []
-    r = run_exact_bell(c)
-    rec.append(_rec("exact_bell", "n", abs(a * cz), r.n, 1e-12))
+    _, rec = _exact(c, abs(a * cz))
     lam = 0.2
     rn = run_noisy_bell(c, lam)
     w_b, w_e = 1 - 0.75 * lam, 0.25 * lam
@@ -633,15 +576,13 @@ def _c_mutual_paradox(p, c):
 
 def _c_third_party(p, c):
     a1, b1, a2, b2 = p["a1"], p["b1"], p["a2"], p["b2"]
-    rec = []
     table = projection_table(c)
     expect_b = np.array([a1 * a2, 0.0, 0.0, b1 * b2], dtype=complex)
     expect_n = np.array([0.0, a1 * b2, b1 * a2, 0.0], dtype=complex)
-    rec.append(_rec("projection", "psi_B", expect_b, table["B"].state.amps, 1e-12))
-    rec.append(_rec("projection", "psi_N", expect_n, table["N"].state.amps, 1e-12))
-    r = run_exact_bell(c)
+    rec = [_rec("projection", "psi_B", expect_b, table["B"].state.amps, 1e-12),
+           _rec("projection", "psi_N", expect_n, table["N"].state.amps, 1e-12)]
     n2 = a1**2 * a2**2 + b1**2 * b2**2
-    rec.append(_rec("exact_bell", "n", math.sqrt(n2), r.n, 1e-12))
+    rec += _exact(c, math.sqrt(n2))[1]
     orth = _b_third_party({"a1": 1.0, "b1": 0.0, "a2": 0.0, "b2": 1.0})
     rec.append(_paradox_rec("exact_bell", "paradox(orthogonal)",
                             lambda: run_exact_bell(orth)))
@@ -659,9 +600,7 @@ def _stubborn_forms(t1, t2):
 def _c_stubborn(p, c):
     t1, t2 = p["theta1"], p["theta2"]
     c1, s1, c2, s2, n2, flip = _stubborn_forms(t1, t2)
-    rec = []
-    r = run_exact_bell(c)
-    rec.append(_rec("exact_bell", "n", math.sqrt(n2), r.n, 1e-12))
+    r, rec = _exact(c, math.sqrt(n2))
     rec.append(_rec("exact_bell", "flip(p1,p2)", flip,
                     analysis.flip_probability(r, "p1", "p2"), 1e-12))
     lam = 0.25
@@ -685,10 +624,7 @@ def _c_stubborn(p, c):
 
 def _c_amnesia_plain(p, c):
     a, b = p["alpha"], p["beta"]
-    rec = []
-    r = run_exact_bell(c)
-    rec.append(_rec("exact_bell", "n", abs(a + b) / 2, r.n, 1e-12))
-    rec.append(_rec("exact_bell", "rho", np.diag([1.0, 0.0]), r.rho.mat, 1e-12))
+    _, rec = _exact(c, abs(a + b) / 2, np.diag([1.0, 0.0]))
     k = 0.3
     rc = run_classical(c, k)
     rec.append(_rec("classical(0.3)", "z", 1.0, rc.z, 1e-12))
@@ -705,9 +641,7 @@ def _c_amnesia_entangled(p, c):
     table = projection_table(c)
     expect = 0.5 * np.array([g[0], g[1], g[0], g[1]], dtype=complex)
     rec = [_rec("projection", "psi_B", expect, table["B"].state.amps, 1e-12)]
-    r = run_exact_bell(c)
-    rec.append(_rec("exact_bell", "n", _SQ2, r.n, 1e-12))
-    return rec
+    return rec + _exact(c, _SQ2)[1]
 
 
 def _c_secondary_loop(p, c):
@@ -727,9 +661,7 @@ def _c_backprop_chain(p, c):
     cs, ss = math.cos(ts), math.sin(ts)
     n2 = 1 - 2 * ss**2 * cs**2 * math.sin(g1) ** 2 * math.sin(g2) ** 2
     flip = ss**2 * (1 - cs**2 * math.sin(g1) ** 2 * math.sin(g2) ** 2) / n2
-    rec = []
-    r = run_exact_bell(c)
-    rec.append(_rec("exact_bell", "n", math.sqrt(n2), r.n, 1e-12))
+    r, rec = _exact(c, math.sqrt(n2))
     rec.append(_rec("exact_bell", "flip(p)", flip,
                     analysis.flip_probability(r, "p"), 1e-12))
     return rec
@@ -741,33 +673,18 @@ def _c_n_controlled_not(p, c):
     return [_rec("exact_bell", "n2", parity["e2"], r.n**2, 1e-12)]
 
 
-def _selector_expect(thetas, controls):
+def _c_selector(n):
     """Amplitudes cos(theta2) off the all-ones control state, cos(theta1+theta2) on it."""
-    t1, t2 = thetas
-    amps = np.ones(1, dtype=complex)
-    for a, b in controls:
-        amps = np.kron(amps, np.array([a, b], dtype=complex))
-    out = amps * math.cos(t2)
-    out[-1] = amps[-1] * math.cos(t1 + t2)
-    return out
-
-
-def _c_ccrot_selector(p, c):
-    expect = _selector_expect(
-        (p["theta1"], p["theta2"]),
-        [(p["a1"], p["b1"]), (p["a2"], p["b2"])],
-    )
-    table = projection_table(c)
-    return [_rec("projection", "psi_B", expect, table["B"].state.amps, 1e-12)]
-
-
-def _c_cccrot_selector(p, c):
-    expect = _selector_expect(
-        (p["theta1"], p["theta2"]),
-        [(p["a1"], p["b1"]), (p["a2"], p["b2"]), (p["a3"], p["b3"])],
-    )
-    table = projection_table(c)
-    return [_rec("projection", "psi_B", expect, table["B"].state.amps, 1e-12)]
+    def checks(p, c):
+        t1, t2 = p["theta1"], p["theta2"]
+        amps = np.ones(1, dtype=complex)
+        for a, b in _controls(p, n):
+            amps = np.kron(amps, np.array([a, b], dtype=complex))
+        expect = amps * math.cos(t2)
+        expect[-1] = amps[-1] * math.cos(t1 + t2)
+        table = projection_table(c)
+        return [_rec("projection", "psi_B", expect, table["B"].state.amps, 1e-12)]
+    return checks
 
 
 def _c_parity_ec(p, c):
@@ -817,35 +734,36 @@ _REGISTRY = {
         dict(_AB), _b_simple_loop, _c_twist_pair),
     "grandfather_not": (
         "NOT gate on the loop: the matched projection vanishes identically.",
-        {}, _b_grandfather(lambda: _g("X", "tm")), _c_grandfather_not_extra),
+        {}, _b_grandfather(lambda p: _g("X", "tm")), _c_grandfather_not_extra),
     "grandfather_pf": (
         "Phase flip on the loop: amplitude moves to the phase-mismatch outcome.",
-        {}, _b_grandfather(lambda: _g("Z", "tm")), _c_grandfather("-")),
+        {}, _b_grandfather(lambda p: _g("Z", "tm")), _c_grandfather("-")),
     "grandfather_rot": (
         "Quarter-turn rotation on the loop: amplitude moves to the combined mismatch.",
-        {}, _b_grandfather(lambda: _g("ROT", "tm", params=(math.pi / 2,))),
+        {}, _b_grandfather(lambda p: _g("ROT", "tm", params=(math.pi / 2,))),
         _c_grandfather("-N")),
     "grandfather_perturbed": (
         "Near-NOT perturbation (1-eps)X + eps*I leaves survival amplitude eps.",
-        {"eps": 1e-2}, _b_grandfather_perturbed, _c_grandfather_perturbed),
+        {"eps": 1e-2}, _b_grandfather(_near_not), _c_grandfather_perturbed),
     "faulty_gun": (
         "Rotation by zeta on the loop; the trigger misfires with amplitude cos(zeta).",
-        {"zeta": math.pi / 3}, _b_faulty_gun, _c_faulty_gun),
+        {"zeta": math.pi / 3},
+        _b_grandfather(lambda p: _g("ROT", "tm", params=(p["zeta"],))), _c_faulty_gun),
     "cnot_gun": (
         "External control fires a NOT at the loop; selection biases the control.",
-        dict(_AB), _b_cnot_gun, _c_cnot_gun),
+        dict(_AB), _b_gun("CX"), _c_cnot_gun),
     "cpf_gun": (
         "External control fires a phase flip at the loop.",
-        dict(_AB), _b_cpf_gun, _c_cpf_gun),
+        dict(_AB), _b_gun("CPHASE", math.pi), _c_cpf_gun),
     "cpf_delta": (
         "Controlled phase flip under the continuous loop boundary model.",
-        dict(_AB), _b_cpf_gun, _c_cpf_delta),
+        dict(_AB), _b_gun("CPHASE", math.pi), _c_cpf_delta),
     "crot_gun": (
         "External control fires a partial rotation (zeta) at the loop.",
-        {"zeta": 0.5, **_AB}, _b_crot_gun, _c_crot_gun),
+        {"zeta": 0.5, **_AB}, _b_gun("CROT", "zeta"), _c_crot_gun),
     "phase_gun": (
         "External control fires a partial phase (xi) at the loop.",
-        {"xi": 0.9, **_AB}, _b_phase_gun, _c_phase_gun),
+        {"xi": 0.9, **_AB}, _b_gun("CPHASE", "xi"), _c_phase_gun),
     "unproven_proof_cx": (
         "Loop copies itself onto a probe; only aligned probes survive.",
         dict(_AB), _b_proof("CX"), _c_proof_cx),
@@ -896,12 +814,12 @@ _REGISTRY = {
         "Doubly controlled rotation plus bare rotation selects the |11> inputs.",
         {"theta1": math.pi / 2, "theta2": math.pi / 2,
          "a1": 0.8, "b1": 0.6, "a2": 0.28, "b2": 0.96},
-        _b_ccrot_selector, _c_ccrot_selector),
+        _b_selector(2), _c_selector(2)),
     "cccrot_selector": (
         "Triply controlled rotation plus bare rotation selects the |111> inputs.",
         {"theta1": math.pi / 2, "theta2": math.pi / 2,
          "a1": 0.8, "b1": 0.6, "a2": 0.28, "b2": 0.96, "a3": 0.6, "b3": 0.8},
-        _b_cccrot_selector, _c_cccrot_selector),
+        _b_selector(3), _c_selector(3)),
     "parity_ec": (
         "Two noisy carriers XOR into the loop; odd-parity errors are deselected.",
         {"eps": 0.1, "lam": 0.5, **_AB}, _b_parity_ec, _c_parity_ec),

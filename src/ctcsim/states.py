@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, LabelCollision, LabelError, ParadoxError,
-                     UnsupportedError)
+from .errors import ConfigError, LabelCollision, LabelError, UnsupportedError
 
 MAX_QUBITS = 14
 DEFAULT_PARADOX_TOL = 1e-12
@@ -101,10 +100,6 @@ class DensityOperator:
     @property
     def n_qubits(self):
         return len(self.labels)
-
-    @property
-    def trace(self):
-        return float(np.trace(self.mat).real)
 
     @classmethod
     def from_pure(cls, state):
@@ -198,15 +193,3 @@ def _permute_density(rho, new_order):
     t = rho.mat.reshape((2,) * (2 * n))
     t = np.transpose(t, perm + [p + n for p in perm])
     return DensityOperator(t.reshape(2**n, 2**n), tuple(new_order))
-
-
-def normalize(state, tol=DEFAULT_PARADOX_TOL):
-    """Return (unit state, original norm); raise ParadoxError below `tol`.
-
-    A vanishing norm after post-selection means the loop admits no consistent
-    history at all, which is the operational definition of a paradox here.
-    """
-    n = state.norm
-    if n < tol:
-        raise ParadoxError("state norm %.3e below paradox tolerance %.3e" % (n, tol))
-    return PureState(state.amps / n, state.labels), n

@@ -300,6 +300,31 @@ def test_input_bias_makes_four_model_runs_whatever_the_node_count():
     assert model.runs == 4
 
 
+@pytest.mark.parametrize("model", [cs.DeltaQuadrature(), cs.NoisyBell(0.2), cs.Classical(0.3)],
+                         ids=["delta", "noisy", "classical"])
+def test_input_bias_at_four_nodes_checks_against_a_coarser_grid(model):
+    # the check grid has nodes // 2 = 2 nodes; at 4 nodes the bias is off
+    # by 1e-2 or more against 64 nodes, which must not pass as converged
+    circuit = cs.build_scenario("cnot_gun").circuit
+    with pytest.raises(cs.NumericsError):
+        cs.input_bias(circuit, "gun", model, nodes=4)
+
+
+@pytest.mark.parametrize("nodes", [1, 0, -3])
+def test_input_bias_below_two_nodes_is_a_config_error(nodes):
+    circuit = cs.build_scenario("cnot_gun").circuit
+    model = CountingModel(cs.NoisyBell(0.2))
+    with pytest.raises(cs.ConfigError, match="at least 2 nodes"):
+        cs.input_bias(circuit, "gun", model, nodes=nodes)
+    assert model.runs == 0
+
+
+def test_input_bias_beyond_the_grid_cap_is_a_config_error():
+    circuit = cs.build_scenario("cnot_gun").circuit
+    with pytest.raises(cs.ConfigError, match="exceeds"):
+        cs.input_bias(circuit, "gun", cs.NoisyBell(0.2), nodes=10**300)
+
+
 def test_input_bias_delta_model_on_two_loops_is_unsupported():
     circuit = build_circuit(
         [Channel("t1", looped=True), Channel("t2", looped=True), Channel("s")],

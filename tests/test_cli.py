@@ -142,6 +142,8 @@ MALFORMED = [
      "doc.model.nodes_theta"),
     ("nodes_infinite", _with(model={"type": "delta", "nodes_theta": math.inf}),
      "doc.model.nodes_theta"),
+    ("nodes_huge", _with(model={"type": "delta", "nodes_theta": 1e300}),
+     "n_theta * n_xi exceeds"),
     ("omega_text_entry",
      _with(model={"type": "weight_matrix", "omega": [[1, "a"], [0, 1]]}),
      "doc.model.omega[0][1]"),

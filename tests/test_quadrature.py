@@ -38,6 +38,13 @@ def test_nodes_require_positive_counts():
         cs.flat_measure_nodes(0, 16)
 
 
+@pytest.mark.parametrize("n_theta,n_xi", [(2**20 + 1, 1), (1025, 1024), (10**300, 64)],
+                         ids=["column", "square", "huge"])
+def test_nodes_beyond_the_grid_cap_are_rejected(n_theta, n_xi):
+    with pytest.raises(cs.ConfigError, match="exceeds 1048576 nodes"):
+        cs.flat_measure_nodes(n_theta, n_xi)
+
+
 def test_quadrature_matches_closed_form_on_rotation():
     circuit = build_circuit(
         [Channel("tm", looped=True)], [make_gate("ROT", ("tm",), params=(0.7,))]

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +86,21 @@ def test_scenario_verification_with_nondefault_parameters():
         records = cs.verify_scenario(name, params)
         bad = [r for r in records if not r["passed"]]
         assert not bad, (name, bad)
+
+
+def test_catalog_records_match_the_manifest():
+    """Every record, in order: (scenario, model, quantity, tol, scalar expected or null).
+
+    `catalog_manifest.json` was written from the catalog as it stood before its
+    builders and checks were folded together; a dropped, renamed, reordered or
+    loosened record fails here even when it still passes.
+    """
+    manifest = json.loads((Path(__file__).parent / "catalog_manifest.json").read_text())
+    got = [[name, r["model"], r["quantity"], r["tol"], r["expected"]]
+           for name in ALL for r in cs.verify_scenario(name)]
+    assert [row[:4] for row in got] == [row[:4] for row in manifest]
+    for row, want in zip(got, manifest):
+        if isinstance(want[4], float):
+            assert row[4] == pytest.approx(want[4], rel=0, abs=1e-12), row
+        else:
+            assert row[4] == want[4], row

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from ctcsim.errors import ConfigError, CtcSimError, LabelError, ParadoxError
+from ctcsim.errors import ConfigError, CtcSimError, LabelError
 from ctcsim.states import (
     DensityOperator,
     PureState,
     apply_gate,
-    normalize,
     partial_trace,
     project,
     tensor,
@@ -86,19 +85,6 @@ def test_partial_trace_keeps_requested_order():
     expect = np.zeros((4, 4))
     expect[0b10, 0b10] = 1.0
     assert np.allclose(red.mat, expect)
-
-
-def test_normalize_raises_on_vanishing_amplitude():
-    s = PureState(np.zeros(2, dtype=complex), ("a",))
-    with pytest.raises(ParadoxError):
-        normalize(s)
-
-
-def test_normalize_returns_norm():
-    s = PureState(np.array([0.6, 0.0], dtype=complex), ("a",))
-    unit, n = normalize(s)
-    assert n == pytest.approx(0.6)
-    assert unit.norm == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
