@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from .circuit import with_init
-from .engine import Classical, ExactBell, NoisyBell, _mix, flat_measure_states
+from .engine import (Classical, ExactBell, NoisyBell, _check_grid, _mix,
+                     flat_measure_states)
 from .errors import ConfigError, InfiniteSkew, LabelError, NumericsError, ParadoxError
 from .states import DensityOperator
 
@@ -246,7 +247,10 @@ def input_bias(circuit, channel, model, nodes=64):
     model's acceptance rate Z(psi).  A channel that deselects nothing returns
     the unbiased I/2.  Inputs that make the circuit a paradox weigh 0; when
     every input does, ParadoxError.  Halving the node count must agree to
-    1e-6, otherwise NumericsError; `nodes` below 2 is a ConfigError.
+    1e-6, otherwise NumericsError; the average is of degree 4 in the input's
+    amplitudes, which the flat-measure grid integrates exactly from 3 nodes,
+    so any `nodes` from 6 passes.  `nodes` below 2, or a nodes x nodes grid
+    past the 2**20 cap, is a ConfigError before any model run.
 
     The circuit is linear in the channel's amplitudes and every model's Z is
     a weighted sum of squared norms, so Z(psi) = psi^dagger M psi: four runs,
@@ -255,6 +259,7 @@ def input_bias(circuit, channel, model, nodes=64):
     """
     if nodes < 2:
         raise ConfigError("input_bias needs at least 2 nodes, got %r" % (nodes,))
+    _check_grid(nodes, nodes)
     h = 2**-0.5
     z0, z1, zp, zi = (_acceptance(circuit, channel, model, amps)
                       for amps in ((1, 0), (0, 1), (h, h), (h, 1j * h)))

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__, analysis
 from .circuit import Channel, build_circuit
-from .engine import MODELS, projection_table, resolve_tolerance
+from .engine import (MODELS, DeltaQuadrature, _check_grid, projection_table,
+                     resolve_tolerance)
 from .errors import ConfigError, CtcSimError, ParadoxError, ParseError
 from .gates import make_gate, param_names
 from .scenarios import build_scenario, list_scenarios
@@ -218,7 +219,16 @@ def _parse_model(spec, path):
             values[f.name] = _READERS[f.type](spec[key], "%s.%s" % (path, key))
         elif f.default is MISSING:
             _fail(path, "%s requires %r" % (kind, key))
-    return cls(**values)
+    model = cls(**values)
+    if cls is DeltaQuadrature:
+        try:
+            _check_grid(model.n_theta, model.n_xi)
+        except ConfigError as err:
+            # name the count at fault: the one below 1, else the larger
+            n_theta, n_xi = model.n_theta, model.n_xi
+            key = "nodes_theta" if n_theta < 1 or 1 <= n_xi <= n_theta else "nodes_xi"
+            _fail("%s.%s" % (path, key), str(err))
+    return model
 
 
 def _model_arg(value):

@@ -18,7 +18,11 @@ paradox.  The other models relax the projection:
 * delta quadrature -- the continuous single-qubit loop boundary condition
   |phi> = cos(theta)|0> + e^{i xi} sin(theta)|1>, integrated over the flat
   measure d(theta) d(xi) on [0, pi] x [0, 2*pi] (not the Haar measure; the
-  flat measure is what the closed forms in the catalog assume).
+  flat measure is what the closed forms in the catalog assume).  The grid is
+  a midpoint rule in theta and a periodic trapezoid in xi; every integrand is
+  a low-degree trigonometric polynomial, so both rules are exact from a few
+  nodes on.  Z and rho see the nodes only through a 4x4 form over the four
+  loop histories, which the history rows then sandwich.
 
 One evolution feeds every model: by channel-state duality (Lloyd et al.,
 arXiv:1007.2615) the evolved pair state holds every pair-basis outcome and
@@ -450,21 +454,31 @@ def run_weight_matrix(circuit, omega="flat", tol=None):
     )
 
 
-def flat_measure_nodes(n_theta, n_xi):
-    """Nodes/weights for the flat measure on [0, pi] x [0, 2*pi].
-
-    Gauss-Legendre in the polar angle, uniform (periodic trapezoid) in the
-    phase.  Total weight is 2*pi^2.  At most 2**20 nodes in all.
-    """
+def _check_grid(n_theta, n_xi):
+    """ConfigError unless an n_theta x n_xi grid holds 1 to 2**20 nodes."""
     if int(n_theta) < 1 or int(n_xi) < 1:
         raise ConfigError("quadrature node counts must be positive")
     if int(n_theta) * int(n_xi) > _MAX_GRID_NODES:
         raise ConfigError("quadrature grid n_theta * n_xi exceeds %d nodes" % _MAX_GRID_NODES)
-    x, w = np.polynomial.legendre.leggauss(int(n_theta))
-    theta = (x + 1.0) * (np.pi / 2.0)
-    w_theta = w * (np.pi / 2.0)
-    xi = np.arange(int(n_xi)) * (2.0 * np.pi / int(n_xi))
-    w_xi = np.full(int(n_xi), 2.0 * np.pi / int(n_xi))
+
+
+def flat_measure_nodes(n_theta, n_xi):
+    """Nodes/weights for the flat measure on [0, pi] x [0, 2*pi].
+
+    Midpoint rule in the polar angle, theta_k = (k + 1/2) * pi / n_theta with
+    weight pi / n_theta; uniform (periodic trapezoid) in the phase.  Total
+    weight is 2*pi^2.  An integrand of degree D/2 in (c_0, c_1) and D/2 in
+    their conjugates is a trigonometric polynomial of frequency at most D/2
+    in 2*theta and in xi, which both rules integrate exactly once each node
+    count exceeds D/2: from 3 nodes for the delta model's Z and rho (D = 4),
+    4 for its rho_loop (D = 6).  At most 2**20 nodes in all.
+    """
+    _check_grid(n_theta, n_xi)
+    n_theta, n_xi = int(n_theta), int(n_xi)
+    theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
+    w_theta = np.full(n_theta, np.pi / n_theta)
+    xi = np.arange(n_xi) * (2.0 * np.pi / n_xi)
+    w_xi = np.full(n_xi, 2.0 * np.pi / n_xi)
     return theta, w_theta, xi, w_xi
 
 
@@ -493,12 +507,17 @@ def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
         raise UnsupportedError("the delta model integrates one looped qubit, not %d; use "
                                "model weight_matrix with omega='delta'" % len(loops))
     a, ext = _history_tensor(circuit)  # shape (emerge, enter, ext)
+    rows = a.reshape(4, -1)
     phi, w = flat_measure_states(n_theta, n_xi)
-    # history (i, j) carries amplitude c_i * conj(c_j) (emerge i, project j)
+    # history (i, j) carries amplitude c_i * conj(c_j) (emerge i, project j),
+    # so node k's external state is rows.T @ coef[k]; the nodes enter the
+    # integral only through the 4x4 form M = sum_k w_k coef_k coef_k^dagger
     coef = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(-1, 4)
-    psi = coef @ a.reshape(4, -1)  # (nodes, ext)
-    dens = (psi.real**2 + psi.imag**2).sum(axis=1)
-    z, num = _mix(psi, w)
+    num = rows.T @ _mix(coef, w)[1] @ rows.conj()
+    num = (num + num.conj().T) / 2
+    z = float(np.trace(num).real)
+    # squared norm of node k's state: coef_k^T G coef_k^*, G = rows rows^dagger
+    dens = np.einsum("kb,kb->k", coef @ (rows @ rows.conj().T), coef.conj()).real
     if z < tol:
         raise ParadoxError("quadrature acceptance rate %.3e below tolerance" % z)
     rho = _rho_from_matrix(num / z, ext, circuit)

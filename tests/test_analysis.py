@@ -292,19 +292,19 @@ def test_input_bias_makes_four_model_runs_whatever_the_node_count():
     model = CountingModel(cs.NoisyBell(0.3))
     cs.input_bias(circuit, "gun", model, nodes=64)
     assert model.runs == 4
-    # at 8 nodes the 4-node coarse check is off by about 1e-3 and raises,
-    # after the same four runs
+    # at 4 nodes the 2-node coarse check is not exact and raises, after the
+    # same four runs
     model = CountingModel(cs.NoisyBell(0.3))
     with pytest.raises(cs.NumericsError):
-        cs.input_bias(circuit, "gun", model, nodes=8)
+        cs.input_bias(circuit, "gun", model, nodes=4)
     assert model.runs == 4
 
 
 @pytest.mark.parametrize("model", [cs.DeltaQuadrature(), cs.NoisyBell(0.2), cs.Classical(0.3)],
                          ids=["delta", "noisy", "classical"])
 def test_input_bias_at_four_nodes_checks_against_a_coarser_grid(model):
-    # the check grid has nodes // 2 = 2 nodes; at 4 nodes the bias is off
-    # by 1e-2 or more against 64 nodes, which must not pass as converged
+    # the check grid has nodes // 2 = 2 nodes, too few to be exact: its
+    # bias is off by 1e-2 or more, which must not pass as converged
     circuit = cs.build_scenario("cnot_gun").circuit
     with pytest.raises(cs.NumericsError):
         cs.input_bias(circuit, "gun", model, nodes=4)
@@ -323,6 +323,28 @@ def test_input_bias_beyond_the_grid_cap_is_a_config_error():
     circuit = cs.build_scenario("cnot_gun").circuit
     with pytest.raises(cs.ConfigError, match="exceeds"):
         cs.input_bias(circuit, "gun", cs.NoisyBell(0.2), nodes=10**300)
+
+
+@pytest.mark.parametrize("nodes", [1025, 10**300], ids=["just_past", "huge"])
+def test_input_bias_checks_the_grid_cap_before_any_model_run(nodes):
+    circuit = cs.build_scenario("cnot_gun").circuit
+    model = CountingModel(cs.DeltaQuadrature())
+    with pytest.raises(cs.ConfigError, match="exceeds 1048576 nodes"):
+        cs.input_bias(circuit, "gun", model, nodes=nodes)
+    assert model.runs == 0
+
+
+@pytest.mark.parametrize("model", [cs.DeltaQuadrature(), cs.NoisyBell(0.3), cs.Classical(0.3)],
+                         ids=["delta", "noisy", "classical"])
+def test_input_bias_is_exact_from_six_nodes(model):
+    # the average is of degree 4 in the input amplitudes, which a grid of
+    # 3 or more nodes per axis integrates exactly, so the nodes // 2 check
+    # passes from 6 nodes and every grid gives the default's answer
+    circuit = cs.build_scenario("cnot_gun").circuit
+    default = cs.input_bias(circuit, "gun", model).mat
+    for nodes in (6, 8, 12):
+        bias = cs.input_bias(circuit, "gun", model, nodes=nodes)
+        assert np.max(np.abs(bias.mat - default)) <= 1e-12, nodes
 
 
 def test_input_bias_delta_model_on_two_loops_is_unsupported():

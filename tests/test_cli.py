@@ -144,6 +144,13 @@ MALFORMED = [
      "doc.model.nodes_theta"),
     ("nodes_huge", _with(model={"type": "delta", "nodes_theta": 1e300}),
      "n_theta * n_xi exceeds"),
+    ("nodes_past_cap", _with(model={"type": "delta", "nodes_theta": 20000}),
+     "doc.model.nodes_theta: quadrature grid n_theta * n_xi exceeds 1048576 nodes"),
+    ("nodes_xi_past_cap", _with(model={"type": "delta", "nodes_theta": 16,
+                                       "nodes_xi": 2**17}),
+     "doc.model.nodes_xi: quadrature grid n_theta * n_xi exceeds 1048576 nodes"),
+    ("nodes_xi_zero", _with(model={"type": "delta", "nodes_xi": 0}),
+     "doc.model.nodes_xi: quadrature node counts must be positive"),
     ("omega_text_entry",
      _with(model={"type": "weight_matrix", "omega": [[1, "a"], [0, 1]]}),
      "doc.model.omega[0][1]"),
@@ -177,6 +184,9 @@ MALFORMED = [
      "arg.param.alphas"),
     ("model_arg_text", ["scenario", "simple_loop", "--model", "noisy_bell,lambda=x"],
      "arg.model.lambda"),
+    ("model_arg_nodes_past_cap",
+     ["scenario", "simple_loop", "--model", "delta,nodes_theta=20000"],
+     "arg.model.nodes_theta: quadrature grid n_theta * n_xi exceeds 1048576 nodes"),
     ("sweep_bad_json", "{not json", "line 1"),
 ]
 

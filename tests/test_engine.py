@@ -216,6 +216,50 @@ def test_exact_model_matches_p_ctc_trace_formula(seed, data):
     assert np.max(np.abs(r.rho.mat - np.outer(unit, unit.conj()))) <= 1e-10
 
 
+def delta_by_node(circuit, n_theta=7, n_xi=9):
+    """Z, rho and rho_loop of the delta model, one node at a time.
+
+    Node (theta, xi) carries phi = cos(theta)|0> + e^{i xi} sin(theta)|1>; its
+    external state is (<phi| x I) U (|phi> x |ext>), with U from
+    compile_unitary.  Both angles sit on shifted uniform grids (offsets 1/3
+    and 1/2 of a step, unlike the engine's), which integrate the delta
+    integrands over [0, pi] x [0, 2*pi] exactly at these node counts.
+    """
+    labels = circuit.labels
+    n = len(labels)
+    order = [labels.index(l) for l in circuit.loop_labels + circuit.external_labels]
+    u = cs.compile_unitary(circuit).reshape((2,) * (2 * n))
+    u = u.transpose(order + [n + q for q in order]).reshape(2, 2 ** (n - 1), 2, -1)
+    ext0 = np.ones(1, dtype=complex)
+    for c in circuit.channels:
+        if not c.looped:
+            ext0 = np.kron(ext0, c.init)
+    weight = (math.pi / n_theta) * (2 * math.pi / n_xi)
+    z, rho, rho_loop = 0.0, 0.0, 0.0
+    for k in range(n_theta):
+        theta = (k + 1 / 3) * math.pi / n_theta
+        for l in range(n_xi):
+            xi = (l + 1 / 2) * 2 * math.pi / n_xi
+            phi = np.array([math.cos(theta), math.sin(theta) * np.exp(1j * xi)])
+            psi = np.einsum("i,iajb,j,b->a", phi.conj(), u, phi, ext0)
+            dens = weight * np.vdot(psi, psi).real
+            z += dens
+            rho = rho + weight * np.outer(psi, psi.conj())
+            rho_loop = rho_loop + dens * np.outer(phi, phi.conj())
+    return z, rho / z, rho_loop / z
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_delta_model_matches_per_node_integral_of_compiled_unitary(seed, n_ext):
+    circuit = random_circuit(seed, 1, n_ext)
+    z, rho, rho_loop = delta_by_node(circuit)
+    r = cs.run_delta_quadrature(circuit)
+    assert r.z == pytest.approx(z, rel=1e-12)
+    assert np.max(np.abs(r.rho.mat - rho)) <= 1e-12
+    assert np.max(np.abs(r.rho_loop.mat - rho_loop)) <= 1e-12
+
+
 def noisy_by_density_matrix(circuit, lam):
     """Z and trace-1 rho of Tr_pairs[(W^m x I) rho_out], W = (1-lam)|B><B| + lam I/4.
 

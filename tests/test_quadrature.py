@@ -16,6 +16,18 @@ def crot_probe(alpha=0.8, beta=0.6):
     )
 
 
+def haar_loop(seed, n_ext=2):
+    """One looped channel and n_ext externals under one Haar-random unitary."""
+    rng = np.random.default_rng(seed)
+    d = 2 ** (n_ext + 1)
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    labels = ["tm"] + ["e%d" % i for i in range(n_ext)]
+    return build_circuit(
+        [Channel("tm", looped=True)] + [Channel(label) for label in labels[1:]],
+        [make_gate("CUSTOM", labels, matrix=q * (np.diag(r) / abs(np.diag(r))))],
+    )
+
+
 def test_flat_measure_nodes_total_weight():
     theta, wt, xi, wx = cs.flat_measure_nodes(32, 32)
     assert wt.sum() * wx.sum() == pytest.approx(2 * PI2, abs=1e-10)
@@ -62,6 +74,24 @@ def test_quadrature_matches_weight_matrix_closed_form():
     closed = cs.run_weight_matrix(circuit, "delta")
     assert quad.z == pytest.approx(closed.z, rel=1e-9)
     assert np.allclose(quad.rho.mat, closed.rho.mat, atol=1e-9)
+
+
+@pytest.mark.parametrize("circuit", [crot_probe(), haar_loop(3)], ids=["crot", "haar"])
+def test_quadrature_is_exact_on_a_three_by_five_grid(circuit):
+    # Z and rho integrate trigonometric polynomials of theta-frequency at
+    # most 4 and xi-frequency at most 2: the midpoint rule in theta and the
+    # trapezoid in xi are exact for them from 3 nodes each
+    quad = cs.run_delta_quadrature(circuit, n_theta=3, n_xi=5)
+    closed = cs.run_weight_matrix(circuit, "delta")
+    assert abs(quad.z - closed.z) <= 1e-13 * closed.z
+    assert np.max(np.abs(quad.rho.mat - closed.rho.mat)) <= 1e-13
+
+
+def test_quadrature_rho_loop_is_exact_on_a_four_by_four_grid():
+    circuit = haar_loop(5)
+    coarse = cs.run_delta_quadrature(circuit, n_theta=4, n_xi=4)
+    assert np.max(np.abs(coarse.rho_loop.mat
+                         - cs.run_delta_quadrature(circuit).rho_loop.mat)) <= 1e-13
 
 
 def test_quadrature_converges_with_node_count():
