@@ -39,7 +39,6 @@ from .engine import (
     pair_out_state,
     projection_table,
     resolve_tolerance,
-    run,
     run_classical,
     run_conditional,
     run_delta_quadrature,
@@ -79,7 +78,7 @@ __all__ = [
     "flat_measure_nodes",
     "flip_probability", "input_bias", "list_scenarios", "make_gate",
     "pair_out_state", "parity_recursion", "partial_trace",
-    "povm_inconclusive", "projection_table", "resolve_tolerance", "run",
+    "povm_inconclusive", "projection_table", "resolve_tolerance",
     "run_classical", "run_conditional", "run_delta_quadrature",
     "run_exact_bell", "run_noisy_bell", "run_weight_matrix",
     "search_error_rates", "skew_factor", "szilard_work", "tensor",

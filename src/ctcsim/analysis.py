@@ -284,7 +284,8 @@ def _acceptance(circuit, channel, model, amps):
 def _input_bias_once(form, channel, nodes):
     states, w = flat_measure_states(nodes, nodes)
     z = np.einsum("ka,ab,kb->k", states.conj(), form, states).real
-    den, num = _mix(states, w * z)
+    num = _mix(states, w * z)
+    den = np.trace(num).real
     if den == 0.0:
         raise ParadoxError("every input state of channel %r is a paradox" % (channel,))
     return num / den

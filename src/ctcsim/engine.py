@@ -28,7 +28,10 @@ One evolution feeds every model: by channel-state duality (Lloyd et al.,
 arXiv:1007.2615) the evolved pair state holds every pair-basis outcome and
 every eigenstate history.  A 4x4 change of basis along each pair axis gives
 the projection table; regrouping reference and loop bits gives the history
-tensor.  Each model is then one contraction of these arrays.
+tensor.  Each model is then one contraction of these arrays into a weighted,
+unnormalized operator on the externals, and all finish in `_post_select`: Z
+is its trace, Z (exact model: the survival amplitude) below the tolerance is
+a paradox in the model's own words, and rho and rho_loop are divided by Z.
 
 Z conventions: exact/noisy values include the 2^-m normalization of the m
 reference pairs; weight-matrix weights are normalized to sum d except for the
@@ -44,7 +47,7 @@ import itertools
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -178,11 +181,6 @@ class PostSelectionResult:
     projections: ProjectionSet = None
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def acceptance(self):
-        """Acceptance rate of the post-selection; alias for `z`."""
-        return self.z
-
 
 def _require_loops(circuit):
     loops = circuit.loop_labels
@@ -249,10 +247,9 @@ def _history_tensor(circuit):
 
 
 def _mix(rows, weights):
-    """sum_k weights[k] |rows[k]><rows[k]| (exactly Hermitian) and its trace."""
+    """sum_k weights[k] |rows[k]><rows[k]|, exactly Hermitian."""
     num = (rows.T * weights) @ rows.conj()
-    num = (num + num.conj().T) / 2  # the product alone is Hermitian only to rounding
-    return float(np.trace(num).real), num
+    return (num + num.conj().T) / 2  # the product alone is Hermitian only to rounding
 
 
 def _rho_from_matrix(mat, labels, circuit):
@@ -263,6 +260,25 @@ def _rho_from_matrix(mat, labels, circuit):
     if order != labels:
         rho = _permute_density(rho, order)
     return rho
+
+
+def _post_select(circuit, model, num, ext, tol, paradox, table=None, n=None, loop=None,
+                 **metadata):
+    """Finish a loop model from its weighted operator `num` on the externals `ext`.
+
+    Z = tr(num).  `n` (exact model), else Z, below the tolerance raises
+    ParadoxError with the `paradox` wording (a %-format over n, z and tol) and
+    `table`; rho and `loop` are divided by Z, and the tolerance ends the metadata.
+    """
+    tol = resolve_tolerance(tol)
+    z = float(np.trace(num).real)
+    if (z if n is None else n) < tol:
+        raise ParadoxError(paradox % {"n": n, "z": z, "tol": tol}, projections=table)
+    return PostSelectionResult(
+        model=model, z=z, rho=_rho_from_matrix(num / z, ext, circuit), n=n,
+        rho_loop=None if loop is None else DensityOperator(loop / z, circuit.loop_labels),
+        projections=table, metadata={**metadata, "tolerance": tol},
+    )
 
 
 def projection_table(circuit):
@@ -284,7 +300,6 @@ def projection_table(circuit):
 
 def run_exact_bell(circuit, tol=None, pair_states=None):
     """Exact post-selected evolution: keep only the matched-pair outcome."""
-    tol = resolve_tolerance(tol)
     loops = _require_loops(circuit)
     if pair_states:
         t, ext = _evolved_pairs(circuit, pair_states)
@@ -295,40 +310,23 @@ def run_exact_bell(circuit, tol=None, pair_states=None):
     else:
         table = projection_table(circuit)
         matched, ext = table.amps[0], table.ext_labels  # the all-"B" row
-    n = float(np.linalg.norm(matched))
-    if n < tol:
-        raise ParadoxError(
-            "matched-pair amplitude %.3e below tolerance %.3e: no consistent history"
-            % (n, tol),
-            projections=table,
-        )
-    unit = matched / n
-    rho = _rho_from_matrix(np.outer(unit, unit.conj()), ext, circuit)
-    return PostSelectionResult(
-        model="exact_bell", z=n**2, rho=rho, n=n, projections=table,
-        metadata={"tolerance": tol},
-    )
+    return _post_select(
+        circuit, "exact_bell", np.outer(matched, matched.conj()), ext, tol,
+        "matched-pair amplitude %(n).3e below tolerance %(tol).3e: no consistent history",
+        table, n=float(np.linalg.norm(matched)))
 
 
 def run_noisy_bell(circuit, lam, tol=None):
     """Depolarized pair projection: mix all 4^m outcomes with product weights."""
-    tol = resolve_tolerance(tol)
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ConfigError("noise parameter lam must lie in [0, 1]")
     table = projection_table(circuit)
     per_pair = np.array([1.0 - 0.75 * lam] + [0.25 * lam] * 3)
     w = functools.reduce(np.kron, [per_pair] * len(table.channel_order))
-    z, num = _mix(table.amps, w)
-    if z < tol:
-        raise ParadoxError("acceptance rate %.3e below tolerance" % z, projections=table)
-    rho = _rho_from_matrix(num / z, table.ext_labels, circuit)
-    return PostSelectionResult(
-        model="noisy_bell", z=z, rho=rho, projections=table,
-        metadata={"lam": lam,
-                  "mixture_weights": dict(zip(table.labels, w.tolist())),
-                  "tolerance": tol},
-    )
+    return _post_select(circuit, "noisy_bell", _mix(table.amps, w), table.ext_labels, tol,
+                        "acceptance rate %(z).3e below tolerance", table, lam=lam,
+                        mixture_weights=dict(zip(table.labels, w.tolist())))
 
 
 def loop_histories(circuit):
@@ -354,7 +352,6 @@ def run_classical(circuit, k, floor=False, tol=None):
     At k = 1/2 (floor=False) the channel is fully unskewed: Z is independent
     of every external input.
     """
-    tol = resolve_tolerance(tol)
     k = float(k)
     if not 0.0 <= k <= 1.0:
         raise ConfigError("flip rate k must lie in [0, 1]")
@@ -371,21 +368,15 @@ def run_classical(circuit, k, floor=False, tol=None):
         flip = np.array([[1.0 - k, k], [k, 1.0 - k]])
         w = functools.reduce(np.kron, [flip] * len(loops))
     hist = w * (a.real**2 + a.imag**2).sum(axis=2)  # weighted history norms
-    z, num = _mix(rows, w.reshape(-1))
-    if z < tol:
-        raise ParadoxError("classical acceptance rate %.3e below tolerance" % z)
+    result = _post_select(circuit, "classical", _mix(rows, w.reshape(-1)), ext, tol,
+                          "classical acceptance rate %(z).3e below tolerance",
+                          loop=np.diag(hist.sum(axis=1)), k=k, floor=bool(floor))
+    # the history table rides on the result only, not on a paradox;
     # floor=True reports each diagonal history with the weight of its whole row
     keep = np.arange(d) * (d + 1) if floor else np.arange(d * d)
     weights = hist.sum(axis=1) if floor else hist.reshape(-1)
-    table = ProjectionSet(rows[keep], weights,
-                          lambda: ("%d|%d" % divmod(i, d) for i in keep), loops, ext)
-    rho = _rho_from_matrix(num / z, ext, circuit)
-    return PostSelectionResult(
-        model="classical", z=z, rho=rho,
-        rho_loop=DensityOperator(np.diag(hist.sum(axis=1)) / z, loops),
-        projections=table,
-        metadata={"k": k, "floor": bool(floor), "tolerance": tol},
-    )
+    return replace(result, projections=ProjectionSet(
+        rows[keep], weights, lambda: ("%d|%d" % divmod(i, d) for i in keep), loops, ext))
 
 
 _MAX_GRID_NODES = 2**20  # largest n_theta * n_xi of a flat-measure grid
@@ -415,7 +406,6 @@ def run_weight_matrix(circuit, omega="flat", tol=None):
     exactly (measure constant 1).  On larger loop registers delta falls back
     to the incoherent diagonal sum.
     """
-    tol = resolve_tolerance(tol)
     a, ext = _history_tensor(circuit)
     d = len(a)
     name = omega if isinstance(omega, str) else "custom"
@@ -426,8 +416,12 @@ def run_weight_matrix(circuit, omega="flat", tol=None):
         mat = np.asarray(omega, dtype=float)
         if mat.shape != (d, d):
             raise ConfigError("weight matrix must be %d x %d" % (d, d))
+        if not np.isfinite(mat).all():
+            raise ConfigError("weight matrix entries must be finite")
         if np.any(mat < 0):
             raise ConfigError("weight matrix entries must be nonnegative")
+        # scaling by a power of two is exact and keeps the sum from overflowing
+        mat = np.ldexp(mat, -np.frexp(mat.max())[1])
         total = mat.sum()
         if total <= 0:
             raise ConfigError("weight matrix must have positive total weight")
@@ -437,26 +431,25 @@ def run_weight_matrix(circuit, omega="flat", tol=None):
         # diagonal histories weigh 2, off-diagonal 1, plus the coherent sum of
         # the diagonal ones, all times the flat-measure constant
         rows = np.concatenate([a.reshape(4, -1), (a[0, 0] + a[1, 1])[None]])
-        z, num = _mix(rows, _FLAT_MEASURE * np.array([2.0, 1.0, 1.0, 2.0, 1.0]))
+        num = _mix(rows, _FLAT_MEASURE * np.array([2.0, 1.0, 1.0, 2.0, 1.0]))
     else:
-        z, num = _mix(a.reshape(d * d, -1), mat.reshape(-1))
-    if z < tol:
-        raise ParadoxError("weighted acceptance rate %.3e below tolerance" % z)
-    rho = _rho_from_matrix(num / z, ext, circuit)
-    return PostSelectionResult(
-        model="weight_matrix", z=z, rho=rho,
-        metadata={
-            "omega": name,
-            "coherent_delta": coherent_delta,
-            "quadrature_measure_constant": 1.0 if coherent_delta else None,
-            "tolerance": tol,
-        },
-    )
+        num = _mix(a.reshape(d * d, -1), mat.reshape(-1))
+    return _post_select(circuit, "weight_matrix", num, ext, tol,
+                        "weighted acceptance rate %(z).3e below tolerance",
+                        omega=name, coherent_delta=coherent_delta,
+                        quadrature_measure_constant=1.0 if coherent_delta else None)
 
 
 def _check_grid(n_theta, n_xi):
-    """ConfigError unless an n_theta x n_xi grid holds 1 to 2**20 nodes."""
-    if int(n_theta) < 1 or int(n_xi) < 1:
+    """ConfigError unless n_theta and n_xi are whole counts of 1 to 2**20 nodes in all."""
+    try:
+        whole = n_theta == int(n_theta) and n_xi == int(n_xi)
+    except (TypeError, ValueError, OverflowError):  # not a number, nan, +-inf
+        whole = False
+    if not whole:
+        raise ConfigError("quadrature node counts must be whole numbers, got %r and %r"
+                          % (n_theta, n_xi))
+    if n_theta < 1 or n_xi < 1:
         raise ConfigError("quadrature node counts must be positive")
     if int(n_theta) * int(n_xi) > _MAX_GRID_NODES:
         raise ConfigError("quadrature grid n_theta * n_xi exceeds %d nodes" % _MAX_GRID_NODES)
@@ -501,7 +494,6 @@ def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
     measure.  Returns Z, the external density operator, and the loop-register
     density operator rho_loop = Z^-1 * integral of w(phi) |phi><phi|.
     """
-    tol = resolve_tolerance(tol)
     loops = _require_loops(circuit)
     if len(loops) != 1:
         raise UnsupportedError("the delta model integrates one looped qubit, not %d; use "
@@ -513,23 +505,13 @@ def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
     # so node k's external state is rows.T @ coef[k]; the nodes enter the
     # integral only through the 4x4 form M = sum_k w_k coef_k coef_k^dagger
     coef = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(-1, 4)
-    num = rows.T @ _mix(coef, w)[1] @ rows.conj()
-    num = (num + num.conj().T) / 2
-    z = float(np.trace(num).real)
+    num = rows.T @ _mix(coef, w) @ rows.conj()
     # squared norm of node k's state: coef_k^T G coef_k^*, G = rows rows^dagger
     dens = np.einsum("kb,kb->k", coef @ (rows @ rows.conj().T), coef.conj()).real
-    if z < tol:
-        raise ParadoxError("quadrature acceptance rate %.3e below tolerance" % z)
-    rho = _rho_from_matrix(num / z, ext, circuit)
-    rho_loop = DensityOperator(_mix(phi, w * dens)[1] / z, loops)
-    return PostSelectionResult(
-        model="delta_quadrature", z=z, rho=rho, rho_loop=rho_loop,
-        metadata={
-            "n_theta": int(n_theta), "n_xi": int(n_xi),
-            "measure": "flat theta-xi on [0, pi] x [0, 2*pi]",
-            "tolerance": tol,
-        },
-    )
+    return _post_select(circuit, "delta_quadrature", (num + num.conj().T) / 2, ext, tol,
+                        "quadrature acceptance rate %(z).3e below tolerance",
+                        loop=_mix(phi, w * dens), n_theta=int(n_theta), n_xi=int(n_xi),
+                        measure="flat theta-xi on [0, pi] x [0, 2*pi]")
 
 
 def run_conditional(circuit, condition, deselect, mode, tol=None):
@@ -655,7 +637,3 @@ class DeltaQuadrature(_Model):
 # document type -> descriptor class
 MODELS = {cls.type: cls for cls in (ExactBell, NoisyBell, Classical, WeightMatrix,
                                     DeltaQuadrature)}
-
-
-def run(circuit, model, tol=None):
-    return model.run(circuit, tol=tol)

@@ -319,6 +319,21 @@ def test_input_bias_below_two_nodes_is_a_config_error(nodes):
     assert model.runs == 0
 
 
+@pytest.mark.parametrize("nodes", [math.nan, math.inf, 6.5], ids=["nan", "inf", "fraction"])
+def test_input_bias_node_count_must_be_a_whole_number(nodes):
+    circuit = cs.build_scenario("cnot_gun").circuit
+    model = CountingModel(cs.NoisyBell(0.2))
+    with pytest.raises(cs.ConfigError, match="whole numbers"):
+        cs.input_bias(circuit, "gun", model, nodes=nodes)
+    assert model.runs == 0
+
+
+def test_input_bias_takes_a_whole_float_node_count():
+    circuit = cs.build_scenario("cnot_gun").circuit
+    whole = cs.input_bias(circuit, "gun", cs.NoisyBell(0.2), nodes=8.0)
+    assert np.array_equal(whole.mat, cs.input_bias(circuit, "gun", cs.NoisyBell(0.2), nodes=8).mat)
+
+
 def test_input_bias_beyond_the_grid_cap_is_a_config_error():
     circuit = cs.build_scenario("cnot_gun").circuit
     with pytest.raises(cs.ConfigError, match="exceeds"):

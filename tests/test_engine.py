@@ -395,10 +395,34 @@ def test_tolerance_env_must_be_finite_and_positive(monkeypatch, value):
         cs.run_exact_bell(cs.build_scenario("grandfather_not").circuit)
 
 
+LOOP_MODELS = [cs.ExactBell(), cs.NoisyBell(0.2), cs.Classical(0.2), cs.WeightMatrix(),
+               cs.DeltaQuadrature()]
+MODEL_NAMES = [m.name for m in LOOP_MODELS]
+
+
+@pytest.mark.parametrize("model", LOOP_MODELS, ids=MODEL_NAMES)
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), "abc"])
-def test_tolerance_argument_must_be_finite_and_positive(tol):
+def test_tolerance_argument_must_be_finite_and_positive(tol, model):
     with pytest.raises(cs.ConfigError):
-        cs.run_exact_bell(cs.build_scenario("grandfather_not").circuit, tol=tol)
+        model.run(cs.build_scenario("grandfather_not").circuit, tol=tol)
+
+
+@pytest.mark.parametrize("model, message, entries", zip(LOOP_MODELS, [
+    "matched-pair amplitude 0.000e+00 below tolerance 1.000e-12: no consistent history",
+    "acceptance rate 0.000e+00 below tolerance",
+    "classical acceptance rate 0.000e+00 below tolerance",
+    "weighted acceptance rate 0.000e+00 below tolerance",
+    "quadrature acceptance rate 0.000e+00 below tolerance",
+], [4, 4, None, None, None]), ids=MODEL_NAMES)
+def test_each_model_words_its_own_paradox(model, message, entries):
+    # a zero gate on the loop leaves no amplitude in any outcome or history
+    circuit = build_circuit([Channel("tm", looped=True), Channel("ex")],
+                            [make_gate("CUSTOM", ("tm",), matrix=np.zeros((2, 2)))])
+    with pytest.raises(cs.ParadoxError) as info:
+        model.run(circuit)
+    assert str(info.value) == message
+    table = info.value.projections
+    assert (None if table is None else len(table.entries)) == entries
 
 
 # classical channel ----------------------------------------------------------
@@ -500,6 +524,22 @@ def test_weight_matrix_rejects_negative_entries():
         cs.run_weight_matrix(cpf_gun(), np.array([[3.0, 0.0], [0.0, -1.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_weight_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(cs.ConfigError, match="finite"):
+        cs.run_weight_matrix(cpf_gun(), np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("entry", [1e308, 5e-324], ids=["huge", "subnormal"])
+def test_weight_matrix_normalizes_extreme_entries_exactly(entry):
+    circuit = cpf_gun()
+    uniform = cs.run_weight_matrix(circuit, [[entry] * 2] * 2)
+    assert uniform.z == pytest.approx(cs.run_weight_matrix(circuit, "flat").z, abs=1e-12)
+    # normalizing to sum d is exact when the total is a power of two times d
+    assert (cs.run_weight_matrix(circuit, [[3.0, 1.0], [1.0, 3.0]]).z
+            == cs.run_weight_matrix(circuit, [[0.75, 0.25], [0.25, 0.75]]).z)
+
+
 # conditional projection -----------------------------------------------------
 
 
@@ -546,13 +586,8 @@ def test_conditional_rejects_looped_circuits():
 
 def test_model_objects_dispatch():
     circuit = cpf_gun()
-    assert cs.run(circuit, cs.ExactBell()).model == "exact_bell"
-    assert cs.run(circuit, cs.NoisyBell(0.2)).model == "noisy_bell"
-    assert cs.run(circuit, cs.Classical(0.2)).model == "classical"
-    assert cs.run(circuit, cs.WeightMatrix("flat")).model == "weight_matrix"
-    assert cs.run(circuit, cs.DeltaQuadrature()).model == "delta_quadrature"
-
-
-def test_acceptance_alias():
-    r = cs.run_exact_bell(cpf_gun())
-    assert r.acceptance == r.z
+    assert cs.ExactBell().run(circuit).model == "exact_bell"
+    assert cs.NoisyBell(0.2).run(circuit).model == "noisy_bell"
+    assert cs.Classical(0.2).run(circuit).model == "classical"
+    assert cs.WeightMatrix("flat").run(circuit).model == "weight_matrix"
+    assert cs.DeltaQuadrature().run(circuit).model == "delta_quadrature"

@@ -50,6 +50,22 @@ def test_nodes_require_positive_counts():
         cs.flat_measure_nodes(0, 16)
 
 
+@pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf, 2.5],
+                         ids=["nan", "inf", "-inf", "fraction"])
+def test_node_counts_must_be_whole_numbers(count):
+    with pytest.raises(cs.ConfigError, match="whole numbers"):
+        cs.run_delta_quadrature(crot_probe(), n_theta=count)
+    with pytest.raises(cs.ConfigError, match="whole numbers"):
+        cs.flat_measure_nodes(16, count)
+
+
+def test_whole_float_node_counts_are_counts():
+    circuit = crot_probe()
+    r = cs.run_delta_quadrature(circuit, n_theta=64.0, n_xi=8.0)
+    assert r.z == cs.run_delta_quadrature(circuit, n_theta=64, n_xi=8).z
+    assert (r.metadata["n_theta"], r.metadata["n_xi"]) == (64, 8)
+
+
 @pytest.mark.parametrize("n_theta,n_xi", [(2**20 + 1, 1), (1025, 1024), (10**300, 64)],
                          ids=["column", "square", "huge"])
 def test_nodes_beyond_the_grid_cap_are_rejected(n_theta, n_xi):
@@ -76,12 +92,15 @@ def test_quadrature_matches_weight_matrix_closed_form():
     assert np.allclose(quad.rho.mat, closed.rho.mat, atol=1e-9)
 
 
-@pytest.mark.parametrize("circuit", [crot_probe(), haar_loop(3)], ids=["crot", "haar"])
-def test_quadrature_is_exact_on_a_three_by_five_grid(circuit):
+@pytest.mark.parametrize("circuit, grid", [(crot_probe(), (3, 5)), (haar_loop(3), (3, 5)),
+                                           (crot_probe(), (12, 12)), (crot_probe(), (96, 96))],
+                         ids=["crot", "haar", "crot-12x12", "crot-96x96"])
+def test_quadrature_is_exact_on_a_three_by_five_grid(circuit, grid):
     # Z and rho integrate trigonometric polynomials of theta-frequency at
     # most 4 and xi-frequency at most 2: the midpoint rule in theta and the
-    # trapezoid in xi are exact for them from 3 nodes each
-    quad = cs.run_delta_quadrature(circuit, n_theta=3, n_xi=5)
+    # trapezoid in xi are exact for them from 3 nodes each, and stay exact
+    # on every finer grid
+    quad = cs.run_delta_quadrature(circuit, *grid)
     closed = cs.run_weight_matrix(circuit, "delta")
     assert abs(quad.z - closed.z) <= 1e-13 * closed.z
     assert np.max(np.abs(quad.rho.mat - closed.rho.mat)) <= 1e-13
@@ -92,15 +111,6 @@ def test_quadrature_rho_loop_is_exact_on_a_four_by_four_grid():
     coarse = cs.run_delta_quadrature(circuit, n_theta=4, n_xi=4)
     assert np.max(np.abs(coarse.rho_loop.mat
                          - cs.run_delta_quadrature(circuit).rho_loop.mat)) <= 1e-13
-
-
-def test_quadrature_converges_with_node_count():
-    circuit = crot_probe()
-    coarse = cs.run_delta_quadrature(circuit, n_theta=12, n_xi=12)
-    fine = cs.run_delta_quadrature(circuit, n_theta=96, n_xi=96)
-    closed = cs.run_weight_matrix(circuit, "delta")
-    assert abs(fine.z - closed.z) < abs(coarse.z - closed.z) + 1e-12
-    assert fine.z == pytest.approx(closed.z, rel=1e-10)
 
 
 def test_quadrature_monte_carlo_cross_check():
