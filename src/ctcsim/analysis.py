@@ -12,6 +12,7 @@ set to one throughout.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -249,17 +250,18 @@ def input_bias(circuit, channel, model, nodes=64):
     every input does, ParadoxError.  Halving the node count must agree to
     1e-6, otherwise NumericsError; the average is of degree 4 in the input's
     amplitudes, which the flat-measure grid integrates exactly from 3 nodes,
-    so any `nodes` from 6 passes.  `nodes` below 2, or a nodes x nodes grid
-    past the 2**20 cap, is a ConfigError before any model run.
+    so any `nodes` from 6 passes.  A `nodes` that is not a whole number, is
+    below 2 or makes a grid past the 2**20 cap is a ConfigError before any
+    model run.
 
     The circuit is linear in the channel's amplitudes and every model's Z is
     a weighted sum of squared norms, so Z(psi) = psi^dagger M psi: four runs,
     on |0>, |1>, |+> and |+i>, fix the 2x2 form M, and `nodes` sets only the
     quadrature of the average.
     """
-    if nodes < 2:
+    if isinstance(nodes, numbers.Real) and nodes < 2:
         raise ConfigError("input_bias needs at least 2 nodes, got %r" % (nodes,))
-    _check_grid(nodes, nodes)
+    _check_grid(nodes, nodes)  # a non-number is named here, before any model run
     h = 2**-0.5
     z0, z1, zp, zi = (_acceptance(circuit, channel, model, amps)
                       for amps in ((1, 0), (0, 1), (h, h), (h, 1j * h)))

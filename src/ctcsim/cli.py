@@ -115,6 +115,8 @@ def _key_values(items, path):
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
             out[key] = raw
+        except RecursionError:
+            _fail("%s.%s" % (path, key), "value nests too deeply")
     return out
 
 
@@ -253,6 +255,8 @@ def parse_circuit_doc(text):
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError("line %d: %s" % (err.lineno, err.msg)) from None
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
     _check_keys(doc, ("channels", "entangled_inits", "gates", "model", "outputs"),
                 "doc")
     channels = _parse_channels(doc.get("channels"), "doc.channels")
@@ -422,8 +426,12 @@ def _sweep_documents(text, param, values):
 def _cmd_sweep(args):
     if args.steps < 1:
         raise ConfigError("sweep needs at least one step")
+    start, stop = _number(args.start, "arg.from"), _number(args.stop, "arg.to")
+    if not math.isfinite(stop - start):
+        _fail("arg.to", "sweep range %r to %r is wider than the float range"
+              % (start, stop))
     text = _read_doc(args.doc)
-    values = np.linspace(args.start, args.stop, args.steps)
+    values = np.linspace(start, stop, args.steps)
     lines = ["%s\tZ\tN" % args.param]
     reports = []
     for value, doc_text in zip(values, _sweep_documents(text, args.param, values)):

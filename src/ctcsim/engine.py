@@ -325,8 +325,7 @@ def run_noisy_bell(circuit, lam, tol=None):
     per_pair = np.array([1.0 - 0.75 * lam] + [0.25 * lam] * 3)
     w = functools.reduce(np.kron, [per_pair] * len(table.channel_order))
     return _post_select(circuit, "noisy_bell", _mix(table.amps, w), table.ext_labels, tol,
-                        "acceptance rate %(z).3e below tolerance", table, lam=lam,
-                        mixture_weights=dict(zip(table.labels, w.tolist())))
+                        "acceptance rate %(z).3e below tolerance", table, lam=lam)
 
 
 def loop_histories(circuit):

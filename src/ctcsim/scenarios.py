@@ -301,45 +301,36 @@ def _b_tourist_trap(p):
 # expectation tables
 
 
-def _exact(c, n, rho=None, model="exact_bell", **run):
-    """Run the exact model once; its result and the "n" (and "rho") records."""
-    r = run_exact_bell(c, **run)
-    rec = [_rec(model, "n", n, r.n, 1e-12)]
-    if rho is not None:
-        rec.append(_rec(model, "rho", rho, r.rho.mat, 1e-12))
-    return r, rec
+def _records(model, result, tol=1e-12, **expected):
+    """One `_rec` per keyword, in order; `rho` and `rho_loop` are read via `.mat`."""
+    actual = {q: getattr(result, q) for q in expected}
+    return [_rec(model, q, value, getattr(actual[q], "mat", actual[q]), tol)
+            for q, value in expected.items()]
 
 
 def _c_simple_loop(p, c):
     psi = _qubit(p["alpha"], p["beta"])
-    _, rec = _exact(c, 0.5, _proj(psi))
-    rn = run_noisy_bell(c, 0.3)
-    rec.append(_rec("noisy_bell(0.3)", "z", 0.25, rn.z, 1e-12))
-    rd = run_delta_quadrature(c)
     pp = _proj(psi)
+    rec = _records("exact_bell", run_exact_bell(c), n=0.5, rho=pp)
+    rec += _records("noisy_bell(0.3)", run_noisy_bell(c, 0.3), z=0.25)
+    rd = run_delta_quadrature(c)
     rho_delta = (pp + np.diag(np.diag(pp)) + np.eye(2)) / 4.0
-    rec.append(_rec("delta", "z", math.pi**2, rd.z, 1e-8))
-    rec.append(_rec("delta", "rho", rho_delta, rd.rho.mat, 1e-8))
-    rw = run_weight_matrix(c, "delta")
-    rec.append(_rec("weight_matrix(delta)", "z", rd.z, rw.z, 1e-8))
+    rec += _records("delta", rd, 1e-8, z=math.pi**2, rho=rho_delta)
+    rec += _records("weight_matrix(delta)", run_weight_matrix(c, "delta"), 1e-8, z=rd.z)
     k = 0.25
-    rc = run_classical(c, k, floor=True)
     rho_cl = 0.5 * k * np.eye(2) + (1 - k) * np.diag(np.abs(psi) ** 2)
-    rec.append(_rec("classical(0.25,floor)", "z", 1.0, rc.z, 1e-12))
-    rec.append(_rec("classical(0.25,floor)", "rho", rho_cl, rc.rho.mat, 1e-12))
-    return rec
+    return rec + _records("classical(0.25,floor)", run_classical(c, k, floor=True),
+                          z=1.0, rho=rho_cl)
 
 
 def _c_simple_loop_2q(p, c):
     gamma = np.array([p["g00"], p["g01"], p["g10"], p["g11"]], dtype=complex)
     gamma = gamma / np.linalg.norm(gamma)
-    _, rec = _exact(c, 0.25, _proj(gamma))
+    rec = _records("exact_bell", run_exact_bell(c), n=0.25, rho=_proj(gamma))
     k = 0.3
-    rc = run_classical(c, k, floor=True)
     rho_cl = 0.25 * k * np.eye(4) + (1 - k) * np.diag(np.abs(gamma) ** 2)
-    rec.append(_rec("classical(0.3,floor)", "z", 1.0, rc.z, 1e-12))
-    rec.append(_rec("classical(0.3,floor)", "rho", rho_cl, rc.rho.mat, 1e-12))
-    return rec
+    return rec + _records("classical(0.3,floor)", run_classical(c, k, floor=True),
+                          z=1.0, rho=rho_cl)
 
 
 def _c_twist_pair(p, c):
@@ -347,70 +338,59 @@ def _c_twist_pair(p, c):
     twist = np.array([_SQ2, 0.5, 0.0, 0.5], dtype=complex)
     expect = np.array([a / 2 + b / math.sqrt(8), a / math.sqrt(8) + b / 2])
     n = np.linalg.norm(expect)
-    _, rec = _exact(c, n, _proj(expect / n), "exact_bell(twist)", pair_states={"tm": twist})
+    rec = _records("exact_bell(twist)", run_exact_bell(c, pair_states={"tm": twist}),
+                   n=n, rho=_proj(expect / n))
     alt = 0.5 * np.array([1, 1, 1, -1], dtype=complex)
-    _, rotated = _exact(c, 0.5, _proj(_qubit(a, b)), "exact_bell(rotated)",
-                        pair_states={"tm": alt})
-    return rec + rotated
+    return rec + _records("exact_bell(rotated)", run_exact_bell(c, pair_states={"tm": alt}),
+                          n=0.5, rho=_proj(_qubit(a, b)))
 
 
 def _c_grandfather(label):
     def checks(p, c):
         rec = [_paradox_rec("exact_bell", "paradox", lambda: run_exact_bell(c))]
         table = projection_table(c)
-        for out in ("B", "-", "N", "-N"):
-            rec.append(_rec(
-                "projection", "weight[%s]" % out,
-                1.0 if out == label else 0.0, table[out].weight, 1e-12,
-            ))
+        rec += [_rec("projection", "weight[%s]" % out, 1.0 if out == label else 0.0,
+                     table[out].weight, 1e-12) for out in ("B", "-", "N", "-N")]
         lam = 0.2
-        rn = run_noisy_bell(c, lam)
-        rec.append(_rec("noisy_bell(0.2)", "z", lam / 4.0, rn.z, 1e-12))
-        return rec
+        return rec + _records("noisy_bell(0.2)", run_noisy_bell(c, lam), z=lam / 4.0)
     return checks
 
 
 def _c_grandfather_not_extra(p, c):
     rec = _c_grandfather("N")(p, c)
-    rd = run_delta_quadrature(c)
-    rec.append(_rec("delta", "z", math.pi**2 / 2.0, rd.z, 1e-8))
-    rec.append(_rec("delta", "rho_loop", np.eye(2) / 2.0, rd.rho_loop.mat, 1e-8))
-    rc = run_classical(c, 0.3)
-    rec.append(_rec("classical(0.3)", "z", 0.6, rc.z, 1e-12))
-    rec.append(_rec("classical(0.3)", "rho_loop", np.eye(2) / 2.0, rc.rho_loop.mat, 1e-12))
-    return rec
+    rec += _records("delta", run_delta_quadrature(c), 1e-8,
+                    z=math.pi**2 / 2.0, rho_loop=np.eye(2) / 2.0)
+    return rec + _records("classical(0.3)", run_classical(c, 0.3),
+                          z=0.6, rho_loop=np.eye(2) / 2.0)
 
 
 def _c_grandfather_perturbed(p, c):
-    return _exact(c, p["eps"])[1]
+    return _records("exact_bell", run_exact_bell(c), n=p["eps"])
 
 
 def _c_faulty_gun(p, c):
-    z = p["zeta"]
-    cz, sz = math.cos(z), math.sin(z)
-    _, rec = _exact(c, abs(cz))
+    cz = math.cos(p["zeta"])
+    rec = _records("exact_bell", run_exact_bell(c), n=abs(cz))
     lam = 0.25
-    rn = run_noisy_bell(c, lam)
-    rec.append(_rec("noisy_bell(0.25)", "z", (1 - lam) * cz**2 + lam / 4, rn.z, 1e-12))
+    rec += _records("noisy_bell(0.25)", run_noisy_bell(c, lam),
+                    z=(1 - lam) * cz**2 + lam / 4)
     k = 0.3
-    rc = run_classical(c, k, floor=True)
-    rec.append(_rec("classical(0.3,floor)", "z", k + 2 * (1 - k) * cz**2, rc.z, 1e-12))
-    rd = run_delta_quadrature(c)
-    rec.append(_rec("delta", "z", (math.pi**2 / 2) * (3 * cz**2 + 1), rd.z, 1e-8))
-    return rec
+    rec += _records("classical(0.3,floor)", run_classical(c, k, floor=True),
+                    z=k + 2 * (1 - k) * cz**2)
+    return rec + _records("delta", run_delta_quadrature(c), 1e-8,
+                          z=(math.pi**2 / 2) * (3 * cz**2 + 1))
 
 
 def _c_cnot_gun(p, c):
     a, b = p["alpha"], p["beta"]
-    _, rec = _exact(c, abs(a), np.diag([1.0, 0.0]))
+    rec = _records("exact_bell", run_exact_bell(c), n=abs(a), rho=np.diag([1.0, 0.0]))
     lam = 0.2
-    rn = run_noisy_bell(c, lam)
-    rec.append(_rec("noisy_bell(0.2)", "z", (1 - lam) * a**2 + lam / 4, rn.z, 1e-12))
+    rec += _records("noisy_bell(0.2)", run_noisy_bell(c, lam), z=(1 - lam) * a**2 + lam / 4)
     k = 0.3
-    rc = run_classical(c, k)
-    rec.append(_rec("classical(0.3)", "z", 2 * (1 - k) * a**2 + 2 * k * b**2, rc.z, 1e-12))
-    rd = run_delta_quadrature(c)
-    rec.append(_rec("delta", "z", (math.pi**2 / 2) * (3 * a**2 + 1), rd.z, 1e-8))
+    rec += _records("classical(0.3)", run_classical(c, k),
+                    z=2 * (1 - k) * a**2 + 2 * k * b**2)
+    rec += _records("delta", run_delta_quadrature(c), 1e-8,
+                    z=(math.pi**2 / 2) * (3 * a**2 + 1))
     bias = analysis.input_bias(c, "gun", DeltaQuadrature(), nodes=32)
     rec.append(_rec("delta", "input_bias", np.diag([0.65, 0.35]), bias.mat, 1e-6))
     bias_cl = analysis.input_bias(c, "gun", Classical(k), nodes=32)
@@ -428,68 +408,56 @@ def _c_cnot_gun(p, c):
 
 def _c_cpf_gun(p, c):
     a, b = p["alpha"], p["beta"]
-    _, rec = _exact(c, abs(a))
+    rec = _records("exact_bell", run_exact_bell(c), n=abs(a))
     lam = 0.2
-    rn = run_noisy_bell(c, lam)
-    rec.append(_rec("noisy_bell(0.2)", "z", (1 - lam) * a**2 + lam / 4, rn.z, 1e-12))
+    rec += _records("noisy_bell(0.2)", run_noisy_bell(c, lam), z=(1 - lam) * a**2 + lam / 4)
     k = 0.3
-    rc = run_classical(c, k, floor=True)
-    rec.append(_rec("classical(0.3,floor)", "z", 2 - k, rc.z, 1e-12))
-    rec.append(_rec("classical(0.3,floor)", "rho", np.diag([a**2, b**2]), rc.rho.mat, 1e-12))
-    return rec
+    return rec + _records("classical(0.3,floor)", run_classical(c, k, floor=True),
+                          z=2 - k, rho=np.diag([a**2, b**2]))
 
 
 def _c_cpf_delta(p, c):
     a, b = p["alpha"], p["beta"]
-    _, rec = _exact(c, abs(a))
+    rec = _records("exact_bell", run_exact_bell(c), n=abs(a))
     rd = run_delta_quadrature(c)
-    rec.append(_rec("delta", "z", math.pi**2 * (1 + a**2), rd.z, 1e-8))
     expect = np.diag([2 * a**2 / (1 + a**2), b**2 / (1 + a**2)])
-    rec.append(_rec("delta", "rho", expect, rd.rho.mat, 1e-8))
-    rw = run_weight_matrix(c, "delta")
-    rec.append(_rec("weight_matrix(delta)", "z", rd.z, rw.z, 1e-8))
-    rec.append(_rec("weight_matrix(delta)", "rho", rd.rho.mat, rw.rho.mat, 1e-8))
-    return rec
+    rec += _records("delta", rd, 1e-8, z=math.pi**2 * (1 + a**2), rho=expect)
+    return rec + _records("weight_matrix(delta)", run_weight_matrix(c, "delta"), 1e-8,
+                          z=rd.z, rho=rd.rho.mat)
 
 
 def _c_crot_gun(p, c):
     a, b, z = p["alpha"], p["beta"], p["zeta"]
     n2 = 1 - b**2 * math.sin(z) ** 2
     psi_b = np.array([a, b * math.cos(z)])
-    _, rec = _exact(c, math.sqrt(n2), _proj(psi_b) / n2)
+    rec = _records("exact_bell", run_exact_bell(c), n=math.sqrt(n2), rho=_proj(psi_b) / n2)
     lam = 0.2
-    rn = run_noisy_bell(c, lam)
     expect = 1 - 0.75 * lam - (1 - lam) * b**2 * math.sin(z) ** 2
-    rec.append(_rec("noisy_bell(0.2)", "z", expect, rn.z, 1e-12))
-    return rec
+    return rec + _records("noisy_bell(0.2)", run_noisy_bell(c, lam), z=expect)
 
 
 def _c_phase_gun(p, c):
     a, b, xi = p["alpha"], p["beta"], p["xi"]
     psi_b = np.array([a, b * (1 + np.exp(1j * xi)) / 2])
     n2 = float(np.vdot(psi_b, psi_b).real)
-    _, rec = _exact(c, math.sqrt(n2), _proj(psi_b) / n2)
+    rec = _records("exact_bell", run_exact_bell(c), n=math.sqrt(n2), rho=_proj(psi_b) / n2)
     lam = 0.2
-    rn = run_noisy_bell(c, lam)
-    rec.append(_rec("noisy_bell(0.2)", "z", (1 - lam) * n2 + lam / 4, rn.z, 1e-12))
-    return rec
+    return rec + _records("noisy_bell(0.2)", run_noisy_bell(c, lam),
+                          z=(1 - lam) * n2 + lam / 4)
 
 
 def _c_proof_cx(p, c):
     a, b = p["alpha"], p["beta"]
-    rec = []
     table = projection_table(c)
-    rec.append(_rec("projection", "psi_B",
-                    0.5 * (a + b) * np.array([1.0, 1.0]), table["B"].state.amps, 1e-12))
-    rec.append(_rec("projection", "psi_-",
-                    0.5 * (a - b) * np.array([1.0, -1.0]), table["-"].state.amps, 1e-12))
+    rec = [_rec("projection", "psi_B",
+                0.5 * (a + b) * np.array([1.0, 1.0]), table["B"].state.amps, 1e-12),
+           _rec("projection", "psi_-",
+                0.5 * (a - b) * np.array([1.0, -1.0]), table["-"].state.amps, 1e-12)]
     k = 0.3
-    rc = run_classical(c, k)
     psi = _qubit(a, b)
     xpsi = psi[::-1]
-    rec.append(_rec("classical(0.3)", "z", 2 * (1 - k), rc.z, 1e-12))
-    rec.append(_rec("classical(0.3)", "rho",
-                    0.5 * (_proj(psi) + _proj(xpsi)), rc.rho.mat, 1e-12))
+    rec += _records("classical(0.3)", run_classical(c, k),
+                    z=2 * (1 - k), rho=0.5 * (_proj(psi) + _proj(xpsi)))
     bad = with_init(c, "probe", (_SQ2, -_SQ2))
     rec.append(_paradox_rec("exact_bell", "paradox(minus probe)",
                             lambda: run_exact_bell(bad)))
@@ -498,26 +466,24 @@ def _c_proof_cx(p, c):
 
 def _c_proof_crot(p, c):
     a, b = p["alpha"], p["beta"]
-    _, rec = _exact(c, _SQ2)
+    rec = _records("exact_bell", run_exact_bell(c), n=_SQ2)
     rd = run_delta_quadrature(c)
-    rec.append(_rec("delta", "z", 1.5 * math.pi**2, rd.z, 1e-8))
     rho00 = 0.5 - a * (b + b) / 6.0
     rho01 = (a * (b - b)) / 2.0 + (a**2 - b**2) / 6.0
     expect = np.array([[rho00, rho01], [np.conj(rho01), 1 - rho00]])
-    rec.append(_rec("delta", "rho", expect, rd.rho.mat, 1e-8))
-    rw = run_weight_matrix(c, "delta")
-    rec.append(_rec("weight_matrix(delta)", "rho", rd.rho.mat, rw.rho.mat, 1e-8))
+    rec += _records("delta", rd, 1e-8, z=1.5 * math.pi**2, rho=expect)
+    rec += _records("weight_matrix(delta)", run_weight_matrix(c, "delta"), 1e-8,
+                    rho=rd.rho.mat)
     k = 0.3
-    rc = run_classical(c, k)
     psi = _qubit(a, b)
     rpsi = np.array([-b, a], dtype=complex)
-    rec.append(_rec("classical(0.3)", "rho",
-                    0.5 * (_proj(psi) + _proj(rpsi)), rc.rho.mat, 1e-12))
-    return rec
+    return rec + _records("classical(0.3)", run_classical(c, k),
+                          rho=0.5 * (_proj(psi) + _proj(rpsi)))
 
 
 def _c_proof_cpf(p, c):
-    return _exact(c, abs(p["alpha"]), np.diag([1.0, 0.0]))[1]
+    return _records("exact_bell", run_exact_bell(c),
+                    n=abs(p["alpha"]), rho=np.diag([1.0, 0.0]))
 
 
 def _c_pot_product(p, c):
@@ -525,49 +491,47 @@ def _c_pot_product(p, c):
     psi2 = _qubit(p["a2"], p["b2"])
     v = np.kron(psi1, psi2) + np.kron(psi1[::-1], psi2[::-1])
     n2 = float(np.vdot(v, v).real) / 4.0
-    _, rec = _exact(c, math.sqrt(n2), _proj(v) / np.vdot(v, v).real)
+    rec = _records("exact_bell", run_exact_bell(c),
+                   n=math.sqrt(n2), rho=_proj(v) / np.vdot(v, v).real)
     lam = 0.3
-    rn = run_noisy_bell(c, lam)
-    rec.append(_rec("noisy_bell(0.3)", "z", (1 - lam) * n2 + lam / 4, rn.z, 1e-12))
-    return rec
+    return rec + _records("noisy_bell(0.3)", run_noisy_bell(c, lam),
+                          z=(1 - lam) * n2 + lam / 4)
 
 
 def _c_pot_entangled(p, c):
     g = np.array([p["g00"], p["g11"]], dtype=float)
     g = g / np.linalg.norm(g)
     n2 = (g[0] + g[1]) ** 2 / 2.0
-    return _exact(c, math.sqrt(n2))[1]
+    return _records("exact_bell", run_exact_bell(c), n=math.sqrt(n2))
 
 
 def _c_two_ctc_cx(p, c):
     psi = _qubit(p["alpha"], p["beta"])
     xpsi = psi[::-1]
-    r, rec = _exact(c, 0.5, _proj(psi))
+    r = run_exact_bell(c)
+    rec = _records("exact_bell", r, n=0.5, rho=_proj(psi))
     for lam in (0.0, 0.2, 1.0):
         res = r if lam == 0.0 else run_noisy_bell(c, lam)
         z_expect = 0.25 * (1 - lam / 2) ** 2
         w_keep = (4 - 3 * lam) / (4 - 2 * lam)
         w_flip = lam / (4 - 2 * lam)
         rho_expect = w_keep * _proj(psi) + w_flip * _proj(xpsi)
-        rec.append(_rec("noisy_bell(%.1f)" % lam, "z", z_expect, res.z, 1e-12))
-        rec.append(_rec("noisy_bell(%.1f)" % lam, "rho", rho_expect, res.rho.mat, 1e-12))
+        rec += _records("noisy_bell(%.1f)" % lam, res, z=z_expect, rho=rho_expect)
     return rec
 
 
 def _c_mutual_paradox(p, c):
     a, b, z = p["alpha"], p["beta"], p["zeta"]
     cz, sz = math.cos(z), math.sin(z)
-    _, rec = _exact(c, abs(a * cz))
+    rec = _records("exact_bell", run_exact_bell(c), n=abs(a * cz))
     lam = 0.2
-    rn = run_noisy_bell(c, lam)
     w_b, w_e = 1 - 0.75 * lam, 0.25 * lam
     expect = (w_b**2 * a**2 * cz**2 + w_e * w_b * sz**2 + w_e**2 * b**2 * cz**2)
-    rec.append(_rec("noisy_bell(0.2)", "z", expect, rn.z, 1e-12))
+    rec += _records("noisy_bell(0.2)", run_noisy_bell(c, lam), z=expect)
     k = 0.35
-    rc = run_classical(c, k)
     z_cl = 4 * ((1 - k) ** 2 * a**2 * cz**2 + k * (1 - k) * sz**2
                 + k**2 * b**2 * cz**2)
-    rec.append(_rec("classical(0.35)", "z", z_cl, rc.z, 1e-12))
+    rec += _records("classical(0.35)", run_classical(c, k), z=z_cl)
     paradox = _b_mutual_paradox({**p, "zeta": math.pi / 2})
     rec.append(_paradox_rec("exact_bell", "paradox(zeta=pi/2)",
                             lambda: run_exact_bell(paradox)))
@@ -582,7 +546,7 @@ def _c_third_party(p, c):
     rec = [_rec("projection", "psi_B", expect_b, table["B"].state.amps, 1e-12),
            _rec("projection", "psi_N", expect_n, table["N"].state.amps, 1e-12)]
     n2 = a1**2 * a2**2 + b1**2 * b2**2
-    rec += _exact(c, math.sqrt(n2))[1]
+    rec += _records("exact_bell", run_exact_bell(c), n=math.sqrt(n2))
     orth = _b_third_party({"a1": 1.0, "b1": 0.0, "a2": 0.0, "b2": 1.0})
     rec.append(_paradox_rec("exact_bell", "paradox(orthogonal)",
                             lambda: run_exact_bell(orth)))
@@ -598,16 +562,16 @@ def _stubborn_forms(t1, t2):
 
 
 def _c_stubborn(p, c):
-    t1, t2 = p["theta1"], p["theta2"]
-    c1, s1, c2, s2, n2, flip = _stubborn_forms(t1, t2)
-    r, rec = _exact(c, math.sqrt(n2))
+    c1, s1, c2, s2, n2, flip = _stubborn_forms(p["theta1"], p["theta2"])
+    r = run_exact_bell(c)
+    rec = _records("exact_bell", r, n=math.sqrt(n2))
     rec.append(_rec("exact_bell", "flip(p1,p2)", flip,
                     analysis.flip_probability(r, "p1", "p2"), 1e-12))
     lam = 0.25
     rn = run_noisy_bell(c, lam)
     z_lam = (1 - lam) * n2 + lam / 4
     flip_lam = (s1**2 / (2 * z_lam)) * ((1 - lam) * s2**2 + lam / 2)
-    rec.append(_rec("noisy_bell(0.25)", "z", z_lam, rn.z, 1e-12))
+    rec += _records("noisy_bell(0.25)", rn, z=z_lam)
     rec.append(_rec("noisy_bell(0.25)", "flip(p1,p2)", flip_lam,
                     analysis.flip_probability(rn, "p1", "p2"), 1e-12))
     k = 0.3
@@ -624,11 +588,10 @@ def _c_stubborn(p, c):
 
 def _c_amnesia_plain(p, c):
     a, b = p["alpha"], p["beta"]
-    _, rec = _exact(c, abs(a + b) / 2, np.diag([1.0, 0.0]))
+    rec = _records("exact_bell", run_exact_bell(c),
+                   n=abs(a + b) / 2, rho=np.diag([1.0, 0.0]))
     k = 0.3
-    rc = run_classical(c, k)
-    rec.append(_rec("classical(0.3)", "z", 1.0, rc.z, 1e-12))
-    rec.append(_rec("classical(0.3)", "rho", np.diag([1 - k, k]), rc.rho.mat, 1e-12))
+    rec += _records("classical(0.3)", run_classical(c, k), z=1.0, rho=np.diag([1 - k, k]))
     bad = with_init(c, "sys", (_SQ2, -_SQ2))
     rec.append(_paradox_rec("exact_bell", "paradox(minus input)",
                             lambda: run_exact_bell(bad)))
@@ -641,7 +604,7 @@ def _c_amnesia_entangled(p, c):
     table = projection_table(c)
     expect = 0.5 * np.array([g[0], g[1], g[0], g[1]], dtype=complex)
     rec = [_rec("projection", "psi_B", expect, table["B"].state.amps, 1e-12)]
-    return rec + _exact(c, _SQ2)[1]
+    return rec + _records("exact_bell", run_exact_bell(c), n=_SQ2)
 
 
 def _c_secondary_loop(p, c):
@@ -651,9 +614,7 @@ def _c_secondary_loop(p, c):
     expect[0b000] = 0.5 * a
     expect[0b011] = -0.5 * b
     rec = [_rec("projection", "psi_B", expect, table["B"].state.amps, 1e-12)]
-    rn = run_noisy_bell(c, 0.2)
-    rec.append(_rec("noisy_bell(0.2)", "z", 0.25, rn.z, 1e-12))
-    return rec
+    return rec + _records("noisy_bell(0.2)", run_noisy_bell(c, 0.2), z=0.25)
 
 
 def _c_backprop_chain(p, c):
@@ -661,7 +622,8 @@ def _c_backprop_chain(p, c):
     cs, ss = math.cos(ts), math.sin(ts)
     n2 = 1 - 2 * ss**2 * cs**2 * math.sin(g1) ** 2 * math.sin(g2) ** 2
     flip = ss**2 * (1 - cs**2 * math.sin(g1) ** 2 * math.sin(g2) ** 2) / n2
-    r, rec = _exact(c, math.sqrt(n2))
+    r = run_exact_bell(c)
+    rec = _records("exact_bell", r, n=math.sqrt(n2))
     rec.append(_rec("exact_bell", "flip(p)", flip,
                     analysis.flip_probability(r, "p"), 1e-12))
     return rec
@@ -669,8 +631,7 @@ def _c_backprop_chain(p, c):
 
 def _c_n_controlled_not(p, c):
     parity = analysis.parity_recursion(p["alphas"])
-    r = run_exact_bell(c)
-    return [_rec("exact_bell", "n2", parity["e2"], r.n**2, 1e-12)]
+    return [_rec("exact_bell", "n2", parity["e2"], run_exact_bell(c).n**2, 1e-12)]
 
 
 def _c_selector(n):
@@ -692,15 +653,11 @@ def _c_parity_ec(p, c):
     expect_b = np.array([v[0], 0.0, 0.0, v[3]], dtype=complex)
     expect_n = np.array([0.0, v[1], v[2], 0.0], dtype=complex)
     table = projection_table(c)
-    rec = [
-        _rec("projection", "psi_B", expect_b, table["B"].state.amps, 1e-12),
-        _rec("projection", "psi_N", expect_n, table["N"].state.amps, 1e-12),
-    ]
+    rec = [_rec("projection", "psi_B", expect_b, table["B"].state.amps, 1e-12),
+           _rec("projection", "psi_N", expect_n, table["N"].state.amps, 1e-12)]
     lam = p["lam"]
-    rn = run_noisy_bell(c, lam)
     nb2 = float(np.vdot(expect_b, expect_b).real)
-    rec.append(_rec("noisy_bell", "z", (1 - lam) * nb2 + lam / 4, rn.z, 1e-12))
-    return rec
+    return rec + _records("noisy_bell", run_noisy_bell(c, lam), z=(1 - lam) * nb2 + lam / 4)
 
 
 def _c_tourist_trap(p, c):
@@ -709,9 +666,7 @@ def _c_tourist_trap(p, c):
     rec = []
     for mode, expect in (("coupled", 1.0 / 7.0), ("insulated", 0.25)):
         r = run_conditional(c, condition, deselect, mode)
-        diag = np.real(np.diag(r.rho.mat))
-        idx = np.arange(8)
-        prefix = float(diag[(idx >> 1) == 0].sum())  # m1 = m2 = 0
+        prefix = float(np.real(np.diag(r.rho.mat))[:2].sum())  # m1 = m2 = 0: |000>, |001>
         rec.append(_rec("conditional(%s)" % mode, "p_prefix_00", expect, prefix, 1e-12))
     return rec
 

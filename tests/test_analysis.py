@@ -319,7 +319,8 @@ def test_input_bias_below_two_nodes_is_a_config_error(nodes):
     assert model.runs == 0
 
 
-@pytest.mark.parametrize("nodes", [math.nan, math.inf, 6.5], ids=["nan", "inf", "fraction"])
+@pytest.mark.parametrize("nodes", [math.nan, math.inf, 6.5, "8", None, [8]],
+                         ids=["nan", "inf", "fraction", "text", "none", "list"])
 def test_input_bias_node_count_must_be_a_whole_number(nodes):
     circuit = cs.build_scenario("cnot_gun").circuit
     model = CountingModel(cs.NoisyBell(0.2))

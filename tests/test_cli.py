@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -188,6 +189,10 @@ MALFORMED = [
      ["scenario", "simple_loop", "--model", "delta,nodes_theta=20000"],
      "arg.model.nodes_theta: quadrature grid n_theta * n_xi exceeds 1048576 nodes"),
     ("sweep_bad_json", "{not json", "line 1"),
+    ("nested_document", "[" * 100_000 + "]" * 100_000, "document nests too deeply"),
+    ("model_arg_nested", ["scenario", "cnot_gun", "--model",
+                          "weight_matrix,omega=" + "[" * 100_000 + "]" * 100_000],
+     "arg.model.omega: value nests too deeply"),
 ]
 
 
@@ -495,6 +500,23 @@ def test_sweep_zero_steps_rejected(tmp_path, capsys):
         "--steps", "0", capsys=capsys,
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("bounds, where", [
+    (["--from", "inf", "--to", "1"], "arg.from: expected a finite number, got inf"),
+    (["--from", "nan", "--to", "1"], "arg.from: expected a finite number, got nan"),
+    (["--from=-1e308", "--to", "1e308"], "arg.to: sweep range -1e+308 to 1e+308"),
+], ids=["inf", "nan", "width_overflows"])
+def test_sweep_bounds_must_be_finite(bounds, where, tmp_path, capsys):
+    doc = {"channels": [{"name": "tm", "role": "ctc"}],
+           "gates": [{"kind": "ROT", "targets": ["tm"], "params": {"theta": 0.0}}]}
+    path = write_doc(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        code = main(["sweep", path, "--param", "theta", *bounds, "--steps", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: " + where)
 
 
 def test_sweep_unknown_parameter_rejected(tmp_path, capsys):

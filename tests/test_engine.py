@@ -304,6 +304,64 @@ def test_noisy_model_matches_werner_projection_of_density_matrix(seed, n_loops, 
     assert np.max(np.abs(r.rho.mat - rho)) <= 1e-10
 
 
+def haar_unitary(rng):
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def conjugate_loop(circuit, label, v):
+    """The circuit with V on loop `label` before every gate and V^dagger after."""
+    gates = ((make_gate("CUSTOM", (label,), matrix=v),) + circuit.gates
+             + (make_gate("CUSTOM", (label,), matrix=v.conj().T),))
+    return build_circuit(circuit.channels, gates)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_conjugating_a_loop_wire_changes_only_the_classical_model(seed):
+    # the exact, noisy and flat models trace the loop out, and a partial
+    # trace does not depend on the loop's basis; the classical model flips
+    # bits of the computational basis, so V moves its Z
+    circuit = random_circuit(seed, 2, 2)
+    conjugated = conjugate_loop(circuit, "t0", haar_unitary(np.random.default_rng(seed)))
+    for model in (cs.ExactBell(), cs.NoisyBell(0.3), cs.WeightMatrix("flat")):
+        before, after = model.run(circuit), model.run(conjugated)
+        assert abs(after.z - before.z) <= 1e-12, model
+        assert np.max(np.abs(after.rho.mat - before.rho.mat)) <= 1e-12, model
+    classical = cs.Classical(0.2)
+    assert abs(classical.run(conjugated).z - classical.run(circuit).z) > 1e-3
+
+
+def in_label_order(op, labels):
+    """The matrix of a density operator with its qubits reordered to `labels`."""
+    n = len(labels)
+    order = [op.labels.index(label) for label in labels]
+    mat = np.asarray(op.mat).reshape((2,) * (2 * n))
+    return mat.transpose(order + [n + q for q in order]).reshape(2**n, 2**n)
+
+
+PERMUTATION_MODELS = [cs.ExactBell(), cs.NoisyBell(0.3), cs.Classical(0.2),
+                      cs.Classical(0.2, floor=True), cs.WeightMatrix("flat"),
+                      cs.WeightMatrix("quad"), cs.WeightMatrix("delta")]
+
+
+@pytest.mark.parametrize("seed, n_loops", [(0, 1), (1, 2), (2, 2), (3, 3)])
+def test_declaring_the_channels_in_reverse_only_permutes_the_labels(seed, n_loops):
+    circuit = random_circuit(seed, n_loops, 5 - n_loops)
+    reversed_ = build_circuit(circuit.channels[::-1], circuit.gates)
+    models = PERMUTATION_MODELS + [cs.DeltaQuadrature()] * (n_loops == 1)
+    for model in models:
+        before, after = model.run(circuit), model.run(reversed_)
+        assert after.z == pytest.approx(before.z, rel=1e-12), model
+        for name in ("rho", "rho_loop"):
+            op, permuted = getattr(before, name), getattr(after, name)
+            if op is None:
+                continue
+            assert permuted.labels == op.labels[::-1], (model, name)
+            assert np.max(np.abs(in_label_order(permuted, op.labels) - op.mat)) <= 1e-12, \
+                (model, name)
+
+
 def test_exact_paradox_carries_the_full_projection_table():
     circuit = cs.build_scenario("grandfather_not").circuit
     with pytest.raises(cs.ParadoxError) as info:
