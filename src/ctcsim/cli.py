@@ -4,7 +4,7 @@ Documents are JSON.  Reports are JSON with a fixed field order and Python's
 shortest round-trip float formatting, so the same document and settings
 always produce byte-identical output.  Exit codes: 0 on success, 2 when the
 circuit is a paradox (no surviving amplitude; the projection outcomes are
-still reported), 1 on any other error.
+still reported), 1 on any other error, usage errors included.
 """
 
 from __future__ import annotations
@@ -284,10 +284,8 @@ def _matrix_dict(op):
 
 
 def _projection_rows(projections):
-    return [
-        {"label": e.label, "weight": float(e.weight)}
-        for e in projections.entries
-    ]
+    return [{"label": label, "weight": w}
+            for label, w in zip(projections.labels, projections.weights.tolist())]
 
 
 def _derived_outputs(circuit, model, result, outputs):
@@ -451,8 +449,15 @@ def _cmd_list(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so that it exits 1 like any other."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctcsim",
         description="Run post-selected loop circuits and emit JSON reports.",
     )
@@ -491,9 +496,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ParadoxError as err:
         _emit(_dump(_paradox_report(err, None)), getattr(args, "out", None))

@@ -26,12 +26,14 @@ paradox.  The other models relax the projection:
 
 One evolution feeds every model: by channel-state duality (Lloyd et al.,
 arXiv:1007.2615) the evolved pair state holds every pair-basis outcome and
-every eigenstate history.  A 4x4 change of basis along each pair axis gives
-the projection table; regrouping reference and loop bits gives the history
-tensor.  Each model is then one contraction of these arrays into a weighted,
-unnormalized operator on the externals, and all finish in `_post_select`: Z
-is its trace, Z (exact model: the survival amplitude) below the tolerance is
-a paradox in the model's own words, and rho and rho_loop are divided by Z.
+every eigenstate history, and a custom boundary pair is the Bell pair with a
+local operator on its loop wire.  A 4x4 change of basis along each pair axis
+gives the projection table; regrouping reference and loop bits gives the
+history tensor.  Each model is then one contraction of these arrays into a
+weighted, unnormalized operator on the externals.  Every runner, the loop-free
+`run_conditional` included, finishes in `_post_select`: Z is its trace, Z
+(exact model: the survival amplitude) below the tolerance is a paradox in the
+model's own words, and rho and rho_loop are divided by Z.
 
 Z conventions: exact/noisy values include the 2^-m normalization of the m
 reference pairs; weight-matrix weights are normalized to sum d except for the
@@ -52,12 +54,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .circuit import REF_SUFFIX, evolve
-from .errors import (
-    ConfigError,
-    NoCtcError,
-    ParadoxError,
-    UnsupportedError,
-)
+from .errors import ConfigError, NoCtcError, ParadoxError, UnsupportedError
+from .gates import make_gate
 from .states import (
     DEFAULT_PARADOX_TOL,
     DensityOperator,
@@ -117,8 +115,8 @@ class ProjectionEntry:
 class ProjectionSet:
     """Labelled outcomes, one row of surviving external amplitudes each.
 
-    ProjectionEntry objects are built only when `entries`, `[label]` or
-    `to_dict` reads them.
+    ProjectionEntry objects are built only when `entries` or `[label]` reads
+    them.
     """
 
     amps: np.ndarray  # (outcomes, 2^e) unnormalized external amplitudes
@@ -145,13 +143,11 @@ class ProjectionSet:
         return float(self.weights.sum())
 
     def to_dict(self):
+        amps = np.stack([self.amps.real, self.amps.imag], axis=-1).tolist()
         return {
             "channel_order": list(self.channel_order),
-            "entries": [
-                {"label": e.label, "weight": e.weight,
-                 "amplitudes": [[z.real, z.imag] for z in e.state.amps]}
-                for e in self.entries
-            ],
+            "entries": [{"label": label, "weight": w, "amplitudes": row}
+                        for label, w, row in zip(self.labels, self.weights.tolist(), amps)],
         }
 
 
@@ -189,44 +185,24 @@ def _require_loops(circuit):
     return loops
 
 
-def pair_out_state(circuit, pair_states=None):
-    """Initial state with one entangled (reference, loop) pair per looped channel.
-
-    Pairs come first in declaration order, each as (reference, loop), then the
-    external register.  `pair_states` optionally overrides the matched pair
-    state per channel label (used for twisted / re-phased boundary pairs).
-    """
-    loops = _require_loops(circuit)
-    factors = []
-    for label in loops:
-        amps = PAIR_BASIS["B"]
-        if pair_states and label in pair_states:
-            amps = np.asarray(pair_states[label], dtype=complex)
-            if amps.shape != (4,) or abs(np.linalg.norm(amps) - 1.0) > 1e-9:
-                raise ConfigError("pair state for %r must be a normalized 2-qubit state"
-                                  % (label,))
-        factors.append(PureState(amps, (label + REF_SUFFIX, label)))
+def pair_out_state(circuit):
+    """Bell pairs (reference, loop), one per looped channel in order, then the externals."""
+    factors = [PureState(PAIR_BASIS["B"], (label + REF_SUFFIX, label))
+               for label in _require_loops(circuit)]
     ext = circuit.initial_external_state()
     if ext.n_qubits:
         factors.append(ext)
     return tensor_all(factors)
 
 
-def _evolved_pairs(circuit, pair_states=None):
+def _evolved_pairs(circuit):
     """The one evolution of a run: amplitudes of shape (4,)*m + (2^e,), ext labels.
 
     Axis q indexes pair q as 2 * reference bit + loop bit.
     """
     m = len(_require_loops(circuit))
-    state = evolve(pair_out_state(circuit, pair_states), circuit)
+    state = evolve(pair_out_state(circuit), circuit)
     return state.amps.reshape((4,) * m + (-1,)), state.labels[2 * m:]
-
-
-def _project_pairs(t, bras):
-    """Contract pair axis q of `t` with bras[q] (rows: conjugated pair states)."""
-    for bra in bras:
-        t = np.tensordot(t, bra, axes=(0, 1))
-    return np.ascontiguousarray(np.moveaxis(t, 0, -1))
 
 
 def _history_tensor(circuit):
@@ -264,7 +240,7 @@ def _rho_from_matrix(mat, labels, circuit):
 
 def _post_select(circuit, model, num, ext, tol, paradox, table=None, n=None, loop=None,
                  **metadata):
-    """Finish a loop model from its weighted operator `num` on the externals `ext`.
+    """Finish any run from its weighted operator `num` on the externals `ext`.
 
     Z = tr(num).  `n` (exact model), else Z, below the tolerance raises
     ParadoxError with the `paradox` wording (a %-format over n, z and tol) and
@@ -287,33 +263,43 @@ def projection_table(circuit):
     Returns a ProjectionSet with one entry per outcome label combination
     (4^m entries for m looped channels).  For unitary circuits the weights
     sum to 1 (resolution of the identity on the reference pairs).
-    Custom pair states replace only the matched ("B") basis vector, so they
-    run through run_exact_bell, which projects onto that vector alone.
     """
     loops = _require_loops(circuit)
     t, ext = _evolved_pairs(circuit)
-    amps = _project_pairs(t, [_PAIR_BRAS] * len(loops)).reshape(4 ** len(loops), -1)
+    for _ in loops:  # contract each pair axis with the four outcome bras
+        t = np.tensordot(t, _PAIR_BRAS, axes=(0, 1))
+    amps = np.ascontiguousarray(np.moveaxis(t, 0, -1)).reshape(4 ** len(loops), -1)
     weights = (amps.real**2 + amps.imag**2).sum(axis=1)
     combos = functools.partial(itertools.product, PAIR_LABELS, repeat=len(loops))
     return ProjectionSet(amps, weights, lambda: map(",".join, combos()), loops, ext)
 
 
 def run_exact_bell(circuit, tol=None, pair_states=None):
-    """Exact post-selected evolution: keep only the matched-pair outcome."""
-    loops = _require_loops(circuit)
-    if pair_states:
-        t, ext = _evolved_pairs(circuit, pair_states)
-        bras = [np.asarray(pair_states.get(label, PAIR_BASIS["B"]),
-                           dtype=complex).conj()[None] for label in loops]
-        matched = _project_pairs(t, bras).reshape(-1)
-        table = None
-    else:
-        table = projection_table(circuit)
-        matched, ext = table.amps[0], table.ext_labels  # the all-"B" row
+    """Exact post-selected evolution: keep only the matched-pair outcome.
+
+    `pair_states` maps loop labels to custom (reference, loop) pair amplitudes
+    chi = (I x K)|B>.  Each runs as the Bell pair with K = sqrt(2) chi.reshape(2, 2).T
+    on its loop wire before the gates and K^dagger after them, and reports no table.
+    """
+    before, after = [], []
+    for label in _require_loops(circuit):
+        if pair_states and label in pair_states:
+            chi = np.asarray(pair_states[label], dtype=complex)
+            if not np.isfinite(chi).all():
+                raise ConfigError("pair state for %r has a non-finite amplitude" % (label,))
+            if chi.shape != (4,) or abs(np.linalg.norm(chi) - 1.0) > 1e-9:
+                raise ConfigError("pair state for %r must be a normalized 2-qubit state"
+                                  % (label,))
+            k = chi.reshape(2, 2).T / _SQ2
+            before.append(make_gate("CUSTOM", (label,), matrix=k))
+            after.append(make_gate("CUSTOM", (label,), matrix=k.conj().T))
+    table = projection_table(
+        replace(circuit, gates=(*before, *circuit.gates, *after)) if before else circuit)
+    matched = table.amps[0]  # the all-"B" row
     return _post_select(
-        circuit, "exact_bell", np.outer(matched, matched.conj()), ext, tol,
+        circuit, "exact_bell", np.outer(matched, matched.conj()), table.ext_labels, tol,
         "matched-pair amplitude %(n).3e below tolerance %(tol).3e: no consistent history",
-        table, n=float(np.linalg.norm(matched)))
+        None if before else table, n=float(np.linalg.norm(matched)))
 
 
 def run_noisy_bell(circuit, lam, tol=None):
@@ -526,49 +512,41 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
     """
     tol = resolve_tolerance(tol)
     if circuit.loop_labels:
-        raise UnsupportedError(
-            "conditional projection on a circuit with looped channels is not defined"
-        )
+        raise UnsupportedError("conditional projection on a circuit with looped channels "
+                               "is not defined")
     if mode not in ("coupled", "insulated"):
         raise ConfigError("mode must be 'coupled' or 'insulated'")
+    d_labels, d_amps = deselect
+    d_amps = np.array(d_amps, dtype=complex, ndmin=1).view(float)  # [re, im] pairs
+    if not (np.isfinite(d_amps).all() and d_amps.any()):
+        raise ConfigError("deselect direction must be a nonzero finite vector, got %r"
+                          % (deselect[1],))
+    # scaling by a power of two is exact and keeps the norm from under- or overflowing
+    d_amps = np.ldexp(d_amps, -np.frexp(np.abs(d_amps).max())[1]).view(complex)
+    d_amps = d_amps / np.linalg.norm(d_amps)
     state = evolve(circuit.initial_external_state(), circuit)
     n = state.n_qubits
     mask = np.ones(2**n, dtype=bool)
     for label, bit in condition:
+        if bit not in (0, 1):
+            raise ConfigError("condition bit of %r must be 0 or 1, got %r" % (label, bit))
         ax = state.axis(label)
-        idx = (np.arange(2**n) >> (n - 1 - ax)) & 1
-        mask &= idx == int(bit)
-    on = PureState(np.where(mask, state.amps, 0.0), state.labels)
-    off = PureState(np.where(mask, 0.0, state.amps), state.labels)
-    w_on, w_off = on.norm**2, off.norm**2
+        mask &= ((np.arange(2**n) >> (n - 1 - ax)) & 1) == bit
+    on, off = np.where(mask, state.amps, 0.0), np.where(mask, 0.0, state.amps)
+    w_on, w_off = float(np.linalg.norm(on))**2, float(np.linalg.norm(off))**2
 
-    d_labels, d_amps = deselect
-    d_amps = np.asarray(d_amps, dtype=complex)
-    d_amps = d_amps / np.linalg.norm(d_amps)
     proj = np.eye(len(d_amps), dtype=complex) - np.outer(d_amps, d_amps.conj())
-    on_sel = apply_gate(on, proj, tuple(d_labels))
-
-    if mode == "coupled":
-        final = PureState(off.amps + on_sel.amps, state.labels)
-        z = final.norm**2
-        if z < tol:
-            raise ParadoxError("conditional projection removed all amplitude")
-        unit = final.amps / final.norm
-    else:
-        if w_on > tol and on_sel.norm**2 < tol:
-            raise ParadoxError(
-                "insulated branch of weight %.3e has no surviving amplitude" % w_on
-            )
-        scaled = on_sel.amps * (np.sqrt(w_on) / on_sel.norm) if w_on > tol else on_sel.amps
-        final = PureState(off.amps + scaled, state.labels)
-        z = final.norm**2
-        unit = final.amps / final.norm
-    rho = _rho_from_matrix(np.outer(unit, unit.conj()), state.labels, circuit)
-    return PostSelectionResult(
-        model="conditional", z=z, rho=rho,
-        metadata={"mode": mode, "branch_weight_on": w_on, "branch_weight_off": w_off,
-                  "tolerance": tol},
-    )
+    kept = apply_gate(PureState(on, state.labels), proj, tuple(d_labels)).amps
+    if mode == "insulated" and w_on > tol:
+        norm = float(np.linalg.norm(kept))
+        if norm**2 < tol:
+            raise ParadoxError("insulated branch of weight %.3e has no surviving amplitude"
+                               % w_on)
+        kept = kept * (np.sqrt(w_on) / norm)
+    final = off + kept
+    return _post_select(circuit, "conditional", np.outer(final, final.conj()), state.labels,
+                        tol, "conditional projection removed all amplitude",
+                        mode=mode, branch_weight_on=w_on, branch_weight_off=w_off)
 
 
 # ---------------------------------------------------------------------------

@@ -528,6 +528,29 @@ def test_sweep_unknown_parameter_rejected(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "doc.json", "--param", "theta", "--from", "abc", "--to", "1", "--steps", "3"],
+     "argument --from: invalid float value: 'abc'"),
+    (["scenario"], "the following arguments are required: name"),
+    (["bogus"], "argument verb: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: verb"),
+], ids=["sweep_from_abc", "scenario_without_name", "unknown_verb", "no_verb"])
+def test_usage_errors_exit_one_with_one_error_line(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([flag])
+    assert info.value.code == 0
+    assert capsys.readouterr().out
+
+
 # listing --------------------------------------------------------------------
 
 

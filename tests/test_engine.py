@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +423,54 @@ def test_custom_pair_state_changes_selection():
     assert pinned.n == pytest.approx(1.0)
 
 
+def exact_with_pairs_by_unitary(circuit, pair_states):
+    """Reference for custom boundary pairs, from the circuit's full unitary.
+
+    With pair amplitudes chi[r, l] per loop, the surviving external state is
+    psi = sum_{l, l'} (chi^dagger chi)[l', l] U[(l', .), (l, .)] |ext>, the
+    Gram matrices multiplied out over the loops (the Bell pair's is I / 2).
+    """
+    labels, loops, exts = circuit.labels, circuit.loop_labels, circuit.external_labels
+    n, d = len(labels), 2 ** len(loops)
+    gram = np.ones((1, 1))
+    for label in loops:
+        chi = np.reshape(pair_states.get(label, [SQ2, 0, 0, SQ2]), (2, 2))
+        gram = np.kron(gram, chi.conj().T @ chi)
+    order = [labels.index(l) for l in loops + exts]
+    u = cs.compile_unitary(circuit).reshape((2,) * (2 * n))
+    u = u.transpose(order + [n + i for i in order]).reshape(d, 2**n // d, d, 2**n // d)
+    return np.einsum("ba,bxay,y->x", gram, u, circuit.initial_external_state().amps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 3))
+def test_custom_pairs_match_the_unitary_reference(seed, n_loops, n_ext):
+    """Entangled, product and re-phased pairs on some loops; the rest stay |B>."""
+    circuit = random_circuit(seed, n_loops, n_ext)
+    rng = np.random.default_rng(seed + 1)
+    kinds = rng.integers(0, 4, size=n_loops)
+    kinds[rng.integers(n_loops)] = rng.integers(1, 4)  # at least one custom pair
+    pairs = {}
+    for label, kind in zip(circuit.loop_labels, kinds):
+        if kind == 1:  # entangled, generic
+            chi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        elif kind == 2:  # product
+            chi = np.kron(rng.normal(size=2) + 1j * rng.normal(size=2),
+                          rng.normal(size=2) + 1j * rng.normal(size=2))
+        elif kind == 3:  # re-phased Bell pair
+            chi = np.exp(1j * rng.uniform(0, 2 * math.pi)) * np.array([SQ2, 0, 0, SQ2])
+        else:
+            continue
+        pairs[label] = chi / np.linalg.norm(chi)
+    psi = exact_with_pairs_by_unitary(circuit, pairs)
+    n = np.linalg.norm(psi)
+    assume(n > 1e-6)
+    r = cs.run_exact_bell(circuit, pair_states=pairs)
+    assert r.projections is None
+    assert abs(r.n - n) <= 1e-12
+    assert np.max(np.abs(r.rho.mat - np.outer(psi, psi.conj()) / n**2)) <= 1e-12
+
+
 def test_no_loop_raises():
     circuit = build_circuit([Channel("a", init=(1.0, 0.0))])
     with pytest.raises(cs.NoCtcError):
@@ -637,6 +686,53 @@ def test_conditional_rejects_looped_circuits():
         cs.run_conditional(
             circuit, [("gun", 0)], (("gun",), np.array([1.0, 0.0])), "coupled"
         )
+
+
+def test_conditional_annihilated_insulated_run_is_a_paradox():
+    circuit = build_circuit(
+        three_plus().channels, [make_gate("CUSTOM", ("m1",), matrix=np.zeros((2, 2)))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        with pytest.raises(cs.ParadoxError, match="removed all amplitude"):
+            cs.run_conditional(circuit, [("m1", 0)], (("m3",), [1.0, 0.0]), "insulated")
+
+
+PLAIN_DESELECT = (("m3",), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cs.run_conditional(three_plus(), [("m1", "x")], PLAIN_DESELECT, "coupled"),
+     "condition bit of 'm1' must be 0 or 1, got 'x'"),
+    (lambda: cs.run_conditional(three_plus(), [("m1", 2)], PLAIN_DESELECT, "coupled"),
+     "condition bit of 'm1' must be 0 or 1, got 2"),
+    (lambda: cs.run_conditional(three_plus(), [("m1", 0)], (("m3",), [0.0, 0.0]),
+                                "insulated"),
+     "deselect direction must be a nonzero finite vector"),
+    (lambda: cs.run_conditional(three_plus(), [("m1", 0)], (("m3",), [math.nan, 1.0]),
+                                "coupled"),
+     "deselect direction must be a nonzero finite vector"),
+    (lambda: cs.run_exact_bell(loop_with_rotations(0.1, 0.2, 0.3),
+                               pair_states={"tm": [math.nan, 0, 0, SQ2]}),
+     "pair state for 'tm' has a non-finite amplitude"),
+], ids=["bit_x", "bit_2", "zero_direction", "nan_direction", "nan_pair_state"])
+def test_bad_conditional_and_pair_inputs_are_config_errors(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        with pytest.raises(cs.ConfigError) as info:
+            call()
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("direction, plain", [
+    ([1e-320, 0.0], [1.0, 0.0]), ([1e200, 1e200j], [1.0, 1.0j]),
+], ids=["subnormal", "huge"])
+def test_conditional_normalizes_extreme_directions_exactly(direction, plain):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = cs.run_conditional(three_plus(), [("m1", 0)], (("m3",), direction), "coupled")
+    ref = cs.run_conditional(three_plus(), [("m1", 0)], (("m3",), plain), "coupled")
+    assert r.z == pytest.approx(ref.z, abs=1e-15)
+    assert np.max(np.abs(r.rho.mat - ref.rho.mat)) <= 1e-15
 
 
 # dispatch -------------------------------------------------------------------
