@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LabelError, UnsupportedError
-from .states import MAX_QUBITS, PureState, apply_gate, tensor_all
+from .states import MAX_QUBITS, PureState, apply_gate, normalized_amplitudes, tensor_all
 
 REF_SUFFIX = ".ref"
 
@@ -43,23 +43,14 @@ class Channel:
             raise ConfigError(
                 "looped channel %r cannot carry an initial state" % (self.label,)
             )
-        if self.init is not None:
-            object.__setattr__(self, "init", _coerce_qubit_init(self.init, self.label))
-
-
-def _coerce_qubit_init(init, label):
-    if isinstance(init, str):
-        try:
-            return _NAMED_INITS[init]
-        except KeyError:
-            raise ConfigError("unknown named state %r on channel %r" % (init, label))
-    init = tuple(complex(a) for a in init)
-    if len(init) != 2:
-        raise ConfigError("channel %r init must be a single-qubit amplitude pair" % label)
-    n = abs(init[0]) * abs(init[0]) + abs(init[1]) * abs(init[1])  # ** 2 can overflow
-    if not abs(n - 1.0) <= 1e-9:  # also rejects nan
-        raise ConfigError("channel %r init has norm %.6f != 1" % (label, n))
-    return init
+        if isinstance(self.init, str):
+            if self.init not in _NAMED_INITS:
+                raise ConfigError("unknown named state %r on channel %r"
+                                  % (self.init, self.label))
+            object.__setattr__(self, "init", _NAMED_INITS[self.init])
+        elif self.init is not None:
+            amps = normalized_amplitudes(self.init, 1, "channel %r init" % (self.label,))
+            object.__setattr__(self, "init", tuple(amps.tolist()))
 
 
 @dataclass(frozen=True)
@@ -87,27 +78,24 @@ class Circuit:
         raise LabelError("no channel labeled %r" % (label,))
 
     def initial_external_state(self):
-        """Product of all external inits (entangled groups inserted whole)."""
-        grouped = {}
-        for labels, amps in self.entangled:
-            for l in labels:
-                grouped[l] = (labels, amps)
-        factors = []
-        seen = set()
+        """The external register, in channel declaration order.
+
+        The product of the external inits, each entangled group inserted whole
+        where its first channel is declared, then one exact transpose.
+        """
+        grouped = {l: (labels, amps) for labels, amps in self.entangled for l in labels}
+        factors, seen = [], set()
         for c in self.channels:
-            if c.looped or c.label in seen:
-                continue
-            if c.label in grouped:
-                labels, amps = grouped[c.label]
+            if not (c.looped or c.label in seen):
+                labels, amps = grouped.get(c.label, ((c.label,), c.init or (1.0, 0.0)))
                 factors.append(PureState(np.asarray(amps, dtype=complex), labels))
                 seen.update(labels)
-            else:
-                a, b = c.init if c.init is not None else (1.0, 0.0)
-                factors.append(PureState.qubit(a, b, c.label))
-                seen.add(c.label)
         if not factors:
             return PureState(np.ones(1, dtype=complex), ())
-        return tensor_all(factors)
+        state, order = tensor_all(factors), self.external_labels
+        t = state.amps.reshape((2,) * len(order))
+        return PureState(t.transpose([state.labels.index(l) for l in order]).reshape(-1),
+                         order)
 
 
 def validate(circuit):
@@ -131,13 +119,7 @@ def validate(circuit):
             elif t not in known:
                 problems.append("gate %s targets unknown channel %r" % (g.kind, t))
     entangled_seen = set()
-    for labels_g, amps in circuit.entangled:
-        amps = np.asarray(amps, dtype=complex)
-        if amps.shape != (2 ** len(labels_g),):
-            problems.append("entangled init on %r has wrong length" % (labels_g,))
-            continue
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
-            problems.append("entangled init on %r is not normalized" % (labels_g,))
+    for labels_g, _ in circuit.entangled:
         for l in labels_g:
             if l not in known or l in looped:
                 problems.append("entangled init names non-external channel %r" % (l,))
@@ -152,11 +134,16 @@ def validate(circuit):
     return problems
 
 
+def _entangled_group(labels, amps):
+    labels = tuple(labels)
+    what = "entangled init on %r" % (labels,)
+    return labels, tuple(normalized_amplitudes(amps, len(labels), what))
+
+
 def build_circuit(channels, gates=(), entangled=()):
     """Construct and validate a circuit; raises ConfigError on any problem."""
-    circuit = Circuit(tuple(channels), tuple(gates), tuple(
-        (tuple(labels), tuple(np.asarray(amps, dtype=complex))) for labels, amps in entangled
-    ))
+    circuit = Circuit(tuple(channels), tuple(gates),
+                      tuple(_entangled_group(*group) for group in entangled))
     problems = validate(circuit)
     if problems:
         raise ConfigError("; ".join(problems))

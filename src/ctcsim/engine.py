@@ -60,8 +60,9 @@ from .states import (
     DEFAULT_PARADOX_TOL,
     DensityOperator,
     PureState,
-    _permute_density,
     apply_gate,
+    complex_array,
+    normalized_amplitudes,
     tensor_all,
 )
 
@@ -104,6 +105,14 @@ def resolve_tolerance(tol=None):
     return value
 
 
+def _real(value, what):
+    """float(value), else ConfigError naming `what`."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("%s must be a real number, got %r" % (what, value)) from None
+
+
 @dataclass(frozen=True)
 class ProjectionEntry:
     label: str  # comma-joined per-channel outcome labels, e.g. "B" or "B,N"
@@ -123,7 +132,7 @@ class ProjectionSet:
     weights: np.ndarray  # (outcomes,) weight of each outcome
     make_labels: object  # zero-argument callable: outcome labels in row order
     channel_order: tuple  # looped channel labels, declaration order
-    ext_labels: tuple  # external qubits of each row
+    ext_labels: tuple  # external qubits of each row, declaration order
 
     @functools.cached_property
     def labels(self):
@@ -187,22 +196,19 @@ def _require_loops(circuit):
 
 def pair_out_state(circuit):
     """Bell pairs (reference, loop), one per looped channel in order, then the externals."""
-    factors = [PureState(PAIR_BASIS["B"], (label + REF_SUFFIX, label))
-               for label in _require_loops(circuit)]
-    ext = circuit.initial_external_state()
-    if ext.n_qubits:
-        factors.append(ext)
-    return tensor_all(factors)
+    return tensor_all([PureState(PAIR_BASIS["B"], (label + REF_SUFFIX, label))
+                       for label in _require_loops(circuit)]
+                      + [circuit.initial_external_state()])
 
 
 def _evolved_pairs(circuit):
-    """The one evolution of a run: amplitudes of shape (4,)*m + (2^e,), ext labels.
+    """The one evolution of a run: amplitudes of shape (4,)*m + (2^e,).
 
-    Axis q indexes pair q as 2 * reference bit + loop bit.
+    Axis q indexes pair q as 2 * reference bit + loop bit; the last axis is the
+    external register in declaration order.
     """
     m = len(_require_loops(circuit))
-    state = evolve(pair_out_state(circuit), circuit)
-    return state.amps.reshape((4,) * m + (-1,)), state.labels[2 * m:]
+    return evolve(pair_out_state(circuit), circuit).amps.reshape((4,) * m + (-1,))
 
 
 def _history_tensor(circuit):
@@ -211,7 +217,7 @@ def _history_tensor(circuit):
     The reference pair of the evolved state records the emerging eigenstate
     e_i, so A[i, j] = sqrt(d) * <ref = i, loop = j| evolved pair state.
     """
-    t, ext = _evolved_pairs(circuit)
+    t = _evolved_pairs(circuit)
     m = t.ndim - 1
     d = 2**m
     # (ref_1, loop_1, ..., ref_m, loop_m, ext) -> (ref bits, loop bits, ext)
@@ -219,7 +225,7 @@ def _history_tensor(circuit):
     t = t.transpose(tuple(range(0, 2 * m, 2)) + tuple(range(1, 2 * m, 2)) + (2 * m,))
     # dividing by the pair amplitude 1/sqrt(2) per pair, rather than multiplying
     # by sqrt(d), cancels its rounding in the consistent histories
-    return t.reshape(d, d, -1) / _SQ2**m, ext
+    return t.reshape(d, d, -1) / _SQ2**m
 
 
 def _mix(rows, weights):
@@ -228,30 +234,22 @@ def _mix(rows, weights):
     return (num + num.conj().T) / 2  # the product alone is Hermitian only to rounding
 
 
-def _rho_from_matrix(mat, labels, circuit):
-    if not labels:
-        return DensityOperator(np.array([[1.0]], dtype=complex), ())
-    rho = DensityOperator(mat, labels)
-    order = tuple(l for l in circuit.external_labels if l in labels)
-    if order != labels:
-        rho = _permute_density(rho, order)
-    return rho
-
-
-def _post_select(circuit, model, num, ext, tol, paradox, table=None, n=None, loop=None,
+def _post_select(circuit, model, num, tol, paradox, table=None, n=None, loop=None,
                  **metadata):
-    """Finish any run from its weighted operator `num` on the externals `ext`.
+    """Finish any run from its weighted operator `num` on the externals.
 
     Z = tr(num).  `n` (exact model), else Z, below the tolerance raises
     ParadoxError with the `paradox` wording (a %-format over n, z and tol) and
     `table`; rho and `loop` are divided by Z, and the tolerance ends the metadata.
+    rho is exactly [[1]] on a circuit without externals.
     """
     tol = resolve_tolerance(tol)
     z = float(np.trace(num).real)
     if (z if n is None else n) < tol:
         raise ParadoxError(paradox % {"n": n, "z": z, "tol": tol}, projections=table)
+    ext = circuit.external_labels
     return PostSelectionResult(
-        model=model, z=z, rho=_rho_from_matrix(num / z, ext, circuit), n=n,
+        model=model, z=z, rho=DensityOperator(num / z if ext else [[1.0]], ext), n=n,
         rho_loop=None if loop is None else DensityOperator(loop / z, circuit.loop_labels),
         projections=table, metadata={**metadata, "tolerance": tol},
     )
@@ -265,13 +263,14 @@ def projection_table(circuit):
     sum to 1 (resolution of the identity on the reference pairs).
     """
     loops = _require_loops(circuit)
-    t, ext = _evolved_pairs(circuit)
+    t = _evolved_pairs(circuit)
     for _ in loops:  # contract each pair axis with the four outcome bras
         t = np.tensordot(t, _PAIR_BRAS, axes=(0, 1))
     amps = np.ascontiguousarray(np.moveaxis(t, 0, -1)).reshape(4 ** len(loops), -1)
     weights = (amps.real**2 + amps.imag**2).sum(axis=1)
     combos = functools.partial(itertools.product, PAIR_LABELS, repeat=len(loops))
-    return ProjectionSet(amps, weights, lambda: map(",".join, combos()), loops, ext)
+    return ProjectionSet(amps, weights, lambda: map(",".join, combos()), loops,
+                         circuit.external_labels)
 
 
 def run_exact_bell(circuit, tol=None, pair_states=None):
@@ -284,12 +283,7 @@ def run_exact_bell(circuit, tol=None, pair_states=None):
     before, after = [], []
     for label in _require_loops(circuit):
         if pair_states and label in pair_states:
-            chi = np.asarray(pair_states[label], dtype=complex)
-            if not np.isfinite(chi).all():
-                raise ConfigError("pair state for %r has a non-finite amplitude" % (label,))
-            if chi.shape != (4,) or abs(np.linalg.norm(chi) - 1.0) > 1e-9:
-                raise ConfigError("pair state for %r must be a normalized 2-qubit state"
-                                  % (label,))
+            chi = normalized_amplitudes(pair_states[label], 2, "pair state for %r" % (label,))
             k = chi.reshape(2, 2).T / _SQ2
             before.append(make_gate("CUSTOM", (label,), matrix=k))
             after.append(make_gate("CUSTOM", (label,), matrix=k.conj().T))
@@ -297,20 +291,20 @@ def run_exact_bell(circuit, tol=None, pair_states=None):
         replace(circuit, gates=(*before, *circuit.gates, *after)) if before else circuit)
     matched = table.amps[0]  # the all-"B" row
     return _post_select(
-        circuit, "exact_bell", np.outer(matched, matched.conj()), table.ext_labels, tol,
+        circuit, "exact_bell", np.outer(matched, matched.conj()), tol,
         "matched-pair amplitude %(n).3e below tolerance %(tol).3e: no consistent history",
         None if before else table, n=float(np.linalg.norm(matched)))
 
 
 def run_noisy_bell(circuit, lam, tol=None):
     """Depolarized pair projection: mix all 4^m outcomes with product weights."""
-    lam = float(lam)
+    lam = _real(lam, "noise parameter lam")
     if not 0.0 <= lam <= 1.0:
         raise ConfigError("noise parameter lam must lie in [0, 1]")
     table = projection_table(circuit)
     per_pair = np.array([1.0 - 0.75 * lam] + [0.25 * lam] * 3)
     w = functools.reduce(np.kron, [per_pair] * len(table.channel_order))
-    return _post_select(circuit, "noisy_bell", _mix(table.amps, w), table.ext_labels, tol,
+    return _post_select(circuit, "noisy_bell", _mix(table.amps, w), tol,
                         "acceptance rate %(z).3e below tolerance", table, lam=lam)
 
 
@@ -321,7 +315,7 @@ def loop_histories(circuit):
     register emerges as |e_i>, evolves with the externals, and is projected
     onto |e_j> at the end.  Consistent histories are the diagonal i == j.
     """
-    a, ext = _history_tensor(circuit)
+    a, ext = _history_tensor(circuit), circuit.external_labels
     d = len(a)
     return {(i, j): PureState(a[i, j], ext) for i in range(d) for j in range(d)}, d
 
@@ -337,11 +331,11 @@ def run_classical(circuit, k, floor=False, tol=None):
     At k = 1/2 (floor=False) the channel is fully unskewed: Z is independent
     of every external input.
     """
-    k = float(k)
+    k = _real(k, "flip rate k")
     if not 0.0 <= k <= 1.0:
         raise ConfigError("flip rate k must lie in [0, 1]")
     loops = circuit.loop_labels
-    a, ext = _history_tensor(circuit)
+    a = _history_tensor(circuit)
     d = len(a)
     rows = a.reshape(d * d, -1)
     if floor:
@@ -353,7 +347,7 @@ def run_classical(circuit, k, floor=False, tol=None):
         flip = np.array([[1.0 - k, k], [k, 1.0 - k]])
         w = functools.reduce(np.kron, [flip] * len(loops))
     hist = w * (a.real**2 + a.imag**2).sum(axis=2)  # weighted history norms
-    result = _post_select(circuit, "classical", _mix(rows, w.reshape(-1)), ext, tol,
+    result = _post_select(circuit, "classical", _mix(rows, w.reshape(-1)), tol,
                           "classical acceptance rate %(z).3e below tolerance",
                           loop=np.diag(hist.sum(axis=1)), k=k, floor=bool(floor))
     # the history table rides on the result only, not on a paradox;
@@ -361,7 +355,8 @@ def run_classical(circuit, k, floor=False, tol=None):
     keep = np.arange(d) * (d + 1) if floor else np.arange(d * d)
     weights = hist.sum(axis=1) if floor else hist.reshape(-1)
     return replace(result, projections=ProjectionSet(
-        rows[keep], weights, lambda: ("%d|%d" % divmod(i, d) for i in keep), loops, ext))
+        rows[keep], weights, lambda: ("%d|%d" % divmod(i, d) for i in keep), loops,
+        circuit.external_labels))
 
 
 _MAX_GRID_NODES = 2**20  # largest n_theta * n_xi of a flat-measure grid
@@ -391,18 +386,24 @@ def run_weight_matrix(circuit, omega="flat", tol=None):
     exactly (measure constant 1).  On larger loop registers delta falls back
     to the incoherent diagonal sum.
     """
-    a, ext = _history_tensor(circuit)
+    a = _history_tensor(circuit)
     d = len(a)
     name = omega if isinstance(omega, str) else "custom"
     coherent_delta = name == "delta" and d == 2
     if isinstance(omega, str):
         mat = _builtin_omega(omega, d)
     else:
-        mat = np.asarray(omega, dtype=float)
+        try:
+            mat = np.asarray(omega, dtype=complex)  # a float cast would drop imaginary parts
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("weight matrix entries must be real numbers") from None
         if mat.shape != (d, d):
             raise ConfigError("weight matrix must be %d x %d" % (d, d))
         if not np.isfinite(mat).all():
             raise ConfigError("weight matrix entries must be finite")
+        if mat.imag.any():
+            raise ConfigError("weight matrix entries must be real numbers")
+        mat = mat.real
         if np.any(mat < 0):
             raise ConfigError("weight matrix entries must be nonnegative")
         # scaling by a power of two is exact and keeps the sum from overflowing
@@ -419,7 +420,7 @@ def run_weight_matrix(circuit, omega="flat", tol=None):
         num = _mix(rows, _FLAT_MEASURE * np.array([2.0, 1.0, 1.0, 2.0, 1.0]))
     else:
         num = _mix(a.reshape(d * d, -1), mat.reshape(-1))
-    return _post_select(circuit, "weight_matrix", num, ext, tol,
+    return _post_select(circuit, "weight_matrix", num, tol,
                         "weighted acceptance rate %(z).3e below tolerance",
                         omega=name, coherent_delta=coherent_delta,
                         quadrature_measure_constant=1.0 if coherent_delta else None)
@@ -483,7 +484,7 @@ def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
     if len(loops) != 1:
         raise UnsupportedError("the delta model integrates one looped qubit, not %d; use "
                                "model weight_matrix with omega='delta'" % len(loops))
-    a, ext = _history_tensor(circuit)  # shape (emerge, enter, ext)
+    a = _history_tensor(circuit)  # shape (emerge, enter, ext)
     rows = a.reshape(4, -1)
     phi, w = flat_measure_states(n_theta, n_xi)
     # history (i, j) carries amplitude c_i * conj(c_j) (emerge i, project j),
@@ -493,7 +494,7 @@ def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
     num = rows.T @ _mix(coef, w) @ rows.conj()
     # squared norm of node k's state: coef_k^T G coef_k^*, G = rows rows^dagger
     dens = np.einsum("kb,kb->k", coef @ (rows @ rows.conj().T), coef.conj()).real
-    return _post_select(circuit, "delta_quadrature", (num + num.conj().T) / 2, ext, tol,
+    return _post_select(circuit, "delta_quadrature", (num + num.conj().T) / 2, tol,
                         "quadrature acceptance rate %(z).3e below tolerance",
                         loop=_mix(phi, w * dens), n_theta=int(n_theta), n_xi=int(n_xi),
                         measure="flat theta-xi on [0, pi] x [0, 2*pi]")
@@ -516,8 +517,16 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
                                "is not defined")
     if mode not in ("coupled", "insulated"):
         raise ConfigError("mode must be 'coupled' or 'insulated'")
+    try:
+        condition = [(label, bit) for label, bit in condition]
+    except (TypeError, ValueError):
+        raise ConfigError("condition must be a list of (label, bit) pairs, got %r"
+                          % (condition,)) from None
+    for label, bit in condition:
+        if bit not in (0, 1):
+            raise ConfigError("condition bit of %r must be 0 or 1, got %r" % (label, bit))
     d_labels, d_amps = deselect
-    d_amps = np.array(d_amps, dtype=complex, ndmin=1).view(float)  # [re, im] pairs
+    d_amps = complex_array(d_amps, 1, "deselect direction").view(float)  # [re, im] pairs
     if not (np.isfinite(d_amps).all() and d_amps.any()):
         raise ConfigError("deselect direction must be a nonzero finite vector, got %r"
                           % (deselect[1],))
@@ -528,8 +537,6 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
     n = state.n_qubits
     mask = np.ones(2**n, dtype=bool)
     for label, bit in condition:
-        if bit not in (0, 1):
-            raise ConfigError("condition bit of %r must be 0 or 1, got %r" % (label, bit))
         ax = state.axis(label)
         mask &= ((np.arange(2**n) >> (n - 1 - ax)) & 1) == bit
     on, off = np.where(mask, state.amps, 0.0), np.where(mask, 0.0, state.amps)
@@ -544,8 +551,8 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
                                % w_on)
         kept = kept * (np.sqrt(w_on) / norm)
     final = off + kept
-    return _post_select(circuit, "conditional", np.outer(final, final.conj()), state.labels,
-                        tol, "conditional projection removed all amplitude",
+    return _post_select(circuit, "conditional", np.outer(final, final.conj()), tol,
+                        "conditional projection removed all amplitude",
                         mode=mode, branch_weight_on=w_on, branch_weight_off=w_off)
 
 

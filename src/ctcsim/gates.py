@@ -8,11 +8,13 @@ the same block to the last qubit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArityError, ConfigError
+from .states import complex_array
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -91,16 +93,20 @@ def make_gate(kind, targets, params=(), matrix=None):
         raise ConfigError("gate %s has a repeated target in %r" % (kind, targets))
     try:
         params = tuple(float(p) for p in params)
-    except (TypeError, ValueError):
-        raise ConfigError("gate parameters must be real numbers: %r" % (params,))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("gate parameters must be real numbers: %r" % (params,)) from None
+    if not all(map(math.isfinite, params)):
+        raise ConfigError("gate parameters must be finite real numbers: %r" % (params,))
 
     if kind == "CUSTOM":
         if matrix is None:
             raise ConfigError("CUSTOM gate requires a matrix")
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = complex_array(matrix, 2, "CUSTOM matrix on %r" % (targets,))
         d = matrix.shape[0]
         if matrix.shape != (d, d) or d & (d - 1) or d < 2:
             raise ConfigError("CUSTOM matrix must be square with power-of-two size")
+        if not np.isfinite(matrix).all():
+            raise ConfigError("CUSTOM matrix on %r has a non-finite entry" % (targets,))
         arity = d.bit_length() - 1
         if arity != len(targets):
             raise ArityError(

@@ -8,6 +8,7 @@ keeps the dense representation comfortably inside memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,36 @@ DEFAULT_PARADOX_TOL = 1e-12
 def _check_labels(labels):
     if len(set(labels)) != len(labels):
         raise LabelCollision("duplicate qubit labels: %r" % (labels,))
+
+
+def complex_array(values, ndim, what):
+    """`values` as a complex array with `ndim` axes, else ConfigError naming `what`."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):  # ragged nesting
+        arr = np.asarray(None)
+    if arr.ndim != ndim or arr.dtype.kind not in "iufc":  # no text, objects or bools
+        raise ConfigError("%s must be a %d-d array of numbers" % (what, ndim))
+    return arr.astype(complex)
+
+
+def normalized_amplitudes(values, n_qubits, what):
+    """A normalized n-qubit input state, else ConfigError naming `what`.
+
+    An entry above 1 is rejected before the norm is taken, so it cannot overflow.
+    """
+    amps = complex_array(values, 1, what)
+    if amps.size != 2**n_qubits:
+        raise ConfigError("%s must hold %d amplitudes" % (what, 2**n_qubits))
+    parts = np.abs(amps.view(float))  # real and imaginary parts
+    if not np.isfinite(parts).all():
+        raise ConfigError("%s has a non-finite amplitude" % (what,))
+    if parts.max() > 1.0 + 1e-9:
+        raise ConfigError("%s has an amplitude above 1 in modulus" % (what,))
+    norm = math.sqrt(parts @ parts)
+    if abs(norm - 1.0) > 1e-9:
+        raise ConfigError("%s has norm %.6f != 1" % (what, norm))
+    return amps
 
 
 @dataclass(frozen=True)

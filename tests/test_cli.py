@@ -175,6 +175,11 @@ MALFORMED = [
      "doc.channels[1].init[0]"),
     ("init_bool", json.dumps(SIMPLE_LOOP_DOC).replace("[0.8,", "[true,"),
      "doc.channels[1].init[0]"),
+    ("entangled_huge",
+     _with(channels=[{"name": "tm", "role": "ctc"}, {"name": "a"}, {"name": "b"}], gates=[],
+           entangled_inits=[{"channels": ["a", "b"],
+                             "amplitudes": [1e200, 0, 0, 0, 0, 0, 1e200, 0]}]),
+     "entangled init on ('a', 'b') has an amplitude above 1 in modulus"),
     ("floor_text", _with(model={"type": "classical", "k": 0.3, "floor": "false"}),
      "doc.model.floor"),
     ("model_type_list", _with(model={"type": ["noisy_bell"]}), "doc.model.type"),

@@ -363,6 +363,129 @@ def test_declaring_the_channels_in_reverse_only_permutes_the_labels(seed, n_loop
                 (model, name)
 
 
+# input states in declaration order --------------------------------------------
+
+
+def out_of_order_circuit(seed, n_loops):
+    """A random circuit whose entangled group is declared reversed and not adjacent.
+
+    Of the externals, declared first, middle and last, the group runs (last,
+    first) and the middle one keeps its own init.  Also returns the external
+    register in declaration order, built by hand.
+    """
+    base = random_circuit(seed, n_loops, 3)
+    first, middle, last = base.external_labels
+    rng = np.random.default_rng(seed + 1)
+    g = rng.normal(size=4) + 1j * rng.normal(size=4)
+    g /= np.linalg.norm(g)
+    channels = [Channel(c.label) if c.label in (first, last) else c for c in base.channels]
+    circuit = build_circuit(channels, base.gates, entangled=[((last, first), g)])
+    ext = np.einsum("lf,m->fml", g.reshape(2, 2), base.channel(middle).init)
+    return circuit, ext.reshape(-1)
+
+
+def histories_by_unitary(circuit, ext):
+    """A[i, j] = (<j|_loop x I) U (|i>_loop x ext), U from compile_unitary."""
+    labels = circuit.labels
+    n, d = len(labels), 2 ** len(circuit.loop_labels)
+    order = [labels.index(l) for l in circuit.loop_labels + circuit.external_labels]
+    u = cs.compile_unitary(circuit).reshape((2,) * (2 * n))
+    u = u.transpose(order + [n + q for q in order]).reshape(d, len(ext), d, len(ext))
+    return np.einsum("jxiy,y->ijx", u, ext)
+
+
+# (reference, loop) amplitudes of each pair outcome, as 2 x 2 matrices
+PAIR_MATRICES = {"B": np.eye(2), "-": np.diag([1.0, -1.0]), "N": np.eye(2)[::-1],
+                 "-N": np.array([[0.0, 1.0], [-1.0, 0.0]])}
+
+
+def pair_rows_by_histories(a):
+    """Outcome label -> surviving external amplitudes, from the history tensor."""
+    m = int(math.log2(len(a)))
+    rows = {}
+    for combo in itertools.product(cs.engine.PAIR_LABELS, repeat=m):
+        mat = functools.reduce(np.kron, [PAIR_MATRICES[o] for o in combo], np.ones((1, 1)))
+        rows[",".join(combo)] = np.einsum("rl,rlx->x", mat, a) / 2**m
+    return rows
+
+
+def outer_sum(rows, weights):
+    return sum(w * np.outer(r, r.conj()) for r, w in zip(rows, weights))
+
+
+def delta_num_by_node(a, n_theta=7, n_xi=9):
+    """Unnormalized delta-model operator: node phi carries sum_ij phi_i phi_j^* A[i, j]."""
+    weight = (math.pi / n_theta) * (2 * math.pi / n_xi)
+    num = 0.0
+    for k in range(n_theta):
+        theta = (k + 1 / 3) * math.pi / n_theta
+        for l in range(n_xi):
+            xi = (l + 1 / 2) * 2 * math.pi / n_xi
+            phi = np.array([math.cos(theta), math.sin(theta) * np.exp(1j * xi)])
+            psi = np.einsum("i,j,ijx->x", phi, phi.conj(), a)
+            num = num + weight * np.outer(psi, psi.conj())
+    return num
+
+
+def model_num_by_histories(model, a):
+    """Each model's weighted external operator, written out from its definition."""
+    d = len(a)
+    rows = a.reshape(d * d, -1)
+    if isinstance(model, cs.ExactBell):
+        psi = np.einsum("iix->x", a) / d
+        return np.outer(psi, psi.conj())
+    if isinstance(model, cs.NoisyBell):
+        per_pair = [1 - 0.75 * model.lam] + [0.25 * model.lam] * 3
+        w = functools.reduce(np.kron, [per_pair] * int(math.log2(d)))
+        return outer_sum(pair_rows_by_histories(a).values(), w)
+    if isinstance(model, cs.Classical):
+        k = model.k
+        if model.floor:
+            w = (1 - k) * np.eye(d) + k / d
+        else:
+            w = functools.reduce(np.kron, [[[1 - k, k], [k, 1 - k]]] * int(math.log2(d)))
+        return outer_sum(rows, np.reshape(w, -1))
+    if isinstance(model, cs.DeltaQuadrature) or model.omega == "delta" and d == 2:
+        return delta_num_by_node(a)
+    omega = {"flat": np.full((d, d), 1 / d), "quad": (2 * np.eye(d) + 1) / (d + 2),
+             "delta": np.eye(d)}[model.omega]
+    return outer_sum(rows, omega.reshape(-1))
+
+
+@pytest.mark.parametrize("seed, n_loops", [(0, 1), (1, 1), (2, 2), (3, 2)])
+def test_out_of_order_entangled_groups_match_the_unitary_reference(seed, n_loops):
+    circuit, ext = out_of_order_circuit(seed, n_loops)
+    a = histories_by_unitary(circuit, ext)
+    models = PERMUTATION_MODELS + [cs.DeltaQuadrature(3, 5)] * (n_loops == 1)
+    for model in models:
+        num = model_num_by_histories(model, a)
+        z = np.trace(num).real
+        r = model.run(circuit)
+        assert r.z == pytest.approx(z, rel=1e-12), model
+        assert r.rho.labels == circuit.external_labels, model
+        assert np.max(np.abs(r.rho.mat - num / z)) <= 1e-12, model
+    table = cs.projection_table(circuit)
+    for label, row in pair_rows_by_histories(a).items():
+        assert table[label].state.labels == circuit.external_labels
+        assert np.max(np.abs(table[label].state.amps - row)) <= 1e-12, label
+    histories = cs.run_classical(circuit, 0.2).projections
+    d = len(a)
+    for i, j in itertools.product(range(d), repeat=2):
+        entry = histories["%d|%d" % (i, j)]
+        assert entry.state.labels == circuit.external_labels
+        assert np.max(np.abs(entry.state.amps - a[i, j])) <= 1e-12, (i, j)
+
+
+def test_loop_only_circuits_report_rho_exactly_one():
+    rot = build_circuit([Channel("tm", looped=True)],
+                        [make_gate("ROT", ("tm",), params=(0.3,))])
+    gun = cs.build_scenario("grandfather_not").circuit  # a paradox under the exact model
+    runs = [(rot, m) for m in LOOP_MODELS] + [(gun, m) for m in LOOP_MODELS[1:]]
+    for circuit, model in runs:
+        rho = model.run(circuit).rho
+        assert rho.labels == () and rho.mat.tolist() == [[1.0]], model
+
+
 def test_exact_paradox_carries_the_full_projection_table():
     circuit = cs.build_scenario("grandfather_not").circuit
     with pytest.raises(cs.ParadoxError) as info:
@@ -714,7 +837,22 @@ PLAIN_DESELECT = (("m3",), [1.0, 0.0])
     (lambda: cs.run_exact_bell(loop_with_rotations(0.1, 0.2, 0.3),
                                pair_states={"tm": [math.nan, 0, 0, SQ2]}),
      "pair state for 'tm' has a non-finite amplitude"),
-], ids=["bit_x", "bit_2", "zero_direction", "nan_direction", "nan_pair_state"])
+    (lambda: cs.run_noisy_bell(cpf_gun(), "abc"),
+     "noise parameter lam must be a real number, got 'abc'"),
+    (lambda: cs.run_classical(cpf_gun(), None), "flip rate k must be a real number, got None"),
+    (lambda: cs.run_classical(cpf_gun(), "abc"),
+     "flip rate k must be a real number, got 'abc'"),
+    (lambda: cs.run_weight_matrix(cpf_gun(), [[1.0, "a"], [0.0, 1.0]]),
+     "weight matrix entries must be real numbers"),
+    (lambda: cs.run_weight_matrix(cpf_gun(), np.array([[1.0 + 1j, 0.0], [0.0, 1.0]])),
+     "weight matrix entries must be real numbers"),
+    (lambda: cs.run_conditional(three_plus(), [("m1",)], PLAIN_DESELECT, "coupled"),
+     "condition must be a list of (label, bit) pairs"),
+    (lambda: cs.run_conditional(three_plus(), [("m1", 0)], (("m3",), ["x", 0]), "coupled"),
+     "deselect direction must be a 1-d array of numbers"),
+], ids=["bit_x", "bit_2", "zero_direction", "nan_direction", "nan_pair_state", "lam_text",
+        "k_none", "k_text", "omega_text_entry", "omega_complex_entry", "condition_not_a_pair",
+        "direction_text"])
 def test_bad_conditional_and_pair_inputs_are_config_errors(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning fails the test

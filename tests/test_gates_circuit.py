@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ctcsim import Channel, ConfigError, build_circuit, compile_unitary, make_gate
+from ctcsim import (Channel, ConfigError, build_circuit, compile_unitary, make_gate,
+                    run_exact_bell)
 from ctcsim.circuit import with_init
 from ctcsim.errors import ArityError
 from ctcsim.gates import Gate
@@ -48,6 +50,26 @@ def test_custom_gate_flags_nonunitary():
     assert good.unitary
     bad = make_gate("CUSTOM", ("a",), matrix=np.array([[1, 0], [1, 0]]))
     assert not bad.unitary
+
+
+@pytest.mark.parametrize("kind, params, matrix, message", [
+    ("CUSTOM", (), [["a", "b"], ["c", "d"]], "CUSTOM matrix on ('a',) must be"),
+    ("CUSTOM", (), 3, "CUSTOM matrix on ('a',) must be"),
+    ("CUSTOM", (), [[math.nan, 0], [0, 1]], "CUSTOM matrix on ('a',) has a non-finite"),
+    ("CUSTOM", (), [[1, 0], [0, math.inf]], "CUSTOM matrix on ('a',) has a non-finite"),
+    ("CUSTOM", (), [[1, 0], [0, complex(0, -math.inf)]], "CUSTOM matrix on ('a',) has a"),
+    ("ROT", (math.inf,), None, "gate parameters must be finite real numbers"),
+    ("ROT", (math.nan,), None, "gate parameters must be finite real numbers"),
+    ("PHASE", (-math.inf,), None, "gate parameters must be finite real numbers"),
+    ("ROT", (10**400,), None, "gate parameters must be real numbers"),
+], ids=["custom_text", "custom_0d", "custom_nan", "custom_inf", "custom_imag_inf",
+        "rot_inf", "rot_nan", "phase_minus_inf", "rot_huge_int"])
+def test_bad_gate_inputs_are_config_errors(kind, params, matrix, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        with pytest.raises(ConfigError) as info:
+            make_gate(kind, ("a",), params=params, matrix=matrix)
+    assert str(info.value).startswith(message)
 
 
 def test_unknown_kind_rejected():
@@ -131,3 +153,70 @@ def test_compile_unitary_matches_gate_order():
 def test_compile_unitary_is_unitary():
     u = compile_unitary(simple_loop())
     assert np.allclose(u.conj().T @ u, np.eye(u.shape[0]))
+
+
+# input states ------------------------------------------------------------------
+
+
+def _entangled(amps):
+    return build_circuit([Channel("a"), Channel("b")], entangled=[(("a", "b"), amps)])
+
+
+def _pair(chi):
+    loop = build_circuit([Channel("tm", looped=True), Channel("ex", init=(0.8, 0.6))],
+                         [make_gate("CX", ("tm", "ex"))])
+    return run_exact_bell(loop, pair_states={"tm": chi})
+
+
+# (case, call, the input its error names); each of these once escaped as a bare
+# Python exception or a numpy warning, or was accepted
+INPUT_STATE_PROBES = [
+    ("init_text", lambda: Channel("a", init=("x", 0)), "channel 'a' init"),
+    ("init_number", lambda: Channel("a", init=5), "channel 'a' init"),
+    ("init_numeric_text", lambda: Channel("a", init=("1", "0")), "channel 'a' init"),
+    ("init_huge_int", lambda: Channel("a", init=(10**400, 0)), "channel 'a' init"),
+    ("init_nested", lambda: Channel("a", init=([1], [0])), "channel 'a' init"),
+    ("entangled_nan", lambda: _entangled([math.nan, 0, 0, SQ2]),
+     "entangled init on ('a', 'b')"),
+    ("entangled_huge", lambda: _entangled([1e200, 0, 0, 1e200]),
+     "entangled init on ('a', 'b')"),
+    ("entangled_text", lambda: _entangled("abcd"), "entangled init on ('a', 'b')"),
+    ("entangled_none", lambda: _entangled(None), "entangled init on ('a', 'b')"),
+    ("entangled_numeric_text", lambda: _entangled(["1", "0", "0", "0"]),
+     "entangled init on ('a', 'b')"),
+    ("entangled_ragged", lambda: _entangled([1, [0, 0], 0]), "entangled init on ('a', 'b')"),
+    ("pair_text", lambda: _pair("abcd"), "pair state for 'tm'"),
+    ("pair_huge", lambda: _pair([1e200, 0, 0, 1e200]), "pair state for 'tm'"),
+    ("pair_numeric_text", lambda: _pair(["1", "0", "0", "0"]), "pair state for 'tm'"),
+    ("pair_ragged", lambda: _pair([1, [0], 0, 0]), "pair state for 'tm'"),
+]
+
+
+@pytest.mark.parametrize("case, call, name", INPUT_STATE_PROBES,
+                         ids=[p[0] for p in INPUT_STATE_PROBES])
+def test_bad_input_states_are_config_errors_naming_the_input(case, call, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        with pytest.raises(ConfigError) as info:
+            call()
+    assert str(info.value).startswith(name + " ")
+
+
+@pytest.mark.parametrize("amps, message", [
+    ((1.0, 0.0, 0.0), "must hold 2 amplitudes"),
+    ((0.9, 0.9j), "has norm 1.272792 != 1"),
+    ((1.5, 0.0), "has an amplitude above 1 in modulus"),
+    ((math.inf, 0.0), "has a non-finite amplitude"),
+], ids=["length", "norm", "entry_above_one", "infinite"])
+def test_channel_init_errors_say_what_is_wrong(amps, message):
+    with pytest.raises(ConfigError, match="^channel 'a' init " + message):
+        Channel("a", init=amps)
+
+
+def test_entangled_group_is_laid_out_in_declaration_order():
+    # the group ("c", "a") holds |0>_c (0.6|0> + 0.8|1>)_a; b sits between them
+    c = build_circuit([Channel("a"), Channel("b", init=(0.6, 0.8)), Channel("c")],
+                      entangled=[(("c", "a"), [0.6, 0.8, 0.0, 0.0])])
+    state = c.initial_external_state()
+    assert state.labels == ("a", "b", "c")
+    assert np.allclose(state.amps, [0.36, 0, 0.48, 0, 0.48, 0, 0.64, 0], atol=1e-15)
