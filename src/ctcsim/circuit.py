@@ -9,12 +9,13 @@ looped channels, labeled "<name>.ref") are never addressable from a circuit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, LabelError, UnsupportedError
-from .states import MAX_QUBITS, PureState, apply_gate, normalized_amplitudes, tensor_all
+from .states import MAX_QUBITS, PureState, apply_gates, normalized_amplitudes
 
 REF_SUFFIX = ".ref"
 
@@ -80,22 +81,19 @@ class Circuit:
     def initial_external_state(self):
         """The external register, in channel declaration order.
 
-        The product of the external inits, each entangled group inserted whole
-        where its first channel is declared, then one exact transpose.
+        One outer product of the external inits, each entangled group inserted
+        whole where its first channel is declared, then one exact transpose.
         """
         grouped = {l: (labels, amps) for labels, amps in self.entangled for l in labels}
-        factors, seen = [], set()
+        factors, labels = [], []
         for c in self.channels:
-            if not (c.looped or c.label in seen):
-                labels, amps = grouped.get(c.label, ((c.label,), c.init or (1.0, 0.0)))
-                factors.append(PureState(np.asarray(amps, dtype=complex), labels))
-                seen.update(labels)
-        if not factors:
-            return PureState(np.ones(1, dtype=complex), ())
-        state, order = tensor_all(factors), self.external_labels
-        t = state.amps.reshape((2,) * len(order))
-        return PureState(t.transpose([state.labels.index(l) for l in order]).reshape(-1),
-                         order)
+            if not (c.looped or c.label in labels):
+                group, amps = grouped.get(c.label, ((c.label,), c.init or (1.0, 0.0)))
+                factors.append(PureState(amps, group).amps.reshape((2,) * len(group)))
+                labels += group
+        t = functools.reduce(np.multiply.outer, factors or [np.ones((), dtype=complex)])
+        order = self.external_labels
+        return PureState(t.transpose([labels.index(l) for l in order]).reshape(-1), order)
 
 
 def validate(circuit):
@@ -189,7 +187,5 @@ def compile_unitary(circuit):
 
 
 def evolve(state, circuit):
-    """Apply the circuit's gates in order to a labeled state."""
-    for g in circuit.gates:
-        state = apply_gate(state, g.matrix, g.targets)
-    return state
+    """Apply the circuit's gates in order to a labeled state, in one kernel call."""
+    return apply_gates(state, ((g.matrix, g.targets) for g in circuit.gates))

@@ -19,7 +19,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from . import __version__, analysis
-from .circuit import Channel, build_circuit
+from .circuit import Channel, _entangled_group, build_circuit
 from .engine import (MODELS, DeltaQuadrature, _check_grid, projection_table,
                      resolve_tolerance)
 from .errors import ConfigError, CtcSimError, ParadoxError, ParseError
@@ -150,21 +150,20 @@ def _parse_channels(items, path):
     channels = []
     for item, here in _items(items, path):
         _check_keys(item, ("name", "role", "init"), here)
-        name = item.get("name")
         role = item.get("role", "external")
         if role not in ("ctc", "external"):
             _fail(here + ".role", "must be 'ctc' or 'external'")
         init = item.get("init")
-        if init is not None and role == "ctc":
-            _fail(here + ".init", "looped channels carry no initial state")
         if isinstance(init, list):
-            amps = _amps_from_pairs(init, here + ".init")
-            if len(amps) != 2:
-                _fail(here + ".init", "channel init must describe one qubit")
-            init = tuple(amps)
+            init = _amps_from_pairs(init, here + ".init")
         elif init is not None and not isinstance(init, str):
             _fail(here + ".init", "expected a named state or [re, im] pairs")
-        channels.append(Channel(name, looped=(role == "ctc"), init=init))
+        for key, value in (("name", None), ("init", init)):  # the name is checked alone first
+            try:
+                channel = Channel(item.get("name"), looped=(role == "ctc"), init=value)
+            except ConfigError as err:
+                _fail("%s.%s" % (here, key), str(err))
+        channels.append(channel)
     return channels
 
 
@@ -174,7 +173,10 @@ def _parse_entangled(items, path):
         _check_keys(item, ("channels", "amplitudes"), here)
         labels = _channel_names(item.get("channels"), here + ".channels", 2)
         amps = _amps_from_pairs(item.get("amplitudes", []), here + ".amplitudes")
-        groups.append((labels, np.array(amps, dtype=complex)))
+        try:
+            groups.append(_entangled_group(labels, amps))
+        except ConfigError as err:
+            _fail(here + ".amplitudes", str(err))
     return groups
 
 

@@ -29,8 +29,11 @@ arXiv:1007.2615) the evolved pair state holds every pair-basis outcome and
 every eigenstate history, and a custom boundary pair is the Bell pair with a
 local operator on its loop wire.  A 4x4 change of basis along each pair axis
 gives the projection table; regrouping reference and loop bits gives the
-history tensor.  Each model is then one contraction of these arrays into a
-weighted, unnormalized operator on the externals.  Every runner, the loop-free
+history tensor.  The evolution is one call of the raw-array gate kernel
+`states.apply_gates`, which checks labels and finiteness once, on the evolved
+state; `circuit.compile_unitary` shares none of it and stays the independent
+oracle.  Each model is then one contraction of these arrays into a weighted,
+unnormalized operator on the externals.  Every runner, the loop-free
 `run_conditional` included, finishes in `_post_select`: Z is its trace, Z
 (exact model: the survival amplitude) below the tolerance is a paradox in the
 model's own words, and rho and rho_loop are divided by Z.
@@ -63,7 +66,6 @@ from .states import (
     apply_gate,
     complex_array,
     normalized_amplitudes,
-    tensor_all,
 )
 
 TOLERANCE_ENV_VAR = "CTC_SIM_TOLERANCE"
@@ -195,10 +197,11 @@ def _require_loops(circuit):
 
 
 def pair_out_state(circuit):
-    """Bell pairs (reference, loop), one per looped channel in order, then the externals."""
-    return tensor_all([PureState(PAIR_BASIS["B"], (label + REF_SUFFIX, label))
-                       for label in _require_loops(circuit)]
-                      + [circuit.initial_external_state()])
+    """Bell pairs (reference, loop) per loop, then the externals, as one outer product."""
+    loops, ext = _require_loops(circuit), circuit.initial_external_state()
+    amps = functools.reduce(np.multiply.outer, [PAIR_BASIS["B"]] * len(loops) + [ext.amps])
+    labels = [label for loop in loops for label in (loop + REF_SUFFIX, loop)]
+    return PureState(amps.reshape(-1), (*labels, *ext.labels))
 
 
 def _evolved_pairs(circuit):
@@ -525,7 +528,10 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
     for label, bit in condition:
         if bit not in (0, 1):
             raise ConfigError("condition bit of %r must be 0 or 1, got %r" % (label, bit))
-    d_labels, d_amps = deselect
+    try:
+        d_labels, d_amps = deselect
+    except (TypeError, ValueError):
+        raise ConfigError("deselect must be a (labels, amplitudes) pair") from None
     d_amps = complex_array(d_amps, 1, "deselect direction").view(float)  # [re, im] pairs
     if not (np.isfinite(d_amps).all() and d_amps.any()):
         raise ConfigError("deselect direction must be a nonzero finite vector, got %r"

@@ -153,26 +153,35 @@ def tensor_all(states):
     return out
 
 
-def apply_gate(state, matrix, targets):
-    """Apply a 2^k x 2^k matrix to the `targets` qubits of `state`.
+def apply_gates(state, gates):
+    """Apply (matrix, targets) pairs in order to `state`: the one gate kernel.
 
-    `targets` orders the qubits the matrix acts on, most significant first
-    (controls first for controlled gates).  The matrix need not be unitary;
-    perturbation operators come through here unchanged.
+    `targets` orders the qubits a 2^k x 2^k matrix acts on, most significant
+    first (controls first); the matrix need not be unitary.  Each gate is a
+    transpose, matmul and transpose back on one raw (2,)*n array.  The result
+    is wrapped in a PureState once, so its label and finiteness checks (an
+    overflow included) run once per call, not once per gate.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    k = len(targets)
-    if matrix.shape != (2**k, 2**k):
-        raise LabelError("matrix shape %r does not act on %d qubits" % (matrix.shape, k))
-    if len(set(targets)) != k:
-        raise LabelCollision("repeated gate target in %r" % (targets,))
     n = state.n_qubits
-    axes = [state.axis(t) for t in targets]
     t = state.amps.reshape((2,) * n)
-    t = np.moveaxis(t, axes, range(k))
-    t = (matrix @ t.reshape(2**k, -1)).reshape((2,) * n)
-    t = np.moveaxis(t, range(k), axes)
+    with np.errstate(over="ignore", invalid="ignore"):  # the wrap below catches overflow
+        for matrix, targets in gates:
+            matrix, k = np.asarray(matrix, dtype=complex), len(targets)
+            if matrix.shape != (2**k, 2**k):
+                raise LabelError("matrix shape %r does not act on %d qubits"
+                                 % (matrix.shape, k))
+            if len(set(targets)) != k:
+                raise LabelCollision("repeated gate target in %r" % (targets,))
+            perm = [state.axis(label) for label in targets]
+            perm += [i for i in range(n) if i not in perm]
+            t = matrix @ t.transpose(perm).reshape(2**k, -1)
+            t = t.reshape((2,) * n).transpose(sorted(range(n), key=perm.__getitem__))
     return PureState(t.reshape(-1), state.labels)
+
+
+def apply_gate(state, matrix, targets):
+    """Apply one 2^k x 2^k matrix to the `targets` qubits of `state` (see apply_gates)."""
+    return apply_gates(state, [(matrix, targets)])
 
 
 def project(state, bra, subset=None):

@@ -180,6 +180,14 @@ MALFORMED = [
            entangled_inits=[{"channels": ["a", "b"],
                              "amplitudes": [1e200, 0, 0, 0, 0, 0, 1e200, 0]}]),
      "entangled init on ('a', 'b') has an amplitude above 1 in modulus"),
+    ("init_norm", _with(channels=[{"name": "tm", "role": "ctc"},
+                                  {"name": "sys", "init": [1, 0, 1, 0]}]),
+     "doc.channels[1].init: channel 'sys' init has norm 1.414214 != 1"),
+    ("entangled_norm",
+     _with(channels=[{"name": "tm", "role": "ctc"}, {"name": "a"}, {"name": "b"}], gates=[],
+           entangled_inits=[{"channels": ["a", "b"],
+                             "amplitudes": [0.6, 0, 0, 0, 0, 0, 0.6, 0]}]),
+     "doc.entangled_inits[0].amplitudes: entangled init on ('a', 'b') has norm"),
     ("floor_text", _with(model={"type": "classical", "k": 0.3, "floor": "false"}),
      "doc.model.floor"),
     ("model_type_list", _with(model={"type": ["noisy_bell"]}), "doc.model.type"),

@@ -518,6 +518,40 @@ def test_noisy_bell_at_zero_equals_exact():
     assert noisy.z == pytest.approx(exact.z, abs=1e-14)
 
 
+@pytest.mark.parametrize("n_loops", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(20))
+def test_models_sharing_a_contraction_agree(seed, n_loops):
+    """Settings that reduce to the same weights give the same numbers.
+
+    classical(k=1/2) and the flat weight matrix both weigh every history 1/d;
+    classical(k=0), with or without the floor, and (from two loops on) the
+    delta weight matrix weigh the diagonal histories 1, and quad mixes delta
+    and flat; noisy_bell(0) keeps only the matched row, through _mix rather
+    than one outer product.
+    """
+    circuit = random_circuit(seed, n_loops, seed % 4)
+
+    def same(r, s):
+        assert r.z == s.z
+        assert np.array_equal(r.rho.mat, s.rho.mat)
+
+    flat = cs.run_weight_matrix(circuit, "flat")
+    same(cs.run_classical(circuit, 0.5), flat)
+    sharp = cs.run_classical(circuit, 0.0)
+    floored = cs.run_classical(circuit, 0.0, floor=True)
+    same(floored, sharp)
+    assert np.array_equal(floored.rho_loop.mat, sharp.rho_loop.mat)
+    if n_loops >= 2:
+        delta, quad = (cs.run_weight_matrix(circuit, w) for w in ("delta", "quad"))
+        same(sharp, delta)
+        d = 2**n_loops
+        mix = (2 * delta.z * delta.rho.mat + d * flat.z * flat.rho.mat) / (d + 2)
+        assert np.abs(quad.z * quad.rho.mat - mix).max() <= 4.4e-16
+    exact, noisy = cs.run_exact_bell(circuit), cs.run_noisy_bell(circuit, 0.0)
+    assert abs(noisy.z - exact.z) <= 2.2e-16
+    assert np.abs(noisy.rho.mat - exact.rho.mat).max() <= 2.2e-16
+
+
 @settings(max_examples=20, deadline=None)
 @given(angle(), angle())
 def test_global_pair_phase_drops_out(a, b):
@@ -850,9 +884,14 @@ PLAIN_DESELECT = (("m3",), [1.0, 0.0])
      "condition must be a list of (label, bit) pairs"),
     (lambda: cs.run_conditional(three_plus(), [("m1", 0)], (("m3",), ["x", 0]), "coupled"),
      "deselect direction must be a 1-d array of numbers"),
+    (lambda: cs.run_conditional(three_plus(), [("m1", 0)], (("m3",),), "coupled"),
+     "deselect must be a (labels, amplitudes) pair"),
+    (lambda: cs.run_conditional(three_plus(), [("m1", 0)], (("m3",), [1.0, 0.0], "x"),
+                                "coupled"),
+     "deselect must be a (labels, amplitudes) pair"),
 ], ids=["bit_x", "bit_2", "zero_direction", "nan_direction", "nan_pair_state", "lam_text",
         "k_none", "k_text", "omega_text_entry", "omega_complex_entry", "condition_not_a_pair",
-        "direction_text"])
+        "direction_text", "deselect_one_tuple", "deselect_three_tuple"])
 def test_bad_conditional_and_pair_inputs_are_config_errors(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning fails the test

@@ -6,8 +6,8 @@ import pytest
 
 from ctcsim import (Channel, ConfigError, build_circuit, compile_unitary, make_gate,
                     run_exact_bell)
-from ctcsim.circuit import with_init
-from ctcsim.errors import ArityError
+from ctcsim.circuit import Circuit, evolve, with_init
+from ctcsim.errors import ArityError, LabelCollision, LabelError
 from ctcsim.gates import Gate
 
 SQ2 = 2**-0.5
@@ -153,6 +153,36 @@ def test_compile_unitary_matches_gate_order():
 def test_compile_unitary_is_unitary():
     u = compile_unitary(simple_loop())
     assert np.allclose(u.conj().T @ u, np.eye(u.shape[0]))
+
+
+# the gate kernel ---------------------------------------------------------------
+# A Circuit and Gate built directly skip build_circuit and make_gate, so only
+# the kernel's own checks stand between these gates and the amplitudes.
+
+@pytest.mark.parametrize("gate, error, message", [
+    (Gate("X", ("c",), matrix=np.eye(2)), LabelError, "no qubit labeled 'c'"),
+    (Gate("X", ("a",), matrix=np.eye(4)), LabelError,
+     r"matrix shape \(4, 4\) does not act on 1 qubits"),
+    (Gate("CX", ("a", "a"), matrix=np.eye(4)), LabelCollision,
+     r"repeated gate target in \('a', 'a'\)"),
+], ids=["unknown_target", "wrong_shape", "repeated_target"])
+def test_kernel_rejects_bad_gates_of_a_directly_built_circuit(gate, error, message):
+    circuit = Circuit((Channel("tm", looped=True), Channel("a"), Channel("b")),
+                      (make_gate("H", ("a",)), gate))
+    with pytest.raises(error, match=message):
+        evolve(circuit.initial_external_state(), circuit)
+    with pytest.raises(error, match=message):
+        run_exact_bell(circuit)
+
+
+def test_kernel_reports_an_overflowing_gate_as_one_config_error():
+    """The wrap at the end of the kernel is the only finiteness check."""
+    grow = make_gate("CUSTOM", ("tm",), matrix=[[1e150, 0], [0, 1e150]])
+    circuit = build_circuit([Channel("tm", looped=True), Channel("a")], [grow] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        with pytest.raises(ConfigError, match="^non-finite amplitude$"):
+            run_exact_bell(circuit)
 
 
 # input states ------------------------------------------------------------------
