@@ -251,14 +251,17 @@ def _parse_outputs(items, path):
     return tuple(items)
 
 
-def parse_circuit_doc(text):
-    """Parse a JSON circuit document into (circuit, model, outputs)."""
+def _load_doc(text):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError("line %d: %s" % (err.lineno, err.msg)) from None
     except RecursionError:
         raise ParseError("document nests too deeply") from None
+
+
+def _parse_doc(doc):
+    """(circuit, model, outputs) of a loaded JSON document; the document is not changed."""
     _check_keys(doc, ("channels", "entangled_inits", "gates", "model", "outputs"),
                 "doc")
     channels = _parse_channels(doc.get("channels"), "doc.channels")
@@ -272,8 +275,18 @@ def parse_circuit_doc(text):
     return circuit, model, outputs
 
 
+def parse_circuit_doc(text):
+    """Parse a JSON circuit document into (circuit, model, outputs)."""
+    return _parse_doc(_load_doc(text))
+
+
 # ---------------------------------------------------------------------------
 # report serialization
+
+
+def _complex_pairs(values):
+    """A complex array as nested lists of [re, im] float pairs, row-major."""
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 def _matrix_dict(op):
@@ -281,7 +294,7 @@ def _matrix_dict(op):
     return {
         "dim": int(mat.shape[0]),
         "labels": list(op.labels),
-        "entries": [[float(z.real), float(z.imag)] for z in mat.reshape(-1)],
+        "entries": _complex_pairs(mat.reshape(-1)),
     }
 
 
@@ -304,7 +317,7 @@ def _derived_outputs(circuit, model, result, outputs):
     return derived
 
 
-def _metadata(model=None):
+def _metadata(tol, model=None):
     meta = {
         "measure": "flat-theta-xi",
         "conventions": dict(_CONVENTIONS),
@@ -312,7 +325,7 @@ def _metadata(model=None):
     }
     if model is not None:
         meta["model"] = model.describe()
-    meta["tolerance"] = resolve_tolerance(None)
+    meta["tolerance"] = tol
     return meta
 
 
@@ -330,22 +343,26 @@ def build_report(circuit, model, result, outputs):
             else _projection_rows(result.projections)
         )
     report["derived"] = _derived_outputs(circuit, model, result, outputs)
-    report["metadata"] = _metadata(model)
+    report["metadata"] = _metadata(result.metadata["tolerance"], model)
     return report
 
 
-def _paradox_report(err, circuit):
+def _paradox_report(err, circuit, tol):
     projections = err.projections
     if projections is None and circuit is not None:
         try:
             projections = projection_table(circuit)
         except CtcSimError:
             projections = None
+    if projections is not None:  # each row with its surviving external amplitudes
+        projections = {"channel_order": list(projections.channel_order),
+                       "entries": [dict(row, amplitudes=amps) for row, amps in zip(
+                           _projection_rows(projections), _complex_pairs(projections.amps))]}
     return {
         "error": "paradox",
         "message": str(err),
-        "projections": None if projections is None else projections.to_dict(),
-        "metadata": _metadata(),
+        "projections": projections,
+        "metadata": _metadata(tol),
     }
 
 
@@ -365,26 +382,30 @@ def _dump(obj):
 # verbs
 
 
-def _report(circuit, model, outputs):
+def _report(circuit, model, outputs, where):
     """(report, result) of one run; result is None when the run is a paradox."""
+    tol = resolve_tolerance(None)
     try:
-        result = model.run(circuit)
+        result = model.run(circuit, tol)
     except ParadoxError as err:
-        return _paradox_report(err, circuit), None
+        return _paradox_report(err, circuit, tol), None
+    except ConfigError as err:  # a model value the run rejects: name the model's path
+        _fail(where, str(err))
     return build_report(circuit, model, result, outputs), result
 
 
-def _run_and_report(circuit, model, outputs, out_path):
-    report, result = _report(circuit, model, outputs)
+def _run_and_report(circuit, model, outputs, where, out_path):
+    report, result = _report(circuit, model, outputs, where)
     _emit(_dump(report), out_path)
     return 2 if result is None else 0
 
 
 def _cmd_run(args):
     circuit, model, outputs = parse_circuit_doc(_read_doc(args.doc))
+    where = "doc.model"
     if args.model:
-        model = _model_arg(args.model)
-    return _run_and_report(circuit, model, outputs, args.out)
+        model, where = _model_arg(args.model), "arg.model"
+    return _run_and_report(circuit, model, outputs, where, args.out)
 
 
 def _cmd_scenario(args):
@@ -399,28 +420,7 @@ def _cmd_scenario(args):
     model = _model_arg(args.model)
     outputs = _parse_outputs(args.outputs.split(",") if args.outputs
                              else list(_DEFAULT_OUTPUTS), "arg.outputs")
-    return _run_and_report(scenario.circuit, model, outputs, args.out)
-
-
-def _sweep_documents(text, param, values):
-    _, model, _ = parse_circuit_doc(text)  # the document is well formed from here on
-    doc = json.loads(text)
-    spec = doc.get("model")
-    spec = dict(spec) if isinstance(spec, dict) else {"type": model.type}
-    in_model = param in _model_keys(type(model))
-    gate_hits = [g for g in doc.get("gates", []) if param in g.get("params", {})]
-    if not in_model and not gate_hits:
-        raise ConfigError(
-            "sweep parameter %r is neither a model parameter nor a gate "
-            "parameter of this document" % (param,)
-        )
-    for value in values:
-        if in_model:
-            spec[param] = value
-            doc["model"] = spec
-        for g in gate_hits:
-            g["params"][param] = value
-        yield json.dumps(doc)
+    return _run_and_report(scenario.circuit, model, outputs, "arg.model", args.out)
 
 
 def _cmd_sweep(args):
@@ -430,18 +430,32 @@ def _cmd_sweep(args):
     if not math.isfinite(stop - start):
         _fail("arg.to", "sweep range %r to %r is wider than the float range"
               % (start, stop))
-    text = _read_doc(args.doc)
-    values = np.linspace(start, stop, args.steps)
-    lines = ["%s\tZ\tN" % args.param]
+    param, doc = args.param, _load_doc(_read_doc(args.doc))
+    _, model, _ = _parse_doc(doc)  # the document is well formed from here on
+    in_model = param in _model_keys(type(model))
+    gate_hits = [g for g in doc.get("gates", []) if param in g.get("params", {})]
+    if not in_model and not gate_hits:
+        raise ConfigError(
+            "sweep parameter %r is neither a model parameter nor a gate "
+            "parameter of this document" % (param,)
+        )
+    if in_model and not isinstance(doc.get("model"), dict):
+        doc["model"] = {"type": model.type}
+    lines = ["%s\tZ\tN" % param]
     reports = []
-    for value, doc_text in zip(values, _sweep_documents(text, args.param, values)):
-        report, result = _report(*parse_circuit_doc(doc_text))
-        reports.append({"param": args.param, "value": float(value), "report": report})
+    # Python floats, so that an error message shows a value as the document would
+    for value in np.linspace(start, stop, args.steps).tolist():
+        if in_model:
+            doc["model"][param] = value
+        for g in gate_hits:
+            g["params"][param] = value
+        report, result = _report(*_parse_doc(doc), "doc.model")
+        reports.append({"param": param, "value": value, "report": report})
         if result is None:
-            lines.append("%r\tparadox\tparadox" % float(value))
+            lines.append("%r\tparadox\tparadox" % value)
         else:
             n = "" if result.n is None else repr(float(result.n))
-            lines.append("%r\t%r\t%s" % (float(value), float(result.z), n))
+            lines.append("%r\t%r\t%s" % (value, float(result.z), n))
     _emit("\n".join(lines) + "\n" + _dump(reports), args.out)
     return 0
 
@@ -502,7 +516,8 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except ParadoxError as err:
-        _emit(_dump(_paradox_report(err, None)), getattr(args, "out", None))
+        tol = resolve_tolerance(None)  # a derived output's paradox: its run read it already
+        _emit(_dump(_paradox_report(err, None, tol)), getattr(args, "out", None))
         return 2
     except (CtcSimError, OSError, UnicodeDecodeError) as err:
         print("error: %s" % err, file=sys.stderr)

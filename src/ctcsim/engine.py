@@ -51,7 +51,6 @@ import functools
 import itertools
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -126,8 +125,8 @@ class ProjectionEntry:
 class ProjectionSet:
     """Labelled outcomes, one row of surviving external amplitudes each.
 
-    ProjectionEntry objects are built only when `entries` or `[label]` reads
-    them.
+    Labels and ProjectionEntry objects are built on first read; `[label]`
+    builds only the entry it returns.
     """
 
     amps: np.ndarray  # (outcomes, 2^e) unnormalized external amplitudes
@@ -140,42 +139,22 @@ class ProjectionSet:
     def labels(self):
         return tuple(self.make_labels())
 
-    @property
+    @functools.cached_property
     def entries(self):
-        return _Entries(self)
+        return tuple(map(self._entry, range(len(self.weights))))
+
+    def _entry(self, i):
+        return ProjectionEntry(self.labels[i], PureState(self.amps[i], self.ext_labels),
+                               float(self.weights[i]))
 
     def __getitem__(self, label):
         if label not in self.labels:
             raise KeyError(label)
-        return self.entries[self.labels.index(label)]
+        return self._entry(self.labels.index(label))
 
     @property
     def total_weight(self):
         return float(self.weights.sum())
-
-    def to_dict(self):
-        amps = np.stack([self.amps.real, self.amps.imag], axis=-1).tolist()
-        return {
-            "channel_order": list(self.channel_order),
-            "entries": [{"label": label, "weight": w, "amplitudes": row}
-                        for label, w, row in zip(self.labels, self.weights.tolist(), amps)],
-        }
-
-
-class _Entries(Sequence):
-    """Read-only view of a ProjectionSet that builds each entry on access."""
-
-    def __init__(self, table):
-        self._table = table
-
-    def __len__(self):
-        return len(self._table.weights)
-
-    def __getitem__(self, i):
-        t = self._table
-        i = range(len(self))[i]
-        return ProjectionEntry(t.labels[i], PureState(t.amps[i], t.ext_labels),
-                               float(t.weights[i]))
 
 
 @dataclass(frozen=True)

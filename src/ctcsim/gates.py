@@ -112,7 +112,8 @@ def make_gate(kind, targets, params=(), matrix=None):
             raise ArityError(
                 "CUSTOM matrix on %d qubits bound to %d targets" % (arity, len(targets))
             )
-        unitary = bool(np.allclose(matrix.conj().T @ matrix, np.eye(d), atol=1e-12))
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: not unitary
+            unitary = bool(np.allclose(matrix.conj().T @ matrix, np.eye(d), atol=1e-12))
         return Gate(kind, targets, params, matrix, unitary)
 
     names = param_names(kind)

@@ -201,6 +201,20 @@ MALFORMED = [
     ("model_arg_nodes_past_cap",
      ["scenario", "simple_loop", "--model", "delta,nodes_theta=20000"],
      "arg.model.nodes_theta: quadrature grid n_theta * n_xi exceeds 1048576 nodes"),
+    ("model_arg_k_range", ["scenario", "simple_loop", "--model", "classical,k=2"],
+     "arg.model: flip rate k must lie in [0, 1]"),
+    ("model_arg_lambda_range", ["scenario", "simple_loop", "--model", "noisy_bell,lambda=-1"],
+     "arg.model: noise parameter lam must lie in [0, 1]"),
+    ("model_arg_omega_negative",
+     ["scenario", "simple_loop", "--model", "weight_matrix,omega=[[1,-1],[1,1]]"],
+     "arg.model: weight matrix entries must be nonnegative"),
+    ("model_arg_omega_shape",
+     ["scenario", "two_ctc_cx", "--model", "weight_matrix,omega=[[3,1],[1,3]]"],
+     "arg.model: weight matrix must be 4 x 4"),
+    ("doc_model_k_range", _with(model={"type": "classical", "k": 2}),
+     "doc.model: flip rate k must lie in [0, 1]"),
+    ("doc_model_omega_shape", _with(model={"type": "weight_matrix", "omega": [[1]]}),
+     "doc.model: weight matrix must be 2 x 2"),
     ("sweep_bad_json", "{not json", "line 1"),
     ("nested_document", "[" * 100_000 + "]" * 100_000, "document nests too deeply"),
     ("model_arg_nested", ["scenario", "cnot_gun", "--model",
@@ -407,6 +421,28 @@ def test_bad_tolerance_env_is_a_clean_config_error(monkeypatch, capsys, value):
     assert "CTC_SIM_TOLERANCE" in err
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["run", "{doc}", "--model", "noisy_bell,lambda=2"], None,
+     "error: arg.model: noise parameter lam must lie in [0, 1]"),
+    (["sweep", "{doc}", "--param", "lambda", "--from", "0.5", "--to", "1.5", "--steps", "3"],
+     None, "error: doc.model: noise parameter lam must lie in [0, 1]"),
+    (["scenario", "simple_loop", "--model", "classical,k=0.2"], "abc",
+     "error: bad CTC_SIM_TOLERANCE value 'abc'"),
+], ids=["run_override", "sweep_step", "tolerance_env"])
+def test_model_run_errors_name_the_model_and_only_them(argv, env, message, tmp_path,
+                                                       monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("CTC_SIM_TOLERANCE", raising=False)
+    else:
+        monkeypatch.setenv("CTC_SIM_TOLERANCE", env)
+    doc = write_doc(tmp_path, _with(model={"type": "noisy_bell", "lambda": 0.1}))
+    code = main([a.replace("{doc}", doc) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_scenario_faulty_gun_survival(capsys):
     code, out = invoke(
         "scenario", "faulty_gun", "--param", "zeta=%r" % (math.pi / 3),
@@ -504,6 +540,56 @@ def test_sweep_gate_angle(tmp_path, capsys):
     for line in table.splitlines()[1:]:
         value, _, n = line.split("\t")
         assert float(n) == pytest.approx(abs(math.cos(float(value))), abs=1e-12)
+
+
+SWEEP_ORACLE_DOCS = {
+    "lambda": {
+        "channels": [{"name": "t1", "role": "ctc"}, {"name": "t2", "role": "ctc"},
+                     {"name": "probe", "init": [0.8, 0.0, 0.6, 0.0]}],
+        "gates": [{"kind": "CX", "targets": ["t1", "t2"]},
+                  {"kind": "CROT", "targets": ["probe", "t1"], "params": {"theta": 0.7}}],
+        "model": {"type": "noisy_bell", "lambda": 0.0},
+    },
+    "theta": {  # two gates take the swept angle; the later steps are paradoxes
+        "channels": [{"name": "tm", "role": "ctc"}, {"name": "a", "init": "+"}],
+        "gates": [{"kind": "ROT", "targets": ["a"], "params": {"theta": 0.0}},
+                  {"kind": "ROT", "targets": ["tm"], "params": {"theta": 0.0}},
+                  {"kind": "CX", "targets": ["a", "tm"]}],
+        "outputs": ["Z", "N", "rho", "projections", "flip:a"],
+    },
+}
+SWEEP_ORACLE_VALUES = {"lambda": [0.0, 0.25, 0.5, 0.75, 1.0],
+                       "theta": [0.0, math.pi / 4, math.pi / 2]}
+
+
+@pytest.mark.parametrize("param", sorted(SWEEP_ORACLE_DOCS))
+def test_each_sweep_step_reports_what_run_reports(param, tmp_path, capsys):
+    doc, values = SWEEP_ORACLE_DOCS[param], SWEEP_ORACLE_VALUES[param]
+    code = main(["sweep", write_doc(tmp_path, doc), "--param", param, "--from", "0",
+                 "--to", repr(values[-1]), "--steps", str(len(values))])
+    out = capsys.readouterr().out
+    assert code == 0
+    steps = json.loads(out[out.index("\n["):])
+    assert [s["value"] for s in steps] == values
+    for step, value in zip(steps, values):
+        one = json.loads(json.dumps(doc))
+        if param in one.get("model", {}):
+            one["model"][param] = value
+        for gate in one["gates"]:
+            if param in gate.get("params", {}):
+                gate["params"][param] = value
+        code = main(["run", write_doc(tmp_path, one, "step.json")])
+        assert code == (2 if step["report"].get("error") == "paradox" else 0)
+        assert capsys.readouterr().out == json.dumps(step["report"], indent=2) + "\n"
+
+
+def test_sweep_step_values_read_as_plain_numbers(tmp_path, capsys):
+    path = write_doc(tmp_path, _with(model={"type": "classical", "k": 0.2}))
+    code = main(["sweep", path, "--param", "floor", "--from", "0", "--to", "1",
+                 "--steps", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: doc.model.floor: expected true or false, got 0.0\n")
 
 
 def test_sweep_zero_steps_rejected(tmp_path, capsys):

@@ -52,6 +52,17 @@ def test_custom_gate_flags_nonunitary():
     assert not bad.unitary
 
 
+@pytest.mark.parametrize("matrix, unitary", [
+    ([[1e200, 0], [0, 1e200]], False),  # M^dagger M overflows
+    ([[1e308, 1e308], [1e308, -1e308]], False),
+    ([[SQ2, SQ2 * 1j], [SQ2 * 1j, SQ2]], True),
+], ids=["huge_diagonal", "huge_dense", "unitary"])
+def test_custom_unitarity_check_raises_no_warning(matrix, unitary):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        assert make_gate("CUSTOM", ("a",), matrix=matrix).unitary is unitary
+
+
 @pytest.mark.parametrize("kind, params, matrix, message", [
     ("CUSTOM", (), [["a", "b"], ["c", "d"]], "CUSTOM matrix on ('a',) must be"),
     ("CUSTOM", (), 3, "CUSTOM matrix on ('a',) must be"),
