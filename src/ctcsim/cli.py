@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__, analysis
 from .circuit import Channel, _entangled_group, build_circuit
-from .engine import (MODELS, DeltaQuadrature, _check_grid, projection_table,
-                     resolve_tolerance)
+from .engine import MODELS, DeltaQuadrature, _check_grid, resolve_tolerance
 from .errors import ConfigError, CtcSimError, ParadoxError, ParseError
 from .gates import make_gate, param_names
 from .scenarios import build_scenario, list_scenarios
@@ -347,13 +346,8 @@ def build_report(circuit, model, result, outputs):
     return report
 
 
-def _paradox_report(err, circuit, tol):
+def _paradox_report(err, tol):
     projections = err.projections
-    if projections is None and circuit is not None:
-        try:
-            projections = projection_table(circuit)
-        except CtcSimError:
-            projections = None
     if projections is not None:  # each row with its surviving external amplitudes
         projections = {"channel_order": list(projections.channel_order),
                        "entries": [dict(row, amplitudes=amps) for row, amps in zip(
@@ -383,15 +377,16 @@ def _dump(obj):
 
 
 def _report(circuit, model, outputs, where):
-    """(report, result) of one run; result is None when the run is a paradox."""
+    """(report, result); result is None when the run or a derived output is a paradox."""
     tol = resolve_tolerance(None)
     try:
-        result = model.run(circuit, tol)
+        try:
+            result = model.run(circuit, tol)
+        except ConfigError as err:  # a model value the run rejects: name the model's path
+            _fail(where, str(err))
+        return build_report(circuit, model, result, outputs), result
     except ParadoxError as err:
-        return _paradox_report(err, circuit, tol), None
-    except ConfigError as err:  # a model value the run rejects: name the model's path
-        _fail(where, str(err))
-    return build_report(circuit, model, result, outputs), result
+        return _paradox_report(err, tol), None
 
 
 def _run_and_report(circuit, model, outputs, where, out_path):
@@ -515,10 +510,6 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except ParadoxError as err:
-        tol = resolve_tolerance(None)  # a derived output's paradox: its run read it already
-        _emit(_dump(_paradox_report(err, None, tol)), getattr(args, "out", None))
-        return 2
     except (CtcSimError, OSError, UnicodeDecodeError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1

@@ -36,7 +36,7 @@ oracle.  Each model is then one contraction of these arrays into a weighted,
 unnormalized operator on the externals.  Every runner, the loop-free
 `run_conditional` included, finishes in `_post_select`: Z is its trace, Z
 (exact model: the survival amplitude) below the tolerance is a paradox in the
-model's own words, and rho and rho_loop are divided by Z.
+model's own words with its own pair table, and rho and rho_loop are divided by Z.
 
 Z conventions: exact/noisy values include the 2^-m normalization of the m
 reference pairs; weight-matrix weights are normalized to sum d except for the
@@ -189,17 +189,16 @@ def _evolved_pairs(circuit):
     Axis q indexes pair q as 2 * reference bit + loop bit; the last axis is the
     external register in declaration order.
     """
-    m = len(_require_loops(circuit))
-    return evolve(pair_out_state(circuit), circuit).amps.reshape((4,) * m + (-1,))
+    state = evolve(pair_out_state(circuit), circuit)
+    return state.amps.reshape((4,) * len(circuit.loop_labels) + (-1,))
 
 
-def _history_tensor(circuit):
+def _history_tensor(t):
     """A[i, j]: unnormalized external state of the loop history e_i -> e_j.
 
-    The reference pair of the evolved state records the emerging eigenstate
-    e_i, so A[i, j] = sqrt(d) * <ref = i, loop = j| evolved pair state.
+    `t` is the evolved pair tensor.  Its reference pair records the emerging
+    eigenstate e_i, so A[i, j] = sqrt(d) * <ref = i, loop = j| evolved pair state.
     """
-    t = _evolved_pairs(circuit)
     m = t.ndim - 1
     d = 2**m
     # (ref_1, loop_1, ..., ref_m, loop_m, ext) -> (ref bits, loop bits, ext)
@@ -210,24 +209,28 @@ def _history_tensor(circuit):
     return t.reshape(d, d, -1) / _SQ2**m
 
 
-def _mix(rows, weights):
-    """sum_k weights[k] |rows[k]><rows[k]|, exactly Hermitian."""
-    num = (rows.T * weights) @ rows.conj()
+def _mix(rows, form):
+    """sum_kl form[k, l] |rows[k]><rows[l]|, exactly Hermitian, for a Hermitian
+    form; a vector of weights stands for the diagonal form."""
+    num = (rows.T @ form if form.ndim == 2 else rows.T * form) @ rows.conj()
     return (num + num.conj().T) / 2  # the product alone is Hermitian only to rounding
 
 
 def _post_select(circuit, model, num, tol, paradox, table=None, n=None, loop=None,
-                 **metadata):
+                 pairs=None, **metadata):
     """Finish any run from its weighted operator `num` on the externals.
 
     Z = tr(num).  `n` (exact model), else Z, below the tolerance raises
     ParadoxError with the `paradox` wording (a %-format over n, z and tol) and
-    `table`; rho and `loop` are divided by Z, and the tolerance ends the metadata.
+    `table`, or else the pair table of the evolved tensor `pairs` (history
+    models); rho and `loop` are divided by Z, and the tolerance ends the metadata.
     rho is exactly [[1]] on a circuit without externals.
     """
     tol = resolve_tolerance(tol)
     z = float(np.trace(num).real)
     if (z if n is None else n) < tol:
+        if pairs is not None:  # a history model tables its own evolution
+            table = _pair_table(circuit, pairs)
         raise ParadoxError(paradox % {"n": n, "z": z, "tol": tol}, projections=table)
     ext = circuit.external_labels
     return PostSelectionResult(
@@ -244,8 +247,12 @@ def projection_table(circuit):
     (4^m entries for m looped channels).  For unitary circuits the weights
     sum to 1 (resolution of the identity on the reference pairs).
     """
-    loops = _require_loops(circuit)
-    t = _evolved_pairs(circuit)
+    return _pair_table(circuit, _evolved_pairs(circuit))
+
+
+def _pair_table(circuit, t):
+    """The projection table of the evolved pair tensor `t` of `circuit`."""
+    loops = circuit.loop_labels
     for _ in loops:  # contract each pair axis with the four outcome bras
         t = np.tensordot(t, _PAIR_BRAS, axes=(0, 1))
     amps = np.ascontiguousarray(np.moveaxis(t, 0, -1)).reshape(4 ** len(loops), -1)
@@ -297,7 +304,7 @@ def loop_histories(circuit):
     register emerges as |e_i>, evolves with the externals, and is projected
     onto |e_j> at the end.  Consistent histories are the diagonal i == j.
     """
-    a, ext = _history_tensor(circuit), circuit.external_labels
+    a, ext = _history_tensor(_evolved_pairs(circuit)), circuit.external_labels
     d = len(a)
     return {(i, j): PureState(a[i, j], ext) for i in range(d) for j in range(d)}, d
 
@@ -316,8 +323,8 @@ def run_classical(circuit, k, floor=False, tol=None):
     k = _real(k, "flip rate k")
     if not 0.0 <= k <= 1.0:
         raise ConfigError("flip rate k must lie in [0, 1]")
-    loops = circuit.loop_labels
-    a = _history_tensor(circuit)
+    loops, pairs = circuit.loop_labels, _evolved_pairs(circuit)
+    a = _history_tensor(pairs)
     d = len(a)
     rows = a.reshape(d * d, -1)
     if floor:
@@ -330,9 +337,9 @@ def run_classical(circuit, k, floor=False, tol=None):
         w = functools.reduce(np.kron, [flip] * len(loops))
     hist = w * (a.real**2 + a.imag**2).sum(axis=2)  # weighted history norms
     result = _post_select(circuit, "classical", _mix(rows, w.reshape(-1)), tol,
-                          "classical acceptance rate %(z).3e below tolerance",
+                          "classical acceptance rate %(z).3e below tolerance", pairs=pairs,
                           loop=np.diag(hist.sum(axis=1)), k=k, floor=bool(floor))
-    # the history table rides on the result only, not on a paradox;
+    # the history table rides on the result, the pair table on a paradox;
     # floor=True reports each diagonal history with the weight of its whole row
     keep = np.arange(d) * (d + 1) if floor else np.arange(d * d)
     weights = hist.sum(axis=1) if floor else hist.reshape(-1)
@@ -342,7 +349,10 @@ def run_classical(circuit, k, floor=False, tol=None):
 
 
 _MAX_GRID_NODES = 2**20  # largest n_theta * n_xi of a flat-measure grid
-_FLAT_MEASURE = np.pi**2 / 4.0  # integral of |c_0|^2 |c_1|^2 over the flat measure
+# the one-loop delta form over the histories (00, 01, 10, 11): the flat-measure integral
+# of coef coef^dagger, coef = (c_i conj(c_j)), which every grid from 3 x 3 nodes reproduces
+_DELTA_FORM = np.pi**2 / 4.0 * np.array([[3.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0],
+                                         [0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 3.0]])
 
 
 def _builtin_omega(name, d):
@@ -368,7 +378,8 @@ def run_weight_matrix(circuit, omega="flat", tol=None):
     exactly (measure constant 1).  On larger loop registers delta falls back
     to the incoherent diagonal sum.
     """
-    a = _history_tensor(circuit)
+    pairs = _evolved_pairs(circuit)
+    a = _history_tensor(pairs)
     d = len(a)
     name = omega if isinstance(omega, str) else "custom"
     coherent_delta = name == "delta" and d == 2
@@ -396,14 +407,11 @@ def run_weight_matrix(circuit, omega="flat", tol=None):
         mat = mat * (d / total)
 
     if coherent_delta:
-        # diagonal histories weigh 2, off-diagonal 1, plus the coherent sum of
-        # the diagonal ones, all times the flat-measure constant
-        rows = np.concatenate([a.reshape(4, -1), (a[0, 0] + a[1, 1])[None]])
-        num = _mix(rows, _FLAT_MEASURE * np.array([2.0, 1.0, 1.0, 2.0, 1.0]))
+        num = _mix(a.reshape(4, -1), _DELTA_FORM)
     else:
         num = _mix(a.reshape(d * d, -1), mat.reshape(-1))
     return _post_select(circuit, "weight_matrix", num, tol,
-                        "weighted acceptance rate %(z).3e below tolerance",
+                        "weighted acceptance rate %(z).3e below tolerance", pairs=pairs,
                         omega=name, coherent_delta=coherent_delta,
                         quadrature_measure_constant=1.0 if coherent_delta else None)
 
@@ -466,18 +474,17 @@ def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
     if len(loops) != 1:
         raise UnsupportedError("the delta model integrates one looped qubit, not %d; use "
                                "model weight_matrix with omega='delta'" % len(loops))
-    a = _history_tensor(circuit)  # shape (emerge, enter, ext)
-    rows = a.reshape(4, -1)
+    pairs = _evolved_pairs(circuit)
+    rows = _history_tensor(pairs).reshape(4, -1)  # (emerge, enter) major
     phi, w = flat_measure_states(n_theta, n_xi)
     # history (i, j) carries amplitude c_i * conj(c_j) (emerge i, project j),
     # so node k's external state is rows.T @ coef[k]; the nodes enter the
     # integral only through the 4x4 form M = sum_k w_k coef_k coef_k^dagger
     coef = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(-1, 4)
-    num = rows.T @ _mix(coef, w) @ rows.conj()
     # squared norm of node k's state: coef_k^T G coef_k^*, G = rows rows^dagger
     dens = np.einsum("kb,kb->k", coef @ (rows @ rows.conj().T), coef.conj()).real
-    return _post_select(circuit, "delta_quadrature", (num + num.conj().T) / 2, tol,
-                        "quadrature acceptance rate %(z).3e below tolerance",
+    return _post_select(circuit, "delta_quadrature", _mix(rows, _mix(coef, w)), tol,
+                        "quadrature acceptance rate %(z).3e below tolerance", pairs=pairs,
                         loop=_mix(phi, w * dens), n_theta=int(n_theta), n_xi=int(n_xi),
                         measure="flat theta-xi on [0, pi] x [0, 2*pi]")
 

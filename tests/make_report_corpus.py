@@ -113,11 +113,16 @@ def cases():
         ("sweep floor", sweep + ["floor", "--from", "0", "--to", "1", "--steps", "2"],
          FLOOR_DOC),
         ("run paradox", ["run", "{doc}"], PARADOX_DOC),
+        ("run paradox classical", ["run", "{doc}", "--model", "classical,k=0"], PARADOX_DOC),
         ("run --out", ["run", "{doc}", "--out", "{out}"], RUN_DOC),
         ("scenario cnot_gun bias", ["scenario", "cnot_gun", "--outputs",
                                     "Z,input_bias:gun,flip:gun"], None),
         ("list-scenarios", ["list-scenarios"], None),
     ]
+    # paradoxes of the history models, whose tables come from their own evolution
+    for model in ("classical,k=0", "weight_matrix,omega=[[1,0],[0,1]]"):
+        out.append(("scenario grandfather_not %s paradox" % model,
+                    ["scenario", "grandfather_not", "--model", model], None))
     return out
 
 

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ctcsim import analysis, engine
+from ctcsim.circuit import evolve
 from ctcsim.cli import main, parse_circuit_doc
 from ctcsim.engine import MODELS, DeltaQuadrature, NoisyBell
-from ctcsim.errors import ConfigError, ParseError
+from ctcsim.errors import ConfigError, ParadoxError, ParseError
 
 SIMPLE_LOOP_DOC = {
     "channels": [
@@ -412,6 +414,57 @@ def test_paradox_exit_code_and_projection_report(capsys):
     assert weights["B"] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("name, model, code", [
+    ("grandfather_not", "exact_bell", 2),
+    ("grandfather_not", "noisy_bell,lambda=0", 2),
+    ("grandfather_not", "classical,k=0", 2),
+    ("grandfather_not", "classical,k=0,floor=true", 2),
+    ("grandfather_not", "weight_matrix,omega=[[1,0],[0,1]]", 2),
+    ("simple_loop", "noisy_bell,lambda=0.2", 0),
+    ("simple_loop", "classical,k=0.25", 0),
+    ("simple_loop", "weight_matrix,omega=delta", 0),
+    ("simple_loop", "delta", 0),
+])
+def test_each_cli_run_evolves_the_circuit_once(name, model, code, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evolve(*args)
+
+    monkeypatch.setattr(engine, "evolve", counted)
+    assert main(["scenario", name, "--model", model]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    if code == 2:
+        assert [e["label"] for e in report["projections"]["entries"]] == ["B", "-", "N", "-N"]
+
+
+def _derived_paradox(*args, **kwargs):
+    raise ParadoxError("every input_bias probe run is a paradox")
+
+
+def test_derived_output_paradox_is_reported_by_run_and_by_each_sweep_step(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CTC_SIM_TOLERANCE", raising=False)
+    monkeypatch.setattr(analysis, "input_bias", _derived_paradox)
+    path = write_doc(tmp_path, _with(model={"type": "noisy_bell", "lambda": 0.1},
+                                     outputs=["Z", "input_bias:sys"]))
+    assert main(["run", path]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["error", "message", "projections", "metadata"]
+    assert report["message"] == "every input_bias probe run is a paradox"
+    assert report["projections"] is None
+    assert report["metadata"]["tolerance"] == 1e-12
+    assert main(["sweep", path, "--param", "lambda", "--from", "0", "--to", "1",
+                 "--steps", "3"]) == 0
+    out = capsys.readouterr().out
+    table, steps = out[:out.index("\n[")], json.loads(out[out.index("\n["):])
+    assert table.splitlines()[1:] == ["0.0\tparadox\tparadox", "0.5\tparadox\tparadox",
+                                      "1.0\tparadox\tparadox"]
+    assert [step["report"] for step in steps] == [report] * 3
+
+
 @pytest.mark.parametrize("value", ["nan", "-1", "0"])
 def test_bad_tolerance_env_is_a_clean_config_error(monkeypatch, capsys, value):
     monkeypatch.setenv("CTC_SIM_TOLERANCE", value)
@@ -428,7 +481,9 @@ def test_bad_tolerance_env_is_a_clean_config_error(monkeypatch, capsys, value):
      None, "error: doc.model: noise parameter lam must lie in [0, 1]"),
     (["scenario", "simple_loop", "--model", "classical,k=0.2"], "abc",
      "error: bad CTC_SIM_TOLERANCE value 'abc'"),
-], ids=["run_override", "sweep_step", "tolerance_env"])
+    (["scenario", "simple_loop", "--outputs", "Z,input_bias:tm"], None,
+     "error: channel 'tm' is looped and takes no init"),
+], ids=["run_override", "sweep_step", "tolerance_env", "derived_output"])
 def test_model_run_errors_name_the_model_and_only_them(argv, env, message, tmp_path,
                                                        monkeypatch, capsys):
     if env is None:

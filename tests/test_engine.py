@@ -476,6 +476,35 @@ def test_out_of_order_entangled_groups_match_the_unitary_reference(seed, n_loops
         assert np.max(np.abs(entry.state.amps - a[i, j])) <= 1e-12, (i, j)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 3), st.floats(0.0, 1.0))
+def test_history_models_match_the_unitary_reference_on_random_circuits(seed, n_loops, n_ext,
+                                                                       k):
+    circuit = random_circuit(seed, n_loops, n_ext)
+    a = histories_by_unitary(circuit, circuit.initial_external_state().amps)
+    d = len(a)
+    norms = (abs(a) ** 2).sum(axis=2)
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(0.0, 1.0, (d, d)) * (rng.uniform(size=(d, d)) < 0.7)
+    omega[rng.integers(d), rng.integers(d)] += 0.5  # some weight survives the zeros
+    flip = functools.reduce(np.kron, [np.array([[1 - k, k], [k, 1 - k]])] * n_loops)
+    models = [(cs.WeightMatrix(omega), omega * (d / omega.sum())), (cs.Classical(k), flip),
+              (cs.Classical(k, floor=True), (1 - k) * np.eye(d) + k / d)]
+    for model, w in models:
+        num = outer_sum(a.reshape(d * d, -1), w.reshape(-1))
+        z = np.trace(num).real
+        if z < 1e-12:  # e.g. k = 1 with a loop no gate touches: no history survives
+            with pytest.raises(cs.ParadoxError):
+                model.run(circuit)
+            continue
+        r = model.run(circuit)
+        assert r.z == pytest.approx(z, rel=1e-12, abs=1e-12), r.model
+        assert np.max(np.abs(r.rho.mat - num / z)) <= 1e-12, r.model
+        if r.rho_loop is not None:  # the classical register: the emerging history weights
+            assert np.max(np.abs(r.rho_loop.mat - np.diag((w * norms).sum(axis=1)) / z)) \
+                <= 1e-12, r.model
+
+
 def test_loop_only_circuits_report_rho_exactly_one():
     rot = build_circuit([Channel("tm", looped=True)],
                         [make_gate("ROT", ("tm",), params=(0.3,))])
@@ -677,7 +706,7 @@ def test_tolerance_argument_must_be_finite_and_positive(tol, model):
     "classical acceptance rate 0.000e+00 below tolerance",
     "weighted acceptance rate 0.000e+00 below tolerance",
     "quadrature acceptance rate 0.000e+00 below tolerance",
-], [4, 4, None, None, None]), ids=MODEL_NAMES)
+], [4] * len(LOOP_MODELS)), ids=MODEL_NAMES)
 def test_each_model_words_its_own_paradox(model, message, entries):
     # a zero gate on the loop leaves no amplitude in any outcome or history
     circuit = build_circuit([Channel("tm", looped=True), Channel("ex")],
@@ -687,6 +716,33 @@ def test_each_model_words_its_own_paradox(model, message, entries):
     assert str(info.value) == message
     table = info.value.projections
     assert (None if table is None else len(table.entries)) == entries
+
+
+def _grandfather_with_externals():
+    # the loop sees X times a phase: no consistent history, but a nonzero table
+    return build_circuit(
+        [Channel("tm", looped=True), Channel("ex", init=(0.6, 0.8)), Channel("aux")],
+        [make_gate("ROT", ("ex",), params=(0.3,)), make_gate("X", ("tm",)),
+         make_gate("CPHASE", ("ex", "tm"), params=(0.7,)), make_gate("CX", ("ex", "aux"))])
+
+
+@pytest.mark.parametrize("model", [
+    cs.ExactBell(), cs.NoisyBell(0.0), cs.Classical(0.0), cs.Classical(0.0, floor=True),
+    cs.WeightMatrix([[1.0, 0.0], [0.0, 1.0]]), cs.DeltaQuadrature(),
+], ids=lambda m: repr(m))
+def test_every_loop_model_tables_its_paradox_from_its_own_evolution(model):
+    if isinstance(model, cs.DeltaQuadrature):  # only an all-zero history set defeats it
+        circuit = build_circuit([Channel("tm", looped=True), Channel("ex", init="+")],
+                                [make_gate("CUSTOM", ("tm",), matrix=np.zeros((2, 2)))])
+    else:
+        circuit = _grandfather_with_externals()
+    with pytest.raises(cs.ParadoxError) as info:
+        model.run(circuit)
+    got, want = info.value.projections, cs.projection_table(circuit)
+    assert got.labels == want.labels
+    assert (got.channel_order, got.ext_labels) == (want.channel_order, want.ext_labels)
+    assert got.amps.tobytes() == want.amps.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
 
 
 # classical channel ----------------------------------------------------------

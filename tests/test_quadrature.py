@@ -73,6 +73,23 @@ def test_nodes_beyond_the_grid_cap_are_rejected(n_theta, n_xi):
         cs.flat_measure_nodes(n_theta, n_xi)
 
 
+def _grid_form(n_theta, n_xi):
+    """The quadrature's 4x4 form over the histories (00, 01, 10, 11) on one grid."""
+    phi, w = cs.engine.flat_measure_states(n_theta, n_xi)
+    coef = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(-1, 4)
+    return cs.engine._mix(coef, w)
+
+
+@pytest.mark.parametrize("grid", [(3, 3), (3, 5), (4, 4), (12, 12), (64, 64), (96, 96)])
+def test_grid_form_is_the_declared_delta_form(grid):
+    assert np.abs(_grid_form(*grid) - cs.engine._DELTA_FORM).max() <= 1e-14
+
+
+@pytest.mark.parametrize("grid", [(1, 1), (2, 2)])
+def test_grids_below_three_nodes_miss_the_delta_form(grid):
+    assert np.abs(_grid_form(*grid) - cs.engine._DELTA_FORM).max() > 1e-2
+
+
 def test_quadrature_matches_closed_form_on_rotation():
     circuit = build_circuit(
         [Channel("tm", looped=True)], [make_gate("ROT", ("tm",), params=(0.7,))]
