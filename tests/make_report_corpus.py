@@ -21,7 +21,7 @@ import tempfile
 from pathlib import Path
 
 from ctcsim.cli import main
-from ctcsim.scenarios import list_scenarios
+from ctcsim.scenarios import build_scenario, list_scenarios
 
 CORPUS = Path(__file__).with_name("report_corpus.json.gz")
 
@@ -36,6 +36,18 @@ MODELS = (
     "weight_matrix,omega=quad",
     "weight_matrix,omega=delta",
     "weight_matrix,omega=[[3,1],[1,3]]",
+    "delta",
+)
+# the settings under which every (scenario, unentangled external channel) pair
+# reports its input bias
+BIAS_MODELS = (
+    "exact_bell",
+    "noisy_bell,lambda=0.2",
+    "classical,k=0.25",
+    "classical,k=0.25,floor=true",
+    "weight_matrix,omega=flat",
+    "weight_matrix,omega=quad",
+    "weight_matrix,omega=delta",
     "delta",
 )
 
@@ -123,7 +135,36 @@ def cases():
     for model in ("classical,k=0", "weight_matrix,omega=[[1,0],[0,1]]"):
         out.append(("scenario grandfather_not %s paradox" % model,
                     ["scenario", "grandfather_not", "--model", model], None))
+    out += bias_cases()
     return out
+
+
+def bias_cases():
+    """input_bias of every unentangled external channel of every scenario the model runs.
+
+    Skipped: circuits without a loop, and the delta model on two loops; both
+    fail in the model run before any bias is taken.
+    """
+    out = []
+    for name in (sc["name"] for sc in list_scenarios()):
+        circuit = build_scenario(name).circuit
+        grouped = {label for labels, _ in circuit.entangled for label in labels}
+        for channel in (c for c in circuit.external_labels if c not in grouped):
+            for model in BIAS_MODELS:
+                n_loops = len(circuit.loop_labels)
+                if n_loops and not (model == "delta" and n_loops > 1):
+                    out.append(("scenario %s %s input_bias:%s" % (name, model, channel),
+                                ["scenario", name, "--model", model,
+                                 "--outputs", "Z,input_bias:" + channel], None))
+    bias = "Z,input_bias:"
+    return out + [
+        ("input_bias looped channel", ["scenario", "cnot_gun", "--outputs", bias + "tm"],
+         None),
+        ("input_bias entangled channel",
+         ["scenario", "amnesia_entangled", "--outputs", bias + "s1"], None),
+        ("input_bias paradox", ["scenario", "cnot_gun", "--param", "alpha=0", "--param",
+                                "beta=1", "--outputs", bias + "gun"], None),
+    ]
 
 
 def run_case(argv, doc):
