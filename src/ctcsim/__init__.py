@@ -62,7 +62,7 @@ from .errors import (
 )
 from .gates import Gate, make_gate
 from .scenarios import Scenario, build_scenario, list_scenarios, verify_scenario
-from .states import DensityOperator, PureState, partial_trace, tensor
+from .states import DensityOperator, PureState, partial_trace
 
 __version__ = "1.0.0"
 
@@ -81,6 +81,6 @@ __all__ = [
     "povm_inconclusive", "projection_table", "resolve_tolerance",
     "run_classical", "run_conditional", "run_delta_quadrature",
     "run_exact_bell", "run_noisy_bell", "run_weight_matrix",
-    "search_error_rates", "skew_factor", "szilard_work", "tensor",
+    "search_error_rates", "skew_factor", "szilard_work",
     "verify_scenario", "weak_average", "with_init",
 ]

@@ -17,8 +17,7 @@ import numbers
 import numpy as np
 
 from .circuit import with_init
-from .engine import (Classical, ExactBell, NoisyBell, _check_grid, _mix,
-                     flat_measure_states)
+from .engine import Classical, ExactBell, NoisyBell, _check_grid, _flat_moments, _hermitian
 from .errors import ConfigError, InfiniteSkew, LabelError, NumericsError, ParadoxError
 from .states import DensityOperator
 
@@ -256,8 +255,8 @@ def input_bias(circuit, channel, model, nodes=64):
 
     The circuit is linear in the channel's amplitudes and every model's Z is
     a weighted sum of squared norms, so Z(psi) = psi^dagger M psi: four runs,
-    on |0>, |1>, |+> and |+i>, fix the 2x2 form M, and `nodes` sets only the
-    quadrature of the average.
+    on |0>, |1>, |+> and |+i>, fix the 2x2 form M, and the average is M
+    contracted with the grid's cached degree-4 moments, as in the delta model.
     """
     if isinstance(nodes, numbers.Real) and nodes < 2:
         raise ConfigError("input_bias needs at least 2 nodes, got %r" % (nodes,))
@@ -284,9 +283,7 @@ def _acceptance(circuit, channel, model, amps):
 
 
 def _input_bias_once(form, channel, nodes):
-    states, w = flat_measure_states(nodes, nodes)
-    z = np.einsum("ka,ab,kb->k", states.conj(), form, states).real
-    num = _mix(states, w * z)
+    num = _hermitian((_flat_moments(nodes, nodes)[0] @ form.reshape(-1)).reshape(2, 2))
     den = np.trace(num).real
     if den == 0.0:
         raise ParadoxError("every input state of channel %r is a paradox" % (channel,))

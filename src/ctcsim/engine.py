@@ -21,8 +21,8 @@ paradox.  The other models relax the projection:
   flat measure is what the closed forms in the catalog assume).  The grid is
   a midpoint rule in theta and a periodic trapezoid in xi; every integrand is
   a low-degree trigonometric polynomial, so both rules are exact from a few
-  nodes on.  Z and rho see the nodes only through a 4x4 form over the four
-  loop histories, which the history rows then sandwich.
+  nodes on.  Z, rho and rho_loop see the nodes only through fixed moments,
+  each a theta-sum times a xi-sum, which are built once per grid and cached.
 
 One evolution feeds every model: by channel-state duality (Lloyd et al.,
 arXiv:1007.2615) the evolved pair state holds every pair-basis outcome and
@@ -209,11 +209,14 @@ def _history_tensor(t):
     return t.reshape(d, d, -1) / _SQ2**m
 
 
+def _hermitian(num):  # a product that is Hermitian only to rounding, made exactly so
+    return (num + num.conj().T) / 2
+
+
 def _mix(rows, form):
     """sum_kl form[k, l] |rows[k]><rows[l]|, exactly Hermitian, for a Hermitian
     form; a vector of weights stands for the diagonal form."""
-    num = (rows.T @ form if form.ndim == 2 else rows.T * form) @ rows.conj()
-    return (num + num.conj().T) / 2  # the product alone is Hermitian only to rounding
+    return _hermitian((rows.T @ form if form.ndim == 2 else rows.T * form) @ rows.conj())
 
 
 def _post_select(circuit, model, num, tol, paradox, table=None, n=None, loop=None,
@@ -417,7 +420,7 @@ def run_weight_matrix(circuit, omega="flat", tol=None):
 
 
 def _check_grid(n_theta, n_xi):
-    """ConfigError unless n_theta and n_xi are whole counts of 1 to 2**20 nodes in all."""
+    """The counts as ints; ConfigError unless they are whole, of 1 to 2**20 nodes in all."""
     try:
         whole = n_theta == int(n_theta) and n_xi == int(n_xi)
     except (TypeError, ValueError, OverflowError):  # not a number, nan, +-inf
@@ -427,8 +430,10 @@ def _check_grid(n_theta, n_xi):
                           % (n_theta, n_xi))
     if n_theta < 1 or n_xi < 1:
         raise ConfigError("quadrature node counts must be positive")
-    if int(n_theta) * int(n_xi) > _MAX_GRID_NODES:
+    n_theta, n_xi = int(n_theta), int(n_xi)
+    if n_theta * n_xi > _MAX_GRID_NODES:
         raise ConfigError("quadrature grid n_theta * n_xi exceeds %d nodes" % _MAX_GRID_NODES)
+    return n_theta, n_xi
 
 
 def flat_measure_nodes(n_theta, n_xi):
@@ -442,8 +447,7 @@ def flat_measure_nodes(n_theta, n_xi):
     count exceeds D/2: from 3 nodes for the delta model's Z and rho (D = 4),
     4 for its rho_loop (D = 6).  At most 2**20 nodes in all.
     """
-    _check_grid(n_theta, n_xi)
-    n_theta, n_xi = int(n_theta), int(n_xi)
+    n_theta, n_xi = _check_grid(n_theta, n_xi)
     theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
     w_theta = np.full(n_theta, np.pi / n_theta)
     xi = np.arange(n_xi) * (2.0 * np.pi / n_xi)
@@ -451,15 +455,36 @@ def flat_measure_nodes(n_theta, n_xi):
     return theta, w_theta, xi, w_xi
 
 
-def flat_measure_states(n_theta, n_xi):
-    """Flat-measure grid as states: rows cos(theta)|0> + e^{i xi} sin(theta)|1>.
+def _flat_moments(n_theta, n_xi):
+    """Read-only (form, kernel) of the grid, cached once its counts pass `_check_grid`.
 
-    Returns the (N, 2) states, polar angle major, and their (N,) weights.
-    """
+    kernel[a, b, c, d] = sum_k w_k c_a conj(c_b) coef_c conj(coef_d), coef = (c_i conj(c_j))
+    of node k's state (c_0, c_1), gives rho_loop; its trace over (a, b) is the 4x4 form
+    of Z and rho, as (2, 2, 2, 2) the moments sum_k w_k c_i c_j* c_k* c_l."""
+    return _grid_moments(*_check_grid(n_theta, n_xi))
+
+
+def _powers(v, k, first=1.0):  # rows first * v**p for p = 0..k
+    out = np.full((k + 1, len(v)), first, dtype=v.dtype)
+    for p in range(k):
+        np.multiply(out[p], v, out=out[p + 1])
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_moments(n_theta, n_xi):
     theta, w_theta, xi, w_xi = flat_measure_nodes(n_theta, n_xi)
-    c0 = np.repeat(np.cos(theta), len(xi))
-    c1 = np.outer(np.sin(theta), np.exp(1j * xi)).reshape(-1)
-    return np.stack([c0, c1], axis=1), np.outer(w_theta, w_xi).reshape(-1)
+    # c_0 = cos(theta), c_1 = e^{i xi} sin(theta): an entry with q factors c_1 or c_1*, r
+    # more of them plain than conjugated, is t[q] * x[r] = sum w cos^(6-q) sin^q * sum w e^{irxi}
+    t = (_powers(np.cos(theta), 6, w_theta) @ _powers(np.sin(theta), 6).T)[::-1].diagonal()
+    x = _powers(np.exp(1j * xi), 3, w_xi).sum(axis=1)
+    x = np.concatenate([x, x[:0:-1].conj()])  # r = 0..3, then -3..-1: exactly Hermitian
+    idx = np.indices((2,) * 6)  # factor order c_a, c_b*, c_c, c_d*, c_e*, c_f
+    q, r = idx.sum(axis=0), np.tensordot([1, -1, 1, -1, -1, 1], idx, axes=1)
+    kernel = (t[q] * x[r]).reshape(2, 2, 4, 4)
+    form = np.trace(kernel)  # |c_0|^2 + |c_1|^2 = 1 at every node
+    form.flags.writeable = kernel.flags.writeable = False
+    return form, kernel
 
 
 def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
@@ -468,24 +493,21 @@ def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
     The loop emerges and returns as the same pure qubit state
     |phi> = cos(theta)|0> + e^{i xi} sin(theta)|1>, integrated over the flat
     measure.  Returns Z, the external density operator, and the loop-register
-    density operator rho_loop = Z^-1 * integral of w(phi) |phi><phi|.
+    density operator rho_loop = Z^-1 * integral of w(phi) |phi><phi|.  The grid,
+    checked before the evolution, enters only through its cached moments.
     """
     loops = _require_loops(circuit)
     if len(loops) != 1:
         raise UnsupportedError("the delta model integrates one looped qubit, not %d; use "
                                "model weight_matrix with omega='delta'" % len(loops))
+    form, kernel = _flat_moments(n_theta, n_xi)
     pairs = _evolved_pairs(circuit)
     rows = _history_tensor(pairs).reshape(4, -1)  # (emerge, enter) major
-    phi, w = flat_measure_states(n_theta, n_xi)
-    # history (i, j) carries amplitude c_i * conj(c_j) (emerge i, project j),
-    # so node k's external state is rows.T @ coef[k]; the nodes enter the
-    # integral only through the 4x4 form M = sum_k w_k coef_k coef_k^dagger
-    coef = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(-1, 4)
-    # squared norm of node k's state: coef_k^T G coef_k^*, G = rows rows^dagger
-    dens = np.einsum("kb,kb->k", coef @ (rows @ rows.conj().T), coef.conj()).real
-    return _post_select(circuit, "delta_quadrature", _mix(rows, _mix(coef, w)), tol,
+    # node k's state rows.T @ coef_k has squared norm coef_k^T G conj(coef_k), G = rows rows^dagger
+    loop = _hermitian(np.einsum("abcd,cd->ab", kernel, rows @ rows.conj().T))
+    return _post_select(circuit, "delta_quadrature", _mix(rows, form), tol,
                         "quadrature acceptance rate %(z).3e below tolerance", pairs=pairs,
-                        loop=_mix(phi, w * dens), n_theta=int(n_theta), n_xi=int(n_xi),
+                        loop=loop, n_theta=int(n_theta), n_xi=int(n_xi),
                         measure="flat theta-xi on [0, pi] x [0, 2*pi]")
 
 

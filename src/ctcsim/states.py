@@ -132,26 +132,6 @@ class DensityOperator:
     def n_qubits(self):
         return len(self.labels)
 
-    @classmethod
-    def from_pure(cls, state):
-        return cls(np.outer(state.amps, state.amps.conj()), state.labels)
-
-
-def tensor(a, b):
-    """Tensor product; the labels of `a` come first (more significant bits)."""
-    labels = a.labels + b.labels
-    _check_labels(labels)
-    if len(labels) > MAX_QUBITS:
-        raise UnsupportedError("tensor product exceeds the dense %d-qubit cap" % MAX_QUBITS)
-    return PureState(np.kron(a.amps, b.amps), labels)
-
-
-def tensor_all(states):
-    out = states[0]
-    for s in states[1:]:
-        out = tensor(out, s)
-    return out
-
 
 def apply_gates(state, gates):
     """Apply (matrix, targets) pairs in order to `state`: the one gate kernel.

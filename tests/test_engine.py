@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import ctcsim as cs
 from ctcsim import Channel, PureState, build_circuit, make_gate
 from ctcsim.circuit import evolve
-from ctcsim.states import project, tensor
+from ctcsim.states import project
+from oracles import tensor
 
 SQ2 = 2**-0.5
 

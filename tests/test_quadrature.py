@@ -5,6 +5,7 @@ import pytest
 
 import ctcsim as cs
 from ctcsim import Channel, build_circuit, make_gate
+from oracles import flat_measure_states
 
 PI2 = math.pi**2
 
@@ -37,7 +38,7 @@ def test_flat_measure_nodes_total_weight():
 
 def test_flat_measure_states_are_the_node_states():
     theta, wt, xi, wx = cs.flat_measure_nodes(6, 5)
-    states, w = cs.engine.flat_measure_states(6, 5)
+    states, w = flat_measure_states(6, 5)
     # polar angle major: row 5 * i + j is node (theta_i, xi_j)
     expect = [[math.cos(t), math.sin(t) * np.exp(1j * x)] for t in theta for x in xi]
     assert states.shape == (30, 2)
@@ -75,7 +76,7 @@ def test_nodes_beyond_the_grid_cap_are_rejected(n_theta, n_xi):
 
 def _grid_form(n_theta, n_xi):
     """The quadrature's 4x4 form over the histories (00, 01, 10, 11) on one grid."""
-    phi, w = cs.engine.flat_measure_states(n_theta, n_xi)
+    phi, w = flat_measure_states(n_theta, n_xi)
     coef = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(-1, 4)
     return cs.engine._mix(coef, w)
 
@@ -166,3 +167,103 @@ def test_quadrature_paradox_on_pure_flip():
     assert r.z == pytest.approx(PI2 / 2, abs=1e-8)
     # the loop register ends up fully mixed
     assert np.allclose(r.rho_loop.mat, np.eye(2) / 2, atol=1e-8)
+
+
+# -- the cached flat-measure moments against the grid, node by node ----------
+
+MOMENT_GRIDS = [(1, 1), (2, 2), (3, 5), (4, 4), (64, 64)]  # the first two are inexact
+
+
+def _per_node_run(circuit, n_theta, n_xi):
+    """(Z, rho, rho_loop) of the delta model, one boundary state at a time.
+
+    Node k's external state is (<phi_k| x I) U (|phi_k> x ext), from the
+    compiled unitary; Z and rho_loop weigh each node by its squared norm.
+    """
+    phi, w = flat_measure_states(n_theta, n_xi)
+    ext = circuit.initial_external_state().amps
+    u = cs.compile_unitary(circuit).reshape(2, len(ext), 2, len(ext)) @ ext
+    out = np.einsum("ka,aeb,kb->ke", phi.conj(), u, phi)  # (nodes, externals)
+    norms = w * (out.real**2 + out.imag**2).sum(axis=1)
+    z = norms.sum()
+    return z, (out.T * w) @ out.conj() / z, (phi.T * norms) @ phi.conj() / z
+
+
+@pytest.mark.parametrize("grid", MOMENT_GRIDS, ids=lambda g: "%dx%d" % g)
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_delta_run_matches_the_per_node_integral(grid, seed):
+    circuit = haar_loop(seed, n_ext=1 + seed % 2)
+    z, rho, rho_loop = _per_node_run(circuit, *grid)
+    r = cs.run_delta_quadrature(circuit, *grid)
+    assert abs(r.z - z) <= 1e-13 * z
+    assert np.abs(r.rho.mat - rho).max() <= 1e-13
+    assert np.abs(r.rho_loop.mat - rho_loop).max() <= 1e-13
+
+
+@pytest.mark.parametrize("grid", MOMENT_GRIDS, ids=lambda g: "%dx%d" % g)
+def test_moments_are_the_per_node_sums(grid):
+    phi, w = flat_measure_states(*grid)
+    coef = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(-1, 4)
+    pairs = (coef[:, :, None] * coef.conj()[:, None, :]).reshape(-1, 16)
+    form, kernel = cs.engine._flat_moments(*grid)
+    assert np.abs(form - (coef.T * w) @ coef.conj()).max() <= 1e-13
+    assert np.abs(kernel.reshape(4, 16) - (coef.T * w) @ pairs).max() <= 1e-13
+    # input_bias contracts the form, as moments sum_k w_k c_a c_b* c_c* c_d, with
+    # its 2x2 acceptance form M: the weighted average sum_k w_k Z_k |phi_k><phi_k|
+    m = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    z = np.einsum("ka,ab,kb->k", phi.conj(), m, phi).real
+    num = np.einsum("abcd,cd->ab", form.reshape(2, 2, 2, 2), m)
+    assert np.abs(num - (phi.T * (w * z)) @ phi.conj()).max() <= 1e-13
+
+
+@pytest.fixture
+def node_builds(monkeypatch):
+    """Clear the moment cache and count the grids built from then on."""
+    builds = []
+    real = cs.engine.flat_measure_nodes
+
+    def counting(n_theta, n_xi):
+        builds.append((n_theta, n_xi))
+        return real(n_theta, n_xi)
+
+    cs.engine._grid_moments.cache_clear()
+    monkeypatch.setattr(cs.engine, "flat_measure_nodes", counting)
+    yield builds
+    cs.engine._grid_moments.cache_clear()
+
+
+def test_two_delta_runs_on_one_grid_build_the_moments_once(node_builds):
+    circuit = crot_probe()
+    first = cs.run_delta_quadrature(circuit, 12, 10)
+    cs.run_delta_quadrature(haar_loop(4), 12, 10)
+    again = cs.run_delta_quadrature(circuit, 12, 10)
+    assert node_builds == [(12, 10)]
+    assert again.z == first.z and np.array_equal(again.rho_loop.mat, first.rho_loop.mat)
+
+
+def test_whole_float_and_int_counts_share_one_moment_entry(node_builds):
+    circuit = crot_probe()
+    assert cs.run_delta_quadrature(circuit, 64.0, 64).z == cs.run_delta_quadrature(circuit).z
+    assert node_builds == [(64, 64)]
+    assert cs.engine._grid_moments.cache_info().currsize == 1
+
+
+def test_cached_moments_are_read_only():
+    for moments in cs.engine._flat_moments(8, 8):
+        with pytest.raises(ValueError):
+            moments[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            moments.reshape(-1)[0] = 1.0
+
+
+@pytest.mark.parametrize("count", [[64], math.nan, 1e400], ids=["list", "nan", "1e400"])
+def test_bad_node_counts_fail_before_any_evolution(count, node_builds, monkeypatch):
+    def no_evolution(circuit):
+        raise AssertionError("evolved before the grid was checked")
+
+    monkeypatch.setattr(cs.engine, "_evolved_pairs", no_evolution)
+    for n_theta, n_xi in ((count, 64), (64, count)):
+        with pytest.raises(cs.ConfigError, match="whole numbers"):
+            cs.run_delta_quadrature(crot_probe(), n_theta, n_xi)
+    assert node_builds == []
+    assert cs.engine._grid_moments.cache_info().currsize == 0
