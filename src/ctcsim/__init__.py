@@ -35,7 +35,6 @@ from .engine import (
     ProjectionEntry,
     ProjectionSet,
     WeightMatrix,
-    flat_measure_nodes,
     pair_out_state,
     projection_table,
     resolve_tolerance,
@@ -75,7 +74,6 @@ __all__ = [
     "ScenarioNotFound", "UnsupportedError", "WeightMatrix", "boosted_success",
     "build_circuit", "build_scenario", "compile_unitary", "compose_skew",
     "discrimination_stats", "ec_fidelity", "entropy_skew", "entropy_skew_max",
-    "flat_measure_nodes",
     "flip_probability", "input_bias", "list_scenarios", "make_gate",
     "pair_out_state", "parity_recursion", "partial_trace",
     "povm_inconclusive", "projection_table", "resolve_tolerance",

@@ -12,13 +12,13 @@ set to one throughout.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .circuit import with_init
-from .engine import Classical, ExactBell, NoisyBell, _check_grid, _flat_moments, _hermitian
-from .errors import ConfigError, InfiniteSkew, LabelError, NumericsError, ParadoxError
+from .engine import (_DELTA_FORM, Classical, ExactBell, NoisyBell, _check_grid, _hermitian,
+                     _unit_interval)
+from .errors import ConfigError, InfiniteSkew, LabelError, ParadoxError
 from .states import DensityOperator
 
 
@@ -27,16 +27,18 @@ def skew_factor(model):
 
     NoisyBell(lam): Omega = 4/lam - 3.  Classical(k): Omega = 1/k - 1.
     Zero noise means perfect post-selection and a diverging skew, signalled
-    with InfiniteSkew.
+    with InfiniteSkew; a parameter the model's run rejects is a ConfigError.
     """
     if isinstance(model, NoisyBell):
-        if model.lam <= 0:
+        lam = _unit_interval(model.lam, "noise parameter lam")
+        if lam == 0.0:
             raise InfiniteSkew("noiseless pair projection has unbounded skew")
-        return 4.0 / model.lam - 3.0
+        return 4.0 / lam - 3.0
     if isinstance(model, Classical):
-        if model.k <= 0:
+        k = _unit_interval(model.k, "flip rate k")
+        if k == 0.0:
             raise InfiniteSkew("error-free classical channel has unbounded skew")
-        return 1.0 / model.k - 1.0
+        return 1.0 / k - 1.0
     if isinstance(model, ExactBell):
         raise InfiniteSkew("exact post-selection has unbounded skew")
     raise ConfigError("no skew factor defined for %r" % (model,))
@@ -46,7 +48,7 @@ def compose_skew(omegas):
     """Skew of independent channels applied in series: the product."""
     out = 1.0
     for om in omegas:
-        if om < 1.0:
+        if not om >= 1.0:  # nan is no skew factor either
             raise ConfigError("skew factors are >= 1")
         out *= om
     return out
@@ -242,36 +244,30 @@ def flip_probability(result, channel_a, channel_b=None):
 def input_bias(circuit, channel, model, nodes=64):
     """Acceptance-weighted average input state of one external channel.
 
-    Scans the channel's input over the flat single-qubit measure (polar angle
-    on [0, pi], phase on [0, 2*pi]) and averages |psi><psi| weighted by the
-    model's acceptance rate Z(psi).  A channel that deselects nothing returns
-    the unbiased I/2.  Inputs that make the circuit a paradox weigh 0; when
-    every input does, ParadoxError.  Halving the node count must agree to
-    1e-6, otherwise NumericsError; the average is of degree 4 in the input's
-    amplitudes, which the flat-measure grid integrates exactly from 3 nodes,
-    so any `nodes` from 6 passes.  A `nodes` that is not a whole number, is
-    below 2 or makes a grid past the 2**20 cap is a ConfigError before any
-    model run.
+    The exact average of the channel's input |psi><psi| over the flat measure
+    (polar angle on [0, pi], phase on [0, 2*pi]), weighted by the model's
+    acceptance rate Z(psi); inputs that make the circuit a paradox weigh 0, and
+    when every input does, ParadoxError.  An unbiased channel gives I/2.  `nodes`
+    names a nodes x nodes grid, exact on every count it takes (3 to 1024); a bad
+    count is a ConfigError before any model run.
 
-    The circuit is linear in the channel's amplitudes and every model's Z is
-    a weighted sum of squared norms, so Z(psi) = psi^dagger M psi: four runs,
-    on |0>, |1>, |+> and |+i>, fix the 2x2 form M, and the average is M
-    contracted with the grid's cached degree-4 moments, as in the delta model.
+    Z(psi) = psi^dagger M psi, as the circuit is linear in psi and every Z is a
+    weighted sum of squared norms: runs on |0>, |1>, |+> and |+i> fix the 2x2
+    form M, and the average is M contracted with the moments _DELTA_FORM.
     """
-    if isinstance(nodes, numbers.Real) and nodes < 2:
-        raise ConfigError("input_bias needs at least 2 nodes, got %r" % (nodes,))
-    _check_grid(nodes, nodes)  # a non-number is named here, before any model run
+    _check_grid(nodes, nodes)
     h = 2**-0.5
     z0, z1, zp, zi = (_acceptance(circuit, channel, model, amps)
                       for amps in ((1, 0), (0, 1), (h, h), (h, 1j * h)))
     # Z(a|0> + b|1>) = z0 |a|^2 + z1 |b|^2 + 2 Re(conj(a) b m01)
     m01 = zp - (z0 + z1) / 2 - 1j * (zi - (z0 + z1) / 2)
     form = np.array([[z0, m01], [np.conj(m01), z1]])
-    fine = _input_bias_once(form, channel, nodes)
-    coarse = _input_bias_once(form, channel, nodes // 2)
-    if np.max(np.abs(fine - coarse)) > 1e-6:
-        raise NumericsError("input-bias quadrature did not converge at %d nodes" % nodes)
-    return DensityOperator(fine, (channel,))
+    # as (2, 2, 2, 2), _DELTA_FORM holds the moments int c_a c_b* c_c* c_d
+    num = _hermitian((_DELTA_FORM @ form.reshape(-1)).reshape(2, 2))
+    den = np.trace(num).real
+    if den == 0.0:
+        raise ParadoxError("every input state of channel %r is a paradox" % (channel,))
+    return DensityOperator(num / den, (channel,))
 
 
 def _acceptance(circuit, channel, model, amps):
@@ -280,14 +276,6 @@ def _acceptance(circuit, channel, model, amps):
         return model.run(with_init(circuit, channel, amps)).z
     except ParadoxError:
         return 0.0
-
-
-def _input_bias_once(form, channel, nodes):
-    num = _hermitian((_flat_moments(nodes, nodes)[0] @ form.reshape(-1)).reshape(2, 2))
-    den = np.trace(num).real
-    if den == 0.0:
-        raise ParadoxError("every input state of channel %r is a paradox" % (channel,))
-    return num / den
 
 
 def _check_prob(p):

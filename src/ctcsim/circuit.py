@@ -97,38 +97,37 @@ class Circuit:
 
 
 def validate(circuit):
-    """Return a list of problem descriptions (empty when the circuit is sound)."""
-    problems = []
+    """Problems of the circuit as (where, description) pairs; empty when it is sound.
+
+    `where` is ("channels", i) for channel i's label, ("gates", i, j) for gate i's
+    target j, ("entangled", i, j) for group i's channel j, or ("qubits",) for the cap.
+    """
     labels = [c.label for c in circuit.channels]
-    if len(set(labels)) != len(labels):
-        problems.append("duplicate channel labels")
-    known = set(labels)
+    problems = [(("channels", i), "duplicate channel label %r" % (label,))
+                for i, label in enumerate(labels) if label in labels[:i]]
+    known, inits = set(labels), {c.label: c.init for c in circuit.channels}
     looped = set(c.label for c in circuit.channels if c.looped)
     n_total = len(labels) + len(looped)  # every looped channel gets a reference partner
     if n_total > MAX_QUBITS:
-        problems.append(
-            "circuit needs %d qubits with reference partners, cap is %d"
-            % (n_total, MAX_QUBITS)
-        )
-    for g in circuit.gates:
-        for t in g.targets:
-            if t.endswith(REF_SUFFIX):
-                problems.append("gate %s targets reference qubit %r" % (g.kind, t))
-            elif t not in known:
-                problems.append("gate %s targets unknown channel %r" % (g.kind, t))
+        problems.append((("qubits",), "circuit needs %d qubits with reference partners, "
+                                      "cap is %d" % (n_total, MAX_QUBITS)))
+    for i, g in enumerate(circuit.gates):
+        for j, t in enumerate(g.targets):
+            if t not in known:  # no channel label ends in REF_SUFFIX
+                what = "reference qubit" if t.endswith(REF_SUFFIX) else "unknown channel"
+                problems.append((("gates", i, j), "gate %s targets %s %r" % (g.kind, what, t)))
     entangled_seen = set()
-    for labels_g, _ in circuit.entangled:
-        for l in labels_g:
+    for i, (labels_g, _) in enumerate(circuit.entangled):
+        for j, l in enumerate(labels_g):
+            where = ("entangled", i, j)
             if l not in known or l in looped:
-                problems.append("entangled init names non-external channel %r" % (l,))
+                problems.append((where, "entangled init names non-external channel %r" % (l,)))
             if l in entangled_seen:
-                problems.append("channel %r appears in two entangled groups" % (l,))
+                problems.append((where, "channel %r appears in two entangled groups" % (l,)))
             entangled_seen.add(l)
-            ch = next((c for c in circuit.channels if c.label == l), None)
-            if ch is not None and ch.init is not None:
-                problems.append(
-                    "channel %r has both a product init and an entangled init" % (l,)
-                )
+            if inits.get(l) is not None:
+                problems.append((where, "channel %r has both a product init and an "
+                                        "entangled init" % (l,)))
     return problems
 
 
@@ -144,7 +143,7 @@ def build_circuit(channels, gates=(), entangled=()):
                       tuple(_entangled_group(*group) for group in entangled))
     problems = validate(circuit)
     if problems:
-        raise ConfigError("; ".join(problems))
+        raise ConfigError("; ".join(text for _, text in problems))
     return circuit
 
 

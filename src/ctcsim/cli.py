@@ -19,8 +19,8 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from . import __version__, analysis
-from .circuit import Channel, _entangled_group, build_circuit
-from .engine import MODELS, DeltaQuadrature, _check_grid, resolve_tolerance
+from .circuit import Channel, Circuit, _entangled_group, validate
+from .engine import MODELS, _MAX_GRID_NODES, DeltaQuadrature, _check_grid, resolve_tolerance
 from .errors import ConfigError, CtcSimError, ParadoxError, ParseError
 from .gates import make_gate, param_names
 from .scenarios import build_scenario, list_scenarios
@@ -227,10 +227,11 @@ def _parse_model(spec, path):
         try:
             _check_grid(model.n_theta, model.n_xi)
         except ConfigError as err:
-            # name the count at fault: the one below 1, else the larger
+            # name the count at fault: the larger past the cap, else one below 1, else below 3
             n_theta, n_xi = model.n_theta, model.n_xi
-            key = "nodes_theta" if n_theta < 1 or 1 <= n_xi <= n_theta else "nodes_xi"
-            _fail("%s.%s" % (path, key), str(err))
+            past_cap = min(n_theta, n_xi) >= 1 and n_theta * n_xi > _MAX_GRID_NODES
+            at_theta = n_xi <= n_theta if past_cap else n_theta < (1 if n_xi < 1 else 3)
+            _fail("%s.%s" % (path, "nodes_theta" if at_theta else "nodes_xi"), str(err))
     return model
 
 
@@ -259,6 +260,11 @@ def _load_doc(text):
         raise ParseError("document nests too deeply") from None
 
 
+# where `validate` locates a problem -> its JSON path
+_PROBLEM_PATHS = {"channels": "doc.channels[%d].name", "gates": "doc.gates[%d].targets[%d]",
+                  "entangled": "doc.entangled_inits[%d].channels[%d]", "qubits": "doc.channels"}
+
+
 def _parse_doc(doc):
     """(circuit, model, outputs) of a loaded JSON document; the document is not changed."""
     _check_keys(doc, ("channels", "entangled_inits", "gates", "model", "outputs"),
@@ -267,7 +273,11 @@ def _parse_doc(doc):
     entangled = _parse_entangled(doc.get("entangled_inits", []),
                                  "doc.entangled_inits")
     gates = _parse_gates(doc.get("gates", []), "doc.gates")
-    circuit = build_circuit(channels, gates, entangled=entangled)
+    circuit = Circuit(tuple(channels), tuple(gates), tuple(entangled))
+    problems = validate(circuit)
+    if problems:
+        raise ConfigError("; ".join("%s: %s" % (_PROBLEM_PATHS[where[0]] % where[1:], text)
+                                    for where, text in problems))
     model = _parse_model(doc.get("model", "exact_bell"), "doc.model")
     outputs = _parse_outputs(doc.get("outputs", list(_DEFAULT_OUTPUTS)),
                              "doc.outputs")

@@ -18,11 +18,11 @@ paradox.  The other models relax the projection:
 * delta quadrature -- the continuous single-qubit loop boundary condition
   |phi> = cos(theta)|0> + e^{i xi} sin(theta)|1>, integrated over the flat
   measure d(theta) d(xi) on [0, pi] x [0, 2*pi] (not the Haar measure; the
-  flat measure is what the closed forms in the catalog assume).  The grid is
-  a midpoint rule in theta and a periodic trapezoid in xi; every integrand is
-  a low-degree trigonometric polynomial, so both rules are exact from a few
-  nodes on.  Z, rho and rho_loop see the nodes only through fixed moments,
-  each a theta-sum times a xi-sum, which are built once per grid and cached.
+  flat measure is what the closed forms in the catalog assume).  Each
+  integrand is a polynomial of degree at most 6 in the boundary state, so Z
+  and rho read the constant form _DELTA_FORM and rho_loop the constant kernel
+  _DELTA_KERNEL.  The node counts stay validated input: at least 3 per axis,
+  the fewest at which the midpoint/trapezoid grid is exact for Z and rho.
 
 One evolution feeds every model: by channel-state duality (Lloyd et al.,
 arXiv:1007.2615) the evolved pair state holds every pair-basis outcome and
@@ -112,6 +112,14 @@ def _real(value, what):
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError("%s must be a real number, got %r" % (what, value)) from None
+
+
+def _unit_interval(value, what):
+    """_real(value, what), else ConfigError unless it lies in [0, 1] (nan does not)."""
+    value = _real(value, what)
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError("%s must lie in [0, 1]" % what)
+    return value
 
 
 @dataclass(frozen=True)
@@ -290,9 +298,7 @@ def run_exact_bell(circuit, tol=None, pair_states=None):
 
 def run_noisy_bell(circuit, lam, tol=None):
     """Depolarized pair projection: mix all 4^m outcomes with product weights."""
-    lam = _real(lam, "noise parameter lam")
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError("noise parameter lam must lie in [0, 1]")
+    lam = _unit_interval(lam, "noise parameter lam")
     table = projection_table(circuit)
     per_pair = np.array([1.0 - 0.75 * lam] + [0.25 * lam] * 3)
     w = functools.reduce(np.kron, [per_pair] * len(table.channel_order))
@@ -323,9 +329,7 @@ def run_classical(circuit, k, floor=False, tol=None):
     At k = 1/2 (floor=False) the channel is fully unskewed: Z is independent
     of every external input.
     """
-    k = _real(k, "flip rate k")
-    if not 0.0 <= k <= 1.0:
-        raise ConfigError("flip rate k must lie in [0, 1]")
+    k = _unit_interval(k, "flip rate k")
     loops, pairs = circuit.loop_labels, _evolved_pairs(circuit)
     a = _history_tensor(pairs)
     d = len(a)
@@ -353,9 +357,16 @@ def run_classical(circuit, k, floor=False, tol=None):
 
 _MAX_GRID_NODES = 2**20  # largest n_theta * n_xi of a flat-measure grid
 # the one-loop delta form over the histories (00, 01, 10, 11): the flat-measure integral
-# of coef coef^dagger, coef = (c_i conj(c_j)), which every grid from 3 x 3 nodes reproduces
+# of coef coef^dagger, coef = (c_i conj(c_j)) of the boundary state (c_0, c_1)
 _DELTA_FORM = np.pi**2 / 4.0 * np.array([[3.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0],
                                          [0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 3.0]])
+# rho_loop's kernel [a, b, c, d] = int c_a c_b* coef_c coef_d*.  Bit f_i picks c_0 or c_1 in
+# factor c_a, c_b*, c_c, c_d*, c_e*, c_f: with q factors c_1 or c_1*, r more plain than
+# conjugated, the entry is 2 pi [r = 0] int_0^pi cos^(6-q) sin^q; its trace is _DELTA_FORM
+_DELTA_KERNEL = np.reshape([np.pi**2 / 8.0 * (5, 0, 1, 0, 1, 0, 5)[sum(f)]
+                            * (f[0] - f[1] + f[2] - f[3] - f[4] + f[5] == 0)
+                            for f in itertools.product((0, 1), repeat=6)], (2, 2, 4, 4))
+_DELTA_FORM.flags.writeable = _DELTA_KERNEL.flags.writeable = False
 
 
 def _builtin_omega(name, d):
@@ -420,7 +431,7 @@ def run_weight_matrix(circuit, omega="flat", tol=None):
 
 
 def _check_grid(n_theta, n_xi):
-    """The counts as ints; ConfigError unless they are whole, of 1 to 2**20 nodes in all."""
+    """The counts as ints; ConfigError unless whole, 3 or more each, 2**20 in all at most."""
     try:
         whole = n_theta == int(n_theta) and n_xi == int(n_xi)
     except (TypeError, ValueError, OverflowError):  # not a number, nan, +-inf
@@ -433,81 +444,33 @@ def _check_grid(n_theta, n_xi):
     n_theta, n_xi = int(n_theta), int(n_xi)
     if n_theta * n_xi > _MAX_GRID_NODES:
         raise ConfigError("quadrature grid n_theta * n_xi exceeds %d nodes" % _MAX_GRID_NODES)
+    if min(n_theta, n_xi) < 3:
+        raise ConfigError("quadrature node counts must be at least 3 for an exact grid")
     return n_theta, n_xi
 
 
-def flat_measure_nodes(n_theta, n_xi):
-    """Nodes/weights for the flat measure on [0, pi] x [0, 2*pi].
-
-    Midpoint rule in the polar angle, theta_k = (k + 1/2) * pi / n_theta with
-    weight pi / n_theta; uniform (periodic trapezoid) in the phase.  Total
-    weight is 2*pi^2.  An integrand of degree D/2 in (c_0, c_1) and D/2 in
-    their conjugates is a trigonometric polynomial of frequency at most D/2
-    in 2*theta and in xi, which both rules integrate exactly once each node
-    count exceeds D/2: from 3 nodes for the delta model's Z and rho (D = 4),
-    4 for its rho_loop (D = 6).  At most 2**20 nodes in all.
-    """
-    n_theta, n_xi = _check_grid(n_theta, n_xi)
-    theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
-    w_theta = np.full(n_theta, np.pi / n_theta)
-    xi = np.arange(n_xi) * (2.0 * np.pi / n_xi)
-    w_xi = np.full(n_xi, 2.0 * np.pi / n_xi)
-    return theta, w_theta, xi, w_xi
-
-
-def _flat_moments(n_theta, n_xi):
-    """Read-only (form, kernel) of the grid, cached once its counts pass `_check_grid`.
-
-    kernel[a, b, c, d] = sum_k w_k c_a conj(c_b) coef_c conj(coef_d), coef = (c_i conj(c_j))
-    of node k's state (c_0, c_1), gives rho_loop; its trace over (a, b) is the 4x4 form
-    of Z and rho, as (2, 2, 2, 2) the moments sum_k w_k c_i c_j* c_k* c_l."""
-    return _grid_moments(*_check_grid(n_theta, n_xi))
-
-
-def _powers(v, k, first=1.0):  # rows first * v**p for p = 0..k
-    out = np.full((k + 1, len(v)), first, dtype=v.dtype)
-    for p in range(k):
-        np.multiply(out[p], v, out=out[p + 1])
-    return out
-
-
-@functools.lru_cache(maxsize=16)
-def _grid_moments(n_theta, n_xi):
-    theta, w_theta, xi, w_xi = flat_measure_nodes(n_theta, n_xi)
-    # c_0 = cos(theta), c_1 = e^{i xi} sin(theta): an entry with q factors c_1 or c_1*, r
-    # more of them plain than conjugated, is t[q] * x[r] = sum w cos^(6-q) sin^q * sum w e^{irxi}
-    t = (_powers(np.cos(theta), 6, w_theta) @ _powers(np.sin(theta), 6).T)[::-1].diagonal()
-    x = _powers(np.exp(1j * xi), 3, w_xi).sum(axis=1)
-    x = np.concatenate([x, x[:0:-1].conj()])  # r = 0..3, then -3..-1: exactly Hermitian
-    idx = np.indices((2,) * 6)  # factor order c_a, c_b*, c_c, c_d*, c_e*, c_f
-    q, r = idx.sum(axis=0), np.tensordot([1, -1, 1, -1, -1, 1], idx, axes=1)
-    kernel = (t[q] * x[r]).reshape(2, 2, 4, 4)
-    form = np.trace(kernel)  # |c_0|^2 + |c_1|^2 = 1 at every node
-    form.flags.writeable = kernel.flags.writeable = False
-    return form, kernel
-
-
 def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
-    """Continuous boundary condition on a single loop qubit, by quadrature.
+    """Continuous boundary condition on a single loop qubit, integrated in closed form.
 
     The loop emerges and returns as the same pure qubit state
     |phi> = cos(theta)|0> + e^{i xi} sin(theta)|1>, integrated over the flat
     measure.  Returns Z, the external density operator, and the loop-register
-    density operator rho_loop = Z^-1 * integral of w(phi) |phi><phi|.  The grid,
-    checked before the evolution, enters only through its cached moments.
+    density operator rho_loop = Z^-1 * integral of w(phi) |phi><phi|: the exact
+    integrals, from _DELTA_FORM and _DELTA_KERNEL.  The node counts, checked
+    before the evolution, name a grid that is exact for Z and rho.
     """
     loops = _require_loops(circuit)
     if len(loops) != 1:
         raise UnsupportedError("the delta model integrates one looped qubit, not %d; use "
                                "model weight_matrix with omega='delta'" % len(loops))
-    form, kernel = _flat_moments(n_theta, n_xi)
+    n_theta, n_xi = _check_grid(n_theta, n_xi)
     pairs = _evolved_pairs(circuit)
     rows = _history_tensor(pairs).reshape(4, -1)  # (emerge, enter) major
-    # node k's state rows.T @ coef_k has squared norm coef_k^T G conj(coef_k), G = rows rows^dagger
-    loop = _hermitian(np.einsum("abcd,cd->ab", kernel, rows @ rows.conj().T))
-    return _post_select(circuit, "delta_quadrature", _mix(rows, form), tol,
+    # the state rows.T @ coef has squared norm coef^T G conj(coef), G = rows rows^dagger
+    loop = _hermitian(np.einsum("abcd,cd->ab", _DELTA_KERNEL, rows @ rows.conj().T))
+    return _post_select(circuit, "delta_quadrature", _mix(rows, _DELTA_FORM), tol,
                         "quadrature acceptance rate %(z).3e below tolerance", pairs=pairs,
-                        loop=loop, n_theta=int(n_theta), n_xi=int(n_xi),
+                        loop=loop, n_theta=n_theta, n_xi=n_xi,
                         measure="flat theta-xi on [0, pi] x [0, 2*pi]")
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import ctcsim as cs
 from ctcsim import Channel, build_circuit, make_gate
+from oracles import flat_measure_nodes
 
 
 def test_skew_factor_values():
@@ -28,6 +29,33 @@ def test_compose_skew_is_product():
     assert cs.compose_skew([2.0, 3.0, 4.0]) == pytest.approx(24.0)
     with pytest.raises(cs.ConfigError):
         cs.compose_skew([0.5])
+
+
+BAD_NOISE = [(cs.NoisyBell(2.0), "noise parameter lam must lie in"),
+             (cs.NoisyBell(-0.5), "noise parameter lam must lie in"),
+             (cs.NoisyBell(math.nan), "noise parameter lam must lie in"),
+             (cs.NoisyBell("abc"), "noise parameter lam must be a real number"),
+             (cs.Classical(2.0), "flip rate k must lie in"),
+             (cs.Classical(math.nan), "flip rate k must lie in"),
+             (cs.Classical(None), "flip rate k must be a real number")]
+
+
+@pytest.mark.parametrize("model,message", BAD_NOISE,
+                         ids=["lam-2", "lam-neg", "lam-nan", "lam-text", "k-2", "k-nan", "k-none"])
+def test_skew_factor_rejects_what_the_model_run_rejects(model, message):
+    # once -1.0, -0.5, nan or a bare TypeError
+    with pytest.raises(cs.ConfigError, match=message):
+        cs.skew_factor(model)
+    circuit = build_circuit([Channel("tm", looped=True)], [make_gate("H", ("tm",))])
+    with pytest.raises(cs.ConfigError, match=message):
+        model.run(circuit)
+
+
+@pytest.mark.parametrize("omegas", [[math.nan, 2.0], [2.0, math.nan]],
+                         ids=["nan-first", "nan-last"])
+def test_compose_skew_rejects_nan_factors(omegas):
+    with pytest.raises(cs.ConfigError, match="skew factors are >= 1"):
+        cs.compose_skew(omegas)
 
 
 @settings(max_examples=50, deadline=None)
@@ -199,8 +227,8 @@ def test_flip_probability_unknown_channel_is_label_error():
 
 
 def test_input_bias_odd_node_count_gives_paradox_inputs_zero_weight():
-    # with an odd count one polar node sits on theta = pi/2, where the
-    # exact CNOT gun is a paradox; that input must weigh 0, not abort
+    # an odd count once put a polar node on theta = pi/2, where the exact
+    # CNOT gun is a paradox; so is its |1> probe, which must weigh 0, not abort
     circuit = cs.build_scenario("cnot_gun").circuit
     odd = cs.input_bias(circuit, "gun", cs.ExactBell(), nodes=33)
     even = cs.input_bias(circuit, "gun", cs.ExactBell(), nodes=32)
@@ -218,7 +246,7 @@ def test_input_bias_raises_paradox_when_every_input_is_one():
 
 def input_bias_by_node(circuit, channel, model, nodes):
     """Reference: the per-node scan, one model run per flat-measure node."""
-    theta, w_theta, xi, w_xi = cs.flat_measure_nodes(nodes, nodes)
+    theta, w_theta, xi, w_xi = flat_measure_nodes(nodes, nodes)
     num, den = np.zeros((2, 2), dtype=complex), 0.0
     for t, wt in zip(theta, w_theta):
         for x, wx in zip(xi, w_xi):
@@ -292,29 +320,36 @@ def test_input_bias_makes_four_model_runs_whatever_the_node_count():
     model = CountingModel(cs.NoisyBell(0.3))
     cs.input_bias(circuit, "gun", model, nodes=64)
     assert model.runs == 4
-    # at 4 nodes the 2-node coarse check is not exact and raises, after the
-    # same four runs
     model = CountingModel(cs.NoisyBell(0.3))
-    with pytest.raises(cs.NumericsError):
-        cs.input_bias(circuit, "gun", model, nodes=4)
+    cs.input_bias(circuit, "gun", model, nodes=4)
     assert model.runs == 4
 
 
 @pytest.mark.parametrize("model", [cs.DeltaQuadrature(), cs.NoisyBell(0.2), cs.Classical(0.3)],
                          ids=["delta", "noisy", "classical"])
-def test_input_bias_at_four_nodes_checks_against_a_coarser_grid(model):
-    # the check grid has nodes // 2 = 2 nodes, too few to be exact: its
-    # bias is off by 1e-2 or more, which must not pass as converged
+def test_input_bias_is_exact_below_six_nodes(model):
+    # the average is the exact integral on every accepted grid, the smallest too
     circuit = cs.build_scenario("cnot_gun").circuit
-    with pytest.raises(cs.NumericsError):
-        cs.input_bias(circuit, "gun", model, nodes=4)
+    default = cs.input_bias(circuit, "gun", model).mat
+    for nodes in (3, 4, 5):
+        bias = cs.input_bias(circuit, "gun", model, nodes=nodes)
+        assert np.max(np.abs(bias.mat - default)) <= 1e-12, nodes
 
 
 @pytest.mark.parametrize("nodes", [1, 0, -3])
 def test_input_bias_below_two_nodes_is_a_config_error(nodes):
     circuit = cs.build_scenario("cnot_gun").circuit
     model = CountingModel(cs.NoisyBell(0.2))
-    with pytest.raises(cs.ConfigError, match="at least 2 nodes"):
+    with pytest.raises(cs.ConfigError, match="node counts must be (at least 3|positive)"):
+        cs.input_bias(circuit, "gun", model, nodes=nodes)
+    assert model.runs == 0
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 2.0])
+def test_input_bias_below_three_nodes_fails_before_any_model_run(nodes):
+    circuit = cs.build_scenario("cnot_gun").circuit
+    model = CountingModel(cs.DeltaQuadrature())
+    with pytest.raises(cs.ConfigError, match="node counts must be at least 3"):
         cs.input_bias(circuit, "gun", model, nodes=nodes)
     assert model.runs == 0
 
@@ -354,8 +389,8 @@ def test_input_bias_checks_the_grid_cap_before_any_model_run(nodes):
                          ids=["delta", "noisy", "classical"])
 def test_input_bias_is_exact_from_six_nodes(model):
     # the average is of degree 4 in the input amplitudes, which a grid of
-    # 3 or more nodes per axis integrates exactly, so the nodes // 2 check
-    # passes from 6 nodes and every grid gives the default's answer
+    # 3 or more nodes per axis integrates exactly: every grid gives the
+    # default's answer
     circuit = cs.build_scenario("cnot_gun").circuit
     default = cs.input_bias(circuit, "gun", model).mat
     for nodes in (6, 8, 12):

@@ -154,6 +154,21 @@ MALFORMED = [
      "doc.model.nodes_xi: quadrature grid n_theta * n_xi exceeds 1048576 nodes"),
     ("nodes_xi_zero", _with(model={"type": "delta", "nodes_xi": 0}),
      "doc.model.nodes_xi: quadrature node counts must be positive"),
+    ("nodes_below_floor", _with(model={"type": "delta", "nodes_theta": 2}),
+     "doc.model.nodes_theta: quadrature node counts must be at least 3"),
+    ("nodes_xi_below_floor", _with(model={"type": "delta", "nodes_theta": 16, "nodes_xi": 1}),
+     "doc.model.nodes_xi: quadrature node counts must be at least 3"),
+    ("gate_unknown_target", _with(gates=[{"kind": "SWAP", "targets": ["tm", "zz"]}]),
+     "doc.gates[0].targets[1]: gate SWAP targets unknown channel 'zz'"),
+    ("duplicate_channel", _with(channels=[{"name": "tm", "role": "ctc"}, {"name": "tm"}]),
+     "doc.channels[1].name: duplicate channel label 'tm'"),
+    ("entangled_looped_channel",
+     _with(channels=[{"name": "tm", "role": "ctc"}, {"name": "a"}], gates=[],
+           entangled_inits=[{"channels": ["a", "tm"], "amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]}]),
+     "doc.entangled_inits[0].channels[1]: entangled init names non-external channel 'tm'"),
+    ("qubit_cap", _with(channels=[{"name": "c%d" % i, "role": "ctc"} for i in range(8)],
+                        gates=[]),
+     "doc.channels: circuit needs 16 qubits with reference partners"),
     ("omega_text_entry",
      _with(model={"type": "weight_matrix", "omega": [[1, "a"], [0, 1]]}),
      "doc.model.omega[0][1]"),
@@ -203,6 +218,12 @@ MALFORMED = [
     ("model_arg_nodes_past_cap",
      ["scenario", "simple_loop", "--model", "delta,nodes_theta=20000"],
      "arg.model.nodes_theta: quadrature grid n_theta * n_xi exceeds 1048576 nodes"),
+    ("model_arg_nodes_below_floor",  # once Z = 7.106 against the exact pi^2
+     ["scenario", "simple_loop", "--model", "delta,nodes_theta=1,nodes_xi=1048576"],
+     "arg.model.nodes_theta: quadrature node counts must be at least 3"),
+    ("model_arg_nodes_xi_below_floor",
+     ["scenario", "simple_loop", "--model", "delta,nodes_xi=2"],
+     "arg.model.nodes_xi: quadrature node counts must be at least 3"),
     ("model_arg_k_range", ["scenario", "simple_loop", "--model", "classical,k=2"],
      "arg.model: flip rate k must lie in [0, 1]"),
     ("model_arg_lambda_range", ["scenario", "simple_loop", "--model", "noisy_bell,lambda=-1"],
@@ -374,6 +395,55 @@ def test_fuzzed_documents_exit_cleanly(data, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["run", str(path)]) in (0, 1, 2)
     capsys.readouterr()
+
+
+# a 5-channel document with 25 leaves: one entangled group, 3 gates, the classical model
+PROBE_DOC = {
+    "channels": [{"name": "tm", "role": "ctc"}, {"name": "sys"}, {"name": "a"},
+                 {"name": "b"}, {"name": "c"}],
+    "entangled_inits": [{"channels": ["a", "b"],
+                         "amplitudes": [0.6, 0, 0, 0, 0, 0, 0.8, 0]}],
+    "gates": [{"kind": "CX", "targets": ["sys", "tm"]}, {"kind": "H", "targets": ["a"]},
+              {"kind": "X", "targets": ["c"]}],
+    "model": {"type": "classical", "k": 0.2},
+}
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _doc_path(path):
+    return "doc" + "".join("[%d]" % key if isinstance(key, int) else "." + key
+                           for key in path)
+
+
+PROBE_LEAVES = [path for path in _json_paths(PROBE_DOC)
+                if not isinstance(_at(PROBE_DOC, path), (dict, list))]
+PROBE_VALUES = [None, -1, 2, "zz", [], {}, math.inf, "", [1, 2, 3], True, "tm", "sys", "a"]
+
+
+@pytest.mark.parametrize("leaf", PROBE_LEAVES, ids=_doc_path)
+def test_every_bad_leaf_names_a_document_path(leaf, tmp_path, capsys):
+    # each exit 1 names the leaf, an ancestor of it, or (for a channel name)
+    # a place that still refers to the channel by its old name
+    assert len(PROBE_LEAVES) == 25
+    old = _at(PROBE_DOC, leaf)
+    for value in PROBE_VALUES:
+        doc = json.loads(json.dumps(PROBE_DOC))
+        _at(doc, leaf[:-1])[leaf[-1]] = value
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", str(path)])
+        err = capsys.readouterr().err
+        if code != 1:
+            continue
+        named = [p for p in _json_paths(doc) if _doc_path(p) + ":" in err]
+        assert named, (value, err)
+        assert any(p == leaf[:len(p)] or (leaf[-1] == "name" and _at(doc, p) == old)
+                   for p in named), (value, err)
 
 
 # execution ------------------------------------------------------------------

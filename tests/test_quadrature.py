@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import ctcsim as cs
 from ctcsim import Channel, build_circuit, make_gate
-from oracles import flat_measure_states
+from oracles import flat_measure_nodes, flat_measure_states
 
 PI2 = math.pi**2
 
@@ -30,14 +31,14 @@ def haar_loop(seed, n_ext=2):
 
 
 def test_flat_measure_nodes_total_weight():
-    theta, wt, xi, wx = cs.flat_measure_nodes(32, 32)
+    theta, wt, xi, wx = flat_measure_nodes(32, 32)
     assert wt.sum() * wx.sum() == pytest.approx(2 * PI2, abs=1e-10)
     assert theta.min() > 0 and theta.max() < math.pi
     assert xi[0] == 0.0
 
 
 def test_flat_measure_states_are_the_node_states():
-    theta, wt, xi, wx = cs.flat_measure_nodes(6, 5)
+    theta, wt, xi, wx = flat_measure_nodes(6, 5)
     states, w = flat_measure_states(6, 5)
     # polar angle major: row 5 * i + j is node (theta_i, xi_j)
     expect = [[math.cos(t), math.sin(t) * np.exp(1j * x)] for t in theta for x in xi]
@@ -47,8 +48,8 @@ def test_flat_measure_states_are_the_node_states():
 
 
 def test_nodes_require_positive_counts():
-    with pytest.raises(cs.ConfigError):
-        cs.flat_measure_nodes(0, 16)
+    with pytest.raises(cs.ConfigError, match="positive"):
+        cs.run_delta_quadrature(crot_probe(), 0, 16)
 
 
 @pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf, 2.5],
@@ -57,7 +58,7 @@ def test_node_counts_must_be_whole_numbers(count):
     with pytest.raises(cs.ConfigError, match="whole numbers"):
         cs.run_delta_quadrature(crot_probe(), n_theta=count)
     with pytest.raises(cs.ConfigError, match="whole numbers"):
-        cs.flat_measure_nodes(16, count)
+        cs.run_delta_quadrature(crot_probe(), 16, count)
 
 
 def test_whole_float_node_counts_are_counts():
@@ -71,7 +72,7 @@ def test_whole_float_node_counts_are_counts():
                          ids=["column", "square", "huge"])
 def test_nodes_beyond_the_grid_cap_are_rejected(n_theta, n_xi):
     with pytest.raises(cs.ConfigError, match="exceeds 1048576 nodes"):
-        cs.flat_measure_nodes(n_theta, n_xi)
+        cs.run_delta_quadrature(crot_probe(), n_theta, n_xi)
 
 
 def _grid_form(n_theta, n_xi):
@@ -88,7 +89,14 @@ def test_grid_form_is_the_declared_delta_form(grid):
 
 @pytest.mark.parametrize("grid", [(1, 1), (2, 2)])
 def test_grids_below_three_nodes_miss_the_delta_form(grid):
+    # the reason for the floor of 3 nodes per axis on every grid the library takes
     assert np.abs(_grid_form(*grid) - cs.engine._DELTA_FORM).max() > 1e-2
+
+
+def test_kernel_trace_is_the_delta_form():
+    kernel = cs.engine._DELTA_KERNEL
+    assert kernel.shape == (2, 2, 4, 4)
+    assert np.abs(np.trace(kernel) - cs.engine._DELTA_FORM).max() <= 1e-15
 
 
 def test_quadrature_matches_closed_form_on_rotation():
@@ -169,9 +177,9 @@ def test_quadrature_paradox_on_pure_flip():
     assert np.allclose(r.rho_loop.mat, np.eye(2) / 2, atol=1e-8)
 
 
-# -- the cached flat-measure moments against the grid, node by node ----------
+# -- the flat-measure moment constants against the grid, node by node ---------
 
-MOMENT_GRIDS = [(1, 1), (2, 2), (3, 5), (4, 4), (64, 64)]  # the first two are inexact
+MOMENT_GRIDS = [(1, 1), (2, 2), (3, 5), (4, 4), (64, 64)]  # the first two are refused
 
 
 def _per_node_run(circuit, n_theta, n_xi):
@@ -193,77 +201,78 @@ def _per_node_run(circuit, n_theta, n_xi):
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_delta_run_matches_the_per_node_integral(grid, seed):
     circuit = haar_loop(seed, n_ext=1 + seed % 2)
+    if min(grid) < 3:  # an inexact grid is refused, not integrated
+        with pytest.raises(cs.ConfigError, match="at least 3"):
+            cs.run_delta_quadrature(circuit, *grid)
+        return
     z, rho, rho_loop = _per_node_run(circuit, *grid)
     r = cs.run_delta_quadrature(circuit, *grid)
     assert abs(r.z - z) <= 1e-13 * z
     assert np.abs(r.rho.mat - rho).max() <= 1e-13
+    # rho_loop is the exact integral, which the midpoint rule gives from 4 theta nodes
+    rho_loop = _per_node_run(circuit, max(grid[0], 4), grid[1])[2]
     assert np.abs(r.rho_loop.mat - rho_loop).max() <= 1e-13
+
+
+def _per_node_moments(n_theta, n_xi):
+    """(form, kernel) of one grid, summed node by node."""
+    phi, w = flat_measure_states(n_theta, n_xi)
+    coef = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(-1, 4)
+    pairs = (coef[:, :, None] * coef.conj()[:, None, :]).reshape(-1, 16)
+    return (coef.T * w) @ coef.conj(), ((coef.T * w) @ pairs).reshape(2, 2, 4, 4)
 
 
 @pytest.mark.parametrize("grid", MOMENT_GRIDS, ids=lambda g: "%dx%d" % g)
 def test_moments_are_the_per_node_sums(grid):
+    if min(grid) < 3:  # no grid below 3 nodes per axis is taken
+        with pytest.raises(cs.ConfigError, match="at least 3"):
+            cs.engine._check_grid(*grid)
+        return
     phi, w = flat_measure_states(*grid)
-    coef = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(-1, 4)
-    pairs = (coef[:, :, None] * coef.conj()[:, None, :]).reshape(-1, 16)
-    form, kernel = cs.engine._flat_moments(*grid)
-    assert np.abs(form - (coef.T * w) @ coef.conj()).max() <= 1e-13
-    assert np.abs(kernel.reshape(4, 16) - (coef.T * w) @ pairs).max() <= 1e-13
+    form, kernel = _per_node_moments(*grid)
+    assert np.abs(cs.engine._DELTA_FORM - form).max() <= 1e-13
+    if grid[0] >= 4:
+        assert np.abs(cs.engine._DELTA_KERNEL - kernel).max() <= 1e-13
     # input_bias contracts the form, as moments sum_k w_k c_a c_b* c_c* c_d, with
     # its 2x2 acceptance form M: the weighted average sum_k w_k Z_k |phi_k><phi_k|
     m = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
     z = np.einsum("ka,ab,kb->k", phi.conj(), m, phi).real
-    num = np.einsum("abcd,cd->ab", form.reshape(2, 2, 2, 2), m)
+    num = np.einsum("abcd,cd->ab", cs.engine._DELTA_FORM.reshape(2, 2, 2, 2), m)
     assert np.abs(num - (phi.T * (w * z)) @ phi.conj()).max() <= 1e-13
 
 
-@pytest.fixture
-def node_builds(monkeypatch):
-    """Clear the moment cache and count the grids built from then on."""
-    builds = []
-    real = cs.engine.flat_measure_nodes
-
-    def counting(n_theta, n_xi):
-        builds.append((n_theta, n_xi))
-        return real(n_theta, n_xi)
-
-    cs.engine._grid_moments.cache_clear()
-    monkeypatch.setattr(cs.engine, "flat_measure_nodes", counting)
-    yield builds
-    cs.engine._grid_moments.cache_clear()
-
-
-def test_two_delta_runs_on_one_grid_build_the_moments_once(node_builds):
-    circuit = crot_probe()
-    first = cs.run_delta_quadrature(circuit, 12, 10)
-    cs.run_delta_quadrature(haar_loop(4), 12, 10)
-    again = cs.run_delta_quadrature(circuit, 12, 10)
-    assert node_builds == [(12, 10)]
-    assert again.z == first.z and np.array_equal(again.rho_loop.mat, first.rho_loop.mat)
-
-
-def test_whole_float_and_int_counts_share_one_moment_entry(node_builds):
-    circuit = crot_probe()
-    assert cs.run_delta_quadrature(circuit, 64.0, 64).z == cs.run_delta_quadrature(circuit).z
-    assert node_builds == [(64, 64)]
-    assert cs.engine._grid_moments.cache_info().currsize == 1
+def test_moment_constants_match_every_grid_from_three_to_twelve_nodes():
+    for grid in itertools.product(range(3, 13), repeat=2):
+        form, kernel = _per_node_moments(*grid)
+        assert np.abs(cs.engine._DELTA_FORM - form).max() <= 1e-13, grid
+        if grid[0] >= 4:  # the midpoint rule integrates degree 6 from 4 nodes
+            assert np.abs(cs.engine._DELTA_KERNEL - kernel).max() <= 1e-13, grid
 
 
 def test_cached_moments_are_read_only():
-    for moments in cs.engine._flat_moments(8, 8):
+    # the moments are module constants, computed once at import
+    for moments in (cs.engine._DELTA_FORM, cs.engine._DELTA_KERNEL):
         with pytest.raises(ValueError):
             moments[0, 0] = 1.0
         with pytest.raises(ValueError):
             moments.reshape(-1)[0] = 1.0
 
 
-@pytest.mark.parametrize("count", [[64], math.nan, 1e400], ids=["list", "nan", "1e400"])
-def test_bad_node_counts_fail_before_any_evolution(count, node_builds, monkeypatch):
-    def no_evolution(circuit):
-        raise AssertionError("evolved before the grid was checked")
+def _no_evolution(circuit):
+    raise AssertionError("evolved before the grid was checked")
 
-    monkeypatch.setattr(cs.engine, "_evolved_pairs", no_evolution)
+
+@pytest.mark.parametrize("count", [[64], math.nan, 1e400], ids=["list", "nan", "1e400"])
+def test_bad_node_counts_fail_before_any_evolution(count, monkeypatch):
+    monkeypatch.setattr(cs.engine, "_evolved_pairs", _no_evolution)
     for n_theta, n_xi in ((count, 64), (64, count)):
         with pytest.raises(cs.ConfigError, match="whole numbers"):
             cs.run_delta_quadrature(crot_probe(), n_theta, n_xi)
-    assert node_builds == []
-    assert cs.engine._grid_moments.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("grid", [(1, 1), (2, 2), (2, 64), (64, 1), (1, 2**20), (2.0, 3)],
+                         ids=lambda g: "%sx%s" % g)
+def test_grids_below_three_nodes_fail_before_any_evolution(grid, monkeypatch):
+    monkeypatch.setattr(cs.engine, "_evolved_pairs", _no_evolution)
+    with pytest.raises(cs.ConfigError, match="node counts must be at least 3"):
+        cs.run_delta_quadrature(crot_probe(), *grid)
