@@ -48,15 +48,14 @@ def compose_skew(omegas):
     """Skew of independent channels applied in series: the product."""
     out = 1.0
     for om in omegas:
-        if not om >= 1.0:  # nan is no skew factor either
-            raise ConfigError("skew factors are >= 1")
-        out *= om
+        out *= _check_skew(om)
     return out
 
 
 def boosted_success(p, omega):
     """Post-selected success probability of a trial with raw probability p."""
     _check_prob(p)
+    _check_skew(omega)
     return omega * p / (omega * p + 1.0 - p)
 
 
@@ -67,6 +66,7 @@ def povm_inconclusive(p_inconclusive, omega):
     is suppressed: p / (p + Omega * (1 - p)).
     """
     _check_prob(p_inconclusive)
+    _check_skew(omega)
     return p_inconclusive / (p_inconclusive + omega * (1.0 - p_inconclusive))
 
 
@@ -81,6 +81,7 @@ def discrimination_stats(overlap, theta, omega):
     """
     p_n = float(overlap)
     _check_prob(p_n)
+    _check_skew(omega)
     p_theta = 4.0 * p_n * math.cos(theta) ** 2 / (2.0 + 2.0 * p_n)
     p_bar = povm_inconclusive(p_theta, omega)
     return {
@@ -99,6 +100,7 @@ def entropy_skew(a, s0, omega):
     """
     if not 0.0 < a < 1.0:
         raise ConfigError("member weight a must lie in (0, 1)")
+    _check_skew(omega)
     if omega == 1.0:
         return 0.0
     zp = (omega - 1.0) * a + 1.0
@@ -116,8 +118,7 @@ def entropy_skew_max(omega):
     ensemble (s0 = -ln a); delta_s_max <= 0 is the deepest entropy change.
     At Omega = 1 everything degenerates smoothly to (1/2, 1, 0).
     """
-    if omega < 1.0:
-        raise ConfigError("skew factors are >= 1")
+    _check_skew(omega)
     if omega == 1.0:
         return 0.5, 1.0, 0.0
     a_max = (1.0 - omega + omega * math.log(omega)) / (omega - 1.0) ** 2
@@ -136,6 +137,7 @@ def szilard_work(x, omega):
     """
     if not 0.0 < x < 1.0:
         raise ConfigError("partition position must lie in (0, 1)")
+    _check_skew(omega)
     p_left = omega * x / ((omega - 1.0) * x + 1.0)
     work = -p_left * math.log(x) - (1.0 - p_left) * math.log(1.0 - x) - math.log(2.0)
     return work, math.log(omega)
@@ -209,6 +211,7 @@ def weak_average(op, state_pre, state_post, omega):
     Mixes the matched and orthogonal post-selections with relative weight
     Omega on the matched branch: (Omega <f|A|i> + <f_perp|A|i>) / (Omega + 1).
     """
+    _check_skew(omega)
     op = np.asarray(op, dtype=complex)
     pre = np.asarray(state_pre, dtype=complex)
     post = np.asarray(state_post, dtype=complex)
@@ -276,6 +279,13 @@ def _acceptance(circuit, channel, model, amps):
         return model.run(with_init(circuit, channel, amps)).z
     except ParadoxError:
         return 0.0
+
+
+def _check_skew(omega):
+    """`omega`, else ConfigError unless it is a skew factor: at least 1 (nan is not)."""
+    if not omega >= 1.0:
+        raise ConfigError("skew factors are >= 1, got %r" % (omega,))
+    return omega
 
 
 def _check_prob(p):

@@ -84,16 +84,24 @@ class Circuit:
         One outer product of the external inits, each entangled group inserted
         whole where its first channel is declared, then one exact transpose.
         """
+        return PureState(*self._external_register())
+
+    def _external_register(self):
+        """(amplitudes, labels) of initial_external_state, unchecked by a PureState."""
         grouped = {l: (labels, amps) for labels, amps in self.entangled for l in labels}
         factors, labels = [], []
         for c in self.channels:
             if not (c.looped or c.label in labels):
                 group, amps = grouped.get(c.label, ((c.label,), c.init or (1.0, 0.0)))
-                factors.append(PureState(amps, group).amps.reshape((2,) * len(group)))
+                amps = np.asarray(amps, dtype=complex)
+                if amps.shape != (2 ** len(group),):  # a Circuit built without build_circuit
+                    raise LabelError("amplitude vector of length %d does not fit %d labeled "
+                                     "qubits" % (amps.size, len(group)))
+                factors.append(amps.reshape((2,) * len(group)))
                 labels += group
         t = functools.reduce(np.multiply.outer, factors or [np.ones((), dtype=complex)])
         order = self.external_labels
-        return PureState(t.transpose([labels.index(l) for l in order]).reshape(-1), order)
+        return t.transpose([labels.index(l) for l in order]).reshape(-1), order
 
 
 def validate(circuit):
@@ -187,4 +195,4 @@ def compile_unitary(circuit):
 
 def evolve(state, circuit):
     """Apply the circuit's gates in order to a labeled state, in one kernel call."""
-    return apply_gates(state, ((g.matrix, g.targets) for g in circuit.gates))
+    return apply_gates(state, ((g.matrix, g.targets, g.controls) for g in circuit.gates))

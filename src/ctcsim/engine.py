@@ -27,16 +27,20 @@ paradox.  The other models relax the projection:
 One evolution feeds every model: by channel-state duality (Lloyd et al.,
 arXiv:1007.2615) the evolved pair state holds every pair-basis outcome and
 every eigenstate history, and a custom boundary pair is the Bell pair with a
-local operator on its loop wire.  A 4x4 change of basis along each pair axis
-gives the projection table; regrouping reference and loop bits gives the
-history tensor.  The evolution is one call of the raw-array gate kernel
-`states.apply_gates`, which checks labels and finiteness once, on the evolved
-state; `circuit.compile_unitary` shares none of it and stays the independent
-oracle.  Each model is then one contraction of these arrays into a weighted,
-unnormalized operator on the externals.  Every runner, the loop-free
-`run_conditional` included, finishes in `_post_select`: Z is its trace, Z
-(exact model: the survival amplitude) below the tolerance is a paradox in the
-model's own words with its own pair table, and rho and rho_loop are divided by Z.
+local operator on its loop wire.  A 4x4 change of basis along each (reference,
+loop) pair gives the projection table; reading the reference register against
+the loop register gives the history tensor.  The evolution is one call of the
+raw-array gate kernel `states.apply_gates` on `pair_out_state`, laid out
+externals, loops, then reference qubits: no gate touches a reference qubit, so
+that trailing register is a batch index the kernel moves in contiguous runs,
+and a controlled gate acts only on its control-on slice.  The kernel checks
+labels and finiteness once, on the evolved state; `circuit.compile_unitary`
+shares none of it and stays the independent oracle.  Each model is then one
+contraction of these arrays into a weighted, unnormalized operator on the
+externals.  Every runner, the loop-free `run_conditional` included, finishes in
+`_post_select`: Z is its trace, Z (exact model: the survival amplitude) below
+the tolerance is a paradox in the model's own words with its own pair table,
+and rho and rho_loop are divided by Z.
 
 Z conventions: exact/noisy values include the 2^-m normalization of the m
 reference pairs; weight-matrix weights are normalized to sum d except for the
@@ -184,37 +188,45 @@ def _require_loops(circuit):
 
 
 def pair_out_state(circuit):
-    """Bell pairs (reference, loop) per loop, then the externals, as one outer product."""
-    loops, ext = _require_loops(circuit), circuit.initial_external_state()
-    amps = functools.reduce(np.multiply.outer, [PAIR_BASIS["B"]] * len(loops) + [ext.amps])
-    labels = [label for loop in loops for label in (loop + REF_SUFFIX, loop)]
-    return PureState(amps.reshape(-1), (*labels, *ext.labels))
+    """The start state of a loop-model run: externals, loops, then reference qubits.
+
+    Labels: the external channels, the looped channels (each in declaration
+    order), then "<loop>.ref" per loop in loop order.  Each (reference, loop)
+    pair starts as the Bell pair PAIR_BASIS["B"] and the externals in their
+    inits.  No gate touches a reference qubit, so the gate kernel moves the
+    trailing reference register in contiguous runs.
+    """
+    loops = _require_loops(circuit)
+    ext, ext_labels = circuit._external_register()  # checked in the wrap below
+    d = 2 ** len(loops)
+    pairs = np.zeros(d * d, dtype=complex)
+    # loop bits equal reference bits; the pair amplitudes multiply as in an outer product
+    pairs[:: d + 1] = math.prod([_SQ2] * len(loops))
+    refs = (loop + REF_SUFFIX for loop in loops)
+    return PureState(np.multiply.outer(ext, pairs).reshape(-1), (*ext_labels, *loops, *refs))
 
 
 def _evolved_pairs(circuit):
-    """The one evolution of a run: amplitudes of shape (4,)*m + (2^e,).
+    """The one evolution of a run: amplitudes of shape (2^e, 2^m, 2^m).
 
-    Axis q indexes pair q as 2 * reference bit + loop bit; the last axis is the
-    external register in declaration order.
+    The axes are the external register, the loop register and the reference
+    register, each in declaration order (the labels of pair_out_state).
     """
     state = evolve(pair_out_state(circuit), circuit)
-    return state.amps.reshape((4,) * len(circuit.loop_labels) + (-1,))
+    d = 2 ** len(circuit.loop_labels)
+    return state.amps.reshape(-1, d, d)
 
 
 def _history_tensor(t):
     """A[i, j]: unnormalized external state of the loop history e_i -> e_j.
 
-    `t` is the evolved pair tensor.  Its reference pair records the emerging
+    `t` is the evolved pair tensor.  Its reference register records the emerging
     eigenstate e_i, so A[i, j] = sqrt(d) * <ref = i, loop = j| evolved pair state.
     """
-    m = t.ndim - 1
-    d = 2**m
-    # (ref_1, loop_1, ..., ref_m, loop_m, ext) -> (ref bits, loop bits, ext)
-    t = t.reshape((2,) * (2 * m) + (-1,))
-    t = t.transpose(tuple(range(0, 2 * m, 2)) + tuple(range(1, 2 * m, 2)) + (2 * m,))
     # dividing by the pair amplitude 1/sqrt(2) per pair, rather than multiplying
     # by sqrt(d), cancels its rounding in the consistent histories
-    return t.reshape(d, d, -1) / _SQ2**m
+    m = t.shape[1].bit_length() - 1
+    return np.divide(t.transpose(2, 1, 0), _SQ2**m, order="C")
 
 
 def _hermitian(num):  # a product that is Hermitian only to rounding, made exactly so
@@ -264,11 +276,15 @@ def projection_table(circuit):
 def _pair_table(circuit, t):
     """The projection table of the evolved pair tensor `t` of `circuit`."""
     loops = circuit.loop_labels
-    for _ in loops:  # contract each pair axis with the four outcome bras
-        t = np.tensordot(t, _PAIR_BRAS, axes=(0, 1))
-    amps = np.ascontiguousarray(np.moveaxis(t, 0, -1)).reshape(4 ** len(loops), -1)
+    m = len(loops)
+    # (externals, loop bits, reference bits) -> (ref_1, loop_1, ..., ref_m, loop_m, externals)
+    t = t.reshape((-1,) + (2,) * (2 * m))
+    t = t.transpose([a for q in range(1, m + 1) for a in (q + m, q)] + [0])
+    for _ in loops:  # contract the leading pair axis with the four outcome bras, append them
+        t = t.reshape(4, -1).T @ _PAIR_BRAS.T
+    amps = np.ascontiguousarray(t.reshape(-1, 4**m).T)
     weights = (amps.real**2 + amps.imag**2).sum(axis=1)
-    combos = functools.partial(itertools.product, PAIR_LABELS, repeat=len(loops))
+    combos = functools.partial(itertools.product, PAIR_LABELS, repeat=m)
     return ProjectionSet(amps, weights, lambda: map(",".join, combos()), loops,
                          circuit.external_labels)
 

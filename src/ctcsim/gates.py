@@ -3,7 +3,8 @@
 All rotations use the real determinant-one convention
 ROT(theta) = [[cos, -sin], [sin, cos]], so ROT(pi/2)|0> = |1>.  Controlled
 variants put the controls on the leading (most significant) targets and apply
-the same block to the last qubit.
+the same block to the last qubit; `make_gate` records their number in
+`Gate.controls`, so the gate kernel touches only the all-controls-on slice.
 """
 
 from __future__ import annotations
@@ -42,21 +43,22 @@ def _controlled(block, n_controls):
     return mat
 
 
-# kind -> (arity, parameter names in positional order, matrix builder)
+# kind -> (arity, controls, parameter names in positional order, block builder); a
+# gate with c controls is the block on the all-controls-on subspace of its targets
 _VOCAB = {
-    "X": (1, (), lambda: _X),
-    "Z": (1, (), lambda: _Z),
-    "H": (1, (), lambda: _H),
-    "ROT": (1, ("theta",), _rot),
-    "PHASE": (1, ("xi",), _phase),
-    "SWAP": (2, (), lambda: _SWAP),
-    "CX": (2, (), lambda: _controlled(_X, 1)),
-    "CZ": (2, (), lambda: _controlled(_Z, 1)),
-    "CROT": (2, ("theta",), lambda th: _controlled(_rot(th), 1)),
-    "CPHASE": (2, ("xi",), lambda xi: _controlled(_phase(xi), 1)),
-    "CCROT": (3, ("theta",), lambda th: _controlled(_rot(th), 2)),
-    "TOFFOLI": (3, (), lambda: _controlled(_X, 2)),
-    "CCCROT": (4, ("theta",), lambda th: _controlled(_rot(th), 3)),
+    "X": (1, 0, (), lambda: _X),
+    "Z": (1, 0, (), lambda: _Z),
+    "H": (1, 0, (), lambda: _H),
+    "ROT": (1, 0, ("theta",), _rot),
+    "PHASE": (1, 0, ("xi",), _phase),
+    "SWAP": (2, 0, (), lambda: _SWAP),
+    "CX": (2, 1, (), lambda: _X),
+    "CZ": (2, 1, (), lambda: _Z),
+    "CROT": (2, 1, ("theta",), _rot),
+    "CPHASE": (2, 1, ("xi",), _phase),
+    "CCROT": (3, 2, ("theta",), _rot),
+    "TOFFOLI": (3, 2, (), lambda: _X),
+    "CCCROT": (4, 3, ("theta",), _rot),
 }
 
 
@@ -65,18 +67,24 @@ def param_names(kind):
     kind = str(kind).upper()
     if kind not in _VOCAB:
         raise ConfigError("unknown gate kind %r" % (kind,))
-    return _VOCAB[kind][1]
+    return _VOCAB[kind][2]
 
 
 @dataclass(frozen=True)
 class Gate:
-    """A gate bound to circuit channels (controls listed first)."""
+    """A gate bound to circuit channels (controls listed first).
+
+    `controls` counts the leading targets on which `matrix` is the identity
+    outside its all-controls-on block; the gate kernel then applies only that
+    block, to that slice.  0, the default, is always correct.
+    """
 
     kind: str
     targets: tuple
     params: tuple = ()
     matrix: np.ndarray = field(default=None, repr=False)
     unitary: bool = True
+    controls: int = 0
 
 
 def make_gate(kind, targets, params=(), matrix=None):
@@ -117,7 +125,7 @@ def make_gate(kind, targets, params=(), matrix=None):
         return Gate(kind, targets, params, matrix, unitary)
 
     names = param_names(kind)
-    arity, _, builder = _VOCAB[kind]
+    arity, controls, _, builder = _VOCAB[kind]
     if len(targets) != arity:
         raise ArityError(
             "%s acts on %d qubits, got %d targets" % (kind, arity, len(targets))
@@ -126,4 +134,7 @@ def make_gate(kind, targets, params=(), matrix=None):
         raise ConfigError(
             "%s takes %d parameter(s), got %d" % (kind, len(names), len(params))
         )
-    return Gate(kind, targets, params, builder(*params), True)
+    matrix = builder(*params)
+    if controls:
+        matrix = _controlled(matrix, controls)
+    return Gate(kind, targets, params, matrix, True, controls)

@@ -134,34 +134,51 @@ class DensityOperator:
 
 
 def apply_gates(state, gates):
-    """Apply (matrix, targets) pairs in order to `state`: the one gate kernel.
+    """Apply (matrix, targets, controls) triples in order to `state`: the one gate kernel.
 
     `targets` orders the qubits a 2^k x 2^k matrix acts on, most significant
-    first (controls first); the matrix need not be unitary.  Each gate is a
-    transpose, matmul and transpose back on one raw (2,)*n array.  The result
-    is wrapped in a PureState once, so its label and finiteness checks (an
-    overflow included) run once per call, not once per gate.
+    first; the matrix need not be unitary.  `controls` counts the leading
+    targets on which the matrix is the identity outside its trailing
+    2^(k - controls) block (0 is always correct).  The kernel keeps one raw
+    (2,)*n array and tracks which qubit each of its axes holds, so no gate
+    transposes back.  A gate without controls gathers its targets to the front
+    and multiplies out of place; they stay in front.  A controlled gate
+    multiplies only its block, in place, on the view where every control is 1,
+    of a private copy: the caller's amplitudes are never written.  Axes no gate
+    touches keep their order, so trailing ones (the reference qubits of the
+    engine's start state) move in contiguous runs.  One transpose at the end
+    restores label order, and the result is wrapped in a PureState once, so its
+    label and finiteness checks (an overflow included) run once per call.
     """
     n = state.n_qubits
     t = state.amps.reshape((2,) * n)
+    order, private = list(range(n)), False  # order[p]: the label axis that axis p holds
     with np.errstate(over="ignore", invalid="ignore"):  # the wrap below catches overflow
-        for matrix, targets in gates:
+        for matrix, targets, controls in gates:
             matrix, k = np.asarray(matrix, dtype=complex), len(targets)
             if matrix.shape != (2**k, 2**k):
                 raise LabelError("matrix shape %r does not act on %d qubits"
                                  % (matrix.shape, k))
             if len(set(targets)) != k:
                 raise LabelCollision("repeated gate target in %r" % (targets,))
-            perm = [state.axis(label) for label in targets]
-            perm += [i for i in range(n) if i not in perm]
-            t = matrix @ t.transpose(perm).reshape(2**k, -1)
-            t = t.reshape((2,) * n).transpose(sorted(range(n), key=perm.__getitem__))
-    return PureState(t.reshape(-1), state.labels)
+            perm = [order.index(state.axis(label)) for label in targets]
+            perm += [p for p in range(n) if p not in perm]
+            if controls:
+                if not private:
+                    t, private = t.copy(), True
+                b = 2 ** (k - controls)
+                view = t.transpose(perm)[(1,) * controls]  # block targets lead
+                view[...] = (matrix[-b:, -b:] @ view.reshape(b, -1)).reshape(view.shape)
+            else:
+                t = (matrix @ t.transpose(perm).reshape(2**k, -1)).reshape((2,) * n)
+                order, private = [order[p] for p in perm], True
+    return PureState(t.transpose(sorted(range(n), key=order.__getitem__)).reshape(-1),
+                     state.labels)
 
 
 def apply_gate(state, matrix, targets):
     """Apply one 2^k x 2^k matrix to the `targets` qubits of `state` (see apply_gates)."""
-    return apply_gates(state, [(matrix, targets)])
+    return apply_gates(state, [(matrix, targets, 0)])
 
 
 def project(state, bra, subset=None):

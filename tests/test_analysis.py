@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,32 @@ def test_skew_factor_rejects_what_the_model_run_rejects(model, message):
 def test_compose_skew_rejects_nan_factors(omegas):
     with pytest.raises(cs.ConfigError, match="skew factors are >= 1"):
         cs.compose_skew(omegas)
+
+
+_Z_OP, _PLUS, _ZERO = np.diag([1.0, -1.0]), np.array([1.0, 1.0]) / math.sqrt(2), [1.0, 0.0]
+# every closed form that takes a skew factor, called with a sound value for the rest
+SKEW_FORMS = {
+    "boosted_success": lambda omega: cs.boosted_success(0.3, omega),
+    "povm_inconclusive": lambda omega: cs.povm_inconclusive(0.3, omega),
+    "discrimination_stats": lambda omega: cs.discrimination_stats(0.5, 0.2, omega),
+    "entropy_skew": lambda omega: cs.entropy_skew(0.3, 0.5, omega),
+    "entropy_skew_max": lambda omega: cs.entropy_skew_max(omega),
+    "szilard_work": lambda omega: cs.szilard_work(0.3, omega),
+    "weak_average": lambda omega: cs.weak_average(_Z_OP, _PLUS, _ZERO, omega),
+}
+
+
+@pytest.mark.parametrize("omega", [math.nan, -2.0, -1.0, 0.5], ids=["nan", "-2", "-1", "0.5"])
+@pytest.mark.parametrize("form", SKEW_FORMS, ids=list(SKEW_FORMS))
+def test_every_skew_form_rejects_what_compose_skew_rejects(form, omega):
+    # once nan, a negative probability, a bare ValueError or a RuntimeWarning
+    with pytest.raises(cs.ConfigError, match="skew factors are >= 1"):
+        cs.compose_skew([omega])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        with pytest.raises(cs.ConfigError, match="skew factors are >= 1"):
+            SKEW_FORMS[form](omega)
+    SKEW_FORMS[form](1.0)  # the unskewed channel is a skew factor
 
 
 @settings(max_examples=50, deadline=None)

@@ -62,10 +62,20 @@ def test_projection_weights_complete_with_two_loops(theta):
     assert table.total_weight == pytest.approx(1.0, abs=1e-10)
 
 
-# (kind, arity, parameter count)
-RANDOM_GATES = (("H", 1, 0), ("ROT", 1, 1), ("PHASE", 1, 1), ("CX", 2, 0),
-                ("CROT", 2, 1), ("CPHASE", 2, 1), ("SWAP", 2, 0),
-                ("CCROT", 3, 1), ("TOFFOLI", 3, 0))
+def haar_unitary(rng, d=2):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# (kind, arity, parameter count, CUSTOM matrix): 0 to 3 controls, and CUSTOM gates,
+# which the kernel applies densely, one of them not unitary
+RANDOM_GATES = (("X", 1, 0, None), ("Z", 1, 0, None), ("H", 1, 0, None), ("ROT", 1, 1, None),
+                ("PHASE", 1, 1, None), ("CX", 2, 0, None), ("CZ", 2, 0, None),
+                ("CROT", 2, 1, None), ("CPHASE", 2, 1, None), ("SWAP", 2, 0, None),
+                ("CCROT", 3, 1, None), ("TOFFOLI", 3, 0, None), ("CCCROT", 4, 1, None),
+                ("CUSTOM", 2, 0, haar_unitary(np.random.default_rng(7), 4)),
+                ("CUSTOM", 1, 0, 0.9 * np.array([[0, 1], [1, 0]]) + 0.1 * np.eye(2)))
 
 
 def random_circuit(seed, n_loops, n_ext, n_gates=12):
@@ -81,9 +91,9 @@ def random_circuit(seed, n_loops, n_ext, n_gates=12):
     kinds = [g for g in RANDOM_GATES if g[1] <= len(labels)]
     gates = []
     for _ in range(n_gates):
-        kind, arity, n_params = kinds[rng.integers(len(kinds))]
+        kind, arity, n_params, matrix = kinds[rng.integers(len(kinds))]
         targets = tuple(rng.choice(labels, size=arity, replace=False))
-        gates.append(make_gate(kind, targets,
+        gates.append(make_gate(kind, targets, matrix=matrix,
                                params=tuple(rng.uniform(-math.pi, math.pi, n_params))))
     return build_circuit(channels, gates)
 
@@ -133,8 +143,11 @@ def test_history_tensor_matches_per_eigenstate_evolution(seed, n_loops, n_ext):
         assert histories[key].labels == ref.labels
         assert np.max(np.abs(histories[key].amps - ref.amps)) <= 1e-12
     table = cs.projection_table(circuit)
-    assert table.total_weight == pytest.approx(1.0, abs=1e-12)
     table_ref = table_by_projection(circuit)
+    # the weights resolve the identity exactly when every gate is unitary
+    total = 1.0 if all(g.unitary for g in circuit.gates) else \
+        sum(ref.norm**2 for ref in table_ref.values())
+    assert table.total_weight == pytest.approx(total, abs=1e-12)
     assert len(table.entries) == len(table_ref) == 4**n_loops
     for entry in table.entries:
         ref = table_ref[entry.label]
@@ -304,12 +317,6 @@ def test_noisy_model_matches_werner_projection_of_density_matrix(seed, n_loops, 
     r = cs.run_noisy_bell(circuit, lam)
     assert r.z == pytest.approx(z, rel=1e-12, abs=1e-14)
     assert np.max(np.abs(r.rho.mat - rho)) <= 1e-10
-
-
-def haar_unitary(rng):
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def conjugate_loop(circuit, label, v):
@@ -557,29 +564,43 @@ def test_models_sharing_a_contraction_agree(seed, n_loops):
     classical(k=0), with or without the floor, and (from two loops on) the
     delta weight matrix weigh the diagonal histories 1, and quad mixes delta
     and flat; noisy_bell(0) keeps only the matched row, through _mix rather
-    than one outer product.
+    than one outer product.  A setting is a paradox exactly when its partner is.
     """
     circuit = random_circuit(seed, n_loops, seed % 4)
 
+    def run(fn, *args, **kwargs):
+        try:
+            return fn(circuit, *args, **kwargs)
+        except cs.ParadoxError:  # e.g. an X on a loop: no consistent history survives
+            return None
+
     def same(r, s):
-        assert r.z == s.z
-        assert np.array_equal(r.rho.mat, s.rho.mat)
+        assert (r is None) == (s is None)
+        if r is not None:
+            assert r.z == s.z
+            assert np.array_equal(r.rho.mat, s.rho.mat)
 
     flat = cs.run_weight_matrix(circuit, "flat")
     same(cs.run_classical(circuit, 0.5), flat)
-    sharp = cs.run_classical(circuit, 0.0)
-    floored = cs.run_classical(circuit, 0.0, floor=True)
+    sharp = run(cs.run_classical, 0.0)
+    floored = run(cs.run_classical, 0.0, floor=True)
     same(floored, sharp)
-    assert np.array_equal(floored.rho_loop.mat, sharp.rho_loop.mat)
+    if sharp is not None:
+        assert np.array_equal(floored.rho_loop.mat, sharp.rho_loop.mat)
     if n_loops >= 2:
-        delta, quad = (cs.run_weight_matrix(circuit, w) for w in ("delta", "quad"))
+        delta, quad = run(cs.run_weight_matrix, "delta"), cs.run_weight_matrix(circuit, "quad")
         same(sharp, delta)
         d = 2**n_loops
-        mix = (2 * delta.z * delta.rho.mat + d * flat.z * flat.rho.mat) / (d + 2)
-        assert np.abs(quad.z * quad.rho.mat - mix).max() <= 4.4e-16
-    exact, noisy = cs.run_exact_bell(circuit), cs.run_noisy_bell(circuit, 0.0)
-    assert abs(noisy.z - exact.z) <= 2.2e-16
-    assert np.abs(noisy.rho.mat - exact.rho.mat).max() <= 2.2e-16
+        delta_num = 0.0 if delta is None else delta.z * delta.rho.mat
+        mix = (2 * delta_num + d * flat.z * flat.rho.mat) / (d + 2)
+        # rounding of entries of up to the delta Z (2.0 at seed 6)
+        scale = max(1.0, 0.0 if delta is None else delta.z)
+        assert np.abs(quad.z * quad.rho.mat - mix).max() <= 4.4e-16 * scale
+    exact, noisy = run(cs.run_exact_bell), run(cs.run_noisy_bell, 0.0)
+    assert (exact is None) == (noisy is None)
+    if exact is not None:
+        assert abs(noisy.z - exact.z) <= 2.2e-16
+        assert np.abs(noisy.rho.mat - exact.rho.mat).max() <= 2.2e-16
 
 
 @settings(max_examples=20, deadline=None)

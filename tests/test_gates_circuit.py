@@ -9,6 +9,7 @@ from ctcsim import (Channel, ConfigError, build_circuit, compile_unitary, make_g
 from ctcsim.circuit import Circuit, evolve, with_init
 from ctcsim.errors import ArityError, LabelCollision, LabelError
 from ctcsim.gates import Gate
+from ctcsim.states import PureState, apply_gates
 
 SQ2 = 2**-0.5
 
@@ -194,6 +195,62 @@ def test_kernel_reports_an_overflowing_gate_as_one_config_error():
         warnings.simplefilter("error")  # a numpy overflow warning fails the test
         with pytest.raises(ConfigError, match="^non-finite amplitude$"):
             run_exact_bell(circuit)
+
+
+@pytest.mark.parametrize("kind, controls", [
+    ("X", 0), ("Z", 0), ("H", 0), ("ROT", 0), ("PHASE", 0), ("SWAP", 0), ("CX", 1), ("CZ", 1),
+    ("CROT", 1), ("CPHASE", 1), ("CCROT", 2), ("TOFFOLI", 2), ("CCCROT", 3), ("CUSTOM", 0)])
+def test_make_gate_records_the_controls_of_its_matrix(kind, controls):
+    arity = {"SWAP": 2, "CCROT": 3, "TOFFOLI": 3, "CCCROT": 4}.get(kind, 1 + kind.startswith("C"))
+    matrix = np.eye(2**arity) if kind == "CUSTOM" else None
+    params = (0.3,) * ("ROT" in kind or "PHASE" in kind)
+    gate = make_gate(kind, "abcd"[:arity], params, matrix=matrix)
+    assert gate.controls == controls
+    b = 2 ** (arity - controls)  # identity outside the trailing block
+    assert np.array_equal(gate.matrix[:-b, :-b], np.eye(2**arity - b))
+    assert not gate.matrix[:-b, -b:].any() and not gate.matrix[-b:, :-b].any()
+
+
+def test_kernel_leaves_the_callers_amplitudes_alone_under_a_leading_controlled_gate():
+    state = PureState(np.full(8, 8**-0.5, dtype=complex), ("a", "b", "c"))
+    before = state.amps.copy()
+    gates = [make_gate("CZ", ("a", "c")), make_gate("TOFFOLI", ("c", "b", "a"))]
+    out = apply_gates(state, [(g.matrix, g.targets, g.controls) for g in gates])
+    assert np.array_equal(state.amps, before)
+    assert not np.shares_memory(out.amps, state.amps)
+    # CZ negates |101> and |111>; the Toffoli on c, b swaps |011> and |111>
+    assert np.array_equal(out.amps, 8**-0.5 * np.array([1, 1, 1, -1, 1, -1, 1, 1]))
+
+
+def test_kernel_evolves_a_directly_built_gate_as_its_matrix_says():
+    # named like CX but neither controlled nor unitary: controls defaults to 0,
+    # so the kernel applies the whole matrix and reads nothing into the kind
+    matrix = np.random.default_rng(5).normal(size=(4, 4)) + 0.5j
+    gate = Gate("CX", ("b", "a"), matrix=matrix)
+    circuit = Circuit((Channel("a", init=(0.6, 0.8)), Channel("b", init=(SQ2, -SQ2))),
+                      (make_gate("H", ("a",)), gate, make_gate("CX", ("a", "b"))))
+    out = evolve(circuit.initial_external_state(), circuit)
+    expected = compile_unitary(circuit) @ np.kron([0.6, 0.8], [SQ2, -SQ2])
+    assert gate.controls == 0
+    assert np.max(np.abs(out.amps - expected)) <= 1e-15
+
+
+def test_kernel_reports_an_overflowing_controlled_gate_as_one_config_error():
+    """The in-place path of a controlled gate is checked by the same final wrap."""
+    grow = Gate("CBIG", ("a", "tm"), matrix=np.diag([1, 1, 1e150, 1e150]), controls=1)
+    circuit = Circuit((Channel("tm", looped=True), Channel("a", init=(0.0, 1.0))), (grow,) * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        with pytest.raises(ConfigError, match="^non-finite amplitude$"):
+            run_exact_bell(circuit)
+
+
+def test_a_directly_built_entangled_group_of_the_wrong_length_is_a_label_error():
+    circuit = Circuit((Channel("tm", looped=True), Channel("a"), Channel("b")),
+                      entangled=((("a", "b"), (1.0, 0.0)),))
+    for call in (circuit.initial_external_state, lambda: run_exact_bell(circuit)):
+        with pytest.raises(LabelError, match="length 2 does not fit 2 labeled qubits"):
+            call()
 
 
 # input states ------------------------------------------------------------------
