@@ -15,11 +15,10 @@ import math
 
 import numpy as np
 
-from .circuit import with_init
-from .engine import (_DELTA_FORM, Classical, ExactBell, NoisyBell, _check_grid, _hermitian,
-                     _unit_interval)
+from .circuit import with_reference
+from .engine import _DELTA_FORM, Classical, ExactBell, NoisyBell, _check_grid, _hermitian
 from .errors import ConfigError, InfiniteSkew, LabelError, ParadoxError
-from .states import DensityOperator
+from .states import DensityOperator, partial_trace
 
 
 def skew_factor(model):
@@ -30,12 +29,12 @@ def skew_factor(model):
     with InfiniteSkew; a parameter the model's run rejects is a ConfigError.
     """
     if isinstance(model, NoisyBell):
-        lam = _unit_interval(model.lam, "noise parameter lam")
+        lam = model._params(None)
         if lam == 0.0:
             raise InfiniteSkew("noiseless pair projection has unbounded skew")
         return 4.0 / lam - 3.0
     if isinstance(model, Classical):
-        k = _unit_interval(model.k, "flip rate k")
+        k = model._params(None)
         if k == 0.0:
             raise InfiniteSkew("error-free classical channel has unbounded skew")
         return 1.0 / k - 1.0
@@ -249,36 +248,27 @@ def input_bias(circuit, channel, model, nodes=64):
 
     The exact average of the channel's input |psi><psi| over the flat measure
     (polar angle on [0, pi], phase on [0, 2*pi]), weighted by the model's
-    acceptance rate Z(psi); inputs that make the circuit a paradox weigh 0, and
-    when every input does, ParadoxError.  An unbiased channel gives I/2.  `nodes`
-    names a nodes x nodes grid, exact on every count it takes (3 to 1024); a bad
-    count is a ConfigError before any model run.
+    acceptance rate Z(psi); an unbiased channel gives I/2.  `nodes` names a
+    nodes x nodes grid, exact on every count it takes (3 to 1024); a bad count
+    is a ConfigError before any model run.
 
     Z(psi) = psi^dagger M psi, as the circuit is linear in psi and every Z is a
-    weighted sum of squared norms: runs on |0>, |1>, |+> and |+i> fix the 2x2
-    form M, and the average is M contracted with the moments _DELTA_FORM.
+    weighted sum of squared norms.  One run, with the channel in a Bell pair with
+    a fresh reference qubit (circuit.with_reference), fixes M = 2 Z rho_ref^T; when
+    it is a paradox, so is every input.  M is contracted with the moments _DELTA_FORM.
     """
     _check_grid(nodes, nodes)
-    h = 2**-0.5
-    z0, z1, zp, zi = (_acceptance(circuit, channel, model, amps)
-                      for amps in ((1, 0), (0, 1), (h, h), (h, 1j * h)))
-    # Z(a|0> + b|1>) = z0 |a|^2 + z1 |b|^2 + 2 Re(conj(a) b m01)
-    m01 = zp - (z0 + z1) / 2 - 1j * (zi - (z0 + z1) / 2)
-    form = np.array([[z0, m01], [np.conj(m01), z1]])
+    probe = with_reference(circuit, channel)
+    try:
+        result = model.run(probe)
+    except ParadoxError:
+        raise ParadoxError("every input state of channel %r is a paradox"
+                           % (channel,)) from None
+    # rho_ref^T is M up to the factor 2 Z, which the normalization below drops
+    form = partial_trace(result.rho, probe.external_labels[-1:]).mat.T
     # as (2, 2, 2, 2), _DELTA_FORM holds the moments int c_a c_b* c_c* c_d
     num = _hermitian((_DELTA_FORM @ form.reshape(-1)).reshape(2, 2))
-    den = np.trace(num).real
-    if den == 0.0:
-        raise ParadoxError("every input state of channel %r is a paradox" % (channel,))
-    return DensityOperator(num / den, (channel,))
-
-
-def _acceptance(circuit, channel, model, amps):
-    """Z of the circuit with `channel` started in `amps`; 0 for a paradox."""
-    try:
-        return model.run(with_init(circuit, channel, amps)).z
-    except ParadoxError:
-        return 0.0
+    return DensityOperator(num / np.trace(num).real, (channel,))
 
 
 def _check_skew(omega):

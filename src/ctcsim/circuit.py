@@ -170,6 +170,27 @@ def with_init(circuit, label, init):
     return Circuit(channels, circuit.gates, circuit.entangled)
 
 
+class _Reference(Channel):
+    """A reference qubit as an external channel: its label ends in REF_SUFFIX."""
+
+    def __post_init__(self):
+        pass
+
+
+def with_reference(circuit, label):
+    """Copy of the circuit with external `label` in a Bell pair with a fresh qubit
+    "<label>.ref", declared last and touched by no gate; past MAX_QUBITS, UnsupportedError."""
+    base = with_init(circuit, label, None)  # refuses a looped or grouped label
+    ref = label + REF_SUFFIX
+    n_total = len(base.channels) + len(base.loop_labels) + 1
+    if n_total > MAX_QUBITS:
+        raise UnsupportedError("reference qubit %r of channel %r makes %d qubits with "
+                               "reference partners, cap is %d"
+                               % (ref, label, n_total, MAX_QUBITS))
+    return Circuit((*base.channels, _Reference(ref)), base.gates,
+                   (*base.entangled, ((label, ref), (2**-0.5, 0.0, 0.0, 2**-0.5))))
+
+
 def compile_unitary(circuit):
     """Full operator of the gate list over the declared channels.
 

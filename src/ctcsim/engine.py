@@ -37,10 +37,12 @@ and a controlled gate acts only on its control-on slice.  The kernel checks
 labels and finiteness once, on the evolved state; `circuit.compile_unitary`
 shares none of it and stays the independent oracle.  Each model is then one
 contraction of these arrays into a weighted, unnormalized operator on the
-externals.  Every runner, the loop-free `run_conditional` included, finishes in
-`_post_select`: Z is its trace, Z (exact model: the survival amplitude) below
-the tolerance is a paradox in the model's own words with its own pair table,
-and rho and rho_loop are divided by Z.
+externals, a descriptor's `contract(circuit, pairs, tol)` of the tensor it is
+handed, so models share an evolution; `run` (and so each `run_*`) checks the
+parameters, then evolves once and contracts.  Every runner, the loop-free
+`run_conditional` included, finishes in `_post_select`: Z is its trace, Z
+(exact model: the survival amplitude) below the tolerance is a paradox in the
+model's own words with its own pair table, and rho and rho_loop are divided by Z.
 
 Z conventions: exact/noisy values include the 2^-m normalization of the m
 reference pairs; weight-matrix weights are normalized to sum d except for the
@@ -303,23 +305,19 @@ def run_exact_bell(circuit, tol=None, pair_states=None):
             k = chi.reshape(2, 2).T / _SQ2
             before.append(make_gate("CUSTOM", (label,), matrix=k))
             after.append(make_gate("CUSTOM", (label,), matrix=k.conj().T))
-    table = projection_table(
-        replace(circuit, gates=(*before, *circuit.gates, *after)) if before else circuit)
-    matched = table.amps[0]  # the all-"B" row
+    if not before:
+        return ExactBell().run(circuit, tol)
+    return _exact(circuit, projection_table(
+        replace(circuit, gates=(*before, *circuit.gates, *after))), tol, None)
+
+
+def _exact(circuit, table, tol, reported):
+    """The exact model on a pair table: its all-"B" row; `reported` is the table it reports."""
+    matched = table.amps[0]
     return _post_select(
         circuit, "exact_bell", np.outer(matched, matched.conj()), tol,
         "matched-pair amplitude %(n).3e below tolerance %(tol).3e: no consistent history",
-        None if before else table, n=float(np.linalg.norm(matched)))
-
-
-def run_noisy_bell(circuit, lam, tol=None):
-    """Depolarized pair projection: mix all 4^m outcomes with product weights."""
-    lam = _unit_interval(lam, "noise parameter lam")
-    table = projection_table(circuit)
-    per_pair = np.array([1.0 - 0.75 * lam] + [0.25 * lam] * 3)
-    w = functools.reduce(np.kron, [per_pair] * len(table.channel_order))
-    return _post_select(circuit, "noisy_bell", _mix(table.amps, w), tol,
-                        "acceptance rate %(z).3e below tolerance", table, lam=lam)
+        reported, n=float(np.linalg.norm(matched)))
 
 
 def loop_histories(circuit):
@@ -332,43 +330,6 @@ def loop_histories(circuit):
     a, ext = _history_tensor(_evolved_pairs(circuit)), circuit.external_labels
     d = len(a)
     return {(i, j): PureState(a[i, j], ext) for i in range(d) for j in range(d)}, d
-
-
-def run_classical(circuit, k, floor=False, tol=None):
-    """Classical loop register with bit-flip error rate k.
-
-    floor=False: every (emerging, entering) history (i, j) gets weight
-    (1-k)^(#preserved bits) * k^(#flipped bits).  floor=True: only diagonal
-    histories carry signal weight (1-k), plus a flat floor k/d of random
-    reemission per eigenstate (external register traced over the entering
-    state), the convention some closed forms in the catalog use.
-    At k = 1/2 (floor=False) the channel is fully unskewed: Z is independent
-    of every external input.
-    """
-    k = _unit_interval(k, "flip rate k")
-    loops, pairs = circuit.loop_labels, _evolved_pairs(circuit)
-    a = _history_tensor(pairs)
-    d = len(a)
-    rows = a.reshape(d * d, -1)
-    if floor:
-        # The k/d term is an unconditional random reemission: the loop comes
-        # out in |j> regardless of history, so the external register sees the
-        # circuit with the entering state traced out rather than matched.
-        w = (1.0 - k) * np.eye(d) + k / d
-    else:
-        flip = np.array([[1.0 - k, k], [k, 1.0 - k]])
-        w = functools.reduce(np.kron, [flip] * len(loops))
-    hist = w * (a.real**2 + a.imag**2).sum(axis=2)  # weighted history norms
-    result = _post_select(circuit, "classical", _mix(rows, w.reshape(-1)), tol,
-                          "classical acceptance rate %(z).3e below tolerance", pairs=pairs,
-                          loop=np.diag(hist.sum(axis=1)), k=k, floor=bool(floor))
-    # the history table rides on the result, the pair table on a paradox;
-    # floor=True reports each diagonal history with the weight of its whole row
-    keep = np.arange(d) * (d + 1) if floor else np.arange(d * d)
-    weights = hist.sum(axis=1) if floor else hist.reshape(-1)
-    return replace(result, projections=ProjectionSet(
-        rows[keep], weights, lambda: ("%d|%d" % divmod(i, d) for i in keep), loops,
-        circuit.external_labels))
 
 
 _MAX_GRID_NODES = 2**20  # largest n_theta * n_xi of a flat-measure grid
@@ -385,65 +346,14 @@ _DELTA_KERNEL = np.reshape([np.pi**2 / 8.0 * (5, 0, 1, 0, 1, 0, 5)[sum(f)]
 _DELTA_FORM.flags.writeable = _DELTA_KERNEL.flags.writeable = False
 
 
-def _builtin_omega(name, d):
+def _builtin_omega(name, d):  # as weights over the d*d histories
     if name == "flat":
-        return np.full((d, d), 1.0 / d)
+        return np.full(d * d, 1.0 / d)
     if name == "quad":
-        return (2.0 * np.eye(d) + 1.0) / (d + 2.0)
+        return ((2.0 * np.eye(d) + 1.0) / (d + 2.0)).reshape(-1)
     if name == "delta":
-        return np.eye(d)
+        return np.eye(d).reshape(-1)
     raise ConfigError("unknown weight-matrix built-in %r" % (name,))
-
-
-def run_weight_matrix(circuit, omega="flat", tol=None):
-    """Eigenstate-history channel with a weight matrix over history pairs.
-
-    omega[i, j] weighs the history "loop emerges as e_i, returns as e_j".
-    Built-ins: "flat" (all histories equal), "quad" (diagonal weighted 3:1),
-    "delta" (diagonal only).  Custom matrices are normalized to sum d.
-
-    The delta built-in on a single loop qubit uses the closed form of the
-    continuous flat-measure boundary integral, which keeps the coherent cross
-    terms between diagonal histories; its Z and rho match run_delta_quadrature
-    exactly (measure constant 1).  On larger loop registers delta falls back
-    to the incoherent diagonal sum.
-    """
-    pairs = _evolved_pairs(circuit)
-    a = _history_tensor(pairs)
-    d = len(a)
-    name = omega if isinstance(omega, str) else "custom"
-    coherent_delta = name == "delta" and d == 2
-    if isinstance(omega, str):
-        mat = _builtin_omega(omega, d)
-    else:
-        try:
-            mat = np.asarray(omega, dtype=complex)  # a float cast would drop imaginary parts
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError("weight matrix entries must be real numbers") from None
-        if mat.shape != (d, d):
-            raise ConfigError("weight matrix must be %d x %d" % (d, d))
-        if not np.isfinite(mat).all():
-            raise ConfigError("weight matrix entries must be finite")
-        if mat.imag.any():
-            raise ConfigError("weight matrix entries must be real numbers")
-        mat = mat.real
-        if np.any(mat < 0):
-            raise ConfigError("weight matrix entries must be nonnegative")
-        # scaling by a power of two is exact and keeps the sum from overflowing
-        mat = np.ldexp(mat, -np.frexp(mat.max())[1])
-        total = mat.sum()
-        if total <= 0:
-            raise ConfigError("weight matrix must have positive total weight")
-        mat = mat * (d / total)
-
-    if coherent_delta:
-        num = _mix(a.reshape(4, -1), _DELTA_FORM)
-    else:
-        num = _mix(a.reshape(d * d, -1), mat.reshape(-1))
-    return _post_select(circuit, "weight_matrix", num, tol,
-                        "weighted acceptance rate %(z).3e below tolerance", pairs=pairs,
-                        omega=name, coherent_delta=coherent_delta,
-                        quadrature_measure_constant=1.0 if coherent_delta else None)
 
 
 def _check_grid(n_theta, n_xi):
@@ -463,31 +373,6 @@ def _check_grid(n_theta, n_xi):
     if min(n_theta, n_xi) < 3:
         raise ConfigError("quadrature node counts must be at least 3 for an exact grid")
     return n_theta, n_xi
-
-
-def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
-    """Continuous boundary condition on a single loop qubit, integrated in closed form.
-
-    The loop emerges and returns as the same pure qubit state
-    |phi> = cos(theta)|0> + e^{i xi} sin(theta)|1>, integrated over the flat
-    measure.  Returns Z, the external density operator, and the loop-register
-    density operator rho_loop = Z^-1 * integral of w(phi) |phi><phi|: the exact
-    integrals, from _DELTA_FORM and _DELTA_KERNEL.  The node counts, checked
-    before the evolution, name a grid that is exact for Z and rho.
-    """
-    loops = _require_loops(circuit)
-    if len(loops) != 1:
-        raise UnsupportedError("the delta model integrates one looped qubit, not %d; use "
-                               "model weight_matrix with omega='delta'" % len(loops))
-    n_theta, n_xi = _check_grid(n_theta, n_xi)
-    pairs = _evolved_pairs(circuit)
-    rows = _history_tensor(pairs).reshape(4, -1)  # (emerge, enter) major
-    # the state rows.T @ coef has squared norm coef^T G conj(coef), G = rows rows^dagger
-    loop = _hermitian(np.einsum("abcd,cd->ab", _DELTA_KERNEL, rows @ rows.conj().T))
-    return _post_select(circuit, "delta_quadrature", _mix(rows, _DELTA_FORM), tol,
-                        "quadrature acceptance rate %(z).3e below tolerance", pairs=pairs,
-                        loop=loop, n_theta=n_theta, n_xi=n_xi,
-                        measure="flat theta-xi on [0, pi] x [0, 2*pi]")
 
 
 def run_conditional(circuit, condition, deselect, mode, tol=None):
@@ -560,55 +445,195 @@ class _Model:
     def describe(self):
         return {"name": self.name, **asdict(self)}
 
+    def _params(self, circuit):
+        return None
+
+    def run(self, circuit, tol=None):
+        self._params(circuit)
+        return self.contract(circuit, _evolved_pairs(circuit), tol)
+
 
 @dataclass(frozen=True)
 class ExactBell(_Model):
+    """Exact post-selection: keep only the matched-pair outcome."""
+
     type = name = "exact_bell"
 
-    def run(self, circuit, tol=None):
-        return run_exact_bell(circuit, tol=tol)
+    def contract(self, circuit, pairs, tol=None):
+        table = _pair_table(circuit, pairs)
+        return _exact(circuit, table, tol, table)
 
 
 @dataclass(frozen=True)
 class NoisyBell(_Model):
+    """Depolarized pair projection: mix all 4^m outcomes with product weights."""
+
     type = name = "noisy_bell"
     lam: float = field(metadata={"key": "lambda"})
 
-    def run(self, circuit, tol=None):
-        return run_noisy_bell(circuit, self.lam, tol=tol)
+    def _params(self, circuit):
+        return _unit_interval(self.lam, "noise parameter lam")
+
+    def contract(self, circuit, pairs, tol=None):
+        lam, table = self._params(circuit), _pair_table(circuit, pairs)
+        per_pair = np.array([1.0 - 0.75 * lam] + [0.25 * lam] * 3)
+        w = functools.reduce(np.kron, [per_pair] * len(table.channel_order))
+        return _post_select(circuit, "noisy_bell", _mix(table.amps, w), tol,
+                            "acceptance rate %(z).3e below tolerance", table, lam=lam)
 
 
 @dataclass(frozen=True)
 class Classical(_Model):
+    """Classical loop register with bit-flip error rate k.
+
+    floor=False: every (emerging, entering) history (i, j) gets weight
+    (1-k)^(#preserved bits) * k^(#flipped bits).  floor=True: only diagonal
+    histories carry signal weight (1-k), plus a flat floor k/d of random
+    reemission per eigenstate (external register traced over the entering
+    state), the convention some closed forms in the catalog use.
+    At k = 1/2 (floor=False) the channel is fully unskewed: Z is independent
+    of every external input.
+    """
+
     type = name = "classical"
     k: float
     floor: bool = False
 
-    def run(self, circuit, tol=None):
-        return run_classical(circuit, self.k, floor=self.floor, tol=tol)
+    def _params(self, circuit):
+        return _unit_interval(self.k, "flip rate k")
+
+    def contract(self, circuit, pairs, tol=None):
+        k, loops, floor = self._params(circuit), circuit.loop_labels, bool(self.floor)
+        a = _history_tensor(pairs)
+        d = len(a)
+        rows = a.reshape(d * d, -1)
+        if floor:
+            # The k/d term is an unconditional random reemission: the loop comes
+            # out in |j> regardless of history, so the external register sees the
+            # circuit with the entering state traced out rather than matched.
+            w = (1.0 - k) * np.eye(d) + k / d
+        else:
+            flip = np.array([[1.0 - k, k], [k, 1.0 - k]])
+            w = functools.reduce(np.kron, [flip] * len(loops))
+        hist = w * (a.real**2 + a.imag**2).sum(axis=2)  # weighted history norms
+        result = _post_select(circuit, "classical", _mix(rows, w.reshape(-1)), tol,
+                              "classical acceptance rate %(z).3e below tolerance",
+                              pairs=pairs, loop=np.diag(hist.sum(axis=1)), k=k, floor=floor)
+        # the history table rides on the result, the pair table on a paradox;
+        # floor=True reports each diagonal history with the weight of its whole row
+        keep = np.arange(d) * (d + 1) if floor else np.arange(d * d)
+        weights = hist.sum(axis=1) if floor else hist.reshape(-1)
+        return replace(result, projections=ProjectionSet(
+            rows[keep], weights, lambda: ("%d|%d" % divmod(i, d) for i in keep), loops,
+            circuit.external_labels))
 
 
 @dataclass(frozen=True)
 class WeightMatrix(_Model):
+    """Eigenstate-history channel with a weight matrix over history pairs.
+
+    omega[i, j] weighs the history "loop emerges as e_i, returns as e_j".
+    Built-ins: "flat" (all histories equal), "quad" (diagonal weighted 3:1),
+    "delta" (diagonal only).  Custom matrices are normalized to sum d.
+
+    The delta built-in on a single loop qubit uses the closed form of the
+    continuous flat-measure boundary integral, which keeps the coherent cross
+    terms between diagonal histories; its Z and rho match the delta model
+    exactly (measure constant 1).  On larger loop registers delta falls back
+    to the incoherent diagonal sum.
+    """
+
     type = name = "weight_matrix"
     omega: object = "flat"  # a built-in name or a d x d matrix
-
-    def run(self, circuit, tol=None):
-        return run_weight_matrix(circuit, self.omega, tol=tol)
 
     def describe(self):
         name = self.omega if isinstance(self.omega, str) else "custom"
         return {"name": self.name, "omega": name}
 
+    def _params(self, circuit):
+        """(name, form over the d*d histories for _mix) of omega, else ConfigError."""
+        d = 2 ** len(_require_loops(circuit))
+        if isinstance(self.omega, str):
+            coherent_delta = self.omega == "delta" and d == 2
+            return self.omega, _DELTA_FORM if coherent_delta else _builtin_omega(self.omega, d)
+        try:
+            mat = np.asarray(self.omega, dtype=complex)  # a float cast drops imaginary parts
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("weight matrix entries must be real numbers") from None
+        if mat.shape != (d, d):
+            raise ConfigError("weight matrix must be %d x %d" % (d, d))
+        if not np.isfinite(mat).all():
+            raise ConfigError("weight matrix entries must be finite")
+        if mat.imag.any():
+            raise ConfigError("weight matrix entries must be real numbers")
+        mat = mat.real
+        if np.any(mat < 0):
+            raise ConfigError("weight matrix entries must be nonnegative")
+        # scaling by a power of two is exact and keeps the sum from overflowing
+        mat = np.ldexp(mat, -np.frexp(mat.max())[1])
+        total = mat.sum()
+        if total <= 0:
+            raise ConfigError("weight matrix must have positive total weight")
+        return "custom", (mat * (d / total)).reshape(-1)
+
+    def contract(self, circuit, pairs, tol=None):
+        (name, form), a = self._params(circuit), _history_tensor(pairs)
+        coherent_delta = form is _DELTA_FORM
+        return _post_select(circuit, "weight_matrix", _mix(a.reshape(len(a)**2, -1), form), tol,
+                            "weighted acceptance rate %(z).3e below tolerance", pairs=pairs,
+                            omega=name, coherent_delta=coherent_delta,
+                            quadrature_measure_constant=1.0 if coherent_delta else None)
+
 
 @dataclass(frozen=True)
 class DeltaQuadrature(_Model):
+    """Continuous boundary condition on a single loop qubit, integrated in closed form.
+
+    The loop emerges and returns as the same pure qubit state
+    |phi> = cos(theta)|0> + e^{i xi} sin(theta)|1>, integrated over the flat
+    measure.  Returns Z, the external density operator, and the loop-register
+    density operator rho_loop = Z^-1 * integral of w(phi) |phi><phi|: the exact
+    integrals, from _DELTA_FORM and _DELTA_KERNEL.  The node counts name a grid
+    that is exact for Z and rho.
+    """
+
     type, name = "delta", "delta_quadrature"
     n_theta: int = field(default=64, metadata={"key": "nodes_theta"})
     n_xi: int = field(default=64, metadata={"key": "nodes_xi"})
 
-    def run(self, circuit, tol=None):
-        return run_delta_quadrature(circuit, self.n_theta, self.n_xi, tol=tol)
+    def _params(self, circuit):
+        loops = _require_loops(circuit)
+        if len(loops) != 1:
+            raise UnsupportedError("the delta model integrates one looped qubit, not %d; use "
+                                   "model weight_matrix with omega='delta'" % len(loops))
+        return _check_grid(self.n_theta, self.n_xi)
+
+    def contract(self, circuit, pairs, tol=None):
+        n_theta, n_xi = self._params(circuit)
+        rows = _history_tensor(pairs).reshape(4, -1)  # (emerge, enter) major
+        # the state rows.T @ coef has squared norm coef^T G conj(coef), G = rows rows^dagger
+        loop = _hermitian(np.einsum("abcd,cd->ab", _DELTA_KERNEL, rows @ rows.conj().T))
+        return _post_select(circuit, "delta_quadrature", _mix(rows, _DELTA_FORM), tol,
+                            "quadrature acceptance rate %(z).3e below tolerance", pairs=pairs,
+                            loop=loop, n_theta=n_theta, n_xi=n_xi,
+                            measure="flat theta-xi on [0, pi] x [0, 2*pi]")
+
+
+# the runners: each is its descriptor's run
+def run_noisy_bell(circuit, lam, tol=None):
+    return NoisyBell(lam).run(circuit, tol)
+
+
+def run_classical(circuit, k, floor=False, tol=None):
+    return Classical(k, floor).run(circuit, tol)
+
+
+def run_weight_matrix(circuit, omega="flat", tol=None):
+    return WeightMatrix(omega).run(circuit, tol)
+
+
+def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
+    return DeltaQuadrature(n_theta, n_xi).run(circuit, tol)
 
 
 # document type -> descriptor class

@@ -20,13 +20,13 @@ from .circuit import Channel, build_circuit, with_init
 from .engine import (
     Classical,
     DeltaQuadrature,
-    projection_table,
-    run_classical,
+    ExactBell,
+    NoisyBell,
+    WeightMatrix,
+    _evolved_pairs,
+    _pair_table,
     run_conditional,
-    run_delta_quadrature,
     run_exact_bell,
-    run_noisy_bell,
-    run_weight_matrix,
 )
 from .errors import ParadoxError, ScenarioNotFound
 from .gates import make_gate
@@ -301,6 +301,11 @@ def _b_tourist_trap(p):
 # expectation tables
 
 
+def _shared(checks):
+    """A registry check of `checks(p, c, t)`: its models contract t = _evolved_pairs(c)."""
+    return lambda p, c: checks(p, c, _evolved_pairs(c))
+
+
 def _records(model, result, tol=1e-12, **expected):
     """One `_rec` per keyword, in order; `rho` and `rho_loop` are read via `.mat`."""
     actual = {q: getattr(result, q) for q in expected}
@@ -308,28 +313,28 @@ def _records(model, result, tol=1e-12, **expected):
             for q, value in expected.items()]
 
 
-def _c_simple_loop(p, c):
+def _c_simple_loop(p, c, t):
     psi = _qubit(p["alpha"], p["beta"])
     pp = _proj(psi)
-    rec = _records("exact_bell", run_exact_bell(c), n=0.5, rho=pp)
-    rec += _records("noisy_bell(0.3)", run_noisy_bell(c, 0.3), z=0.25)
-    rd = run_delta_quadrature(c)
+    rec = _records("exact_bell", ExactBell().contract(c, t), n=0.5, rho=pp)
+    rec += _records("noisy_bell(0.3)", NoisyBell(0.3).contract(c, t), z=0.25)
+    rd = DeltaQuadrature().contract(c, t)
     rho_delta = (pp + np.diag(np.diag(pp)) + np.eye(2)) / 4.0
     rec += _records("delta", rd, 1e-8, z=math.pi**2, rho=rho_delta)
-    rec += _records("weight_matrix(delta)", run_weight_matrix(c, "delta"), 1e-8, z=rd.z)
+    rec += _records("weight_matrix(delta)", WeightMatrix("delta").contract(c, t), 1e-8, z=rd.z)
     k = 0.25
     rho_cl = 0.5 * k * np.eye(2) + (1 - k) * np.diag(np.abs(psi) ** 2)
-    return rec + _records("classical(0.25,floor)", run_classical(c, k, floor=True),
+    return rec + _records("classical(0.25,floor)", Classical(k, floor=True).contract(c, t),
                           z=1.0, rho=rho_cl)
 
 
-def _c_simple_loop_2q(p, c):
+def _c_simple_loop_2q(p, c, t):
     gamma = np.array([p["g00"], p["g01"], p["g10"], p["g11"]], dtype=complex)
     gamma = gamma / np.linalg.norm(gamma)
-    rec = _records("exact_bell", run_exact_bell(c), n=0.25, rho=_proj(gamma))
+    rec = _records("exact_bell", ExactBell().contract(c, t), n=0.25, rho=_proj(gamma))
     k = 0.3
     rho_cl = 0.25 * k * np.eye(4) + (1 - k) * np.diag(np.abs(gamma) ** 2)
-    return rec + _records("classical(0.3,floor)", run_classical(c, k, floor=True),
+    return rec + _records("classical(0.3,floor)", Classical(k, floor=True).contract(c, t),
                           z=1.0, rho=rho_cl)
 
 
@@ -346,21 +351,21 @@ def _c_twist_pair(p, c):
 
 
 def _c_grandfather(label):
-    def checks(p, c):
-        rec = [_paradox_rec("exact_bell", "paradox", lambda: run_exact_bell(c))]
-        table = projection_table(c)
+    def checks(p, c, t):
+        rec = [_paradox_rec("exact_bell", "paradox", lambda: ExactBell().contract(c, t))]
+        table = _pair_table(c, t)
         rec += [_rec("projection", "weight[%s]" % out, 1.0 if out == label else 0.0,
                      table[out].weight, 1e-12) for out in ("B", "-", "N", "-N")]
         lam = 0.2
-        return rec + _records("noisy_bell(0.2)", run_noisy_bell(c, lam), z=lam / 4.0)
+        return rec + _records("noisy_bell(0.2)", NoisyBell(lam).contract(c, t), z=lam / 4.0)
     return checks
 
 
-def _c_grandfather_not_extra(p, c):
-    rec = _c_grandfather("N")(p, c)
-    rec += _records("delta", run_delta_quadrature(c), 1e-8,
+def _c_grandfather_not_extra(p, c, t):
+    rec = _c_grandfather("N")(p, c, t)
+    rec += _records("delta", DeltaQuadrature().contract(c, t), 1e-8,
                     z=math.pi**2 / 2.0, rho_loop=np.eye(2) / 2.0)
-    return rec + _records("classical(0.3)", run_classical(c, 0.3),
+    return rec + _records("classical(0.3)", Classical(0.3).contract(c, t),
                           z=0.6, rho_loop=np.eye(2) / 2.0)
 
 
@@ -368,28 +373,29 @@ def _c_grandfather_perturbed(p, c):
     return _records("exact_bell", run_exact_bell(c), n=p["eps"])
 
 
-def _c_faulty_gun(p, c):
+def _c_faulty_gun(p, c, t):
     cz = math.cos(p["zeta"])
-    rec = _records("exact_bell", run_exact_bell(c), n=abs(cz))
+    rec = _records("exact_bell", ExactBell().contract(c, t), n=abs(cz))
     lam = 0.25
-    rec += _records("noisy_bell(0.25)", run_noisy_bell(c, lam),
+    rec += _records("noisy_bell(0.25)", NoisyBell(lam).contract(c, t),
                     z=(1 - lam) * cz**2 + lam / 4)
     k = 0.3
-    rec += _records("classical(0.3,floor)", run_classical(c, k, floor=True),
+    rec += _records("classical(0.3,floor)", Classical(k, floor=True).contract(c, t),
                     z=k + 2 * (1 - k) * cz**2)
-    return rec + _records("delta", run_delta_quadrature(c), 1e-8,
+    return rec + _records("delta", DeltaQuadrature().contract(c, t), 1e-8,
                           z=(math.pi**2 / 2) * (3 * cz**2 + 1))
 
 
-def _c_cnot_gun(p, c):
+def _c_cnot_gun(p, c, t):
     a, b = p["alpha"], p["beta"]
-    rec = _records("exact_bell", run_exact_bell(c), n=abs(a), rho=np.diag([1.0, 0.0]))
+    rec = _records("exact_bell", ExactBell().contract(c, t), n=abs(a), rho=np.diag([1.0, 0.0]))
     lam = 0.2
-    rec += _records("noisy_bell(0.2)", run_noisy_bell(c, lam), z=(1 - lam) * a**2 + lam / 4)
+    rec += _records("noisy_bell(0.2)", NoisyBell(lam).contract(c, t),
+                    z=(1 - lam) * a**2 + lam / 4)
     k = 0.3
-    rec += _records("classical(0.3)", run_classical(c, k),
+    rec += _records("classical(0.3)", Classical(k).contract(c, t),
                     z=2 * (1 - k) * a**2 + 2 * k * b**2)
-    rec += _records("delta", run_delta_quadrature(c), 1e-8,
+    rec += _records("delta", DeltaQuadrature().contract(c, t), 1e-8,
                     z=(math.pi**2 / 2) * (3 * a**2 + 1))
     bias = analysis.input_bias(c, "gun", DeltaQuadrature(), nodes=32)
     rec.append(_rec("delta", "input_bias", np.diag([0.65, 0.35]), bias.mat, 1e-6))
@@ -398,57 +404,60 @@ def _c_cnot_gun(p, c):
     rec.append(_rec("classical(0.3)", "input_bias", expect, bias_cl.mat, 1e-6))
     # both bits classical: decohere the control over its eigenstates, weighting
     # each by the floor-convention acceptance rate
-    z0 = run_classical(with_init(c, "gun", (1.0, 0.0)), k, floor=True).z
-    z1 = run_classical(with_init(c, "gun", (0.0, 1.0)), k, floor=True).z
+    z0 = Classical(k, floor=True).run(with_init(c, "gun", (1.0, 0.0))).z
+    z1 = Classical(k, floor=True).run(with_init(c, "gun", (0.0, 1.0))).z
     rho_ctl = np.diag([z0, z1]) / (z0 + z1)
     rec.append(_rec("classical(0.3,both)", "rho_control",
                     np.diag([(2 - k) / 2, k / 2]), rho_ctl, 1e-12))
     return rec
 
 
-def _c_cpf_gun(p, c):
+def _c_cpf_gun(p, c, t):
     a, b = p["alpha"], p["beta"]
-    rec = _records("exact_bell", run_exact_bell(c), n=abs(a))
+    rec = _records("exact_bell", ExactBell().contract(c, t), n=abs(a))
     lam = 0.2
-    rec += _records("noisy_bell(0.2)", run_noisy_bell(c, lam), z=(1 - lam) * a**2 + lam / 4)
+    rec += _records("noisy_bell(0.2)", NoisyBell(lam).contract(c, t),
+                    z=(1 - lam) * a**2 + lam / 4)
     k = 0.3
-    return rec + _records("classical(0.3,floor)", run_classical(c, k, floor=True),
+    return rec + _records("classical(0.3,floor)", Classical(k, floor=True).contract(c, t),
                           z=2 - k, rho=np.diag([a**2, b**2]))
 
 
-def _c_cpf_delta(p, c):
+def _c_cpf_delta(p, c, t):
     a, b = p["alpha"], p["beta"]
-    rec = _records("exact_bell", run_exact_bell(c), n=abs(a))
-    rd = run_delta_quadrature(c)
+    rec = _records("exact_bell", ExactBell().contract(c, t), n=abs(a))
+    rd = DeltaQuadrature().contract(c, t)
     expect = np.diag([2 * a**2 / (1 + a**2), b**2 / (1 + a**2)])
     rec += _records("delta", rd, 1e-8, z=math.pi**2 * (1 + a**2), rho=expect)
-    return rec + _records("weight_matrix(delta)", run_weight_matrix(c, "delta"), 1e-8,
+    return rec + _records("weight_matrix(delta)", WeightMatrix("delta").contract(c, t), 1e-8,
                           z=rd.z, rho=rd.rho.mat)
 
 
-def _c_crot_gun(p, c):
+def _c_crot_gun(p, c, t):
     a, b, z = p["alpha"], p["beta"], p["zeta"]
     n2 = 1 - b**2 * math.sin(z) ** 2
     psi_b = np.array([a, b * math.cos(z)])
-    rec = _records("exact_bell", run_exact_bell(c), n=math.sqrt(n2), rho=_proj(psi_b) / n2)
+    rec = _records("exact_bell", ExactBell().contract(c, t),
+                   n=math.sqrt(n2), rho=_proj(psi_b) / n2)
     lam = 0.2
     expect = 1 - 0.75 * lam - (1 - lam) * b**2 * math.sin(z) ** 2
-    return rec + _records("noisy_bell(0.2)", run_noisy_bell(c, lam), z=expect)
+    return rec + _records("noisy_bell(0.2)", NoisyBell(lam).contract(c, t), z=expect)
 
 
-def _c_phase_gun(p, c):
+def _c_phase_gun(p, c, t):
     a, b, xi = p["alpha"], p["beta"], p["xi"]
     psi_b = np.array([a, b * (1 + np.exp(1j * xi)) / 2])
     n2 = float(np.vdot(psi_b, psi_b).real)
-    rec = _records("exact_bell", run_exact_bell(c), n=math.sqrt(n2), rho=_proj(psi_b) / n2)
+    rec = _records("exact_bell", ExactBell().contract(c, t),
+                   n=math.sqrt(n2), rho=_proj(psi_b) / n2)
     lam = 0.2
-    return rec + _records("noisy_bell(0.2)", run_noisy_bell(c, lam),
+    return rec + _records("noisy_bell(0.2)", NoisyBell(lam).contract(c, t),
                           z=(1 - lam) * n2 + lam / 4)
 
 
-def _c_proof_cx(p, c):
+def _c_proof_cx(p, c, t):
     a, b = p["alpha"], p["beta"]
-    table = projection_table(c)
+    table = _pair_table(c, t)
     rec = [_rec("projection", "psi_B",
                 0.5 * (a + b) * np.array([1.0, 1.0]), table["B"].state.amps, 1e-12),
            _rec("projection", "psi_-",
@@ -456,7 +465,7 @@ def _c_proof_cx(p, c):
     k = 0.3
     psi = _qubit(a, b)
     xpsi = psi[::-1]
-    rec += _records("classical(0.3)", run_classical(c, k),
+    rec += _records("classical(0.3)", Classical(k).contract(c, t),
                     z=2 * (1 - k), rho=0.5 * (_proj(psi) + _proj(xpsi)))
     bad = with_init(c, "probe", (_SQ2, -_SQ2))
     rec.append(_paradox_rec("exact_bell", "paradox(minus probe)",
@@ -464,20 +473,20 @@ def _c_proof_cx(p, c):
     return rec
 
 
-def _c_proof_crot(p, c):
+def _c_proof_crot(p, c, t):
     a, b = p["alpha"], p["beta"]
-    rec = _records("exact_bell", run_exact_bell(c), n=_SQ2)
-    rd = run_delta_quadrature(c)
+    rec = _records("exact_bell", ExactBell().contract(c, t), n=_SQ2)
+    rd = DeltaQuadrature().contract(c, t)
     rho00 = 0.5 - a * (b + b) / 6.0
     rho01 = (a * (b - b)) / 2.0 + (a**2 - b**2) / 6.0
     expect = np.array([[rho00, rho01], [np.conj(rho01), 1 - rho00]])
     rec += _records("delta", rd, 1e-8, z=1.5 * math.pi**2, rho=expect)
-    rec += _records("weight_matrix(delta)", run_weight_matrix(c, "delta"), 1e-8,
+    rec += _records("weight_matrix(delta)", WeightMatrix("delta").contract(c, t), 1e-8,
                     rho=rd.rho.mat)
     k = 0.3
     psi = _qubit(a, b)
     rpsi = np.array([-b, a], dtype=complex)
-    return rec + _records("classical(0.3)", run_classical(c, k),
+    return rec + _records("classical(0.3)", Classical(k).contract(c, t),
                           rho=0.5 * (_proj(psi) + _proj(rpsi)))
 
 
@@ -486,15 +495,15 @@ def _c_proof_cpf(p, c):
                     n=abs(p["alpha"]), rho=np.diag([1.0, 0.0]))
 
 
-def _c_pot_product(p, c):
+def _c_pot_product(p, c, t):
     psi1 = _qubit(p["a1"], p["b1"])
     psi2 = _qubit(p["a2"], p["b2"])
     v = np.kron(psi1, psi2) + np.kron(psi1[::-1], psi2[::-1])
     n2 = float(np.vdot(v, v).real) / 4.0
-    rec = _records("exact_bell", run_exact_bell(c),
+    rec = _records("exact_bell", ExactBell().contract(c, t),
                    n=math.sqrt(n2), rho=_proj(v) / np.vdot(v, v).real)
     lam = 0.3
-    return rec + _records("noisy_bell(0.3)", run_noisy_bell(c, lam),
+    return rec + _records("noisy_bell(0.3)", NoisyBell(lam).contract(c, t),
                           z=(1 - lam) * n2 + lam / 4)
 
 
@@ -505,13 +514,13 @@ def _c_pot_entangled(p, c):
     return _records("exact_bell", run_exact_bell(c), n=math.sqrt(n2))
 
 
-def _c_two_ctc_cx(p, c):
+def _c_two_ctc_cx(p, c, t):
     psi = _qubit(p["alpha"], p["beta"])
     xpsi = psi[::-1]
-    r = run_exact_bell(c)
+    r = ExactBell().contract(c, t)
     rec = _records("exact_bell", r, n=0.5, rho=_proj(psi))
     for lam in (0.0, 0.2, 1.0):
-        res = r if lam == 0.0 else run_noisy_bell(c, lam)
+        res = r if lam == 0.0 else NoisyBell(lam).contract(c, t)
         z_expect = 0.25 * (1 - lam / 2) ** 2
         w_keep = (4 - 3 * lam) / (4 - 2 * lam)
         w_flip = lam / (4 - 2 * lam)
@@ -520,33 +529,33 @@ def _c_two_ctc_cx(p, c):
     return rec
 
 
-def _c_mutual_paradox(p, c):
+def _c_mutual_paradox(p, c, t):
     a, b, z = p["alpha"], p["beta"], p["zeta"]
     cz, sz = math.cos(z), math.sin(z)
-    rec = _records("exact_bell", run_exact_bell(c), n=abs(a * cz))
+    rec = _records("exact_bell", ExactBell().contract(c, t), n=abs(a * cz))
     lam = 0.2
     w_b, w_e = 1 - 0.75 * lam, 0.25 * lam
     expect = (w_b**2 * a**2 * cz**2 + w_e * w_b * sz**2 + w_e**2 * b**2 * cz**2)
-    rec += _records("noisy_bell(0.2)", run_noisy_bell(c, lam), z=expect)
+    rec += _records("noisy_bell(0.2)", NoisyBell(lam).contract(c, t), z=expect)
     k = 0.35
     z_cl = 4 * ((1 - k) ** 2 * a**2 * cz**2 + k * (1 - k) * sz**2
                 + k**2 * b**2 * cz**2)
-    rec += _records("classical(0.35)", run_classical(c, k), z=z_cl)
+    rec += _records("classical(0.35)", Classical(k).contract(c, t), z=z_cl)
     paradox = _b_mutual_paradox({**p, "zeta": math.pi / 2})
     rec.append(_paradox_rec("exact_bell", "paradox(zeta=pi/2)",
                             lambda: run_exact_bell(paradox)))
     return rec
 
 
-def _c_third_party(p, c):
+def _c_third_party(p, c, t):
     a1, b1, a2, b2 = p["a1"], p["b1"], p["a2"], p["b2"]
-    table = projection_table(c)
+    table = _pair_table(c, t)
     expect_b = np.array([a1 * a2, 0.0, 0.0, b1 * b2], dtype=complex)
     expect_n = np.array([0.0, a1 * b2, b1 * a2, 0.0], dtype=complex)
     rec = [_rec("projection", "psi_B", expect_b, table["B"].state.amps, 1e-12),
            _rec("projection", "psi_N", expect_n, table["N"].state.amps, 1e-12)]
     n2 = a1**2 * a2**2 + b1**2 * b2**2
-    rec += _records("exact_bell", run_exact_bell(c), n=math.sqrt(n2))
+    rec += _records("exact_bell", ExactBell().contract(c, t), n=math.sqrt(n2))
     orth = _b_third_party({"a1": 1.0, "b1": 0.0, "a2": 0.0, "b2": 1.0})
     rec.append(_paradox_rec("exact_bell", "paradox(orthogonal)",
                             lambda: run_exact_bell(orth)))
@@ -561,21 +570,21 @@ def _stubborn_forms(t1, t2):
     return c1, s1, c2, s2, n2, flip
 
 
-def _c_stubborn(p, c):
+def _c_stubborn(p, c, t):
     c1, s1, c2, s2, n2, flip = _stubborn_forms(p["theta1"], p["theta2"])
-    r = run_exact_bell(c)
+    r = ExactBell().contract(c, t)
     rec = _records("exact_bell", r, n=math.sqrt(n2))
     rec.append(_rec("exact_bell", "flip(p1,p2)", flip,
                     analysis.flip_probability(r, "p1", "p2"), 1e-12))
     lam = 0.25
-    rn = run_noisy_bell(c, lam)
+    rn = NoisyBell(lam).contract(c, t)
     z_lam = (1 - lam) * n2 + lam / 4
     flip_lam = (s1**2 / (2 * z_lam)) * ((1 - lam) * s2**2 + lam / 2)
     rec += _records("noisy_bell(0.25)", rn, z=z_lam)
     rec.append(_rec("noisy_bell(0.25)", "flip(p1,p2)", flip_lam,
                     analysis.flip_probability(rn, "p1", "p2"), 1e-12))
     k = 0.3
-    rc = run_classical(c, k)
+    rc = Classical(k).contract(c, t)
     w_diag = c1**2 * c2**2 + s1**2 * s2**2
     w_off = s1**2 * c2**2 + c1**2 * s2**2
     flip_cl = ((1 - k) * s1**2 * s2**2 + k * s1**2 * c2**2) / (
@@ -586,35 +595,34 @@ def _c_stubborn(p, c):
     return rec
 
 
-def _c_amnesia_plain(p, c):
+def _c_amnesia_plain(p, c, t):
     a, b = p["alpha"], p["beta"]
-    rec = _records("exact_bell", run_exact_bell(c),
+    rec = _records("exact_bell", ExactBell().contract(c, t),
                    n=abs(a + b) / 2, rho=np.diag([1.0, 0.0]))
     k = 0.3
-    rec += _records("classical(0.3)", run_classical(c, k), z=1.0, rho=np.diag([1 - k, k]))
+    rec += _records("classical(0.3)", Classical(k).contract(c, t),
+                    z=1.0, rho=np.diag([1 - k, k]))
     bad = with_init(c, "sys", (_SQ2, -_SQ2))
     rec.append(_paradox_rec("exact_bell", "paradox(minus input)",
                             lambda: run_exact_bell(bad)))
     return rec
 
 
-def _c_amnesia_entangled(p, c):
+def _c_amnesia_entangled(p, c, t):
     g = np.array([p["alpha"], p["beta"]], dtype=float)
     g = g / np.linalg.norm(g)
-    table = projection_table(c)
     expect = 0.5 * np.array([g[0], g[1], g[0], g[1]], dtype=complex)
-    rec = [_rec("projection", "psi_B", expect, table["B"].state.amps, 1e-12)]
-    return rec + _records("exact_bell", run_exact_bell(c), n=_SQ2)
+    rec = [_rec("projection", "psi_B", expect, _pair_table(c, t)["B"].state.amps, 1e-12)]
+    return rec + _records("exact_bell", ExactBell().contract(c, t), n=_SQ2)
 
 
-def _c_secondary_loop(p, c):
+def _c_secondary_loop(p, c, t):
     a, b = p["alpha"], p["beta"]
-    table = projection_table(c)
     expect = np.zeros(8, dtype=complex)
     expect[0b000] = 0.5 * a
     expect[0b011] = -0.5 * b
-    rec = [_rec("projection", "psi_B", expect, table["B"].state.amps, 1e-12)]
-    return rec + _records("noisy_bell(0.2)", run_noisy_bell(c, 0.2), z=0.25)
+    rec = [_rec("projection", "psi_B", expect, _pair_table(c, t)["B"].state.amps, 1e-12)]
+    return rec + _records("noisy_bell(0.2)", NoisyBell(0.2).contract(c, t), z=0.25)
 
 
 def _c_backprop_chain(p, c):
@@ -636,28 +644,29 @@ def _c_n_controlled_not(p, c):
 
 def _c_selector(n):
     """Amplitudes cos(theta2) off the all-ones control state, cos(theta1+theta2) on it."""
-    def checks(p, c):
+    def checks(p, c, t):
         t1, t2 = p["theta1"], p["theta2"]
         amps = np.ones(1, dtype=complex)
         for a, b in _controls(p, n):
             amps = np.kron(amps, np.array([a, b], dtype=complex))
         expect = amps * math.cos(t2)
         expect[-1] = amps[-1] * math.cos(t1 + t2)
-        table = projection_table(c)
+        table = _pair_table(c, t)
         return [_rec("projection", "psi_B", expect, table["B"].state.amps, 1e-12)]
     return checks
 
 
-def _c_parity_ec(p, c):
+def _c_parity_ec(p, c, t):
     v = _parity_ec_input(p)
     expect_b = np.array([v[0], 0.0, 0.0, v[3]], dtype=complex)
     expect_n = np.array([0.0, v[1], v[2], 0.0], dtype=complex)
-    table = projection_table(c)
+    table = _pair_table(c, t)
     rec = [_rec("projection", "psi_B", expect_b, table["B"].state.amps, 1e-12),
            _rec("projection", "psi_N", expect_n, table["N"].state.amps, 1e-12)]
     lam = p["lam"]
     nb2 = float(np.vdot(expect_b, expect_b).real)
-    return rec + _records("noisy_bell", run_noisy_bell(c, lam), z=(1 - lam) * nb2 + lam / 4)
+    return rec + _records("noisy_bell", NoisyBell(lam).contract(c, t),
+                          z=(1 - lam) * nb2 + lam / 4)
 
 
 def _c_tourist_trap(p, c):
@@ -679,85 +688,86 @@ _AB = {"alpha": 0.8, "beta": 0.6}
 _REGISTRY = {
     "simple_loop": (
         "One looped qubit swapped with an external qubit; survives with N = 1/2.",
-        dict(_AB), _b_simple_loop, _c_simple_loop),
+        dict(_AB), _b_simple_loop, _shared(_c_simple_loop)),
     "simple_loop_2q": (
         "Two looped qubits swapped with an entangled external register.",
         {"g00": 0.6, "g01": 0.0, "g10": 0.0, "g11": 0.8},
-        _b_simple_loop_2q, _c_simple_loop_2q),
+        _b_simple_loop_2q, _shared(_c_simple_loop_2q)),
     "twist_pair": (
         "Simple loop against a non-maximally-entangled boundary pair.",
         dict(_AB), _b_simple_loop, _c_twist_pair),
     "grandfather_not": (
         "NOT gate on the loop: the matched projection vanishes identically.",
-        {}, _b_grandfather(lambda p: _g("X", "tm")), _c_grandfather_not_extra),
+        {}, _b_grandfather(lambda p: _g("X", "tm")), _shared(_c_grandfather_not_extra)),
     "grandfather_pf": (
         "Phase flip on the loop: amplitude moves to the phase-mismatch outcome.",
-        {}, _b_grandfather(lambda p: _g("Z", "tm")), _c_grandfather("-")),
+        {}, _b_grandfather(lambda p: _g("Z", "tm")), _shared(_c_grandfather("-"))),
     "grandfather_rot": (
         "Quarter-turn rotation on the loop: amplitude moves to the combined mismatch.",
         {}, _b_grandfather(lambda p: _g("ROT", "tm", params=(math.pi / 2,))),
-        _c_grandfather("-N")),
+        _shared(_c_grandfather("-N"))),
     "grandfather_perturbed": (
         "Near-NOT perturbation (1-eps)X + eps*I leaves survival amplitude eps.",
         {"eps": 1e-2}, _b_grandfather(_near_not), _c_grandfather_perturbed),
     "faulty_gun": (
         "Rotation by zeta on the loop; the trigger misfires with amplitude cos(zeta).",
         {"zeta": math.pi / 3},
-        _b_grandfather(lambda p: _g("ROT", "tm", params=(p["zeta"],))), _c_faulty_gun),
+        _b_grandfather(lambda p: _g("ROT", "tm", params=(p["zeta"],))),
+        _shared(_c_faulty_gun)),
     "cnot_gun": (
         "External control fires a NOT at the loop; selection biases the control.",
-        dict(_AB), _b_gun("CX"), _c_cnot_gun),
+        dict(_AB), _b_gun("CX"), _shared(_c_cnot_gun)),
     "cpf_gun": (
         "External control fires a phase flip at the loop.",
-        dict(_AB), _b_gun("CPHASE", math.pi), _c_cpf_gun),
+        dict(_AB), _b_gun("CPHASE", math.pi), _shared(_c_cpf_gun)),
     "cpf_delta": (
         "Controlled phase flip under the continuous loop boundary model.",
-        dict(_AB), _b_gun("CPHASE", math.pi), _c_cpf_delta),
+        dict(_AB), _b_gun("CPHASE", math.pi), _shared(_c_cpf_delta)),
     "crot_gun": (
         "External control fires a partial rotation (zeta) at the loop.",
-        {"zeta": 0.5, **_AB}, _b_gun("CROT", "zeta"), _c_crot_gun),
+        {"zeta": 0.5, **_AB}, _b_gun("CROT", "zeta"), _shared(_c_crot_gun)),
     "phase_gun": (
         "External control fires a partial phase (xi) at the loop.",
-        {"xi": 0.9, **_AB}, _b_gun("CPHASE", "xi"), _c_phase_gun),
+        {"xi": 0.9, **_AB}, _b_gun("CPHASE", "xi"), _shared(_c_phase_gun)),
     "unproven_proof_cx": (
         "Loop copies itself onto a probe; only aligned probes survive.",
-        dict(_AB), _b_proof("CX"), _c_proof_cx),
+        dict(_AB), _b_proof("CX"), _shared(_c_proof_cx)),
     "unproven_proof_crot": (
         "Loop rotates a probe by a quarter turn; survival is input-independent.",
-        dict(_AB), _b_proof("CROT", math.pi / 2), _c_proof_crot),
+        dict(_AB), _b_proof("CROT", math.pi / 2), _shared(_c_proof_crot)),
     "unproven_proof_cpf": (
         "Loop phase-flips a probe.",
         dict(_AB), _b_proof("CPHASE", math.pi), _c_proof_cpf),
     "twice_watched_pot_product": (
         "Two probes read the loop in succession (product inputs).",
         {"a1": 0.8, "b1": 0.6, "a2": 0.28, "b2": 0.96},
-        _b_pot_product, _c_pot_product),
+        _b_pot_product, _shared(_c_pot_product)),
     "twice_watched_pot_entangled": (
         "Two probes read the loop in succession (entangled inputs).",
         {"g00": 0.6, "g11": 0.8}, _b_pot_entangled, _c_pot_entangled),
     "two_ctc_cx": (
         "One loop writes into a second loop and a probe.",
-        dict(_AB), _b_two_ctc_cx, _c_two_ctc_cx),
+        dict(_AB), _b_two_ctc_cx, _shared(_c_two_ctc_cx)),
     "mutual_paradox": (
         "A signal is read by one loop, rotated, then read by another.",
-        {"zeta": 0.6, **_AB}, _b_mutual_paradox, _c_mutual_paradox),
+        {"zeta": 0.6, **_AB}, _b_mutual_paradox, _shared(_c_mutual_paradox)),
     "third_party": (
         "Two independent signals write into the same loop; they must agree.",
         {"a1": 0.8, "b1": 0.6, "a2": 0.28, "b2": 0.96},
-        _b_third_party, _c_third_party),
+        _b_third_party, _shared(_c_third_party)),
     "stubborn_spin": (
         "Two rotations between three probe readings; intermediate flips are"
         " suppressed by a quartic tangent law.",
-        {"theta1": 0.7, "theta2": 1.1}, _b_stubborn, _c_stubborn),
+        {"theta1": 0.7, "theta2": 1.1}, _b_stubborn, _shared(_c_stubborn)),
     "amnesia_plain": (
         "An external qubit is erased into the loop (time-reversed proof circuit).",
-        dict(_AB), _b_amnesia_plain, _c_amnesia_plain),
+        dict(_AB), _b_amnesia_plain, _shared(_c_amnesia_plain)),
     "amnesia_entangled": (
         "The erased qubit is half of an entangled pair; its partner decouples.",
-        dict(_AB), _b_amnesia_entangled, _c_amnesia_entangled),
+        dict(_AB), _b_amnesia_entangled, _shared(_c_amnesia_entangled)),
     "amnesia_secondary_loop": (
         "Erasure of one half of a rotated pair creates a secondary channel.",
-        dict(_AB), _b_secondary_loop, _c_secondary_loop),
+        dict(_AB), _b_secondary_loop, _shared(_c_secondary_loop)),
     "backprop_chain": (
         "Selection pressure propagates backward through two controlled rotations.",
         {"theta_s": 0.6, "theta_g1": 0.8, "theta_g2": 1.1},
@@ -769,15 +779,15 @@ _REGISTRY = {
         "Doubly controlled rotation plus bare rotation selects the |11> inputs.",
         {"theta1": math.pi / 2, "theta2": math.pi / 2,
          "a1": 0.8, "b1": 0.6, "a2": 0.28, "b2": 0.96},
-        _b_selector(2), _c_selector(2)),
+        _b_selector(2), _shared(_c_selector(2))),
     "cccrot_selector": (
         "Triply controlled rotation plus bare rotation selects the |111> inputs.",
         {"theta1": math.pi / 2, "theta2": math.pi / 2,
          "a1": 0.8, "b1": 0.6, "a2": 0.28, "b2": 0.96, "a3": 0.6, "b3": 0.8},
-        _b_selector(3), _c_selector(3)),
+        _b_selector(3), _shared(_c_selector(3))),
     "parity_ec": (
         "Two noisy carriers XOR into the loop; odd-parity errors are deselected.",
-        {"eps": 0.1, "lam": 0.5, **_AB}, _b_parity_ec, _c_parity_ec),
+        {"eps": 0.1, "lam": 0.5, **_AB}, _b_parity_ec, _shared(_c_parity_ec)),
     "tourist_trap": (
         "Deselecting one message of an entangled broadcast shifts (or does not"
         " shift) the odds of the other messages, depending on renormalization.",

@@ -76,7 +76,7 @@ class PureState:
                 % (amps.size, n)
             )
         _check_labels(self.labels)
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.isfinite(amps).all():
             raise ConfigError("non-finite amplitude")
 
     @property

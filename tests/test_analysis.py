@@ -323,8 +323,8 @@ def test_input_bias_matches_the_per_node_scan(model, seed):
 
 
 def test_input_bias_matches_the_per_node_scan_across_paradox_inputs():
-    # the |1> input of the exact CNOT gun is a paradox, so one of the four
-    # probe runs raises and counts as Z = 0
+    # the |1> input of the exact CNOT gun is a paradox: its acceptance is 0, while
+    # the Bell-paired probe run survives on the |0> half
     circuit = cs.build_scenario("cnot_gun").circuit
     with pytest.raises(cs.ParadoxError):
         cs.run_exact_bell(cs.with_init(circuit, "gun", (0.0, 1.0)))
@@ -342,14 +342,14 @@ class CountingModel:
         return self.model.run(circuit, tol=tol)
 
 
-def test_input_bias_makes_four_model_runs_whatever_the_node_count():
+def test_input_bias_makes_one_model_run_whatever_the_node_count():
     circuit = cs.build_scenario("cnot_gun").circuit
     model = CountingModel(cs.NoisyBell(0.3))
     cs.input_bias(circuit, "gun", model, nodes=64)
-    assert model.runs == 4
+    assert model.runs == 1
     model = CountingModel(cs.NoisyBell(0.3))
     cs.input_bias(circuit, "gun", model, nodes=4)
-    assert model.runs == 4
+    assert model.runs == 1
 
 
 @pytest.mark.parametrize("model", [cs.DeltaQuadrature(), cs.NoisyBell(0.2), cs.Classical(0.3)],
@@ -432,3 +432,17 @@ def test_input_bias_delta_model_on_two_loops_is_unsupported():
     )
     with pytest.raises(cs.UnsupportedError, match="weight_matrix"):
         cs.input_bias(circuit, "s", cs.DeltaQuadrature(), nodes=8)
+
+
+def test_input_bias_at_the_qubit_cap_names_its_reference_qubit():
+    # six loops with their partners and two externals fill the 14-qubit cap, so
+    # the probe's reference qubit would be the fifteenth
+    circuit = build_circuit(
+        [Channel("t%d" % i, looped=True) for i in range(6)] + [Channel("a"), Channel("b")],
+        [make_gate("CX", ("a", "t0")), make_gate("CX", ("t5", "b"))],
+    )
+    assert cs.run_noisy_bell(circuit, 0.2).z > 0
+    model = CountingModel(cs.NoisyBell(0.2))
+    with pytest.raises(cs.UnsupportedError, match=r"reference qubit 'a\.ref'.* cap is 14"):
+        cs.input_bias(circuit, "a", model)
+    assert model.runs == 0

@@ -791,3 +791,18 @@ def test_out_file_option(tmp_path):
     code = main(["list-scenarios", "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())
+
+
+def test_input_bias_at_the_qubit_cap_exits_1_naming_its_reference(tmp_path):
+    # five loops with their partners and four externals fill the 14-qubit cap: the run
+    # fits, the input_bias probe's reference qubit would be the fifteenth
+    doc = {"channels": [{"name": "l%d" % i, "role": "ctc"} for i in range(5)]
+           + [{"name": "e%d" % i} for i in range(4)],
+           "gates": [{"kind": "CX", "targets": ["e0", "l0"]}],
+           "model": {"type": "noisy_bell", "lambda": 0.2}, "outputs": ["Z", "input_bias:e0"]}
+    r = subprocess.run([sys.executable, "-m", "ctcsim.cli", "run", write_doc(tmp_path, doc)],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == ("error: reference qubit 'e0.ref' of channel 'e0' makes 15 qubits with "
+                        "reference partners, cap is 14\n")

@@ -601,6 +601,13 @@ def test_models_sharing_a_contraction_agree(seed, n_loops):
     if exact is not None:
         assert abs(noisy.z - exact.z) <= 2.2e-16
         assert np.abs(noisy.rho.mat - exact.rho.mat).max() <= 2.2e-16
+    # noisy_bell(1) weighs each of the 4^m pair outcomes 1/4^m, classical(1/2) each of
+    # the d^2 histories 1/d: both are the evolved state traced over the pair register,
+    # 4^m apart.  Z is 1 for these unitary circuits; the bounds are 8 and 2 ulp
+    wide, unskewed = cs.run_noisy_bell(circuit, 1.0), cs.run_classical(circuit, 0.5)
+    eps = np.finfo(float).eps
+    assert abs(4**n_loops * wide.z - unskewed.z) <= 8 * eps * max(1.0, unskewed.z)
+    assert np.abs(wide.rho.mat - unskewed.rho.mat).max() <= 2 * eps
 
 
 @settings(max_examples=20, deadline=None)
@@ -677,6 +684,35 @@ def test_custom_pairs_match_the_unitary_reference(seed, n_loops, n_ext):
     assert r.projections is None
     assert abs(r.n - n) <= 1e-12
     assert np.max(np.abs(r.rho.mat - np.outer(psi, psi.conj()) / n**2)) <= 1e-12
+
+
+BAD_PARAMETERS = [
+    (lambda c: cs.run_weight_matrix(c, "nope"), "unknown weight-matrix built-in"),
+    (lambda c: cs.run_weight_matrix(c, [[1.0, 2.0], [3.0]]), "must be real numbers"),
+    (lambda c: cs.run_weight_matrix(c, [[1.0, -1.0], [1.0, 1.0]]), "nonnegative"),
+    (lambda c: cs.run_weight_matrix(c, np.ones((4, 4))), "must be 2 x 2"),
+    (lambda c: cs.run_weight_matrix(c, [[1j, 0], [0, 1]]), "must be real numbers"),
+    (lambda c: cs.run_weight_matrix(c, np.zeros((2, 2))), "positive total weight"),
+    (lambda c: cs.run_noisy_bell(c, 1.5), "lam must lie in"),
+    (lambda c: cs.run_classical(c, -0.1), "k must lie in"),
+    (lambda c: cs.run_delta_quadrature(c, 2, 64), "at least 3"),
+    (lambda c: cs.WeightMatrix("nope").run(c), "unknown weight-matrix built-in"),
+    (lambda c: cs.NoisyBell("abc").run(c), "lam must be a real number"),
+    (lambda c: cs.Classical(2.0, floor=True).run(c), "k must lie in"),
+    (lambda c: cs.DeltaQuadrature(64, 1).run(c), "at least 3"),
+]
+
+
+@pytest.mark.parametrize("call, message", BAD_PARAMETERS, ids=[
+    "omega_name", "omega_ragged", "omega_negative", "omega_shape", "omega_complex", "omega_zero",
+    "lam", "k", "grid", "descriptor_omega", "descriptor_lam", "descriptor_k", "descriptor_grid"])
+def test_a_bad_model_parameter_costs_no_evolution(call, message, monkeypatch):
+    circuit = cs.build_scenario("simple_loop").circuit
+    calls = []
+    monkeypatch.setattr(cs.engine, "evolve", lambda *args: calls.append(args))
+    with pytest.raises(cs.ConfigError, match=message):
+        call(circuit)
+    assert calls == []
 
 
 def test_no_loop_raises():

@@ -104,3 +104,22 @@ def test_catalog_records_match_the_manifest():
             assert row[4] == pytest.approx(want[4], rel=0, abs=1e-12), row
         else:
             assert row[4] == want[4], row
+
+
+def test_the_catalog_evolves_each_circuit_once(monkeypatch):
+    # 29 scenario circuits, 2 conditional runs, 2 custom boundary pairs, 6 variant
+    # circuits and 2 input-bias probes: every model a check runs shares its circuit's
+    # one evolution
+    calls, evolve = [], cs.engine.evolve
+
+    def counted(*args):
+        calls.append(args)
+        return evolve(*args)
+
+    monkeypatch.setattr(cs.engine, "evolve", counted)
+    records = [r for name in ALL for r in cs.verify_scenario(name)]
+    assert len(records) == 122
+    assert len(calls) <= 41
+    calls.clear()
+    cs.verify_scenario("simple_loop")  # exact, noisy, delta, weight matrix and classical
+    assert len(calls) == 1

@@ -91,3 +91,16 @@ def test_non_finite_amplitude_is_a_typed_error(bad):
     with pytest.raises(ConfigError, match="non-finite"):
         PureState(np.array([bad, 0.0], dtype=complex), ("a",))
     assert issubclass(ConfigError, CtcSimError)
+
+
+def test_a_finite_strided_view_is_accepted():
+    amps = np.arange(8, dtype=complex)[::2]  # not contiguous: .view(float) cannot read it
+    assert np.array_equal(PureState(amps, ("a", "b")).amps, [0, 2, 4, 6])
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0, np.inf)])
+def test_a_strided_view_holding_a_non_finite_amplitude_is_a_typed_error(bad):
+    amps = np.arange(8, dtype=complex)
+    amps[4] = bad
+    with pytest.raises(ConfigError, match="^non-finite amplitude$"):
+        PureState(amps[::2], ("a", "b"))
