@@ -216,4 +216,4 @@ def compile_unitary(circuit):
 
 def evolve(state, circuit):
     """Apply the circuit's gates in order to a labeled state, in one kernel call."""
-    return apply_gates(state, ((g.matrix, g.targets, g.controls) for g in circuit.gates))
+    return apply_gates(state, ((g.matrix, g.targets, g.controls, g.form) for g in circuit.gates))

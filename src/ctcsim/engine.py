@@ -33,7 +33,8 @@ the loop register gives the history tensor.  The evolution is one call of the
 raw-array gate kernel `states.apply_gates` on `pair_out_state`, laid out
 externals, loops, then reference qubits: no gate touches a reference qubit, so
 that trailing register is a batch index the kernel moves in contiguous runs,
-and a controlled gate acts only on its control-on slice.  The kernel checks
+a controlled gate acts only on its control-on slice, and each gate takes the
+form `make_gate` gave it (real, diagonal, swap or dense).  The kernel checks
 labels and finiteness once, on the evolved state; `circuit.compile_unitary`
 shares none of it and stays the independent oracle.  Each model is then one
 contraction of these arrays into a weighted, unnormalized operator on the

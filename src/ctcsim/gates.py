@@ -5,6 +5,10 @@ ROT(theta) = [[cos, -sin], [sin, cos]], so ROT(pi/2)|0> = |1>.  Controlled
 variants put the controls on the leading (most significant) targets and apply
 the same block to the last qubit; `make_gate` records their number in
 `Gate.controls`, so the gate kernel touches only the all-controls-on slice.
+`Gate.form` says how the kernel applies that block: "real" (X, H, ROT and
+their controlled forms, TOFFOLI: a real matmul), "diagonal" (Z, PHASE, CZ,
+CPHASE: slices scaled in place) or "swap" (SWAP: two axes relabelled).  CUSTOM
+and hand-built gates are "dense", the complex matrix, which is always correct.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArityError, ConfigError
-from .states import complex_array
+from .states import DENSE, complex_array
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -43,22 +47,23 @@ def _controlled(block, n_controls):
     return mat
 
 
-# kind -> (arity, controls, parameter names in positional order, block builder); a
-# gate with c controls is the block on the all-controls-on subspace of its targets
+# kind -> (arity, controls, parameter names in positional order, block builder, form);
+# a gate with c controls is the block on the all-controls-on subspace of its targets,
+# and its form says how the kernel applies that block (see states.apply_gates)
 _VOCAB = {
-    "X": (1, 0, (), lambda: _X),
-    "Z": (1, 0, (), lambda: _Z),
-    "H": (1, 0, (), lambda: _H),
-    "ROT": (1, 0, ("theta",), _rot),
-    "PHASE": (1, 0, ("xi",), _phase),
-    "SWAP": (2, 0, (), lambda: _SWAP),
-    "CX": (2, 1, (), lambda: _X),
-    "CZ": (2, 1, (), lambda: _Z),
-    "CROT": (2, 1, ("theta",), _rot),
-    "CPHASE": (2, 1, ("xi",), _phase),
-    "CCROT": (3, 2, ("theta",), _rot),
-    "TOFFOLI": (3, 2, (), lambda: _X),
-    "CCCROT": (4, 3, ("theta",), _rot),
+    "X": (1, 0, (), lambda: _X, "real"),
+    "Z": (1, 0, (), lambda: _Z, "diagonal"),
+    "H": (1, 0, (), lambda: _H, "real"),
+    "ROT": (1, 0, ("theta",), _rot, "real"),
+    "PHASE": (1, 0, ("xi",), _phase, "diagonal"),
+    "SWAP": (2, 0, (), lambda: _SWAP, "swap"),
+    "CX": (2, 1, (), lambda: _X, "real"),
+    "CZ": (2, 1, (), lambda: _Z, "diagonal"),
+    "CROT": (2, 1, ("theta",), _rot, "real"),
+    "CPHASE": (2, 1, ("xi",), _phase, "diagonal"),
+    "CCROT": (3, 2, ("theta",), _rot, "real"),
+    "TOFFOLI": (3, 2, (), lambda: _X, "real"),
+    "CCCROT": (4, 3, ("theta",), _rot, "real"),
 }
 
 
@@ -76,7 +81,9 @@ class Gate:
 
     `controls` counts the leading targets on which `matrix` is the identity
     outside its all-controls-on block; the gate kernel then applies only that
-    block, to that slice.  0, the default, is always correct.
+    block, to that slice.  0, the default, is always correct.  `form` says how
+    the kernel applies the block (see states.apply_gates).  Only `make_gate`
+    sets it, so a gate built by hand or by `dataclasses.replace` stays DENSE.
     """
 
     kind: str
@@ -85,6 +92,7 @@ class Gate:
     matrix: np.ndarray = field(default=None, repr=False)
     unitary: bool = True
     controls: int = 0
+    form: tuple = field(default=DENSE, init=False, repr=False, compare=False)
 
 
 def make_gate(kind, targets, params=(), matrix=None):
@@ -125,7 +133,7 @@ def make_gate(kind, targets, params=(), matrix=None):
         return Gate(kind, targets, params, matrix, unitary)
 
     names = param_names(kind)
-    arity, controls, _, builder = _VOCAB[kind]
+    arity, controls, _, builder, form = _VOCAB[kind]
     if len(targets) != arity:
         raise ArityError(
             "%s acts on %d qubits, got %d targets" % (kind, arity, len(targets))
@@ -134,7 +142,10 @@ def make_gate(kind, targets, params=(), matrix=None):
         raise ConfigError(
             "%s takes %d parameter(s), got %d" % (kind, len(names), len(params))
         )
-    matrix = builder(*params)
-    if controls:
-        matrix = _controlled(matrix, controls)
-    return Gate(kind, targets, params, matrix, True, controls)
+    block = builder(*params)
+    matrix = _controlled(block, controls) if controls else block
+    gate = Gate(kind, targets, params, matrix, True, controls)
+    data = (np.ascontiguousarray(block.real) if form == "real"
+            else tuple(block.diagonal().tolist()) if form == "diagonal" else None)
+    object.__setattr__(gate, "form", (form, data))  # the one place a form is claimed
+    return gate

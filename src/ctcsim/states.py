@@ -17,6 +17,7 @@ from .errors import ConfigError, LabelCollision, LabelError, UnsupportedError
 
 MAX_QUBITS = 14
 DEFAULT_PARADOX_TOL = 1e-12
+DENSE = ("dense", None)  # the form any gate may take: its whole matrix, as given
 
 
 def _check_labels(labels):
@@ -134,51 +135,77 @@ class DensityOperator:
 
 
 def apply_gates(state, gates):
-    """Apply (matrix, targets, controls) triples in order to `state`: the one gate kernel.
+    """Apply (matrix, targets, controls, form) gates in order to `state`: the one gate kernel.
 
     `targets` orders the qubits a 2^k x 2^k matrix acts on, most significant
-    first; the matrix need not be unitary.  `controls` counts the leading
-    targets on which the matrix is the identity outside its trailing
-    2^(k - controls) block (0 is always correct).  The kernel keeps one raw
-    (2,)*n array and tracks which qubit each of its axes holds, so no gate
-    transposes back.  A gate without controls gathers its targets to the front
-    and multiplies out of place; they stay in front.  A controlled gate
-    multiplies only its block, in place, on the view where every control is 1,
-    of a private copy: the caller's amplitudes are never written.  Axes no gate
-    touches keep their order, so trailing ones (the reference qubits of the
-    engine's start state) move in contiguous runs.  One transpose at the end
-    restores label order, and the result is wrapped in a PureState once, so its
-    label and finiteness checks (an overflow included) run once per call.
+    first; the matrix need not be unitary.  `controls`, a whole number below
+    k, counts the leading targets on which the matrix is the identity outside
+    its trailing 2^(k - controls) block (0 is always correct).  `form`, a
+    (name, data) pair that `make_gate` takes from the vocabulary, says how the
+    block is applied: "real" multiplies the gathered amplitudes, as floats, by
+    the real block `data`, half the flops of a complex product; "diagonal"
+    scales, in place, the slice of each entry of `data` (the diagonal of a
+    one-qubit block) that is not 1; "swap" trades the qubits of two axes and
+    moves no amplitude.  DENSE, the form of CUSTOM and hand-built gates,
+    multiplies the complex block as given and is always correct.
+
+    The kernel keeps one raw (2,)*n array and tracks which qubit each of its
+    axes holds, so no gate transposes back.  A gate without controls gathers
+    its targets to the front and multiplies out of place; they stay in front.
+    A controlled or diagonal gate writes only its slice, where every control
+    is 1, in place, of a private copy: the caller's amplitudes are never
+    written, nor shared by the result.  Axes no gate touches keep their order,
+    so trailing ones (the reference qubits of the engine's start state) move
+    in contiguous runs.  One transpose at the end restores label order, and
+    the result is wrapped in a PureState once, so its label and finiteness
+    checks (an overflow included) run once per call.
     """
     n = state.n_qubits
     t = state.amps.reshape((2,) * n)
     order, private = list(range(n)), False  # order[p]: the label axis that axis p holds
     with np.errstate(over="ignore", invalid="ignore"):  # the wrap below catches overflow
-        for matrix, targets, controls in gates:
+        for matrix, targets, controls, (form, data) in gates:
             matrix, k = np.asarray(matrix, dtype=complex), len(targets)
             if matrix.shape != (2**k, 2**k):
                 raise LabelError("matrix shape %r does not act on %d qubits"
                                  % (matrix.shape, k))
             if len(set(targets)) != k:
                 raise LabelCollision("repeated gate target in %r" % (targets,))
+            if controls not in range(k):
+                raise LabelError("gate on %r has controls %r, not a whole number in [0, %d)"
+                                 % (targets, controls, k))
+            controls = int(controls)
             perm = [order.index(state.axis(label)) for label in targets]
+            if form == "swap":  # the two axes trade qubits; no amplitude moves
+                order[perm[0]], order[perm[1]] = order[perm[1]], order[perm[0]]
+                continue
+            if not private and (controls or form == "diagonal"):
+                t, private = t.copy(), True
+            if form == "diagonal":  # scale the slice of each entry that is not 1
+                at = [1 if p in perm[:controls] else slice(None) for p in range(n)]
+                for bit, z in enumerate(data):
+                    if z != 1:
+                        at[perm[-1]] = bit
+                        t[tuple(at)] *= z
+                continue
             perm += [p for p in range(n) if p not in perm]
-            if controls:
-                if not private:
-                    t, private = t.copy(), True
-                b = 2 ** (k - controls)
-                view = t.transpose(perm)[(1,) * controls]  # block targets lead
-                view[...] = (matrix[-b:, -b:] @ view.reshape(b, -1)).reshape(view.shape)
+            b = 2 ** (k - controls)
+            view = t.transpose(perm)[(1,) * controls]  # block targets lead
+            if form == "real":
+                out = (data @ np.ascontiguousarray(view.reshape(b, -1)).view(float)).view(complex)
             else:
-                t = (matrix @ t.transpose(perm).reshape(2**k, -1)).reshape((2,) * n)
-                order, private = [order[p] for p in perm], True
-    return PureState(t.transpose(sorted(range(n), key=order.__getitem__)).reshape(-1),
-                     state.labels)
+                out = matrix[-b:, -b:] @ view.reshape(b, -1)
+            if controls:
+                view[...] = out.reshape(view.shape)
+            else:
+                t, order, private = out.reshape((2,) * n), [order[p] for p in perm], True
+    amps = t.transpose(sorted(range(n), key=order.__getitem__)).reshape(-1)
+    return PureState(amps if private else amps.copy(), state.labels)
 
 
 def apply_gate(state, matrix, targets):
     """Apply one 2^k x 2^k matrix to the `targets` qubits of `state` (see apply_gates)."""
-    return apply_gates(state, [(matrix, targets, 0)])
+    return apply_gates(state, [(matrix, targets, 0, DENSE)])
 
 
 def project(state, bra, subset=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,9 +8,10 @@ import pytest
 from ctcsim import (Channel, ConfigError, build_circuit, compile_unitary, make_gate,
                     run_exact_bell)
 from ctcsim.circuit import Circuit, evolve, with_init
+from ctcsim.engine import pair_out_state
 from ctcsim.errors import ArityError, LabelCollision, LabelError
-from ctcsim.gates import Gate
-from ctcsim.states import PureState, apply_gates
+from ctcsim.gates import Gate, param_names
+from ctcsim.states import DENSE, PureState, apply_gates
 
 SQ2 = 2**-0.5
 
@@ -197,6 +199,12 @@ def test_kernel_reports_an_overflowing_gate_as_one_config_error():
             run_exact_bell(circuit)
 
 
+FORMS = {"X": "real", "Z": "diagonal", "H": "real", "ROT": "real", "PHASE": "diagonal",
+         "SWAP": "swap", "CX": "real", "CZ": "diagonal", "CROT": "real", "CPHASE": "diagonal",
+         "CCROT": "real", "TOFFOLI": "real", "CCCROT": "real", "CUSTOM": "dense"}
+SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+
+
 @pytest.mark.parametrize("kind, controls", [
     ("X", 0), ("Z", 0), ("H", 0), ("ROT", 0), ("PHASE", 0), ("SWAP", 0), ("CX", 1), ("CZ", 1),
     ("CROT", 1), ("CPHASE", 1), ("CCROT", 2), ("TOFFOLI", 2), ("CCCROT", 3), ("CUSTOM", 0)])
@@ -209,17 +217,47 @@ def test_make_gate_records_the_controls_of_its_matrix(kind, controls):
     b = 2 ** (arity - controls)  # identity outside the trailing block
     assert np.array_equal(gate.matrix[:-b, :-b], np.eye(2**arity - b))
     assert not gate.matrix[:-b, -b:].any() and not gate.matrix[-b:, :-b].any()
+    # the form the kernel applies is the block's own: its diagonal, its real part,
+    # a relabel only for the SWAP matrix, else the whole matrix
+    form, data = gate.form
+    block = gate.matrix[-b:, -b:]
+    assert form == FORMS[kind]
+    if form == "diagonal":
+        assert b == 2 and np.array_equal(np.diag(data), block)
+        assert np.array_equal(data, np.diagonal(block))
+    if form == "real":
+        assert np.array_equal(data, block.real) and not block.imag.any()
+        assert data.flags.c_contiguous
+    assert (form == "swap") == np.array_equal(gate.matrix, SWAP)
+    if form == "dense":
+        assert gate.form == DENSE
+    by_hand = Gate(gate.kind, gate.targets, gate.params, gate.matrix, gate.unitary, controls)
+    for copy in (by_hand, dataclasses.replace(gate)):  # neither can claim a form
+        assert copy.form == DENSE and copy.controls == controls
 
 
 def test_kernel_leaves_the_callers_amplitudes_alone_under_a_leading_controlled_gate():
     state = PureState(np.full(8, 8**-0.5, dtype=complex), ("a", "b", "c"))
     before = state.amps.copy()
     gates = [make_gate("CZ", ("a", "c")), make_gate("TOFFOLI", ("c", "b", "a"))]
-    out = apply_gates(state, [(g.matrix, g.targets, g.controls) for g in gates])
+    out = apply_gates(state, [(g.matrix, g.targets, g.controls, g.form) for g in gates])
     assert np.array_equal(state.amps, before)
     assert not np.shares_memory(out.amps, state.amps)
     # CZ negates |101> and |111>; the Toffoli on c, b swaps |011> and |111>
     assert np.array_equal(out.amps, 8**-0.5 * np.array([1, 1, 1, -1, 1, -1, 1, 1]))
+    # a diagonal gate writes in place and a SWAP only relabels: neither may reach
+    # the caller's array, first in the list or alone
+    state = PureState(np.arange(1, 9) * (1 + 1j) / math.sqrt(408), ("a", "b", "c"))
+    before = state.amps.copy()
+    for gates in ([make_gate("PHASE", ("b",), (0.9,)), make_gate("H", ("a",))],
+                  [make_gate("CPHASE", ("c", "a"), (1.7,)), make_gate("CX", ("a", "b"))],
+                  [make_gate("SWAP", ("a", "c")), make_gate("CZ", ("b", "c"))],
+                  [make_gate("SWAP", ("c", "b")), make_gate("SWAP", ("b", "c"))]):
+        out = apply_gates(state, [(g.matrix, g.targets, g.controls, g.form) for g in gates])
+        assert np.array_equal(state.amps, before)
+        assert not np.shares_memory(out.amps, state.amps)
+        u = compile_unitary(build_circuit([Channel(x) for x in "abc"], gates))
+        assert np.max(np.abs(out.amps - u @ before)) <= 1e-15
 
 
 def test_kernel_evolves_a_directly_built_gate_as_its_matrix_says():
@@ -233,6 +271,66 @@ def test_kernel_evolves_a_directly_built_gate_as_its_matrix_says():
     expected = compile_unitary(circuit) @ np.kron([0.6, 0.8], [SQ2, -SQ2])
     assert gate.controls == 0
     assert np.max(np.abs(out.amps - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("controls", [3, 2, 1.5, -1])
+def test_kernel_rejects_controls_that_are_not_a_whole_number_below_the_target_count(controls):
+    gate = Gate("CX", ("b", "a"), matrix=make_gate("CX", ("b", "a")).matrix, controls=controls)
+    circuit = Circuit((Channel("tm", looped=True), Channel("a"), Channel("b")), (gate,))
+    message = r"gate on \('b', 'a'\) has controls %s, not a whole number in \[0, 2\)" % controls
+    with pytest.raises(LabelError, match=message):
+        evolve(circuit.initial_external_state(), circuit)
+    with pytest.raises(LabelError, match=message):
+        run_exact_bell(circuit)
+
+
+# every vocabulary kind, each form among them, on 5 to 10 qubits
+FORM_GATES = {"X": 1, "Z": 1, "H": 1, "ROT": 1, "PHASE": 1, "SWAP": 2, "CX": 2, "CZ": 2,
+              "CROT": 2, "CPHASE": 2, "CCROT": 3, "TOFFOLI": 3, "CCCROT": 4}
+
+
+def _form_circuit(seed):
+    """Random loop circuit: every kind twice, with controls taken from the leading,
+    middle or trailing channels, and a SWAP before and after each controlled gate."""
+    rng = np.random.default_rng(seed)
+    n = 5 + seed % 6
+    n_loops = 1 + seed % 3
+    channels = [Channel("t%d" % i, looped=True) for i in range(n_loops)]
+    channels += [Channel("e%d" % i, init=(math.cos(i + 0.3), math.sin(i + 0.3)))
+                 for i in range(n - n_loops)]
+    channels = [channels[i] for i in rng.permutation(n)]
+    labels = [c.label for c in channels]
+    gates = []
+    for kind in [*rng.permutation(list(FORM_GATES)), *rng.permutation(list(FORM_GATES))]:
+        arity = FORM_GATES[kind]
+        where = rng.integers(3)  # 0: leading, 1: middle, 2: trailing channels
+        start = (0, (n - arity) // 2, n - arity - 1)[where]
+        targets = tuple(rng.choice(labels[start:start + arity + 1], arity, replace=False))
+        params = tuple(rng.uniform(-math.pi, math.pi, len(param_names(kind))))
+        gate = make_gate(kind, targets, params)
+        swaps = [make_gate("SWAP", tuple(rng.choice(labels, 2, replace=False)))
+                 for _ in range(2 * (gate.controls > 0))]
+        gates += [*swaps[:1], gate, *swaps[1:]]
+    return build_circuit(channels, gates)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_every_form_evolves_as_its_dense_matrix(seed):
+    circuit = _form_circuit(seed)
+    assert {g.form[0] for g in circuit.gates} == {"real", "diagonal", "swap"}
+    dense = dataclasses.replace(circuit, gates=tuple(
+        Gate(g.kind, g.targets, g.params, g.matrix, g.unitary, g.controls)
+        for g in circuit.gates))
+    assert {g.form for g in dense.gates} == {DENSE}
+    rng = np.random.default_rng(seed + 100)
+    amps = rng.normal(size=2**len(circuit.labels)) + 1j * rng.normal(size=2**len(circuit.labels))
+    random_state = PureState(amps / np.linalg.norm(amps), circuit.labels)
+    expected = compile_unitary(circuit) @ random_state.amps
+    for state in (random_state, pair_out_state(circuit)):
+        by_form, by_matrix = evolve(state, circuit), evolve(state, dense)
+        assert np.max(np.abs(by_form.amps - by_matrix.amps)) <= 1e-15
+    for c in (circuit, dense):
+        assert np.max(np.abs(evolve(random_state, c).amps - expected)) <= 1e-15
 
 
 def test_kernel_reports_an_overflowing_controlled_gate_as_one_config_error():
