@@ -32,7 +32,6 @@ from .engine import (
     ExactBell,
     NoisyBell,
     PostSelectionResult,
-    ProjectionEntry,
     ProjectionSet,
     WeightMatrix,
     pair_out_state,
@@ -70,7 +69,7 @@ __all__ = [
     "CtcSimError", "DeltaQuadrature", "DensityOperator", "ExactBell", "Gate",
     "InfiniteSkew", "LabelCollision", "LabelError", "NoCtcError", "NoisyBell",
     "NumericsError", "ParadoxError", "ParseError", "PostSelectionResult",
-    "ProjectionEntry", "ProjectionSet", "PureState", "Scenario",
+    "ProjectionSet", "PureState", "Scenario",
     "ScenarioNotFound", "UnsupportedError", "WeightMatrix", "boosted_success",
     "build_circuit", "build_scenario", "compile_unitary", "compose_skew",
     "discrimination_stats", "ec_fidelity", "entropy_skew", "entropy_skew_max",

@@ -26,10 +26,11 @@ paradox.  The other models relax the projection:
 
 One evolution feeds every model: by channel-state duality (Lloyd et al.,
 arXiv:1007.2615) the evolved pair state holds every pair-basis outcome and
-every eigenstate history, and a custom boundary pair is the Bell pair with a
-local operator on its loop wire.  A 4x4 change of basis along each (reference,
-loop) pair gives the projection table; reading the reference register against
-the loop register gives the history tensor.  The evolution is one call of the
+every eigenstate history, and the matched outcome of any other boundary pair
+chi is the Bell evolution read against the Gram matrix sqrt(2) chi^dagger chi.
+A 4x4 change of basis along each (reference, loop) pair gives the projection
+table; reading the reference register against the loop register gives the
+history tensor.  The evolution is one call of the
 raw-array gate kernel `states.apply_gates` on `pair_out_state`, laid out
 externals, loops, then reference qubits: no gate touches a reference qubit, so
 that trailing register is a batch index the kernel moves in contiguous runs,
@@ -58,13 +59,13 @@ import functools
 import itertools
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .circuit import REF_SUFFIX, evolve
 from .errors import ConfigError, NoCtcError, ParadoxError, UnsupportedError
-from .gates import make_gate
 from .states import (
     DEFAULT_PARADOX_TOL,
     DensityOperator,
@@ -129,43 +130,21 @@ def _unit_interval(value, what):
     return value
 
 
-@dataclass(frozen=True)
-class ProjectionEntry:
-    label: str  # comma-joined per-channel outcome labels, e.g. "B" or "B,N"
-    state: PureState  # unnormalized surviving state on the external channels
-    weight: float  # squared norm of that state
-
-
 @dataclass(frozen=True, eq=False)
 class ProjectionSet:
     """Labelled outcomes, one row of surviving external amplitudes each.
 
-    Labels and ProjectionEntry objects are built on first read; `[label]`
-    builds only the entry it returns.
+    Row i is outcome labels[i]; the labels are built on first read.
     """
 
-    amps: np.ndarray  # (outcomes, 2^e) unnormalized external amplitudes
+    amps: np.ndarray  # (outcomes, 2^e) unnormalized external amplitudes, declaration order
     weights: np.ndarray  # (outcomes,) weight of each outcome
     make_labels: object  # zero-argument callable: outcome labels in row order
     channel_order: tuple  # looped channel labels, declaration order
-    ext_labels: tuple  # external qubits of each row, declaration order
 
     @functools.cached_property
     def labels(self):
         return tuple(self.make_labels())
-
-    @functools.cached_property
-    def entries(self):
-        return tuple(map(self._entry, range(len(self.weights))))
-
-    def _entry(self, i):
-        return ProjectionEntry(self.labels[i], PureState(self.amps[i], self.ext_labels),
-                               float(self.weights[i]))
-
-    def __getitem__(self, label):
-        if label not in self.labels:
-            raise KeyError(label)
-        return self._entry(self.labels.index(label))
 
     @property
     def total_weight(self):
@@ -269,8 +248,8 @@ def _post_select(circuit, model, num, tol, paradox, table=None, n=None, loop=Non
 def projection_table(circuit):
     """Project the evolved state onto the full pair basis of every loop.
 
-    Returns a ProjectionSet with one entry per outcome label combination
-    (4^m entries for m looped channels).  For unitary circuits the weights
+    Returns a ProjectionSet with one row per outcome label combination
+    (4^m rows for m looped channels).  For unitary circuits the weights
     sum to 1 (resolution of the identity on the reference pairs).
     """
     return _pair_table(circuit, _evolved_pairs(circuit))
@@ -288,37 +267,50 @@ def _pair_table(circuit, t):
     amps = np.ascontiguousarray(t.reshape(-1, 4**m).T)
     weights = (amps.real**2 + amps.imag**2).sum(axis=1)
     combos = functools.partial(itertools.product, PAIR_LABELS, repeat=m)
-    return ProjectionSet(amps, weights, lambda: map(",".join, combos()), loops,
-                         circuit.external_labels)
+    return ProjectionSet(amps, weights, lambda: map(",".join, combos()), loops)
 
 
 def run_exact_bell(circuit, tol=None, pair_states=None):
     """Exact post-selected evolution: keep only the matched-pair outcome.
 
-    `pair_states` maps loop labels to custom (reference, loop) pair amplitudes
-    chi = (I x K)|B>.  Each runs as the Bell pair with K = sqrt(2) chi.reshape(2, 2).T
-    on its loop wire before the gates and K^dagger after them, and reports no table.
+    `pair_states` maps looped channels to custom (reference, loop) pair amplitudes
+    chi = (I x K)|B>, the Bell pair with K on its loop wire before the gates and
+    K^dagger after.  Moved onto the Bell evolution t, the matched row is
+    t.reshape(len(t), -1) @ G, G the Kronecker product over loops of sqrt(2) chi^dagger chi
+    (chi as its reference-by-loop 2x2 matrix, so I/sqrt(2) for a Bell pair).  Such a run
+    reports no table.
     """
-    before, after = [], []
-    for label in _require_loops(circuit):
-        if pair_states and label in pair_states:
-            chi = normalized_amplitudes(pair_states[label], 2, "pair state for %r" % (label,))
-            k = chi.reshape(2, 2).T / _SQ2
-            before.append(make_gate("CUSTOM", (label,), matrix=k))
-            after.append(make_gate("CUSTOM", (label,), matrix=k.conj().T))
-    if not before:
+    gram = _pair_gram(circuit, pair_states)
+    if gram is None:
         return ExactBell().run(circuit, tol)
-    return _exact(circuit, projection_table(
-        replace(circuit, gates=(*before, *circuit.gates, *after))), tol, None)
+    t = _evolved_pairs(circuit)
+    return _exact(circuit, t.reshape(len(t), -1) @ gram, tol)
 
 
-def _exact(circuit, table, tol, reported):
-    """The exact model on a pair table: its all-"B" row; `reported` is the table it reports."""
-    matched = table.amps[0]
+def _pair_gram(circuit, pair_states):
+    """run_exact_bell's G, flat; None without custom pairs, ConfigError for a bad one."""
+    loops = _require_loops(circuit)
+    if not isinstance(pair_states, (Mapping, type(None))):
+        raise ConfigError("pair_states must be a mapping, got %r" % (pair_states,))
+    if not pair_states:
+        return None
+    for key in pair_states:
+        if key not in loops:
+            raise ConfigError("pair_states key %r names no looped channel" % (key,))
+    grams = [_SQ2 * np.eye(2)] * len(loops)
+    for i, label in enumerate(loops):
+        if label in pair_states:
+            chi = normalized_amplitudes(pair_states[label], 2, "pair state for %r" % (label,))
+            grams[i] = 2**0.5 * chi.reshape(2, 2).conj().T @ chi.reshape(2, 2)
+    return functools.reduce(np.kron, grams).reshape(-1)
+
+
+def _exact(circuit, matched, tol, table=None):
+    """The exact model on its matched row of external amplitudes; `table` is reported."""
     return _post_select(
         circuit, "exact_bell", np.outer(matched, matched.conj()), tol,
         "matched-pair amplitude %(n).3e below tolerance %(tol).3e: no consistent history",
-        reported, n=float(np.linalg.norm(matched)))
+        table, n=float(np.linalg.norm(matched)))
 
 
 def loop_histories(circuit):
@@ -462,7 +454,7 @@ class ExactBell(_Model):
 
     def contract(self, circuit, pairs, tol=None):
         table = _pair_table(circuit, pairs)
-        return _exact(circuit, table, tol, table)
+        return _exact(circuit, table.amps[0], tol, table)
 
 
 @dataclass(frozen=True)
@@ -525,8 +517,7 @@ class Classical(_Model):
         keep = np.arange(d) * (d + 1) if floor else np.arange(d * d)
         weights = hist.sum(axis=1) if floor else hist.reshape(-1)
         return replace(result, projections=ProjectionSet(
-            rows[keep], weights, lambda: ("%d|%d" % divmod(i, d) for i in keep), loops,
-            circuit.external_labels))
+            rows[keep], weights, lambda: ("%d|%d" % divmod(i, d) for i in keep), loops))
 
 
 @dataclass(frozen=True)

@@ -75,9 +75,9 @@ def param_names(kind):
     return _VOCAB[kind][2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
-    """A gate bound to circuit channels (controls listed first).
+    """A gate bound to circuit channels (controls listed first); gates compare by identity.
 
     `controls` counts the leading targets on which `matrix` is the identity
     outside its all-controls-on block; the gate kernel then applies only that
@@ -92,7 +92,7 @@ class Gate:
     matrix: np.ndarray = field(default=None, repr=False)
     unitary: bool = True
     controls: int = 0
-    form: tuple = field(default=DENSE, init=False, repr=False, compare=False)
+    form: tuple = field(default=DENSE, init=False, repr=False)
 
 
 def make_gate(kind, targets, params=(), matrix=None):

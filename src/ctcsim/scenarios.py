@@ -11,6 +11,7 @@ expectation to pass.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +25,13 @@ from .engine import (
     NoisyBell,
     WeightMatrix,
     _evolved_pairs,
+    _exact,
+    _pair_gram,
     _pair_table,
     run_conditional,
     run_exact_bell,
 )
-from .errors import ParadoxError, ScenarioNotFound
+from .errors import ConfigError, ParadoxError, ScenarioNotFound
 from .gates import make_gate
 
 _SQ2 = 2**-0.5
@@ -301,9 +304,10 @@ def _b_tourist_trap(p):
 # expectation tables
 
 
-def _shared(checks):
-    """A registry check of `checks(p, c, t)`: its models contract t = _evolved_pairs(c)."""
-    return lambda p, c: checks(p, c, _evolved_pairs(c))
+def _rows(c, t):
+    """Pair-basis outcome label -> surviving external amplitudes, read off t."""
+    table = _pair_table(c, t)
+    return dict(zip(table.labels, table.amps))
 
 
 def _records(model, result, tol=1e-12, **expected):
@@ -338,24 +342,25 @@ def _c_simple_loop_2q(p, c, t):
                           z=1.0, rho=rho_cl)
 
 
-def _c_twist_pair(p, c):
+def _c_twist_pair(p, c, t):
     a, b = p["alpha"], p["beta"]
+    def paired(chi):  # the exact model against boundary pair chi, off the Bell evolution
+        return _exact(c, t.reshape(len(t), -1) @ _pair_gram(c, {"tm": chi}), None)
+
     twist = np.array([_SQ2, 0.5, 0.0, 0.5], dtype=complex)
     expect = np.array([a / 2 + b / math.sqrt(8), a / math.sqrt(8) + b / 2])
     n = np.linalg.norm(expect)
-    rec = _records("exact_bell(twist)", run_exact_bell(c, pair_states={"tm": twist}),
-                   n=n, rho=_proj(expect / n))
+    rec = _records("exact_bell(twist)", paired(twist), n=n, rho=_proj(expect / n))
     alt = 0.5 * np.array([1, 1, 1, -1], dtype=complex)
-    return rec + _records("exact_bell(rotated)", run_exact_bell(c, pair_states={"tm": alt}),
-                          n=0.5, rho=_proj(_qubit(a, b)))
+    return rec + _records("exact_bell(rotated)", paired(alt), n=0.5, rho=_proj(_qubit(a, b)))
 
 
 def _c_grandfather(label):
     def checks(p, c, t):
         rec = [_paradox_rec("exact_bell", "paradox", lambda: ExactBell().contract(c, t))]
-        table = _pair_table(c, t)
-        rec += [_rec("projection", "weight[%s]" % out, 1.0 if out == label else 0.0,
-                     table[out].weight, 1e-12) for out in ("B", "-", "N", "-N")]
+        table = _pair_table(c, t)  # one loop: the rows are "B", "-", "N", "-N"
+        rec += [_rec("projection", "weight[%s]" % out, 1.0 if out == label else 0.0, w, 1e-12)
+                for out, w in zip(table.labels, table.weights)]
         lam = 0.2
         return rec + _records("noisy_bell(0.2)", NoisyBell(lam).contract(c, t), z=lam / 4.0)
     return checks
@@ -369,8 +374,8 @@ def _c_grandfather_not_extra(p, c, t):
                           z=0.6, rho_loop=np.eye(2) / 2.0)
 
 
-def _c_grandfather_perturbed(p, c):
-    return _records("exact_bell", run_exact_bell(c), n=p["eps"])
+def _c_grandfather_perturbed(p, c, t):
+    return _records("exact_bell", ExactBell().contract(c, t), n=p["eps"])
 
 
 def _c_faulty_gun(p, c, t):
@@ -457,11 +462,9 @@ def _c_phase_gun(p, c, t):
 
 def _c_proof_cx(p, c, t):
     a, b = p["alpha"], p["beta"]
-    table = _pair_table(c, t)
-    rec = [_rec("projection", "psi_B",
-                0.5 * (a + b) * np.array([1.0, 1.0]), table["B"].state.amps, 1e-12),
-           _rec("projection", "psi_-",
-                0.5 * (a - b) * np.array([1.0, -1.0]), table["-"].state.amps, 1e-12)]
+    rows = _rows(c, t)
+    rec = [_rec("projection", "psi_B", 0.5 * (a + b) * np.array([1.0, 1.0]), rows["B"], 1e-12),
+           _rec("projection", "psi_-", 0.5 * (a - b) * np.array([1.0, -1.0]), rows["-"], 1e-12)]
     k = 0.3
     psi = _qubit(a, b)
     xpsi = psi[::-1]
@@ -490,8 +493,8 @@ def _c_proof_crot(p, c, t):
                           rho=0.5 * (_proj(psi) + _proj(rpsi)))
 
 
-def _c_proof_cpf(p, c):
-    return _records("exact_bell", run_exact_bell(c),
+def _c_proof_cpf(p, c, t):
+    return _records("exact_bell", ExactBell().contract(c, t),
                     n=abs(p["alpha"]), rho=np.diag([1.0, 0.0]))
 
 
@@ -507,11 +510,11 @@ def _c_pot_product(p, c, t):
                           z=(1 - lam) * n2 + lam / 4)
 
 
-def _c_pot_entangled(p, c):
+def _c_pot_entangled(p, c, t):
     g = np.array([p["g00"], p["g11"]], dtype=float)
     g = g / np.linalg.norm(g)
     n2 = (g[0] + g[1]) ** 2 / 2.0
-    return _records("exact_bell", run_exact_bell(c), n=math.sqrt(n2))
+    return _records("exact_bell", ExactBell().contract(c, t), n=math.sqrt(n2))
 
 
 def _c_two_ctc_cx(p, c, t):
@@ -549,11 +552,11 @@ def _c_mutual_paradox(p, c, t):
 
 def _c_third_party(p, c, t):
     a1, b1, a2, b2 = p["a1"], p["b1"], p["a2"], p["b2"]
-    table = _pair_table(c, t)
+    rows = _rows(c, t)
     expect_b = np.array([a1 * a2, 0.0, 0.0, b1 * b2], dtype=complex)
     expect_n = np.array([0.0, a1 * b2, b1 * a2, 0.0], dtype=complex)
-    rec = [_rec("projection", "psi_B", expect_b, table["B"].state.amps, 1e-12),
-           _rec("projection", "psi_N", expect_n, table["N"].state.amps, 1e-12)]
+    rec = [_rec("projection", "psi_B", expect_b, rows["B"], 1e-12),
+           _rec("projection", "psi_N", expect_n, rows["N"], 1e-12)]
     n2 = a1**2 * a2**2 + b1**2 * b2**2
     rec += _records("exact_bell", ExactBell().contract(c, t), n=math.sqrt(n2))
     orth = _b_third_party({"a1": 1.0, "b1": 0.0, "a2": 0.0, "b2": 1.0})
@@ -612,7 +615,7 @@ def _c_amnesia_entangled(p, c, t):
     g = np.array([p["alpha"], p["beta"]], dtype=float)
     g = g / np.linalg.norm(g)
     expect = 0.5 * np.array([g[0], g[1], g[0], g[1]], dtype=complex)
-    rec = [_rec("projection", "psi_B", expect, _pair_table(c, t)["B"].state.amps, 1e-12)]
+    rec = [_rec("projection", "psi_B", expect, _rows(c, t)["B"], 1e-12)]
     return rec + _records("exact_bell", ExactBell().contract(c, t), n=_SQ2)
 
 
@@ -621,25 +624,25 @@ def _c_secondary_loop(p, c, t):
     expect = np.zeros(8, dtype=complex)
     expect[0b000] = 0.5 * a
     expect[0b011] = -0.5 * b
-    rec = [_rec("projection", "psi_B", expect, _pair_table(c, t)["B"].state.amps, 1e-12)]
+    rec = [_rec("projection", "psi_B", expect, _rows(c, t)["B"], 1e-12)]
     return rec + _records("noisy_bell(0.2)", NoisyBell(0.2).contract(c, t), z=0.25)
 
 
-def _c_backprop_chain(p, c):
+def _c_backprop_chain(p, c, t):
     ts, g1, g2 = p["theta_s"], p["theta_g1"], p["theta_g2"]
     cs, ss = math.cos(ts), math.sin(ts)
     n2 = 1 - 2 * ss**2 * cs**2 * math.sin(g1) ** 2 * math.sin(g2) ** 2
     flip = ss**2 * (1 - cs**2 * math.sin(g1) ** 2 * math.sin(g2) ** 2) / n2
-    r = run_exact_bell(c)
+    r = ExactBell().contract(c, t)
     rec = _records("exact_bell", r, n=math.sqrt(n2))
     rec.append(_rec("exact_bell", "flip(p)", flip,
                     analysis.flip_probability(r, "p"), 1e-12))
     return rec
 
 
-def _c_n_controlled_not(p, c):
+def _c_n_controlled_not(p, c, t):
     parity = analysis.parity_recursion(p["alphas"])
-    return [_rec("exact_bell", "n2", parity["e2"], run_exact_bell(c).n**2, 1e-12)]
+    return [_rec("exact_bell", "n2", parity["e2"], ExactBell().contract(c, t).n**2, 1e-12)]
 
 
 def _c_selector(n):
@@ -651,8 +654,7 @@ def _c_selector(n):
             amps = np.kron(amps, np.array([a, b], dtype=complex))
         expect = amps * math.cos(t2)
         expect[-1] = amps[-1] * math.cos(t1 + t2)
-        table = _pair_table(c, t)
-        return [_rec("projection", "psi_B", expect, table["B"].state.amps, 1e-12)]
+        return [_rec("projection", "psi_B", expect, _rows(c, t)["B"], 1e-12)]
     return checks
 
 
@@ -660,16 +662,16 @@ def _c_parity_ec(p, c, t):
     v = _parity_ec_input(p)
     expect_b = np.array([v[0], 0.0, 0.0, v[3]], dtype=complex)
     expect_n = np.array([0.0, v[1], v[2], 0.0], dtype=complex)
-    table = _pair_table(c, t)
-    rec = [_rec("projection", "psi_B", expect_b, table["B"].state.amps, 1e-12),
-           _rec("projection", "psi_N", expect_n, table["N"].state.amps, 1e-12)]
+    rows = _rows(c, t)
+    rec = [_rec("projection", "psi_B", expect_b, rows["B"], 1e-12),
+           _rec("projection", "psi_N", expect_n, rows["N"], 1e-12)]
     lam = p["lam"]
     nb2 = float(np.vdot(expect_b, expect_b).real)
     return rec + _records("noisy_bell", NoisyBell(lam).contract(c, t),
                           z=(1 - lam) * nb2 + lam / 4)
 
 
-def _c_tourist_trap(p, c):
+def _c_tourist_trap(p, c, t):
     condition = [("m1", 0), ("m2", 0)]
     deselect = (("m3",), np.array([1.0, 0.0]))
     rec = []
@@ -688,24 +690,24 @@ _AB = {"alpha": 0.8, "beta": 0.6}
 _REGISTRY = {
     "simple_loop": (
         "One looped qubit swapped with an external qubit; survives with N = 1/2.",
-        dict(_AB), _b_simple_loop, _shared(_c_simple_loop)),
+        dict(_AB), _b_simple_loop, _c_simple_loop),
     "simple_loop_2q": (
         "Two looped qubits swapped with an entangled external register.",
         {"g00": 0.6, "g01": 0.0, "g10": 0.0, "g11": 0.8},
-        _b_simple_loop_2q, _shared(_c_simple_loop_2q)),
+        _b_simple_loop_2q, _c_simple_loop_2q),
     "twist_pair": (
         "Simple loop against a non-maximally-entangled boundary pair.",
         dict(_AB), _b_simple_loop, _c_twist_pair),
     "grandfather_not": (
         "NOT gate on the loop: the matched projection vanishes identically.",
-        {}, _b_grandfather(lambda p: _g("X", "tm")), _shared(_c_grandfather_not_extra)),
+        {}, _b_grandfather(lambda p: _g("X", "tm")), _c_grandfather_not_extra),
     "grandfather_pf": (
         "Phase flip on the loop: amplitude moves to the phase-mismatch outcome.",
-        {}, _b_grandfather(lambda p: _g("Z", "tm")), _shared(_c_grandfather("-"))),
+        {}, _b_grandfather(lambda p: _g("Z", "tm")), _c_grandfather("-")),
     "grandfather_rot": (
         "Quarter-turn rotation on the loop: amplitude moves to the combined mismatch.",
         {}, _b_grandfather(lambda p: _g("ROT", "tm", params=(math.pi / 2,))),
-        _shared(_c_grandfather("-N"))),
+        _c_grandfather("-N")),
     "grandfather_perturbed": (
         "Near-NOT perturbation (1-eps)X + eps*I leaves survival amplitude eps.",
         {"eps": 1e-2}, _b_grandfather(_near_not), _c_grandfather_perturbed),
@@ -713,61 +715,61 @@ _REGISTRY = {
         "Rotation by zeta on the loop; the trigger misfires with amplitude cos(zeta).",
         {"zeta": math.pi / 3},
         _b_grandfather(lambda p: _g("ROT", "tm", params=(p["zeta"],))),
-        _shared(_c_faulty_gun)),
+        _c_faulty_gun),
     "cnot_gun": (
         "External control fires a NOT at the loop; selection biases the control.",
-        dict(_AB), _b_gun("CX"), _shared(_c_cnot_gun)),
+        dict(_AB), _b_gun("CX"), _c_cnot_gun),
     "cpf_gun": (
         "External control fires a phase flip at the loop.",
-        dict(_AB), _b_gun("CPHASE", math.pi), _shared(_c_cpf_gun)),
+        dict(_AB), _b_gun("CPHASE", math.pi), _c_cpf_gun),
     "cpf_delta": (
         "Controlled phase flip under the continuous loop boundary model.",
-        dict(_AB), _b_gun("CPHASE", math.pi), _shared(_c_cpf_delta)),
+        dict(_AB), _b_gun("CPHASE", math.pi), _c_cpf_delta),
     "crot_gun": (
         "External control fires a partial rotation (zeta) at the loop.",
-        {"zeta": 0.5, **_AB}, _b_gun("CROT", "zeta"), _shared(_c_crot_gun)),
+        {"zeta": 0.5, **_AB}, _b_gun("CROT", "zeta"), _c_crot_gun),
     "phase_gun": (
         "External control fires a partial phase (xi) at the loop.",
-        {"xi": 0.9, **_AB}, _b_gun("CPHASE", "xi"), _shared(_c_phase_gun)),
+        {"xi": 0.9, **_AB}, _b_gun("CPHASE", "xi"), _c_phase_gun),
     "unproven_proof_cx": (
         "Loop copies itself onto a probe; only aligned probes survive.",
-        dict(_AB), _b_proof("CX"), _shared(_c_proof_cx)),
+        dict(_AB), _b_proof("CX"), _c_proof_cx),
     "unproven_proof_crot": (
         "Loop rotates a probe by a quarter turn; survival is input-independent.",
-        dict(_AB), _b_proof("CROT", math.pi / 2), _shared(_c_proof_crot)),
+        dict(_AB), _b_proof("CROT", math.pi / 2), _c_proof_crot),
     "unproven_proof_cpf": (
         "Loop phase-flips a probe.",
         dict(_AB), _b_proof("CPHASE", math.pi), _c_proof_cpf),
     "twice_watched_pot_product": (
         "Two probes read the loop in succession (product inputs).",
         {"a1": 0.8, "b1": 0.6, "a2": 0.28, "b2": 0.96},
-        _b_pot_product, _shared(_c_pot_product)),
+        _b_pot_product, _c_pot_product),
     "twice_watched_pot_entangled": (
         "Two probes read the loop in succession (entangled inputs).",
         {"g00": 0.6, "g11": 0.8}, _b_pot_entangled, _c_pot_entangled),
     "two_ctc_cx": (
         "One loop writes into a second loop and a probe.",
-        dict(_AB), _b_two_ctc_cx, _shared(_c_two_ctc_cx)),
+        dict(_AB), _b_two_ctc_cx, _c_two_ctc_cx),
     "mutual_paradox": (
         "A signal is read by one loop, rotated, then read by another.",
-        {"zeta": 0.6, **_AB}, _b_mutual_paradox, _shared(_c_mutual_paradox)),
+        {"zeta": 0.6, **_AB}, _b_mutual_paradox, _c_mutual_paradox),
     "third_party": (
         "Two independent signals write into the same loop; they must agree.",
         {"a1": 0.8, "b1": 0.6, "a2": 0.28, "b2": 0.96},
-        _b_third_party, _shared(_c_third_party)),
+        _b_third_party, _c_third_party),
     "stubborn_spin": (
         "Two rotations between three probe readings; intermediate flips are"
         " suppressed by a quartic tangent law.",
-        {"theta1": 0.7, "theta2": 1.1}, _b_stubborn, _shared(_c_stubborn)),
+        {"theta1": 0.7, "theta2": 1.1}, _b_stubborn, _c_stubborn),
     "amnesia_plain": (
         "An external qubit is erased into the loop (time-reversed proof circuit).",
-        dict(_AB), _b_amnesia_plain, _shared(_c_amnesia_plain)),
+        dict(_AB), _b_amnesia_plain, _c_amnesia_plain),
     "amnesia_entangled": (
         "The erased qubit is half of an entangled pair; its partner decouples.",
-        dict(_AB), _b_amnesia_entangled, _shared(_c_amnesia_entangled)),
+        dict(_AB), _b_amnesia_entangled, _c_amnesia_entangled),
     "amnesia_secondary_loop": (
         "Erasure of one half of a rotated pair creates a secondary channel.",
-        dict(_AB), _b_secondary_loop, _shared(_c_secondary_loop)),
+        dict(_AB), _b_secondary_loop, _c_secondary_loop),
     "backprop_chain": (
         "Selection pressure propagates backward through two controlled rotations.",
         {"theta_s": 0.6, "theta_g1": 0.8, "theta_g2": 1.1},
@@ -779,15 +781,15 @@ _REGISTRY = {
         "Doubly controlled rotation plus bare rotation selects the |11> inputs.",
         {"theta1": math.pi / 2, "theta2": math.pi / 2,
          "a1": 0.8, "b1": 0.6, "a2": 0.28, "b2": 0.96},
-        _b_selector(2), _shared(_c_selector(2))),
+        _b_selector(2), _c_selector(2)),
     "cccrot_selector": (
         "Triply controlled rotation plus bare rotation selects the |111> inputs.",
         {"theta1": math.pi / 2, "theta2": math.pi / 2,
          "a1": 0.8, "b1": 0.6, "a2": 0.28, "b2": 0.96, "a3": 0.6, "b3": 0.8},
-        _b_selector(3), _shared(_c_selector(3))),
+        _b_selector(3), _c_selector(3)),
     "parity_ec": (
         "Two noisy carriers XOR into the loop; odd-parity errors are deselected.",
-        {"eps": 0.1, "lam": 0.5, **_AB}, _b_parity_ec, _shared(_c_parity_ec)),
+        {"eps": 0.1, "lam": 0.5, **_AB}, _b_parity_ec, _c_parity_ec),
     "tourist_trap": (
         "Deselecting one message of an entangled broadcast shifts (or does not"
         " shift) the odds of the other messages, depending on renormalization.",
@@ -830,8 +832,13 @@ def verify_scenario(name, params=None, model=None):
     `model` optionally filters to records whose model tag starts with the
     given string (e.g. "noisy_bell").
     """
-    _, p, build, checks = _resolve(name, params or {})
-    records = checks(p, build(p))
+    if not (params is None or isinstance(params, Mapping)):
+        raise ConfigError("scenario parameters must be a mapping, got %r" % (params,))
+    if not (model is None or isinstance(model, str)):
+        raise ConfigError("model filter must be a string, got %r" % (model,))
+    _, p, build, checks = _resolve(name, params)
+    c = build(p)
+    records = checks(p, c, _evolved_pairs(c) if c.loop_labels else None)
     if model is not None:
         records = [r for r in records if r["model"].startswith(model)]
     return records

@@ -113,7 +113,7 @@ def test_criterion_06_third_party_selection_and_paradox():
             continue
         table = cs.projection_table(circuit)
         expect = np.array([a1 * a2, 0.0, 0.0, b1 * b2])
-        assert np.max(np.abs(table["B"].state.amps - expect)) <= 1e-12
+        assert np.max(np.abs(table.amps[table.labels.index("B")] - expect)) <= 1e-12
         assert abs(cs.run_exact_bell(circuit).n - math.sqrt(n2)) <= 1e-12
 
 

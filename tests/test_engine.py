@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -58,7 +59,7 @@ def test_projection_weights_complete_for_unitary_circuits(a, b, c):
 @given(angle())
 def test_projection_weights_complete_with_two_loops(theta):
     table = cs.projection_table(two_loop_circuit(theta))
-    assert len(table.entries) == 16
+    assert len(table.amps) == len(table.labels) == 16
     assert table.total_weight == pytest.approx(1.0, abs=1e-10)
 
 
@@ -148,12 +149,12 @@ def test_history_tensor_matches_per_eigenstate_evolution(seed, n_loops, n_ext):
     total = 1.0 if all(g.unitary for g in circuit.gates) else \
         sum(ref.norm**2 for ref in table_ref.values())
     assert table.total_weight == pytest.approx(total, abs=1e-12)
-    assert len(table.entries) == len(table_ref) == 4**n_loops
-    for entry in table.entries:
-        ref = table_ref[entry.label]
-        assert entry.state.labels == ref.labels
-        assert np.max(np.abs(entry.state.amps - ref.amps)) <= 1e-12
-        assert entry.weight == pytest.approx(ref.norm**2, abs=1e-12)
+    assert len(table.amps) == len(table_ref) == 4**n_loops
+    for label, row, weight in zip(table.labels, table.amps, table.weights):
+        ref = table_ref[label]
+        assert ref.labels == circuit.external_labels  # the rows' qubit order
+        assert np.max(np.abs(row - ref.amps)) <= 1e-12
+        assert weight == pytest.approx(ref.norm**2, abs=1e-12)
 
 
 def mixture_by_loop(states, weights):
@@ -474,14 +475,14 @@ def test_out_of_order_entangled_groups_match_the_unitary_reference(seed, n_loops
         assert np.max(np.abs(r.rho.mat - num / z)) <= 1e-12, model
     table = cs.projection_table(circuit)
     for label, row in pair_rows_by_histories(a).items():
-        assert table[label].state.labels == circuit.external_labels
-        assert np.max(np.abs(table[label].state.amps - row)) <= 1e-12, label
+        assert row.shape == (2 ** len(circuit.external_labels),)
+        assert np.max(np.abs(table.amps[table.labels.index(label)] - row)) <= 1e-12, label
     histories = cs.run_classical(circuit, 0.2).projections
     d = len(a)
     for i, j in itertools.product(range(d), repeat=2):
-        entry = histories["%d|%d" % (i, j)]
-        assert entry.state.labels == circuit.external_labels
-        assert np.max(np.abs(entry.state.amps - a[i, j])) <= 1e-12, (i, j)
+        row = histories.amps[histories.labels.index("%d|%d" % (i, j))]
+        assert row.shape == (2 ** len(circuit.external_labels),)
+        assert np.max(np.abs(row - a[i, j])) <= 1e-12, (i, j)
 
 
 @settings(max_examples=40, deadline=None)
@@ -528,8 +529,8 @@ def test_exact_paradox_carries_the_full_projection_table():
     with pytest.raises(cs.ParadoxError) as info:
         cs.run_exact_bell(circuit)
     table = info.value.projections
-    assert len(table.entries) == 4 ** len(circuit.loop_labels)
-    assert table["N"].weight == pytest.approx(1.0, abs=1e-12)
+    assert len(table.amps) == 4 ** len(circuit.loop_labels)
+    assert table.weights[table.labels.index("N")] == pytest.approx(1.0, abs=1e-12)
     assert table.total_weight == pytest.approx(1.0, abs=1e-12)
 
 
@@ -700,12 +701,20 @@ BAD_PARAMETERS = [
     (lambda c: cs.NoisyBell("abc").run(c), "lam must be a real number"),
     (lambda c: cs.Classical(2.0, floor=True).run(c), "k must lie in"),
     (lambda c: cs.DeltaQuadrature(64, 1).run(c), "at least 3"),
+    (lambda c: cs.run_exact_bell(c, pair_states="tm"), "pair_states must be a mapping, got 'tm'"),
+    (lambda c: cs.run_exact_bell(c, pair_states=["tm"]),
+     re.escape("pair_states must be a mapping, got ['tm']")),
+    (lambda c: cs.run_exact_bell(c, pair_states={"nope": [SQ2, 0, 0, SQ2]}),
+     "pair_states key 'nope' names no looped channel"),
+    (lambda c: cs.run_exact_bell(c, pair_states={"tm": [SQ2, 0, 0, SQ2], "sys": [1, 0, 0, 0]}),
+     "pair_states key 'sys' names no looped channel"),
 ]
 
 
 @pytest.mark.parametrize("call, message", BAD_PARAMETERS, ids=[
     "omega_name", "omega_ragged", "omega_negative", "omega_shape", "omega_complex", "omega_zero",
-    "lam", "k", "grid", "descriptor_omega", "descriptor_lam", "descriptor_k", "descriptor_grid"])
+    "lam", "k", "grid", "descriptor_omega", "descriptor_lam", "descriptor_k", "descriptor_grid",
+    "pairs_text", "pairs_list", "pairs_unknown_key", "pairs_external_key"])
 def test_a_bad_model_parameter_costs_no_evolution(call, message, monkeypatch):
     circuit = cs.build_scenario("simple_loop").circuit
     calls = []
@@ -773,7 +782,7 @@ def test_each_model_words_its_own_paradox(model, message, entries):
         model.run(circuit)
     assert str(info.value) == message
     table = info.value.projections
-    assert (None if table is None else len(table.entries)) == entries
+    assert (None if table is None else len(table.amps)) == entries
 
 
 def _grandfather_with_externals():
@@ -798,7 +807,7 @@ def test_every_loop_model_tables_its_paradox_from_its_own_evolution(model):
         model.run(circuit)
     got, want = info.value.projections, cs.projection_table(circuit)
     assert got.labels == want.labels
-    assert (got.channel_order, got.ext_labels) == (want.channel_order, want.ext_labels)
+    assert got.channel_order == want.channel_order
     assert got.amps.tobytes() == want.amps.tobytes()
     assert got.weights.tobytes() == want.weights.tobytes()
 
@@ -838,17 +847,18 @@ def test_classical_two_qubit_flip_weights_are_products():
     circuit = two_loop_circuit(0.9)
     k = 0.3
     r = cs.run_classical(circuit, k)
+    table = r.projections
     weights = {}
-    for e in r.projections.entries:
-        i, j = (int(x) for x in e.label.split("|"))
+    for label in table.labels:
+        i, j = (int(x) for x in label.split("|"))
         flips = bin(i ^ j).count("1")
         weights.setdefault(flips, 0.0)
-    for e in r.projections.entries:
-        i, j = (int(x) for x in e.label.split("|"))
-        if e.weight > 0:
+    for label, row, weight in zip(table.labels, table.amps, table.weights):
+        i, j = (int(x) for x in label.split("|"))
+        if weight > 0:
             flips = bin(i ^ j).count("1")
-            hist = e.state.norm**2
-            assert e.weight == pytest.approx(
+            hist = np.linalg.norm(row)**2
+            assert weight == pytest.approx(
                 (1 - k) ** (2 - flips) * k**flips * hist, abs=1e-12
             )
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from ctcsim import (Channel, ConfigError, build_circuit, compile_unitary, make_gate,
                     run_exact_bell)
 from ctcsim.circuit import Circuit, evolve, with_init
+from ctcsim.cli import parse_circuit_doc
 from ctcsim.engine import pair_out_state
 from ctcsim.errors import ArityError, LabelCollision, LabelError
 from ctcsim.gates import Gate, param_names
@@ -416,3 +418,20 @@ def test_entangled_group_is_laid_out_in_declaration_order():
     state = c.initial_external_state()
     assert state.labels == ("a", "b", "c")
     assert np.allclose(state.amps, [0.36, 0, 0.48, 0, 0.48, 0, 0.64, 0], atol=1e-15)
+
+
+def test_gates_compare_by_identity_and_circuits_compare_without_raising():
+    doc = json.dumps({
+        "channels": [{"name": "tm", "role": "ctc"}, {"name": "a"}, {"name": "b"}],
+        "entangled_inits": [{"channels": ["a", "b"], "amplitudes": [0.6, 0, 0, 0, 0, 0, 0.8, 0]}],
+        "gates": [{"kind": "ROT", "targets": ["a"], "params": {"theta": 0.3}},
+                  {"kind": "CX", "targets": ["a", "tm"]}],
+    })
+    first, second = parse_circuit_doc(doc)[0], parse_circuit_doc(doc)[0]
+    assert first == first
+    assert first != second  # the same document, but gates built anew
+    assert dataclasses.replace(first, gates=()) == dataclasses.replace(second, gates=())
+    gate = make_gate("ROT", ("a",), (0.3,))
+    assert hash(gate) == hash(gate) and gate == gate
+    assert gate != make_gate("ROT", ("a",), (0.3,))
+    assert len({gate, make_gate("ROT", ("a",), (0.3,))}) == 2

@@ -48,6 +48,17 @@ def test_parameter_override_applies():
     assert all(r["passed"] for r in records)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"params": [1]}, "scenario parameters must be a mapping, got [1]"),
+    ({"params": "zeta"}, "scenario parameters must be a mapping, got 'zeta'"),
+    ({"model": 3}, "model filter must be a string, got 3"),
+], ids=["params_list", "params_text", "model_int"])
+def test_bad_verify_arguments_are_config_errors(kwargs, message):
+    with pytest.raises(cs.ConfigError) as info:
+        cs.verify_scenario("faulty_gun", **kwargs)
+    assert str(info.value) == message
+
+
 def test_model_filter_limits_records():
     records = cs.verify_scenario("simple_loop", model="noisy_bell")
     assert records
@@ -107,9 +118,9 @@ def test_catalog_records_match_the_manifest():
 
 
 def test_the_catalog_evolves_each_circuit_once(monkeypatch):
-    # 29 scenario circuits, 2 conditional runs, 2 custom boundary pairs, 6 variant
-    # circuits and 2 input-bias probes: every model a check runs shares its circuit's
-    # one evolution
+    # 30 looped scenario circuits, 2 conditional runs, 6 variant circuits and 2
+    # input-bias probes: every model a check runs, custom boundary pairs included,
+    # shares its circuit's one evolution
     calls, evolve = [], cs.engine.evolve
 
     def counted(*args):
@@ -119,7 +130,10 @@ def test_the_catalog_evolves_each_circuit_once(monkeypatch):
     monkeypatch.setattr(cs.engine, "evolve", counted)
     records = [r for name in ALL for r in cs.verify_scenario(name)]
     assert len(records) == 122
-    assert len(calls) <= 41
+    assert len(calls) <= 40
     calls.clear()
     cs.verify_scenario("simple_loop")  # exact, noisy, delta, weight matrix and classical
+    assert len(calls) == 1
+    calls.clear()
+    cs.verify_scenario("twist_pair")  # two custom boundary pairs off the one Bell evolution
     assert len(calls) == 1
