@@ -60,7 +60,7 @@ from .errors import (
 )
 from .gates import Gate, make_gate
 from .scenarios import Scenario, build_scenario, list_scenarios, verify_scenario
-from .states import DensityOperator, PureState, partial_trace
+from .states import DensityOperator, PureState
 
 __version__ = "1.0.0"
 
@@ -74,7 +74,7 @@ __all__ = [
     "build_circuit", "build_scenario", "compile_unitary", "compose_skew",
     "discrimination_stats", "ec_fidelity", "entropy_skew", "entropy_skew_max",
     "flip_probability", "input_bias", "list_scenarios", "make_gate",
-    "pair_out_state", "parity_recursion", "partial_trace",
+    "pair_out_state", "parity_recursion",
     "povm_inconclusive", "projection_table", "resolve_tolerance",
     "run_classical", "run_conditional", "run_delta_quadrature",
     "run_exact_bell", "run_noisy_bell", "run_weight_matrix",

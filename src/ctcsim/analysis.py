@@ -18,7 +18,7 @@ import numpy as np
 from .circuit import with_reference
 from .engine import _DELTA_FORM, Classical, ExactBell, NoisyBell, _check_grid, _hermitian
 from .errors import ConfigError, InfiniteSkew, LabelError, ParadoxError
-from .states import DensityOperator, partial_trace
+from .states import DensityOperator, unit_vector
 
 
 def skew_factor(model):
@@ -212,10 +212,8 @@ def weak_average(op, state_pre, state_post, omega):
     """
     _check_skew(omega)
     op = np.asarray(op, dtype=complex)
-    pre = np.asarray(state_pre, dtype=complex)
-    post = np.asarray(state_post, dtype=complex)
-    post = post / np.linalg.norm(post)
-    pre = pre / np.linalg.norm(pre)
+    pre = unit_vector(state_pre, "pre-selected state")
+    post = unit_vector(state_post, "post-selected state")
     # any unit vector orthogonal to the post-selected state (d = 2 only)
     if post.shape != (2,):
         raise ConfigError("weak averages implemented for single qubits")
@@ -264,8 +262,10 @@ def input_bias(circuit, channel, model, nodes=64):
     except ParadoxError:
         raise ParadoxError("every input state of channel %r is a paradox"
                            % (channel,)) from None
-    # rho_ref^T is M up to the factor 2 Z, which the normalization below drops
-    form = partial_trace(result.rho, probe.external_labels[-1:]).mat.T
+    # rho_ref^T is M up to the factor 2 Z, which the normalization below drops; the
+    # reference qubit is the probe's last external label, so it is the trailing axis
+    d = len(result.rho.mat) // 2
+    form = np.einsum("iaib->ba", result.rho.mat.reshape(d, 2, d, 2))
     # as (2, 2, 2, 2), _DELTA_FORM holds the moments int c_a c_b* c_c* c_d
     num = _hermitian((_DELTA_FORM @ form.reshape(-1)).reshape(2, 2))
     return DensityOperator(num / np.trace(num).real, (channel,))

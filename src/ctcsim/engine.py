@@ -40,9 +40,11 @@ labels and finiteness once, on the evolved state; `circuit.compile_unitary`
 shares none of it and stays the independent oracle.  Each model is then one
 contraction of these arrays into a weighted, unnormalized operator on the
 externals, a descriptor's `contract(circuit, pairs, tol)` of the tensor it is
-handed, so models share an evolution; `run` (and so each `run_*`) checks the
-parameters, then evolves once and contracts.  Every runner, the loop-free
-`run_conditional` included, finishes in `_post_select`: Z is its trace, Z
+handed, so models share an evolution; the exact model's one contraction also
+takes custom boundary pairs.  `run` (and so each `run_*`) checks the
+parameters, then evolves once and contracts with numpy's overflow warnings off.
+Every runner, the loop-free `run_conditional` included, finishes in
+`_post_select`: Z is its trace, a Z that is not finite is a NumericsError, Z
 (exact model: the survival amplitude) below the tolerance is a paradox in the
 model's own words with its own pair table, and rho and rho_loop are divided by Z.
 
@@ -65,14 +67,14 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .circuit import REF_SUFFIX, evolve
-from .errors import ConfigError, NoCtcError, ParadoxError, UnsupportedError
+from .errors import ConfigError, NoCtcError, NumericsError, ParadoxError, UnsupportedError
 from .states import (
     DEFAULT_PARADOX_TOL,
     DensityOperator,
     PureState,
     apply_gate,
-    complex_array,
     normalized_amplitudes,
+    unit_vector,
 )
 
 TOLERANCE_ENV_VAR = "CTC_SIM_TOLERANCE"
@@ -225,7 +227,8 @@ def _post_select(circuit, model, num, tol, paradox, table=None, n=None, loop=Non
                  pairs=None, **metadata):
     """Finish any run from its weighted operator `num` on the externals.
 
-    Z = tr(num).  `n` (exact model), else Z, below the tolerance raises
+    Z = tr(num); a Z or `n` that is not finite (an overflow) raises NumericsError.
+    `n` (exact model), else Z, below the tolerance raises
     ParadoxError with the `paradox` wording (a %-format over n, z and tol) and
     `table`, or else the pair table of the evolved tensor `pairs` (history
     models); rho and `loop` are divided by Z, and the tolerance ends the metadata.
@@ -233,6 +236,8 @@ def _post_select(circuit, model, num, tol, paradox, table=None, n=None, loop=Non
     """
     tol = resolve_tolerance(tol)
     z = float(np.trace(num).real)
+    if not (math.isfinite(z) and math.isfinite(n or 0.0)):
+        raise NumericsError("%s acceptance rate Z = %r is not finite" % (model, z))
     if (z if n is None else n) < tol:
         if pairs is not None:  # a history model tables its own evolution
             table = _pair_table(circuit, pairs)
@@ -273,22 +278,16 @@ def _pair_table(circuit, t):
 def run_exact_bell(circuit, tol=None, pair_states=None):
     """Exact post-selected evolution: keep only the matched-pair outcome.
 
-    `pair_states` maps looped channels to custom (reference, loop) pair amplitudes
-    chi = (I x K)|B>, the Bell pair with K on its loop wire before the gates and
-    K^dagger after.  Moved onto the Bell evolution t, the matched row is
-    t.reshape(len(t), -1) @ G, G the Kronecker product over loops of sqrt(2) chi^dagger chi
-    (chi as its reference-by-loop 2x2 matrix, so I/sqrt(2) for a Bell pair).  Such a run
-    reports no table.
+    `pair_states` maps looped channels to custom (reference, loop) pair amplitudes;
+    see ExactBell.contract.  A bad pair is a ConfigError before the evolution.
     """
-    gram = _pair_gram(circuit, pair_states)
-    if gram is None:
-        return ExactBell().run(circuit, tol)
-    t = _evolved_pairs(circuit)
-    return _exact(circuit, t.reshape(len(t), -1) @ gram, tol)
+    _pair_gram(circuit, pair_states)
+    with np.errstate(over="ignore", invalid="ignore"):  # _post_select catches overflow
+        return ExactBell().contract(circuit, _evolved_pairs(circuit), tol, pair_states)
 
 
 def _pair_gram(circuit, pair_states):
-    """run_exact_bell's G, flat; None without custom pairs, ConfigError for a bad one."""
+    """ExactBell.contract's G, flat; None without custom pairs, ConfigError for a bad one."""
     loops = _require_loops(circuit)
     if not isinstance(pair_states, (Mapping, type(None))):
         raise ConfigError("pair_states must be a mapping, got %r" % (pair_states,))
@@ -303,14 +302,6 @@ def _pair_gram(circuit, pair_states):
             chi = normalized_amplitudes(pair_states[label], 2, "pair state for %r" % (label,))
             grams[i] = 2**0.5 * chi.reshape(2, 2).conj().T @ chi.reshape(2, 2)
     return functools.reduce(np.kron, grams).reshape(-1)
-
-
-def _exact(circuit, matched, tol, table=None):
-    """The exact model on its matched row of external amplitudes; `table` is reported."""
-    return _post_select(
-        circuit, "exact_bell", np.outer(matched, matched.conj()), tol,
-        "matched-pair amplitude %(n).3e below tolerance %(tol).3e: no consistent history",
-        table, n=float(np.linalg.norm(matched)))
 
 
 def loop_histories(circuit):
@@ -397,13 +388,7 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
         d_labels, d_amps = deselect
     except (TypeError, ValueError):
         raise ConfigError("deselect must be a (labels, amplitudes) pair") from None
-    d_amps = complex_array(d_amps, 1, "deselect direction").view(float)  # [re, im] pairs
-    if not (np.isfinite(d_amps).all() and d_amps.any()):
-        raise ConfigError("deselect direction must be a nonzero finite vector, got %r"
-                          % (deselect[1],))
-    # scaling by a power of two is exact and keeps the norm from under- or overflowing
-    d_amps = np.ldexp(d_amps, -np.frexp(np.abs(d_amps).max())[1]).view(complex)
-    d_amps = d_amps / np.linalg.norm(d_amps)
+    d_amps = unit_vector(d_amps, "deselect direction")
     state = evolve(circuit.initial_external_state(), circuit)
     n = state.n_qubits
     mask = np.ones(2**n, dtype=bool)
@@ -443,7 +428,8 @@ class _Model:
 
     def run(self, circuit, tol=None):
         self._params(circuit)
-        return self.contract(circuit, _evolved_pairs(circuit), tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # _post_select catches overflow
+            return self.contract(circuit, _evolved_pairs(circuit), tol)
 
 
 @dataclass(frozen=True)
@@ -452,9 +438,26 @@ class ExactBell(_Model):
 
     type = name = "exact_bell"
 
-    def contract(self, circuit, pairs, tol=None):
-        table = _pair_table(circuit, pairs)
-        return _exact(circuit, table.amps[0], tol, table)
+    def contract(self, circuit, pairs, tol=None, pair_states=None):
+        """The matched row of the Bell evolution `pairs`, reported with its table.
+
+        `pair_states` maps looped channels to custom (reference, loop) pair amplitudes
+        chi = (I x K)|B>, the Bell pair with K on its loop wire before the gates and
+        K^dagger after.  Moved onto the Bell evolution t, the matched row is
+        t.reshape(len(t), -1) @ G, G the Kronecker product over loops of sqrt(2)
+        chi^dagger chi (chi as its reference-by-loop 2x2 matrix, so I/sqrt(2) for a
+        Bell pair).  Such a run reports no table.
+        """
+        gram = _pair_gram(circuit, pair_states)
+        if gram is None:
+            table = _pair_table(circuit, pairs)
+            matched = table.amps[0]
+        else:
+            table, matched = None, pairs.reshape(len(pairs), -1) @ gram
+        return _post_select(
+            circuit, "exact_bell", np.outer(matched, matched.conj()), tol,
+            "matched-pair amplitude %(n).3e below tolerance %(tol).3e: no consistent history",
+            table, n=float(np.linalg.norm(matched)))
 
 
 @dataclass(frozen=True)

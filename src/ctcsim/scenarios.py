@@ -25,14 +25,14 @@ from .engine import (
     NoisyBell,
     WeightMatrix,
     _evolved_pairs,
-    _exact,
-    _pair_gram,
     _pair_table,
+    _unit_interval,
     run_conditional,
     run_exact_bell,
 )
 from .errors import ConfigError, ParadoxError, ScenarioNotFound
 from .gates import make_gate
+from .states import unit_vector
 
 _SQ2 = 2**-0.5
 
@@ -97,16 +97,13 @@ def _qubit(a, b):
 # builders
 
 
-def _b_simple_loop(p):
-    return build_circuit(
-        [Channel("tm", looped=True), Channel("sys", init=(p["alpha"], p["beta"]))],
-        [_g("SWAP", "tm", "sys")],
-    )
+def _gamma_2q(p):
+    return unit_vector([p["g00"], p["g01"], p["g10"], p["g11"]],
+                       "scenario amplitudes (g00, g01, g10, g11)")
 
 
 def _b_simple_loop_2q(p):
-    gamma = np.array([p["g00"], p["g01"], p["g10"], p["g11"]], dtype=complex)
-    gamma = gamma / np.linalg.norm(gamma)
+    gamma = _gamma_2q(p)
     return build_circuit(
         [Channel("tm1", looped=True), Channel("tm2", looped=True),
          Channel("e1"), Channel("e2")],
@@ -134,21 +131,12 @@ def _near_not(p):
     return _g("CUSTOM", "tm", matrix=mat)
 
 
-def _b_gun(kind, angle=None):
+def _b_one_gate(ext, kind, targets, angle=None):
+    """The loop "tm", the external `ext` in (alpha, beta) and one gate on `targets`."""
     def build(p):
         return build_circuit(
-            [Channel("tm", looped=True), Channel("gun", init=(p["alpha"], p["beta"]))],
-            [_g(kind, "gun", "tm", params=_angle(angle, p))],
-        )
-    return build
-
-
-def _b_proof(kind, angle=None):
-    def build(p):
-        return build_circuit(
-            [Channel("tm", looped=True),
-             Channel("probe", init=(p["alpha"], p["beta"]))],
-            [_g(kind, "tm", "probe", params=_angle(angle, p))],
+            [Channel("tm", looped=True), Channel(ext, init=(p["alpha"], p["beta"]))],
+            [_g(kind, *targets, params=_angle(angle, p))],
         )
     return build
 
@@ -163,8 +151,7 @@ def _b_pot_product(p):
 
 
 def _b_pot_entangled(p):
-    gamma = np.array([p["g00"], 0.0, 0.0, p["g11"]], dtype=complex)
-    gamma = gamma / np.linalg.norm(gamma)
+    gamma = unit_vector([p["g00"], 0.0, 0.0, p["g11"]], "scenario amplitudes (g00, g11)")
     return build_circuit(
         [Channel("tm", looped=True), Channel("p1"), Channel("p2")],
         [_g("CX", "tm", "p1"), _g("CX", "tm", "p2")],
@@ -215,8 +202,7 @@ def _b_amnesia_plain(p):
 
 
 def _b_amnesia_entangled(p):
-    gamma = np.array([p["alpha"], 0.0, 0.0, p["beta"]], dtype=complex)
-    gamma = gamma / np.linalg.norm(gamma)
+    gamma = unit_vector([p["alpha"], 0.0, 0.0, p["beta"]], "scenario amplitudes (alpha, beta)")
     return build_circuit(
         [Channel("tm", looped=True), Channel("s1"), Channel("s2")],
         [_g("CX", "tm", "s1")],
@@ -277,12 +263,10 @@ def _b_selector(n):
 
 
 def _parity_ec_input(p):
-    eps, a, b = p["eps"], p["alpha"], p["beta"]
-    v = np.zeros(4, dtype=complex)
-    v[0] = a * (1 - eps) + b * eps
-    v[3] = b * (1 - eps) + a * eps
-    v[1] = v[2] = math.sqrt(eps * (1 - eps)) * (a + b)
-    return v / np.linalg.norm(v)
+    eps, a, b = _unit_interval(p["eps"], "scenario parameter eps"), p["alpha"], p["beta"]
+    flip = math.sqrt(eps * (1 - eps)) * (a + b)
+    return unit_vector([a * (1 - eps) + b * eps, flip, flip, b * (1 - eps) + a * eps],
+                       "carrier amplitudes of (alpha, beta)")
 
 
 def _b_parity_ec(p):
@@ -333,8 +317,7 @@ def _c_simple_loop(p, c, t):
 
 
 def _c_simple_loop_2q(p, c, t):
-    gamma = np.array([p["g00"], p["g01"], p["g10"], p["g11"]], dtype=complex)
-    gamma = gamma / np.linalg.norm(gamma)
+    gamma = _gamma_2q(p)
     rec = _records("exact_bell", ExactBell().contract(c, t), n=0.25, rho=_proj(gamma))
     k = 0.3
     rho_cl = 0.25 * k * np.eye(4) + (1 - k) * np.diag(np.abs(gamma) ** 2)
@@ -345,7 +328,7 @@ def _c_simple_loop_2q(p, c, t):
 def _c_twist_pair(p, c, t):
     a, b = p["alpha"], p["beta"]
     def paired(chi):  # the exact model against boundary pair chi, off the Bell evolution
-        return _exact(c, t.reshape(len(t), -1) @ _pair_gram(c, {"tm": chi}), None)
+        return ExactBell().contract(c, t, pair_states={"tm": chi})
 
     twist = np.array([_SQ2, 0.5, 0.0, 0.5], dtype=complex)
     expect = np.array([a / 2 + b / math.sqrt(8), a / math.sqrt(8) + b / 2])
@@ -357,12 +340,13 @@ def _c_twist_pair(p, c, t):
 
 def _c_grandfather(label):
     def checks(p, c, t):
+        lam = 0.2
+        noisy = NoisyBell(lam).contract(c, t)
+        table = noisy.projections  # one loop: the rows are "B", "-", "N", "-N"
         rec = [_paradox_rec("exact_bell", "paradox", lambda: ExactBell().contract(c, t))]
-        table = _pair_table(c, t)  # one loop: the rows are "B", "-", "N", "-N"
         rec += [_rec("projection", "weight[%s]" % out, 1.0 if out == label else 0.0, w, 1e-12)
                 for out, w in zip(table.labels, table.weights)]
-        lam = 0.2
-        return rec + _records("noisy_bell(0.2)", NoisyBell(lam).contract(c, t), z=lam / 4.0)
+        return rec + _records("noisy_bell(0.2)", noisy, z=lam / 4.0)
     return checks
 
 
@@ -511,8 +495,7 @@ def _c_pot_product(p, c, t):
 
 
 def _c_pot_entangled(p, c, t):
-    g = np.array([p["g00"], p["g11"]], dtype=float)
-    g = g / np.linalg.norm(g)
+    g = unit_vector([p["g00"], p["g11"]], "scenario amplitudes (g00, g11)").real
     n2 = (g[0] + g[1]) ** 2 / 2.0
     return _records("exact_bell", ExactBell().contract(c, t), n=math.sqrt(n2))
 
@@ -612,8 +595,7 @@ def _c_amnesia_plain(p, c, t):
 
 
 def _c_amnesia_entangled(p, c, t):
-    g = np.array([p["alpha"], p["beta"]], dtype=float)
-    g = g / np.linalg.norm(g)
+    g = unit_vector([p["alpha"], p["beta"]], "scenario amplitudes (alpha, beta)")
     expect = 0.5 * np.array([g[0], g[1], g[0], g[1]], dtype=complex)
     rec = [_rec("projection", "psi_B", expect, _rows(c, t)["B"], 1e-12)]
     return rec + _records("exact_bell", ExactBell().contract(c, t), n=_SQ2)
@@ -690,14 +672,14 @@ _AB = {"alpha": 0.8, "beta": 0.6}
 _REGISTRY = {
     "simple_loop": (
         "One looped qubit swapped with an external qubit; survives with N = 1/2.",
-        dict(_AB), _b_simple_loop, _c_simple_loop),
+        dict(_AB), _b_one_gate("sys", "SWAP", ("tm", "sys")), _c_simple_loop),
     "simple_loop_2q": (
         "Two looped qubits swapped with an entangled external register.",
         {"g00": 0.6, "g01": 0.0, "g10": 0.0, "g11": 0.8},
         _b_simple_loop_2q, _c_simple_loop_2q),
     "twist_pair": (
         "Simple loop against a non-maximally-entangled boundary pair.",
-        dict(_AB), _b_simple_loop, _c_twist_pair),
+        dict(_AB), _b_one_gate("sys", "SWAP", ("tm", "sys")), _c_twist_pair),
     "grandfather_not": (
         "NOT gate on the loop: the matched projection vanishes identically.",
         {}, _b_grandfather(lambda p: _g("X", "tm")), _c_grandfather_not_extra),
@@ -718,28 +700,28 @@ _REGISTRY = {
         _c_faulty_gun),
     "cnot_gun": (
         "External control fires a NOT at the loop; selection biases the control.",
-        dict(_AB), _b_gun("CX"), _c_cnot_gun),
+        dict(_AB), _b_one_gate("gun", "CX", ("gun", "tm")), _c_cnot_gun),
     "cpf_gun": (
         "External control fires a phase flip at the loop.",
-        dict(_AB), _b_gun("CPHASE", math.pi), _c_cpf_gun),
+        dict(_AB), _b_one_gate("gun", "CPHASE", ("gun", "tm"), math.pi), _c_cpf_gun),
     "cpf_delta": (
         "Controlled phase flip under the continuous loop boundary model.",
-        dict(_AB), _b_gun("CPHASE", math.pi), _c_cpf_delta),
+        dict(_AB), _b_one_gate("gun", "CPHASE", ("gun", "tm"), math.pi), _c_cpf_delta),
     "crot_gun": (
         "External control fires a partial rotation (zeta) at the loop.",
-        {"zeta": 0.5, **_AB}, _b_gun("CROT", "zeta"), _c_crot_gun),
+        {"zeta": 0.5, **_AB}, _b_one_gate("gun", "CROT", ("gun", "tm"), "zeta"), _c_crot_gun),
     "phase_gun": (
         "External control fires a partial phase (xi) at the loop.",
-        {"xi": 0.9, **_AB}, _b_gun("CPHASE", "xi"), _c_phase_gun),
+        {"xi": 0.9, **_AB}, _b_one_gate("gun", "CPHASE", ("gun", "tm"), "xi"), _c_phase_gun),
     "unproven_proof_cx": (
         "Loop copies itself onto a probe; only aligned probes survive.",
-        dict(_AB), _b_proof("CX"), _c_proof_cx),
+        dict(_AB), _b_one_gate("probe", "CX", ("tm", "probe")), _c_proof_cx),
     "unproven_proof_crot": (
         "Loop rotates a probe by a quarter turn; survival is input-independent.",
-        dict(_AB), _b_proof("CROT", math.pi / 2), _c_proof_crot),
+        dict(_AB), _b_one_gate("probe", "CROT", ("tm", "probe"), math.pi / 2), _c_proof_crot),
     "unproven_proof_cpf": (
         "Loop phase-flips a probe.",
-        dict(_AB), _b_proof("CPHASE", math.pi), _c_proof_cpf),
+        dict(_AB), _b_one_gate("probe", "CPHASE", ("tm", "probe"), math.pi), _c_proof_cpf),
     "twice_watched_pot_product": (
         "Two probes read the loop in succession (product inputs).",
         {"a1": 0.8, "b1": 0.6, "a2": 0.28, "b2": 0.96},
@@ -838,7 +820,8 @@ def verify_scenario(name, params=None, model=None):
         raise ConfigError("model filter must be a string, got %r" % (model,))
     _, p, build, checks = _resolve(name, params)
     c = build(p)
-    records = checks(p, c, _evolved_pairs(c) if c.loop_labels else None)
+    with np.errstate(over="ignore", invalid="ignore"):  # _post_select catches overflow
+        records = checks(p, c, _evolved_pairs(c) if c.loop_labels else None)
     if model is not None:
         records = [r for r in records if r["model"].startswith(model)]
     return records

@@ -55,6 +55,17 @@ def normalized_amplitudes(values, n_qubits, what):
     return amps
 
 
+def unit_vector(values, what):
+    """`values` as a complex vector of norm 1, else ConfigError naming `what`."""
+    parts = complex_array(values, 1, what).view(float)  # [re, im] pairs
+    top = np.abs(parts).max(initial=0.0)
+    if not 0.0 < top < math.inf:  # nan fails too
+        raise ConfigError("%s must be a nonzero finite vector, got %r" % (what, values))
+    # scaling by a power of two is exact and keeps the norm from under- or overflowing
+    parts = np.ldexp(parts, -math.frexp(top)[1]).view(complex)
+    return parts / np.linalg.norm(parts)
+
+
 @dataclass(frozen=True)
 class PureState:
     """A (possibly unnormalized) state vector on labeled qubits."""
@@ -84,32 +95,11 @@ class PureState:
     def n_qubits(self):
         return len(self.labels)
 
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.amps))
-
     def axis(self, label):
         try:
             return self.labels.index(label)
         except ValueError:
             raise LabelError("no qubit labeled %r" % (label,)) from None
-
-    @classmethod
-    def computational(cls, bits, labels):
-        """Basis state |bits> on the given labels."""
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != len(labels):
-            raise LabelError("bit count does not match label count")
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | (b & 1)
-        amps = np.zeros(2 ** len(labels), dtype=complex)
-        amps[idx] = 1.0
-        return cls(amps, tuple(labels))
-
-    @classmethod
-    def qubit(cls, alpha, beta, label):
-        return cls(np.array([alpha, beta], dtype=complex), (label,))
 
 
 @dataclass(frozen=True)
@@ -231,29 +221,3 @@ def project(state, bra, subset=None):
     remaining = tuple(l for l in state.labels if l not in subset)
     return PureState(out.reshape(-1), remaining)
 
-
-def partial_trace(rho, keep):
-    """Trace out everything but the `keep` labels (returned in `keep` order)."""
-    keep = tuple(keep)
-    n = rho.n_qubits
-    keep_axes = [rho.labels.index(l) if l in rho.labels else -1 for l in keep]
-    if -1 in keep_axes:
-        raise LabelError("cannot keep a label absent from the operator")
-    drop_axes = [i for i in range(n) if rho.labels[i] not in keep]
-    t = rho.mat.reshape((2,) * (2 * n))
-    for ax in sorted(drop_axes, reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
-    kept_labels = tuple(l for l in rho.labels if l in keep)
-    d = 2 ** len(kept_labels)
-    out = DensityOperator(t.reshape(d, d), kept_labels)
-    if kept_labels != keep:
-        out = _permute_density(out, keep)
-    return out
-
-
-def _permute_density(rho, new_order):
-    n = rho.n_qubits
-    perm = [rho.labels.index(l) for l in new_order]
-    t = rho.mat.reshape((2,) * (2 * n))
-    t = np.transpose(t, perm + [p + n for p in perm])
-    return DensityOperator(t.reshape(2**n, 2**n), tuple(new_order))

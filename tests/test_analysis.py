@@ -218,6 +218,16 @@ def test_weak_average_limits():
     assert even == pytest.approx(expect, abs=1e-12)
 
 
+@pytest.mark.parametrize("pre, post, what", [
+    ([0, 0], [1, 0], "pre-selected state"), ([1, 0], [0, math.inf], "post-selected state"),
+], ids=["zero_pre", "infinite_post"])
+def test_weak_average_of_a_state_with_no_direction_is_a_config_error(pre, post, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # once nan and a RuntimeWarning
+        with pytest.raises(cs.ConfigError, match=what + " must be a nonzero finite vector"):
+            cs.weak_average(np.eye(2), pre, post, 2.0)
+
+
 def test_flip_probability_reads_diagonal():
     rho = cs.DensityOperator(np.diag([0.1, 0.2, 0.3, 0.4]), ("a", "b"))
     result = cs.PostSelectionResult(model="test", z=1.0, rho=rho)

@@ -585,6 +585,34 @@ def test_scenario_delta_simple_loop(capsys):
     assert json.loads(out)["Z"] == pytest.approx(math.pi**2, abs=1e-8)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["parity_ec", "--param", "eps=2"], "error: scenario parameter eps must lie in [0, 1]"),
+    (["parity_ec", "--param", "eps=-1"], "error: scenario parameter eps must lie in [0, 1]"),
+    (["simple_loop_2q", "--param", "g00=0", "--param", "g11=0"],
+     "error: scenario amplitudes (g00, g01, g10, g11) must be a nonzero finite vector, "
+     "got [0.0, 0.0, 0.0, 0.0]"),
+    (["grandfather_perturbed", "--param", "eps=1e308"],
+     "error: exact_bell acceptance rate Z = inf is not finite"),
+    (["grandfather_perturbed", "--param", "eps=1e308", "--model", "noisy_bell,lambda=0.2"],
+     "error: noisy_bell acceptance rate Z = inf is not finite"),
+    (["grandfather_perturbed", "--param", "eps=1e308", "--model", "classical,k=0.2"],
+     "error: classical acceptance rate Z = inf is not finite"),
+    (["grandfather_perturbed", "--param", "eps=1e308", "--model", "weight_matrix"],
+     "error: weight_matrix acceptance rate Z = inf is not finite"),
+    (["grandfather_perturbed", "--param", "eps=1e308", "--model", "delta"],
+     "error: delta_quadrature acceptance rate Z = nan is not finite"),
+], ids=["eps_2", "eps_-1", "zero_amplitudes", "overflow_exact", "overflow_noisy",
+        "overflow_classical", "overflow_weight_matrix", "overflow_delta"])
+def test_bad_scenario_parameters_exit_one_with_a_typed_message(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        code = main(["scenario", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_scenario_unknown_name_exits_one(capsys):
     code, _ = invoke("scenario", "time_police", capsys=capsys)
     assert code == 1

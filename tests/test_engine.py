@@ -99,10 +99,6 @@ def random_circuit(seed, n_loops, n_ext, n_gates=12):
     return build_circuit(channels, gates)
 
 
-def _bits(i, m):
-    return [(i >> (m - 1 - q)) & 1 for q in range(m)]
-
-
 def histories_by_evolution(circuit):
     """Reference: evolve each loop eigenstate separately, then project on each."""
     loops = circuit.loop_labels
@@ -110,10 +106,10 @@ def histories_by_evolution(circuit):
     ext0 = circuit.initial_external_state()
     histories = {}
     for i in range(2**m):
-        start = PureState.computational(_bits(i, m), loops)
+        start = PureState(np.eye(2**m)[i], loops)
         state = evolve(start if not ext0.n_qubits else tensor(start, ext0), circuit)
         for j in range(2**m):
-            bra = PureState.computational(_bits(j, m), loops)
+            bra = PureState(np.eye(2**m)[j], loops)
             histories[(i, j)] = project(state, bra)
     return histories
 
@@ -147,21 +143,21 @@ def test_history_tensor_matches_per_eigenstate_evolution(seed, n_loops, n_ext):
     table_ref = table_by_projection(circuit)
     # the weights resolve the identity exactly when every gate is unitary
     total = 1.0 if all(g.unitary for g in circuit.gates) else \
-        sum(ref.norm**2 for ref in table_ref.values())
+        sum(np.linalg.norm(ref.amps)**2 for ref in table_ref.values())
     assert table.total_weight == pytest.approx(total, abs=1e-12)
     assert len(table.amps) == len(table_ref) == 4**n_loops
     for label, row, weight in zip(table.labels, table.amps, table.weights):
         ref = table_ref[label]
         assert ref.labels == circuit.external_labels  # the rows' qubit order
         assert np.max(np.abs(row - ref.amps)) <= 1e-12
-        assert weight == pytest.approx(ref.norm**2, abs=1e-12)
+        assert weight == pytest.approx(np.linalg.norm(ref.amps)**2, abs=1e-12)
 
 
 def mixture_by_loop(states, weights):
     """Reference: Z and trace-1 rho of a weighted mixture, one state at a time."""
     z, num = 0.0, 0.0
     for state, w in zip(states, weights):
-        z += w * state.norm**2
+        z += w * np.linalg.norm(state.amps)**2
         num = num + w * np.outer(state.amps, state.amps.conj())
     return z, num / z
 
@@ -681,10 +677,12 @@ def test_custom_pairs_match_the_unitary_reference(seed, n_loops, n_ext):
     psi = exact_with_pairs_by_unitary(circuit, pairs)
     n = np.linalg.norm(psi)
     assume(n > 1e-6)
-    r = cs.run_exact_bell(circuit, pair_states=pairs)
-    assert r.projections is None
-    assert abs(r.n - n) <= 1e-12
-    assert np.max(np.abs(r.rho.mat - np.outer(psi, psi.conj()) / n**2)) <= 1e-12
+    t = cs.engine._evolved_pairs(circuit)
+    for r in (cs.run_exact_bell(circuit, pair_states=pairs),
+              cs.ExactBell().contract(circuit, t, pair_states=pairs)):
+        assert r.projections is None
+        assert abs(r.n - n) <= 1e-12
+        assert np.max(np.abs(r.rho.mat - np.outer(psi, psi.conj()) / n**2)) <= 1e-12
 
 
 BAD_PARAMETERS = [

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,56 @@ def test_catalog_records_match_the_manifest():
             assert row[4] == pytest.approx(want[4], rel=0, abs=1e-12), row
         else:
             assert row[4] == want[4], row
+
+
+@pytest.mark.parametrize("name", [n for n in ALL if n.startswith("grandfather_")
+                                  and n != "grandfather_perturbed"])
+def test_each_grandfather_scenario_builds_two_pair_tables(name, monkeypatch):
+    # the exact paradox and the noisy run each table the one evolution; the four
+    # outcome weights are read off the noisy run's table
+    calls, pair_table = [], cs.engine._pair_table
+
+    def counted(*args):
+        calls.append(args)
+        return pair_table(*args)
+
+    monkeypatch.setattr(cs.engine, "_pair_table", counted)
+    monkeypatch.setattr(cs.scenarios, "_pair_table", counted)
+    assert all(r["passed"] for r in cs.verify_scenario(name))
+    assert len(calls) == 2
+
+
+def test_an_overflowing_scenario_is_a_typed_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        with pytest.raises(cs.NumericsError, match="Z = inf is not finite"):
+            cs.verify_scenario("grandfather_perturbed", {"eps": 1e308})
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("parity_ec", {"alpha": 0.0, "beta": 0.0},
+     "carrier amplitudes of (alpha, beta) must be a nonzero finite vector"),
+    ("twice_watched_pot_entangled", {"g00": 0.0, "g11": 0.0},
+     "scenario amplitudes (g00, g11) must be a nonzero finite vector"),
+    ("amnesia_entangled", {"alpha": 0.0, "beta": 0.0},
+     "scenario amplitudes (alpha, beta) must be a nonzero finite vector"),
+], ids=["parity_ec", "pot_entangled", "amnesia_entangled"])
+def test_all_zero_scenario_amplitudes_are_config_errors(name, params, message):
+    # eps out of range and simple_loop_2q's zero amplitudes are CLI cases in test_cli.py
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cs.ConfigError) as info:
+            cs.build_scenario(name, **params)
+    assert str(info.value).startswith(message)
+
+
+def test_huge_scenario_amplitudes_normalize_exactly():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = cs.build_scenario("simple_loop_2q", g00=0.6 * 2.0**1020, g11=0.8 * 2.0**1020)
+    plain = cs.build_scenario("simple_loop_2q")
+    assert list(huge.circuit.initial_external_state().amps) == list(
+        plain.circuit.initial_external_state().amps)
 
 
 def test_the_catalog_evolves_each_circuit_once(monkeypatch):
