@@ -248,7 +248,7 @@ def input_bias(circuit, channel, model, nodes=64):
     (polar angle on [0, pi], phase on [0, 2*pi]), weighted by the model's
     acceptance rate Z(psi); an unbiased channel gives I/2.  `nodes` names a
     nodes x nodes grid, exact on every count it takes (3 to 1024); a bad count
-    is a ConfigError before any model run.
+    is a ConfigError before any model run, as is a model without a `run` method.
 
     Z(psi) = psi^dagger M psi, as the circuit is linear in psi and every Z is a
     weighted sum of squared norms.  One run, with the channel in a Bell pair with
@@ -256,6 +256,9 @@ def input_bias(circuit, channel, model, nodes=64):
     it is a paradox, so is every input.  M is contracted with the moments _DELTA_FORM.
     """
     _check_grid(nodes, nodes)
+    if not callable(getattr(model, "run", None)):
+        raise ConfigError("input_bias needs a channel model with a run method, got %r"
+                          % (model,))
     probe = with_reference(circuit, channel)
     try:
         result = model.run(probe)

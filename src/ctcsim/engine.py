@@ -62,7 +62,7 @@ import itertools
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -228,10 +228,10 @@ def _post_select(circuit, model, num, tol, paradox, table=None, n=None, loop=Non
     """Finish any run from its weighted operator `num` on the externals.
 
     Z = tr(num); a Z or `n` that is not finite (an overflow) raises NumericsError.
-    `n` (exact model), else Z, below the tolerance raises
-    ParadoxError with the `paradox` wording (a %-format over n, z and tol) and
-    `table`, or else the pair table of the evolved tensor `pairs` (history
-    models); rho and `loop` are divided by Z, and the tolerance ends the metadata.
+    `n` (exact model), else Z, below the tolerance raises ParadoxError with the
+    `paradox` wording (a %-format over n, z and tol) and the pair table of the
+    evolved tensor `pairs` (history models), else `table`, which a result reports;
+    rho and `loop` are divided by Z, and the tolerance ends the metadata.
     rho is exactly [[1]] on a circuit without externals.
     """
     tol = resolve_tolerance(tol)
@@ -512,15 +512,15 @@ class Classical(_Model):
             flip = np.array([[1.0 - k, k], [k, 1.0 - k]])
             w = functools.reduce(np.kron, [flip] * len(loops))
         hist = w * (a.real**2 + a.imag**2).sum(axis=2)  # weighted history norms
-        result = _post_select(circuit, "classical", _mix(rows, w.reshape(-1)), tol,
-                              "classical acceptance rate %(z).3e below tolerance",
-                              pairs=pairs, loop=np.diag(hist.sum(axis=1)), k=k, floor=floor)
         # the history table rides on the result, the pair table on a paradox;
         # floor=True reports each diagonal history with the weight of its whole row
         keep = np.arange(d) * (d + 1) if floor else np.arange(d * d)
         weights = hist.sum(axis=1) if floor else hist.reshape(-1)
-        return replace(result, projections=ProjectionSet(
-            rows[keep], weights, lambda: ("%d|%d" % divmod(i, d) for i in keep), loops))
+        table = ProjectionSet(rows[keep], weights,
+                              lambda: ("%d|%d" % divmod(i, d) for i in keep), loops)
+        return _post_select(circuit, "classical", _mix(rows, w.reshape(-1)), tol,
+                            "classical acceptance rate %(z).3e below tolerance", table,
+                            pairs=pairs, loop=np.diag(hist.sum(axis=1)), k=k, floor=floor)
 
 
 @dataclass(frozen=True)

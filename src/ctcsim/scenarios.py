@@ -1,11 +1,12 @@
 """Catalog of worked post-selection circuits with closed-form expectations.
 
-Each entry builds a small circuit and carries a table of expected quantities
-(survival amplitude, acceptance rate, output density operators, projection
-components, flip probabilities) as closed-form expressions of the scenario
-parameters, evaluated at run time.  `verify_scenario` runs the engine and
-reports the deltas; the regression suite requires every default-parameter
-expectation to pass.
+Each `_REGISTRY` entry holds a summary, default parameters, its circuit (declared
+in place with `_circuit`, or a builder function where it needs one) and a table
+of expected quantities (survival amplitude, acceptance rate, output density
+operators, projection components, flip probabilities) as closed-form expressions
+of the scenario parameters, evaluated at run time.  `verify_scenario` runs the
+engine and reports the deltas; the regression suite requires every expectation
+to pass at the defaults and at a second parameter point.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .engine import (
     run_exact_bell,
 )
 from .errors import ConfigError, ParadoxError, ScenarioNotFound
-from .gates import make_gate
+from .gates import make_gate, param_names
 from .states import unit_vector
 
 _SQ2 = 2**-0.5
@@ -43,12 +44,6 @@ class Scenario:
     summary: str
     params: dict
     circuit: object
-
-
-def _g(kind, *targets, **kw):
-    params = kw.pop("params", ())
-    matrix = kw.pop("matrix", None)
-    return make_gate(kind, targets, params=params, matrix=matrix)
 
 
 def _scalarize(x):
@@ -97,169 +92,68 @@ def _qubit(a, b):
 # builders
 
 
+def _circuit(loops, externals, gates, entangled=None):
+    """The builder p -> Circuit of a circuit declared over the scenario parameters p.
+
+    Every catalog circuit but the near-NOT loop and `n_controlled_not` is built here.
+    `loops` are the looped labels.  An external is a label (|0>, or a member of
+    an entangled group) or a tuple (label, a, b) whose init is (a, b).  A gate
+    is (kind, *targets, *params), its last len(gates.param_names(kind)) items
+    the params.  Init amplitudes and gate params are numbers, parameter names
+    or functions of p.  `entangled(p)` returns the (labels, amplitudes) groups.
+    """
+    def value(v, p):
+        return p[v] if isinstance(v, str) else v(p) if callable(v) else v
+
+    def gate(p, kind, *rest):
+        cut = len(rest) - len(param_names(kind))
+        return make_gate(kind, rest[:cut], params=[value(v, p) for v in rest[cut:]])
+
+    def build(p):
+        return build_circuit(
+            [Channel(label, looped=True) for label in loops]
+            + [Channel(e) if isinstance(e, str)
+               else Channel(e[0], init=(value(e[1], p), value(e[2], p))) for e in externals],
+            [gate(p, *g) for g in gates],
+            entangled=entangled(p) if entangled else (),
+        )
+    return build
+
+
+def _b_one_gate(ext, *gate):
+    """The loop "tm", the external `ext` in (alpha, beta) and one gate."""
+    return _circuit(["tm"], [(ext, "alpha", "beta")], [gate])
+
+
 def _gamma_2q(p):
     return unit_vector([p["g00"], p["g01"], p["g10"], p["g11"]],
                        "scenario amplitudes (g00, g01, g10, g11)")
 
 
-def _b_simple_loop_2q(p):
-    gamma = _gamma_2q(p)
-    return build_circuit(
-        [Channel("tm1", looped=True), Channel("tm2", looped=True),
-         Channel("e1"), Channel("e2")],
-        [_g("SWAP", "tm1", "e1"), _g("SWAP", "tm2", "e2")],
-        entangled=[(("e1", "e2"), gamma)],
-    )
-
-
-def _angle(angle, p):
-    """Gate params for an angle given as a number, a parameter name or None."""
-    if angle is None:
-        return ()
-    return (p[angle] if isinstance(angle, str) else angle,)
-
-
-def _b_grandfather(gate):
-    def build(p):
-        return build_circuit([Channel("tm", looped=True)], [gate(p)])
-    return build
-
-
-def _near_not(p):
+def _b_near_not(p):
     eps = p["eps"]
     mat = (1 - eps) * np.array([[0, 1], [1, 0]]) + eps * np.eye(2)
-    return _g("CUSTOM", "tm", matrix=mat)
-
-
-def _b_one_gate(ext, kind, targets, angle=None):
-    """The loop "tm", the external `ext` in (alpha, beta) and one gate on `targets`."""
-    def build(p):
-        return build_circuit(
-            [Channel("tm", looped=True), Channel(ext, init=(p["alpha"], p["beta"]))],
-            [_g(kind, *targets, params=_angle(angle, p))],
-        )
-    return build
-
-
-def _b_pot_product(p):
-    return build_circuit(
-        [Channel("tm", looped=True),
-         Channel("p1", init=(p["a1"], p["b1"])),
-         Channel("p2", init=(p["a2"], p["b2"]))],
-        [_g("CX", "tm", "p1"), _g("CX", "tm", "p2")],
-    )
-
-
-def _b_pot_entangled(p):
-    gamma = unit_vector([p["g00"], 0.0, 0.0, p["g11"]], "scenario amplitudes (g00, g11)")
-    return build_circuit(
-        [Channel("tm", looped=True), Channel("p1"), Channel("p2")],
-        [_g("CX", "tm", "p1"), _g("CX", "tm", "p2")],
-        entangled=[(("p1", "p2"), gamma)],
-    )
-
-
-def _b_two_ctc_cx(p):
-    return build_circuit(
-        [Channel("tm1", looped=True), Channel("tm2", looped=True),
-         Channel("probe", init=(p["alpha"], p["beta"]))],
-        [_g("CX", "tm1", "tm2"), _g("CX", "tm1", "probe")],
-    )
-
-
-def _b_mutual_paradox(p):
-    return build_circuit(
-        [Channel("tm1", looped=True), Channel("tm2", looped=True),
-         Channel("s", init=(p["alpha"], p["beta"]))],
-        [_g("CX", "s", "tm1"), _g("ROT", "s", params=(p["zeta"],)),
-         _g("CX", "s", "tm2")],
-    )
-
-
-def _b_third_party(p):
-    return build_circuit(
-        [Channel("tm", looped=True),
-         Channel("s1", init=(p["a1"], p["b1"])),
-         Channel("s2", init=(p["a2"], p["b2"]))],
-        [_g("CX", "s1", "tm"), _g("CX", "s2", "tm")],
-    )
-
-
-def _b_stubborn(p):
-    return build_circuit(
-        [Channel("tm", looped=True), Channel("p1"), Channel("p2"), Channel("p3")],
-        [_g("CX", "tm", "p1"), _g("ROT", "tm", params=(p["theta1"],)),
-         _g("CX", "tm", "p2"), _g("ROT", "tm", params=(p["theta2"],)),
-         _g("CX", "tm", "p3")],
-    )
-
-
-def _b_amnesia_plain(p):
-    return build_circuit(
-        [Channel("tm", looped=True), Channel("sys", init=(p["alpha"], p["beta"]))],
-        [_g("SWAP", "tm", "sys"), _g("CX", "tm", "sys")],
-    )
-
-
-def _b_amnesia_entangled(p):
-    gamma = unit_vector([p["alpha"], 0.0, 0.0, p["beta"]], "scenario amplitudes (alpha, beta)")
-    return build_circuit(
-        [Channel("tm", looped=True), Channel("s1"), Channel("s2")],
-        [_g("CX", "tm", "s1")],
-        entangled=[(("s1", "s2"), gamma)],
-    )
-
-
-def _b_secondary_loop(p):
-    bell = np.array([_SQ2, 0.0, 0.0, _SQ2])
-    return build_circuit(
-        [Channel("tm", looped=True), Channel("b1"), Channel("b2"),
-         Channel("c", init=(p["alpha"], p["beta"]))],
-        [_g("ROT", "b2", params=(-math.pi / 4,)),
-         _g("CPHASE", "c", "b1", params=(math.pi,)),
-         _g("CX", "tm", "b1"),
-         _g("CX", "b1", "tm")],
-        entangled=[(("b1", "b2"), bell)],
-    )
-
-
-def _b_backprop_chain(p):
-    return build_circuit(
-        [Channel("tm", looped=True), Channel("c1"), Channel("c2"), Channel("p")],
-        [_g("ROT", "c2", params=(p["theta_s"],)),
-         _g("CX", "c2", "p"),
-         _g("ROT", "c2", params=(-p["theta_s"],)),
-         _g("CROT", "c2", "c1", params=(p["theta_g1"],)),
-         _g("CROT", "c1", "tm", params=(p["theta_g2"],))],
-    )
+    return build_circuit([Channel("tm", looped=True)],
+                         [make_gate("CUSTOM", ("tm",), matrix=mat)])
 
 
 def _b_n_controlled_not(p):
-    alphas = p["alphas"]
+    """One control c<i> in (alpha_i, sqrt(1 - alpha_i^2)) per entry of `alphas`."""
+    try:
+        alphas = np.asarray(p["alphas"])
+    except ValueError:  # a ragged nesting
+        alphas = None
+    if alphas is None or alphas.ndim != 1 or alphas.dtype.kind not in "iuf":
+        raise ConfigError("scenario parameter alphas must be a list of real numbers, got %r"
+                          % (p["alphas"],))
     channels = [Channel("tm", looped=True)]
     gates = []
-    for i, a in enumerate(alphas):
+    for i, a in enumerate(alphas.tolist()):
         b = math.sqrt(max(0.0, 1.0 - a * a))
         label = "c%d" % i
         channels.append(Channel(label, init=(a, b)))
-        gates.append(_g("CX", label, "tm"))
+        gates.append(make_gate("CX", (label, "tm")))
     return build_circuit(channels, gates)
-
-
-def _controls(p, n):
-    return [(p["a%d" % i], p["b%d" % i]) for i in range(1, n + 1)]
-
-
-def _b_selector(n):
-    def build(p):
-        labels = ["c%d" % i for i in range(1, n + 1)]
-        return build_circuit(
-            [Channel("tm", looped=True)]
-            + [Channel(label, init=ab) for label, ab in zip(labels, _controls(p, n))],
-            [_g("C" * n + "ROT", *labels, "tm", params=(p["theta1"],)),
-             _g("ROT", "tm", params=(p["theta2"],))],
-        )
-    return build
 
 
 def _parity_ec_input(p):
@@ -269,19 +163,11 @@ def _parity_ec_input(p):
                        "carrier amplitudes of (alpha, beta)")
 
 
-def _b_parity_ec(p):
-    return build_circuit(
-        [Channel("tm", looped=True), Channel("b1"), Channel("b2")],
-        [_g("CX", "b1", "tm"), _g("CX", "b2", "tm")],
-        entangled=[(("b1", "b2"), _parity_ec_input(p))],
-    )
-
-
-def _b_tourist_trap(p):
-    plus = (_SQ2, _SQ2)
-    return build_circuit(
-        [Channel("m1", init=plus), Channel("m2", init=plus), Channel("m3", init=plus)]
-    )
+# rebuilt at other parameters by their checks
+_b_mutual_paradox = _circuit(["tm1", "tm2"], [("s", "alpha", "beta")],
+                             [("CX", "s", "tm1"), ("ROT", "s", "zeta"), ("CX", "s", "tm2")])
+_b_third_party = _circuit(["tm"], [("s1", "a1", "b1"), ("s2", "a2", "b2")],
+                          [("CX", "s1", "tm"), ("CX", "s2", "tm")])
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +518,8 @@ def _c_selector(n):
     def checks(p, c, t):
         t1, t2 = p["theta1"], p["theta2"]
         amps = np.ones(1, dtype=complex)
-        for a, b in _controls(p, n):
-            amps = np.kron(amps, np.array([a, b], dtype=complex))
+        for i in range(1, n + 1):
+            amps = np.kron(amps, np.array([p["a%d" % i], p["b%d" % i]], dtype=complex))
         expect = amps * math.cos(t2)
         expect[-1] = amps[-1] * math.cos(t1 + t2)
         return [_rec("projection", "psi_B", expect, _rows(c, t)["B"], 1e-12)]
@@ -672,66 +558,73 @@ _AB = {"alpha": 0.8, "beta": 0.6}
 _REGISTRY = {
     "simple_loop": (
         "One looped qubit swapped with an external qubit; survives with N = 1/2.",
-        dict(_AB), _b_one_gate("sys", "SWAP", ("tm", "sys")), _c_simple_loop),
+        dict(_AB), _b_one_gate("sys", "SWAP", "tm", "sys"), _c_simple_loop),
     "simple_loop_2q": (
         "Two looped qubits swapped with an entangled external register.",
         {"g00": 0.6, "g01": 0.0, "g10": 0.0, "g11": 0.8},
-        _b_simple_loop_2q, _c_simple_loop_2q),
+        _circuit(["tm1", "tm2"], ["e1", "e2"], [("SWAP", "tm1", "e1"), ("SWAP", "tm2", "e2")],
+                 lambda p: [(("e1", "e2"), _gamma_2q(p))]),
+        _c_simple_loop_2q),
     "twist_pair": (
         "Simple loop against a non-maximally-entangled boundary pair.",
-        dict(_AB), _b_one_gate("sys", "SWAP", ("tm", "sys")), _c_twist_pair),
+        dict(_AB), _b_one_gate("sys", "SWAP", "tm", "sys"), _c_twist_pair),
     "grandfather_not": (
         "NOT gate on the loop: the matched projection vanishes identically.",
-        {}, _b_grandfather(lambda p: _g("X", "tm")), _c_grandfather_not_extra),
+        {}, _circuit(["tm"], [], [("X", "tm")]), _c_grandfather_not_extra),
     "grandfather_pf": (
         "Phase flip on the loop: amplitude moves to the phase-mismatch outcome.",
-        {}, _b_grandfather(lambda p: _g("Z", "tm")), _c_grandfather("-")),
+        {}, _circuit(["tm"], [], [("Z", "tm")]), _c_grandfather("-")),
     "grandfather_rot": (
         "Quarter-turn rotation on the loop: amplitude moves to the combined mismatch.",
-        {}, _b_grandfather(lambda p: _g("ROT", "tm", params=(math.pi / 2,))),
-        _c_grandfather("-N")),
+        {}, _circuit(["tm"], [], [("ROT", "tm", math.pi / 2)]), _c_grandfather("-N")),
     "grandfather_perturbed": (
         "Near-NOT perturbation (1-eps)X + eps*I leaves survival amplitude eps.",
-        {"eps": 1e-2}, _b_grandfather(_near_not), _c_grandfather_perturbed),
+        {"eps": 1e-2}, _b_near_not, _c_grandfather_perturbed),
     "faulty_gun": (
         "Rotation by zeta on the loop; the trigger misfires with amplitude cos(zeta).",
-        {"zeta": math.pi / 3},
-        _b_grandfather(lambda p: _g("ROT", "tm", params=(p["zeta"],))),
-        _c_faulty_gun),
+        {"zeta": math.pi / 3}, _circuit(["tm"], [], [("ROT", "tm", "zeta")]), _c_faulty_gun),
     "cnot_gun": (
         "External control fires a NOT at the loop; selection biases the control.",
-        dict(_AB), _b_one_gate("gun", "CX", ("gun", "tm")), _c_cnot_gun),
+        dict(_AB), _b_one_gate("gun", "CX", "gun", "tm"), _c_cnot_gun),
     "cpf_gun": (
         "External control fires a phase flip at the loop.",
-        dict(_AB), _b_one_gate("gun", "CPHASE", ("gun", "tm"), math.pi), _c_cpf_gun),
+        dict(_AB), _b_one_gate("gun", "CPHASE", "gun", "tm", math.pi), _c_cpf_gun),
     "cpf_delta": (
         "Controlled phase flip under the continuous loop boundary model.",
-        dict(_AB), _b_one_gate("gun", "CPHASE", ("gun", "tm"), math.pi), _c_cpf_delta),
+        dict(_AB), _b_one_gate("gun", "CPHASE", "gun", "tm", math.pi), _c_cpf_delta),
     "crot_gun": (
         "External control fires a partial rotation (zeta) at the loop.",
-        {"zeta": 0.5, **_AB}, _b_one_gate("gun", "CROT", ("gun", "tm"), "zeta"), _c_crot_gun),
+        {"zeta": 0.5, **_AB}, _b_one_gate("gun", "CROT", "gun", "tm", "zeta"), _c_crot_gun),
     "phase_gun": (
         "External control fires a partial phase (xi) at the loop.",
-        {"xi": 0.9, **_AB}, _b_one_gate("gun", "CPHASE", ("gun", "tm"), "xi"), _c_phase_gun),
+        {"xi": 0.9, **_AB}, _b_one_gate("gun", "CPHASE", "gun", "tm", "xi"), _c_phase_gun),
     "unproven_proof_cx": (
         "Loop copies itself onto a probe; only aligned probes survive.",
-        dict(_AB), _b_one_gate("probe", "CX", ("tm", "probe")), _c_proof_cx),
+        dict(_AB), _b_one_gate("probe", "CX", "tm", "probe"), _c_proof_cx),
     "unproven_proof_crot": (
         "Loop rotates a probe by a quarter turn; survival is input-independent.",
-        dict(_AB), _b_one_gate("probe", "CROT", ("tm", "probe"), math.pi / 2), _c_proof_crot),
+        dict(_AB), _b_one_gate("probe", "CROT", "tm", "probe", math.pi / 2), _c_proof_crot),
     "unproven_proof_cpf": (
         "Loop phase-flips a probe.",
-        dict(_AB), _b_one_gate("probe", "CPHASE", ("tm", "probe"), math.pi), _c_proof_cpf),
+        dict(_AB), _b_one_gate("probe", "CPHASE", "tm", "probe", math.pi), _c_proof_cpf),
     "twice_watched_pot_product": (
         "Two probes read the loop in succession (product inputs).",
         {"a1": 0.8, "b1": 0.6, "a2": 0.28, "b2": 0.96},
-        _b_pot_product, _c_pot_product),
+        _circuit(["tm"], [("p1", "a1", "b1"), ("p2", "a2", "b2")],
+                 [("CX", "tm", "p1"), ("CX", "tm", "p2")]),
+        _c_pot_product),
     "twice_watched_pot_entangled": (
         "Two probes read the loop in succession (entangled inputs).",
-        {"g00": 0.6, "g11": 0.8}, _b_pot_entangled, _c_pot_entangled),
+        {"g00": 0.6, "g11": 0.8},
+        _circuit(["tm"], ["p1", "p2"], [("CX", "tm", "p1"), ("CX", "tm", "p2")],
+                 lambda p: [(("p1", "p2"), unit_vector([p["g00"], 0.0, 0.0, p["g11"]],
+                                                       "scenario amplitudes (g00, g11)"))]),
+        _c_pot_entangled),
     "two_ctc_cx": (
         "One loop writes into a second loop and a probe.",
-        dict(_AB), _b_two_ctc_cx, _c_two_ctc_cx),
+        dict(_AB), _circuit(["tm1", "tm2"], [("probe", "alpha", "beta")],
+                            [("CX", "tm1", "tm2"), ("CX", "tm1", "probe")]),
+        _c_two_ctc_cx),
     "mutual_paradox": (
         "A signal is read by one loop, rotated, then read by another.",
         {"zeta": 0.6, **_AB}, _b_mutual_paradox, _c_mutual_paradox),
@@ -742,20 +635,39 @@ _REGISTRY = {
     "stubborn_spin": (
         "Two rotations between three probe readings; intermediate flips are"
         " suppressed by a quartic tangent law.",
-        {"theta1": 0.7, "theta2": 1.1}, _b_stubborn, _c_stubborn),
+        {"theta1": 0.7, "theta2": 1.1},
+        _circuit(["tm"], ["p1", "p2", "p3"],
+                 [("CX", "tm", "p1"), ("ROT", "tm", "theta1"), ("CX", "tm", "p2"),
+                  ("ROT", "tm", "theta2"), ("CX", "tm", "p3")]),
+        _c_stubborn),
     "amnesia_plain": (
         "An external qubit is erased into the loop (time-reversed proof circuit).",
-        dict(_AB), _b_amnesia_plain, _c_amnesia_plain),
+        dict(_AB), _circuit(["tm"], [("sys", "alpha", "beta")],
+                            [("SWAP", "tm", "sys"), ("CX", "tm", "sys")]),
+        _c_amnesia_plain),
     "amnesia_entangled": (
         "The erased qubit is half of an entangled pair; its partner decouples.",
-        dict(_AB), _b_amnesia_entangled, _c_amnesia_entangled),
+        dict(_AB),
+        _circuit(["tm"], ["s1", "s2"], [("CX", "tm", "s1")],
+                 lambda p: [(("s1", "s2"), unit_vector([p["alpha"], 0.0, 0.0, p["beta"]],
+                                                       "scenario amplitudes (alpha, beta)"))]),
+        _c_amnesia_entangled),
     "amnesia_secondary_loop": (
         "Erasure of one half of a rotated pair creates a secondary channel.",
-        dict(_AB), _b_secondary_loop, _c_secondary_loop),
+        dict(_AB),
+        _circuit(["tm"], ["b1", "b2", ("c", "alpha", "beta")],
+                 [("ROT", "b2", -math.pi / 4), ("CPHASE", "c", "b1", math.pi),
+                  ("CX", "tm", "b1"), ("CX", "b1", "tm")],
+                 lambda p: [(("b1", "b2"), np.array([_SQ2, 0.0, 0.0, _SQ2]))]),
+        _c_secondary_loop),
     "backprop_chain": (
         "Selection pressure propagates backward through two controlled rotations.",
         {"theta_s": 0.6, "theta_g1": 0.8, "theta_g2": 1.1},
-        _b_backprop_chain, _c_backprop_chain),
+        _circuit(["tm"], ["c1", "c2", "p"],
+                 [("ROT", "c2", "theta_s"), ("CX", "c2", "p"),
+                  ("ROT", "c2", lambda p: -p["theta_s"]),
+                  ("CROT", "c2", "c1", "theta_g1"), ("CROT", "c1", "tm", "theta_g2")]),
+        _c_backprop_chain),
     "n_controlled_not": (
         "Chain of controls XOR into the loop; survival is the even-parity weight.",
         {"alphas": (0.95, 0.9, 0.85)}, _b_n_controlled_not, _c_n_controlled_not),
@@ -763,19 +675,26 @@ _REGISTRY = {
         "Doubly controlled rotation plus bare rotation selects the |11> inputs.",
         {"theta1": math.pi / 2, "theta2": math.pi / 2,
          "a1": 0.8, "b1": 0.6, "a2": 0.28, "b2": 0.96},
-        _b_selector(2), _c_selector(2)),
+        _circuit(["tm"], [("c1", "a1", "b1"), ("c2", "a2", "b2")],
+                 [("CCROT", "c1", "c2", "tm", "theta1"), ("ROT", "tm", "theta2")]),
+        _c_selector(2)),
     "cccrot_selector": (
         "Triply controlled rotation plus bare rotation selects the |111> inputs.",
         {"theta1": math.pi / 2, "theta2": math.pi / 2,
          "a1": 0.8, "b1": 0.6, "a2": 0.28, "b2": 0.96, "a3": 0.6, "b3": 0.8},
-        _b_selector(3), _c_selector(3)),
+        _circuit(["tm"], [("c1", "a1", "b1"), ("c2", "a2", "b2"), ("c3", "a3", "b3")],
+                 [("CCCROT", "c1", "c2", "c3", "tm", "theta1"), ("ROT", "tm", "theta2")]),
+        _c_selector(3)),
     "parity_ec": (
         "Two noisy carriers XOR into the loop; odd-parity errors are deselected.",
-        {"eps": 0.1, "lam": 0.5, **_AB}, _b_parity_ec, _c_parity_ec),
+        {"eps": 0.1, "lam": 0.5, **_AB},
+        _circuit(["tm"], ["b1", "b2"], [("CX", "b1", "tm"), ("CX", "b2", "tm")],
+                 lambda p: [(("b1", "b2"), _parity_ec_input(p))]),
+        _c_parity_ec),
     "tourist_trap": (
         "Deselecting one message of an entangled broadcast shifts (or does not"
         " shift) the odds of the other messages, depending on renormalization.",
-        {}, _b_tourist_trap, _c_tourist_trap),
+        {}, _circuit([], [(m, _SQ2, _SQ2) for m in ("m1", "m2", "m3")], []), _c_tourist_trap),
 }
 
 
@@ -790,7 +709,7 @@ def list_scenarios():
 def _resolve(name, params):
     try:
         summary, defaults, build, checks = _REGISTRY[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ScenarioNotFound("unknown scenario %r" % (name,)) from None
     p = dict(defaults)
     for key, value in (params or {}).items():

@@ -401,6 +401,14 @@ def test_input_bias_node_count_must_be_a_whole_number(nodes):
     assert model.runs == 0
 
 
+@pytest.mark.parametrize("model", ["exact_bell", None, {"name": "exact_bell"}],
+                         ids=["name", "none", "document"])
+def test_input_bias_needs_a_model_with_a_run_method(model):
+    circuit = cs.build_scenario("cnot_gun").circuit
+    with pytest.raises(cs.ConfigError, match="input_bias needs a channel model"):
+        cs.input_bias(circuit, "gun", model)
+
+
 def test_input_bias_takes_a_whole_float_node_count():
     circuit = cs.build_scenario("cnot_gun").circuit
     whole = cs.input_bias(circuit, "gun", cs.NoisyBell(0.2), nodes=8.0)

@@ -34,6 +34,10 @@ def test_unknown_scenario_rejected():
         cs.build_scenario("time_police")
     with pytest.raises(cs.ScenarioNotFound):
         cs.verify_scenario("time_police")
+    with pytest.raises(cs.ScenarioNotFound, match="unknown scenario"):
+        cs.verify_scenario(["x"])  # unhashable names
+    with pytest.raises(cs.ScenarioNotFound, match="unknown scenario"):
+        cs.build_scenario({})
 
 
 def test_unknown_parameter_rejected():
@@ -49,14 +53,18 @@ def test_parameter_override_applies():
     assert all(r["passed"] for r in records)
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"params": [1]}, "scenario parameters must be a mapping, got [1]"),
-    ({"params": "zeta"}, "scenario parameters must be a mapping, got 'zeta'"),
-    ({"model": 3}, "model filter must be a string, got 3"),
-], ids=["params_list", "params_text", "model_int"])
-def test_bad_verify_arguments_are_config_errors(kwargs, message):
+@pytest.mark.parametrize("name, kwargs, message", [
+    ("faulty_gun", {"params": [1]}, "scenario parameters must be a mapping, got [1]"),
+    ("faulty_gun", {"params": "zeta"}, "scenario parameters must be a mapping, got 'zeta'"),
+    ("faulty_gun", {"model": 3}, "model filter must be a string, got 3"),
+    ("n_controlled_not", {"params": {"alphas": 3}},
+     "scenario parameter alphas must be a list of real numbers, got 3"),
+    ("n_controlled_not", {"params": {"alphas": ["x"]}},
+     "scenario parameter alphas must be a list of real numbers, got ['x']"),
+], ids=["params_list", "params_text", "model_int", "alphas_int", "alphas_text"])
+def test_bad_verify_arguments_are_config_errors(name, kwargs, message):
     with pytest.raises(cs.ConfigError) as info:
-        cs.verify_scenario("faulty_gun", **kwargs)
+        cs.verify_scenario(name, **kwargs)
     assert str(info.value) == message
 
 
@@ -87,6 +95,18 @@ def test_stubborn_spin_flip_suppression_grows_with_angle_product():
     assert p == pytest.approx(expect, abs=1e-12)
 
 
+# one second point for every scenario parameter but simple_loop_2q's g01 (kept at 0):
+# the manifest and the corpus run only at the defaults, so a circuit declaration that
+# swaps or drops a parameter fails only here
+SECOND_POINT = {
+    "alpha": 0.6, "beta": 0.8,
+    "a1": 0.28, "b1": 0.96, "a2": 0.8, "b2": 0.6, "a3": 0.96, "b3": 0.28,
+    "g00": 0.8, "g10": 0.36, "g11": 0.48,
+    "zeta": 1.1, "xi": 0.4, "eps": 0.03, "lam": 0.3, "alphas": (0.7, 0.8),
+    "theta1": 0.9, "theta2": 0.5, "theta_s": 0.3, "theta_g1": 1.2, "theta_g2": 0.7,
+}
+
+
 def test_scenario_verification_with_nondefault_parameters():
     for name, params in [
         ("crot_gun", {"zeta": 1.1}),
@@ -98,6 +118,16 @@ def test_scenario_verification_with_nondefault_parameters():
         records = cs.verify_scenario(name, params)
         bad = [r for r in records if not r["passed"]]
         assert not bad, (name, bad)
+    checked = 0
+    for info in cs.list_scenarios():
+        params = {k: SECOND_POINT[k] for k in info["params"] if k != "g01"}
+        if params:
+            checked += 1
+            assert all(params[k] != info["params"][k] for k in params), info["name"]
+            records = cs.verify_scenario(info["name"], params)
+            bad = [r for r in records if not r["passed"]]
+            assert records and not bad, (info["name"], params, bad)
+    assert checked == 27
 
 
 def test_catalog_records_match_the_manifest():
