@@ -16,9 +16,9 @@ import math
 import numpy as np
 
 from .circuit import with_reference
-from .engine import _DELTA_FORM, Classical, ExactBell, NoisyBell, _check_grid, _hermitian
+from .engine import _DELTA_FORM, Classical, ExactBell, NoisyBell, _check_grid, _hermitian, _real
 from .errors import ConfigError, InfiniteSkew, LabelError, ParadoxError
-from .states import DensityOperator, unit_vector
+from .states import DensityOperator, complex_array, unit_vector
 
 
 def skew_factor(model):
@@ -53,8 +53,8 @@ def compose_skew(omegas):
 
 def boosted_success(p, omega):
     """Post-selected success probability of a trial with raw probability p."""
-    _check_prob(p)
-    _check_skew(omega)
+    p = _check_prob(p)
+    omega = _check_skew(omega)
     return omega * p / (omega * p + 1.0 - p)
 
 
@@ -64,8 +64,8 @@ def povm_inconclusive(p_inconclusive, omega):
     The conclusive outcomes are the selected ones, so the inconclusive rate
     is suppressed: p / (p + Omega * (1 - p)).
     """
-    _check_prob(p_inconclusive)
-    _check_skew(omega)
+    p_inconclusive = _check_prob(p_inconclusive)
+    omega = _check_skew(omega)
     return p_inconclusive / (p_inconclusive + omega * (1.0 - p_inconclusive))
 
 
@@ -78,10 +78,9 @@ def discrimination_stats(overlap, theta, omega):
     and the expected number of discarded copies per conclusive event is
     w(theta) = 1 - p_n(theta) + skewed p_n(theta).
     """
-    p_n = float(overlap)
-    _check_prob(p_n)
-    _check_skew(omega)
-    p_theta = 4.0 * p_n * math.cos(theta) ** 2 / (2.0 + 2.0 * p_n)
+    p_n = _check_prob(overlap)
+    omega = _check_skew(omega)
+    p_theta = 4.0 * p_n * math.cos(_real(theta, "rotation angle theta")) ** 2 / (2.0 + 2.0 * p_n)
     p_bar = povm_inconclusive(p_theta, omega)
     return {
         "p_inconclusive": p_theta,
@@ -97,9 +96,10 @@ def entropy_skew(a, s0, omega):
     Z' = (Omega - 1) a + 1 is the acceptance factor.  Omega = 1 gives exactly
     zero.
     """
+    a, s0 = _real(a, "member weight a"), _real(s0, "ensemble entropy s0")
     if not 0.0 < a < 1.0:
         raise ConfigError("member weight a must lie in (0, 1)")
-    _check_skew(omega)
+    omega = _check_skew(omega)
     if omega == 1.0:
         return 0.0
     zp = (omega - 1.0) * a + 1.0
@@ -117,7 +117,7 @@ def entropy_skew_max(omega):
     ensemble (s0 = -ln a); delta_s_max <= 0 is the deepest entropy change.
     At Omega = 1 everything degenerates smoothly to (1/2, 1, 0).
     """
-    _check_skew(omega)
+    omega = _check_skew(omega)
     if omega == 1.0:
         return 0.5, 1.0, 0.0
     a_max = (1.0 - omega + omega * math.log(omega)) / (omega - 1.0) ** 2
@@ -134,9 +134,10 @@ def szilard_work(x, omega):
     extracts nothing.  The skewed channel itself can deliver at most
     ln(Omega) per use, returned as the second element.
     """
+    x = _real(x, "partition position x")
     if not 0.0 < x < 1.0:
         raise ConfigError("partition position must lie in (0, 1)")
-    _check_skew(omega)
+    omega = _check_skew(omega)
     p_left = omega * x / ((omega - 1.0) * x + 1.0)
     work = -p_left * math.log(x) - (1.0 - p_left) * math.log(1.0 - x) - math.log(2.0)
     return work, math.log(omega)
@@ -149,9 +150,10 @@ def ec_fidelity(eps, n):
     odd-parity histories, leaving the all-good amplitude against the
     n-fold error amplitude: (1-eps)^(n+1) / ((1-eps)^(n+1) + eps^n).
     """
-    _check_prob(eps)
-    if n < 1:
-        raise ConfigError("need at least one redundant qubit")
+    eps, n = _check_prob(eps), _real(n, "redundant qubit count n")
+    if n < 1 or not n.is_integer():
+        raise ConfigError("need at least one redundant qubit" if n < 1 else
+                          "redundant qubit count n must be a whole number, got %r" % (n,))
     good = (1.0 - eps) ** (n + 1)
     return good / (good + eps**n)
 
@@ -166,7 +168,10 @@ def parity_recursion(alphas):
     k_eff = D^2, and the bias eps_m = E^2_m - 1/2 obeys
     eps_m = (2 a^2_m - 1) eps_{m-1}.  Returns a dict with the trajectories.
     """
-    alphas = [float(a) for a in alphas]
+    try:
+        alphas = [_real(a, "control amplitude") for a in alphas]
+    except TypeError:  # not iterable
+        raise ConfigError("control weights must be a list, got %r" % (alphas,)) from None
     if not alphas:
         raise ConfigError("need at least one control weight")
     e2 = 1.0
@@ -196,10 +201,12 @@ def search_error_rates(p0, boost_rate, t, gamma, p_step):
     per-step success p_step > 1/2 and rate gamma decays by the Chernoff
     exponent instead.  Returns (eps_skew, eps_chernoff).
     """
-    _check_prob(p0)
+    p0, p_step = _check_prob(p0), _check_prob(p_step)
     if not 0.0 < p0 < 1.0:
         raise ConfigError("prior must lie strictly in (0, 1)")
-    eps_skew = 0.5 / (math.exp(boost_rate * t) * p0 / (1.0 - p0) + 1.0)
+    boost_rate, t, gamma = map(_real, (boost_rate, t, gamma), ("boost rate", "time t", "gamma"))
+    log_odds = boost_rate * t + math.log(p0 / (1.0 - p0))  # e^709 is near the float maximum
+    eps_skew = 0.0 if log_odds > 709.0 else 0.5 / (math.exp(log_odds) + 1.0)
     eps_chernoff = math.exp(-2.0 * (p_step - 0.5) ** 2 * gamma * t)
     return eps_skew, eps_chernoff
 
@@ -210,12 +217,12 @@ def weak_average(op, state_pre, state_post, omega):
     Mixes the matched and orthogonal post-selections with relative weight
     Omega on the matched branch: (Omega <f|A|i> + <f_perp|A|i>) / (Omega + 1).
     """
-    _check_skew(omega)
-    op = np.asarray(op, dtype=complex)
+    omega = _check_skew(omega)
+    op = complex_array(op, 2, "operator")
     pre = unit_vector(state_pre, "pre-selected state")
     post = unit_vector(state_post, "post-selected state")
     # any unit vector orthogonal to the post-selected state (d = 2 only)
-    if post.shape != (2,):
+    if (op.shape, pre.shape, post.shape) != ((2, 2), (2,), (2,)):
         raise ConfigError("weak averages implemented for single qubits")
     perp = np.array([-post[1].conj(), post[0].conj()])
     return (omega * np.vdot(post, op @ pre) + np.vdot(perp, op @ pre)) / (omega + 1.0)
@@ -259,28 +266,36 @@ def input_bias(circuit, channel, model, nodes=64):
     if not callable(getattr(model, "run", None)):
         raise ConfigError("input_bias needs a channel model with a run method, got %r"
                           % (model,))
-    probe = with_reference(circuit, channel)
     try:
-        result = model.run(probe)
+        result = model.run(with_reference(circuit, channel))
     except ParadoxError:
         raise ParadoxError("every input state of channel %r is a paradox"
                            % (channel,)) from None
-    # rho_ref^T is M up to the factor 2 Z, which the normalization below drops; the
-    # reference qubit is the probe's last external label, so it is the trailing axis
-    d = len(result.rho.mat) // 2
-    form = np.einsum("iaib->ba", result.rho.mat.reshape(d, 2, d, 2))
+    return DensityOperator(_flat_average(result), (channel,))
+
+
+def _reference_form(probe_result):
+    """rho_ref^T = M / (2 Z) of a with_reference probe's run: its trailing qubit."""
+    d = len(probe_result.rho.mat) // 2
+    return np.einsum("iaib->ba", probe_result.rho.mat.reshape(d, 2, d, 2))
+
+
+def _flat_average(probe_result):
+    """The flat average of |psi><psi| weighted by Z(psi) = psi^dagger M psi, trace 1."""
     # as (2, 2, 2, 2), _DELTA_FORM holds the moments int c_a c_b* c_c* c_d
-    num = _hermitian((_DELTA_FORM @ form.reshape(-1)).reshape(2, 2))
-    return DensityOperator(num / np.trace(num).real, (channel,))
+    num = _hermitian((_DELTA_FORM @ _reference_form(probe_result).reshape(-1)).reshape(2, 2))
+    return num / np.trace(num).real
 
 
 def _check_skew(omega):
-    """`omega`, else ConfigError unless it is a skew factor: at least 1 (nan is not)."""
-    if not omega >= 1.0:
+    """`omega` as a float, else ConfigError unless it is a skew factor: >= 1 (nan is not)."""
+    if not _real(omega, "skew factor") >= 1.0:
         raise ConfigError("skew factors are >= 1, got %r" % (omega,))
-    return omega
+    return float(omega)
 
 
 def _check_prob(p):
-    if not 0.0 <= p <= 1.0:
+    """`p` as a float, else ConfigError unless it lies in [0, 1] (nan does not)."""
+    if not 0.0 <= _real(p, "probability") <= 1.0:
         raise ConfigError("probability out of range: %r" % (p,))
+    return float(p)

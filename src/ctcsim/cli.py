@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, analysis
 from .circuit import Channel, Circuit, _entangled_group, validate
 from .engine import MODELS, _MAX_GRID_NODES, DeltaQuadrature, _check_grid, resolve_tolerance
-from .errors import ConfigError, CtcSimError, ParadoxError, ParseError
+from .errors import ArityError, ConfigError, CtcSimError, ParadoxError, ParseError
 from .gates import make_gate, param_names
 from .scenarios import build_scenario, list_scenarios
 
@@ -37,6 +37,14 @@ _CONVENTIONS = {
 
 def _fail(path, message):
     raise ConfigError("%s: %s" % (path, message))
+
+
+def _at(path, call, *args, **kwargs):
+    """call(*args, **kwargs); a ConfigError or ArityError it raises is put at `path`."""
+    try:
+        return call(*args, **kwargs)
+    except (ConfigError, ArityError) as err:
+        _fail(path, str(err))
 
 
 def _check_keys(obj, allowed, path):
@@ -158,10 +166,8 @@ def _parse_channels(items, path):
         elif init is not None and not isinstance(init, str):
             _fail(here + ".init", "expected a named state or [re, im] pairs")
         for key, value in (("name", None), ("init", init)):  # the name is checked alone first
-            try:
-                channel = Channel(item.get("name"), looped=(role == "ctc"), init=value)
-            except ConfigError as err:
-                _fail("%s.%s" % (here, key), str(err))
+            channel = _at("%s.%s" % (here, key), Channel, item.get("name"),
+                          looped=(role == "ctc"), init=value)
         channels.append(channel)
     return channels
 
@@ -172,10 +178,7 @@ def _parse_entangled(items, path):
         _check_keys(item, ("channels", "amplitudes"), here)
         labels = _channel_names(item.get("channels"), here + ".channels", 2)
         amps = _amps_from_pairs(item.get("amplitudes", []), here + ".amplitudes")
-        try:
-            groups.append(_entangled_group(labels, amps))
-        except ConfigError as err:
-            _fail(here + ".amplitudes", str(err))
+        groups.append(_at(here + ".amplitudes", _entangled_group, labels, amps))
     return groups
 
 
@@ -184,18 +187,12 @@ def _parse_gates(items, path):
     for item, here in _items(items, path):
         _check_keys(item, ("kind", "targets", "params"), here)
         targets = _channel_names(item.get("targets"), here + ".targets", 1)
-        try:
-            names = param_names(item.get("kind"))  # documents carry no CUSTOM matrix
-        except ConfigError as err:
-            _fail(here, str(err))
+        names = _at(here, param_names, item.get("kind"))  # documents carry no CUSTOM matrix
         raw = item.get("params", {})
         _check_keys(raw, names, here + ".params")
         params = tuple(_number(raw[k], "%s.params.%s" % (here, k))
                        for k in names if k in raw)
-        try:
-            gates.append(make_gate(item.get("kind"), targets, params=params))
-        except CtcSimError as err:
-            _fail(here, str(err))
+        gates.append(_at(here, make_gate, item.get("kind"), targets, params=params))
     return gates
 
 
@@ -224,14 +221,12 @@ def _parse_model(spec, path):
             _fail(path, "%s requires %r" % (kind, key))
     model = cls(**values)
     if cls is DeltaQuadrature:
-        try:
-            _check_grid(model.n_theta, model.n_xi)
-        except ConfigError as err:
-            # name the count at fault: the larger past the cap, else one below 1, else below 3
-            n_theta, n_xi = model.n_theta, model.n_xi
-            past_cap = min(n_theta, n_xi) >= 1 and n_theta * n_xi > _MAX_GRID_NODES
-            at_theta = n_xi <= n_theta if past_cap else n_theta < (1 if n_xi < 1 else 3)
-            _fail("%s.%s" % (path, "nodes_theta" if at_theta else "nodes_xi"), str(err))
+        # name the count at fault: the larger past the cap, else one below 1, else below 3
+        n_theta, n_xi = model.n_theta, model.n_xi
+        past_cap = min(n_theta, n_xi) >= 1 and n_theta * n_xi > _MAX_GRID_NODES
+        at_theta = n_xi <= n_theta if past_cap else n_theta < (1 if n_xi < 1 else 3)
+        _at("%s.%s" % (path, "nodes_theta" if at_theta else "nodes_xi"),
+            _check_grid, n_theta, n_xi)
     return model
 
 
@@ -390,10 +385,7 @@ def _report(circuit, model, outputs, where):
     """(report, result); result is None when the run or a derived output is a paradox."""
     tol = resolve_tolerance(None)
     try:
-        try:
-            result = model.run(circuit, tol)
-        except ConfigError as err:  # a model value the run rejects: name the model's path
-            _fail(where, str(err))
+        result = _at(where, model.run, circuit, tol)  # a model value the run rejects
         return build_report(circuit, model, result, outputs), result
     except ParadoxError as err:
         return _paradox_report(err, tol), None

@@ -41,8 +41,8 @@ shares none of it and stays the independent oracle.  Each model is then one
 contraction of these arrays into a weighted, unnormalized operator on the
 externals, a descriptor's `contract(circuit, pairs, tol)` of the tensor it is
 handed, so models share an evolution; the exact model's one contraction also
-takes custom boundary pairs.  `run` (and so each `run_*`) checks the
-parameters, then evolves once and contracts with numpy's overflow warnings off.
+takes custom boundary pairs.  `run` (so each `run_*`, custom pairs included)
+checks the parameters, then evolves once and contracts with overflow warnings off.
 Every runner, the loop-free `run_conditional` included, finishes in
 `_post_select`: Z is its trace, a Z that is not finite is a NumericsError, Z
 (exact model: the survival amplitude) below the tolerance is a paradox in the
@@ -275,17 +275,6 @@ def _pair_table(circuit, t):
     return ProjectionSet(amps, weights, lambda: map(",".join, combos()), loops)
 
 
-def run_exact_bell(circuit, tol=None, pair_states=None):
-    """Exact post-selected evolution: keep only the matched-pair outcome.
-
-    `pair_states` maps looped channels to custom (reference, loop) pair amplitudes;
-    see ExactBell.contract.  A bad pair is a ConfigError before the evolution.
-    """
-    _pair_gram(circuit, pair_states)
-    with np.errstate(over="ignore", invalid="ignore"):  # _post_select catches overflow
-        return ExactBell().contract(circuit, _evolved_pairs(circuit), tol, pair_states)
-
-
 def _pair_gram(circuit, pair_states):
     """ExactBell.contract's G, flat; None without custom pairs, ConfigError for a bad one."""
     loops = _require_loops(circuit)
@@ -423,13 +412,10 @@ class _Model:
     def describe(self):
         return {"name": self.name, **asdict(self)}
 
-    def _params(self, circuit):
-        return None
-
-    def run(self, circuit, tol=None):
-        self._params(circuit)
+    def run(self, circuit, tol=None, **options):
+        self._params(circuit, **options)
         with np.errstate(over="ignore", invalid="ignore"):  # _post_select catches overflow
-            return self.contract(circuit, _evolved_pairs(circuit), tol)
+            return self.contract(circuit, _evolved_pairs(circuit), tol, **options)
 
 
 @dataclass(frozen=True)
@@ -437,6 +423,9 @@ class ExactBell(_Model):
     """Exact post-selection: keep only the matched-pair outcome."""
 
     type = name = "exact_bell"
+
+    def _params(self, circuit, pair_states=None):
+        return _pair_gram(circuit, pair_states)
 
     def contract(self, circuit, pairs, tol=None, pair_states=None):
         """The matched row of the Bell evolution `pairs`, reported with its table.
@@ -448,7 +437,7 @@ class ExactBell(_Model):
         chi^dagger chi (chi as its reference-by-loop 2x2 matrix, so I/sqrt(2) for a
         Bell pair).  Such a run reports no table.
         """
-        gram = _pair_gram(circuit, pair_states)
+        gram = self._params(circuit, pair_states)
         if gram is None:
             table = _pair_table(circuit, pairs)
             matched = table.amps[0]
@@ -615,6 +604,15 @@ class DeltaQuadrature(_Model):
 
 
 # the runners: each is its descriptor's run
+def run_exact_bell(circuit, tol=None, pair_states=None):
+    """Exact post-selected evolution: keep only the matched-pair outcome.
+
+    `pair_states` maps looped channels to custom (reference, loop) pair amplitudes;
+    see ExactBell.contract.  A bad pair is a ConfigError before the evolution.
+    """
+    return ExactBell().run(circuit, tol, pair_states=pair_states)
+
+
 def run_noisy_bell(circuit, lam, tol=None):
     return NoisyBell(lam).run(circuit, tol)
 

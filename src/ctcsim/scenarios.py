@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .circuit import Channel, build_circuit, with_init
+from .circuit import Channel, build_circuit, with_init, with_reference
 from .engine import (
     Classical,
     DeltaQuadrature,
@@ -272,18 +272,19 @@ def _c_cnot_gun(p, c, t):
                     z=2 * (1 - k) * a**2 + 2 * k * b**2)
     rec += _records("delta", DeltaQuadrature().contract(c, t), 1e-8,
                     z=(math.pi**2 / 2) * (3 * a**2 + 1))
-    bias = analysis.input_bias(c, "gun", DeltaQuadrature(), nodes=32)
-    rec.append(_rec("delta", "input_bias", np.diag([0.65, 0.35]), bias.mat, 1e-6))
-    bias_cl = analysis.input_bias(c, "gun", Classical(k), nodes=32)
+    # one evolution of the gun in a Bell pair with a reference qubit holds every input
+    probe = with_reference(c, "gun")
+    tp = _evolved_pairs(probe)
+    bias = analysis._flat_average(DeltaQuadrature().contract(probe, tp))
+    rec.append(_rec("delta", "input_bias", np.diag([0.65, 0.35]), bias, 1e-6))
+    bias_cl = analysis._flat_average(Classical(k).contract(probe, tp))
     expect = np.diag([(3 - 2 * k) / 4, (1 + 2 * k) / 4])
-    rec.append(_rec("classical(0.3)", "input_bias", expect, bias_cl.mat, 1e-6))
+    rec.append(_rec("classical(0.3)", "input_bias", expect, bias_cl, 1e-6))
     # both bits classical: decohere the control over its eigenstates, weighting
-    # each by the floor-convention acceptance rate
-    z0 = Classical(k, floor=True).run(with_init(c, "gun", (1.0, 0.0))).z
-    z1 = Classical(k, floor=True).run(with_init(c, "gun", (0.0, 1.0))).z
-    rho_ctl = np.diag([z0, z1]) / (z0 + z1)
+    # each by the floor-convention acceptance rate z_a = M[a, a]
+    form = analysis._reference_form(Classical(k, floor=True).contract(probe, tp))
     rec.append(_rec("classical(0.3,both)", "rho_control",
-                    np.diag([(2 - k) / 2, k / 2]), rho_ctl, 1e-12))
+                    np.diag([(2 - k) / 2, k / 2]), np.diag(np.diag(form)), 1e-12))
     return rec
 
 

@@ -206,6 +206,50 @@ def test_search_error_rates_skew_beats_chernoff_eventually():
     assert eps_skew < eps_chernoff
 
 
+# every closed form reads its real arguments as numbers; each call was once a bare
+# TypeError, ValueError or OverflowError, or (a count of 1.5 qubits) a value
+BAD_CLOSED_FORM_INPUTS = {
+    "boosted_success_p": (lambda: cs.boosted_success("x", 2.0), "probability must be a real"),
+    "povm_inconclusive_p": (lambda: cs.povm_inconclusive(None, 2.0), "probability must be a"),
+    "compose_skew": (lambda: cs.compose_skew(["x"]), "skew factor must be a real number"),
+    "entropy_skew_a": (lambda: cs.entropy_skew("x", 0.5, 2.0), "member weight a must be a"),
+    "entropy_skew_s0": (lambda: cs.entropy_skew(0.5, "x", 2.0), "entropy s0 must be a real"),
+    "szilard_work_x": (lambda: cs.szilard_work("x", 2.0), "partition position x must be a"),
+    "ec_fidelity_n_text": (lambda: cs.ec_fidelity(0.1, "x"), "count n must be a real number"),
+    "ec_fidelity_n_half": (lambda: cs.ec_fidelity(0.1, 1.5), "count n must be a whole number"),
+    "parity_recursion_text": (lambda: cs.parity_recursion(["x"]), "amplitude must be a real"),
+    "parity_recursion_number": (lambda: cs.parity_recursion(3), "weights must be a list"),
+    "discrimination_overlap": (lambda: cs.discrimination_stats("x", 0.1, 2.0),
+                               "probability must be a real number"),
+    "discrimination_theta": (lambda: cs.discrimination_stats(0.3, "x", 2.0),
+                             "angle theta must be a real number"),
+    "search_prior": (lambda: cs.search_error_rates("x", 1, 1, 1, 0.6),
+                     "probability must be a real number"),
+    "search_time": (lambda: cs.search_error_rates(0.3, 1, "x", 1, 0.6),
+                    "time t must be a real number"),
+    "weak_average_text": (lambda: cs.weak_average("x", [1, 0], [1, 0], 2.0),
+                          "operator must be a 2-d array of numbers"),
+    "weak_average_2x3": (lambda: cs.weak_average([[1, 0, 0], [0, 1, 0]], [1, 0], [1, 0], 2.0),
+                         "implemented for single qubits"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CLOSED_FORM_INPUTS)
+def test_every_bad_closed_form_input_is_a_config_error(case):
+    call, message = BAD_CLOSED_FORM_INPUTS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        with pytest.raises(cs.ConfigError, match=message):
+            call()
+
+
+def test_search_error_rates_past_the_float_range_is_its_limit():
+    # e^(rate * t) = e^(1e20) was once an OverflowError: math range error
+    eps_skew, eps_chernoff = cs.search_error_rates(0.3, 1e10, 1e10, 1, 0.6)
+    assert eps_skew == 0.0
+    assert eps_chernoff == 0.0
+
+
 def test_weak_average_limits():
     op = np.array([[1, 0], [0, -1]], dtype=complex)
     pre = np.array([1.0, 1.0]) / math.sqrt(2)

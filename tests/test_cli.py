@@ -158,6 +158,8 @@ MALFORMED = [
      "doc.model.nodes_theta: quadrature node counts must be at least 3"),
     ("nodes_xi_below_floor", _with(model={"type": "delta", "nodes_theta": 16, "nodes_xi": 1}),
      "doc.model.nodes_xi: quadrature node counts must be at least 3"),
+    ("gate_arity", _with(gates=[{"kind": "CX", "targets": ["a"]}]),
+     "doc.gates[0]: CX acts on 2 qubits, got 1 targets"),
     ("gate_unknown_target", _with(gates=[{"kind": "SWAP", "targets": ["tm", "zz"]}]),
      "doc.gates[0].targets[1]: gate SWAP targets unknown channel 'zz'"),
     ("duplicate_channel", _with(channels=[{"name": "tm", "role": "ctc"}, {"name": "tm"}]),

@@ -13,7 +13,7 @@ import ctcsim as cs
 from ctcsim import Channel, PureState, build_circuit, make_gate
 from ctcsim.circuit import evolve
 from ctcsim.states import project
-from oracles import tensor
+from oracles import decohered_reference_run, tensor
 
 SQ2 = 2**-0.5
 
@@ -311,6 +311,18 @@ def noisy_by_density_matrix(circuit, lam):
 def test_noisy_model_matches_werner_projection_of_density_matrix(seed, n_loops, n_ext, lam):
     circuit = random_circuit(seed, n_loops, n_ext)
     z, rho = noisy_by_density_matrix(circuit, lam)
+    r = cs.run_noisy_bell(circuit, lam)
+    assert r.z == pytest.approx(z, rel=1e-12, abs=1e-14)
+    assert np.max(np.abs(r.rho.mat - rho)) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2), st.floats(0.0, 1.0))
+def test_noisy_model_matches_depolarized_reference_qubits(seed, n_loops, n_ext, lam):
+    """The paper's second noise route: decohere the reserve bit, then post-select on B."""
+    circuit = random_circuit(seed, n_loops, n_ext)
+    z, rho = decohered_reference_run(circuit, lam)
+    assume(z > 1e-9)
     r = cs.run_noisy_bell(circuit, lam)
     assert r.z == pytest.approx(z, rel=1e-12, abs=1e-14)
     assert np.max(np.abs(r.rho.mat - rho)) <= 1e-10
@@ -678,11 +690,15 @@ def test_custom_pairs_match_the_unitary_reference(seed, n_loops, n_ext):
     n = np.linalg.norm(psi)
     assume(n > 1e-6)
     t = cs.engine._evolved_pairs(circuit)
-    for r in (cs.run_exact_bell(circuit, pair_states=pairs),
-              cs.ExactBell().contract(circuit, t, pair_states=pairs)):
+    runs = (cs.run_exact_bell(circuit, pair_states=pairs),
+            cs.ExactBell().contract(circuit, t, pair_states=pairs),
+            cs.ExactBell().run(circuit, pair_states=pairs))
+    for r in runs:
         assert r.projections is None
         assert abs(r.n - n) <= 1e-12
         assert np.max(np.abs(r.rho.mat - np.outer(psi, psi.conj()) / n**2)) <= 1e-12
+        # one evolution and one contraction: the three routes agree bit for bit
+        assert r.n == runs[0].n and np.array_equal(r.rho.mat, runs[0].rho.mat)
 
 
 BAD_PARAMETERS = [
@@ -706,13 +722,22 @@ BAD_PARAMETERS = [
      "pair_states key 'nope' names no looped channel"),
     (lambda c: cs.run_exact_bell(c, pair_states={"tm": [SQ2, 0, 0, SQ2], "sys": [1, 0, 0, 0]}),
      "pair_states key 'sys' names no looped channel"),
+    (lambda c: cs.ExactBell().run(c, pair_states="tm"), "pair_states must be a mapping, got 'tm'"),
+    (lambda c: cs.ExactBell().run(c, pair_states=["tm"]),
+     re.escape("pair_states must be a mapping, got ['tm']")),
+    (lambda c: cs.ExactBell().run(c, pair_states={"nope": [SQ2, 0, 0, SQ2]}),
+     "pair_states key 'nope' names no looped channel"),
+    (lambda c: cs.ExactBell().run(c, pair_states={"tm": [SQ2, 0, 0, SQ2], "sys": [1, 0, 0, 0]}),
+     "pair_states key 'sys' names no looped channel"),
 ]
 
 
 @pytest.mark.parametrize("call, message", BAD_PARAMETERS, ids=[
     "omega_name", "omega_ragged", "omega_negative", "omega_shape", "omega_complex", "omega_zero",
     "lam", "k", "grid", "descriptor_omega", "descriptor_lam", "descriptor_k", "descriptor_grid",
-    "pairs_text", "pairs_list", "pairs_unknown_key", "pairs_external_key"])
+    "pairs_text", "pairs_list", "pairs_unknown_key", "pairs_external_key",
+    "descriptor_pairs_text", "descriptor_pairs_list", "descriptor_pairs_unknown_key",
+    "descriptor_pairs_external_key"])
 def test_a_bad_model_parameter_costs_no_evolution(call, message, monkeypatch):
     circuit = cs.build_scenario("simple_loop").circuit
     calls = []

@@ -199,8 +199,8 @@ def test_huge_scenario_amplitudes_normalize_exactly():
 
 
 def test_the_catalog_evolves_each_circuit_once(monkeypatch):
-    # 30 looped scenario circuits, 2 conditional runs, 6 variant circuits and 2
-    # input-bias probes: every model a check runs, custom boundary pairs included,
+    # 30 looped scenario circuits, 2 conditional runs, 4 variant circuits and 1
+    # input-bias probe: every model a check runs, custom boundary pairs included,
     # shares its circuit's one evolution
     calls, evolve = [], cs.engine.evolve
 
@@ -211,10 +211,13 @@ def test_the_catalog_evolves_each_circuit_once(monkeypatch):
     monkeypatch.setattr(cs.engine, "evolve", counted)
     records = [r for name in ALL for r in cs.verify_scenario(name)]
     assert len(records) == 122
-    assert len(calls) <= 40
+    assert len(calls) <= 37
     calls.clear()
     cs.verify_scenario("simple_loop")  # exact, noisy, delta, weight matrix and classical
     assert len(calls) == 1
     calls.clear()
     cs.verify_scenario("twist_pair")  # two custom boundary pairs off the one Bell evolution
     assert len(calls) == 1
+    calls.clear()
+    cs.verify_scenario("cnot_gun")  # both input biases and the control state off one probe
+    assert len(calls) == 2
