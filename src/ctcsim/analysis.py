@@ -80,7 +80,10 @@ def discrimination_stats(overlap, theta, omega):
     """
     p_n = _check_prob(overlap)
     omega = _check_skew(omega)
-    p_theta = 4.0 * p_n * math.cos(_real(theta, "rotation angle theta")) ** 2 / (2.0 + 2.0 * p_n)
+    theta = _real(theta, "rotation angle theta")
+    if not math.isfinite(theta):
+        raise ConfigError("rotation angle theta must be finite, got %r" % (theta,))
+    p_theta = 4.0 * p_n * math.cos(theta) ** 2 / (2.0 + 2.0 * p_n)
     p_bar = povm_inconclusive(p_theta, omega)
     return {
         "p_inconclusive": p_theta,
@@ -148,14 +151,16 @@ def ec_fidelity(eps, n):
 
     Each carrier flips independently with probability eps; the loop deselects
     odd-parity histories, leaving the all-good amplitude against the
-    n-fold error amplitude: (1-eps)^(n+1) / ((1-eps)^(n+1) + eps^n).
+    n-fold error amplitude: 1 / (1 + r), r = eps^n / (1-eps)^(n+1) taken in logs.
     """
     eps, n = _check_prob(eps), _real(n, "redundant qubit count n")
     if n < 1 or not n.is_integer():
         raise ConfigError("need at least one redundant qubit" if n < 1 else
                           "redundant qubit count n must be a whole number, got %r" % (n,))
-    good = (1.0 - eps) ** (n + 1)
-    return good / (good + eps**n)
+    if eps in (0.0, 1.0):
+        return 1.0 - eps
+    log_ratio = n * (math.log(eps) - math.log1p(-eps)) - math.log1p(-eps)
+    return 0.0 if log_ratio > 709.0 else 1.0 / (1.0 + math.exp(log_ratio))
 
 
 def parity_recursion(alphas):
@@ -205,6 +210,9 @@ def search_error_rates(p0, boost_rate, t, gamma, p_step):
     if not 0.0 < p0 < 1.0:
         raise ConfigError("prior must lie strictly in (0, 1)")
     boost_rate, t, gamma = map(_real, (boost_rate, t, gamma), ("boost rate", "time t", "gamma"))
+    if not (math.isfinite(boost_rate) and 0.0 <= t < math.inf and 0.0 <= gamma < math.inf):
+        raise ConfigError("boost rate must be finite, time t and rate gamma finite and >= 0, "
+                          "got %r, %r, %r" % (boost_rate, t, gamma))
     log_odds = boost_rate * t + math.log(p0 / (1.0 - p0))  # e^709 is near the float maximum
     eps_skew = 0.0 if log_odds > 709.0 else 0.5 / (math.exp(log_odds) + 1.0)
     eps_chernoff = math.exp(-2.0 * (p_step - 0.5) ** 2 * gamma * t)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LabelError, UnsupportedError
-from .states import MAX_QUBITS, PureState, apply_gates, normalized_amplitudes
+from .states import MAX_QUBITS, PureState, normalized_amplitudes, plan_gates, run_plan
 
 REF_SUFFIX = ".ref"
 
@@ -59,6 +59,11 @@ class Circuit:
     channels: tuple
     gates: tuple = ()
     entangled: tuple = ()  # ((labels...), amps) groups over external channels
+
+    def __post_init__(self):  # tuples: no later edit of a caller's list can leave a plan stale
+        for name in ("channels", "gates", "entangled"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "_plans", {})  # state labels -> evolve's gate plan
 
     @property
     def labels(self):
@@ -147,8 +152,7 @@ def _entangled_group(labels, amps):
 
 def build_circuit(channels, gates=(), entangled=()):
     """Construct and validate a circuit; raises ConfigError on any problem."""
-    circuit = Circuit(tuple(channels), tuple(gates),
-                      tuple(_entangled_group(*group) for group in entangled))
+    circuit = Circuit(channels, gates, [_entangled_group(*group) for group in entangled])
     problems = validate(circuit)
     if problems:
         raise ConfigError("; ".join(text for _, text in problems))
@@ -215,5 +219,8 @@ def compile_unitary(circuit):
 
 
 def evolve(state, circuit):
-    """Apply the circuit's gates in order to a labeled state, in one kernel call."""
-    return apply_gates(state, ((g.matrix, g.targets, g.controls, g.form) for g in circuit.gates))
+    """Apply the circuit's gates in order to a labeled state: run its plan for those labels."""
+    if state.labels not in circuit._plans:  # made on first use; a bad gate raises, keeping none
+        circuit._plans[state.labels] = plan_gates(state.labels, (
+            (g.matrix, g.targets, g.controls, g.form) for g in circuit.gates))
+    return run_plan(state, circuit._plans[state.labels])

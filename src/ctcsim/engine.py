@@ -30,13 +30,13 @@ every eigenstate history, and the matched outcome of any other boundary pair
 chi is the Bell evolution read against the Gram matrix sqrt(2) chi^dagger chi.
 A 4x4 change of basis along each (reference, loop) pair gives the projection
 table; reading the reference register against the loop register gives the
-history tensor.  The evolution is one call of the
-raw-array gate kernel `states.apply_gates` on `pair_out_state`, laid out
-externals, loops, then reference qubits: no gate touches a reference qubit, so
-that trailing register is a batch index the kernel moves in contiguous runs,
-a controlled gate acts only on its control-on slice, and each gate takes the
-form `make_gate` gave it (real, diagonal, swap or dense).  The kernel checks
-labels and finiteness once, on the evolved state; `circuit.compile_unitary`
+history tensor.  The evolution is `circuit.evolve` of `pair_out_state`, laid
+out externals, loops, then reference qubits: `states.run_plan` runs the gate
+plan that `states.plan_gates` checked and resolved once per circuit and layout.
+No gate touches a reference qubit, so that trailing register is a batch index
+the kernel moves in contiguous runs; a controlled gate acts only on its
+control-on slice, and each gate takes its `make_gate` form (real, diagonal,
+swap or dense).  The run checks finiteness once; `circuit.compile_unitary`
 shares none of it and stays the independent oracle.  Each model is then one
 contraction of these arrays into a weighted, unnormalized operator on the
 externals, a descriptor's `contract(circuit, pairs, tol)` of the tensor it is

@@ -49,7 +49,7 @@ def _controlled(block, n_controls):
 
 # kind -> (arity, controls, parameter names in positional order, block builder, form);
 # a gate with c controls is the block on the all-controls-on subspace of its targets,
-# and its form says how the kernel applies that block (see states.apply_gates)
+# and its form says how the kernel applies that block (see states.plan_gates)
 _VOCAB = {
     "X": (1, 0, (), lambda: _X, "real"),
     "Z": (1, 0, (), lambda: _Z, "diagonal"),
@@ -82,7 +82,7 @@ class Gate:
     `controls` counts the leading targets on which `matrix` is the identity
     outside its all-controls-on block; the gate kernel then applies only that
     block, to that slice.  0, the default, is always correct.  `form` says how
-    the kernel applies the block (see states.apply_gates).  Only `make_gate`
+    the kernel applies the block (see states.plan_gates).  Only `make_gate`
     sets it, so a gate built by hand or by `dataclasses.replace` stays DENSE.
     """
 
@@ -93,6 +93,12 @@ class Gate:
     unitary: bool = True
     controls: int = 0
     form: tuple = field(default=DENSE, init=False, repr=False)
+
+    def __post_init__(self):  # a read-only complex view: an edit raises, so no plan falls behind
+        if self.matrix is not None:  # (the caller's own array keeps its flag)
+            matrix = np.asarray(self.matrix, dtype=complex).view()
+            matrix.setflags(write=False)
+            object.__setattr__(self, "matrix", matrix)
 
 
 def make_gate(kind, targets, params=(), matrix=None):
@@ -147,5 +153,7 @@ def make_gate(kind, targets, params=(), matrix=None):
     gate = Gate(kind, targets, params, matrix, True, controls)
     data = (np.ascontiguousarray(block.real) if form == "real"
             else tuple(block.diagonal().tolist()) if form == "diagonal" else None)
+    if form == "real":
+        data.setflags(write=False)
     object.__setattr__(gate, "form", (form, data))  # the one place a form is claimed
     return gate

@@ -175,6 +175,13 @@ def test_ec_fidelity_perfect_and_improving():
     assert f[0] == pytest.approx(0.9**2 / (0.9**2 + 0.1))
 
 
+def test_ec_fidelity_holds_where_both_amplitudes_underflow():
+    # 0.5**1101 and 0.5**1100 are both 0.0; their ratio, 2, is taken in logs
+    assert cs.ec_fidelity(0.5, 1100) == pytest.approx(1 / 3, rel=1e-15)
+    assert cs.ec_fidelity(0.3, 1e308) == 1.0 and cs.ec_fidelity(0.7, 1e308) == 0.0
+    assert cs.ec_fidelity(1.0, 3) == 0.0
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))
 def test_parity_recursion_matches_even_parity_probability(alphas):
@@ -187,6 +194,13 @@ def test_parity_recursion_matches_even_parity_probability(alphas):
                 w *= pf if bit else 1 - pf
             even += w
     assert cs.parity_recursion(alphas)["e2"] == pytest.approx(even, abs=1e-9)
+
+
+def test_ec_fidelity_holds_where_both_amplitudes_underflow():
+    # 0.5**1101 and 0.5**1100 are both 0.0; their ratio, 2, is taken in logs
+    assert cs.ec_fidelity(0.5, 1100) == pytest.approx(1 / 3, rel=1e-15)
+    assert cs.ec_fidelity(0.3, 1e308) == 1.0 and cs.ec_fidelity(0.7, 1e308) == 0.0
+    assert cs.ec_fidelity(1.0, 3) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -227,6 +241,18 @@ BAD_CLOSED_FORM_INPUTS = {
                      "probability must be a real number"),
     "search_time": (lambda: cs.search_error_rates(0.3, 1, "x", 1, 0.6),
                     "time t must be a real number"),
+    "discrimination_theta_inf": (lambda: cs.discrimination_stats(0.3, math.inf, 2.0),
+                                 "angle theta must be finite"),
+    "search_time_negative": (lambda: cs.search_error_rates(0.3, 1, 1e10, -1, 0.6),
+                             "t and rate gamma finite and >= 0"),
+    "search_rate_negative": (lambda: cs.search_error_rates(0.3, 1, -1e308, 1, 0.6),
+                             "t and rate gamma finite and >= 0"),
+    "search_time_nan": (lambda: cs.search_error_rates(0.3, 1, math.nan, 1, 0.6),
+                        "t and rate gamma finite and >= 0"),
+    "search_boost_nan": (lambda: cs.search_error_rates(0.3, math.nan, 1, 1, 0.6),
+                         "boost rate must be finite"),
+    "search_boost_inf": (lambda: cs.search_error_rates(0.3, math.inf, 0, 1, 0.6),
+                         "boost rate must be finite"),
     "weak_average_text": (lambda: cs.weak_average("x", [1, 0], [1, 0], 2.0),
                           "operator must be a 2-d array of numbers"),
     "weak_average_2x3": (lambda: cs.weak_average([[1, 0, 0], [0, 1, 0]], [1, 0], [1, 0], 2.0),

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ctcsim as cs
 from ctcsim import (Channel, ConfigError, build_circuit, compile_unitary, make_gate,
                     run_exact_bell)
 from ctcsim.circuit import Circuit, evolve, with_init
@@ -435,3 +436,117 @@ def test_gates_compare_by_identity_and_circuits_compare_without_raising():
     assert hash(gate) == hash(gate) and gate == gate
     assert gate != make_gate("ROT", ("a",), (0.3,))
     assert len({gate, make_gate("ROT", ("a",), (0.3,))}) == 2
+
+
+# the per-circuit gate plan -------------------------------------------------------
+# `evolve` plans a circuit's gates once per label layout and keeps the plan on the
+# circuit; a later call only runs it.
+
+LOOP_GRID = ((1, 6), (3, 8), (5, 4), (6, 2), (7, 0))  # (looped, external), to the cap
+
+
+def _grid_circuit(seed, m, e, n_gates=30):
+    """A seeded random circuit of vocabulary gates on m loops and e externals."""
+    rng = np.random.default_rng(seed)
+    channels = [Channel("l%d" % i, looped=True) for i in range(m)]
+    channels += [Channel("e%d" % i, init=(math.cos(i + 0.3), math.sin(i + 0.3)))
+                 for i in range(e)]
+    labels = [c.label for c in channels]
+    kinds = [k for k, arity in FORM_GATES.items() if arity <= len(labels)]
+    gates = []
+    for kind in rng.choice(kinds, n_gates):
+        params = tuple(rng.uniform(-math.pi, math.pi, len(param_names(kind))))
+        targets = tuple(rng.choice(labels, FORM_GATES[kind], replace=False))
+        gates.append(make_gate(kind, targets, params))
+    return build_circuit(channels, gates)
+
+
+def _by_unitary(u, labels, state):
+    """`u` on the `labels` axes of `state` (most significant first), identity on the rest."""
+    n, k = state.n_qubits, len(labels)
+    axes = [state.labels.index(label) for label in labels]
+    t = np.moveaxis(state.amps.reshape((2,) * n), axes, range(k))
+    t = (u @ t.reshape(2**k, -1)).reshape(t.shape)
+    return np.moveaxis(t, range(k), axes).reshape(-1)
+
+
+@pytest.mark.parametrize("m, e", LOOP_GRID)
+def test_a_planned_circuit_evolves_as_a_fresh_one_and_as_its_unitary(m, e):
+    circuit, fresh = _grid_circuit(10 * m + e, m, e), _grid_circuit(10 * m + e, m, e)
+    state = pair_out_state(circuit)
+    first, second = evolve(state, circuit), evolve(state, circuit)  # the second runs the plan
+    assert np.array_equal(first.amps, second.amps)
+    assert np.array_equal(second.amps, evolve(state, fresh).amps)
+    expected = _by_unitary(compile_unitary(circuit), circuit.labels, state)
+    assert np.max(np.abs(second.amps - expected)) <= 1e-12
+
+
+def test_one_circuit_keeps_a_plan_for_each_label_layout():
+    # the loop is touched by no gate, so the external register alone can evolve too
+    ext = [Channel("a", init=(0.6, 0.8)), Channel("b", init="+"), Channel("c", init=(0.8, -0.6))]
+    gates = [make_gate("H", ("a",)), make_gate("SWAP", ("a", "c")), make_gate("CX", ("c", "b")),
+             make_gate("CPHASE", ("b", "a"), (0.4,)), make_gate("TOFFOLI", ("a", "b", "c"))]
+    circuit = build_circuit([ext[0], Channel("tm", looped=True), *ext[1:]], gates)
+    u = compile_unitary(build_circuit(ext, gates))
+    states = (pair_out_state(circuit), circuit.initial_external_state())
+    assert states[0].labels != states[1].labels
+    for state in (*states, *states):  # each layout twice, alternating
+        out = evolve(state, circuit)
+        assert out.labels == state.labels
+        assert np.array_equal(out.amps, evolve(state, dataclasses.replace(circuit)).amps)
+        assert np.max(np.abs(out.amps - _by_unitary(u, "abc", state))) <= 1e-15
+
+
+def test_a_bad_gate_raises_on_every_call_so_no_partial_plan_is_kept():
+    bad = Gate("X", ("a",), matrix=np.eye(4))
+    circuit = Circuit([Channel("tm", looped=True), Channel("a")], [make_gate("H", ("a",)), bad])
+    for _ in range(3):
+        with pytest.raises(LabelError, match=r"matrix shape \(4, 4\) does not act on 1 qubits"):
+            evolve(pair_out_state(circuit), circuit)
+        with pytest.raises(LabelError, match=r"matrix shape \(4, 4\) does not act on 1 qubits"):
+            run_exact_bell(circuit)
+
+
+def test_five_model_runs_on_one_circuit_plan_its_gates_once(monkeypatch):
+    calls, plan_gates = [], cs.circuit.plan_gates
+
+    def counted(*args):
+        calls.append(args)
+        return plan_gates(*args)
+
+    monkeypatch.setattr(cs.circuit, "plan_gates", counted)
+    circuit = _grid_circuit(7, 1, 3)
+    for model in (cs.ExactBell(), cs.NoisyBell(0.2), cs.Classical(0.3),
+                  cs.WeightMatrix("quad"), cs.DeltaQuadrature()):
+        model.run(circuit)
+    assert len(calls) == 1
+
+
+def test_a_hand_built_circuit_holds_tuples_so_its_plan_cannot_go_stale():
+    channels, gates = [Channel("a"), Channel("b")], [make_gate("X", ("a",))]
+    circuit = Circuit(channels, gates, [])
+    assert (type(circuit.channels), type(circuit.gates), type(circuit.entangled)) == (tuple,) * 3
+    assert np.array_equal(evolve(circuit.initial_external_state(), circuit).amps, [0, 0, 1, 0])
+    gates.append(make_gate("X", ("b",)))  # the caller's list, not the circuit's
+    out = evolve(circuit.initial_external_state(), circuit).amps  # runs the kept plan
+    assert np.array_equal(out, compile_unitary(circuit) @ [1, 0, 0, 0])
+
+
+def test_gate_arrays_are_read_only_but_the_callers_array_is_not():
+    circuit = build_circuit([Channel("tm", looped=True)], [make_gate("ROT", ("tm",), (0.7,))])
+    with pytest.raises(ValueError, match="read-only"):
+        circuit.gates[0].matrix[:] = np.eye(2)
+    with pytest.raises(ValueError, match="read-only"):
+        circuit.gates[0].form[1][:] = np.eye(2)
+    assert np.allclose(compile_unitary(circuit), make_gate("ROT", ("tm",), (0.7,)).matrix)
+    for kind in FORM_GATES:  # a shared vocabulary block cannot be reached through a gate
+        gate = make_gate(kind, "abcd"[:FORM_GATES[kind]], (0.3,) * len(param_names(kind)))
+        assert not gate.matrix.flags.writeable
+    mine = np.eye(2, dtype=complex)
+    gate = Gate("Y", ("a",), matrix=mine)
+    assert mine.flags.writeable and not gate.matrix.flags.writeable
+    assert np.shares_memory(mine, gate.matrix)
+    rows = [[0, 1], [1, 0]]  # nested lists become the gate's own array
+    gate = Gate("Y", ("a",), matrix=rows)
+    rows[0][0] = 5
+    assert np.array_equal(gate.matrix, [[0, 1], [1, 0]]) and not gate.matrix.flags.writeable
