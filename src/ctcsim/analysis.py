@@ -45,10 +45,10 @@ def skew_factor(model):
 
 def compose_skew(omegas):
     """Skew of independent channels applied in series: the product."""
-    out = 1.0
-    for om in omegas:
-        out *= _check_skew(om)
-    return out
+    try:
+        return math.prod(map(_check_skew, omegas), start=1.0)
+    except TypeError:  # not iterable
+        raise ConfigError("skew factors must be a list, got %r" % (omegas,)) from None
 
 
 def boosted_success(p, omega):
@@ -102,6 +102,8 @@ def entropy_skew(a, s0, omega):
     a, s0 = _real(a, "member weight a"), _real(s0, "ensemble entropy s0")
     if not 0.0 < a < 1.0:
         raise ConfigError("member weight a must lie in (0, 1)")
+    if not math.isfinite(s0):
+        raise ConfigError("ensemble entropy s0 must be finite, got %r" % (s0,))
     omega = _check_skew(omega)
     if omega == 1.0:
         return 0.0
@@ -123,8 +125,8 @@ def entropy_skew_max(omega):
     omega = _check_skew(omega)
     if omega == 1.0:
         return 0.5, 1.0, 0.0
-    a_max = (1.0 - omega + omega * math.log(omega)) / (omega - 1.0) ** 2
-    z_max = omega * math.log(omega) / (omega - 1.0)
+    z_max = omega / (omega - 1.0) * math.log(omega)
+    a_max = (z_max - 1.0) / (omega - 1.0)  # no (omega - 1)^2, which overflows past 1e154
     delta_s_max = math.log(z_max) - z_max + 1.0
     return a_max, z_max, delta_s_max
 
@@ -242,7 +244,9 @@ def flip_probability(result, channel_a, channel_b=None):
     Reads the diagonal of the result's external density operator.  With one
     channel given, returns P(channel = 1).
     """
-    rho = result.rho
+    rho = getattr(result, "rho", None)
+    if not isinstance(rho, DensityOperator):
+        raise ConfigError("flip_probability needs a run result, got %r" % (result,))
     n = rho.n_qubits
     diag = np.real(np.diag(rho.mat))
 
@@ -296,10 +300,13 @@ def _flat_average(probe_result):
 
 
 def _check_skew(omega):
-    """`omega` as a float, else ConfigError unless it is a skew factor: >= 1 (nan is not)."""
-    if not _real(omega, "skew factor") >= 1.0:
+    """`omega` as a float, else ConfigError unless >= 1 (nan is not); inf is InfiniteSkew."""
+    value = _real(omega, "skew factor")
+    if not value >= 1.0:
         raise ConfigError("skew factors are >= 1, got %r" % (omega,))
-    return float(omega)
+    if value == math.inf:
+        raise InfiniteSkew("skew factor %r is unbounded" % (omega,))
+    return value
 
 
 def _check_prob(p):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LabelError, UnsupportedError
-from .states import MAX_QUBITS, PureState, normalized_amplitudes, plan_gates, run_plan
+from .states import MAX_QUBITS, PureState, apply_gates, normalized_amplitudes
 
 REF_SUFFIX = ".ref"
 
@@ -60,10 +60,12 @@ class Circuit:
     gates: tuple = ()
     entangled: tuple = ()  # ((labels...), amps) groups over external channels
 
-    def __post_init__(self):  # tuples: no later edit of a caller's list can leave a plan stale
-        for name in ("channels", "gates", "entangled"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "_plans", {})  # state labels -> evolve's gate plan
+    def __post_init__(self):  # its own tuples: no later edit of a caller's list or array
+        groups = ((tuple(labels), tuple(np.array(amps, dtype=complex, ndmin=1).tolist()))
+                  for labels, amps in self.entangled)  # can leave a kept evolution behind
+        for name, items in zip(("channels", "gates", "entangled"),
+                               (self.channels, self.gates, groups)):
+            object.__setattr__(self, name, tuple(items))
 
     @property
     def labels(self):
@@ -219,8 +221,5 @@ def compile_unitary(circuit):
 
 
 def evolve(state, circuit):
-    """Apply the circuit's gates in order to a labeled state: run its plan for those labels."""
-    if state.labels not in circuit._plans:  # made on first use; a bad gate raises, keeping none
-        circuit._plans[state.labels] = plan_gates(state.labels, (
-            (g.matrix, g.targets, g.controls, g.form) for g in circuit.gates))
-    return run_plan(state, circuit._plans[state.labels])
+    """Apply the circuit's gates in order to a labeled state (see states.apply_gates)."""
+    return apply_gates(state, ((g.matrix, g.targets, g.controls, g.form) for g in circuit.gates))

@@ -30,19 +30,14 @@ every eigenstate history, and the matched outcome of any other boundary pair
 chi is the Bell evolution read against the Gram matrix sqrt(2) chi^dagger chi.
 A 4x4 change of basis along each (reference, loop) pair gives the projection
 table; reading the reference register against the loop register gives the
-history tensor.  The evolution is `circuit.evolve` of `pair_out_state`, laid
-out externals, loops, then reference qubits: `states.run_plan` runs the gate
-plan that `states.plan_gates` checked and resolved once per circuit and layout.
-No gate touches a reference qubit, so that trailing register is a batch index
-the kernel moves in contiguous runs; a controlled gate acts only on its
-control-on slice, and each gate takes its `make_gate` form (real, diagonal,
-swap or dense).  The run checks finiteness once; `circuit.compile_unitary`
-shares none of it and stays the independent oracle.  Each model is then one
-contraction of these arrays into a weighted, unnormalized operator on the
-externals, a descriptor's `contract(circuit, pairs, tol)` of the tensor it is
-handed, so models share an evolution; the exact model's one contraction also
-takes custom boundary pairs.  `run` (so each `run_*`, custom pairs included)
-checks the parameters, then evolves once and contracts with overflow warnings off.
+history tensor.  The evolution is `circuit.evolve` of `pair_out_state` (the
+gate kernel, `states.plan_gates` then `states.run_plan`, which checks finiteness
+once; `circuit.compile_unitary` shares none of it and stays the independent
+oracle).  `_evolved_pairs` is the one place an evolution is made: it evolves a
+circuit once and keeps the read-only result on the circuit for every later run,
+so any number of models, custom pairs included, share it.  A descriptor's `run`
+(so each `run_*`) checks the parameters, then contracts that tensor once, with
+overflow warnings off, into a weighted, unnormalized operator on the externals.
 Every runner, the loop-free `run_conditional` included, finishes in
 `_post_select`: Z is its trace, a Z that is not finite is a NumericsError, Z
 (exact model: the survival amplitude) below the tolerance is a paradox in the
@@ -191,14 +186,18 @@ def pair_out_state(circuit):
 
 
 def _evolved_pairs(circuit):
-    """The one evolution of a run: amplitudes of shape (2^e, 2^m, 2^m).
+    """The one evolution of a circuit, kept on it: read-only amplitudes (2^e, 2^m, 2^m).
 
-    The axes are the external register, the loop register and the reference
-    register, each in declaration order (the labels of pair_out_state).
+    The axes are the external, loop and reference registers, each in declaration
+    order (pair_out_state's labels).  A failed evolution keeps nothing; it raises again.
     """
-    state = evolve(pair_out_state(circuit), circuit)
-    d = 2 ** len(circuit.loop_labels)
-    return state.amps.reshape(-1, d, d)
+    pairs = getattr(circuit, "_pairs", None)
+    if pairs is None:
+        d = 2 ** len(circuit.loop_labels)
+        pairs = evolve(pair_out_state(circuit), circuit).amps.reshape(-1, d, d)
+        pairs.flags.writeable = False
+        object.__setattr__(circuit, "_pairs", pairs)  # a frozen Circuit takes it this way
+    return pairs
 
 
 def _history_tensor(t):
@@ -276,7 +275,7 @@ def _pair_table(circuit, t):
 
 
 def _pair_gram(circuit, pair_states):
-    """ExactBell.contract's G, flat; None without custom pairs, ConfigError for a bad one."""
+    """ExactBell's G, flat; None without custom pairs, ConfigError for a bad one."""
     loops = _require_loops(circuit)
     if not isinstance(pair_states, (Mapping, type(None))):
         raise ConfigError("pair_states must be a mapping, got %r" % (pair_states,))
@@ -413,31 +412,29 @@ class _Model:
         return {"name": self.name, **asdict(self)}
 
     def run(self, circuit, tol=None, **options):
-        self._params(circuit, **options)
+        params = self._params(circuit, **options)
         with np.errstate(over="ignore", invalid="ignore"):  # _post_select catches overflow
-            return self.contract(circuit, _evolved_pairs(circuit), tol, **options)
+            return self._contract(circuit, _evolved_pairs(circuit), params, tol)
 
 
 @dataclass(frozen=True)
 class ExactBell(_Model):
-    """Exact post-selection: keep only the matched-pair outcome."""
+    """Exact post-selection: keep only the matched-pair outcome, reported with its table.
+
+    `run`'s `pair_states` maps looped channels to custom (reference, loop) pair
+    amplitudes chi = (I x K)|B>, the Bell pair with K on its loop wire before the
+    gates and K^dagger after.  Moved onto the Bell evolution t, the matched row is
+    t.reshape(len(t), -1) @ G, G the Kronecker product over loops of sqrt(2)
+    chi^dagger chi (chi as its reference-by-loop 2x2 matrix, so I/sqrt(2) for a
+    Bell pair).  Such a run reports no table.
+    """
 
     type = name = "exact_bell"
 
     def _params(self, circuit, pair_states=None):
         return _pair_gram(circuit, pair_states)
 
-    def contract(self, circuit, pairs, tol=None, pair_states=None):
-        """The matched row of the Bell evolution `pairs`, reported with its table.
-
-        `pair_states` maps looped channels to custom (reference, loop) pair amplitudes
-        chi = (I x K)|B>, the Bell pair with K on its loop wire before the gates and
-        K^dagger after.  Moved onto the Bell evolution t, the matched row is
-        t.reshape(len(t), -1) @ G, G the Kronecker product over loops of sqrt(2)
-        chi^dagger chi (chi as its reference-by-loop 2x2 matrix, so I/sqrt(2) for a
-        Bell pair).  Such a run reports no table.
-        """
-        gram = self._params(circuit, pair_states)
+    def _contract(self, circuit, pairs, gram, tol):
         if gram is None:
             table = _pair_table(circuit, pairs)
             matched = table.amps[0]
@@ -459,8 +456,8 @@ class NoisyBell(_Model):
     def _params(self, circuit):
         return _unit_interval(self.lam, "noise parameter lam")
 
-    def contract(self, circuit, pairs, tol=None):
-        lam, table = self._params(circuit), _pair_table(circuit, pairs)
+    def _contract(self, circuit, pairs, lam, tol):
+        table = _pair_table(circuit, pairs)
         per_pair = np.array([1.0 - 0.75 * lam] + [0.25 * lam] * 3)
         w = functools.reduce(np.kron, [per_pair] * len(table.channel_order))
         return _post_select(circuit, "noisy_bell", _mix(table.amps, w), tol,
@@ -487,8 +484,8 @@ class Classical(_Model):
     def _params(self, circuit):
         return _unit_interval(self.k, "flip rate k")
 
-    def contract(self, circuit, pairs, tol=None):
-        k, loops, floor = self._params(circuit), circuit.loop_labels, bool(self.floor)
+    def _contract(self, circuit, pairs, k, tol):
+        loops, floor = circuit.loop_labels, bool(self.floor)
         a = _history_tensor(pairs)
         d = len(a)
         rows = a.reshape(d * d, -1)
@@ -560,8 +557,8 @@ class WeightMatrix(_Model):
             raise ConfigError("weight matrix must have positive total weight")
         return "custom", (mat * (d / total)).reshape(-1)
 
-    def contract(self, circuit, pairs, tol=None):
-        (name, form), a = self._params(circuit), _history_tensor(pairs)
+    def _contract(self, circuit, pairs, named_form, tol):
+        (name, form), a = named_form, _history_tensor(pairs)
         coherent_delta = form is _DELTA_FORM
         return _post_select(circuit, "weight_matrix", _mix(a.reshape(len(a)**2, -1), form), tol,
                             "weighted acceptance rate %(z).3e below tolerance", pairs=pairs,
@@ -592,8 +589,8 @@ class DeltaQuadrature(_Model):
                                    "model weight_matrix with omega='delta'" % len(loops))
         return _check_grid(self.n_theta, self.n_xi)
 
-    def contract(self, circuit, pairs, tol=None):
-        n_theta, n_xi = self._params(circuit)
+    def _contract(self, circuit, pairs, grid, tol):
+        n_theta, n_xi = grid
         rows = _history_tensor(pairs).reshape(4, -1)  # (emerge, enter) major
         # the state rows.T @ coef has squared norm coef^T G conj(coef), G = rows rows^dagger
         loop = _hermitian(np.einsum("abcd,cd->ab", _DELTA_KERNEL, rows @ rows.conj().T))
@@ -608,7 +605,7 @@ def run_exact_bell(circuit, tol=None, pair_states=None):
     """Exact post-selected evolution: keep only the matched-pair outcome.
 
     `pair_states` maps looped channels to custom (reference, loop) pair amplitudes;
-    see ExactBell.contract.  A bad pair is a ConfigError before the evolution.
+    see ExactBell.  A bad pair is a ConfigError before the evolution.
     """
     return ExactBell().run(circuit, tol, pair_states=pair_states)
 

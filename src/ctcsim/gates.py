@@ -94,9 +94,10 @@ class Gate:
     controls: int = 0
     form: tuple = field(default=DENSE, init=False, repr=False)
 
-    def __post_init__(self):  # a read-only complex view: an edit raises, so no plan falls behind
-        if self.matrix is not None:  # (the caller's own array keeps its flag)
-            matrix = np.asarray(self.matrix, dtype=complex).view()
+    def __post_init__(self):  # its own targets and read-only matrix: no edit, ours or the
+        object.__setattr__(self, "targets", tuple(self.targets))  # caller's, can leave a
+        if self.matrix is not None:  # circuit's kept evolution behind
+            matrix = np.array(self.matrix, dtype=complex)
             matrix.setflags(write=False)
             object.__setattr__(self, "matrix", matrix)
 

@@ -174,9 +174,9 @@ _b_third_party = _circuit(["tm"], [("s1", "a1", "b1"), ("s2", "a2", "b2")],
 # expectation tables
 
 
-def _rows(c, t):
-    """Pair-basis outcome label -> surviving external amplitudes, read off t."""
-    table = _pair_table(c, t)
+def _rows(c):
+    """Pair-basis outcome label -> surviving external amplitudes of c's one evolution."""
+    table = _pair_table(c, _evolved_pairs(c))
     return dict(zip(table.labels, table.amps))
 
 
@@ -187,159 +187,157 @@ def _records(model, result, tol=1e-12, **expected):
             for q, value in expected.items()]
 
 
-def _c_simple_loop(p, c, t):
+def _c_simple_loop(p, c):
     psi = _qubit(p["alpha"], p["beta"])
     pp = _proj(psi)
-    rec = _records("exact_bell", ExactBell().contract(c, t), n=0.5, rho=pp)
-    rec += _records("noisy_bell(0.3)", NoisyBell(0.3).contract(c, t), z=0.25)
-    rd = DeltaQuadrature().contract(c, t)
+    rec = _records("exact_bell", ExactBell().run(c), n=0.5, rho=pp)
+    rec += _records("noisy_bell(0.3)", NoisyBell(0.3).run(c), z=0.25)
+    rd = DeltaQuadrature().run(c)
     rho_delta = (pp + np.diag(np.diag(pp)) + np.eye(2)) / 4.0
     rec += _records("delta", rd, 1e-8, z=math.pi**2, rho=rho_delta)
-    rec += _records("weight_matrix(delta)", WeightMatrix("delta").contract(c, t), 1e-8, z=rd.z)
+    rec += _records("weight_matrix(delta)", WeightMatrix("delta").run(c), 1e-8, z=rd.z)
     k = 0.25
     rho_cl = 0.5 * k * np.eye(2) + (1 - k) * np.diag(np.abs(psi) ** 2)
-    return rec + _records("classical(0.25,floor)", Classical(k, floor=True).contract(c, t),
+    return rec + _records("classical(0.25,floor)", Classical(k, floor=True).run(c),
                           z=1.0, rho=rho_cl)
 
 
-def _c_simple_loop_2q(p, c, t):
+def _c_simple_loop_2q(p, c):
     gamma = _gamma_2q(p)
-    rec = _records("exact_bell", ExactBell().contract(c, t), n=0.25, rho=_proj(gamma))
+    rec = _records("exact_bell", ExactBell().run(c), n=0.25, rho=_proj(gamma))
     k = 0.3
     rho_cl = 0.25 * k * np.eye(4) + (1 - k) * np.diag(np.abs(gamma) ** 2)
-    return rec + _records("classical(0.3,floor)", Classical(k, floor=True).contract(c, t),
+    return rec + _records("classical(0.3,floor)", Classical(k, floor=True).run(c),
                           z=1.0, rho=rho_cl)
 
 
-def _c_twist_pair(p, c, t):
-    a, b = p["alpha"], p["beta"]
-    def paired(chi):  # the exact model against boundary pair chi, off the Bell evolution
-        return ExactBell().contract(c, t, pair_states={"tm": chi})
-
+def _c_twist_pair(p, c):
+    a, b = p["alpha"], p["beta"]  # the exact model against two boundary pairs
     twist = np.array([_SQ2, 0.5, 0.0, 0.5], dtype=complex)
     expect = np.array([a / 2 + b / math.sqrt(8), a / math.sqrt(8) + b / 2])
     n = np.linalg.norm(expect)
-    rec = _records("exact_bell(twist)", paired(twist), n=n, rho=_proj(expect / n))
+    rec = _records("exact_bell(twist)", ExactBell().run(c, pair_states={"tm": twist}),
+                   n=n, rho=_proj(expect / n))
     alt = 0.5 * np.array([1, 1, 1, -1], dtype=complex)
-    return rec + _records("exact_bell(rotated)", paired(alt), n=0.5, rho=_proj(_qubit(a, b)))
+    return rec + _records("exact_bell(rotated)", ExactBell().run(c, pair_states={"tm": alt}),
+                          n=0.5, rho=_proj(_qubit(a, b)))
 
 
 def _c_grandfather(label):
-    def checks(p, c, t):
+    def checks(p, c):
         lam = 0.2
-        noisy = NoisyBell(lam).contract(c, t)
+        noisy = NoisyBell(lam).run(c)
         table = noisy.projections  # one loop: the rows are "B", "-", "N", "-N"
-        rec = [_paradox_rec("exact_bell", "paradox", lambda: ExactBell().contract(c, t))]
+        rec = [_paradox_rec("exact_bell", "paradox", lambda: ExactBell().run(c))]
         rec += [_rec("projection", "weight[%s]" % out, 1.0 if out == label else 0.0, w, 1e-12)
                 for out, w in zip(table.labels, table.weights)]
         return rec + _records("noisy_bell(0.2)", noisy, z=lam / 4.0)
     return checks
 
 
-def _c_grandfather_not_extra(p, c, t):
-    rec = _c_grandfather("N")(p, c, t)
-    rec += _records("delta", DeltaQuadrature().contract(c, t), 1e-8,
+def _c_grandfather_not_extra(p, c):
+    rec = _c_grandfather("N")(p, c)
+    rec += _records("delta", DeltaQuadrature().run(c), 1e-8,
                     z=math.pi**2 / 2.0, rho_loop=np.eye(2) / 2.0)
-    return rec + _records("classical(0.3)", Classical(0.3).contract(c, t),
+    return rec + _records("classical(0.3)", Classical(0.3).run(c),
                           z=0.6, rho_loop=np.eye(2) / 2.0)
 
 
-def _c_grandfather_perturbed(p, c, t):
-    return _records("exact_bell", ExactBell().contract(c, t), n=p["eps"])
+def _c_grandfather_perturbed(p, c):
+    return _records("exact_bell", ExactBell().run(c), n=p["eps"])
 
 
-def _c_faulty_gun(p, c, t):
+def _c_faulty_gun(p, c):
     cz = math.cos(p["zeta"])
-    rec = _records("exact_bell", ExactBell().contract(c, t), n=abs(cz))
+    rec = _records("exact_bell", ExactBell().run(c), n=abs(cz))
     lam = 0.25
-    rec += _records("noisy_bell(0.25)", NoisyBell(lam).contract(c, t),
+    rec += _records("noisy_bell(0.25)", NoisyBell(lam).run(c),
                     z=(1 - lam) * cz**2 + lam / 4)
     k = 0.3
-    rec += _records("classical(0.3,floor)", Classical(k, floor=True).contract(c, t),
+    rec += _records("classical(0.3,floor)", Classical(k, floor=True).run(c),
                     z=k + 2 * (1 - k) * cz**2)
-    return rec + _records("delta", DeltaQuadrature().contract(c, t), 1e-8,
+    return rec + _records("delta", DeltaQuadrature().run(c), 1e-8,
                           z=(math.pi**2 / 2) * (3 * cz**2 + 1))
 
 
-def _c_cnot_gun(p, c, t):
+def _c_cnot_gun(p, c):
     a, b = p["alpha"], p["beta"]
-    rec = _records("exact_bell", ExactBell().contract(c, t), n=abs(a), rho=np.diag([1.0, 0.0]))
+    rec = _records("exact_bell", ExactBell().run(c), n=abs(a), rho=np.diag([1.0, 0.0]))
     lam = 0.2
-    rec += _records("noisy_bell(0.2)", NoisyBell(lam).contract(c, t),
+    rec += _records("noisy_bell(0.2)", NoisyBell(lam).run(c),
                     z=(1 - lam) * a**2 + lam / 4)
     k = 0.3
-    rec += _records("classical(0.3)", Classical(k).contract(c, t),
+    rec += _records("classical(0.3)", Classical(k).run(c),
                     z=2 * (1 - k) * a**2 + 2 * k * b**2)
-    rec += _records("delta", DeltaQuadrature().contract(c, t), 1e-8,
+    rec += _records("delta", DeltaQuadrature().run(c), 1e-8,
                     z=(math.pi**2 / 2) * (3 * a**2 + 1))
     # one evolution of the gun in a Bell pair with a reference qubit holds every input
     probe = with_reference(c, "gun")
-    tp = _evolved_pairs(probe)
-    bias = analysis._flat_average(DeltaQuadrature().contract(probe, tp))
+    bias = analysis._flat_average(DeltaQuadrature().run(probe))
     rec.append(_rec("delta", "input_bias", np.diag([0.65, 0.35]), bias, 1e-6))
-    bias_cl = analysis._flat_average(Classical(k).contract(probe, tp))
+    bias_cl = analysis._flat_average(Classical(k).run(probe))
     expect = np.diag([(3 - 2 * k) / 4, (1 + 2 * k) / 4])
     rec.append(_rec("classical(0.3)", "input_bias", expect, bias_cl, 1e-6))
     # both bits classical: decohere the control over its eigenstates, weighting
     # each by the floor-convention acceptance rate z_a = M[a, a]
-    form = analysis._reference_form(Classical(k, floor=True).contract(probe, tp))
+    form = analysis._reference_form(Classical(k, floor=True).run(probe))
     rec.append(_rec("classical(0.3,both)", "rho_control",
                     np.diag([(2 - k) / 2, k / 2]), np.diag(np.diag(form)), 1e-12))
     return rec
 
 
-def _c_cpf_gun(p, c, t):
+def _c_cpf_gun(p, c):
     a, b = p["alpha"], p["beta"]
-    rec = _records("exact_bell", ExactBell().contract(c, t), n=abs(a))
+    rec = _records("exact_bell", ExactBell().run(c), n=abs(a))
     lam = 0.2
-    rec += _records("noisy_bell(0.2)", NoisyBell(lam).contract(c, t),
+    rec += _records("noisy_bell(0.2)", NoisyBell(lam).run(c),
                     z=(1 - lam) * a**2 + lam / 4)
     k = 0.3
-    return rec + _records("classical(0.3,floor)", Classical(k, floor=True).contract(c, t),
+    return rec + _records("classical(0.3,floor)", Classical(k, floor=True).run(c),
                           z=2 - k, rho=np.diag([a**2, b**2]))
 
 
-def _c_cpf_delta(p, c, t):
+def _c_cpf_delta(p, c):
     a, b = p["alpha"], p["beta"]
-    rec = _records("exact_bell", ExactBell().contract(c, t), n=abs(a))
-    rd = DeltaQuadrature().contract(c, t)
+    rec = _records("exact_bell", ExactBell().run(c), n=abs(a))
+    rd = DeltaQuadrature().run(c)
     expect = np.diag([2 * a**2 / (1 + a**2), b**2 / (1 + a**2)])
     rec += _records("delta", rd, 1e-8, z=math.pi**2 * (1 + a**2), rho=expect)
-    return rec + _records("weight_matrix(delta)", WeightMatrix("delta").contract(c, t), 1e-8,
+    return rec + _records("weight_matrix(delta)", WeightMatrix("delta").run(c), 1e-8,
                           z=rd.z, rho=rd.rho.mat)
 
 
-def _c_crot_gun(p, c, t):
+def _c_crot_gun(p, c):
     a, b, z = p["alpha"], p["beta"], p["zeta"]
     n2 = 1 - b**2 * math.sin(z) ** 2
     psi_b = np.array([a, b * math.cos(z)])
-    rec = _records("exact_bell", ExactBell().contract(c, t),
+    rec = _records("exact_bell", ExactBell().run(c),
                    n=math.sqrt(n2), rho=_proj(psi_b) / n2)
     lam = 0.2
     expect = 1 - 0.75 * lam - (1 - lam) * b**2 * math.sin(z) ** 2
-    return rec + _records("noisy_bell(0.2)", NoisyBell(lam).contract(c, t), z=expect)
+    return rec + _records("noisy_bell(0.2)", NoisyBell(lam).run(c), z=expect)
 
 
-def _c_phase_gun(p, c, t):
+def _c_phase_gun(p, c):
     a, b, xi = p["alpha"], p["beta"], p["xi"]
     psi_b = np.array([a, b * (1 + np.exp(1j * xi)) / 2])
     n2 = float(np.vdot(psi_b, psi_b).real)
-    rec = _records("exact_bell", ExactBell().contract(c, t),
+    rec = _records("exact_bell", ExactBell().run(c),
                    n=math.sqrt(n2), rho=_proj(psi_b) / n2)
     lam = 0.2
-    return rec + _records("noisy_bell(0.2)", NoisyBell(lam).contract(c, t),
+    return rec + _records("noisy_bell(0.2)", NoisyBell(lam).run(c),
                           z=(1 - lam) * n2 + lam / 4)
 
 
-def _c_proof_cx(p, c, t):
+def _c_proof_cx(p, c):
     a, b = p["alpha"], p["beta"]
-    rows = _rows(c, t)
+    rows = _rows(c)
     rec = [_rec("projection", "psi_B", 0.5 * (a + b) * np.array([1.0, 1.0]), rows["B"], 1e-12),
            _rec("projection", "psi_-", 0.5 * (a - b) * np.array([1.0, -1.0]), rows["-"], 1e-12)]
     k = 0.3
     psi = _qubit(a, b)
     xpsi = psi[::-1]
-    rec += _records("classical(0.3)", Classical(k).contract(c, t),
+    rec += _records("classical(0.3)", Classical(k).run(c),
                     z=2 * (1 - k), rho=0.5 * (_proj(psi) + _proj(xpsi)))
     bad = with_init(c, "probe", (_SQ2, -_SQ2))
     rec.append(_paradox_rec("exact_bell", "paradox(minus probe)",
@@ -347,53 +345,53 @@ def _c_proof_cx(p, c, t):
     return rec
 
 
-def _c_proof_crot(p, c, t):
+def _c_proof_crot(p, c):
     a, b = p["alpha"], p["beta"]
-    rec = _records("exact_bell", ExactBell().contract(c, t), n=_SQ2)
-    rd = DeltaQuadrature().contract(c, t)
+    rec = _records("exact_bell", ExactBell().run(c), n=_SQ2)
+    rd = DeltaQuadrature().run(c)
     rho00 = 0.5 - a * (b + b) / 6.0
     rho01 = (a * (b - b)) / 2.0 + (a**2 - b**2) / 6.0
     expect = np.array([[rho00, rho01], [np.conj(rho01), 1 - rho00]])
     rec += _records("delta", rd, 1e-8, z=1.5 * math.pi**2, rho=expect)
-    rec += _records("weight_matrix(delta)", WeightMatrix("delta").contract(c, t), 1e-8,
+    rec += _records("weight_matrix(delta)", WeightMatrix("delta").run(c), 1e-8,
                     rho=rd.rho.mat)
     k = 0.3
     psi = _qubit(a, b)
     rpsi = np.array([-b, a], dtype=complex)
-    return rec + _records("classical(0.3)", Classical(k).contract(c, t),
+    return rec + _records("classical(0.3)", Classical(k).run(c),
                           rho=0.5 * (_proj(psi) + _proj(rpsi)))
 
 
-def _c_proof_cpf(p, c, t):
-    return _records("exact_bell", ExactBell().contract(c, t),
+def _c_proof_cpf(p, c):
+    return _records("exact_bell", ExactBell().run(c),
                     n=abs(p["alpha"]), rho=np.diag([1.0, 0.0]))
 
 
-def _c_pot_product(p, c, t):
+def _c_pot_product(p, c):
     psi1 = _qubit(p["a1"], p["b1"])
     psi2 = _qubit(p["a2"], p["b2"])
     v = np.kron(psi1, psi2) + np.kron(psi1[::-1], psi2[::-1])
     n2 = float(np.vdot(v, v).real) / 4.0
-    rec = _records("exact_bell", ExactBell().contract(c, t),
+    rec = _records("exact_bell", ExactBell().run(c),
                    n=math.sqrt(n2), rho=_proj(v) / np.vdot(v, v).real)
     lam = 0.3
-    return rec + _records("noisy_bell(0.3)", NoisyBell(lam).contract(c, t),
+    return rec + _records("noisy_bell(0.3)", NoisyBell(lam).run(c),
                           z=(1 - lam) * n2 + lam / 4)
 
 
-def _c_pot_entangled(p, c, t):
+def _c_pot_entangled(p, c):
     g = unit_vector([p["g00"], p["g11"]], "scenario amplitudes (g00, g11)").real
     n2 = (g[0] + g[1]) ** 2 / 2.0
-    return _records("exact_bell", ExactBell().contract(c, t), n=math.sqrt(n2))
+    return _records("exact_bell", ExactBell().run(c), n=math.sqrt(n2))
 
 
-def _c_two_ctc_cx(p, c, t):
+def _c_two_ctc_cx(p, c):
     psi = _qubit(p["alpha"], p["beta"])
     xpsi = psi[::-1]
-    r = ExactBell().contract(c, t)
+    r = ExactBell().run(c)
     rec = _records("exact_bell", r, n=0.5, rho=_proj(psi))
     for lam in (0.0, 0.2, 1.0):
-        res = r if lam == 0.0 else NoisyBell(lam).contract(c, t)
+        res = r if lam == 0.0 else NoisyBell(lam).run(c)
         z_expect = 0.25 * (1 - lam / 2) ** 2
         w_keep = (4 - 3 * lam) / (4 - 2 * lam)
         w_flip = lam / (4 - 2 * lam)
@@ -402,33 +400,33 @@ def _c_two_ctc_cx(p, c, t):
     return rec
 
 
-def _c_mutual_paradox(p, c, t):
+def _c_mutual_paradox(p, c):
     a, b, z = p["alpha"], p["beta"], p["zeta"]
     cz, sz = math.cos(z), math.sin(z)
-    rec = _records("exact_bell", ExactBell().contract(c, t), n=abs(a * cz))
+    rec = _records("exact_bell", ExactBell().run(c), n=abs(a * cz))
     lam = 0.2
     w_b, w_e = 1 - 0.75 * lam, 0.25 * lam
     expect = (w_b**2 * a**2 * cz**2 + w_e * w_b * sz**2 + w_e**2 * b**2 * cz**2)
-    rec += _records("noisy_bell(0.2)", NoisyBell(lam).contract(c, t), z=expect)
+    rec += _records("noisy_bell(0.2)", NoisyBell(lam).run(c), z=expect)
     k = 0.35
     z_cl = 4 * ((1 - k) ** 2 * a**2 * cz**2 + k * (1 - k) * sz**2
                 + k**2 * b**2 * cz**2)
-    rec += _records("classical(0.35)", Classical(k).contract(c, t), z=z_cl)
+    rec += _records("classical(0.35)", Classical(k).run(c), z=z_cl)
     paradox = _b_mutual_paradox({**p, "zeta": math.pi / 2})
     rec.append(_paradox_rec("exact_bell", "paradox(zeta=pi/2)",
                             lambda: run_exact_bell(paradox)))
     return rec
 
 
-def _c_third_party(p, c, t):
+def _c_third_party(p, c):
     a1, b1, a2, b2 = p["a1"], p["b1"], p["a2"], p["b2"]
-    rows = _rows(c, t)
+    rows = _rows(c)
     expect_b = np.array([a1 * a2, 0.0, 0.0, b1 * b2], dtype=complex)
     expect_n = np.array([0.0, a1 * b2, b1 * a2, 0.0], dtype=complex)
     rec = [_rec("projection", "psi_B", expect_b, rows["B"], 1e-12),
            _rec("projection", "psi_N", expect_n, rows["N"], 1e-12)]
     n2 = a1**2 * a2**2 + b1**2 * b2**2
-    rec += _records("exact_bell", ExactBell().contract(c, t), n=math.sqrt(n2))
+    rec += _records("exact_bell", ExactBell().run(c), n=math.sqrt(n2))
     orth = _b_third_party({"a1": 1.0, "b1": 0.0, "a2": 0.0, "b2": 1.0})
     rec.append(_paradox_rec("exact_bell", "paradox(orthogonal)",
                             lambda: run_exact_bell(orth)))
@@ -443,21 +441,21 @@ def _stubborn_forms(t1, t2):
     return c1, s1, c2, s2, n2, flip
 
 
-def _c_stubborn(p, c, t):
+def _c_stubborn(p, c):
     c1, s1, c2, s2, n2, flip = _stubborn_forms(p["theta1"], p["theta2"])
-    r = ExactBell().contract(c, t)
+    r = ExactBell().run(c)
     rec = _records("exact_bell", r, n=math.sqrt(n2))
     rec.append(_rec("exact_bell", "flip(p1,p2)", flip,
                     analysis.flip_probability(r, "p1", "p2"), 1e-12))
     lam = 0.25
-    rn = NoisyBell(lam).contract(c, t)
+    rn = NoisyBell(lam).run(c)
     z_lam = (1 - lam) * n2 + lam / 4
     flip_lam = (s1**2 / (2 * z_lam)) * ((1 - lam) * s2**2 + lam / 2)
     rec += _records("noisy_bell(0.25)", rn, z=z_lam)
     rec.append(_rec("noisy_bell(0.25)", "flip(p1,p2)", flip_lam,
                     analysis.flip_probability(rn, "p1", "p2"), 1e-12))
     k = 0.3
-    rc = Classical(k).contract(c, t)
+    rc = Classical(k).run(c)
     w_diag = c1**2 * c2**2 + s1**2 * s2**2
     w_off = s1**2 * c2**2 + c1**2 * s2**2
     flip_cl = ((1 - k) * s1**2 * s2**2 + k * s1**2 * c2**2) / (
@@ -468,12 +466,12 @@ def _c_stubborn(p, c, t):
     return rec
 
 
-def _c_amnesia_plain(p, c, t):
+def _c_amnesia_plain(p, c):
     a, b = p["alpha"], p["beta"]
-    rec = _records("exact_bell", ExactBell().contract(c, t),
+    rec = _records("exact_bell", ExactBell().run(c),
                    n=abs(a + b) / 2, rho=np.diag([1.0, 0.0]))
     k = 0.3
-    rec += _records("classical(0.3)", Classical(k).contract(c, t),
+    rec += _records("classical(0.3)", Classical(k).run(c),
                     z=1.0, rho=np.diag([1 - k, k]))
     bad = with_init(c, "sys", (_SQ2, -_SQ2))
     rec.append(_paradox_rec("exact_bell", "paradox(minus input)",
@@ -481,66 +479,66 @@ def _c_amnesia_plain(p, c, t):
     return rec
 
 
-def _c_amnesia_entangled(p, c, t):
+def _c_amnesia_entangled(p, c):
     g = unit_vector([p["alpha"], p["beta"]], "scenario amplitudes (alpha, beta)")
     expect = 0.5 * np.array([g[0], g[1], g[0], g[1]], dtype=complex)
-    rec = [_rec("projection", "psi_B", expect, _rows(c, t)["B"], 1e-12)]
-    return rec + _records("exact_bell", ExactBell().contract(c, t), n=_SQ2)
+    rec = [_rec("projection", "psi_B", expect, _rows(c)["B"], 1e-12)]
+    return rec + _records("exact_bell", ExactBell().run(c), n=_SQ2)
 
 
-def _c_secondary_loop(p, c, t):
+def _c_secondary_loop(p, c):
     a, b = p["alpha"], p["beta"]
     expect = np.zeros(8, dtype=complex)
     expect[0b000] = 0.5 * a
     expect[0b011] = -0.5 * b
-    rec = [_rec("projection", "psi_B", expect, _rows(c, t)["B"], 1e-12)]
-    return rec + _records("noisy_bell(0.2)", NoisyBell(0.2).contract(c, t), z=0.25)
+    rec = [_rec("projection", "psi_B", expect, _rows(c)["B"], 1e-12)]
+    return rec + _records("noisy_bell(0.2)", NoisyBell(0.2).run(c), z=0.25)
 
 
-def _c_backprop_chain(p, c, t):
+def _c_backprop_chain(p, c):
     ts, g1, g2 = p["theta_s"], p["theta_g1"], p["theta_g2"]
     cs, ss = math.cos(ts), math.sin(ts)
     n2 = 1 - 2 * ss**2 * cs**2 * math.sin(g1) ** 2 * math.sin(g2) ** 2
     flip = ss**2 * (1 - cs**2 * math.sin(g1) ** 2 * math.sin(g2) ** 2) / n2
-    r = ExactBell().contract(c, t)
+    r = ExactBell().run(c)
     rec = _records("exact_bell", r, n=math.sqrt(n2))
     rec.append(_rec("exact_bell", "flip(p)", flip,
                     analysis.flip_probability(r, "p"), 1e-12))
     return rec
 
 
-def _c_n_controlled_not(p, c, t):
+def _c_n_controlled_not(p, c):
     parity = analysis.parity_recursion(p["alphas"])
-    return [_rec("exact_bell", "n2", parity["e2"], ExactBell().contract(c, t).n**2, 1e-12)]
+    return [_rec("exact_bell", "n2", parity["e2"], ExactBell().run(c).n**2, 1e-12)]
 
 
 def _c_selector(n):
     """Amplitudes cos(theta2) off the all-ones control state, cos(theta1+theta2) on it."""
-    def checks(p, c, t):
+    def checks(p, c):
         t1, t2 = p["theta1"], p["theta2"]
         amps = np.ones(1, dtype=complex)
         for i in range(1, n + 1):
             amps = np.kron(amps, np.array([p["a%d" % i], p["b%d" % i]], dtype=complex))
         expect = amps * math.cos(t2)
         expect[-1] = amps[-1] * math.cos(t1 + t2)
-        return [_rec("projection", "psi_B", expect, _rows(c, t)["B"], 1e-12)]
+        return [_rec("projection", "psi_B", expect, _rows(c)["B"], 1e-12)]
     return checks
 
 
-def _c_parity_ec(p, c, t):
+def _c_parity_ec(p, c):
     v = _parity_ec_input(p)
     expect_b = np.array([v[0], 0.0, 0.0, v[3]], dtype=complex)
     expect_n = np.array([0.0, v[1], v[2], 0.0], dtype=complex)
-    rows = _rows(c, t)
+    rows = _rows(c)
     rec = [_rec("projection", "psi_B", expect_b, rows["B"], 1e-12),
            _rec("projection", "psi_N", expect_n, rows["N"], 1e-12)]
     lam = p["lam"]
     nb2 = float(np.vdot(expect_b, expect_b).real)
-    return rec + _records("noisy_bell", NoisyBell(lam).contract(c, t),
+    return rec + _records("noisy_bell", NoisyBell(lam).run(c),
                           z=(1 - lam) * nb2 + lam / 4)
 
 
-def _c_tourist_trap(p, c, t):
+def _c_tourist_trap(p, c):
     condition = [("m1", 0), ("m2", 0)]
     deselect = (("m3",), np.array([1.0, 0.0]))
     rec = []
@@ -739,9 +737,4 @@ def verify_scenario(name, params=None, model=None):
     if not (model is None or isinstance(model, str)):
         raise ConfigError("model filter must be a string, got %r" % (model,))
     _, p, build, checks = _resolve(name, params)
-    c = build(p)
-    with np.errstate(over="ignore", invalid="ignore"):  # _post_select catches overflow
-        records = checks(p, c, _evolved_pairs(c) if c.loop_labels else None)
-    if model is not None:
-        records = [r for r in records if r["model"].startswith(model)]
-    return records
+    return [r for r in checks(p, build(p)) if model is None or r["model"].startswith(model)]

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import warnings
@@ -534,3 +535,66 @@ def test_input_bias_at_the_qubit_cap_names_its_reference_qubit():
     with pytest.raises(cs.UnsupportedError, match=r"reference qubit 'a\.ref'.* cap is 14"):
         cs.input_bias(circuit, "a", model)
     assert model.runs == 0
+
+
+# the library twin of test_cli's test_every_bad_leaf_names_a_document_path: every
+# closed form exported by the package, from a sound call, with each hostile value at
+# each argument in turn.  input_bias runs a circuit; its inputs are tested above.
+HOSTILE = [None, "x", math.nan, math.inf, -math.inf, -1, 0, 1e308, -1e308, 2, 0.5, [], {},
+           ["x"], 1100, True, 1 + 1j]
+_RESULT = cs.PostSelectionResult(
+    model="test", z=1.0, rho=cs.DensityOperator(np.diag([0.1, 0.2, 0.3, 0.4]), ("a", "b")))
+BASE_CALLS = {
+    "boosted_success": (0.3, 2.0),
+    "compose_skew": ([2.0, 3.0],),
+    "discrimination_stats": (0.5, 0.2, 3.0),
+    "ec_fidelity": (0.1, 3),
+    "entropy_skew": (0.3, 0.5, 2.0),
+    "entropy_skew_max": (2.0,),
+    "flip_probability": (_RESULT, "a", "b"),
+    "parity_recursion": ([0.9, 0.8],),
+    "povm_inconclusive": (0.3, 2.0),
+    "search_error_rates": (0.3, 1.0, 2.0, 0.5, 0.6),
+    "skew_factor": (cs.NoisyBell(0.2),),
+    "szilard_work": (0.3, 2.0),
+    "weak_average": (_Z_OP, _PLUS, _ZERO, 2.0),
+}
+CLOSED_FORMS = sorted(name for name in cs.__all__ if name != "input_bias"
+                      and getattr(getattr(cs, name), "__module__", None) == "ctcsim.analysis")
+
+
+def _numbers(out):
+    """Every number in a closed form's return value, as complex."""
+    if isinstance(out, dict):
+        out = list(out.values())
+    if isinstance(out, (list, tuple)):
+        return [x for item in out for x in _numbers(item)]
+    return [complex(x) for x in np.ravel(out)]
+
+
+def test_every_exported_closed_form_has_a_base_call():
+    assert len(CLOSED_FORMS) == 13
+    assert sorted(BASE_CALLS) == CLOSED_FORMS
+    for name in CLOSED_FORMS:  # each base call is sound
+        assert not any(map(cmath.isnan, _numbers(getattr(cs, name)(*BASE_CALLS[name]))))
+
+
+@pytest.mark.parametrize("name, arg", [(name, i) for name in CLOSED_FORMS
+                                       for i in range(len(BASE_CALLS.get(name, ())))])
+def test_every_hostile_argument_returns_a_number_or_raises_a_typed_error(name, arg):
+    bad = []
+    for value in HOSTILE:
+        args = list(BASE_CALLS[name])
+        args[arg] = value
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy warning fails the case
+                out = getattr(cs, name)(*args)
+        except cs.CtcSimError:
+            continue
+        except Exception as err:  # a bare Python error or a warning
+            bad.append((value, repr(err)))
+            continue
+        if any(map(cmath.isnan, _numbers(out))):
+            bad.append((value, "nan in %r" % (out,)))
+    assert not bad, bad

@@ -438,9 +438,10 @@ def test_gates_compare_by_identity_and_circuits_compare_without_raising():
     assert len({gate, make_gate("ROT", ("a",), (0.3,))}) == 2
 
 
-# the per-circuit gate plan -------------------------------------------------------
-# `evolve` plans a circuit's gates once per label layout and keeps the plan on the
-# circuit; a later call only runs it.
+# one evolution per circuit -------------------------------------------------------
+# `evolve` plans a circuit's gates on a state's labels and runs the plan.  The engine
+# evolves a circuit's pair state once, in `_evolved_pairs`, and keeps the read-only
+# result on the circuit, so every later run of any model only contracts it.
 
 LOOP_GRID = ((1, 6), (3, 8), (5, 4), (6, 2), (7, 0))  # (looped, external), to the cap
 
@@ -470,18 +471,40 @@ def _by_unitary(u, labels, state):
     return np.moveaxis(t, range(k), axes).reshape(-1)
 
 
+MODELS = (cs.ExactBell(), cs.NoisyBell(0.2), cs.Classical(0.3), cs.WeightMatrix("quad"),
+          cs.DeltaQuadrature())
+
+
+def _same_result(a, b):
+    assert (a.model, a.z, a.n) == (b.model, b.z, b.n)
+    assert np.array_equal(a.rho.mat, b.rho.mat)
+    assert (a.rho_loop is None) == (b.rho_loop is None)
+    assert a.rho_loop is None or np.array_equal(a.rho_loop.mat, b.rho_loop.mat)
+
+
+def _counting(monkeypatch, *names):
+    """Count the calls of each named engine function; returns the name -> count dict."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(cs.engine, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cs.engine, name, counted)
+    return counts
+
+
 @pytest.mark.parametrize("m, e", LOOP_GRID)
 def test_a_planned_circuit_evolves_as_a_fresh_one_and_as_its_unitary(m, e):
     circuit, fresh = _grid_circuit(10 * m + e, m, e), _grid_circuit(10 * m + e, m, e)
     state = pair_out_state(circuit)
-    first, second = evolve(state, circuit), evolve(state, circuit)  # the second runs the plan
+    first, second = evolve(state, circuit), evolve(state, circuit)
     assert np.array_equal(first.amps, second.amps)
     assert np.array_equal(second.amps, evolve(state, fresh).amps)
     expected = _by_unitary(compile_unitary(circuit), circuit.labels, state)
     assert np.max(np.abs(second.amps - expected)) <= 1e-12
 
 
-def test_one_circuit_keeps_a_plan_for_each_label_layout():
+def test_one_circuit_evolves_in_each_label_layout():
     # the loop is touched by no gate, so the external register alone can evolve too
     ext = [Channel("a", init=(0.6, 0.8)), Channel("b", init="+"), Channel("c", init=(0.8, -0.6))]
     gates = [make_gate("H", ("a",)), make_gate("SWAP", ("a", "c")), make_gate("CX", ("c", "b")),
@@ -508,27 +531,32 @@ def test_a_bad_gate_raises_on_every_call_so_no_partial_plan_is_kept():
 
 
 def test_five_model_runs_on_one_circuit_plan_its_gates_once(monkeypatch):
-    calls, plan_gates = [], cs.circuit.plan_gates
+    calls, plan_gates = [], cs.states.plan_gates
 
     def counted(*args):
         calls.append(args)
         return plan_gates(*args)
 
-    monkeypatch.setattr(cs.circuit, "plan_gates", counted)
+    monkeypatch.setattr(cs.states, "plan_gates", counted)
+    counts = _counting(monkeypatch, "evolve", "pair_out_state")
     circuit = _grid_circuit(7, 1, 3)
-    for model in (cs.ExactBell(), cs.NoisyBell(0.2), cs.Classical(0.3),
-                  cs.WeightMatrix("quad"), cs.DeltaQuadrature()):
-        model.run(circuit)
+    first = [model.run(circuit) for model in MODELS]
+    second = [model.run(circuit) for model in MODELS]  # each reads the kept evolution
     assert len(calls) == 1
+    assert counts == {"evolve": 1, "pair_out_state": 1}
+    fresh = [model.run(_grid_circuit(7, 1, 3)) for model in MODELS]  # an equal circuit
+    for a, b, c in zip(first, second, fresh):
+        _same_result(a, b)
+        _same_result(b, c)
 
 
-def test_a_hand_built_circuit_holds_tuples_so_its_plan_cannot_go_stale():
+def test_a_hand_built_circuit_holds_tuples_so_its_evolution_cannot_go_stale():
     channels, gates = [Channel("a"), Channel("b")], [make_gate("X", ("a",))]
     circuit = Circuit(channels, gates, [])
     assert (type(circuit.channels), type(circuit.gates), type(circuit.entangled)) == (tuple,) * 3
     assert np.array_equal(evolve(circuit.initial_external_state(), circuit).amps, [0, 0, 1, 0])
     gates.append(make_gate("X", ("b",)))  # the caller's list, not the circuit's
-    out = evolve(circuit.initial_external_state(), circuit).amps  # runs the kept plan
+    out = evolve(circuit.initial_external_state(), circuit).amps
     assert np.array_equal(out, compile_unitary(circuit) @ [1, 0, 0, 0])
 
 
@@ -545,8 +573,71 @@ def test_gate_arrays_are_read_only_but_the_callers_array_is_not():
     mine = np.eye(2, dtype=complex)
     gate = Gate("Y", ("a",), matrix=mine)
     assert mine.flags.writeable and not gate.matrix.flags.writeable
-    assert np.shares_memory(mine, gate.matrix)
+    assert not np.shares_memory(mine, gate.matrix)  # the gate's own copy
     rows = [[0, 1], [1, 0]]  # nested lists become the gate's own array
     gate = Gate("Y", ("a",), matrix=rows)
     rows[0][0] = 5
     assert np.array_equal(gate.matrix, [[0, 1], [1, 0]]) and not gate.matrix.flags.writeable
+
+
+def test_each_copy_of_a_circuit_evolves_afresh(monkeypatch):
+    counts = _counting(monkeypatch, "evolve")
+    circuit = _grid_circuit(8, 1, 3)
+    kept = cs.run_noisy_bell(circuit, 0.2)
+    copies = (lambda c: with_init(c, "e1", (0.6, 0.8)),
+              lambda c: cs.circuit.with_reference(c, "e0"), dataclasses.replace)
+    for copy in copies:
+        before = counts["evolve"]
+        runs = [cs.run_noisy_bell(copy(circuit), 0.2) for _ in range(2)]  # two new copies
+        assert counts["evolve"] == before + 2  # neither reads the original's evolution
+        _same_result(runs[0], runs[1])
+        _same_result(runs[1], cs.run_noisy_bell(copy(_grid_circuit(8, 1, 3)), 0.2))
+    assert cs.run_noisy_bell(with_init(circuit, "e1", (0.6, 0.8)), 0.2).z != kept.z
+
+
+def test_the_kept_evolution_is_read_only():
+    circuit = _grid_circuit(9, 2, 2)
+    pairs = cs.engine._evolved_pairs(circuit)
+    assert cs.engine._evolved_pairs(circuit) is pairs
+    for write in (lambda: pairs.__setitem__((0, 0, 0), 1.0),
+                  lambda: pairs.reshape(-1).__setitem__(0, 1.0), lambda: pairs.fill(0.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    _same_result(run_exact_bell(circuit), run_exact_bell(_grid_circuit(9, 2, 2)))
+
+
+def test_a_non_finite_evolution_raises_on_every_call_and_keeps_nothing():
+    grow = Gate("BIG", ("a",), matrix=np.diag([1e200, 1e200]))
+    circuit = Circuit((Channel("tm", looped=True), Channel("a")), (grow,) * 2)
+    for model in MODELS * 2:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning fails the test
+            with pytest.raises(ConfigError, match="^non-finite amplitude$"):
+                model.run(circuit)
+
+
+def test_editing_what_a_hand_built_gate_was_given_after_a_run_changes_nothing():
+    arr, targets = np.array([[0, 1], [1, 0]], complex), ["tm"]
+    circuit = build_circuit([Channel("tm", looped=True), Channel("a", init=(0.6, 0.8))],
+                            [Gate("U", targets, matrix=arr)])
+    assert cs.run_noisy_bell(circuit, 0.2).z == pytest.approx(0.05, abs=1e-15)
+    arr[:] = np.eye(2)  # the caller's array and list, not the gate's
+    targets[0] = "a"
+    assert not np.shares_memory(arr, circuit.gates[0].matrix)
+    assert circuit.gates[0].targets == ("tm",)
+    for c in (circuit, dataclasses.replace(circuit)):
+        assert cs.run_noisy_bell(c, 0.2).z == pytest.approx(0.05, abs=1e-15)
+        assert np.array_equal(compile_unitary(c), np.kron([[0, 1], [1, 0]], np.eye(2)))
+
+
+def test_editing_a_hand_built_entangled_group_after_a_run_changes_nothing():
+    amps = np.array([0.6, 0.0, 0.0, 0.8], complex)
+    channels = (Channel("tm", looped=True), Channel("a"), Channel("b"))
+    circuit = Circuit(channels, [make_gate("CX", ("a", "tm"))], [(("a", "b"), amps)])
+    first = run_exact_bell(circuit)
+    amps[:] = [0.8, 0.0, 0.0, 0.6]  # the caller's array, not the circuit's
+    for c in (circuit, dataclasses.replace(circuit)):
+        _same_result(run_exact_bell(c), first)
+        assert np.array_equal(c.initial_external_state().amps, [0.6, 0, 0, 0.8])
+    fresh = Circuit(channels, [make_gate("CX", ("a", "tm"))], [(("a", "b"), (0.6, 0, 0, 0.8))])
+    _same_result(run_exact_bell(fresh), first)
