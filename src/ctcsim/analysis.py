@@ -44,9 +44,9 @@ def skew_factor(model):
 
 
 def compose_skew(omegas):
-    """Skew of independent channels applied in series: the product."""
+    """Skew of independent channels applied in series: the product (InfiniteSkew past floats)."""
     try:
-        return math.prod(map(_check_skew, omegas), start=1.0)
+        return _check_skew(math.prod(map(_check_skew, omegas), start=1.0))
     except TypeError:  # not iterable
         raise ConfigError("skew factors must be a list, got %r" % (omegas,)) from None
 

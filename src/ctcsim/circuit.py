@@ -67,6 +67,11 @@ class Circuit:
                                (self.channels, self.gates, groups)):
             object.__setattr__(self, name, tuple(items))
 
+    def __getstate__(self):  # numpy restores a pickled array writeable, so a pickled or
+        state = dict(self.__dict__)  # copied circuit keeps no evolution: it evolves afresh
+        state.pop("_pairs", None)
+        return state
+
     @property
     def labels(self):
         return tuple(c.label for c in self.channels)
@@ -91,10 +96,6 @@ class Circuit:
         One outer product of the external inits, each entangled group inserted
         whole where its first channel is declared, then one exact transpose.
         """
-        return PureState(*self._external_register())
-
-    def _external_register(self):
-        """(amplitudes, labels) of initial_external_state, unchecked by a PureState."""
         grouped = {l: (labels, amps) for labels, amps in self.entangled for l in labels}
         factors, labels = [], []
         for c in self.channels:
@@ -108,7 +109,7 @@ class Circuit:
                 labels += group
         t = functools.reduce(np.multiply.outer, factors or [np.ones((), dtype=complex)])
         order = self.external_labels
-        return t.transpose([labels.index(l) for l in order]).reshape(-1), order
+        return PureState(t.transpose([labels.index(l) for l in order]).reshape(-1), order)
 
 
 def validate(circuit):

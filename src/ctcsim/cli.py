@@ -428,7 +428,7 @@ def _cmd_sweep(args):
         _fail("arg.to", "sweep range %r to %r is wider than the float range"
               % (start, stop))
     param, doc = args.param, _load_doc(_read_doc(args.doc))
-    _, model, _ = _parse_doc(doc)  # the document is well formed from here on
+    circuit, model, outputs = _parse_doc(doc)  # the document is well formed from here on
     in_model = param in _model_keys(type(model))
     gate_hits = [g for g in doc.get("gates", []) if param in g.get("params", {})]
     if not in_model and not gate_hits:
@@ -436,17 +436,18 @@ def _cmd_sweep(args):
             "sweep parameter %r is neither a model parameter nor a gate "
             "parameter of this document" % (param,)
         )
-    if in_model and not isinstance(doc.get("model"), dict):
-        doc["model"] = {"type": model.type}
+    spec = doc.get("model")
+    spec = spec if isinstance(spec, dict) else {"type": model.type}
     lines = ["%s\tZ\tN" % param]
     reports = []
-    # Python floats, so that an error message shows a value as the document would
+    # Python floats, so that an error message shows a value as the document would;
+    # a model-key step runs the one parsed circuit, so it evolves once in all
     for value in np.linspace(start, stop, args.steps).tolist():
-        if in_model:
-            doc["model"][param] = value
         for g in gate_hits:
             g["params"][param] = value
-        report, result = _report(*_parse_doc(doc), "doc.model")
+        circuit = _parse_doc(doc)[0] if gate_hits else circuit
+        model = _parse_model({**spec, param: value}, "doc.model") if in_model else model
+        report, result = _report(circuit, model, outputs, "doc.model")
         reports.append({"param": param, "value": value, "report": report})
         if result is None:
             lines.append("%r\tparadox\tparadox" % value)

@@ -30,12 +30,13 @@ every eigenstate history, and the matched outcome of any other boundary pair
 chi is the Bell evolution read against the Gram matrix sqrt(2) chi^dagger chi.
 A 4x4 change of basis along each (reference, loop) pair gives the projection
 table; reading the reference register against the loop register gives the
-history tensor.  The evolution is `circuit.evolve` of `pair_out_state` (the
-gate kernel, `states.plan_gates` then `states.run_plan`, which checks finiteness
-once; `circuit.compile_unitary` shares none of it and stays the independent
-oracle).  `_evolved_pairs` is the one place an evolution is made: it evolves a
-circuit once and keeps the read-only result on the circuit for every later run,
-so any number of models, custom pairs included, share it.  A descriptor's `run`
+history tensor.  The evolution is `circuit.evolve` of `pair_out_state`: one
+pass of the gate kernel, `states.apply_gates`, which checks finiteness once
+(`circuit.compile_unitary` shares none of it and stays the independent oracle).
+`_evolved_pairs` is the one place an evolution is made: it evolves a circuit
+once and keeps the read-only result on the circuit for every later run, so any
+number of models, custom pairs included, share it; a pickled or copied circuit
+keeps none and evolves afresh.  A descriptor's `run`
 (so each `run_*`) checks the parameters, then contracts that tensor once, with
 overflow warnings off, into a weighted, unnormalized operator on the externals.
 Every runner, the loop-free `run_conditional` included, finishes in
@@ -176,13 +177,13 @@ def pair_out_state(circuit):
     trailing reference register in contiguous runs.
     """
     loops = _require_loops(circuit)
-    ext, ext_labels = circuit._external_register()  # checked in the wrap below
+    ext = circuit.initial_external_state()
     d = 2 ** len(loops)
     pairs = np.zeros(d * d, dtype=complex)
     # loop bits equal reference bits; the pair amplitudes multiply as in an outer product
     pairs[:: d + 1] = math.prod([_SQ2] * len(loops))
     refs = (loop + REF_SUFFIX for loop in loops)
-    return PureState(np.multiply.outer(ext, pairs).reshape(-1), (*ext_labels, *loops, *refs))
+    return PureState(np.multiply.outer(ext.amps, pairs).reshape(-1), (*ext.labels, *loops, *refs))
 
 
 def _evolved_pairs(circuit):

@@ -49,7 +49,7 @@ def _controlled(block, n_controls):
 
 # kind -> (arity, controls, parameter names in positional order, block builder, form);
 # a gate with c controls is the block on the all-controls-on subspace of its targets,
-# and its form says how the kernel applies that block (see states.plan_gates)
+# and its form says how the kernel applies that block (see states.apply_gates)
 _VOCAB = {
     "X": (1, 0, (), lambda: _X, "real"),
     "Z": (1, 0, (), lambda: _Z, "diagonal"),
@@ -82,7 +82,7 @@ class Gate:
     `controls` counts the leading targets on which `matrix` is the identity
     outside its all-controls-on block; the gate kernel then applies only that
     block, to that slice.  0, the default, is always correct.  `form` says how
-    the kernel applies the block (see states.plan_gates).  Only `make_gate`
+    the kernel applies the block (see states.apply_gates).  Only `make_gate`
     sets it, so a gate built by hand or by `dataclasses.replace` stays DENSE.
     """
 

@@ -128,8 +128,8 @@ class DensityOperator:
         return len(self.labels)
 
 
-def plan_gates(labels, gates):
-    """Check (matrix, targets, controls, form) gates on `labels` and plan them for run_plan.
+def apply_gates(state, gates):
+    """Apply (matrix, targets, controls, form) gates in order to `state`: the one gate kernel.
 
     `targets` orders the qubits a 2^k x 2^k matrix acts on, most significant
     first; the matrix need not be unitary.  `controls`, a whole number below
@@ -143,69 +143,56 @@ def plan_gates(labels, gates):
     moves no amplitude.  DENSE, the form of CUSTOM and hand-built gates,
     multiplies the complex block as given and is always correct.
 
-    The kernel tracks which qubit each axis of its (2,)*n array holds, so no gate
-    transposes back and a swap only relabels.  A gate without controls multiplies
-    its gathered targets out of place, leaving them in front; a controlled or
-    diagonal one writes its slice, where every control is 1, in place.  Untouched
-    axes keep their order, so trailing ones move in contiguous runs.  The plan
-    (each step's axes, slice and block, and a closing transpose) needs only labels.
+    One pass checks, resolves and applies each gate in turn.  The kernel tracks
+    which qubit each axis of its (2,)*n array holds, so no gate transposes back
+    and a swap only relabels.  A gate without controls multiplies its gathered
+    targets out of place, leaving them in front; a controlled or diagonal one
+    writes its slice, where every control is 1, in place, of a private copy made
+    before the first such write: the caller's amplitudes are never written, nor
+    shared by the result.  Untouched axes keep their order, so trailing ones move
+    in contiguous runs.  One transpose at the end restores label order, and the
+    result is checked once, as a PureState.
     """
-    n, every = len(labels), slice(None)  # one slice object, shared by every step
-    order, steps = list(range(n)), []  # order[p]: the label axis that axis p holds
-    for matrix, targets, controls, (form, data) in gates:
-        matrix, k = np.asarray(matrix, dtype=complex), len(targets)
-        if matrix.shape != (2**k, 2**k):
-            raise LabelError("matrix shape %r does not act on %d qubits"
-                             % (matrix.shape, k))
-        if len(set(targets)) != k:
-            raise LabelCollision("repeated gate target in %r" % (targets,))
-        if controls not in range(k):
-            raise LabelError("gate on %r has controls %r, not a whole number in [0, %d)"
-                             % (targets, controls, k))
-        controls = int(controls)
-        perm = [order.index(_axis(labels, label)) for label in targets]
-        if form == "swap":  # the two axes trade qubits; no amplitude moves
-            order[perm[0]], order[perm[1]] = order[perm[1]], order[perm[0]]
-        elif form == "diagonal":  # scale the slice of each entry that is not 1
-            at = [1 if p in perm[:controls] else every for p in range(n)]
-            for bit, z in enumerate(data):
-                if z != 1:
-                    at[perm[-1]] = bit
-                    steps.append((None, tuple(at), z, False))
-        else:
-            perm = (*perm, *(p for p in range(n) if p not in perm))
-            b = 2 ** (k - controls)
-            steps.append((perm, (1,) * controls, data if form == "real" else matrix[-b:, -b:],
-                          form == "real"))
-            if not controls:
-                order = [order[p] for p in perm]
-    return tuple(steps), tuple(sorted(range(n), key=order.__getitem__))
-
-
-def run_plan(state, plan):
-    """Run a plan_gates plan on `state`, of its labels, making only numpy calls.  The caller's
-    amplitudes are neither written nor shared; the result is checked once, as a PureState."""
-    steps, inverse = plan
-    t = state.amps.reshape((2,) * len(inverse))
-    t = t.copy() if not steps or steps[0][1] else t  # no step moves it, or the first writes
+    n = state.n_qubits
+    t = state.amps.reshape((2,) * n)
+    order, private = list(range(n)), False  # order[p]: the label axis that axis p holds
     with np.errstate(over="ignore", invalid="ignore"):  # the wrap below catches overflow
-        for perm, at, op, real in steps:
-            if perm is None:  # a diagonal entry: scale its slice
-                t[at] *= op
+        for matrix, targets, controls, (form, data) in gates:
+            matrix, k = np.asarray(matrix, dtype=complex), len(targets)
+            if matrix.shape != (2**k, 2**k):
+                raise LabelError("matrix shape %r does not act on %d qubits"
+                                 % (matrix.shape, k))
+            if len(set(targets)) != k:
+                raise LabelCollision("repeated gate target in %r" % (targets,))
+            if controls not in range(k):
+                raise LabelError("gate on %r has controls %r, not a whole number in [0, %d)"
+                                 % (targets, controls, k))
+            controls = int(controls)
+            perm = [order.index(state.axis(label)) for label in targets]
+            if form == "swap":  # the two axes trade qubits; no amplitude moves
+                order[perm[0]], order[perm[1]] = order[perm[1]], order[perm[0]]
                 continue
-            view = t.transpose(perm)[at]  # block targets lead
-            x = view.reshape(op.shape[0], -1)
-            out = (op @ np.ascontiguousarray(x).view(float)).view(complex) if real else op @ x
-            if at:
+            if not private and (controls or form == "diagonal"):
+                t, private = t.copy(), True
+            if form == "diagonal":  # scale the slice of each entry that is not 1
+                at = [1 if p in perm[:controls] else slice(None) for p in range(n)]
+                for bit, z in enumerate(data):
+                    if z != 1:
+                        at[perm[-1]] = bit
+                        t[tuple(at)] *= z
+                continue
+            perm += [p for p in range(n) if p not in perm]
+            b = 2 ** (k - controls)
+            view = t.transpose(perm)[(1,) * controls]  # block targets lead
+            x = view.reshape(b, -1)
+            out = ((data @ np.ascontiguousarray(x).view(float)).view(complex) if form == "real"
+                   else matrix[-b:, -b:] @ x)
+            if controls:
                 view[...] = out.reshape(view.shape)
             else:
-                t = out.reshape(t.shape)
-    return PureState(t.transpose(inverse).reshape(-1), state.labels)
-
-
-def apply_gates(state, gates):
-    """Apply (matrix, targets, controls, form) gates in order to `state` (see plan_gates)."""
-    return run_plan(state, plan_gates(state.labels, gates))
+                t, order, private = out.reshape(t.shape), [order[p] for p in perm], True
+    amps = t.transpose(sorted(range(n), key=order.__getitem__)).reshape(-1)
+    return PureState(amps if private else amps.copy(), state.labels)
 
 
 def apply_gate(state, matrix, targets):

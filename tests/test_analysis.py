@@ -31,6 +31,10 @@ def test_compose_skew_is_product():
     assert cs.compose_skew([2.0, 3.0, 4.0]) == pytest.approx(24.0)
     with pytest.raises(cs.ConfigError):
         cs.compose_skew([0.5])
+    assert cs.compose_skew([1e154, 1e154]) == 1e308
+    # once inf, a skew factor every other closed form rejects as unbounded
+    with pytest.raises(cs.InfiniteSkew, match="skew factor inf is unbounded"):
+        cs.compose_skew([1e308, 10])
 
 
 BAD_NOISE = [(cs.NoisyBell(2.0), "noise parameter lam must lie in"),

@@ -512,6 +512,25 @@ def test_each_cli_run_evolves_the_circuit_once(name, model, code, monkeypatch, c
         assert [e["label"] for e in report["projections"]["entries"]] == ["B", "-", "N", "-N"]
 
 
+@pytest.mark.parametrize("param, evolutions", [("lambda", 1), ("theta", 4)])
+def test_a_sweep_evolves_once_per_circuit_it_builds(param, evolutions, tmp_path, monkeypatch,
+                                                    capsys):
+    # a model-key step runs the one parsed circuit; a gate-key step builds a new one
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evolve(*args)
+
+    monkeypatch.setattr(engine, "evolve", counted)
+    path = write_doc(tmp_path, SWEEP_ORACLE_DOCS["lambda"])  # a noisy model and a CROT angle
+    assert main(["sweep", path, "--param", param, "--from", "0", "--to", "0.6",
+                 "--steps", "4"]) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out[out.index("\n["):])) == 4
+    assert len(calls) == evolutions
+
+
 def _derived_paradox(*args, **kwargs):
     raise ParadoxError("every input_bias probe run is a paradox")
 

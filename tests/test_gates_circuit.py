@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -439,7 +441,7 @@ def test_gates_compare_by_identity_and_circuits_compare_without_raising():
 
 
 # one evolution per circuit -------------------------------------------------------
-# `evolve` plans a circuit's gates on a state's labels and runs the plan.  The engine
+# `evolve` applies a circuit's gates to a state in one kernel pass.  The engine
 # evolves a circuit's pair state once, in `_evolved_pairs`, and keeps the read-only
 # result on the circuit, so every later run of any model only contracts it.
 
@@ -494,7 +496,7 @@ def _counting(monkeypatch, *names):
 
 
 @pytest.mark.parametrize("m, e", LOOP_GRID)
-def test_a_planned_circuit_evolves_as_a_fresh_one_and_as_its_unitary(m, e):
+def test_a_circuit_evolved_twice_evolves_as_a_fresh_one_and_as_its_unitary(m, e):
     circuit, fresh = _grid_circuit(10 * m + e, m, e), _grid_circuit(10 * m + e, m, e)
     state = pair_out_state(circuit)
     first, second = evolve(state, circuit), evolve(state, circuit)
@@ -520,7 +522,7 @@ def test_one_circuit_evolves_in_each_label_layout():
         assert np.max(np.abs(out.amps - _by_unitary(u, "abc", state))) <= 1e-15
 
 
-def test_a_bad_gate_raises_on_every_call_so_no_partial_plan_is_kept():
+def test_a_bad_gate_raises_on_every_call_so_no_partial_evolution_is_kept():
     bad = Gate("X", ("a",), matrix=np.eye(4))
     circuit = Circuit([Channel("tm", looped=True), Channel("a")], [make_gate("H", ("a",)), bad])
     for _ in range(3):
@@ -530,19 +532,11 @@ def test_a_bad_gate_raises_on_every_call_so_no_partial_plan_is_kept():
             run_exact_bell(circuit)
 
 
-def test_five_model_runs_on_one_circuit_plan_its_gates_once(monkeypatch):
-    calls, plan_gates = [], cs.states.plan_gates
-
-    def counted(*args):
-        calls.append(args)
-        return plan_gates(*args)
-
-    monkeypatch.setattr(cs.states, "plan_gates", counted)
-    counts = _counting(monkeypatch, "evolve", "pair_out_state")
+def test_five_model_runs_on_one_circuit_evolve_it_once(monkeypatch):
+    counts = _counting(monkeypatch, "evolve", "pair_out_state")  # one kernel pass each
     circuit = _grid_circuit(7, 1, 3)
     first = [model.run(circuit) for model in MODELS]
     second = [model.run(circuit) for model in MODELS]  # each reads the kept evolution
-    assert len(calls) == 1
     assert counts == {"evolve": 1, "pair_out_state": 1}
     fresh = [model.run(_grid_circuit(7, 1, 3)) for model in MODELS]  # an equal circuit
     for a, b, c in zip(first, second, fresh):
@@ -585,13 +579,18 @@ def test_each_copy_of_a_circuit_evolves_afresh(monkeypatch):
     circuit = _grid_circuit(8, 1, 3)
     kept = cs.run_noisy_bell(circuit, 0.2)
     copies = (lambda c: with_init(c, "e1", (0.6, 0.8)),
-              lambda c: cs.circuit.with_reference(c, "e0"), dataclasses.replace)
-    for copy in copies:
+              lambda c: cs.circuit.with_reference(c, "e0"), dataclasses.replace,
+              lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy, copy.copy)
+    for copy_of in copies:
         before = counts["evolve"]
-        runs = [cs.run_noisy_bell(copy(circuit), 0.2) for _ in range(2)]  # two new copies
+        twins = [copy_of(circuit) for _ in range(2)]  # two new copies
+        runs = [cs.run_noisy_bell(twin, 0.2) for twin in twins]
         assert counts["evolve"] == before + 2  # neither reads the original's evolution
+        assert not any(cs.engine._evolved_pairs(twin).flags.writeable for twin in twins)
         _same_result(runs[0], runs[1])
-        _same_result(runs[1], cs.run_noisy_bell(copy(_grid_circuit(8, 1, 3)), 0.2))
+        _same_result(runs[1], cs.run_noisy_bell(copy_of(_grid_circuit(8, 1, 3)), 0.2))
+    for copy_of in copies[2:]:  # a copy of the circuit itself runs as the original did
+        _same_result(cs.run_noisy_bell(copy_of(circuit), 0.2), kept)
     assert cs.run_noisy_bell(with_init(circuit, "e1", (0.6, 0.8)), 0.2).z != kept.z
 
 
