@@ -24,7 +24,8 @@ from .states import DensityOperator, complex_array, unit_vector
 def skew_factor(model):
     """Odds boost Omega of the selected outcome for a noise model.
 
-    NoisyBell(lam): Omega = 4/lam - 3.  Classical(k): Omega = 1/k - 1.
+    NoisyBell(lam): Omega = 4/lam - 3.  Classical(k): Omega = 1/k - 1, for k <= 1/2:
+    past 1/2 a flip is likelier than a keep, and Omega < 1 is no skew factor.
     Zero noise means perfect post-selection and a diverging skew, signalled
     with InfiniteSkew; a parameter the model's run rejects is a ConfigError.
     """
@@ -37,6 +38,8 @@ def skew_factor(model):
         k = model._params(None)
         if k == 0.0:
             raise InfiniteSkew("error-free classical channel has unbounded skew")
+        if k > 0.5:
+            raise ConfigError("a classical skew factor needs flip rate k <= 1/2, got %r" % (k,))
         return 1.0 / k - 1.0
     if isinstance(model, ExactBell):
         raise InfiniteSkew("exact post-selection has unbounded skew")

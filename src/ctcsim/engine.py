@@ -36,13 +36,14 @@ pass of the gate kernel, `states.apply_gates`, which checks finiteness once
 `_evolved_pairs` is the one place an evolution is made: it evolves a circuit
 once and keeps the read-only result on the circuit for every later run, so any
 number of models, custom pairs included, share it; a pickled or copied circuit
-keeps none and evolves afresh.  A descriptor's `run`
-(so each `run_*`) checks the parameters, then contracts that tensor once, with
-overflow warnings off, into a weighted, unnormalized operator on the externals.
-Every runner, the loop-free `run_conditional` included, finishes in
-`_post_select`: Z is its trace, a Z that is not finite is a NumericsError, Z
-(exact model: the survival amplitude) below the tolerance is a paradox in the
-model's own words with its own pair table, and rho and rho_loop are divided by Z.
+keeps none and evolves afresh.  A descriptor's `run` (so each `run_*`) is the one
+sequence of a model run: it checks the parameters and, with overflow warnings off,
+reads that tensor into rows of external amplitudes and a Hermitian form over them.
+Every run, the loop-free `run_conditional` (one row) included, has one finish,
+`_post_select`: `_mix` makes the operator, exactly Hermitian; Z is its trace, a Z
+that is not finite is a NumericsError, Z (exact model: the survival amplitude)
+below the tolerance is a paradox in the model's `paradox` words with its own pair
+table, and rho and rho_loop are divided by Z.
 
 Z conventions: exact/noisy values include the 2^-m normalization of the m
 reference pairs; weight-matrix weights are normalized to sum d except for the
@@ -213,8 +214,8 @@ def _history_tensor(t):
     return np.divide(t.transpose(2, 1, 0), _SQ2**m, order="C")
 
 
-def _hermitian(num):  # a product that is Hermitian only to rounding, made exactly so
-    return (num + num.conj().T) / 2
+def _hermitian(num):  # a fresh product, Hermitian only to rounding, made exactly so in place
+    return np.divide(np.add(num, num.conj().T, out=num), 2, out=num)
 
 
 def _mix(rows, form):
@@ -223,11 +224,11 @@ def _mix(rows, form):
     return _hermitian((rows.T @ form if form.ndim == 2 else rows.T * form) @ rows.conj())
 
 
-def _post_select(circuit, model, num, tol, paradox, table=None, n=None, loop=None,
+def _post_select(circuit, model, rows, form, tol, paradox, table=None, n=None, loop=None,
                  pairs=None, **metadata):
-    """Finish any run from its weighted operator `num` on the externals.
+    """Finish any run from its `rows` of external amplitudes and their Hermitian `form`.
 
-    Z = tr(num); a Z or `n` that is not finite (an overflow) raises NumericsError.
+    Z = tr(_mix(rows, form)); a Z or `n` that is not finite raises NumericsError.
     `n` (exact model), else Z, below the tolerance raises ParadoxError with the
     `paradox` wording (a %-format over n, z and tol) and the pair table of the
     evolved tensor `pairs` (history models), else `table`, which a result reports;
@@ -235,6 +236,7 @@ def _post_select(circuit, model, num, tol, paradox, table=None, n=None, loop=Non
     rho is exactly [[1]] on a circuit without externals.
     """
     tol = resolve_tolerance(tol)
+    num = _mix(rows, form)
     z = float(np.trace(num).real)
     if not (math.isfinite(z) and math.isfinite(n or 0.0)):
         raise NumericsError("%s acceptance rate Z = %r is not finite" % (model, z))
@@ -387,7 +389,7 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
     on, off = np.where(mask, state.amps, 0.0), np.where(mask, 0.0, state.amps)
     w_on, w_off = float(np.linalg.norm(on))**2, float(np.linalg.norm(off))**2
 
-    proj = np.eye(len(d_amps), dtype=complex) - np.outer(d_amps, d_amps.conj())
+    proj = np.eye(len(d_amps), dtype=complex) - d_amps[:, None] * d_amps.conj()
     kept = apply_gate(PureState(on, state.labels), proj, tuple(d_labels)).amps
     if mode == "insulated" and w_on > tol:
         norm = float(np.linalg.norm(kept))
@@ -396,16 +398,16 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
                                % w_on)
         kept = kept * (np.sqrt(w_on) / norm)
     final = off + kept
-    return _post_select(circuit, "conditional", np.outer(final, final.conj()), tol,
+    return _post_select(circuit, "conditional", final[None], np.ones(1), tol,
                         "conditional projection removed all amplitude",
                         mode=mode, branch_weight_on=w_on, branch_weight_off=w_off)
 
 
 # ---------------------------------------------------------------------------
 # Model descriptors, the one table of models (MODELS).  Each names its
-# document `type` and report `name`; a field whose document key differs from
-# its attribute name keeps the key in its metadata.  The CLI reads documents
-# through these fields.
+# document `type`, report `name` and `paradox` wording; a field whose document
+# key differs from its attribute name keeps the key in its metadata.  The CLI
+# reads documents through these fields.
 
 
 class _Model:
@@ -413,9 +415,11 @@ class _Model:
         return {"name": self.name, **asdict(self)}
 
     def run(self, circuit, tol=None, **options):
+        # _contract returns rows, form and _post_select's keywords (what the result reports)
         params = self._params(circuit, **options)
         with np.errstate(over="ignore", invalid="ignore"):  # _post_select catches overflow
-            return self._contract(circuit, _evolved_pairs(circuit), params, tol)
+            rows, form, report = self._contract(circuit, _evolved_pairs(circuit), params)
+            return _post_select(circuit, self.name, rows, form, tol, self.paradox, **report)
 
 
 @dataclass(frozen=True)
@@ -431,20 +435,15 @@ class ExactBell(_Model):
     """
 
     type = name = "exact_bell"
+    paradox = "matched-pair amplitude %(n).3e below tolerance %(tol).3e: no consistent history"
 
     def _params(self, circuit, pair_states=None):
         return _pair_gram(circuit, pair_states)
 
-    def _contract(self, circuit, pairs, gram, tol):
-        if gram is None:
-            table = _pair_table(circuit, pairs)
-            matched = table.amps[0]
-        else:
-            table, matched = None, pairs.reshape(len(pairs), -1) @ gram
-        return _post_select(
-            circuit, "exact_bell", np.outer(matched, matched.conj()), tol,
-            "matched-pair amplitude %(n).3e below tolerance %(tol).3e: no consistent history",
-            table, n=float(np.linalg.norm(matched)))
+    def _contract(self, circuit, pairs, gram):
+        table = _pair_table(circuit, pairs) if gram is None else None
+        matched = table.amps[0] if gram is None else pairs.reshape(len(pairs), -1) @ gram
+        return matched[None], np.ones(1), dict(table=table, n=float(np.linalg.norm(matched)))
 
 
 @dataclass(frozen=True)
@@ -452,17 +451,17 @@ class NoisyBell(_Model):
     """Depolarized pair projection: mix all 4^m outcomes with product weights."""
 
     type = name = "noisy_bell"
+    paradox = "acceptance rate %(z).3e below tolerance"
     lam: float = field(metadata={"key": "lambda"})
 
     def _params(self, circuit):
         return _unit_interval(self.lam, "noise parameter lam")
 
-    def _contract(self, circuit, pairs, lam, tol):
+    def _contract(self, circuit, pairs, lam):
         table = _pair_table(circuit, pairs)
         per_pair = np.array([1.0 - 0.75 * lam] + [0.25 * lam] * 3)
         w = functools.reduce(np.kron, [per_pair] * len(table.channel_order))
-        return _post_select(circuit, "noisy_bell", _mix(table.amps, w), tol,
-                            "acceptance rate %(z).3e below tolerance", table, lam=lam)
+        return table.amps, w, dict(table=table, lam=lam)
 
 
 @dataclass(frozen=True)
@@ -479,13 +478,14 @@ class Classical(_Model):
     """
 
     type = name = "classical"
+    paradox = "classical acceptance rate %(z).3e below tolerance"
     k: float
     floor: bool = False
 
     def _params(self, circuit):
         return _unit_interval(self.k, "flip rate k")
 
-    def _contract(self, circuit, pairs, k, tol):
+    def _contract(self, circuit, pairs, k):
         loops, floor = circuit.loop_labels, bool(self.floor)
         a = _history_tensor(pairs)
         d = len(a)
@@ -505,9 +505,8 @@ class Classical(_Model):
         weights = hist.sum(axis=1) if floor else hist.reshape(-1)
         table = ProjectionSet(rows[keep], weights,
                               lambda: ("%d|%d" % divmod(i, d) for i in keep), loops)
-        return _post_select(circuit, "classical", _mix(rows, w.reshape(-1)), tol,
-                            "classical acceptance rate %(z).3e below tolerance", table,
-                            pairs=pairs, loop=np.diag(hist.sum(axis=1)), k=k, floor=floor)
+        return rows, w.reshape(-1), dict(table=table, pairs=pairs,
+                                         loop=np.diag(hist.sum(axis=1)), k=k, floor=floor)
 
 
 @dataclass(frozen=True)
@@ -526,6 +525,7 @@ class WeightMatrix(_Model):
     """
 
     type = name = "weight_matrix"
+    paradox = "weighted acceptance rate %(z).3e below tolerance"
     omega: object = "flat"  # a built-in name or a d x d matrix
 
     def describe(self):
@@ -558,13 +558,12 @@ class WeightMatrix(_Model):
             raise ConfigError("weight matrix must have positive total weight")
         return "custom", (mat * (d / total)).reshape(-1)
 
-    def _contract(self, circuit, pairs, named_form, tol):
+    def _contract(self, circuit, pairs, named_form):
         (name, form), a = named_form, _history_tensor(pairs)
         coherent_delta = form is _DELTA_FORM
-        return _post_select(circuit, "weight_matrix", _mix(a.reshape(len(a)**2, -1), form), tol,
-                            "weighted acceptance rate %(z).3e below tolerance", pairs=pairs,
-                            omega=name, coherent_delta=coherent_delta,
-                            quadrature_measure_constant=1.0 if coherent_delta else None)
+        return a.reshape(len(a)**2, -1), form, dict(
+            pairs=pairs, omega=name, coherent_delta=coherent_delta,
+            quadrature_measure_constant=1.0 if coherent_delta else None)
 
 
 @dataclass(frozen=True)
@@ -580,6 +579,7 @@ class DeltaQuadrature(_Model):
     """
 
     type, name = "delta", "delta_quadrature"
+    paradox = "quadrature acceptance rate %(z).3e below tolerance"
     n_theta: int = field(default=64, metadata={"key": "nodes_theta"})
     n_xi: int = field(default=64, metadata={"key": "nodes_xi"})
 
@@ -590,15 +590,13 @@ class DeltaQuadrature(_Model):
                                    "model weight_matrix with omega='delta'" % len(loops))
         return _check_grid(self.n_theta, self.n_xi)
 
-    def _contract(self, circuit, pairs, grid, tol):
+    def _contract(self, circuit, pairs, grid):
         n_theta, n_xi = grid
         rows = _history_tensor(pairs).reshape(4, -1)  # (emerge, enter) major
         # the state rows.T @ coef has squared norm coef^T G conj(coef), G = rows rows^dagger
         loop = _hermitian(np.einsum("abcd,cd->ab", _DELTA_KERNEL, rows @ rows.conj().T))
-        return _post_select(circuit, "delta_quadrature", _mix(rows, _DELTA_FORM), tol,
-                            "quadrature acceptance rate %(z).3e below tolerance", pairs=pairs,
-                            loop=loop, n_theta=n_theta, n_xi=n_xi,
-                            measure="flat theta-xi on [0, pi] x [0, 2*pi]")
+        return rows, _DELTA_FORM, dict(pairs=pairs, loop=loop, n_theta=n_theta, n_xi=n_xi,
+                                       measure="flat theta-xi on [0, pi] x [0, 2*pi]")
 
 
 # the runners: each is its descriptor's run

@@ -101,6 +101,12 @@ class Gate:
             matrix.setflags(write=False)
             object.__setattr__(self, "matrix", matrix)
 
+    def __setstate__(self, state):  # numpy restores a pickled or deep-copied array
+        self.__dict__.update(state)  # writeable: freeze the matrix and form data again
+        for data in (self.matrix, self.form[1]):
+            if isinstance(data, np.ndarray):
+                data.setflags(write=False)
+
 
 def make_gate(kind, targets, params=(), matrix=None):
     """Build a gate from the vocabulary, or a CUSTOM gate from a matrix.

@@ -95,4 +95,4 @@ def decohered_reference_run(circuit, p):
     post = np.kron(bell_pairs.conj(), np.eye(e))  # every pair onto the Bell pair
     num = post @ rho @ post.conj().T
     z = float(np.trace(num).real)
-    return z, num / z
+    return z, num / z if z else num  # Z = 0: a paradox, which the caller skips

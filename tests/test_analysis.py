@@ -27,6 +27,37 @@ def test_skew_factor_diverges_at_zero_noise():
         cs.skew_factor(cs.ExactBell())
 
 
+@pytest.mark.parametrize("k", [0.5000001, 0.7, 1.0])
+def test_classical_skew_factor_is_defined_up_to_a_flip_rate_of_one_half(k):
+    # once 1/k - 1 < 1, a value every closed form rejects as "skew factors are >= 1"
+    with pytest.raises(cs.ConfigError, match=r"flip rate k <= 1/2"):
+        cs.skew_factor(cs.Classical(k))
+    assert cs.skew_factor(cs.Classical(0.5)) == 1.0
+
+
+def coin_loop(p):
+    """The coin sqrt(p)|0> + sqrt(1-p)|1> flips the loop when it reads 1: CX(coin -> tm)."""
+    coin = Channel("coin", init=(math.sqrt(p), math.sqrt(1.0 - p)))
+    return build_circuit([Channel("tm", looped=True), coin], [make_gate("CX", ("coin", "tm"))])
+
+
+@pytest.mark.parametrize("p, lam", [(0.3, 0.2), (0.05, 0.01)])
+def test_the_noisy_skew_factor_boosts_the_coin_as_the_engine_does(p, lam):
+    # the consistent branch keeps weight 1 - 3 lam/4 and the flipped one lam/4
+    r = cs.run_noisy_bell(coin_loop(p), lam)
+    boosted = cs.boosted_success(p, cs.skew_factor(cs.NoisyBell(lam)))
+    assert abs(r.rho.mat[0, 0] - boosted) <= 1e-14
+
+
+@pytest.mark.parametrize("p", [0.3, 0.05])
+@pytest.mark.parametrize("k", [0.01, 0.3, 0.5])
+def test_the_classical_skew_factor_boosts_the_coin_as_the_engine_does(p, k):
+    # the kept history has weight 1 - k and the flipped one k
+    r = cs.run_classical(coin_loop(p), k)
+    boosted = cs.boosted_success(p, cs.skew_factor(cs.Classical(k)))
+    assert abs(r.rho.mat[0, 0] - boosted) <= 1e-14
+
+
 def test_compose_skew_is_product():
     assert cs.compose_skew([2.0, 3.0, 4.0]) == pytest.approx(24.0)
     with pytest.raises(cs.ConfigError):

@@ -572,8 +572,8 @@ def test_models_sharing_a_contraction_agree(seed, n_loops):
     classical(k=1/2) and the flat weight matrix both weigh every history 1/d;
     classical(k=0), with or without the floor, and (from two loops on) the
     delta weight matrix weigh the diagonal histories 1, and quad mixes delta
-    and flat; noisy_bell(0) keeps only the matched row, through _mix rather
-    than one outer product.  A setting is a paradox exactly when its partner is.
+    and flat; noisy_bell(0) keeps only the matched row, and weighs the other
+    4^m - 1 rows by 0.  A setting is a paradox exactly when its partner is.
     """
     circuit = random_circuit(seed, n_loops, seed % 4)
 
@@ -617,6 +617,39 @@ def test_models_sharing_a_contraction_agree(seed, n_loops):
     eps = np.finfo(float).eps
     assert abs(4**n_loops * wide.z - unskewed.z) <= 8 * eps * max(1.0, unskewed.z)
     assert np.abs(wide.rho.mat - unskewed.rho.mat).max() <= 2 * eps
+
+
+def _exactly_hermitian(op):
+    return np.array_equal(op.mat, op.mat.conj().T)
+
+
+# one descriptor of each model; the delta model integrates one loop only
+HERMITIAN_RUNS = [(model, n_loops) for model in (
+    cs.ExactBell(), cs.NoisyBell(0.3), cs.Classical(0.3), cs.Classical(0.3, floor=True),
+    cs.WeightMatrix("quad"), cs.DeltaQuadrature()) for n_loops in (1, 2, 3)
+    if n_loops == 1 or not isinstance(model, cs.DeltaQuadrature)]
+
+
+@pytest.mark.parametrize("model, n_loops", HERMITIAN_RUNS,
+                         ids=["%s-%d" % (model.name, m) for model, m in HERMITIAN_RUNS])
+@pytest.mark.parametrize("seed", range(6))
+def test_every_reported_rho_is_exactly_hermitian(model, n_loops, seed):
+    # the one finish mixes rows with a Hermitian form and symmetrizes the product,
+    # so no entry differs from the conjugate of its mirror and the diagonal is real
+    try:
+        r = model.run(random_circuit(seed, n_loops, 1 + seed % 3))
+    except cs.ParadoxError:  # e.g. an X on a loop: no consistent history survives
+        return
+    assert _exactly_hermitian(r.rho)
+    assert r.rho_loop is None or _exactly_hermitian(r.rho_loop)
+
+
+@pytest.mark.parametrize("mode", ["coupled", "insulated"])
+@pytest.mark.parametrize("seed", range(6))
+def test_a_conditional_rho_is_exactly_hermitian(seed, mode):
+    deselect = (("e1",), [0.6, 0.8j])
+    r = cs.run_conditional(random_circuit(seed, 0, 3), [("e0", seed % 2)], deselect, mode)
+    assert _exactly_hermitian(r.rho)
 
 
 @settings(max_examples=20, deadline=None)

@@ -594,6 +594,21 @@ def test_each_copy_of_a_circuit_evolves_afresh(monkeypatch):
     assert cs.run_noisy_bell(with_init(circuit, "e1", (0.6, 0.8)), 0.2).z != kept.z
 
 
+def test_a_pickled_or_copied_gate_keeps_its_arrays_read_only():
+    circuit = build_circuit([Channel("tm", looped=True), Channel("a", init=(0.6, 0.8))],
+                            [make_gate("ROT", ("tm",), (0.7,))])
+    for copy_of in (lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy, copy.copy):
+        twin = copy_of(circuit)
+        z = cs.run_noisy_bell(twin, 0.2).z
+        gate = twin.gates[0]
+        for write in (lambda: gate.matrix.__setitem__(slice(None), [[0, 1], [1, 0]]),
+                      lambda: gate.form[1].__setitem__(slice(None), [[0, 1], [1, 0]])):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        assert cs.run_noisy_bell(copy_of(twin), 0.2).z == z
+        assert gate.form[0] == "real" and np.array_equal(gate.matrix, circuit.gates[0].matrix)
+
+
 def test_the_kept_evolution_is_read_only():
     circuit = _grid_circuit(9, 2, 2)
     pairs = cs.engine._evolved_pairs(circuit)
