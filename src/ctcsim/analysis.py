@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from .circuit import with_reference
-from .engine import _DELTA_FORM, Classical, ExactBell, NoisyBell, _check_grid, _hermitian, _real
+from .engine import (_DELTA_FORM, Classical, ExactBell, NoisyBell, _check_grid, _hermitian, _real,
+                     _unit_interval)
 from .errors import ConfigError, InfiniteSkew, LabelError, ParadoxError
 from .states import DensityOperator, complex_array, unit_vector
 
@@ -56,7 +57,7 @@ def compose_skew(omegas):
 
 def boosted_success(p, omega):
     """Post-selected success probability of a trial with raw probability p."""
-    p = _check_prob(p)
+    p = _unit_interval(p, "probability")
     omega = _check_skew(omega)
     return omega * p / (omega * p + 1.0 - p)
 
@@ -67,7 +68,7 @@ def povm_inconclusive(p_inconclusive, omega):
     The conclusive outcomes are the selected ones, so the inconclusive rate
     is suppressed: p / (p + Omega * (1 - p)).
     """
-    p_inconclusive = _check_prob(p_inconclusive)
+    p_inconclusive = _unit_interval(p_inconclusive, "probability")
     omega = _check_skew(omega)
     return p_inconclusive / (p_inconclusive + omega * (1.0 - p_inconclusive))
 
@@ -81,7 +82,7 @@ def discrimination_stats(overlap, theta, omega):
     and the expected number of discarded copies per conclusive event is
     w(theta) = 1 - p_n(theta) + skewed p_n(theta).
     """
-    p_n = _check_prob(overlap)
+    p_n = _unit_interval(overlap, "probability")
     omega = _check_skew(omega)
     theta = _real(theta, "rotation angle theta")
     if not math.isfinite(theta):
@@ -158,7 +159,7 @@ def ec_fidelity(eps, n):
     odd-parity histories, leaving the all-good amplitude against the
     n-fold error amplitude: 1 / (1 + r), r = eps^n / (1-eps)^(n+1) taken in logs.
     """
-    eps, n = _check_prob(eps), _real(n, "redundant qubit count n")
+    eps, n = _unit_interval(eps, "probability"), _real(n, "redundant qubit count n")
     if n < 1 or not n.is_integer():
         raise ConfigError("need at least one redundant qubit" if n < 1 else
                           "redundant qubit count n must be a whole number, got %r" % (n,))
@@ -211,7 +212,7 @@ def search_error_rates(p0, boost_rate, t, gamma, p_step):
     per-step success p_step > 1/2 and rate gamma decays by the Chernoff
     exponent instead.  Returns (eps_skew, eps_chernoff).
     """
-    p0, p_step = _check_prob(p0), _check_prob(p_step)
+    p0, p_step = _unit_interval(p0, "probability"), _unit_interval(p_step, "probability")
     if not 0.0 < p0 < 1.0:
         raise ConfigError("prior must lie strictly in (0, 1)")
     boost_rate, t, gamma = map(_real, (boost_rate, t, gamma), ("boost rate", "time t", "gamma"))
@@ -311,9 +312,3 @@ def _check_skew(omega):
         raise InfiniteSkew("skew factor %r is unbounded" % (omega,))
     return value
 
-
-def _check_prob(p):
-    """`p` as a float, else ConfigError unless it lies in [0, 1] (nan does not)."""
-    if not 0.0 <= _real(p, "probability") <= 1.0:
-        raise ConfigError("probability out of range: %r" % (p,))
-    return float(p)

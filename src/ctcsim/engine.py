@@ -35,10 +35,12 @@ pass of the gate kernel, `states.apply_gates`, which checks finiteness once
 (`circuit.compile_unitary` shares none of it and stays the independent oracle).
 `_evolved_pairs` is the one place an evolution is made: it evolves a circuit
 once and keeps the read-only result on the circuit for every later run, so any
-number of models, custom pairs included, share it; a pickled or copied circuit
-keeps none and evolves afresh.  A descriptor's `run` (so each `run_*`) is the one
-sequence of a model run: it checks the parameters and, with overflow warnings off,
-reads that tensor into rows of external amplitudes and a Hermitian form over them.
+number of models, custom pairs and `run_conditional` included, share it; a
+loop-free circuit is its m = 0 case, the evolved external register.  A pickled or
+copied circuit keeps none and evolves afresh.  A descriptor's `run` (so each
+`run_*`) is the one sequence of a model run: it turns a loop-free circuit away
+(NoCtcError), checks the parameters and, with overflow warnings off, reads that
+tensor into rows of external amplitudes and a Hermitian form over them.
 Every run, the loop-free `run_conditional` (one row) included, has one finish,
 `_post_select`: `_mix` makes the operator, exactly Hermitian; Z is its trace, a Z
 that is not finite is a NumericsError, Z (exact model: the survival amplitude)
@@ -161,23 +163,16 @@ class PostSelectionResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _require_loops(circuit):
-    loops = circuit.loop_labels
-    if not loops:
-        raise NoCtcError("circuit has no looped channel")
-    return loops
-
-
 def pair_out_state(circuit):
-    """The start state of a loop-model run: externals, loops, then reference qubits.
+    """The start state of a run: externals, loops, then reference qubits.
 
     Labels: the external channels, the looped channels (each in declaration
     order), then "<loop>.ref" per loop in loop order.  Each (reference, loop)
-    pair starts as the Bell pair PAIR_BASIS["B"] and the externals in their
-    inits.  No gate touches a reference qubit, so the gate kernel moves the
-    trailing reference register in contiguous runs.
+    pair starts as the Bell pair PAIR_BASIS["B"] and the externals in their inits;
+    with no loop (m = 0) it is the external register.  No gate touches a reference
+    qubit, so the gate kernel moves the trailing reference register in contiguous runs.
     """
-    loops = _require_loops(circuit)
+    loops = circuit.loop_labels
     ext = circuit.initial_external_state()
     d = 2 ** len(loops)
     pairs = np.zeros(d * d, dtype=complex)
@@ -191,7 +186,7 @@ def _evolved_pairs(circuit):
     """The one evolution of a circuit, kept on it: read-only amplitudes (2^e, 2^m, 2^m).
 
     The axes are the external, loop and reference registers, each in declaration
-    order (pair_out_state's labels).  A failed evolution keeps nothing; it raises again.
+    order (pair_out_state's labels); m may be 0.  A failed evolution keeps nothing.
     """
     pairs = getattr(circuit, "_pairs", None)
     if pairs is None:
@@ -279,7 +274,7 @@ def _pair_table(circuit, t):
 
 def _pair_gram(circuit, pair_states):
     """ExactBell's G, flat; None without custom pairs, ConfigError for a bad one."""
-    loops = _require_loops(circuit)
+    loops = circuit.loop_labels
     if not isinstance(pair_states, (Mapping, type(None))):
         raise ConfigError("pair_states must be a mapping, got %r" % (pair_states,))
     if not pair_states:
@@ -380,7 +375,7 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
     except (TypeError, ValueError):
         raise ConfigError("deselect must be a (labels, amplitudes) pair") from None
     d_amps = unit_vector(d_amps, "deselect direction")
-    state = evolve(circuit.initial_external_state(), circuit)
+    state = PureState(_evolved_pairs(circuit).reshape(-1), circuit.external_labels)
     n = state.n_qubits
     mask = np.ones(2**n, dtype=bool)
     for label, bit in condition:
@@ -415,6 +410,8 @@ class _Model:
         return {"name": self.name, **asdict(self)}
 
     def run(self, circuit, tol=None, **options):
+        if not circuit.loop_labels:
+            raise NoCtcError("circuit has no looped channel")
         # _contract returns rows, form and _post_select's keywords (what the result reports)
         params = self._params(circuit, **options)
         with np.errstate(over="ignore", invalid="ignore"):  # _post_select catches overflow
@@ -534,7 +531,7 @@ class WeightMatrix(_Model):
 
     def _params(self, circuit):
         """(name, form over the d*d histories for _mix) of omega, else ConfigError."""
-        d = 2 ** len(_require_loops(circuit))
+        d = 2 ** len(circuit.loop_labels)
         if isinstance(self.omega, str):
             coherent_delta = self.omega == "delta" and d == 2
             return self.omega, _DELTA_FORM if coherent_delta else _builtin_omega(self.omega, d)
@@ -584,7 +581,7 @@ class DeltaQuadrature(_Model):
     n_xi: int = field(default=64, metadata={"key": "nodes_xi"})
 
     def _params(self, circuit):
-        loops = _require_loops(circuit)
+        loops = circuit.loop_labels
         if len(loops) != 1:
             raise UnsupportedError("the delta model integrates one looped qubit, not %d; use "
                                    "model weight_matrix with omega='delta'" % len(loops))

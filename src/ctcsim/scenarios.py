@@ -726,15 +726,9 @@ def build_scenario(name, **params):
     return Scenario(name, summary, p, build(p))
 
 
-def verify_scenario(name, params=None, model=None):
-    """Run every expectation of a scenario; returns a list of check records.
-
-    `model` optionally filters to records whose model tag starts with the
-    given string (e.g. "noisy_bell").
-    """
+def verify_scenario(name, params=None):
+    """Run every expectation of a scenario; returns a list of check records."""
     if not (params is None or isinstance(params, Mapping)):
         raise ConfigError("scenario parameters must be a mapping, got %r" % (params,))
-    if not (model is None or isinstance(model, str)):
-        raise ConfigError("model filter must be a string, got %r" % (model,))
     _, p, build, checks = _resolve(name, params)
-    return [r for r in checks(p, build(p)) if model is None or r["model"].startswith(model)]
+    return checks(p, build(p))

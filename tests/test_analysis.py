@@ -35,10 +35,15 @@ def test_classical_skew_factor_is_defined_up_to_a_flip_rate_of_one_half(k):
     assert cs.skew_factor(cs.Classical(0.5)) == 1.0
 
 
-def coin_loop(p):
-    """The coin sqrt(p)|0> + sqrt(1-p)|1> flips the loop when it reads 1: CX(coin -> tm)."""
-    coin = Channel("coin", init=(math.sqrt(p), math.sqrt(1.0 - p)))
-    return build_circuit([Channel("tm", looped=True), coin], [make_gate("CX", ("coin", "tm"))])
+def coin_loop(p, loops=("tm",), mirrored=False):
+    """The coin sqrt(p)|0> + sqrt(1-p)|1> flips each loop when it reads 1: CX(coin -> loop).
+
+    The mirrored coin starts as sqrt(1-p)|0> + sqrt(p)|1>, so p is the flipped weight.
+    """
+    amps = (math.sqrt(p), math.sqrt(1.0 - p))
+    coin = Channel("coin", init=amps[::-1] if mirrored else amps)
+    return build_circuit([Channel(loop, looped=True) for loop in loops] + [coin],
+                         [make_gate("CX", ("coin", loop)) for loop in loops])
 
 
 @pytest.mark.parametrize("p, lam", [(0.3, 0.2), (0.05, 0.01)])
@@ -56,6 +61,31 @@ def test_the_classical_skew_factor_boosts_the_coin_as_the_engine_does(p, k):
     r = cs.run_classical(coin_loop(p), k)
     boosted = cs.boosted_success(p, cs.skew_factor(cs.Classical(k)))
     assert abs(r.rho.mat[0, 0] - boosted) <= 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=0.01, max_value=1.0),
+       st.floats(min_value=0.01, max_value=0.5))
+def test_the_composed_skew_boosts_a_coin_copied_onto_two_loops_as_the_engine_does(p, lam, k):
+    # each loop keeps or flips on its own, so the odds of the kept branch multiply
+    c = coin_loop(p, loops=("t1", "t2"))
+    for r, model in ((cs.run_noisy_bell(c, lam), cs.NoisyBell(lam)),
+                     (cs.run_classical(c, k), cs.Classical(k))):
+        omega = cs.skew_factor(model)
+        boosted = cs.boosted_success(p, cs.compose_skew([omega, omega]))
+        assert abs(r.rho.mat[0, 0] - boosted) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=0.01, max_value=1.0),
+       st.floats(min_value=0.01, max_value=0.5))
+def test_the_inconclusive_rate_is_the_flipped_weight_of_the_mirrored_coin(p, lam, k):
+    # the inconclusive outcome is the deselected one: the coin's |1>, weight p, flips the loop
+    c = coin_loop(p, mirrored=True)
+    for r, model in ((cs.run_noisy_bell(c, lam), cs.NoisyBell(lam)),
+                     (cs.run_classical(c, k), cs.Classical(k))):
+        suppressed = cs.povm_inconclusive(p, cs.skew_factor(model))
+        assert abs(r.rho.mat[1, 1] - suppressed) <= 1e-12
 
 
 def test_compose_skew_is_product():
@@ -261,6 +291,9 @@ def test_search_error_rates_skew_beats_chernoff_eventually():
 BAD_CLOSED_FORM_INPUTS = {
     "boosted_success_p": (lambda: cs.boosted_success("x", 2.0), "probability must be a real"),
     "povm_inconclusive_p": (lambda: cs.povm_inconclusive(None, 2.0), "probability must be a"),
+    # every probability is read by the engine's one [0, 1] reader, words included
+    "boosted_success_p_range": (lambda: cs.boosted_success(1.5, 2.0),
+                                r"^probability must lie in \[0, 1\]$"),
     "compose_skew": (lambda: cs.compose_skew(["x"]), "skew factor must be a real number"),
     "entropy_skew_a": (lambda: cs.entropy_skew("x", 0.5, 2.0), "member weight a must be a"),
     "entropy_skew_s0": (lambda: cs.entropy_skew(0.5, "x", 2.0), "entropy s0 must be a real"),

@@ -784,6 +784,56 @@ def test_no_loop_raises():
         cs.run_exact_bell(circuit)
 
 
+@pytest.mark.parametrize("model, options", [
+    (cs.ExactBell(), {"pair_states": "x"}), (cs.NoisyBell(2.0), {}), (cs.Classical("x"), {}),
+    (cs.WeightMatrix("nope"), {}), (cs.DeltaQuadrature(1, 1), {}),
+], ids=["exact", "noisy", "classical", "weight_matrix", "delta"])
+def test_a_loop_model_reports_a_loop_free_circuit_before_its_parameters(model, options,
+                                                                        monkeypatch):
+    circuit = cs.build_scenario("tourist_trap").circuit
+    calls = []
+    monkeypatch.setattr(cs.engine, "evolve", lambda *args: calls.append(args))
+    with pytest.raises(cs.NoCtcError, match="^circuit has no looped channel$"):
+        model.run(circuit, **options)
+    assert calls == []
+
+
+def test_a_loop_free_circuit_is_the_m0_case_of_the_evolution():
+    # no reference pair: the start state and the one evolution are the external register
+    circuit = cs.build_scenario("tourist_trap").circuit
+    ext = circuit.initial_external_state()
+    evolved = evolve(ext, circuit).amps
+    start = cs.pair_out_state(circuit)
+    assert start.labels == ext.labels == circuit.external_labels
+    np.testing.assert_allclose(start.amps, ext.amps, rtol=0, atol=1e-15)
+    table = cs.projection_table(circuit)
+    assert table.labels == ("",)
+    assert table.channel_order == ()
+    np.testing.assert_allclose(table.amps, evolved[None], rtol=0, atol=1e-15)
+    assert table.total_weight == pytest.approx(1.0, abs=1e-12)
+    histories, d = cs.engine.loop_histories(circuit)
+    assert d == 1
+    assert list(histories) == [(0, 0)]
+    assert histories[(0, 0)].labels == circuit.external_labels
+    np.testing.assert_allclose(histories[(0, 0)].amps, evolved, rtol=0, atol=1e-15)
+
+
+def test_a_second_conditional_run_reuses_the_evolution(monkeypatch):
+    circuit = cs.build_scenario("tourist_trap").circuit
+    calls, plain = [], cs.engine.evolve
+
+    def counted(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(cs.engine, "evolve", counted)
+    condition, deselect = [("m1", 0), ("m2", 0)], (("m3",), [1.0, 0.0])
+    coupled = cs.run_conditional(circuit, condition, deselect, "coupled")
+    insulated = cs.run_conditional(circuit, condition, deselect, "insulated")
+    assert len(calls) == 1
+    assert coupled.metadata["branch_weight_on"] == insulated.metadata["branch_weight_on"]
+
+
 def test_bad_noise_parameter_rejected():
     circuit = loop_with_rotations(0.1, 0.2, 0.3)
     with pytest.raises(cs.ConfigError):

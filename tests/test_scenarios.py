@@ -56,22 +56,15 @@ def test_parameter_override_applies():
 @pytest.mark.parametrize("name, kwargs, message", [
     ("faulty_gun", {"params": [1]}, "scenario parameters must be a mapping, got [1]"),
     ("faulty_gun", {"params": "zeta"}, "scenario parameters must be a mapping, got 'zeta'"),
-    ("faulty_gun", {"model": 3}, "model filter must be a string, got 3"),
     ("n_controlled_not", {"params": {"alphas": 3}},
      "scenario parameter alphas must be a list of real numbers, got 3"),
     ("n_controlled_not", {"params": {"alphas": ["x"]}},
      "scenario parameter alphas must be a list of real numbers, got ['x']"),
-], ids=["params_list", "params_text", "model_int", "alphas_int", "alphas_text"])
+], ids=["params_list", "params_text", "alphas_int", "alphas_text"])
 def test_bad_verify_arguments_are_config_errors(name, kwargs, message):
     with pytest.raises(cs.ConfigError) as info:
         cs.verify_scenario(name, **kwargs)
     assert str(info.value) == message
-
-
-def test_model_filter_limits_records():
-    records = cs.verify_scenario("simple_loop", model="noisy_bell")
-    assert records
-    assert all(r["model"].startswith("noisy_bell") for r in records)
 
 
 def test_build_scenario_returns_runnable_circuit():
@@ -199,9 +192,9 @@ def test_huge_scenario_amplitudes_normalize_exactly():
 
 
 def test_the_catalog_evolves_each_circuit_once(monkeypatch):
-    # 30 looped scenario circuits, 2 conditional runs, 4 variant circuits and 1
-    # input-bias probe: every model a check runs, custom boundary pairs included,
-    # shares its circuit's one evolution
+    # 30 looped scenario circuits, 1 loop-free circuit, 4 variant circuits and 1
+    # input-bias probe: every model a check runs, custom boundary pairs and both
+    # conditional modes included, shares its circuit's one evolution
     calls, evolve = [], cs.engine.evolve
 
     def counted(*args):
@@ -211,7 +204,7 @@ def test_the_catalog_evolves_each_circuit_once(monkeypatch):
     monkeypatch.setattr(cs.engine, "evolve", counted)
     records = [r for name in ALL for r in cs.verify_scenario(name)]
     assert len(records) == 122
-    assert len(calls) <= 37
+    assert len(calls) <= 36
     calls.clear()
     cs.verify_scenario("simple_loop")  # exact, noisy, delta, weight matrix and classical
     assert len(calls) == 1
@@ -221,3 +214,6 @@ def test_the_catalog_evolves_each_circuit_once(monkeypatch):
     calls.clear()
     cs.verify_scenario("cnot_gun")  # both input biases and the control state off one probe
     assert len(calls) == 2
+    calls.clear()
+    cs.verify_scenario("tourist_trap")  # the coupled and insulated runs off the m = 0 evolution
+    assert len(calls) == 1
