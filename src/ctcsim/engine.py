@@ -428,7 +428,7 @@ class ExactBell(_Model):
     gates and K^dagger after.  Moved onto the Bell evolution t, the matched row is
     t.reshape(len(t), -1) @ G, G the Kronecker product over loops of sqrt(2)
     chi^dagger chi (chi as its reference-by-loop 2x2 matrix, so I/sqrt(2) for a
-    Bell pair).  Such a run reports no table.
+    Bell pair).  Such a run reports a pair table only with its ParadoxError.
     """
 
     type = name = "exact_bell"
@@ -440,7 +440,8 @@ class ExactBell(_Model):
     def _contract(self, circuit, pairs, gram):
         table = _pair_table(circuit, pairs) if gram is None else None
         matched = table.amps[0] if gram is None else pairs.reshape(len(pairs), -1) @ gram
-        return matched[None], np.ones(1), dict(table=table, n=float(np.linalg.norm(matched)))
+        return matched[None], np.ones(1), dict(table=table, n=float(np.linalg.norm(matched)),
+                                               pairs=None if gram is None else pairs)
 
 
 @dataclass(frozen=True)

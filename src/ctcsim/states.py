@@ -147,15 +147,15 @@ def apply_gates(state, gates):
     which qubit each axis of its (2,)*n array holds, so no gate transposes back
     and a swap only relabels.  A gate without controls multiplies its gathered
     targets out of place, leaving them in front; a controlled or diagonal one
-    writes its slice, where every control is 1, in place, of a private copy made
-    before the first such write: the caller's amplitudes are never written, nor
-    shared by the result.  Untouched axes keep their order, so trailing ones move
-    in contiguous runs.  One transpose at the end restores label order, and the
+    writes its slice, where every control is 1, in place.  The kernel copies the
+    caller's amplitudes once on entry, so they are never written, nor shared by
+    the result.  Untouched axes keep their order, so trailing ones move in
+    contiguous runs.  One transpose at the end restores label order, and the
     result is checked once, as a PureState.
     """
     n = state.n_qubits
-    t = state.amps.reshape((2,) * n)
-    order, private = list(range(n)), False  # order[p]: the label axis that axis p holds
+    t = state.amps.reshape((2,) * n).copy()  # the kernel owns its array from here
+    order = list(range(n))  # order[p]: the label axis that axis p holds
     with np.errstate(over="ignore", invalid="ignore"):  # the wrap below catches overflow
         for matrix, targets, controls, (form, data) in gates:
             matrix, k = np.asarray(matrix, dtype=complex), len(targets)
@@ -172,8 +172,6 @@ def apply_gates(state, gates):
             if form == "swap":  # the two axes trade qubits; no amplitude moves
                 order[perm[0]], order[perm[1]] = order[perm[1]], order[perm[0]]
                 continue
-            if not private and (controls or form == "diagonal"):
-                t, private = t.copy(), True
             if form == "diagonal":  # scale the slice of each entry that is not 1
                 at = [1 if p in perm[:controls] else slice(None) for p in range(n)]
                 for bit, z in enumerate(data):
@@ -190,9 +188,9 @@ def apply_gates(state, gates):
             if controls:
                 view[...] = out.reshape(view.shape)
             else:
-                t, order, private = out.reshape(t.shape), [order[p] for p in perm], True
+                t, order = out.reshape(t.shape), [order[p] for p in perm]
     amps = t.transpose(sorted(range(n), key=order.__getitem__)).reshape(-1)
-    return PureState(amps if private else amps.copy(), state.labels)
+    return PureState(amps, state.labels)
 
 
 def apply_gate(state, matrix, targets):

@@ -1,7 +1,9 @@
 """Acceptance gate: one test per criterion, reported as one line each by -v."""
 
+import ast
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -251,3 +253,13 @@ def test_criterion_12_cli_reports_byte_identical(tmp_path):
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])
+
+
+def test_no_module_defines_a_top_level_name_twice():
+    # a second definition shadows the first: pytest collects only one of two same-named tests
+    root = pathlib.Path(__file__).resolve().parents[1]
+    for path in sorted([*(root / "src" / "ctcsim").glob("*.py"), *(root / "tests").glob("*.py")]):
+        names = [node.name for node in ast.parse(path.read_text()).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        twice = sorted({name for name in names if names.count(name) > 1})
+        assert not twice, "%s defines %s more than once" % (path.name, ", ".join(twice))

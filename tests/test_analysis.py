@@ -262,13 +262,6 @@ def test_parity_recursion_matches_even_parity_probability(alphas):
     assert cs.parity_recursion(alphas)["e2"] == pytest.approx(even, abs=1e-9)
 
 
-def test_ec_fidelity_holds_where_both_amplitudes_underflow():
-    # 0.5**1101 and 0.5**1100 are both 0.0; their ratio, 2, is taken in logs
-    assert cs.ec_fidelity(0.5, 1100) == pytest.approx(1 / 3, rel=1e-15)
-    assert cs.ec_fidelity(0.3, 1e308) == 1.0 and cs.ec_fidelity(0.7, 1e308) == 0.0
-    assert cs.ec_fidelity(1.0, 3) == 0.0
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))
 def test_parity_recursion_bias_contracts(alphas):

@@ -680,6 +680,16 @@ def test_custom_pair_state_changes_selection():
     assert pinned.n == pytest.approx(1.0)
 
 
+def test_a_custom_pair_paradox_carries_its_pair_table():
+    # a Bell pair given as a custom pair still fails on an X loop, and tables it
+    circuit = build_circuit([Channel("tm", looped=True)], [make_gate("X", ("tm",))])
+    with pytest.raises(cs.ParadoxError) as info:
+        cs.run_exact_bell(circuit, pair_states={"tm": [SQ2, 0, 0, SQ2]})
+    table = info.value.projections
+    assert list(table.labels) == ["B", "-", "N", "-N"]
+    assert np.allclose(table.weights, [0, 0, 1, 0], atol=1e-12)
+
+
 def exact_with_pairs_by_unitary(circuit, pair_states):
     """Reference for custom boundary pairs, from the circuit's full unitary.
 
