@@ -162,9 +162,16 @@ def build_circuit(channels, gates=(), entangled=()):
     return circuit
 
 
+def checked_circuit(circuit):
+    """`circuit`, else ConfigError: every name that takes a circuit reads it through this."""
+    if not isinstance(circuit, Circuit):
+        raise ConfigError("expected a Circuit, got %s" % type(circuit).__name__)
+    return circuit
+
+
 def with_init(circuit, label, init):
     """Copy of the circuit with one external channel's init replaced."""
-    ch = circuit.channel(label)
+    ch = checked_circuit(circuit).channel(label)
     if ch.looped:
         raise ConfigError("channel %r is looped and takes no init" % (label,))
     for labels_g, _ in circuit.entangled:
@@ -204,7 +211,7 @@ def compile_unitary(circuit):
     Basis order follows channel declaration order (first channel = most
     significant bit).  The result is unitary exactly when every gate is.
     """
-    labels = circuit.labels
+    labels = checked_circuit(circuit).labels
     n = len(labels)
     if n > MAX_QUBITS:
         raise UnsupportedError("cannot compile more than %d qubits densely" % MAX_QUBITS)

@@ -65,7 +65,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .circuit import REF_SUFFIX, evolve
+from .circuit import REF_SUFFIX, checked_circuit, evolve
 from .errors import ConfigError, NoCtcError, NumericsError, ParadoxError, UnsupportedError
 from .states import (
     DEFAULT_PARADOX_TOL,
@@ -108,7 +108,7 @@ def resolve_tolerance(tol=None):
         where = "%s value" % TOLERANCE_ENV_VAR
     try:
         value = float(tol)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
         raise ConfigError("bad %s %r" % (where, tol)) from None
     if not 0.0 < value < math.inf:
         raise ConfigError("%s %r is not a finite positive number" % (where, tol))
@@ -172,7 +172,7 @@ def pair_out_state(circuit):
     with no loop (m = 0) it is the external register.  No gate touches a reference
     qubit, so the gate kernel moves the trailing reference register in contiguous runs.
     """
-    loops = circuit.loop_labels
+    loops = checked_circuit(circuit).loop_labels
     ext = circuit.initial_external_state()
     d = 2 ** len(loops)
     pairs = np.zeros(d * d, dtype=complex)
@@ -188,7 +188,7 @@ def _evolved_pairs(circuit):
     The axes are the external, loop and reference registers, each in declaration
     order (pair_out_state's labels); m may be 0.  A failed evolution keeps nothing.
     """
-    pairs = getattr(circuit, "_pairs", None)
+    pairs = getattr(checked_circuit(circuit), "_pairs", None)
     if pairs is None:
         d = 2 ** len(circuit.loop_labels)
         pairs = evolve(pair_out_state(circuit), circuit).amps.reshape(-1, d, d)
@@ -357,7 +357,7 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
     pre-projection weight first, so the branch odds are untouched.
     """
     tol = resolve_tolerance(tol)
-    if circuit.loop_labels:
+    if checked_circuit(circuit).loop_labels:
         raise UnsupportedError("conditional projection on a circuit with looped channels "
                                "is not defined")
     if mode not in ("coupled", "insulated"):
@@ -374,6 +374,12 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
         d_labels, d_amps = deselect
     except (TypeError, ValueError):
         raise ConfigError("deselect must be a (labels, amplitudes) pair") from None
+    try:
+        d_labels = tuple(d_labels)
+        hash(d_labels)  # a label that is itself a list names no channel
+    except TypeError:
+        raise ConfigError("deselect labels must be a sequence of channel labels, got %r"
+                          % (d_labels,)) from None
     d_amps = unit_vector(d_amps, "deselect direction")
     state = PureState(_evolved_pairs(circuit).reshape(-1), circuit.external_labels)
     n = state.n_qubits
@@ -385,7 +391,7 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
     w_on, w_off = float(np.linalg.norm(on))**2, float(np.linalg.norm(off))**2
 
     proj = np.eye(len(d_amps), dtype=complex) - d_amps[:, None] * d_amps.conj()
-    kept = apply_gate(PureState(on, state.labels), proj, tuple(d_labels)).amps
+    kept = apply_gate(PureState(on, state.labels), proj, d_labels).amps
     if mode == "insulated" and w_on > tol:
         norm = float(np.linalg.norm(kept))
         if norm**2 < tol:
@@ -410,7 +416,7 @@ class _Model:
         return {"name": self.name, **asdict(self)}
 
     def run(self, circuit, tol=None, **options):
-        if not circuit.loop_labels:
+        if not checked_circuit(circuit).loop_labels:
             raise NoCtcError("circuit has no looped channel")
         # _contract returns rows, form and _post_select's keywords (what the result reports)
         params = self._params(circuit, **options)

@@ -12,6 +12,7 @@ import pytest
 
 import ctcsim as cs
 from ctcsim import Channel, build_circuit, make_gate
+from oracles import histories_by_unitary
 
 PI2 = math.pi**2
 SQ2 = 2**-0.5
@@ -216,11 +217,7 @@ def test_criterion_11_delta_oracle_equivalence():
     # Monte-Carlo cross-check on three of them
     n_samp = 10**6
     for circuit in circuits[:3]:
-        histories, _ = cs.engine.loop_histories(circuit)
-        a = np.stack([
-            np.stack([histories[(0, 0)].amps, histories[(0, 1)].amps]),
-            np.stack([histories[(1, 0)].amps, histories[(1, 1)].amps]),
-        ])
+        a = histories_by_unitary(circuit)
         theta = rng.uniform(0, math.pi, n_samp)
         xi = rng.uniform(0, 2 * math.pi, n_samp)
         c = np.stack([np.cos(theta), np.sin(theta) * np.exp(1j * xi)])

@@ -1,6 +1,8 @@
+import ast
 import functools
 import itertools
 import math
+import pathlib
 import re
 import warnings
 
@@ -13,7 +15,9 @@ import ctcsim as cs
 from ctcsim import Channel, PureState, build_circuit, make_gate
 from ctcsim.circuit import evolve
 from ctcsim.states import project
-from oracles import decohered_reference_run, tensor
+from oracles import (decohered_reference_run, delta_by_node, exact_with_pairs_by_unitary,
+                     histories_by_unitary, model_num_by_histories, noisy_by_density_matrix,
+                     outer_sum, p_ctc_output, pair_rows_by_histories, tensor)
 
 SQ2 = 2**-0.5
 
@@ -153,15 +157,6 @@ def test_history_tensor_matches_per_eigenstate_evolution(seed, n_loops, n_ext):
         assert weight == pytest.approx(np.linalg.norm(ref.amps)**2, abs=1e-12)
 
 
-def mixture_by_loop(states, weights):
-    """Reference: Z and trace-1 rho of a weighted mixture, one state at a time."""
-    z, num = 0.0, 0.0
-    for state, w in zip(states, weights):
-        z += w * np.linalg.norm(state.amps)**2
-        num = num + w * np.outer(state.amps, state.amps.conj())
-    return z, num / z
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(0, 2),
        st.floats(0.05, 1.0), st.floats(0.05, 0.95))
@@ -185,28 +180,10 @@ def test_mixture_models_match_loop_references(seed, n_loops, n_ext, lam, k):
          [(2 * s + 1) / (d + 2) for s in same]),
     ]
     for result, states, weights in cases:
-        z, rho = mixture_by_loop(states, weights)
+        num = outer_sum([state.amps for state in states], weights)
+        z = np.trace(num).real
         assert result.z == pytest.approx(z, rel=1e-12, abs=1e-14)
-        assert np.max(np.abs(result.rho.mat - rho)) <= 1e-10
-
-
-def p_ctc_output(circuit):
-    """Tr_loop(U)|ext>/2^m with U from compile_unitary (the P-CTC output formula).
-
-    The external register is in declaration order, like the engine's rho.
-    """
-    labels = circuit.labels
-    n = len(labels)
-    loop = [labels.index(l) for l in circuit.loop_labels]
-    ext = [labels.index(l) for l in circuit.external_labels]
-    d, e = 2 ** len(loop), 2 ** len(ext)
-    u = cs.compile_unitary(circuit).reshape((2,) * (2 * n))
-    u = u.transpose(loop + [n + q for q in loop] + ext + [n + q for q in ext])
-    ext0 = np.ones(1, dtype=complex)
-    for c in circuit.channels:
-        if not c.looped:
-            ext0 = np.kron(ext0, c.init)
-    return np.einsum("iiab,b->a", u.reshape(d, d, e, e), ext0) / d
+        assert np.max(np.abs(result.rho.mat - num / z)) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -228,81 +205,15 @@ def test_exact_model_matches_p_ctc_trace_formula(seed, data):
     assert np.max(np.abs(r.rho.mat - np.outer(unit, unit.conj()))) <= 1e-10
 
 
-def delta_by_node(circuit, n_theta=7, n_xi=9):
-    """Z, rho and rho_loop of the delta model, one node at a time.
-
-    Node (theta, xi) carries phi = cos(theta)|0> + e^{i xi} sin(theta)|1>; its
-    external state is (<phi| x I) U (|phi> x |ext>), with U from
-    compile_unitary.  Both angles sit on shifted uniform grids (offsets 1/3
-    and 1/2 of a step, unlike the engine's), which integrate the delta
-    integrands over [0, pi] x [0, 2*pi] exactly at these node counts.
-    """
-    labels = circuit.labels
-    n = len(labels)
-    order = [labels.index(l) for l in circuit.loop_labels + circuit.external_labels]
-    u = cs.compile_unitary(circuit).reshape((2,) * (2 * n))
-    u = u.transpose(order + [n + q for q in order]).reshape(2, 2 ** (n - 1), 2, -1)
-    ext0 = np.ones(1, dtype=complex)
-    for c in circuit.channels:
-        if not c.looped:
-            ext0 = np.kron(ext0, c.init)
-    weight = (math.pi / n_theta) * (2 * math.pi / n_xi)
-    z, rho, rho_loop = 0.0, 0.0, 0.0
-    for k in range(n_theta):
-        theta = (k + 1 / 3) * math.pi / n_theta
-        for l in range(n_xi):
-            xi = (l + 1 / 2) * 2 * math.pi / n_xi
-            phi = np.array([math.cos(theta), math.sin(theta) * np.exp(1j * xi)])
-            psi = np.einsum("i,iajb,j,b->a", phi.conj(), u, phi, ext0)
-            dens = weight * np.vdot(psi, psi).real
-            z += dens
-            rho = rho + weight * np.outer(psi, psi.conj())
-            rho_loop = rho_loop + dens * np.outer(phi, phi.conj())
-    return z, rho / z, rho_loop / z
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
 def test_delta_model_matches_per_node_integral_of_compiled_unitary(seed, n_ext):
     circuit = random_circuit(seed, 1, n_ext)
-    z, rho, rho_loop = delta_by_node(circuit)
+    z, rho, rho_loop = delta_by_node(histories_by_unitary(circuit), 7, 9)
     r = cs.run_delta_quadrature(circuit)
     assert r.z == pytest.approx(z, rel=1e-12)
     assert np.max(np.abs(r.rho.mat - rho)) <= 1e-12
     assert np.max(np.abs(r.rho_loop.mat - rho_loop)) <= 1e-12
-
-
-def noisy_by_density_matrix(circuit, lam):
-    """Z and trace-1 rho of Tr_pairs[(W^m x I) rho_out], W = (1-lam)|B><B| + lam I/4.
-
-    rho_out is the density matrix of the (reference, loop) pairs and the
-    externals, conjugated by I_ref x U with U from compile_unitary.  The
-    register runs (references, loops, externals); externals in declaration order.
-    """
-    labels = circuit.labels
-    n = len(labels)
-    order = [labels.index(l) for l in circuit.loop_labels + circuit.external_labels]
-    m = len(circuit.loop_labels)
-    d, e = 2**m, 2 ** (n - m)
-    u = cs.compile_unitary(circuit).reshape((2,) * (2 * n))
-    u = u.transpose(order + [n + q for q in order]).reshape(d * e, d * e)
-    ext0 = np.ones(1, dtype=complex)
-    for c in circuit.channels:
-        if not c.looped:
-            ext0 = np.kron(ext0, c.init)
-    psi = np.kron(np.eye(d).reshape(-1) / np.sqrt(d), ext0)  # Bell pairs, then externals
-    full = np.kron(np.eye(d), u)
-    rho_out = full @ np.outer(psi, psi.conj()) @ full.conj().T
-    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    w_pair = (1 - lam) * np.outer(bell, bell) + lam * np.eye(4) / 4
-    w = functools.reduce(np.kron, [w_pair] * m).reshape((2,) * (4 * m))
-    # pair operators act on (r1, l1, r2, l2, ...); the register is (refs, loops)
-    pairs_to_register = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
-    w = w.transpose(pairs_to_register + [2 * m + a for a in pairs_to_register])
-    num = (np.kron(w.reshape(d * d, d * d), np.eye(e)) @ rho_out).reshape(d * d, e, d * d, e)
-    num = np.einsum("iaib->ab", num)
-    z = float(np.trace(num).real)
-    return z, num / z
 
 
 @settings(max_examples=40, deadline=None)
@@ -401,74 +312,6 @@ def out_of_order_circuit(seed, n_loops):
     return circuit, ext.reshape(-1)
 
 
-def histories_by_unitary(circuit, ext):
-    """A[i, j] = (<j|_loop x I) U (|i>_loop x ext), U from compile_unitary."""
-    labels = circuit.labels
-    n, d = len(labels), 2 ** len(circuit.loop_labels)
-    order = [labels.index(l) for l in circuit.loop_labels + circuit.external_labels]
-    u = cs.compile_unitary(circuit).reshape((2,) * (2 * n))
-    u = u.transpose(order + [n + q for q in order]).reshape(d, len(ext), d, len(ext))
-    return np.einsum("jxiy,y->ijx", u, ext)
-
-
-# (reference, loop) amplitudes of each pair outcome, as 2 x 2 matrices
-PAIR_MATRICES = {"B": np.eye(2), "-": np.diag([1.0, -1.0]), "N": np.eye(2)[::-1],
-                 "-N": np.array([[0.0, 1.0], [-1.0, 0.0]])}
-
-
-def pair_rows_by_histories(a):
-    """Outcome label -> surviving external amplitudes, from the history tensor."""
-    m = int(math.log2(len(a)))
-    rows = {}
-    for combo in itertools.product(cs.engine.PAIR_LABELS, repeat=m):
-        mat = functools.reduce(np.kron, [PAIR_MATRICES[o] for o in combo], np.ones((1, 1)))
-        rows[",".join(combo)] = np.einsum("rl,rlx->x", mat, a) / 2**m
-    return rows
-
-
-def outer_sum(rows, weights):
-    return sum(w * np.outer(r, r.conj()) for r, w in zip(rows, weights))
-
-
-def delta_num_by_node(a, n_theta=7, n_xi=9):
-    """Unnormalized delta-model operator: node phi carries sum_ij phi_i phi_j^* A[i, j]."""
-    weight = (math.pi / n_theta) * (2 * math.pi / n_xi)
-    num = 0.0
-    for k in range(n_theta):
-        theta = (k + 1 / 3) * math.pi / n_theta
-        for l in range(n_xi):
-            xi = (l + 1 / 2) * 2 * math.pi / n_xi
-            phi = np.array([math.cos(theta), math.sin(theta) * np.exp(1j * xi)])
-            psi = np.einsum("i,j,ijx->x", phi, phi.conj(), a)
-            num = num + weight * np.outer(psi, psi.conj())
-    return num
-
-
-def model_num_by_histories(model, a):
-    """Each model's weighted external operator, written out from its definition."""
-    d = len(a)
-    rows = a.reshape(d * d, -1)
-    if isinstance(model, cs.ExactBell):
-        psi = np.einsum("iix->x", a) / d
-        return np.outer(psi, psi.conj())
-    if isinstance(model, cs.NoisyBell):
-        per_pair = [1 - 0.75 * model.lam] + [0.25 * model.lam] * 3
-        w = functools.reduce(np.kron, [per_pair] * int(math.log2(d)))
-        return outer_sum(pair_rows_by_histories(a).values(), w)
-    if isinstance(model, cs.Classical):
-        k = model.k
-        if model.floor:
-            w = (1 - k) * np.eye(d) + k / d
-        else:
-            w = functools.reduce(np.kron, [[[1 - k, k], [k, 1 - k]]] * int(math.log2(d)))
-        return outer_sum(rows, np.reshape(w, -1))
-    if isinstance(model, cs.DeltaQuadrature) or model.omega == "delta" and d == 2:
-        return delta_num_by_node(a)
-    omega = {"flat": np.full((d, d), 1 / d), "quad": (2 * np.eye(d) + 1) / (d + 2),
-             "delta": np.eye(d)}[model.omega]
-    return outer_sum(rows, omega.reshape(-1))
-
-
 @pytest.mark.parametrize("seed, n_loops", [(0, 1), (1, 1), (2, 2), (3, 2)])
 def test_out_of_order_entangled_groups_match_the_unitary_reference(seed, n_loops):
     circuit, ext = out_of_order_circuit(seed, n_loops)
@@ -498,7 +341,7 @@ def test_out_of_order_entangled_groups_match_the_unitary_reference(seed, n_loops
 def test_history_models_match_the_unitary_reference_on_random_circuits(seed, n_loops, n_ext,
                                                                        k):
     circuit = random_circuit(seed, n_loops, n_ext)
-    a = histories_by_unitary(circuit, circuit.initial_external_state().amps)
+    a = histories_by_unitary(circuit)
     d = len(a)
     norms = (abs(a) ** 2).sum(axis=2)
     rng = np.random.default_rng(seed)
@@ -690,25 +533,6 @@ def test_a_custom_pair_paradox_carries_its_pair_table():
     assert np.allclose(table.weights, [0, 0, 1, 0], atol=1e-12)
 
 
-def exact_with_pairs_by_unitary(circuit, pair_states):
-    """Reference for custom boundary pairs, from the circuit's full unitary.
-
-    With pair amplitudes chi[r, l] per loop, the surviving external state is
-    psi = sum_{l, l'} (chi^dagger chi)[l', l] U[(l', .), (l, .)] |ext>, the
-    Gram matrices multiplied out over the loops (the Bell pair's is I / 2).
-    """
-    labels, loops, exts = circuit.labels, circuit.loop_labels, circuit.external_labels
-    n, d = len(labels), 2 ** len(loops)
-    gram = np.ones((1, 1))
-    for label in loops:
-        chi = np.reshape(pair_states.get(label, [SQ2, 0, 0, SQ2]), (2, 2))
-        gram = np.kron(gram, chi.conj().T @ chi)
-    order = [labels.index(l) for l in loops + exts]
-    u = cs.compile_unitary(circuit).reshape((2,) * (2 * n))
-    u = u.transpose(order + [n + i for i in order]).reshape(d, 2**n // d, d, 2**n // d)
-    return np.einsum("ba,bxay,y->x", gram, u, circuit.initial_external_state().amps)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 3))
 def test_custom_pairs_match_the_unitary_reference(seed, n_loops, n_ext):
@@ -740,6 +564,27 @@ def test_custom_pairs_match_the_unitary_reference(seed, n_loops, n_ext):
         assert np.max(np.abs(r.rho.mat - np.outer(psi, psi.conj()) / n**2)) <= 1e-12
         # one evolution and one contraction: the two routes agree bit for bit
         assert r.n == runs[0].n and np.array_equal(r.rho.mat, runs[0].rho.mat)
+
+
+# calls that would put a reference on the engine's own code path
+ENGINE_CALLS = {"run", "evolve", "project", "apply_gates", "initial_external_state",
+                "projection_table", "loop_histories"}
+
+
+def test_the_references_share_no_code_path_with_the_engine():
+    tree = ast.parse(pathlib.Path(__file__).with_name("oracles.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            names = [alias.name for alias in node.names]
+            found += [module] * module.startswith("ctcsim.")
+            found += [n for n in names if n.startswith(("ctcsim.", "_"))]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            found += [name] * (name in ENGINE_CALLS)
+    assert found == []
 
 
 BAD_PARAMETERS = [
@@ -875,7 +720,8 @@ MODEL_NAMES = [m.name for m in LOOP_MODELS]
 
 
 @pytest.mark.parametrize("model", LOOP_MODELS, ids=MODEL_NAMES)
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), "abc"])
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), "abc",
+                                 pytest.param(10**400, id="int_1e400")])
 def test_tolerance_argument_must_be_finite_and_positive(tol, model):
     with pytest.raises(cs.ConfigError):
         model.run(cs.build_scenario("grandfather_not").circuit, tol=tol)
@@ -1127,9 +973,14 @@ PLAIN_DESELECT = (("m3",), [1.0, 0.0])
     (lambda: cs.run_conditional(three_plus(), [("m1", 0)], (("m3",), [1.0, 0.0], "x"),
                                 "coupled"),
      "deselect must be a (labels, amplitudes) pair"),
+    (lambda: cs.run_conditional(three_plus(), [("m1", 0)], (None, [1, 0]), "coupled"),
+     "deselect labels must be a sequence of channel labels, got None"),
+    (lambda: cs.run_conditional(three_plus(), [("m1", 0)], ([["m3"]], [1, 0]), "coupled"),
+     "deselect labels must be a sequence of channel labels, got (['m3'],)"),
 ], ids=["bit_x", "bit_2", "zero_direction", "nan_direction", "nan_pair_state", "lam_text",
         "k_none", "k_text", "omega_text_entry", "omega_complex_entry", "condition_not_a_pair",
-        "direction_text", "deselect_one_tuple", "deselect_three_tuple"])
+        "direction_text", "deselect_one_tuple", "deselect_three_tuple", "deselect_labels_none",
+        "deselect_labels_nested"])
 def test_bad_conditional_and_pair_inputs_are_config_errors(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning fails the test
@@ -1148,6 +999,31 @@ def test_conditional_normalizes_extreme_directions_exactly(direction, plain):
     ref = cs.run_conditional(three_plus(), [("m1", 0)], (("m3",), plain), "coupled")
     assert r.z == pytest.approx(ref.z, abs=1e-15)
     assert np.max(np.abs(r.rho.mat - ref.rho.mat)) <= 1e-15
+
+
+# every name that takes a circuit, called with the non-circuit in its place
+CIRCUIT_TAKERS = {
+    "run_exact_bell": cs.run_exact_bell,
+    "run_noisy_bell": lambda c: cs.run_noisy_bell(c, 0.2),
+    "run_classical": lambda c: cs.run_classical(c, 0.2),
+    "run_weight_matrix": cs.run_weight_matrix,
+    "run_delta_quadrature": cs.run_delta_quadrature,
+    **{"%s.run" % type(model).__name__: model.run for model in LOOP_MODELS},
+    "run_conditional": lambda c: cs.run_conditional(c, [("m1", 0)], PLAIN_DESELECT, "coupled"),
+    "projection_table": cs.projection_table,
+    "pair_out_state": cs.pair_out_state,
+    "with_init": lambda c: cs.with_init(c, "ex", "+"),
+    "compile_unitary": cs.compile_unitary,
+    "input_bias": lambda c: cs.input_bias(c, "ex", cs.ExactBell()),
+}
+
+
+@pytest.mark.parametrize("value", [None, "x", 3], ids=["None", "text", "int"])
+@pytest.mark.parametrize("name", CIRCUIT_TAKERS)
+def test_a_non_circuit_argument_is_a_config_error(name, value):
+    with pytest.raises(cs.ConfigError, match="^expected a Circuit, got %s$"
+                       % type(value).__name__):
+        CIRCUIT_TAKERS[name](value)
 
 
 # dispatch -------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 import ctcsim as cs
 from ctcsim import Channel, build_circuit, make_gate
-from oracles import flat_measure_nodes, flat_measure_states
+from oracles import delta_by_node, flat_measure_nodes, flat_measure_states, histories_by_unitary
 
 PI2 = math.pi**2
 
@@ -145,15 +145,9 @@ def test_quadrature_monte_carlo_cross_check():
     rng = np.random.default_rng(7)
     thetas = rng.uniform(0.0, math.pi, 20000)
     xis = rng.uniform(0.0, 2 * math.pi, 20000)
-    u = cs.compile_unitary(circuit)
-    ext = np.array([0.8, 0.6], dtype=complex)
-    total = 0.0
-    for t, x in zip(thetas, xis):
-        phi = np.array([math.cos(t), math.sin(t) * np.exp(1j * x)])
-        out = u @ np.kron(phi, ext)
-        amp = np.conj(phi) @ out.reshape(2, 2)
-        total += float(np.vdot(amp, amp).real)
-    mc = (2 * PI2) * total / len(thetas)
+    phi = np.stack([np.cos(thetas), np.sin(thetas) * np.exp(1j * xis)], axis=1)
+    amps = np.einsum("ki,kj,ijx->kx", phi, phi.conj(), histories_by_unitary(circuit))
+    mc = (2 * PI2) * (abs(amps) ** 2).sum(axis=1).mean()
     exact = cs.run_delta_quadrature(circuit).z
     assert mc == pytest.approx(exact, rel=0.02)
 
@@ -182,21 +176,6 @@ def test_quadrature_paradox_on_pure_flip():
 MOMENT_GRIDS = [(1, 1), (2, 2), (3, 5), (4, 4), (64, 64)]  # the first two are refused
 
 
-def _per_node_run(circuit, n_theta, n_xi):
-    """(Z, rho, rho_loop) of the delta model, one boundary state at a time.
-
-    Node k's external state is (<phi_k| x I) U (|phi_k> x ext), from the
-    compiled unitary; Z and rho_loop weigh each node by its squared norm.
-    """
-    phi, w = flat_measure_states(n_theta, n_xi)
-    ext = circuit.initial_external_state().amps
-    u = cs.compile_unitary(circuit).reshape(2, len(ext), 2, len(ext)) @ ext
-    out = np.einsum("ka,aeb,kb->ke", phi.conj(), u, phi)  # (nodes, externals)
-    norms = w * (out.real**2 + out.imag**2).sum(axis=1)
-    z = norms.sum()
-    return z, (out.T * w) @ out.conj() / z, (phi.T * norms) @ phi.conj() / z
-
-
 @pytest.mark.parametrize("grid", MOMENT_GRIDS, ids=lambda g: "%dx%d" % g)
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_delta_run_matches_the_per_node_integral(grid, seed):
@@ -205,12 +184,13 @@ def test_delta_run_matches_the_per_node_integral(grid, seed):
         with pytest.raises(cs.ConfigError, match="at least 3"):
             cs.run_delta_quadrature(circuit, *grid)
         return
-    z, rho, rho_loop = _per_node_run(circuit, *grid)
+    a = histories_by_unitary(circuit)
+    z, rho, rho_loop = delta_by_node(a, *grid)
     r = cs.run_delta_quadrature(circuit, *grid)
     assert abs(r.z - z) <= 1e-13 * z
     assert np.abs(r.rho.mat - rho).max() <= 1e-13
     # rho_loop is the exact integral, which the midpoint rule gives from 4 theta nodes
-    rho_loop = _per_node_run(circuit, max(grid[0], 4), grid[1])[2]
+    rho_loop = delta_by_node(a, max(grid[0], 4), grid[1])[2]
     assert np.abs(r.rho_loop.mat - rho_loop).max() <= 1e-13
 
 
