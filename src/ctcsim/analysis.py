@@ -16,9 +16,8 @@ import math
 import numpy as np
 
 from .circuit import with_reference
-from .engine import (_DELTA_FORM, Classical, ExactBell, NoisyBell, _check_grid, _hermitian, _real,
-                     _unit_interval)
-from .errors import ConfigError, InfiniteSkew, LabelError, ParadoxError
+from .engine import _DELTA_FORM, Classical, ExactBell, NoisyBell, _hermitian, _real, _unit_interval
+from .errors import ConfigError, InfiniteSkew, LabelError, ParadoxError, _shown
 from .states import DensityOperator, complex_array, unit_vector
 
 
@@ -44,7 +43,7 @@ def skew_factor(model):
         return 1.0 / k - 1.0
     if isinstance(model, ExactBell):
         raise InfiniteSkew("exact post-selection has unbounded skew")
-    raise ConfigError("no skew factor defined for %r" % (model,))
+    raise ConfigError("no skew factor defined for %s" % _shown(model))
 
 
 def compose_skew(omegas):
@@ -52,7 +51,7 @@ def compose_skew(omegas):
     try:
         return _check_skew(math.prod(map(_check_skew, omegas), start=1.0))
     except TypeError:  # not iterable
-        raise ConfigError("skew factors must be a list, got %r" % (omegas,)) from None
+        raise ConfigError("skew factors must be a list, got %s" % _shown(omegas)) from None
 
 
 def boosted_success(p, omega):
@@ -182,7 +181,7 @@ def parity_recursion(alphas):
     try:
         alphas = [_real(a, "control amplitude") for a in alphas]
     except TypeError:  # not iterable
-        raise ConfigError("control weights must be a list, got %r" % (alphas,)) from None
+        raise ConfigError("control weights must be a list, got %s" % _shown(alphas)) from None
     if not alphas:
         raise ConfigError("need at least one control weight")
     e2 = 1.0
@@ -250,13 +249,13 @@ def flip_probability(result, channel_a, channel_b=None):
     """
     rho = getattr(result, "rho", None)
     if not isinstance(rho, DensityOperator):
-        raise ConfigError("flip_probability needs a run result, got %r" % (result,))
+        raise ConfigError("flip_probability needs a run result, got %s" % _shown(result))
     n = rho.n_qubits
     diag = np.real(np.diag(rho.mat))
 
     def bits(label):
         if label not in rho.labels:
-            raise LabelError("no external channel labeled %r" % (label,))
+            raise LabelError("no external channel labeled %s" % _shown(label))
         return (np.arange(2**n) >> (n - 1 - rho.labels.index(label))) & 1
 
     if channel_b is None:
@@ -269,16 +268,15 @@ def input_bias(circuit, channel, model, nodes=64):
 
     The exact average of the channel's input |psi><psi| over the flat measure
     (polar angle on [0, pi], phase on [0, 2*pi]), weighted by the model's
-    acceptance rate Z(psi); an unbiased channel gives I/2.  `nodes` names a
-    nodes x nodes grid, exact on every count it takes (3 to 1024); a bad count
-    is a ConfigError before any model run, as is a model without a `run` method.
+    acceptance rate Z(psi); an unbiased channel gives I/2.  A model without a
+    `run` method is a ConfigError.  `nodes` is read by nothing: the average
+    needs no grid, and the keyword stays only for callers that still pass it.
 
     Z(psi) = psi^dagger M psi, as the circuit is linear in psi and every Z is a
     weighted sum of squared norms.  One run, with the channel in a Bell pair with
     a fresh reference qubit (circuit.with_reference), fixes M = 2 Z rho_ref^T; when
     it is a paradox, so is every input.  M is contracted with the moments _DELTA_FORM.
     """
-    _check_grid(nodes, nodes)
     if not callable(getattr(model, "run", None)):
         raise ConfigError("input_bias needs a channel model with a run method, got %r"
                           % (model,))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, analysis
 from .circuit import Channel, Circuit, _entangled_group, validate
-from .engine import MODELS, _MAX_GRID_NODES, DeltaQuadrature, _check_grid, resolve_tolerance
+from .engine import MODELS, resolve_tolerance
 from .errors import ArityError, ConfigError, CtcSimError, ParadoxError, ParseError
 from .gates import make_gate, param_names
 from .scenarios import build_scenario, list_scenarios
@@ -78,13 +78,6 @@ def _number(value, path):
     _fail(path, "expected a finite number, got %r" % (value,))
 
 
-def _integer(value, path):
-    number = _number(value, path)
-    if number != int(number):
-        _fail(path, "expected an integer, got %r" % (value,))
-    return int(number)
-
-
 def _boolean(value, path):
     if not isinstance(value, bool):
         _fail(path, "expected true or false, got %r" % (value,))
@@ -107,7 +100,7 @@ def _name_or_matrix(value, path):
 
 # annotation of a model field (a string: engine.py postpones annotations), or
 # type name of a scenario default -> the reader of its document value
-_READERS = {"float": _number, "int": _integer, "bool": _boolean,
+_READERS = {"float": _number, "bool": _boolean,
             "tuple": _numbers, "object": _name_or_matrix}
 
 
@@ -124,6 +117,8 @@ def _key_values(items, path):
             out[key] = raw
         except RecursionError:
             _fail("%s.%s" % (path, key), "value nests too deeply")
+        except ValueError:  # an integer past Python's int-to-str digit limit
+            _fail("%s.%s" % (path, key), "integer has too many digits")
     return out
 
 
@@ -219,15 +214,7 @@ def _parse_model(spec, path):
             values[f.name] = _READERS[f.type](spec[key], "%s.%s" % (path, key))
         elif f.default is MISSING:
             _fail(path, "%s requires %r" % (kind, key))
-    model = cls(**values)
-    if cls is DeltaQuadrature:
-        # name the count at fault: the larger past the cap, else one below 1, else below 3
-        n_theta, n_xi = model.n_theta, model.n_xi
-        past_cap = min(n_theta, n_xi) >= 1 and n_theta * n_xi > _MAX_GRID_NODES
-        at_theta = n_xi <= n_theta if past_cap else n_theta < (1 if n_xi < 1 else 3)
-        _at("%s.%s" % (path, "nodes_theta" if at_theta else "nodes_xi"),
-            _check_grid, n_theta, n_xi)
-    return model
+    return cls(**values)
 
 
 def _model_arg(value):
@@ -253,6 +240,8 @@ def _load_doc(text):
         raise ParseError("line %d: %s" % (err.lineno, err.msg)) from None
     except RecursionError:
         raise ParseError("document nests too deeply") from None
+    except ValueError:  # an integer past Python's int-to-str digit limit
+        raise ParseError("document holds an integer with too many digits") from None
 
 
 # where `validate` locates a problem -> its JSON path

@@ -21,8 +21,7 @@ paradox.  The other models relax the projection:
   flat measure is what the closed forms in the catalog assume).  Each
   integrand is a polynomial of degree at most 6 in the boundary state, so Z
   and rho read the constant form _DELTA_FORM and rho_loop the constant kernel
-  _DELTA_KERNEL.  The node counts stay validated input: at least 3 per axis,
-  the fewest at which the midpoint/trapezoid grid is exact for Z and rho.
+  _DELTA_KERNEL: the exact integrals, with no grid to choose.
 
 One evolution feeds every model: by channel-state duality (Lloyd et al.,
 arXiv:1007.2615) the evolved pair state holds every pair-basis outcome and
@@ -66,7 +65,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .circuit import REF_SUFFIX, checked_circuit, evolve
-from .errors import ConfigError, NoCtcError, NumericsError, ParadoxError, UnsupportedError
+from .errors import ConfigError, NoCtcError, NumericsError, ParadoxError, UnsupportedError, _shown
 from .states import (
     DEFAULT_PARADOX_TOL,
     DensityOperator,
@@ -109,7 +108,7 @@ def resolve_tolerance(tol=None):
     try:
         value = float(tol)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
-        raise ConfigError("bad %s %r" % (where, tol)) from None
+        raise ConfigError("bad %s %s" % (where, _shown(tol))) from None
     if not 0.0 < value < math.inf:
         raise ConfigError("%s %r is not a finite positive number" % (where, tol))
     return value
@@ -120,7 +119,7 @@ def _real(value, what):
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError("%s must be a real number, got %r" % (what, value)) from None
+        raise ConfigError("%s must be a real number, got %s" % (what, _shown(value))) from None
 
 
 def _unit_interval(value, what):
@@ -302,7 +301,6 @@ def loop_histories(circuit):
     return {(i, j): PureState(a[i, j], ext) for i in range(d) for j in range(d)}, d
 
 
-_MAX_GRID_NODES = 2**20  # largest n_theta * n_xi of a flat-measure grid
 # the one-loop delta form over the histories (00, 01, 10, 11): the flat-measure integral
 # of coef coef^dagger, coef = (c_i conj(c_j)) of the boundary state (c_0, c_1)
 _DELTA_FORM = np.pi**2 / 4.0 * np.array([[3.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0],
@@ -324,25 +322,6 @@ def _builtin_omega(name, d):  # as weights over the d*d histories
     if name == "delta":
         return np.eye(d).reshape(-1)
     raise ConfigError("unknown weight-matrix built-in %r" % (name,))
-
-
-def _check_grid(n_theta, n_xi):
-    """The counts as ints; ConfigError unless whole, 3 or more each, 2**20 in all at most."""
-    try:
-        whole = n_theta == int(n_theta) and n_xi == int(n_xi)
-    except (TypeError, ValueError, OverflowError):  # not a number, nan, +-inf
-        whole = False
-    if not whole:
-        raise ConfigError("quadrature node counts must be whole numbers, got %r and %r"
-                          % (n_theta, n_xi))
-    if n_theta < 1 or n_xi < 1:
-        raise ConfigError("quadrature node counts must be positive")
-    n_theta, n_xi = int(n_theta), int(n_xi)
-    if n_theta * n_xi > _MAX_GRID_NODES:
-        raise ConfigError("quadrature grid n_theta * n_xi exceeds %d nodes" % _MAX_GRID_NODES)
-    if min(n_theta, n_xi) < 3:
-        raise ConfigError("quadrature node counts must be at least 3 for an exact grid")
-    return n_theta, n_xi
 
 
 def run_conditional(circuit, condition, deselect, mode, tol=None):
@@ -375,6 +354,8 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
     except (TypeError, ValueError):
         raise ConfigError("deselect must be a (labels, amplitudes) pair") from None
     try:
+        if isinstance(d_labels, str):  # one string is not a sequence of labels
+            raise TypeError
         d_labels = tuple(d_labels)
         hash(d_labels)  # a label that is itself a list names no channel
     except TypeError:
@@ -578,28 +559,23 @@ class DeltaQuadrature(_Model):
     |phi> = cos(theta)|0> + e^{i xi} sin(theta)|1>, integrated over the flat
     measure.  Returns Z, the external density operator, and the loop-register
     density operator rho_loop = Z^-1 * integral of w(phi) |phi><phi|: the exact
-    integrals, from _DELTA_FORM and _DELTA_KERNEL.  The node counts name a grid
-    that is exact for Z and rho.
+    integrals, from _DELTA_FORM and _DELTA_KERNEL.
     """
 
     type, name = "delta", "delta_quadrature"
     paradox = "quadrature acceptance rate %(z).3e below tolerance"
-    n_theta: int = field(default=64, metadata={"key": "nodes_theta"})
-    n_xi: int = field(default=64, metadata={"key": "nodes_xi"})
 
     def _params(self, circuit):
         loops = circuit.loop_labels
         if len(loops) != 1:
             raise UnsupportedError("the delta model integrates one looped qubit, not %d; use "
                                    "model weight_matrix with omega='delta'" % len(loops))
-        return _check_grid(self.n_theta, self.n_xi)
 
-    def _contract(self, circuit, pairs, grid):
-        n_theta, n_xi = grid
+    def _contract(self, circuit, pairs, _):
         rows = _history_tensor(pairs).reshape(4, -1)  # (emerge, enter) major
         # the state rows.T @ coef has squared norm coef^T G conj(coef), G = rows rows^dagger
         loop = _hermitian(np.einsum("abcd,cd->ab", _DELTA_KERNEL, rows @ rows.conj().T))
-        return rows, _DELTA_FORM, dict(pairs=pairs, loop=loop, n_theta=n_theta, n_xi=n_xi,
+        return rows, _DELTA_FORM, dict(pairs=pairs, loop=loop,
                                        measure="flat theta-xi on [0, pi] x [0, 2*pi]")
 
 
@@ -625,8 +601,8 @@ def run_weight_matrix(circuit, omega="flat", tol=None):
     return WeightMatrix(omega).run(circuit, tol)
 
 
-def run_delta_quadrature(circuit, n_theta=64, n_xi=64, tol=None):
-    return DeltaQuadrature(n_theta, n_xi).run(circuit, tol)
+def run_delta_quadrature(circuit, tol=None):
+    return DeltaQuadrature().run(circuit, tol)
 
 
 # document type -> descriptor class

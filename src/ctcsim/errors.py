@@ -1,4 +1,12 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and how their messages show a value."""
+
+
+def _shown(value):
+    """repr(value), or a short stand-in where it holds an int too long to print."""
+    try:
+        return repr(value)
+    except ValueError:  # Python's int-to-str digit limit
+        return "<%s too long to print>" % type(value).__name__
 
 
 class CtcSimError(Exception):
@@ -30,7 +38,7 @@ class UnsupportedError(CtcSimError):
 
 
 class NumericsError(CtcSimError):
-    """A numerical routine failed to converge to the requested accuracy."""
+    """A run's acceptance rate Z or survival amplitude N is not finite."""
 
 
 class ParseError(CtcSimError):

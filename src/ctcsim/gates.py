@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArityError, ConfigError
+from .errors import ArityError, ConfigError, _shown
 from .states import DENSE, complex_array
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -123,7 +123,7 @@ def make_gate(kind, targets, params=(), matrix=None):
     try:
         params = tuple(float(p) for p in params)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError("gate parameters must be real numbers: %r" % (params,)) from None
+        raise ConfigError("gate parameters must be real numbers: %s" % _shown(params)) from None
     if not all(map(math.isfinite, params)):
         raise ConfigError("gate parameters must be finite real numbers: %r" % (params,))
 

@@ -31,7 +31,7 @@ from .engine import (
     run_conditional,
     run_exact_bell,
 )
-from .errors import ConfigError, ParadoxError, ScenarioNotFound
+from .errors import ConfigError, ParadoxError, ScenarioNotFound, _shown
 from .gates import make_gate, param_names
 from .states import unit_vector
 
@@ -144,8 +144,8 @@ def _b_n_controlled_not(p):
     except ValueError:  # a ragged nesting
         alphas = None
     if alphas is None or alphas.ndim != 1 or alphas.dtype.kind not in "iuf":
-        raise ConfigError("scenario parameter alphas must be a list of real numbers, got %r"
-                          % (p["alphas"],))
+        raise ConfigError("scenario parameter alphas must be a list of real numbers, got %s"
+                          % _shown(p["alphas"]))
     channels = [Channel("tm", looped=True)]
     gates = []
     for i, a in enumerate(alphas.tolist()):

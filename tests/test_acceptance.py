@@ -40,7 +40,7 @@ def test_criterion_03_delta_quadrature_constants():
         [Channel("tm", looped=True), Channel("sys", init=(1.0, 0.0))],
         [make_gate("SWAP", ("tm", "sys"))],
     )
-    r = cs.run_delta_quadrature(loop, n_theta=64, n_xi=64)
+    r = cs.run_delta_quadrature(loop)
     psi = np.array([1.0, 0.0])
     expect = 0.5 * np.outer(psi, psi) + 0.25 * np.eye(2)
     assert abs(r.z - PI2) <= 1e-8
@@ -49,25 +49,25 @@ def test_criterion_03_delta_quadrature_constants():
     grandfather = build_circuit(
         [Channel("tm", looped=True)], [make_gate("X", ("tm",))]
     )
-    g = cs.run_delta_quadrature(grandfather, n_theta=64, n_xi=64)
+    g = cs.run_delta_quadrature(grandfather)
     assert abs(g.z - PI2 / 2) <= 1e-8
     assert np.max(np.abs(g.rho_loop.mat - np.eye(2) / 2)) <= 1e-8
 
     alpha = 0.8
     gun = cs.build_scenario("cnot_gun", alpha=alpha, beta=0.6).circuit
-    c = cs.run_delta_quadrature(gun, n_theta=64, n_xi=64)
+    c = cs.run_delta_quadrature(gun)
     assert abs(c.z - (PI2 / 2) * (3 * alpha**2 + 1)) <= 1e-8
 
 
 def test_criterion_04_input_bias():
     gun = cs.build_scenario("cnot_gun").circuit
-    delta = cs.input_bias(gun, "gun", cs.DeltaQuadrature(), nodes=32)
+    delta = cs.input_bias(gun, "gun", cs.DeltaQuadrature())
     assert np.max(np.abs(delta.mat - np.diag([13 / 20, 7 / 20]))) <= 1e-6
     k = 0.3
-    classical = cs.input_bias(gun, "gun", cs.Classical(k), nodes=32)
+    classical = cs.input_bias(gun, "gun", cs.Classical(k))
     expect = np.diag([(3 - 2 * k) / 4, (1 + 2 * k) / 4])
     assert np.max(np.abs(classical.mat - expect)) <= 1e-6
-    unskewed = cs.input_bias(gun, "gun", cs.Classical(0.5), nodes=32)
+    unskewed = cs.input_bias(gun, "gun", cs.Classical(0.5))
     assert np.max(np.abs(unskewed.mat - np.eye(2) / 2)) <= 1e-12
 
 

@@ -99,10 +99,9 @@ def test_parse_model_variants():
     _, model, _ = parse_circuit_doc(json.dumps(doc))
     assert isinstance(model, NoisyBell)
     assert model.lam == 0.25
-    doc["model"] = {"type": "delta", "nodes_theta": 32, "nodes_xi": 16}
+    doc["model"] = {"type": "delta"}
     _, model, _ = parse_circuit_doc(json.dumps(doc))
     assert isinstance(model, DeltaQuadrature)
-    assert (model.n_theta, model.n_xi) == (32, 16)
 
 
 def test_parse_rejects_unknown_model_key():
@@ -141,23 +140,8 @@ def _with(**changes):
 MALFORMED = [
     ("lambda_text", _with(model={"type": "noisy_bell", "lambda": "abc"}),
      "doc.model.lambda"),
-    ("nodes_text", _with(model={"type": "delta", "nodes_theta": "x"}),
-     "doc.model.nodes_theta"),
-    ("nodes_infinite", _with(model={"type": "delta", "nodes_theta": math.inf}),
-     "doc.model.nodes_theta"),
-    ("nodes_huge", _with(model={"type": "delta", "nodes_theta": 1e300}),
-     "n_theta * n_xi exceeds"),
-    ("nodes_past_cap", _with(model={"type": "delta", "nodes_theta": 20000}),
-     "doc.model.nodes_theta: quadrature grid n_theta * n_xi exceeds 1048576 nodes"),
-    ("nodes_xi_past_cap", _with(model={"type": "delta", "nodes_theta": 16,
-                                       "nodes_xi": 2**17}),
-     "doc.model.nodes_xi: quadrature grid n_theta * n_xi exceeds 1048576 nodes"),
-    ("nodes_xi_zero", _with(model={"type": "delta", "nodes_xi": 0}),
-     "doc.model.nodes_xi: quadrature node counts must be positive"),
-    ("nodes_below_floor", _with(model={"type": "delta", "nodes_theta": 2}),
-     "doc.model.nodes_theta: quadrature node counts must be at least 3"),
-    ("nodes_xi_below_floor", _with(model={"type": "delta", "nodes_theta": 16, "nodes_xi": 1}),
-     "doc.model.nodes_xi: quadrature node counts must be at least 3"),
+    ("nodes_key", _with(model={"type": "delta", "nodes_xi": 64}),
+     "doc.model.nodes_xi: unknown key (allowed: type)"),
     ("gate_arity", _with(gates=[{"kind": "CX", "targets": ["a"]}]),
      "doc.gates[0]: CX acts on 2 qubits, got 1 targets"),
     ("gate_unknown_target", _with(gates=[{"kind": "SWAP", "targets": ["tm", "zz"]}]),
@@ -217,15 +201,9 @@ MALFORMED = [
      "arg.param.alphas"),
     ("model_arg_text", ["scenario", "simple_loop", "--model", "noisy_bell,lambda=x"],
      "arg.model.lambda"),
-    ("model_arg_nodes_past_cap",
+    ("model_arg_nodes_key",
      ["scenario", "simple_loop", "--model", "delta,nodes_theta=20000"],
-     "arg.model.nodes_theta: quadrature grid n_theta * n_xi exceeds 1048576 nodes"),
-    ("model_arg_nodes_below_floor",  # once Z = 7.106 against the exact pi^2
-     ["scenario", "simple_loop", "--model", "delta,nodes_theta=1,nodes_xi=1048576"],
-     "arg.model.nodes_theta: quadrature node counts must be at least 3"),
-    ("model_arg_nodes_xi_below_floor",
-     ["scenario", "simple_loop", "--model", "delta,nodes_xi=2"],
-     "arg.model.nodes_xi: quadrature node counts must be at least 3"),
+     "arg.model.nodes_theta: unknown key (allowed: type)"),
     ("model_arg_k_range", ["scenario", "simple_loop", "--model", "classical,k=2"],
      "arg.model: flip rate k must lie in [0, 1]"),
     ("model_arg_lambda_range", ["scenario", "simple_loop", "--model", "noisy_bell,lambda=-1"],
@@ -245,6 +223,15 @@ MALFORMED = [
     ("model_arg_nested", ["scenario", "cnot_gun", "--model",
                           "weight_matrix,omega=" + "[" * 100_000 + "]" * 100_000],
      "arg.model.omega: value nests too deeply"),
+    # integers past Python's 4300-digit limit for int-to-str conversion
+    ("gate_param_long_int", json.dumps(SIMPLE_LOOP_DOC).replace(
+        '"gates": [', '"gates": [{"kind": "ROT", "targets": ["tm"], "params": {"theta": 1%s}}, '
+        % ("0" * 5000)), "document holds an integer with too many digits"),
+    ("model_arg_long_int", ["scenario", "simple_loop", "--model",
+                            "noisy_bell,lambda=1" + "0" * 5000],
+     "arg.model.lambda: integer has too many digits"),
+    ("param_long_int", ["scenario", "parity_ec", "--param", "eps=1" + "0" * 5000],
+     "arg.param.eps: integer has too many digits"),
 ]
 
 
@@ -278,9 +265,7 @@ REGISTRY_CASES = [
     ({"type": "weight_matrix", "omega": "quad"}, {"name": "weight_matrix", "omega": "quad"}),
     ({"type": "weight_matrix", "omega": [[2, 1], [1, 2]]},
      {"name": "weight_matrix", "omega": "custom"}),
-    ({"type": "delta"}, {"name": "delta_quadrature", "n_theta": 64, "n_xi": 64}),
-    ({"type": "delta", "nodes_theta": 16, "nodes_xi": 8},
-     {"name": "delta_quadrature", "n_theta": 16, "n_xi": 8}),
+    ({"type": "delta"}, {"name": "delta_quadrature"}),
 ]
 
 
@@ -299,8 +284,6 @@ def test_model_registry_round_trip(tmp_path, capsys):
 @pytest.mark.parametrize("spec,key,start,stop", [
     ({"type": "noisy_bell", "lambda": 0.1}, "lambda", 0.0, 1.0),
     ({"type": "classical", "k": 0.1}, "k", 0.1, 0.4),
-    ({"type": "delta"}, "nodes_theta", 8, 16),
-    ({"type": "delta"}, "nodes_xi", 8, 16),
 ])
 def test_sweep_recognises_every_numeric_model_key(spec, key, start, stop, tmp_path,
                                                    capsys):
@@ -344,11 +327,6 @@ def test_model_argument_takes_a_matrix(tmp_path, capsys):
     assert main(["run", plain, "--model", "weight_matrix,omega=[[3,1],[1,3]]"]) == 0
     assert capsys.readouterr().out == expect
     assert json.loads(expect)["metadata"]["model"]["omega"] == "custom"
-    code = main(["scenario", "simple_loop", "--model", "delta,nodes_theta=16,nodes_xi=8",
-                 "--outputs", "Z"])
-    assert code == 0
-    model = json.loads(capsys.readouterr().out)["metadata"]["model"]
-    assert (model["n_theta"], model["n_xi"]) == (16, 8)
 
 
 FUZZ_DOC = {
@@ -655,7 +633,7 @@ def test_flip_and_bias_outputs(tmp_path, capsys):
             {"name": "gun", "role": "external", "init": [0.8, 0.0, 0.6, 0.0]},
         ],
         "gates": [{"kind": "CX", "targets": ["gun", "tm"]}],
-        "model": {"type": "delta", "nodes_theta": 32, "nodes_xi": 32},
+        "model": {"type": "delta"},
         "outputs": ["Z", "flip:gun", "input_bias:gun"],
     }
     path = write_doc(tmp_path, doc)

@@ -316,7 +316,7 @@ def out_of_order_circuit(seed, n_loops):
 def test_out_of_order_entangled_groups_match_the_unitary_reference(seed, n_loops):
     circuit, ext = out_of_order_circuit(seed, n_loops)
     a = histories_by_unitary(circuit, ext)
-    models = PERMUTATION_MODELS + [cs.DeltaQuadrature(3, 5)] * (n_loops == 1)
+    models = PERMUTATION_MODELS + [cs.DeltaQuadrature()] * (n_loops == 1)
     for model in models:
         num = model_num_by_histories(model, a)
         z = np.trace(num).real
@@ -596,11 +596,9 @@ BAD_PARAMETERS = [
     (lambda c: cs.run_weight_matrix(c, np.zeros((2, 2))), "positive total weight"),
     (lambda c: cs.run_noisy_bell(c, 1.5), "lam must lie in"),
     (lambda c: cs.run_classical(c, -0.1), "k must lie in"),
-    (lambda c: cs.run_delta_quadrature(c, 2, 64), "at least 3"),
     (lambda c: cs.WeightMatrix("nope").run(c), "unknown weight-matrix built-in"),
     (lambda c: cs.NoisyBell("abc").run(c), "lam must be a real number"),
     (lambda c: cs.Classical(2.0, floor=True).run(c), "k must lie in"),
-    (lambda c: cs.DeltaQuadrature(64, 1).run(c), "at least 3"),
     (lambda c: cs.run_exact_bell(c, pair_states="tm"), "pair_states must be a mapping, got 'tm'"),
     (lambda c: cs.run_exact_bell(c, pair_states=["tm"]),
      re.escape("pair_states must be a mapping, got ['tm']")),
@@ -620,7 +618,7 @@ BAD_PARAMETERS = [
 
 @pytest.mark.parametrize("call, message", BAD_PARAMETERS, ids=[
     "omega_name", "omega_ragged", "omega_negative", "omega_shape", "omega_complex", "omega_zero",
-    "lam", "k", "grid", "descriptor_omega", "descriptor_lam", "descriptor_k", "descriptor_grid",
+    "lam", "k", "descriptor_omega", "descriptor_lam", "descriptor_k",
     "pairs_text", "pairs_list", "pairs_unknown_key", "pairs_external_key",
     "descriptor_pairs_text", "descriptor_pairs_list", "descriptor_pairs_unknown_key",
     "descriptor_pairs_external_key"])
@@ -641,7 +639,7 @@ def test_no_loop_raises():
 
 @pytest.mark.parametrize("model, options", [
     (cs.ExactBell(), {"pair_states": "x"}), (cs.NoisyBell(2.0), {}), (cs.Classical("x"), {}),
-    (cs.WeightMatrix("nope"), {}), (cs.DeltaQuadrature(1, 1), {}),
+    (cs.WeightMatrix("nope"), {}), (cs.DeltaQuadrature(), {}),
 ], ids=["exact", "noisy", "classical", "weight_matrix", "delta"])
 def test_a_loop_model_reports_a_loop_free_circuit_before_its_parameters(model, options,
                                                                         monkeypatch):
@@ -977,15 +975,38 @@ PLAIN_DESELECT = (("m3",), [1.0, 0.0])
      "deselect labels must be a sequence of channel labels, got None"),
     (lambda: cs.run_conditional(three_plus(), [("m1", 0)], ([["m3"]], [1, 0]), "coupled"),
      "deselect labels must be a sequence of channel labels, got (['m3'],)"),
+    (lambda: cs.run_conditional(three_plus(), [("m1", 0)], ("m3", [1, 0]), "coupled"),
+     "deselect labels must be a sequence of channel labels, got 'm3'"),
 ], ids=["bit_x", "bit_2", "zero_direction", "nan_direction", "nan_pair_state", "lam_text",
         "k_none", "k_text", "omega_text_entry", "omega_complex_entry", "condition_not_a_pair",
         "direction_text", "deselect_one_tuple", "deselect_three_tuple", "deselect_labels_none",
-        "deselect_labels_nested"])
+        "deselect_labels_nested", "deselect_labels_string"])
 def test_bad_conditional_and_pair_inputs_are_config_errors(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning fails the test
         with pytest.raises(cs.ConfigError) as info:
             call()
+    assert str(info.value).startswith(message)
+
+
+LONG_INT = 10**5000  # past Python's 4300-digit limit for int-to-str conversion
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cs.resolve_tolerance(LONG_INT), "bad tolerance"),
+    (lambda: cs.run_noisy_bell(cpf_gun(), LONG_INT), "noise parameter lam must be a real number"),
+    (lambda: cs.run_classical(cpf_gun(), LONG_INT), "flip rate k must be a real number"),
+    (lambda: make_gate("ROT", ("a",), (LONG_INT,)), "gate parameters must be real numbers"),
+    (lambda: cs.build_scenario("parity_ec", eps=LONG_INT),
+     "scenario parameter eps must be a real number"),
+    (lambda: cs.build_scenario("n_controlled_not", alphas=[LONG_INT]),
+     "scenario parameter alphas must be a list of real numbers"),
+    (lambda: cs.verify_scenario("parity_ec", {"lam": LONG_INT}),
+     "noise parameter lam must be a real number"),
+], ids=["tolerance", "lam", "k", "gate_param", "scenario_eps", "scenario_alphas", "verify_lam"])
+def test_an_integer_too_long_to_print_is_a_config_error_naming_its_parameter(call, message):
+    with pytest.raises(cs.ConfigError) as info:
+        call()
     assert str(info.value).startswith(message)
 
 

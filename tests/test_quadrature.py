@@ -47,34 +47,6 @@ def test_flat_measure_states_are_the_node_states():
     assert np.allclose(w, [a * b for a in wt for b in wx], rtol=1e-15, atol=0)
 
 
-def test_nodes_require_positive_counts():
-    with pytest.raises(cs.ConfigError, match="positive"):
-        cs.run_delta_quadrature(crot_probe(), 0, 16)
-
-
-@pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf, 2.5],
-                         ids=["nan", "inf", "-inf", "fraction"])
-def test_node_counts_must_be_whole_numbers(count):
-    with pytest.raises(cs.ConfigError, match="whole numbers"):
-        cs.run_delta_quadrature(crot_probe(), n_theta=count)
-    with pytest.raises(cs.ConfigError, match="whole numbers"):
-        cs.run_delta_quadrature(crot_probe(), 16, count)
-
-
-def test_whole_float_node_counts_are_counts():
-    circuit = crot_probe()
-    r = cs.run_delta_quadrature(circuit, n_theta=64.0, n_xi=8.0)
-    assert r.z == cs.run_delta_quadrature(circuit, n_theta=64, n_xi=8).z
-    assert (r.metadata["n_theta"], r.metadata["n_xi"]) == (64, 8)
-
-
-@pytest.mark.parametrize("n_theta,n_xi", [(2**20 + 1, 1), (1025, 1024), (10**300, 64)],
-                         ids=["column", "square", "huge"])
-def test_nodes_beyond_the_grid_cap_are_rejected(n_theta, n_xi):
-    with pytest.raises(cs.ConfigError, match="exceeds 1048576 nodes"):
-        cs.run_delta_quadrature(crot_probe(), n_theta, n_xi)
-
-
 def _grid_form(n_theta, n_xi):
     """The quadrature's 4x4 form over the histories (00, 01, 10, 11) on one grid."""
     phi, w = flat_measure_states(n_theta, n_xi)
@@ -89,7 +61,7 @@ def test_grid_form_is_the_declared_delta_form(grid):
 
 @pytest.mark.parametrize("grid", [(1, 1), (2, 2)])
 def test_grids_below_three_nodes_miss_the_delta_form(grid):
-    # the reason for the floor of 3 nodes per axis on every grid the library takes
+    # 3 nodes per axis are the fewest at which a grid integrates the form exactly
     assert np.abs(_grid_form(*grid) - cs.engine._DELTA_FORM).max() > 1e-2
 
 
@@ -126,17 +98,18 @@ def test_quadrature_is_exact_on_a_three_by_five_grid(circuit, grid):
     # most 4 and xi-frequency at most 2: the midpoint rule in theta and the
     # trapezoid in xi are exact for them from 3 nodes each, and stay exact
     # on every finer grid
-    quad = cs.run_delta_quadrature(circuit, *grid)
+    quad = cs.run_delta_quadrature(circuit)
     closed = cs.run_weight_matrix(circuit, "delta")
-    assert abs(quad.z - closed.z) <= 1e-13 * closed.z
-    assert np.max(np.abs(quad.rho.mat - closed.rho.mat)) <= 1e-13
+    z, rho, _ = delta_by_node(histories_by_unitary(circuit), *grid)
+    for run in (quad, closed):
+        assert abs(run.z - z) <= 1e-13 * z
+        assert np.max(np.abs(run.rho.mat - rho)) <= 1e-13
 
 
 def test_quadrature_rho_loop_is_exact_on_a_four_by_four_grid():
     circuit = haar_loop(5)
-    coarse = cs.run_delta_quadrature(circuit, n_theta=4, n_xi=4)
-    assert np.max(np.abs(coarse.rho_loop.mat
-                         - cs.run_delta_quadrature(circuit).rho_loop.mat)) <= 1e-13
+    coarse = delta_by_node(histories_by_unitary(circuit), 4, 4)[2]
+    assert np.max(np.abs(coarse - cs.run_delta_quadrature(circuit).rho_loop.mat)) <= 1e-13
 
 
 def test_quadrature_monte_carlo_cross_check():
@@ -173,20 +146,19 @@ def test_quadrature_paradox_on_pure_flip():
 
 # -- the flat-measure moment constants against the grid, node by node ---------
 
-MOMENT_GRIDS = [(1, 1), (2, 2), (3, 5), (4, 4), (64, 64)]  # the first two are refused
+MOMENT_GRIDS = [(1, 1), (2, 2), (3, 5), (4, 4), (64, 64)]  # the first two are inexact
 
 
 @pytest.mark.parametrize("grid", MOMENT_GRIDS, ids=lambda g: "%dx%d" % g)
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_delta_run_matches_the_per_node_integral(grid, seed):
     circuit = haar_loop(seed, n_ext=1 + seed % 2)
-    if min(grid) < 3:  # an inexact grid is refused, not integrated
-        with pytest.raises(cs.ConfigError, match="at least 3"):
-            cs.run_delta_quadrature(circuit, *grid)
-        return
     a = histories_by_unitary(circuit)
     z, rho, rho_loop = delta_by_node(a, *grid)
-    r = cs.run_delta_quadrature(circuit, *grid)
+    r = cs.run_delta_quadrature(circuit)
+    if min(grid) < 3:  # too coarse a grid misses the exact integral the run reads
+        assert abs(r.z - z) > 1e-3 * z
+        return
     assert abs(r.z - z) <= 1e-13 * z
     assert np.abs(r.rho.mat - rho).max() <= 1e-13
     # rho_loop is the exact integral, which the midpoint rule gives from 4 theta nodes
@@ -204,12 +176,11 @@ def _per_node_moments(n_theta, n_xi):
 
 @pytest.mark.parametrize("grid", MOMENT_GRIDS, ids=lambda g: "%dx%d" % g)
 def test_moments_are_the_per_node_sums(grid):
-    if min(grid) < 3:  # no grid below 3 nodes per axis is taken
-        with pytest.raises(cs.ConfigError, match="at least 3"):
-            cs.engine._check_grid(*grid)
-        return
     phi, w = flat_measure_states(*grid)
     form, kernel = _per_node_moments(*grid)
+    if min(grid) < 3:  # too coarse a grid misses the form
+        assert np.abs(cs.engine._DELTA_FORM - form).max() > 1e-2
+        return
     assert np.abs(cs.engine._DELTA_FORM - form).max() <= 1e-13
     if grid[0] >= 4:
         assert np.abs(cs.engine._DELTA_KERNEL - kernel).max() <= 1e-13
@@ -236,23 +207,3 @@ def test_cached_moments_are_read_only():
             moments[0, 0] = 1.0
         with pytest.raises(ValueError):
             moments.reshape(-1)[0] = 1.0
-
-
-def _no_evolution(circuit):
-    raise AssertionError("evolved before the grid was checked")
-
-
-@pytest.mark.parametrize("count", [[64], math.nan, 1e400], ids=["list", "nan", "1e400"])
-def test_bad_node_counts_fail_before_any_evolution(count, monkeypatch):
-    monkeypatch.setattr(cs.engine, "_evolved_pairs", _no_evolution)
-    for n_theta, n_xi in ((count, 64), (64, count)):
-        with pytest.raises(cs.ConfigError, match="whole numbers"):
-            cs.run_delta_quadrature(crot_probe(), n_theta, n_xi)
-
-
-@pytest.mark.parametrize("grid", [(1, 1), (2, 2), (2, 64), (64, 1), (1, 2**20), (2.0, 3)],
-                         ids=lambda g: "%sx%s" % g)
-def test_grids_below_three_nodes_fail_before_any_evolution(grid, monkeypatch):
-    monkeypatch.setattr(cs.engine, "_evolved_pairs", _no_evolution)
-    with pytest.raises(cs.ConfigError, match="node counts must be at least 3"):
-        cs.run_delta_quadrature(crot_probe(), *grid)
