@@ -278,8 +278,8 @@ def input_bias(circuit, channel, model, nodes=64):
     it is a paradox, so is every input.  M is contracted with the moments _DELTA_FORM.
     """
     if not callable(getattr(model, "run", None)):
-        raise ConfigError("input_bias needs a channel model with a run method, got %r"
-                          % (model,))
+        raise ConfigError("input_bias needs a channel model with a run method, got %s"
+                          % _shown(model))
     try:
         result = model.run(with_reference(circuit, channel))
     except ParadoxError:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LabelError, UnsupportedError
+from .errors import ConfigError, LabelError, UnsupportedError, _shown
 from .states import MAX_QUBITS, PureState, apply_gates, normalized_amplitudes
 
 REF_SUFFIX = ".ref"
@@ -88,7 +88,7 @@ class Circuit:
         for c in self.channels:
             if c.label == label:
                 return c
-        raise LabelError("no channel labeled %r" % (label,))
+        raise LabelError("no channel labeled %s" % _shown(label))
 
     def initial_external_state(self):
         """The external register, in channel declaration order.
@@ -130,8 +130,10 @@ def validate(circuit):
     for i, g in enumerate(circuit.gates):
         for j, t in enumerate(g.targets):
             if t not in known:  # no channel label ends in REF_SUFFIX
-                what = "reference qubit" if t.endswith(REF_SUFFIX) else "unknown channel"
-                problems.append((("gates", i, j), "gate %s targets %s %r" % (g.kind, what, t)))
+                ref = isinstance(t, str) and t.endswith(REF_SUFFIX)
+                what = "reference qubit" if ref else "unknown channel"
+                problems.append((("gates", i, j), "gate %s targets %s %s"
+                                 % (g.kind, what, _shown(t))))
     entangled_seen = set()
     for i, (labels_g, _) in enumerate(circuit.entangled):
         for j, l in enumerate(labels_g):

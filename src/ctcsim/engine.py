@@ -223,13 +223,12 @@ def _post_select(circuit, model, rows, form, tol, paradox, table=None, n=None, l
     """Finish any run from its `rows` of external amplitudes and their Hermitian `form`.
 
     Z = tr(_mix(rows, form)); a Z or `n` that is not finite raises NumericsError.
-    `n` (exact model), else Z, below the tolerance raises ParadoxError with the
+    `n` (exact model), else Z, below the resolved `tol` raises ParadoxError with the
     `paradox` wording (a %-format over n, z and tol) and the pair table of the
     evolved tensor `pairs` (history models), else `table`, which a result reports;
     rho and `loop` are divided by Z, and the tolerance ends the metadata.
     rho is exactly [[1]] on a circuit without externals.
     """
-    tol = resolve_tolerance(tol)
     num = _mix(rows, form)
     z = float(np.trace(num).real)
     if not (math.isfinite(z) and math.isfinite(n or 0.0)):
@@ -275,12 +274,12 @@ def _pair_gram(circuit, pair_states):
     """ExactBell's G, flat; None without custom pairs, ConfigError for a bad one."""
     loops = circuit.loop_labels
     if not isinstance(pair_states, (Mapping, type(None))):
-        raise ConfigError("pair_states must be a mapping, got %r" % (pair_states,))
+        raise ConfigError("pair_states must be a mapping, got %s" % _shown(pair_states))
     if not pair_states:
         return None
     for key in pair_states:
         if key not in loops:
-            raise ConfigError("pair_states key %r names no looped channel" % (key,))
+            raise ConfigError("pair_states key %s names no looped channel" % _shown(key))
     grams = [_SQ2 * np.eye(2)] * len(loops)
     for i, label in enumerate(loops):
         if label in pair_states:
@@ -344,11 +343,12 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
     try:
         condition = [(label, bit) for label, bit in condition]
     except (TypeError, ValueError):
-        raise ConfigError("condition must be a list of (label, bit) pairs, got %r"
-                          % (condition,)) from None
+        raise ConfigError("condition must be a list of (label, bit) pairs, got %s"
+                          % _shown(condition)) from None
     for label, bit in condition:
         if bit not in (0, 1):
-            raise ConfigError("condition bit of %r must be 0 or 1, got %r" % (label, bit))
+            raise ConfigError("condition bit of %s must be 0 or 1, got %s"
+                              % (_shown(label), _shown(bit)))
     try:
         d_labels, d_amps = deselect
     except (TypeError, ValueError):
@@ -400,7 +400,7 @@ class _Model:
         if not checked_circuit(circuit).loop_labels:
             raise NoCtcError("circuit has no looped channel")
         # _contract returns rows, form and _post_select's keywords (what the result reports)
-        params = self._params(circuit, **options)
+        params, tol = self._params(circuit, **options), resolve_tolerance(tol)
         with np.errstate(over="ignore", invalid="ignore"):  # _post_select catches overflow
             rows, form, report = self._contract(circuit, _evolved_pairs(circuit), params)
             return _post_select(circuit, self.name, rows, form, tol, self.paradox, **report)

@@ -69,7 +69,7 @@ _VOCAB = {
 
 def param_names(kind):
     """Parameter names of a vocabulary gate kind, in make_gate's positional order."""
-    kind = str(kind).upper()
+    kind = kind.upper() if isinstance(kind, str) else _shown(kind)
     if kind not in _VOCAB:
         raise ConfigError("unknown gate kind %r" % (kind,))
     return _VOCAB[kind][2]
@@ -116,10 +116,10 @@ def make_gate(kind, targets, params=(), matrix=None):
     gate is flagged so downstream consumers know post-selection weights no
     longer sum to one.
     """
-    kind = str(kind).upper()
+    kind = kind.upper() if isinstance(kind, str) else _shown(kind)
     targets = tuple(targets)
     if len(set(targets)) != len(targets):
-        raise ConfigError("gate %s has a repeated target in %r" % (kind, targets))
+        raise ConfigError("gate %s has a repeated target in %s" % (kind, _shown(targets)))
     try:
         params = tuple(float(p) for p in params)
     except (TypeError, ValueError, OverflowError):
@@ -130,12 +130,12 @@ def make_gate(kind, targets, params=(), matrix=None):
     if kind == "CUSTOM":
         if matrix is None:
             raise ConfigError("CUSTOM gate requires a matrix")
-        matrix = complex_array(matrix, 2, "CUSTOM matrix on %r" % (targets,))
+        matrix = complex_array(matrix, 2, "CUSTOM matrix on %s" % _shown(targets))
         d = matrix.shape[0]
         if matrix.shape != (d, d) or d & (d - 1) or d < 2:
             raise ConfigError("CUSTOM matrix must be square with power-of-two size")
         if not np.isfinite(matrix).all():
-            raise ConfigError("CUSTOM matrix on %r has a non-finite entry" % (targets,))
+            raise ConfigError("CUSTOM matrix on %s has a non-finite entry" % _shown(targets))
         arity = d.bit_length() - 1
         if arity != len(targets):
             raise ArityError(
@@ -148,13 +148,9 @@ def make_gate(kind, targets, params=(), matrix=None):
     names = param_names(kind)
     arity, controls, _, builder, form = _VOCAB[kind]
     if len(targets) != arity:
-        raise ArityError(
-            "%s acts on %d qubits, got %d targets" % (kind, arity, len(targets))
-        )
+        raise ArityError("%s acts on %d qubits, got %d targets" % (kind, arity, len(targets)))
     if len(params) != len(names):
-        raise ConfigError(
-            "%s takes %d parameter(s), got %d" % (kind, len(names), len(params))
-        )
+        raise ConfigError("%s takes %d parameter(s), got %d" % (kind, len(names), len(params)))
     block = builder(*params)
     matrix = _controlled(block, controls) if controls else block
     gate = Gate(kind, targets, params, matrix, True, controls)

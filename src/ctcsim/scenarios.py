@@ -709,13 +709,13 @@ def _resolve(name, params):
     try:
         summary, defaults, build, checks = _REGISTRY[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
-        raise ScenarioNotFound("unknown scenario %r" % (name,)) from None
+        raise ScenarioNotFound("unknown scenario %s" % _shown(name)) from None
     p = dict(defaults)
     for key, value in (params or {}).items():
         if key not in defaults:
             raise ScenarioNotFound(
-                "scenario %r has no parameter %r (has: %s)"
-                % (name, key, ", ".join(sorted(defaults)) or "none")
+                "scenario %r has no parameter %s (has: %s)"
+                % (name, _shown(key), ", ".join(sorted(defaults)) or "none")
             )
         p[key] = value
     return summary, p, build, checks
@@ -729,6 +729,6 @@ def build_scenario(name, **params):
 def verify_scenario(name, params=None):
     """Run every expectation of a scenario; returns a list of check records."""
     if not (params is None or isinstance(params, Mapping)):
-        raise ConfigError("scenario parameters must be a mapping, got %r" % (params,))
+        raise ConfigError("scenario parameters must be a mapping, got %s" % _shown(params))
     _, p, build, checks = _resolve(name, params)
     return checks(p, build(p))

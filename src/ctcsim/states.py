@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LabelCollision, LabelError, UnsupportedError
+from .errors import ConfigError, LabelCollision, LabelError, UnsupportedError, _shown
 
 MAX_QUBITS = 14
 DEFAULT_PARADOX_TOL = 1e-12
@@ -29,7 +29,7 @@ def _axis(labels, label):
     try:
         return labels.index(label)
     except ValueError:
-        raise LabelError("no qubit labeled %r" % (label,)) from None
+        raise LabelError("no qubit labeled %s" % _shown(label)) from None
 
 
 def complex_array(values, ndim, what):

@@ -599,6 +599,8 @@ BAD_PARAMETERS = [
     (lambda c: cs.WeightMatrix("nope").run(c), "unknown weight-matrix built-in"),
     (lambda c: cs.NoisyBell("abc").run(c), "lam must be a real number"),
     (lambda c: cs.Classical(2.0, floor=True).run(c), "k must lie in"),
+    (lambda c: cs.run_delta_quadrature(c, tol=-1.0), "tolerance -1.0 is not a finite positive"),
+    (lambda c: cs.DeltaQuadrature().run(c, tol=math.nan), "tolerance nan is not a finite"),
     (lambda c: cs.run_exact_bell(c, pair_states="tm"), "pair_states must be a mapping, got 'tm'"),
     (lambda c: cs.run_exact_bell(c, pair_states=["tm"]),
      re.escape("pair_states must be a mapping, got ['tm']")),
@@ -619,6 +621,7 @@ BAD_PARAMETERS = [
 @pytest.mark.parametrize("call, message", BAD_PARAMETERS, ids=[
     "omega_name", "omega_ragged", "omega_negative", "omega_shape", "omega_complex", "omega_zero",
     "lam", "k", "descriptor_omega", "descriptor_lam", "descriptor_k",
+    "delta_tolerance", "descriptor_delta_tolerance",
     "pairs_text", "pairs_list", "pairs_unknown_key", "pairs_external_key",
     "descriptor_pairs_text", "descriptor_pairs_list", "descriptor_pairs_unknown_key",
     "descriptor_pairs_external_key"])
@@ -990,6 +993,7 @@ def test_bad_conditional_and_pair_inputs_are_config_errors(call, message):
 
 
 LONG_INT = 10**5000  # past Python's 4300-digit limit for int-to-str conversion
+TOO_LONG = "<int too long to print>"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -1003,11 +1007,69 @@ LONG_INT = 10**5000  # past Python's 4300-digit limit for int-to-str conversion
      "scenario parameter alphas must be a list of real numbers"),
     (lambda: cs.verify_scenario("parity_ec", {"lam": LONG_INT}),
      "noise parameter lam must be a real number"),
-], ids=["tolerance", "lam", "k", "gate_param", "scenario_eps", "scenario_alphas", "verify_lam"])
+    (lambda: cs.NoisyBell(LONG_INT).run(cpf_gun()), "noise parameter lam must be a real number"),
+    (lambda: cs.Classical(LONG_INT).run(cpf_gun()), "flip rate k must be a real number"),
+    (lambda: cs.run_delta_quadrature(cpf_gun(), tol=LONG_INT), "bad tolerance " + TOO_LONG),
+    (lambda: cs.skew_factor(cs.NoisyBell(LONG_INT)), "noise parameter lam must be a real number"),
+    (lambda: cs.compose_skew(LONG_INT), "skew factors must be a list, got " + TOO_LONG),
+    (lambda: cs.compose_skew([LONG_INT]), "skew factor must be a real number, got " + TOO_LONG),
+    (lambda: cs.ec_fidelity(0.1, LONG_INT), "redundant qubit count n must be a real number"),
+    (lambda: cs.boosted_success(LONG_INT, 2.0), "probability must be a real number"),
+], ids=["tolerance", "lam", "k", "gate_param", "scenario_eps", "scenario_alphas", "verify_lam",
+        "noisy_bell_model", "classical_model", "delta_tolerance", "skew_factor", "compose_skew",
+        "compose_skew_entry", "ec_fidelity", "boosted_success"])
 def test_an_integer_too_long_to_print_is_a_config_error_naming_its_parameter(call, message):
     with pytest.raises(cs.ConfigError) as info:
         call()
     assert str(info.value).startswith(message)
+
+
+# a label, name or container that holds such an integer is shown by a stand-in in the
+# message of the error that rejects it, never by a bare ValueError from its repr
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: make_gate(LONG_INT, ("a",)), cs.ConfigError,  # a kind is shown upper-cased
+     "unknown gate kind '%s'" % TOO_LONG.upper()),
+    (lambda: make_gate("CX", (LONG_INT, LONG_INT)), cs.ConfigError,
+     "gate CX has a repeated target in <tuple too long to print>"),
+    (lambda: make_gate("CUSTOM", (LONG_INT,), matrix=[[1, 0], [0, math.nan]]), cs.ConfigError,
+     "CUSTOM matrix on <tuple too long to print> has a non-finite entry"),
+    (lambda: build_circuit([Channel("a")], [make_gate("X", (LONG_INT,))]), cs.ConfigError,
+     "gate X targets unknown channel " + TOO_LONG),
+    (lambda: cs.with_init(cpf_gun(), LONG_INT, [1, 0]), cs.LabelError,
+     "no channel labeled " + TOO_LONG),
+    (lambda: cs.run_exact_bell(cpf_gun(), pair_states=LONG_INT), cs.ConfigError,
+     "pair_states must be a mapping, got " + TOO_LONG),
+    (lambda: cs.run_exact_bell(cpf_gun(), pair_states={LONG_INT: [1, 0]}), cs.ConfigError,
+     "pair_states key %s names no looped channel" % TOO_LONG),
+    (lambda: cs.run_conditional(three_plus(), LONG_INT, PLAIN_DESELECT, "coupled"),
+     cs.ConfigError, "condition must be a list of (label, bit) pairs, got " + TOO_LONG),
+    (lambda: cs.run_conditional(three_plus(), [("m1", LONG_INT)], PLAIN_DESELECT, "coupled"),
+     cs.ConfigError, "condition bit of 'm1' must be 0 or 1, got " + TOO_LONG),
+    (lambda: cs.run_conditional(three_plus(), [(LONG_INT, 0)], PLAIN_DESELECT, "coupled"),
+     cs.LabelError, "no qubit labeled " + TOO_LONG),
+    (lambda: cs.run_conditional(three_plus(), [("m1", 0)], ((LONG_INT,), [1, 0]), "coupled"),
+     cs.LabelError, "no qubit labeled " + TOO_LONG),
+    (lambda: cs.build_scenario(LONG_INT), cs.ScenarioNotFound, "unknown scenario " + TOO_LONG),
+    (lambda: cs.verify_scenario(LONG_INT), cs.ScenarioNotFound, "unknown scenario " + TOO_LONG),
+    (lambda: cs.verify_scenario("simple_loop", LONG_INT), cs.ConfigError,
+     "scenario parameters must be a mapping, got " + TOO_LONG),
+    (lambda: cs.verify_scenario("simple_loop", {LONG_INT: 1}), cs.ScenarioNotFound,
+     "scenario 'simple_loop' has no parameter %s (has: alpha, beta)" % TOO_LONG),
+    (lambda: cs.input_bias(cpf_gun(), LONG_INT, cs.ExactBell()), cs.LabelError,
+     "no channel labeled " + TOO_LONG),
+    (lambda: cs.input_bias(cpf_gun(), "gun", LONG_INT), cs.ConfigError,
+     "input_bias needs a channel model with a run method, got " + TOO_LONG),
+    (lambda: cs.flip_probability(cs.run_exact_bell(cpf_gun()), LONG_INT, "gun"), cs.LabelError,
+     "no external channel labeled " + TOO_LONG),
+], ids=["gate_kind", "gate_repeated_target", "custom_target", "circuit_target",
+        "with_init_label", "pair_states", "pair_states_key", "condition", "condition_bit",
+        "condition_label", "deselect_label", "scenario_name", "verify_name", "verify_params",
+        "verify_key", "input_bias_channel", "input_bias_model", "flip_label"])
+def test_a_value_holding_an_integer_too_long_to_print_is_named_by_a_stand_in(call, error,
+                                                                            message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("direction, plain", [

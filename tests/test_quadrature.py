@@ -146,7 +146,8 @@ def test_quadrature_paradox_on_pure_flip():
 
 # -- the flat-measure moment constants against the grid, node by node ---------
 
-MOMENT_GRIDS = [(1, 1), (2, 2), (3, 5), (4, 4), (64, 64)]  # the first two are inexact
+# the first two are inexact; (3, 3) is the coarsest exact grid
+MOMENT_GRIDS = [(1, 1), (2, 2), (3, 3), (3, 5), (4, 4), (7, 12), (64, 64)]
 
 
 @pytest.mark.parametrize("grid", MOMENT_GRIDS, ids=lambda g: "%dx%d" % g)
