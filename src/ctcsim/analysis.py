@@ -297,8 +297,8 @@ def _reference_form(probe_result):
 def _flat_average(probe_result):
     """The flat average of |psi><psi| weighted by Z(psi) = psi^dagger M psi, trace 1."""
     # as (2, 2, 2, 2), _DELTA_FORM holds the moments int c_a c_b* c_c* c_d
-    num = _hermitian((_DELTA_FORM @ _reference_form(probe_result).reshape(-1)).reshape(2, 2))
-    return num / np.trace(num).real
+    num = (_DELTA_FORM @ _reference_form(probe_result).reshape(-1)).reshape(2, 2)
+    return _hermitian(num, np.trace(num).real)
 
 
 def _check_skew(omega):

@@ -41,10 +41,11 @@ copied circuit keeps none and evolves afresh.  A descriptor's `run` (so each
 (NoCtcError), checks the parameters and, with overflow warnings off, reads that
 tensor into rows of external amplitudes and a Hermitian form over them.
 Every run, the loop-free `run_conditional` (one row) included, has one finish,
-`_post_select`: `_mix` makes the operator, exactly Hermitian; Z is its trace, a Z
-that is not finite is a NumericsError, Z (exact model: the survival amplitude)
-below the tolerance is a paradox in the model's `paradox` words with its own pair
-table, and rho and rho_loop are divided by Z.
+`_post_select`: Z is the trace of one product, a 2Z that is not finite is a
+NumericsError, Z (exact model: the survival amplitude) below the tolerance is a
+paradox in the model's `paradox` words with its own pair table; only then does
+`_hermitian` make the product exactly Hermitian over Z, in place in cache-sized
+tiles, and rho_loop is divided by Z.
 
 Z conventions: exact/noisy values include the 2^-m normalization of the m
 reference pairs; weight-matrix weights are normalized to sum d except for the
@@ -208,29 +209,42 @@ def _history_tensor(t):
     return np.divide(t.transpose(2, 1, 0), _SQ2**m, order="C")
 
 
-def _hermitian(num):  # a fresh product, Hermitian only to rounding, made exactly so in place
-    return np.divide(np.add(num, num.conj().T, out=num), 2, out=num)
+_TILE = 64  # numpy buffers up to 3 tiles of a transposed operand: 0.3 MB here, 0.9 at 128
 
 
-def _mix(rows, form):
-    """sum_kl form[k, l] |rows[k]><rows[l]|, exactly Hermitian, for a Hermitian
-    form; a vector of weights stands for the diagonal form."""
-    return _hermitian((rows.T @ form if form.ndim == 2 else rows.T * form) @ rows.conj())
+def _hermitian(num, z=1.0):
+    """(num + num^dagger) / 2 / z bit for bit, over `num`: in each off-diagonal pair of
+    _TILE-square tiles (x, y), x + y^dagger goes to a temporary before y += x^dagger, so
+    no conjugate copy is made; then one multiply by 0.5 / z on the float view (numpy's
+    complex / real multiplies by the reciprocal; halving is exact)."""
+    for i in range(0, len(num), _TILE):
+        x = num[i:i + _TILE, i:i + _TILE]
+        x += x.conj().T
+        for j in range(i + _TILE, len(num), _TILE):
+            x, y = num[i:i + _TILE, j:j + _TILE], num[j:j + _TILE, i:i + _TILE]
+            t = x + y.conj().T
+            y += x.conj().T
+            x[...] = t
+    parts = num.view(float)
+    parts *= 0.5 / z
+    return num
 
 
 def _post_select(circuit, model, rows, form, tol, paradox, table=None, n=None, loop=None,
                  pairs=None, **metadata):
     """Finish any run from its `rows` of external amplitudes and their Hermitian `form`.
 
-    Z = tr(_mix(rows, form)); a Z or `n` that is not finite raises NumericsError.
+    Z is the trace of sum_kl form[k, l] |rows[k]><rows[l]| (a weight vector is a
+    diagonal form), one product; a 2Z or `n` that is not finite raises NumericsError.
     `n` (exact model), else Z, below the resolved `tol` raises ParadoxError with the
     `paradox` wording (a %-format over n, z and tol) and the pair table of the
     evolved tensor `pairs` (history models), else `table`, which a result reports;
-    rho and `loop` are divided by Z, and the tolerance ends the metadata.
+    only then is the product made rho by _hermitian and `loop` divided by Z, and the
+    tolerance ends the metadata.
     rho is exactly [[1]] on a circuit without externals.
     """
-    num = _mix(rows, form)
-    z = float(np.trace(num).real)
+    num = (rows.T @ form if form.ndim == 2 else rows.T * form) @ rows.conj()
+    z = 2 * float(np.trace(num).real) / 2  # the symmetrized sum's: inf where 2Z overflows
     if not (math.isfinite(z) and math.isfinite(n or 0.0)):
         raise NumericsError("%s acceptance rate Z = %r is not finite" % (model, z))
     if (z if n is None else n) < tol:
@@ -239,7 +253,7 @@ def _post_select(circuit, model, rows, form, tol, paradox, table=None, n=None, l
         raise ParadoxError(paradox % {"n": n, "z": z, "tol": tol}, projections=table)
     ext = circuit.external_labels
     return PostSelectionResult(
-        model=model, z=z, rho=DensityOperator(num / z if ext else [[1.0]], ext), n=n,
+        model=model, z=z, rho=DensityOperator(_hermitian(num, z) if ext else [[1.0]], ext), n=n,
         rho_loop=None if loop is None else DensityOperator(loop / z, circuit.loop_labels),
         projections=table, metadata={**metadata, "tolerance": tol},
     )
@@ -445,7 +459,7 @@ class NoisyBell(_Model):
     def _contract(self, circuit, pairs, lam):
         table = _pair_table(circuit, pairs)
         per_pair = np.array([1.0 - 0.75 * lam] + [0.25 * lam] * 3)
-        w = functools.reduce(np.kron, [per_pair] * len(table.channel_order))
+        w = functools.reduce(np.multiply.outer, [per_pair] * len(table.channel_order)).reshape(-1)
         return table.amps, w, dict(table=table, lam=lam)
 
 
@@ -518,7 +532,7 @@ class WeightMatrix(_Model):
         return {"name": self.name, "omega": name}
 
     def _params(self, circuit):
-        """(name, form over the d*d histories for _mix) of omega, else ConfigError."""
+        """(name, form over the d*d histories) of omega, else ConfigError."""
         d = 2 ** len(circuit.loop_labels)
         if isinstance(self.omega, str):
             coherent_delta = self.omega == "delta" and d == 2

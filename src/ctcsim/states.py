@@ -81,7 +81,10 @@ class PureState:
     labels: tuple
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
+        try:
+            amps = np.asarray(self.amps, dtype=complex)
+        except OverflowError:  # an int past the float range
+            raise ConfigError("amplitudes %s exceed the float range" % _shown(self.amps)) from None
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "labels", tuple(self.labels))
         n = len(self.labels)

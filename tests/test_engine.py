@@ -473,14 +473,22 @@ HERMITIAN_RUNS = [(model, n_loops) for model in (
     if n_loops == 1 or not isinstance(model, cs.DeltaQuadrature)]
 
 
+# externals of the seeds past 5, which have 1 to 3 (one tile of the finish's
+# symmetrization): 4 x 4 and 8 x 8 tiles, which run its off-diagonal branch
+WIDE_SEEDS = {6: 8, 7: 9}
+
+
 @pytest.mark.parametrize("model, n_loops", HERMITIAN_RUNS,
                          ids=["%s-%d" % (model.name, m) for model, m in HERMITIAN_RUNS])
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(8))
 def test_every_reported_rho_is_exactly_hermitian(model, n_loops, seed):
-    # the one finish mixes rows with a Hermitian form and symmetrizes the product,
-    # so no entry differs from the conjugate of its mirror and the diagonal is real
+    # the one finish adds each entry of the product to the conjugate of its mirror,
+    # tile by tile, and scales the sum by one real factor, so no entry differs from
+    # the conjugate of its mirror and the diagonal is real
+    n_ext = WIDE_SEEDS.get(seed, 1 + seed % 3)
+    n_loops = min(n_loops, (cs.states.MAX_QUBITS - n_ext) // 2)  # the pairs fit the dense cap
     try:
-        r = model.run(random_circuit(seed, n_loops, 1 + seed % 3))
+        r = model.run(random_circuit(seed, n_loops, n_ext))
     except cs.ParadoxError:  # e.g. an X on a loop: no consistent history survives
         return
     assert _exactly_hermitian(r.rho)
@@ -488,11 +496,45 @@ def test_every_reported_rho_is_exactly_hermitian(model, n_loops, seed):
 
 
 @pytest.mark.parametrize("mode", ["coupled", "insulated"])
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(8))
 def test_a_conditional_rho_is_exactly_hermitian(seed, mode):
     deselect = (("e1",), [0.6, 0.8j])
-    r = cs.run_conditional(random_circuit(seed, 0, 3), [("e0", seed % 2)], deselect, mode)
+    circuit = random_circuit(seed, 0, WIDE_SEEDS.get(seed, 3))
+    r = cs.run_conditional(circuit, [("e0", seed % 2)], deselect, mode)
     assert _exactly_hermitian(r.rho)
+
+
+@pytest.mark.parametrize("z", [1.0, 0.37, 3e-5, 2.0**40])
+@pytest.mark.parametrize("side", [64, 256, 512])
+def test_the_tiled_finish_is_the_whole_array_formula_bit_for_bit(side, z):
+    rng = np.random.default_rng(side)
+    a = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    i, j = np.nonzero(np.triu(rng.random((side, side)) < 0.25, 1))
+    a.imag[j, i] = a.imag[i, j]  # a quarter of the mirror pairs tie their imaginary parts
+    want = (a + a.conj().T) / 2 / z
+    got = cs.engine._hermitian(a.copy(), z)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # the signs of zeros too: a tie sums to +0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.1, 1.2, 1.3])
+@pytest.mark.parametrize("model", [
+    cs.ExactBell(), cs.NoisyBell(0.3), cs.Classical(0.3), cs.Classical(0.3, floor=True),
+    cs.WeightMatrix("flat"), cs.WeightMatrix("quad"), cs.DeltaQuadrature()],
+    ids=lambda model: "-".join(map(str, model.describe().values())))
+def test_a_finish_that_would_overflow_is_a_numerics_error(model, scale):
+    # Z = scale^2 * 1e308 is finite, but an entry added to its mirror is not
+    circuit = build_circuit([Channel("t", looped=True), Channel("e")],
+                            [make_gate("CUSTOM", ["e"], matrix=scale * 1e154 * np.eye(2))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        try:
+            r = model.run(circuit)
+        except cs.NumericsError:
+            return
+    assert not isinstance(model, cs.WeightMatrix) or model.omega != "flat"
+    assert np.isfinite(r.rho.mat).all()
+    assert r.rho_loop is None or np.isfinite(r.rho_loop.mat).all()
 
 
 @settings(max_examples=20, deadline=None)

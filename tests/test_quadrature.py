@@ -51,7 +51,7 @@ def _grid_form(n_theta, n_xi):
     """The quadrature's 4x4 form over the histories (00, 01, 10, 11) on one grid."""
     phi, w = flat_measure_states(n_theta, n_xi)
     coef = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(-1, 4)
-    return cs.engine._mix(coef, w)
+    return cs.engine._hermitian((coef.T * w) @ coef.conj())
 
 
 @pytest.mark.parametrize("grid", [(3, 3), (3, 5), (4, 4), (12, 12), (64, 64), (96, 96)])

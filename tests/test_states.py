@@ -67,6 +67,15 @@ def test_non_finite_amplitude_is_a_typed_error(bad):
     assert issubclass(ConfigError, CtcSimError)
 
 
+@pytest.mark.parametrize("values, shown", [
+    ([10**400, 0], "[%d, 0]" % 10**400), ([10**5000, 0], "<list too long to print>"),
+], ids=["past_float_range", "too_long_to_print"])
+def test_an_amplitude_past_the_float_range_is_a_typed_error(values, shown):
+    with pytest.raises(ConfigError) as info:
+        PureState(values, ("a",))
+    assert str(info.value) == "amplitudes %s exceed the float range" % shown
+
+
 def test_a_finite_strided_view_is_accepted():
     amps = np.arange(8, dtype=complex)[::2]  # not contiguous: .view(float) cannot read it
     assert np.array_equal(PureState(amps, ("a", "b")).amps, [0, 2, 4, 6])
