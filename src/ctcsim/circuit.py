@@ -66,23 +66,14 @@ class Circuit:
         for name, items in zip(("channels", "gates", "entangled"),
                                (self.channels, self.gates, groups)):
             object.__setattr__(self, name, tuple(items))
+        for name, keep in (("labels", lambda c: True), ("loop_labels", lambda c: c.looped),
+                           ("external_labels", lambda c: not c.looped)):  # the split, once
+            object.__setattr__(self, name, tuple(c.label for c in self.channels if keep(c)))
 
     def __getstate__(self):  # numpy restores a pickled array writeable, so a pickled or
         state = dict(self.__dict__)  # copied circuit keeps no evolution: it evolves afresh
         state.pop("_pairs", None)
         return state
-
-    @property
-    def labels(self):
-        return tuple(c.label for c in self.channels)
-
-    @property
-    def loop_labels(self):
-        return tuple(c.label for c in self.channels if c.looped)
-
-    @property
-    def external_labels(self):
-        return tuple(c.label for c in self.channels if not c.looped)
 
     def channel(self, label):
         for c in self.channels:
@@ -118,11 +109,11 @@ def validate(circuit):
     `where` is ("channels", i) for channel i's label, ("gates", i, j) for gate i's
     target j, ("entangled", i, j) for group i's channel j, or ("qubits",) for the cap.
     """
-    labels = [c.label for c in circuit.channels]
+    labels = circuit.labels
     problems = [(("channels", i), "duplicate channel label %r" % (label,))
                 for i, label in enumerate(labels) if label in labels[:i]]
     known, inits = set(labels), {c.label: c.init for c in circuit.channels}
-    looped = set(c.label for c in circuit.channels if c.looped)
+    looped = set(circuit.loop_labels)
     n_total = len(labels) + len(looped)  # every looped channel gets a reference partner
     if n_total > MAX_QUBITS:
         problems.append((("qubits",), "circuit needs %d qubits with reference partners, "
@@ -198,7 +189,7 @@ def with_reference(circuit, label):
     "<label>.ref", declared last and touched by no gate; past MAX_QUBITS, UnsupportedError."""
     base = with_init(circuit, label, None)  # refuses a looped or grouped label
     ref = label + REF_SUFFIX
-    n_total = len(base.channels) + len(base.loop_labels) + 1
+    n_total = len(base.labels) + len(base.loop_labels) + 1
     if n_total > MAX_QUBITS:
         raise UnsupportedError("reference qubit %r of channel %r makes %d qubits with "
                                "reference partners, cap is %d"

@@ -26,6 +26,8 @@ from .gates import make_gate, param_names
 from .scenarios import build_scenario, list_scenarios
 
 _DEFAULT_OUTPUTS = ("Z", "N", "rho", "projections")
+# in --outputs, only a comma that starts an output name separates outputs: flip:p1,p2 stays whole
+_OUTPUT_COMMA = re.compile(r",(?=(?:%s)(?:,|$)|flip:|input_bias:)" % "|".join(_DEFAULT_OUTPUTS))
 
 _CONVENTIONS = {
     "rotation": "ROT(theta) = [[cos,-sin],[sin,cos]]",
@@ -404,7 +406,7 @@ def _cmd_scenario(args):
             params[key] = reader(value, "arg.param." + key)
     scenario = build_scenario(args.name, **params)
     model = _model_arg(args.model)
-    outputs = _parse_outputs(args.outputs.split(",") if args.outputs
+    outputs = _parse_outputs(_OUTPUT_COMMA.split(args.outputs) if args.outputs
                              else list(_DEFAULT_OUTPUTS), "arg.outputs")
     return _run_and_report(scenario.circuit, model, outputs, "arg.model", args.out)
 

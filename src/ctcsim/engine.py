@@ -482,6 +482,8 @@ class Classical(_Model):
     floor: bool = False
 
     def _params(self, circuit):
+        if not isinstance(self.floor, (bool, np.bool_)):  # "no" and [0] are truthy too
+            raise ConfigError("floor must be true or false, got %s" % _shown(self.floor))
         return _unit_interval(self.k, "flip rate k")
 
     def _contract(self, circuit, pairs, k):

@@ -73,6 +73,16 @@ def unit_vector(values, what):
     return parts / np.linalg.norm(parts)
 
 
+def _complex_values(values, what):
+    """`values` as a complex array, not copied if it is one, else ConfigError showing them."""
+    try:
+        return np.asarray(values, dtype=complex)
+    except OverflowError:  # an int past the float range
+        raise ConfigError("%s %s exceed the float range" % (what, _shown(values))) from None
+    except (TypeError, ValueError):  # text, a dict or another non-number
+        raise ConfigError("%s %s are not numbers" % (what, _shown(values))) from None
+
+
 @dataclass(frozen=True)
 class PureState:
     """A (possibly unnormalized) state vector on labeled qubits."""
@@ -81,10 +91,7 @@ class PureState:
     labels: tuple
 
     def __post_init__(self):
-        try:
-            amps = np.asarray(self.amps, dtype=complex)
-        except OverflowError:  # an int past the float range
-            raise ConfigError("amplitudes %s exceed the float range" % _shown(self.amps)) from None
+        amps = _complex_values(self.amps, "amplitudes")
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "labels", tuple(self.labels))
         n = len(self.labels)
@@ -117,7 +124,7 @@ class DensityOperator:
     labels: tuple
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
+        mat = _complex_values(self.mat, "matrix entries")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "labels", tuple(self.labels))
         d = 2 ** len(self.labels)

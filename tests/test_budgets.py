@@ -1,22 +1,26 @@
-"""Memory budgets of a model run, read with tracemalloc.
+"""Budgets of a run: its memory, read with tracemalloc, and its evolutions and pair tables.
 
 numpy reports its data buffers to tracemalloc, so the traced peak of a run is a
 deterministic count of bytes, unlike its wall time.  Each run here is on a
 circuit whose evolution is already kept, so the peak is the finish: the dense
 2^e x 2^e complex operator, 16 * 4^e bytes, which the result holds, plus the
-rows, the tiles of the symmetrization and small arrays, under 1 MB.  BLAS
-workspace is allocated outside Python and numpy's tracking, so it is not
-counted.
+rows, the tiles of the symmetrization and small arrays, under 1 MB.  An
+input_bias probe adds a reference qubit, so its finish is one dense operator on
+e + 1 qubits.  BLAS workspace is allocated outside Python and numpy's tracking,
+so it is not counted.  Evolutions and pair tables are counted by wrapping the
+functions that make them.
 
 A budget may only be tightened.
 """
 
+import json
 import tracemalloc
 
 import pytest
 
 import ctcsim as cs
 from ctcsim import Channel, build_circuit, make_gate
+from ctcsim.cli import main
 
 SLACK = 2**20  # bytes beyond the dense operator: rows, tiles, small arrays
 
@@ -60,3 +64,55 @@ def test_a_conditional_run_peaks_at_one_dense_operator(n_ext):
     deselect = (("e1",), [0.6, 0.8j])
     peak = traced_peak(lambda: cs.run_conditional(circuit, [("e0", 1)], deselect, "coupled"))
     assert peak <= 16 * 4**n_ext + SLACK
+
+
+@pytest.mark.parametrize("n_ext", [8, 10])
+@pytest.mark.parametrize("model", MODELS, ids=lambda model: "-".join(
+    map(str, model.describe().values())))
+def test_an_input_bias_peaks_at_one_dense_operator_with_its_reference(model, n_ext):
+    circuit = wide_circuit(n_ext)  # each call evolves a fresh probe, traced too
+    peak = traced_peak(lambda: cs.input_bias(circuit, "e0", model))
+    assert peak <= 16 * 4**(n_ext + 1) + SLACK
+
+
+def _counted(monkeypatch, module, name, counts):
+    function = getattr(module, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return function(*args)
+    monkeypatch.setattr(module, name, counted)
+
+
+ONE_LOOP_DOC = {
+    "channels": [{"name": "tm", "role": "ctc"}, {"name": "a", "init": [0.6, 0, 0.8, 0]}],
+    "gates": [{"kind": "CROT", "targets": ["a", "tm"], "params": {"theta": 0.7}}],
+    "model": {"type": "noisy_bell", "lambda": 0.2},
+}
+SWEEP = ["--from", "0.1", "--to", "0.7", "--steps", "5"]
+
+
+@pytest.mark.parametrize("argv, outputs, evolutions, tables", [
+    (["scenario", "cnot_gun", "--outputs", "Z"], None, 1, 1),
+    (["scenario", "cnot_gun", "--model", "noisy_bell,lambda=0.2", "--outputs",
+      "Z,input_bias:gun"], None, 2, 2),
+    (["scenario", "cnot_gun", "--model", "classical,k=0.3", "--outputs",
+      "Z,input_bias:gun"], None, 2, 0),
+    (["scenario", "grandfather_not"], None, 1, 1),
+    (["sweep", "{doc}", "--param", "lambda", *SWEEP], ["Z", "input_bias:a"], 6, 10),
+    (["sweep", "{doc}", "--param", "lambda", *SWEEP], ["Z"], 1, 5),
+    (["sweep", "{doc}", "--param", "theta", *SWEEP], ["Z"], 5, 5),
+], ids=["scenario", "noisy_bias", "classical_bias", "paradox", "lambda_sweep_bias",
+        "lambda_sweep", "theta_sweep"])
+def test_a_cli_call_makes_at_most_its_evolutions_and_pair_tables(
+        argv, outputs, evolutions, tables, tmp_path, monkeypatch, capsys):
+    counts = {"evolve": 0, "_pair_table": 0}
+    _counted(monkeypatch, cs.engine, "evolve", counts)
+    _counted(monkeypatch, cs.engine, "_pair_table", counts)
+    _counted(monkeypatch, cs.scenarios, "_pair_table", counts)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({**ONE_LOOP_DOC, "outputs": outputs}))
+    assert main([str(doc) if arg == "{doc}" else arg for arg in argv]) in (0, 2)
+    capsys.readouterr()
+    assert counts["evolve"] <= evolutions
+    assert counts["_pair_table"] <= tables

@@ -13,6 +13,7 @@ from ctcsim.circuit import evolve
 from ctcsim.cli import main, parse_circuit_doc
 from ctcsim.engine import MODELS, DeltaQuadrature, NoisyBell
 from ctcsim.errors import ConfigError, ParadoxError, ParseError
+from ctcsim.scenarios import build_scenario
 
 SIMPLE_LOOP_DOC = {
     "channels": [
@@ -582,6 +583,13 @@ def test_scenario_delta_simple_loop(capsys):
     )
     assert code == 0
     assert json.loads(out)["Z"] == pytest.approx(math.pi**2, abs=1e-8)
+
+
+def test_scenario_outputs_keep_a_two_channel_flip_whole(capsys):
+    code, out = invoke("scenario", "stubborn_spin", "--outputs", "Z,flip:p1,p2", capsys=capsys)
+    assert code == 0
+    result = engine.run_exact_bell(build_scenario("stubborn_spin").circuit)
+    assert json.loads(out)["derived"] == {"flip:p1,p2": analysis.flip_probability(result, "p1", "p2")}
 
 
 @pytest.mark.parametrize("argv, message", [

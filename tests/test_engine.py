@@ -641,6 +641,7 @@ BAD_PARAMETERS = [
     (lambda c: cs.WeightMatrix("nope").run(c), "unknown weight-matrix built-in"),
     (lambda c: cs.NoisyBell("abc").run(c), "lam must be a real number"),
     (lambda c: cs.Classical(2.0, floor=True).run(c), "k must lie in"),
+    (lambda c: cs.Classical(0.3, "no").run(c), "^floor must be true or false, got 'no'$"),
     (lambda c: cs.run_delta_quadrature(c, tol=-1.0), "tolerance -1.0 is not a finite positive"),
     (lambda c: cs.DeltaQuadrature().run(c, tol=math.nan), "tolerance nan is not a finite"),
     (lambda c: cs.run_exact_bell(c, pair_states="tm"), "pair_states must be a mapping, got 'tm'"),
@@ -662,7 +663,7 @@ BAD_PARAMETERS = [
 
 @pytest.mark.parametrize("call, message", BAD_PARAMETERS, ids=[
     "omega_name", "omega_ragged", "omega_negative", "omega_shape", "omega_complex", "omega_zero",
-    "lam", "k", "descriptor_omega", "descriptor_lam", "descriptor_k",
+    "lam", "k", "descriptor_omega", "descriptor_lam", "descriptor_k", "descriptor_floor",
     "delta_tolerance", "descriptor_delta_tolerance",
     "pairs_text", "pairs_list", "pairs_unknown_key", "pairs_external_key",
     "descriptor_pairs_text", "descriptor_pairs_list", "descriptor_pairs_unknown_key",

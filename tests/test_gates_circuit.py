@@ -109,6 +109,23 @@ def test_circuit_label_partition():
     assert c.external_labels == ("sys",)
 
 
+def test_a_circuit_splits_its_channels_once_and_its_copies_carry_the_split():
+    c = simple_loop()
+    assert c.labels is c.labels and c.loop_labels is c.loop_labels
+    assert c.external_labels is c.external_labels
+    assert [f.name for f in dataclasses.fields(Circuit)] == ["channels", "gates", "entangled"]
+    assert "loop_labels" not in repr(c)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.loop_labels = ("sys",)
+    cs.run_exact_bell(c)  # keeps an evolution on c
+    for twin in (pickle.loads(pickle.dumps(c)), copy.copy(c)):
+        assert not hasattr(twin, "_pairs")
+        assert (twin.labels, twin.loop_labels, twin.external_labels) == (
+            ("tm", "sys"), ("tm",), ("sys",))
+    swapped = dataclasses.replace(c, channels=(Channel("tm"), Channel("sys", looped=True)))
+    assert (swapped.loop_labels, swapped.external_labels) == (("sys",), ("tm",))
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(ConfigError):
         build_circuit([Channel("a"), Channel("a")])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctcsim.errors import ConfigError, CtcSimError, LabelError
-from ctcsim.states import PureState, apply_gate, project, unit_vector
+from ctcsim.states import DensityOperator, PureState, apply_gate, project, unit_vector
 
 from oracles import tensor, tensor_all
 
@@ -74,6 +74,26 @@ def test_an_amplitude_past_the_float_range_is_a_typed_error(values, shown):
     with pytest.raises(ConfigError) as info:
         PureState(values, ("a",))
     assert str(info.value) == "amplitudes %s exceed the float range" % shown
+
+
+@pytest.mark.parametrize("make, values, message", [
+    (DensityOperator, [[10**400, 0], [0, 0]],
+     "matrix entries [[%d, 0], [0, 0]] exceed the float range" % 10**400),
+    (DensityOperator, "x", "matrix entries 'x' are not numbers"),
+    (DensityOperator, {}, "matrix entries {} are not numbers"),
+    (PureState, "x", "amplitudes 'x' are not numbers"),
+    (PureState, {}, "amplitudes {} are not numbers"),
+], ids=["matrix_past_float_range", "matrix_text", "matrix_dict", "amplitudes_text",
+        "amplitudes_dict"])
+def test_a_value_that_is_no_float_is_a_typed_error(make, values, message):
+    with pytest.raises(ConfigError) as info:
+        make(values, ("a",))
+    assert str(info.value) == message
+
+
+def test_a_complex_array_is_read_without_a_copy():
+    amps, mat = np.array([0.6, 0.8j]), np.eye(2, dtype=complex)
+    assert PureState(amps, ("a",)).amps is amps and DensityOperator(mat, ("a",)).mat is mat
 
 
 def test_a_finite_strided_view_is_accepted():
