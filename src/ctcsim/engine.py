@@ -28,24 +28,25 @@ arXiv:1007.2615) the evolved pair state holds every pair-basis outcome and
 every eigenstate history, and the matched outcome of any other boundary pair
 chi is the Bell evolution read against the Gram matrix sqrt(2) chi^dagger chi.
 A 4x4 change of basis along each (reference, loop) pair gives the projection
-table; reading the reference register against the loop register gives the
-history tensor.  The evolution is `circuit.evolve` of `pair_out_state`: one
-pass of the gate kernel, `states.apply_gates`, which checks finiteness once
-(`circuit.compile_unitary` shares none of it and stays the independent oracle).
-`_evolved_pairs` is the one place an evolution is made: it evolves a circuit
-once and keeps the read-only result on the circuit for every later run, so any
-number of models, custom pairs and `run_conditional` included, share it; a
-loop-free circuit is its m = 0 case, the evolved external register.  A pickled or
-copied circuit keeps none and evolves afresh.  A descriptor's `run` (so each
-`run_*`) is the one sequence of a model run: it turns a loop-free circuit away
-(NoCtcError), checks the parameters and, with overflow warnings off, reads that
-tensor into rows of external amplitudes and a Hermitian form over them.
-Every run, the loop-free `run_conditional` (one row) included, has one finish,
-`_post_select`: Z is the trace of one product, a 2Z that is not finite is a
-NumericsError, Z (exact model: the survival amplitude) below the tolerance is a
-paradox in the model's `paradox` words with its own pair table; only then does
-`_hermitian` make the product exactly Hermitian over Z, in place in cache-sized
-tiles, and rho_loop is divided by Z.
+table (its bras are real: the real and imaginary planes are contracted apart);
+the reference register read against the loop register gives the history tensor.
+The evolution is `circuit.evolve` of `pair_out_state`: one pass of the gate
+kernel, `states.apply_gates`, which checks finiteness once (the independent
+oracle `circuit.compile_unitary` shares none of it).  `_evolved_pairs` is the
+one place an evolution is made: it evolves a circuit once and keeps the
+read-only result on the circuit for every later run, so any number of models,
+custom pairs and `run_conditional` included, share it; a loop-free circuit is
+its m = 0 case, the evolved external register.  A pickled or copied circuit
+keeps none and evolves afresh.  A descriptor's `run` (so each `run_*`) is the
+one sequence of a model run: it turns a loop-free circuit away (NoCtcError),
+checks the parameters and, with overflow warnings off, reads that tensor into
+rows of external amplitudes and a Hermitian form over them.  Every run, the
+loop-free `run_conditional` (one row) included, has one finish, `_post_select`:
+Z is the trace of one product, a 2Z that is not finite is a NumericsError, Z
+(exact model: the survival amplitude) below the tolerance is a paradox in the
+model's `paradox` words with its own pair table; only then does `_hermitian`
+make the product exactly Hermitian over Z, in place in cache-sized tiles, and
+rho_loop is divided by Z.
 
 Z conventions: exact/noisy values include the 2^-m normalization of the m
 reference pairs; weight-matrix weights are normalized to sum d except for the
@@ -276,9 +277,11 @@ def _pair_table(circuit, t):
     # (externals, loop bits, reference bits) -> (ref_1, loop_1, ..., ref_m, loop_m, externals)
     t = t.reshape((-1,) + (2,) * (2 * m))
     t = t.transpose([a for q in range(1, m + 1) for a in (q + m, q)] + [0])
+    x = np.concatenate((t.real[None], t.imag[None]))  # real bras: contract the planes apart
     for _ in loops:  # contract the leading pair axis with the four outcome bras, append them
-        t = t.reshape(4, -1).T @ _PAIR_BRAS.T
-    amps = np.ascontiguousarray(t.reshape(-1, 4**m).T)
+        x = x.reshape(2, 4, -1).transpose(0, 2, 1) @ _PAIR_BRAS.real.T
+    amps = np.empty((4**m, x[0].size // 4**m), dtype=complex)
+    amps.real, amps.imag = x.reshape(2, -1, 4**m).transpose(0, 2, 1)
     weights = (amps.real**2 + amps.imag**2).sum(axis=1)
     combos = functools.partial(itertools.product, PAIR_LABELS, repeat=m)
     return ProjectionSet(amps, weights, lambda: map(",".join, combos()), loops)
@@ -299,7 +302,11 @@ def _pair_gram(circuit, pair_states):
         if label in pair_states:
             chi = normalized_amplitudes(pair_states[label], 2, "pair state for %r" % (label,))
             grams[i] = 2**0.5 * chi.reshape(2, 2).conj().T @ chi.reshape(2, 2)
-    return functools.reduce(np.kron, grams).reshape(-1)
+    return functools.reduce(_kron, grams).reshape(-1)
+
+
+def _kron(a, b):  # np.kron(a, b) of two matrices: its products, in its order, in one product
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def loop_histories(circuit):
@@ -498,14 +505,14 @@ class Classical(_Model):
             w = (1.0 - k) * np.eye(d) + k / d
         else:
             flip = np.array([[1.0 - k, k], [k, 1.0 - k]])
-            w = functools.reduce(np.kron, [flip] * len(loops))
+            w = functools.reduce(_kron, [flip] * len(loops))
         hist = w * (a.real**2 + a.imag**2).sum(axis=2)  # weighted history norms
         # the history table rides on the result, the pair table on a paradox;
         # floor=True reports each diagonal history with the weight of its whole row
-        keep = np.arange(d) * (d + 1) if floor else np.arange(d * d)
+        keep = slice(None, None, d + 1 if floor else 1)  # a view of the rows, not a copy
         weights = hist.sum(axis=1) if floor else hist.reshape(-1)
         table = ProjectionSet(rows[keep], weights,
-                              lambda: ("%d|%d" % divmod(i, d) for i in keep), loops)
+                              lambda: ("%d|%d" % divmod(i, d) for i in range(d * d)[keep]), loops)
         return rows, w.reshape(-1), dict(table=table, pairs=pairs,
                                          loop=np.diag(hist.sum(axis=1)), k=k, floor=floor)
 

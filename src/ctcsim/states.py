@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Number
 
 import numpy as np
 
@@ -20,9 +21,15 @@ DEFAULT_PARADOX_TOL = 1e-12
 DENSE = ("dense", None)  # the form any gate may take: its whole matrix, as given
 
 
-def _check_labels(labels):
+def _labels(labels):
+    """`labels` as a tuple of distinct qubit labels, else LabelError."""
+    try:
+        labels = tuple(labels)
+    except TypeError:  # None or another non-sequence
+        raise LabelError("qubit labels must be a sequence, got %s" % _shown(labels)) from None
     if len(set(labels)) != len(labels):
-        raise LabelCollision("duplicate qubit labels: %r" % (labels,))
+        raise LabelCollision("duplicate qubit labels: %s" % _shown(labels))
+    return labels
 
 
 def _axis(labels, label):
@@ -76,7 +83,10 @@ def unit_vector(values, what):
 def _complex_values(values, what):
     """`values` as a complex array, not copied if it is one, else ConfigError showing them."""
     try:
-        return np.asarray(values, dtype=complex)
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "biufc" and not all(isinstance(v, Number) for v in arr.flat):
+            raise TypeError  # numeric text or None, which a complex cast would read
+        return arr.astype(complex, copy=False)
     except OverflowError:  # an int past the float range
         raise ConfigError("%s %s exceed the float range" % (what, _shown(values))) from None
     except (TypeError, ValueError):  # text, a dict or another non-number
@@ -93,18 +103,14 @@ class PureState:
     def __post_init__(self):
         amps = _complex_values(self.amps, "amplitudes")
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", _labels(self.labels))
         n = len(self.labels)
         if n > MAX_QUBITS:
-            raise UnsupportedError(
-                "register of %d qubits exceeds the dense cap of %d" % (n, MAX_QUBITS)
-            )
+            raise UnsupportedError("register of %d qubits exceeds the dense cap of %d"
+                                   % (n, MAX_QUBITS))
         if amps.shape != (2**n,):
-            raise LabelError(
-                "amplitude vector of length %d does not fit %d labeled qubits"
-                % (amps.size, n)
-            )
-        _check_labels(self.labels)
+            raise LabelError("amplitude vector of length %d does not fit %d labeled qubits"
+                             % (amps.size, n))
         if not np.isfinite(amps).all():
             raise ConfigError("non-finite amplitude")
 
@@ -126,12 +132,11 @@ class DensityOperator:
     def __post_init__(self):
         mat = _complex_values(self.mat, "matrix entries")
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", _labels(self.labels))
         d = 2 ** len(self.labels)
         if mat.shape != (d, d):
             raise LabelError("matrix shape %r does not fit %d labeled qubits"
                              % (mat.shape, len(self.labels)))
-        _check_labels(self.labels)
 
     @property
     def n_qubits(self):

@@ -116,3 +116,38 @@ def test_a_cli_call_makes_at_most_its_evolutions_and_pair_tables(
     capsys.readouterr()
     assert counts["evolve"] <= evolutions
     assert counts["_pair_table"] <= tables
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda model: "-".join(
+    map(str, model.describe().values())))
+def test_a_library_run_on_a_kept_circuit_makes_no_evolution_and_its_pair_tables(
+        model, monkeypatch):
+    circuit = wide_circuit(4)
+    model.run(circuit)  # keeps the evolution
+    counts = {"evolve": 0, "_pair_table": 0}
+    _counted(monkeypatch, cs.engine, "evolve", counts)
+    _counted(monkeypatch, cs.engine, "_pair_table", counts)
+    model.run(circuit)
+    # the exact and noisy models read the pair table; the history models read none
+    tables = 1 if isinstance(model, (cs.ExactBell, cs.NoisyBell)) else 0
+    assert counts == {"evolve": 0, "_pair_table": tables}
+
+
+# every model with a paradox on grandfather_not: the delta model has none there
+PARADOX_MODELS = [cs.ExactBell(), cs.NoisyBell(0.0), cs.Classical(0.0),
+                  cs.Classical(0.0, floor=True), cs.WeightMatrix([[1, 0], [0, 1]])]
+
+
+@pytest.mark.parametrize("model", PARADOX_MODELS, ids=lambda model: "-".join(
+    map(str, model.describe().values())))
+def test_a_paradox_on_a_kept_circuit_makes_one_pair_table(model, monkeypatch):
+    circuit = cs.build_scenario("grandfather_not").circuit
+    with pytest.raises(cs.ParadoxError):
+        model.run(circuit)  # keeps the evolution
+    counts = {"evolve": 0, "_pair_table": 0}
+    _counted(monkeypatch, cs.engine, "evolve", counts)
+    _counted(monkeypatch, cs.engine, "_pair_table", counts)
+    with pytest.raises(cs.ParadoxError) as info:
+        model.run(circuit)
+    assert counts == {"evolve": 0, "_pair_table": 1}
+    assert len(info.value.projections.amps) == 4

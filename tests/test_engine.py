@@ -385,6 +385,27 @@ def test_exact_paradox_carries_the_full_projection_table():
     assert table.total_weight == pytest.approx(1.0, abs=1e-12)
 
 
+# (1/sqrt(2))^2 rounds up to 0.5 + 2^-53, and the surviving row adds two of them
+SURVIVOR = 1 + 2**-52
+
+
+@pytest.mark.parametrize("name, table", [
+    ("grandfather_pf", [[0], [SURVIVOR], [0], [0]]),
+    ("grandfather_not", [[0], [0], [SURVIVOR], [0]]),
+])
+def test_a_one_row_pair_table_is_exact(name, table):
+    # with no external, each pair-basis row is one product: the cancelled rows are exactly 0
+    amps = cs.projection_table(cs.build_scenario(name).circuit).amps
+    assert amps.shape == (4, 1) and np.array_equal(amps, table)
+
+
+def test_the_grandfather_paradox_has_exactly_no_matched_amplitude():
+    with pytest.raises(cs.ParadoxError) as info:
+        cs.run_exact_bell(cs.build_scenario("grandfather_pf").circuit)
+    assert str(info.value).startswith("matched-pair amplitude 0.000e+00 below tolerance")
+    assert np.linalg.norm(info.value.projections.amps[0]) == 0.0  # N
+
+
 @settings(max_examples=25, deadline=None)
 @given(angle(), angle(), angle())
 def test_noisy_bell_converges_to_exact(a, b, c):

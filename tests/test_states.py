@@ -83,12 +83,34 @@ def test_an_amplitude_past_the_float_range_is_a_typed_error(values, shown):
     (DensityOperator, {}, "matrix entries {} are not numbers"),
     (PureState, "x", "amplitudes 'x' are not numbers"),
     (PureState, {}, "amplitudes {} are not numbers"),
+    # numeric text and None are no numbers, though a complex cast reads "1" as 1 and None as nan
+    (PureState, ["1", "0"], "amplitudes ['1', '0'] are not numbers"),
+    (PureState, [None, 1], "amplitudes [None, 1] are not numbers"),
+    (DensityOperator, [["1", "0"], ["0", "0"]],
+     "matrix entries [['1', '0'], ['0', '0']] are not numbers"),
+    (DensityOperator, [[None, 0], [0, 0]], "matrix entries [[None, 0], [0, 0]] are not numbers"),
 ], ids=["matrix_past_float_range", "matrix_text", "matrix_dict", "amplitudes_text",
-        "amplitudes_dict"])
+        "amplitudes_dict", "amplitudes_numeric_text", "amplitudes_none", "matrix_numeric_text",
+        "matrix_none"])
 def test_a_value_that_is_no_float_is_a_typed_error(make, values, message):
     with pytest.raises(ConfigError) as info:
         make(values, ("a",))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make, values", [(PureState, [1, 0]),
+                                          (DensityOperator, [[1, 0], [0, 0]])])
+@pytest.mark.parametrize("labels, shown", [(None, "None"), (5, "5")])
+def test_labels_that_are_no_sequence_are_a_typed_error(make, values, labels, shown):
+    with pytest.raises(LabelError) as info:
+        make(values, labels)
+    assert str(info.value) == "qubit labels must be a sequence, got %s" % shown
+
+
+def test_numbers_of_every_kind_are_read_as_complex():
+    amps = [True, np.int64(0), 10**20, 0.5, 0.5j, np.float32(0.25)]  # one object array
+    assert PureState(amps + [0, 0], ("a", "b", "c")).amps.tolist() == [
+        1, 0, 1e20, 0.5, 0.5j, 0.25, 0, 0]
 
 
 def test_a_complex_array_is_read_without_a_copy():
