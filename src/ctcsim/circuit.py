@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LabelError, UnsupportedError, _shown
+from .errors import ConfigError, LabelError, UnsupportedError, _listed, _shown
+from .gates import Gate
 from .states import MAX_QUBITS, PureState, apply_gates, normalized_amplitudes
 
 REF_SUFFIX = ".ref"
@@ -148,7 +149,10 @@ def _entangled_group(labels, amps):
 
 def build_circuit(channels, gates=(), entangled=()):
     """Construct and validate a circuit; raises ConfigError on any problem."""
-    circuit = Circuit(channels, gates, [_entangled_group(*group) for group in entangled])
+    circuit = Circuit(_listed(channels, "channels must be a list of Channel", Channel),
+                      _listed(gates, "gates must be a list of Gate", Gate),
+                      _listed(entangled, "entangled must be a list of (labels, amplitudes) pairs",
+                              make=lambda group: _entangled_group(*group)))
     problems = validate(circuit)
     if problems:
         raise ConfigError("; ".join(text for _, text in problems))

@@ -28,8 +28,10 @@ arXiv:1007.2615) the evolved pair state holds every pair-basis outcome and
 every eigenstate history, and the matched outcome of any other boundary pair
 chi is the Bell evolution read against the Gram matrix sqrt(2) chi^dagger chi.
 A 4x4 change of basis along each (reference, loop) pair gives the projection
-table (its bras are real: the real and imaginary planes are contracted apart);
-the reference register read against the loop register gives the history tensor.
+table: its bras are real, so the C-ordered real and imaginary planes are contracted
+apart, externals-major, into one (externals, outcomes) array whose transpose is the
+table and whose weights sum over the externals; the reference register read against
+the loop register gives the history tensor.
 The evolution is `circuit.evolve` of `pair_out_state`: one pass of the gate
 kernel, `states.apply_gates`, which checks finiteness once (the independent
 oracle `circuit.compile_unitary` shares none of it).  `_evolved_pairs` is the
@@ -136,7 +138,9 @@ def _unit_interval(value, what):
 class ProjectionSet:
     """Labelled outcomes, one row of surviving external amplitudes each.
 
-    Row i is outcome labels[i]; the labels are built on first read.
+    Row i is outcome labels[i]; the labels are built on first read.  A pair table's
+    amps is F-ordered: its transpose is the externals-major (2^e, 4^m) array the
+    contraction leaves, and its weights are summed over that array's externals axis.
     """
 
     amps: np.ndarray  # (outcomes, 2^e) unnormalized external amplitudes, declaration order
@@ -204,10 +208,11 @@ def _history_tensor(t):
     `t` is the evolved pair tensor.  Its reference register records the emerging
     eigenstate e_i, so A[i, j] = sqrt(d) * <ref = i, loop = j| evolved pair state.
     """
-    # dividing by the pair amplitude 1/sqrt(2) per pair, rather than multiplying
-    # by sqrt(d), cancels its rounding in the consistent histories
+    # one multiply by the reciprocal of the pair amplitude _SQ2**m, which is what numpy's
+    # complex / real does; rather than sqrt(d), it cancels that amplitude exactly up to
+    # m = 4, where pair_out_state's product of m factors _SQ2 still equals _SQ2**m
     m = t.shape[1].bit_length() - 1
-    return np.divide(t.transpose(2, 1, 0), _SQ2**m, order="C")
+    return np.multiply(t.transpose(2, 1, 0), 1.0 / _SQ2**m, order="C")
 
 
 _TILE = 64  # numpy buffers up to 3 tiles of a transposed operand: 0.3 MB here, 0.9 at 128
@@ -277,12 +282,14 @@ def _pair_table(circuit, t):
     # (externals, loop bits, reference bits) -> (ref_1, loop_1, ..., ref_m, loop_m, externals)
     t = t.reshape((-1,) + (2,) * (2 * m))
     t = t.transpose([a for q in range(1, m + 1) for a in (q + m, q)] + [0])
-    x = np.concatenate((t.real[None], t.imag[None]))  # real bras: contract the planes apart
+    x = np.array((t.real, t.imag))  # C-ordered planes, contracted apart by the real bras
     for _ in loops:  # contract the leading pair axis with the four outcome bras, append them
         x = x.reshape(2, 4, -1).transpose(0, 2, 1) @ _PAIR_BRAS.real.T
-    amps = np.empty((4**m, x[0].size // 4**m), dtype=complex)
-    amps.real, amps.imag = x.reshape(2, -1, 4**m).transpose(0, 2, 1)
-    weights = (amps.real**2 + amps.imag**2).sum(axis=1)
+    x = x.reshape(2, -1, 4**m)  # (planes, externals, outcomes)
+    amps = np.empty((4**m, x.shape[1]), dtype=complex, order="F")  # externals-major: no transpose
+    amps.T.real, amps.T.imag = x
+    x *= x  # squared planes, summed over the externals: no temporary the size of a plane
+    weights = np.add(*x, out=x[0]).sum(axis=0)
     combos = functools.partial(itertools.product, PAIR_LABELS, repeat=m)
     return ProjectionSet(amps, weights, lambda: map(",".join, combos()), loops)
 
@@ -506,7 +513,8 @@ class Classical(_Model):
         else:
             flip = np.array([[1.0 - k, k], [k, 1.0 - k]])
             w = functools.reduce(_kron, [flip] * len(loops))
-        hist = w * (a.real**2 + a.imag**2).sum(axis=2)  # weighted history norms
+        # weighted history norms, summed over the externals of the evolution as it lies
+        hist = w * (pairs.real**2 + pairs.imag**2).sum(axis=0).T * (1.0 / _SQ2**len(loops))**2
         # the history table rides on the result, the pair table on a paradox;
         # floor=True reports each diagonal history with the weight of its whole row
         keep = slice(None, None, d + 1 if floor else 1)  # a view of the rows, not a copy

@@ -1,5 +1,7 @@
 """Exception types shared across the simulator, and how their messages show a value."""
 
+from itertools import repeat
+
 
 def _shown(value):
     """repr(value), or a short stand-in where it holds an int too long to print."""
@@ -7,6 +9,17 @@ def _shown(value):
         return repr(value)
     except ValueError:  # Python's int-to-str digit limit
         return "<%s too long to print>" % type(value).__name__
+
+
+def _listed(value, what, kind=object, make=None):
+    """The items of `value` (each made by make), all `kind`, else ConfigError "`what`, got ..."."""
+    try:
+        items = tuple(value if make is None else map(make, value))
+        if not all(map(isinstance, items, repeat(kind))):
+            raise TypeError
+        return items
+    except TypeError:
+        raise ConfigError("%s, got %s" % (what, _shown(value))) from None
 
 
 class CtcSimError(Exception):

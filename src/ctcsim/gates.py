@@ -117,8 +117,14 @@ def make_gate(kind, targets, params=(), matrix=None):
     longer sum to one.
     """
     kind = kind.upper() if isinstance(kind, str) else _shown(kind)
-    targets = tuple(targets)
-    if len(set(targets)) != len(targets):
+    given = targets
+    try:
+        targets = tuple(targets)
+        repeated = len(set(targets)) != len(targets)
+    except TypeError:  # not iterable, or an unhashable target
+        raise ConfigError("gate %s targets must be a list of channel labels, got %s"
+                          % (kind, _shown(given))) from None
+    if repeated:
         raise ConfigError("gate %s has a repeated target in %s" % (kind, _shown(targets)))
     try:
         params = tuple(float(p) for p in params)

@@ -39,6 +39,16 @@ def wide_circuit(n_ext, looped=True):
     return build_circuit(loops + [Channel(label, init=(0.6, 0.8)) for label in labels], gates)
 
 
+def grid_circuit(m, e):
+    """`m` loops and `e` externals tied in a chain of controlled rotations: no paradox."""
+    loops, exts = ["l%d" % i for i in range(m)], ["e%d" % i for i in range(e)]
+    gates = [make_gate("H", (x,)) for x in exts] + [
+        make_gate("CROT", pair, (0.3 + 0.4 * i,))
+        for i, pair in enumerate(zip(exts + loops, loops + exts))]
+    return build_circuit([Channel(label, looped=True) for label in loops]
+                         + [Channel(label, init=(0.6, 0.8)) for label in exts], gates)
+
+
 def traced_peak(run):
     """Bytes at the traced peak of `run()`, after one untraced call keeps the evolution."""
     run()
@@ -56,6 +66,23 @@ def traced_peak(run):
 def test_a_model_run_peaks_at_one_dense_operator(model, n_ext):
     circuit = wide_circuit(n_ext)
     assert traced_peak(lambda: model.run(circuit)) <= 16 * 4**n_ext + SLACK
+
+
+OBJECTS = 2**12  # bytes of Python objects at a peak: Python 3.10 traces its frames too
+PAIR_MODELS = {"exact": cs.ExactBell(), "noisy": cs.NoisyBell(0.3), "classical": cs.Classical(0.3),
+               "floor": cs.Classical(0.3, floor=True)}
+
+
+# (m, e, model, tables): a run's traced peak in pair tables of 16 * 4^m * 2^e bytes.  At (3, 6)
+# the finish's dense operator is one table, and its symmetrization sets the peak; at (5, 4) the
+# pair table and the history rows do
+@pytest.mark.parametrize("m, e, model, tables", [
+    (3, 6, "exact", 4.06), (3, 6, "noisy", 4.07), (3, 6, "classical", 4.08), (3, 6, "floor", 4.08),
+    (5, 4, "exact", 2.04), (5, 4, "noisy", 3.09), (5, 4, "classical", 3.12), (5, 4, "floor", 3.09),
+])
+def test_a_model_run_with_several_loops_peaks_within_its_pair_tables(m, e, model, tables):
+    circuit, table = grid_circuit(m, e), 16 * 4**m * 2**e
+    assert traced_peak(lambda: PAIR_MODELS[model].run(circuit)) <= tables * table + OBJECTS
 
 
 @pytest.mark.parametrize("n_ext", [8, 10])
@@ -131,6 +158,17 @@ def test_a_library_run_on_a_kept_circuit_makes_no_evolution_and_its_pair_tables(
     # the exact and noisy models read the pair table; the history models read none
     tables = 1 if isinstance(model, (cs.ExactBell, cs.NoisyBell)) else 0
     assert counts == {"evolve": 0, "_pair_table": tables}
+
+
+@pytest.mark.parametrize("model", ["exact", "noisy"])
+def test_a_run_with_three_loops_on_a_kept_circuit_makes_one_pair_table(model, monkeypatch):
+    circuit = grid_circuit(3, 6)
+    PAIR_MODELS[model].run(circuit)  # keeps the evolution
+    counts = {"evolve": 0, "_pair_table": 0}
+    _counted(monkeypatch, cs.engine, "evolve", counts)
+    _counted(monkeypatch, cs.engine, "_pair_table", counts)
+    assert len(PAIR_MODELS[model].run(circuit).projections.amps) == 4**3
+    assert counts == {"evolve": 0, "_pair_table": 1}
 
 
 # every model with a paradox on grandfather_not: the delta model has none there

@@ -157,6 +157,18 @@ def test_history_tensor_matches_per_eigenstate_evolution(seed, n_loops, n_ext):
         assert weight == pytest.approx(np.linalg.norm(ref.amps)**2, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_pair_table_weights_are_the_row_sums_and_rows_match_the_unitary_reference(seed):
+    circuit = random_circuit(seed, 1 + seed % 4, seed % 6)
+    table = cs.projection_table(circuit)
+    # the weights are summed over the externals, not along each row: pin them by value
+    sums = np.array([math.fsum(row) for row in table.amps.real**2 + table.amps.imag**2])
+    assert np.all(np.abs(table.weights - sums) <= 4 * np.spacing(sums))
+    assert table.total_weight == float(table.weights.sum())
+    for label, row in pair_rows_by_histories(histories_by_unitary(circuit)).items():
+        assert np.max(np.abs(table.amps[table.labels.index(label)] - row)) <= 1e-12, label
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(0, 2),
        st.floats(0.05, 1.0), st.floats(0.05, 0.95))

@@ -14,7 +14,7 @@ from ctcsim import (Channel, ConfigError, build_circuit, compile_unitary, make_g
 from ctcsim.circuit import Circuit, evolve, with_init
 from ctcsim.cli import parse_circuit_doc
 from ctcsim.engine import pair_out_state
-from ctcsim.errors import ArityError, LabelCollision, LabelError
+from ctcsim.errors import ArityError, LabelCollision, LabelError, _shown
 from ctcsim.gates import Gate, param_names
 from ctcsim.states import DENSE, PureState, apply_gates
 
@@ -418,6 +418,37 @@ def test_bad_input_states_are_config_errors_naming_the_input(case, call, name):
         with pytest.raises(ConfigError) as info:
             call()
     assert str(info.value).startswith(name + " ")
+
+
+_ONE = [Channel("a")]
+
+
+# (case, call, the argument its error names, that argument); each once escaped as a bare
+# TypeError or AttributeError
+LIST_ARGUMENT_PROBES = [
+    ("channels_none", lambda: build_circuit(None), "channels", None),
+    ("channels_text", lambda: build_circuit("ab"), "channels", "ab"),
+    ("gates_none", lambda: build_circuit(_ONE, None), "gates", None),
+    ("gates_text", lambda: build_circuit(_ONE, "ab"), "gates", "ab"),
+    ("entangled_none", lambda: build_circuit(_ONE, (), None), "entangled", None),
+    ("entangled_text", lambda: build_circuit(_ONE, (), "ab"), "entangled", "ab"),
+    ("targets_none", lambda: make_gate("X", None), "gate X targets", None),
+    ("targets_number", lambda: make_gate("X", 5), "gate X targets", 5),
+    ("channels_nested", lambda: build_circuit([[1]]), "channels", [[1]]),
+    ("entangled_nested", lambda: build_circuit(_ONE, (), [[1]]), "entangled", [[1]]),
+    ("targets_nested", lambda: make_gate("X", [[1]]), "gate X targets", [[1]]),
+]
+
+
+@pytest.mark.parametrize("case, call, name, value", LIST_ARGUMENT_PROBES,
+                         ids=[p[0] for p in LIST_ARGUMENT_PROBES])
+def test_a_constructor_argument_that_is_no_list_is_a_config_error_naming_it(case, call, name,
+                                                                            value):
+    with pytest.raises(ConfigError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(name + " must be a list of ")
+    assert message.endswith(", got " + _shown(value))
 
 
 @pytest.mark.parametrize("amps, message", [
