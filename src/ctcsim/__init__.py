@@ -25,7 +25,7 @@ from .analysis import (
     szilard_work,
     weak_average,
 )
-from .circuit import Channel, Circuit, build_circuit, compile_unitary, with_init
+from .circuit import Channel, Circuit, build_circuit, with_init
 from .engine import (
     Classical,
     DeltaQuadrature,
@@ -71,7 +71,7 @@ __all__ = [
     "NumericsError", "ParadoxError", "ParseError", "PostSelectionResult",
     "ProjectionSet", "PureState", "Scenario",
     "ScenarioNotFound", "UnsupportedError", "WeightMatrix", "boosted_success",
-    "build_circuit", "build_scenario", "compile_unitary", "compose_skew",
+    "build_circuit", "build_scenario", "compose_skew",
     "discrimination_stats", "ec_fidelity", "entropy_skew", "entropy_skew_max",
     "flip_probability", "input_bias", "list_scenarios", "make_gate",
     "pair_out_state", "parity_recursion",

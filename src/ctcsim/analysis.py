@@ -254,7 +254,7 @@ def flip_probability(result, channel_a, channel_b=None):
     diag = np.real(np.diag(rho.mat))
 
     def bits(label):
-        if label not in rho.labels:
+        if not isinstance(label, str) or label not in rho.labels:  # an array compares elementwise
             raise LabelError("no external channel labeled %s" % _shown(label))
         return (np.arange(2**n) >> (n - 1 - rho.labels.index(label))) & 1
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, LabelError, UnsupportedError, _listed, _shown
 from .gates import Gate
-from .states import MAX_QUBITS, PureState, apply_gates, normalized_amplitudes
+from .states import MAX_QUBITS, PureState, apply_gates, complex_array, normalized_amplitudes
 
 REF_SUFFIX = ".ref"
 
@@ -35,8 +35,10 @@ class Channel:
     init: tuple = None  # (alpha, beta) for external channels; None => |0>
 
     def __post_init__(self):
-        if not self.label or not isinstance(self.label, str):
+        if not isinstance(self.label, str) or not self.label:
             raise ConfigError("channel label must be a non-empty string")
+        if not isinstance(self.looped, (bool, np.bool_)):  # "no" and [0] are truthy too
+            raise ConfigError("looped must be true or false, got %s" % _shown(self.looped))
         if self.label.endswith(REF_SUFFIX):
             raise ConfigError(
                 "label %r is reserved for engine reference qubits" % (self.label,)
@@ -61,12 +63,13 @@ class Circuit:
     gates: tuple = ()
     entangled: tuple = ()  # ((labels...), amps) groups over external channels
 
-    def __post_init__(self):  # its own tuples: no later edit of a caller's list or array
-        groups = ((tuple(labels), tuple(np.array(amps, dtype=complex, ndmin=1).tolist()))
-                  for labels, amps in self.entangled)  # can leave a kept evolution behind
-        for name, items in zip(("channels", "gates", "entangled"),
-                               (self.channels, self.gates, groups)):
-            object.__setattr__(self, name, tuple(items))
+    def __post_init__(self):  # its own tuples: no caller's later edit leaves a stale evolution
+        parts = (_listed(self.channels, "channels must be a list of Channel", Channel),
+                 _listed(self.gates, "gates must be a list of Gate", Gate),
+                 _listed(self.entangled, "entangled must be a list of (labels, amplitudes) "
+                         "pairs", make=lambda group: _entangled_group(*group, normalize=False)))
+        for name, items in zip(("channels", "gates", "entangled"), parts):
+            object.__setattr__(self, name, items)
         for name, keep in (("labels", lambda c: True), ("loop_labels", lambda c: c.looped),
                            ("external_labels", lambda c: not c.looped)):  # the split, once
             object.__setattr__(self, name, tuple(c.label for c in self.channels if keep(c)))
@@ -78,7 +81,7 @@ class Circuit:
 
     def channel(self, label):
         for c in self.channels:
-            if c.label == label:
+            if isinstance(label, str) and c.label == label:  # an array compares elementwise
                 return c
         raise LabelError("no channel labeled %s" % _shown(label))
 
@@ -129,30 +132,32 @@ def validate(circuit):
     entangled_seen = set()
     for i, (labels_g, _) in enumerate(circuit.entangled):
         for j, l in enumerate(labels_g):
-            where = ("entangled", i, j)
+            where, shown = ("entangled", i, j), _shown(l)
             if l not in known or l in looped:
-                problems.append((where, "entangled init names non-external channel %r" % (l,)))
+                problems.append((where, "entangled init names non-external channel %s" % shown))
             if l in entangled_seen:
-                problems.append((where, "channel %r appears in two entangled groups" % (l,)))
+                problems.append((where, "channel %s appears in two entangled groups" % shown))
             entangled_seen.add(l)
             if inits.get(l) is not None:
-                problems.append((where, "channel %r has both a product init and an "
-                                        "entangled init" % (l,)))
+                problems.append((where, "channel %s has both a product init and an "
+                                        "entangled init" % shown))
     return problems
 
 
-def _entangled_group(labels, amps):
+def _entangled_group(labels, amps, normalize=True):
+    """(labels, amplitudes) as tuples; a hand-built Circuit's amplitudes stay unnormalized."""
     labels = tuple(labels)
-    what = "entangled init on %r" % (labels,)
-    return labels, tuple(normalized_amplitudes(amps, len(labels), what))
+    what = "entangled init on %s" % _shown(labels)
+    amps = normalized_amplitudes(amps, len(labels), what) if normalize else amps
+    return labels, tuple(complex_array(amps, 1, what).tolist())
 
 
 def build_circuit(channels, gates=(), entangled=()):
     """Construct and validate a circuit; raises ConfigError on any problem."""
-    circuit = Circuit(_listed(channels, "channels must be a list of Channel", Channel),
-                      _listed(gates, "gates must be a list of Gate", Gate),
-                      _listed(entangled, "entangled must be a list of (labels, amplitudes) pairs",
-                              make=lambda group: _entangled_group(*group)))
+    circuit = Circuit(channels, gates, entangled)  # checks each part's type
+    if circuit.entangled:
+        circuit = Circuit(circuit.channels, circuit.gates,
+                          [_entangled_group(*group) for group in circuit.entangled])
     problems = validate(circuit)
     if problems:
         raise ConfigError("; ".join(text for _, text in problems))
@@ -200,29 +205,6 @@ def with_reference(circuit, label):
                                % (ref, label, n_total, MAX_QUBITS))
     return Circuit((*base.channels, _Reference(ref)), base.gates,
                    (*base.entangled, ((label, ref), (2**-0.5, 0.0, 0.0, 2**-0.5))))
-
-
-def compile_unitary(circuit):
-    """Full operator of the gate list over the declared channels.
-
-    Basis order follows channel declaration order (first channel = most
-    significant bit).  The result is unitary exactly when every gate is.
-    """
-    labels = checked_circuit(circuit).labels
-    n = len(labels)
-    if n > MAX_QUBITS:
-        raise UnsupportedError("cannot compile more than %d qubits densely" % MAX_QUBITS)
-    d = 2**n
-    full = np.eye(d, dtype=complex)
-    for g in circuit.gates:
-        axes = [labels.index(t) for t in g.targets]
-        k = len(axes)
-        t = full.reshape((2,) * n + (d,))
-        t = np.moveaxis(t, axes, range(k))
-        t = (g.matrix @ t.reshape(2**k, -1)).reshape((2,) * k + t.shape[k:])
-        t = np.moveaxis(t, range(k), axes)
-        full = t.reshape(d, d)
-    return full
 
 
 def evolve(state, circuit):

@@ -33,12 +33,12 @@ apart, externals-major, into one (externals, outcomes) array whose transpose is 
 table and whose weights sum over the externals; the reference register read against
 the loop register gives the history tensor.
 The evolution is `circuit.evolve` of `pair_out_state`: one pass of the gate
-kernel, `states.apply_gates`, which checks finiteness once (the independent
-oracle `circuit.compile_unitary` shares none of it).  `_evolved_pairs` is the
-one place an evolution is made: it evolves a circuit once and keeps the
-read-only result on the circuit for every later run, so any number of models,
-custom pairs and `run_conditional` included, share it; a loop-free circuit is
-its m = 0 case, the evolved external register.  A pickled or copied circuit
+kernel, `states.apply_gates`, the package's one way to run a circuit, which
+checks finiteness once.  `_evolved_pairs` is the one place an evolution is
+made: it evolves a circuit once and keeps the read-only result on the circuit
+for every later run, so any number of models, custom pairs and
+`run_conditional` included, share it; a loop-free circuit is its m = 0 case,
+the evolved external register.  A pickled or copied circuit
 keeps none and evolves afresh.  A descriptor's `run` (so each `run_*`) is the
 one sequence of a model run: it turns a loop-free circuit away (NoCtcError),
 checks the parameters and, with overflow warnings off, reads that tensor into
@@ -182,7 +182,7 @@ def pair_out_state(circuit):
     d = 2 ** len(loops)
     pairs = np.zeros(d * d, dtype=complex)
     # loop bits equal reference bits; the pair amplitudes multiply as in an outer product
-    pairs[:: d + 1] = math.prod([_SQ2] * len(loops))
+    pairs[:: d + 1] = _SQ2 ** len(loops)
     refs = (loop + REF_SUFFIX for loop in loops)
     return PureState(np.multiply.outer(ext.amps, pairs).reshape(-1), (*ext.labels, *loops, *refs))
 
@@ -208,9 +208,8 @@ def _history_tensor(t):
     `t` is the evolved pair tensor.  Its reference register records the emerging
     eigenstate e_i, so A[i, j] = sqrt(d) * <ref = i, loop = j| evolved pair state.
     """
-    # one multiply by the reciprocal of the pair amplitude _SQ2**m, which is what numpy's
-    # complex / real does; rather than sqrt(d), it cancels that amplitude exactly up to
-    # m = 4, where pair_out_state's product of m factors _SQ2 still equals _SQ2**m
+    # times the reciprocal of pair_out_state's amplitude _SQ2**m (numpy's complex / real
+    # does the same), which cancels it exactly for every m <= 7 the qubit cap allows
     m = t.shape[1].bit_length() - 1
     return np.multiply(t.transpose(2, 1, 0), 1.0 / _SQ2**m, order="C")
 
@@ -366,7 +365,7 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
     if checked_circuit(circuit).loop_labels:
         raise UnsupportedError("conditional projection on a circuit with looped channels "
                                "is not defined")
-    if mode not in ("coupled", "insulated"):
+    if not isinstance(mode, str) or mode not in ("coupled", "insulated"):
         raise ConfigError("mode must be 'coupled' or 'insulated'")
     try:
         condition = [(label, bit) for label, bit in condition]
@@ -374,7 +373,7 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
         raise ConfigError("condition must be a list of (label, bit) pairs, got %s"
                           % _shown(condition)) from None
     for label, bit in condition:
-        if bit not in (0, 1):
+        if getattr(bit, "ndim", 0) or bit not in (0, 1):  # an array bit has no truth value
             raise ConfigError("condition bit of %s must be 0 or 1, got %s"
                               % (_shown(label), _shown(bit)))
     try:

@@ -1,6 +1,7 @@
 """References the tests check the library against, sharing no code path with the engine.
 
-Everything here is built from `compile_unitary` and the circuit's channel
+Everything here is built from `compile_unitary`, the circuit's full operator
+multiplied out gate by gate from each gate's matrix, and the circuit's channel
 declarations, never from an evolution, a projection or a private name of
 `ctcsim` (test_engine.py parses this file to hold it to that).  The one entry
 point is `loop_major_unitary`, the compiled unitary as (d, e, d, e), loops then
@@ -32,8 +33,7 @@ import math
 
 import numpy as np
 
-from ctcsim import (Classical, DeltaQuadrature, DensityOperator, ExactBell, NoisyBell,
-                    PureState, compile_unitary)
+from ctcsim import Classical, DeltaQuadrature, DensityOperator, ExactBell, NoisyBell, PureState
 
 
 def tensor(a, b):
@@ -76,6 +76,27 @@ def flat_measure_states(n_theta, n_xi):
     c0 = np.repeat(np.cos(theta), len(xi))
     c1 = np.outer(np.sin(theta), np.exp(1j * xi)).reshape(-1)
     return np.stack([c0, c1], axis=1), np.outer(w_theta, w_xi).reshape(-1)
+
+
+def compile_unitary(circuit):
+    """Full operator of the gate list over the declared channels, one gate at a time.
+
+    Basis order follows channel declaration order (first channel = most
+    significant bit).  The result is unitary exactly when every gate is.
+    """
+    labels = circuit.labels
+    n = len(labels)
+    d = 2**n
+    full = np.eye(d, dtype=complex)
+    for g in circuit.gates:
+        axes = [labels.index(t) for t in g.targets]
+        k = len(axes)
+        t = full.reshape((2,) * n + (d,))
+        t = np.moveaxis(t, axes, range(k))
+        t = (g.matrix @ t.reshape(2**k, -1)).reshape((2,) * k + t.shape[k:])
+        t = np.moveaxis(t, range(k), axes)
+        full = t.reshape(d, d)
+    return full
 
 
 def loop_major_unitary(circuit):

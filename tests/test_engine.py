@@ -157,6 +157,14 @@ def test_history_tensor_matches_per_eigenstate_evolution(seed, n_loops, n_ext):
         assert weight == pytest.approx(np.linalg.norm(ref.amps)**2, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", range(1, 8))
+def test_the_history_tensor_cancels_the_pair_amplitude_exactly(m):
+    # with no gate, history i -> i is the external |0> with amplitude exactly 1
+    circuit = build_circuit([Channel("l%d" % i, looped=True) for i in range(m)])
+    a = cs.engine._history_tensor(cs.engine._evolved_pairs(circuit))
+    assert np.array_equal(np.einsum("iix->ix", a), np.ones((2**m, 1)))
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_pair_table_weights_are_the_row_sums_and_rows_match_the_unitary_reference(seed):
     circuit = random_circuit(seed, 1 + seed % 4, seed % 6)
@@ -1137,15 +1145,40 @@ def test_an_integer_too_long_to_print_is_a_config_error_naming_its_parameter(cal
      "input_bias needs a channel model with a run method, got " + TOO_LONG),
     (lambda: cs.flip_probability(cs.run_exact_bell(cpf_gun()), LONG_INT, "gun"), cs.LabelError,
      "no external channel labeled " + TOO_LONG),
+    (lambda: build_circuit([Channel("a")], (), [((LONG_INT, "a"), (1, 0, 0, 0))]),
+     cs.ConfigError, "entangled init names non-external channel " + TOO_LONG),
 ], ids=["gate_kind", "gate_repeated_target", "custom_target", "circuit_target",
         "with_init_label", "pair_states", "pair_states_key", "condition", "condition_bit",
         "condition_label", "deselect_label", "scenario_name", "verify_name", "verify_params",
-        "verify_key", "input_bias_channel", "input_bias_model", "flip_label"])
+        "verify_key", "input_bias_channel", "input_bias_model", "flip_label", "entangled_label"])
 def test_a_value_holding_an_integer_too_long_to_print_is_named_by_a_stand_in(call, error,
                                                                             message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+ARRAY = np.zeros((2, 2))  # == compares it elementwise, and the result has no truth value
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: cs.with_init(cpf_gun(), ARRAY, "+"), cs.LabelError, "no channel labeled array"),
+    (lambda: cs.input_bias(cpf_gun(), ARRAY, cs.ExactBell()), cs.LabelError,
+     "no channel labeled array"),
+    (lambda: cs.flip_probability(cs.run_exact_bell(cpf_gun()), ARRAY), cs.LabelError,
+     "no external channel labeled array"),
+    (lambda: cs.flip_probability(cs.run_exact_bell(cpf_gun()), "gun", ARRAY), cs.LabelError,
+     "no external channel labeled array"),
+    (lambda: cs.run_conditional(three_plus(), [("m1", 0)], PLAIN_DESELECT, ARRAY),
+     cs.ConfigError, "mode must be 'coupled' or 'insulated'"),
+    (lambda: cs.run_conditional(three_plus(), [("m1", ARRAY)], PLAIN_DESELECT, "coupled"),
+     cs.ConfigError, "condition bit of 'm1' must be 0 or 1, got array"),
+    (lambda: Channel(ARRAY), cs.ConfigError, "channel label must be a non-empty string"),
+], ids=["with_init_label", "input_bias_channel", "flip_label", "flip_second_label", "mode",
+        "condition_bit", "channel_label"])
+def test_an_array_where_a_label_mode_or_bit_belongs_is_a_typed_error(call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("direction, plain", [
@@ -1172,7 +1205,6 @@ CIRCUIT_TAKERS = {
     "projection_table": cs.projection_table,
     "pair_out_state": cs.pair_out_state,
     "with_init": lambda c: cs.with_init(c, "ex", "+"),
-    "compile_unitary": cs.compile_unitary,
     "input_bias": lambda c: cs.input_bias(c, "ex", cs.ExactBell()),
 }
 

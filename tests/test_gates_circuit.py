@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 import ctcsim as cs
-from ctcsim import (Channel, ConfigError, build_circuit, compile_unitary, make_gate,
-                    run_exact_bell)
+from ctcsim import Channel, ConfigError, build_circuit, make_gate, run_exact_bell
 from ctcsim.circuit import Circuit, evolve, with_init
 from ctcsim.cli import parse_circuit_doc
 from ctcsim.engine import pair_out_state
 from ctcsim.errors import ArityError, LabelCollision, LabelError, _shown
 from ctcsim.gates import Gate, param_names
 from ctcsim.states import DENSE, PureState, apply_gates
+from oracles import compile_unitary
 
 SQ2 = 2**-0.5
 
@@ -424,7 +424,7 @@ _ONE = [Channel("a")]
 
 
 # (case, call, the argument its error names, that argument); each once escaped as a bare
-# TypeError or AttributeError
+# TypeError, AttributeError or ValueError
 LIST_ARGUMENT_PROBES = [
     ("channels_none", lambda: build_circuit(None), "channels", None),
     ("channels_text", lambda: build_circuit("ab"), "channels", "ab"),
@@ -437,6 +437,14 @@ LIST_ARGUMENT_PROBES = [
     ("channels_nested", lambda: build_circuit([[1]]), "channels", [[1]]),
     ("entangled_nested", lambda: build_circuit(_ONE, (), [[1]]), "entangled", [[1]]),
     ("targets_nested", lambda: make_gate("X", [[1]]), "gate X targets", [[1]]),
+    ("circuit_channels_none", lambda: Circuit(None), "channels", None),
+    ("circuit_channels_text", lambda: Circuit("x"), "channels", "x"),
+    ("circuit_channels_nested", lambda: Circuit([[1]]), "channels", [[1]]),
+    ("circuit_gates_none", lambda: Circuit(_ONE, None), "gates", None),
+    ("circuit_gates_text", lambda: Circuit(_ONE, "ab"), "gates", "ab"),
+    ("circuit_entangled_none", lambda: Circuit(_ONE, (), None), "entangled", None),
+    ("circuit_entangled_text", lambda: Circuit(_ONE, (), "x"), "entangled", "x"),
+    ("circuit_entangled_nested", lambda: Circuit(_ONE, (), [[1]]), "entangled", [[1]]),
 ]
 
 
@@ -449,6 +457,17 @@ def test_a_constructor_argument_that_is_no_list_is_a_config_error_naming_it(case
     message = str(info.value)
     assert message.startswith(name + " must be a list of ")
     assert message.endswith(", got " + _shown(value))
+
+
+@pytest.mark.parametrize("looped", ["no", [0], 1, None], ids=["text", "list", "int", "none"])
+def test_a_looped_flag_that_is_not_a_bool_is_a_config_error(looped):
+    with pytest.raises(ConfigError) as info:
+        Channel("tm", looped=looped)
+    assert str(info.value) == "looped must be true or false, got " + _shown(looped)
+
+
+def test_a_numpy_bool_looped_flag_is_a_bool():
+    assert build_circuit([Channel("tm", np.True_), Channel("a", np.False_)]).loop_labels == ("tm",)
 
 
 @pytest.mark.parametrize("amps, message", [
