@@ -64,15 +64,14 @@ class Circuit:
     entangled: tuple = ()  # ((labels...), amps) groups over external channels
 
     def __post_init__(self):  # its own tuples: no caller's later edit leaves a stale evolution
-        parts = (_listed(self.channels, "channels must be a list of Channel", Channel),
-                 _listed(self.gates, "gates must be a list of Gate", Gate),
-                 _listed(self.entangled, "entangled must be a list of (labels, amplitudes) "
-                         "pairs", make=lambda group: _entangled_group(*group, normalize=False)))
-        for name, items in zip(("channels", "gates", "entangled"), parts):
-            object.__setattr__(self, name, items)
-        for name, keep in (("labels", lambda c: True), ("loop_labels", lambda c: c.looped),
-                           ("external_labels", lambda c: not c.looped)):  # the split, once
-            object.__setattr__(self, name, tuple(c.label for c in self.channels if keep(c)))
+        channels = _listed(self.channels, "channels must be a list of Channel", Channel)
+        vars(self).update(  # frozen: set in place, as object.__setattr__ would
+            channels=channels, gates=_listed(self.gates, "gates must be a list of Gate", Gate),
+            entangled=_listed(self.entangled, "entangled must be a list of (labels, "
+                              "amplitudes) pairs", make=lambda group: _entangled_group(*group)),
+            labels=tuple(c.label for c in channels),  # the split, once
+            loop_labels=tuple(c.label for c in channels if c.looped),
+            external_labels=tuple(c.label for c in channels if not c.looped))
 
     def __getstate__(self):  # numpy restores a pickled array writeable, so a pickled or
         state = dict(self.__dict__)  # copied circuit keeps no evolution: it evolves afresh
@@ -144,20 +143,21 @@ def validate(circuit):
     return problems
 
 
-def _entangled_group(labels, amps, normalize=True):
+def _entangled_group(labels, amps):
     """(labels, amplitudes) as tuples; a hand-built Circuit's amplitudes stay unnormalized."""
     labels = tuple(labels)
-    what = "entangled init on %s" % _shown(labels)
-    amps = normalized_amplitudes(amps, len(labels), what) if normalize else amps
-    return labels, tuple(complex_array(amps, 1, what).tolist())
+    try:
+        amps = complex_array(amps, 1, "")
+    except ConfigError:  # named only on the error path
+        amps = complex_array(amps, 1, "entangled init on %s" % _shown(labels))
+    return labels, tuple(amps.tolist())
 
 
 def build_circuit(channels, gates=(), entangled=()):
     """Construct and validate a circuit; raises ConfigError on any problem."""
     circuit = Circuit(channels, gates, entangled)  # checks each part's type
-    if circuit.entangled:
-        circuit = Circuit(circuit.channels, circuit.gates,
-                          [_entangled_group(*group) for group in circuit.entangled])
+    for labels, amps in circuit.entangled:
+        normalized_amplitudes(amps, len(labels), "entangled init on %s" % _shown(labels))
     problems = validate(circuit)
     if problems:
         raise ConfigError("; ".join(text for _, text in problems))

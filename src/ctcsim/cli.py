@@ -19,11 +19,12 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from . import __version__, analysis
-from .circuit import Channel, Circuit, _entangled_group, validate
+from .circuit import Channel, Circuit, validate
 from .engine import MODELS, resolve_tolerance
 from .errors import ArityError, ConfigError, CtcSimError, ParadoxError, ParseError
 from .gates import make_gate, param_names
 from .scenarios import build_scenario, list_scenarios
+from .states import normalized_amplitudes
 
 _DEFAULT_OUTPUTS = ("Z", "N", "rho", "projections")
 # in --outputs, only a comma that starts an output name separates outputs: flip:p1,p2 stays whole
@@ -175,7 +176,9 @@ def _parse_entangled(items, path):
         _check_keys(item, ("channels", "amplitudes"), here)
         labels = _channel_names(item.get("channels"), here + ".channels", 2)
         amps = _amps_from_pairs(item.get("amplitudes", []), here + ".amplitudes")
-        groups.append(_at(here + ".amplitudes", _entangled_group, labels, amps))
+        what = "entangled init on %r" % (labels,)  # names only, all text
+        groups.append((labels, _at(here + ".amplitudes", normalized_amplitudes,
+                                   amps, len(labels), what)))
     return groups
 
 
