@@ -144,11 +144,10 @@ def validate(circuit):
 
 
 def _entangled_group(labels, amps):
-    """(labels, amplitudes) as tuples; a hand-built Circuit's amplitudes stay unnormalized."""
     labels = tuple(labels)
-    try:
+    try:  # the norm is build_circuit's check; a hand-built Circuit's amplitudes stay as given
         amps = complex_array(amps, 1, "")
-    except ConfigError:  # named only on the error path
+    except ConfigError:  # the group is named only on the error path
         amps = complex_array(amps, 1, "entangled init on %s" % _shown(labels))
     return labels, tuple(amps.tolist())
 

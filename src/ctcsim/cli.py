@@ -176,9 +176,8 @@ def _parse_entangled(items, path):
         _check_keys(item, ("channels", "amplitudes"), here)
         labels = _channel_names(item.get("channels"), here + ".channels", 2)
         amps = _amps_from_pairs(item.get("amplitudes", []), here + ".amplitudes")
-        what = "entangled init on %r" % (labels,)  # names only, all text
-        groups.append((labels, _at(here + ".amplitudes", normalized_amplitudes,
-                                   amps, len(labels), what)))
+        groups.append((labels, _at(here + ".amplitudes", normalized_amplitudes, amps,
+                                   len(labels), "entangled init on %r" % (labels,))))
     return groups
 
 
