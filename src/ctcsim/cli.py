@@ -30,6 +30,10 @@ _DEFAULT_OUTPUTS = ("Z", "N", "rho", "projections")
 # in --outputs, only a comma that starts an output name separates outputs: flip:p1,p2 stays whole
 _OUTPUT_COMMA = re.compile(r",(?=(?:%s)(?:,|$)|flip:|input_bias:)" % "|".join(_DEFAULT_OUTPUTS))
 
+# a sweep holds all its values and every step's report until it writes them, so the step count
+# is bounded before anything is allocated: 100 times a 1,000-step sweep (10^10 steps: 80 GB)
+_MAX_STEPS = 10**5
+
 _CONVENTIONS = {
     "rotation": "ROT(theta) = [[cos,-sin],[sin,cos]]",
     "pair_order": "(reference, loop) pairs in declaration order, then externals",
@@ -416,6 +420,8 @@ def _cmd_scenario(args):
 def _cmd_sweep(args):
     if args.steps < 1:
         raise ConfigError("sweep needs at least one step")
+    if args.steps > _MAX_STEPS:
+        _fail("arg.steps", "a sweep takes at most %d steps, got %d" % (_MAX_STEPS, args.steps))
     start, stop = _number(args.start, "arg.from"), _number(args.stop, "arg.to")
     if not math.isfinite(stop - start):
         _fail("arg.to", "sweep range %r to %r is wider than the float range"

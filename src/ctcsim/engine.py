@@ -256,10 +256,10 @@ def _post_select(circuit, model, rows, form, tol, paradox, table=None, n=None, l
         if pairs is not None:  # a history model tables its own evolution
             table = _pair_table(circuit, pairs)
         raise ParadoxError(paradox % {"n": n, "z": z, "tol": tol}, projections=table)
-    ext = circuit.external_labels
+    ext, unchecked = circuit.external_labels, DensityOperator._unchecked
     return PostSelectionResult(
-        model=model, z=z, rho=DensityOperator(_hermitian(num, z) if ext else [[1.0]], ext), n=n,
-        rho_loop=None if loop is None else DensityOperator(loop / z, circuit.loop_labels),
+        model=model, z=z, rho=unchecked(_hermitian(num, z) if ext else [[1.0]], ext), n=n,
+        rho_loop=None if loop is None else unchecked(loop / z, circuit.loop_labels),
         projections=table, metadata={**metadata, "tolerance": tol},
     )
 
@@ -386,8 +386,8 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
         d_labels = tuple(d_labels)
         hash(d_labels)  # a label that is itself a list names no channel
     except TypeError:
-        raise ConfigError("deselect labels must be a sequence of channel labels, got %r"
-                          % (d_labels,)) from None
+        raise ConfigError("deselect labels must be a sequence of channel labels, got %s"
+                          % _shown(d_labels)) from None
     d_amps = unit_vector(d_amps, "deselect direction")
     state = PureState(_evolved_pairs(circuit).reshape(-1), circuit.external_labels)
     n = state.n_qubits

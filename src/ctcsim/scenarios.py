@@ -25,11 +25,8 @@ from .engine import (
     ExactBell,
     NoisyBell,
     WeightMatrix,
-    _evolved_pairs,
-    _pair_table,
     _unit_interval,
     run_conditional,
-    run_exact_bell,
 )
 from .errors import ConfigError, ParadoxError, ScenarioNotFound, _shown
 from .gates import make_gate, param_names
@@ -67,14 +64,18 @@ def _rec(model, quantity, expected, actual, tol=1e-9):
     }
 
 
-def _paradox_rec(model, quantity, fn):
+def _exact(c):
+    """(exact run of c, its pair table); a paradox's run is None, its table the error's."""
     try:
-        fn()
-    except ParadoxError:
-        ok = True
-    else:
-        ok = False
-    rec = _rec(model, quantity, 0.0, 0.0 if ok else 1.0, tol=0.0)
+        r = ExactBell().run(c)
+    except ParadoxError as err:
+        return None, err.projections
+    return r, r.projections
+
+
+def _paradox_rec(quantity, c):
+    ok = _exact(c)[0] is None
+    rec = _rec("exact_bell", quantity, 0.0, 0.0 if ok else 1.0, tol=0.0)
     rec.update(expected="ParadoxError", actual="ParadoxError" if ok else "no paradox")
     return rec
 
@@ -174,9 +175,8 @@ _b_third_party = _circuit(["tm"], [("s1", "a1", "b1"), ("s2", "a2", "b2")],
 # expectation tables
 
 
-def _rows(c):
-    """Pair-basis outcome label -> surviving external amplitudes of c's one evolution."""
-    table = _pair_table(c, _evolved_pairs(c))
+def _rows(table):
+    """Pair-basis outcome label -> surviving external amplitudes of a run's pair table."""
     return dict(zip(table.labels, table.amps))
 
 
@@ -228,7 +228,7 @@ def _c_grandfather(label):
         lam = 0.2
         noisy = NoisyBell(lam).run(c)
         table = noisy.projections  # one loop: the rows are "B", "-", "N", "-N"
-        rec = [_paradox_rec("exact_bell", "paradox", lambda: ExactBell().run(c))]
+        rec = [_paradox_rec("paradox", c)]
         rec += [_rec("projection", "weight[%s]" % out, 1.0 if out == label else 0.0, w, 1e-12)
                 for out, w in zip(table.labels, table.weights)]
         return rec + _records("noisy_bell(0.2)", noisy, z=lam / 4.0)
@@ -331,7 +331,7 @@ def _c_phase_gun(p, c):
 
 def _c_proof_cx(p, c):
     a, b = p["alpha"], p["beta"]
-    rows = _rows(c)
+    rows = _rows(_exact(c)[1])
     rec = [_rec("projection", "psi_B", 0.5 * (a + b) * np.array([1.0, 1.0]), rows["B"], 1e-12),
            _rec("projection", "psi_-", 0.5 * (a - b) * np.array([1.0, -1.0]), rows["-"], 1e-12)]
     k = 0.3
@@ -339,9 +339,7 @@ def _c_proof_cx(p, c):
     xpsi = psi[::-1]
     rec += _records("classical(0.3)", Classical(k).run(c),
                     z=2 * (1 - k), rho=0.5 * (_proj(psi) + _proj(xpsi)))
-    bad = with_init(c, "probe", (_SQ2, -_SQ2))
-    rec.append(_paradox_rec("exact_bell", "paradox(minus probe)",
-                            lambda: run_exact_bell(bad)))
+    rec.append(_paradox_rec("paradox(minus probe)", with_init(c, "probe", (_SQ2, -_SQ2))))
     return rec
 
 
@@ -413,23 +411,22 @@ def _c_mutual_paradox(p, c):
                 + k**2 * b**2 * cz**2)
     rec += _records("classical(0.35)", Classical(k).run(c), z=z_cl)
     paradox = _b_mutual_paradox({**p, "zeta": math.pi / 2})
-    rec.append(_paradox_rec("exact_bell", "paradox(zeta=pi/2)",
-                            lambda: run_exact_bell(paradox)))
+    rec.append(_paradox_rec("paradox(zeta=pi/2)", paradox))
     return rec
 
 
 def _c_third_party(p, c):
     a1, b1, a2, b2 = p["a1"], p["b1"], p["a2"], p["b2"]
-    rows = _rows(c)
+    r = ExactBell().run(c)
+    rows = _rows(r.projections)
     expect_b = np.array([a1 * a2, 0.0, 0.0, b1 * b2], dtype=complex)
     expect_n = np.array([0.0, a1 * b2, b1 * a2, 0.0], dtype=complex)
     rec = [_rec("projection", "psi_B", expect_b, rows["B"], 1e-12),
            _rec("projection", "psi_N", expect_n, rows["N"], 1e-12)]
     n2 = a1**2 * a2**2 + b1**2 * b2**2
-    rec += _records("exact_bell", ExactBell().run(c), n=math.sqrt(n2))
+    rec += _records("exact_bell", r, n=math.sqrt(n2))
     orth = _b_third_party({"a1": 1.0, "b1": 0.0, "a2": 0.0, "b2": 1.0})
-    rec.append(_paradox_rec("exact_bell", "paradox(orthogonal)",
-                            lambda: run_exact_bell(orth)))
+    rec.append(_paradox_rec("paradox(orthogonal)", orth))
     return rec
 
 
@@ -473,17 +470,16 @@ def _c_amnesia_plain(p, c):
     k = 0.3
     rec += _records("classical(0.3)", Classical(k).run(c),
                     z=1.0, rho=np.diag([1 - k, k]))
-    bad = with_init(c, "sys", (_SQ2, -_SQ2))
-    rec.append(_paradox_rec("exact_bell", "paradox(minus input)",
-                            lambda: run_exact_bell(bad)))
+    rec.append(_paradox_rec("paradox(minus input)", with_init(c, "sys", (_SQ2, -_SQ2))))
     return rec
 
 
 def _c_amnesia_entangled(p, c):
     g = unit_vector([p["alpha"], p["beta"]], "scenario amplitudes (alpha, beta)")
     expect = 0.5 * np.array([g[0], g[1], g[0], g[1]], dtype=complex)
-    rec = [_rec("projection", "psi_B", expect, _rows(c)["B"], 1e-12)]
-    return rec + _records("exact_bell", ExactBell().run(c), n=_SQ2)
+    r = ExactBell().run(c)
+    rec = [_rec("projection", "psi_B", expect, _rows(r.projections)["B"], 1e-12)]
+    return rec + _records("exact_bell", r, n=_SQ2)
 
 
 def _c_secondary_loop(p, c):
@@ -491,8 +487,9 @@ def _c_secondary_loop(p, c):
     expect = np.zeros(8, dtype=complex)
     expect[0b000] = 0.5 * a
     expect[0b011] = -0.5 * b
-    rec = [_rec("projection", "psi_B", expect, _rows(c)["B"], 1e-12)]
-    return rec + _records("noisy_bell(0.2)", NoisyBell(0.2).run(c), z=0.25)
+    r = NoisyBell(0.2).run(c)
+    rec = [_rec("projection", "psi_B", expect, _rows(r.projections)["B"], 1e-12)]
+    return rec + _records("noisy_bell(0.2)", r, z=0.25)
 
 
 def _c_backprop_chain(p, c):
@@ -521,7 +518,7 @@ def _c_selector(n):
             amps = np.kron(amps, np.array([p["a%d" % i], p["b%d" % i]], dtype=complex))
         expect = amps * math.cos(t2)
         expect[-1] = amps[-1] * math.cos(t1 + t2)
-        return [_rec("projection", "psi_B", expect, _rows(c)["B"], 1e-12)]
+        return [_rec("projection", "psi_B", expect, _rows(_exact(c)[1])["B"], 1e-12)]
     return checks
 
 
@@ -529,13 +526,13 @@ def _c_parity_ec(p, c):
     v = _parity_ec_input(p)
     expect_b = np.array([v[0], 0.0, 0.0, v[3]], dtype=complex)
     expect_n = np.array([0.0, v[1], v[2], 0.0], dtype=complex)
-    rows = _rows(c)
+    lam = p["lam"]
+    r = NoisyBell(lam).run(c)
+    rows = _rows(r.projections)
     rec = [_rec("projection", "psi_B", expect_b, rows["B"], 1e-12),
            _rec("projection", "psi_N", expect_n, rows["N"], 1e-12)]
-    lam = p["lam"]
     nb2 = float(np.vdot(expect_b, expect_b).real)
-    return rec + _records("noisy_bell", NoisyBell(lam).run(c),
-                          z=(1 - lam) * nb2 + lam / 4)
+    return rec + _records("noisy_bell", r, z=(1 - lam) * nb2 + lam / 4)
 
 
 def _c_tourist_trap(p, c):

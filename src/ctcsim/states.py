@@ -137,6 +137,16 @@ class DensityOperator:
         if mat.shape != (d, d):
             raise LabelError("matrix shape %r does not fit %d labeled qubits"
                              % (mat.shape, len(self.labels)))
+        if not np.isfinite(mat).all():
+            raise ConfigError("non-finite matrix entry")
+
+    @classmethod
+    def _unchecked(cls, mat, labels):
+        """A run's operator: a (d, d) array, made complex, on a tuple of distinct labels.  No
+        check: every engine form is positive semidefinite, so a finite Z bounds each entry."""
+        op = object.__new__(cls)
+        op.__dict__.update(mat=np.asarray(mat, dtype=complex), labels=labels)
+        return op
 
     @property
     def n_qubits(self):

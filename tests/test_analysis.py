@@ -295,6 +295,8 @@ BAD_CLOSED_FORM_INPUTS = {
     "ec_fidelity_n_half": (lambda: cs.ec_fidelity(0.1, 1.5), "count n must be a whole number"),
     "parity_recursion_text": (lambda: cs.parity_recursion(["x"]), "amplitude must be a real"),
     "parity_recursion_number": (lambda: cs.parity_recursion(3), "weights must be a list"),
+    "parity_recursion_range": (lambda: cs.parity_recursion([0.5, 1.5]),
+                               r"^control amplitudes must satisfy \|alpha\| <= 1$"),
     "discrimination_overlap": (lambda: cs.discrimination_stats("x", 0.1, 2.0),
                                "probability must be a real number"),
     "discrimination_theta": (lambda: cs.discrimination_stats(0.3, "x", 2.0),

@@ -136,7 +136,6 @@ def test_a_cli_call_makes_at_most_its_evolutions_and_pair_tables(
     counts = {"evolve": 0, "_pair_table": 0}
     _counted(monkeypatch, cs.engine, "evolve", counts)
     _counted(monkeypatch, cs.engine, "_pair_table", counts)
-    _counted(monkeypatch, cs.scenarios, "_pair_table", counts)
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({**ONE_LOOP_DOC, "outputs": outputs}))
     assert main([str(doc) if arg == "{doc}" else arg for arg in argv]) in (0, 2)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ctcsim import analysis, engine
+from ctcsim import analysis, cli, engine
 from ctcsim.circuit import evolve
 from ctcsim.cli import main, parse_circuit_doc
 from ctcsim.engine import MODELS, DeltaQuadrature, NoisyBell
@@ -233,6 +233,18 @@ MALFORMED = [
      "arg.model.lambda: integer has too many digits"),
     ("param_long_int", ["scenario", "parity_ec", "--param", "eps=1" + "0" * 5000],
      "arg.param.eps: integer has too many digits"),
+    ("param_not_key_value", ["scenario", "simple_loop", "--param", "alpha"],
+     "error: arg.param: 'alpha' is not key=value\n"),
+    ("init_odd_pairs", _with(channels=[{"name": "tm", "role": "ctc"},
+                                       {"name": "sys", "init": [0.8, 0, 0.6]}]),
+     "error: doc.channels[1].init: amplitude list must hold [re, im] pairs\n"),
+    ("init_number", _with(channels=[{"name": "tm", "role": "ctc"}, {"name": "sys", "init": 5}]),
+     "error: doc.channels[1].init: expected a named state or [re, im] pairs\n"),
+    ("init_unknown_name", _with(channels=[{"name": "tm", "role": "ctc"},
+                                          {"name": "sys", "init": "bogus"}]),
+     "error: doc.channels[1].init: unknown named state 'bogus' on channel 'sys'\n"),
+    ("model_without_its_key", _with(model={"type": "noisy_bell"}),
+     "error: doc.model: noisy_bell requires 'lambda'\n"),
 ]
 
 
@@ -553,7 +565,10 @@ def test_bad_tolerance_env_is_a_clean_config_error(monkeypatch, capsys, value):
      "error: bad CTC_SIM_TOLERANCE value 'abc'"),
     (["scenario", "simple_loop", "--outputs", "Z,input_bias:tm"], None,
      "error: channel 'tm' is looped and takes no init"),
-], ids=["run_override", "sweep_step", "tolerance_env", "derived_output"])
+    (["scenario", "amnesia_entangled", "--outputs", "Z,input_bias:s1"], None,
+     "error: channel 's1' belongs to an entangled init group"),
+], ids=["run_override", "sweep_step", "tolerance_env", "derived_output",
+        "derived_output_entangled"])
 def test_model_run_errors_name_the_model_and_only_them(argv, env, message, tmp_path,
                                                        monkeypatch, capsys):
     if env is None:
@@ -759,6 +774,29 @@ def test_sweep_zero_steps_rejected(tmp_path, capsys):
         "--steps", "0", capsys=capsys,
     )
     assert code == 1
+
+
+def test_a_sweep_past_its_step_bound_is_refused_before_any_allocation(tmp_path, monkeypatch,
+                                                                      capsys):
+    doc = {"channels": [{"name": "tm", "role": "ctc"}],
+           "gates": [{"kind": "ROT", "targets": ["tm"], "params": {"theta": 0.0}}]}
+    argv = ["sweep", write_doc(tmp_path, doc), "--param", "theta", "--from", "0", "--to", "1",
+            "--steps"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_MAX_STEPS", 3)
+        assert main(argv + ["3"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["4"]) == 1
+        assert capsys.readouterr().err == (
+            "error: arg.steps: a sweep takes at most 3 steps, got 4\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linspace was called")
+
+    monkeypatch.setattr(cli.np, "linspace", refuse)  # 10^10 steps would ask it for 80 GB
+    assert main(argv + ["10000000000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: arg.steps: a sweep takes at most 100000 steps, got 10000000000\n")
 
 
 @pytest.mark.parametrize("bounds, where", [

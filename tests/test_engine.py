@@ -1017,10 +1017,15 @@ def test_conditional_rejects_looped_circuits():
 def test_conditional_annihilated_insulated_run_is_a_paradox():
     circuit = build_circuit(
         three_plus().channels, [make_gate("CUSTOM", ("m1",), matrix=np.zeros((2, 2)))])
+    zeros = build_circuit([Channel(m) for m in ("m1", "m2", "m3")])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning fails the test
         with pytest.raises(cs.ParadoxError, match="removed all amplitude"):
             cs.run_conditional(circuit, [("m1", 0)], (("m3",), [1.0, 0.0]), "insulated")
+        # the whole conditioned branch lies along the deselected |0>: none of it survives
+        with pytest.raises(cs.ParadoxError) as info:
+            cs.run_conditional(zeros, [("m1", 0)], (("m3",), [1.0, 0.0]), "insulated")
+    assert str(info.value) == "insulated branch of weight 1.000e+00 has no surviving amplitude"
 
 
 PLAIN_DESELECT = (("m3",), [1.0, 0.0])
@@ -1117,6 +1122,8 @@ def test_an_integer_too_long_to_print_is_a_config_error_naming_its_parameter(cal
      "gate CX has a repeated target in <tuple too long to print>"),
     (lambda: make_gate("CUSTOM", (LONG_INT,), matrix=[[1, 0], [0, math.nan]]), cs.ConfigError,
      "CUSTOM matrix on <tuple too long to print> has a non-finite entry"),
+    (lambda: make_gate("CUSTOM", (LONG_INT,), matrix=np.eye(4)), cs.ArityError,
+     "CUSTOM matrix on 2 qubits bound to 1 targets"),
     (lambda: build_circuit([Channel("a")], [make_gate("X", (LONG_INT,))]), cs.ConfigError,
      "gate X targets unknown channel " + TOO_LONG),
     (lambda: cs.with_init(cpf_gun(), LONG_INT, [1, 0]), cs.LabelError,
@@ -1133,6 +1140,9 @@ def test_an_integer_too_long_to_print_is_a_config_error_naming_its_parameter(cal
      cs.LabelError, "no qubit labeled " + TOO_LONG),
     (lambda: cs.run_conditional(three_plus(), [("m1", 0)], ((LONG_INT,), [1, 0]), "coupled"),
      cs.LabelError, "no qubit labeled " + TOO_LONG),
+    (lambda: cs.run_conditional(three_plus(), [("m1", 0)], ([[LONG_INT]], [1, 0]), "coupled"),
+     cs.ConfigError,
+     "deselect labels must be a sequence of channel labels, got <tuple too long to print>"),
     (lambda: cs.build_scenario(LONG_INT), cs.ScenarioNotFound, "unknown scenario " + TOO_LONG),
     (lambda: cs.verify_scenario(LONG_INT), cs.ScenarioNotFound, "unknown scenario " + TOO_LONG),
     (lambda: cs.verify_scenario("simple_loop", LONG_INT), cs.ConfigError,
@@ -1147,10 +1157,11 @@ def test_an_integer_too_long_to_print_is_a_config_error_naming_its_parameter(cal
      "no external channel labeled " + TOO_LONG),
     (lambda: build_circuit([Channel("a")], (), [((LONG_INT, "a"), (1, 0, 0, 0))]),
      cs.ConfigError, "entangled init names non-external channel " + TOO_LONG),
-], ids=["gate_kind", "gate_repeated_target", "custom_target", "circuit_target",
+], ids=["gate_kind", "gate_repeated_target", "custom_target", "custom_arity", "circuit_target",
         "with_init_label", "pair_states", "pair_states_key", "condition", "condition_bit",
-        "condition_label", "deselect_label", "scenario_name", "verify_name", "verify_params",
-        "verify_key", "input_bias_channel", "input_bias_model", "flip_label", "entangled_label"])
+        "condition_label", "deselect_label", "deselect_labels", "scenario_name", "verify_name",
+        "verify_params", "verify_key", "input_bias_channel", "input_bias_model", "flip_label",
+        "entangled_label"])
 def test_a_value_holding_an_integer_too_long_to_print_is_named_by_a_stand_in(call, error,
                                                                             message):
     with pytest.raises(error) as info:

@@ -81,8 +81,10 @@ def test_custom_unitarity_check_raises_no_warning(matrix, unitary):
     ("ROT", (math.nan,), None, "gate parameters must be finite real numbers"),
     ("PHASE", (-math.inf,), None, "gate parameters must be finite real numbers"),
     ("ROT", (10**400,), None, "gate parameters must be real numbers"),
+    ("CUSTOM", (), None, "CUSTOM gate requires a matrix"),
+    ("CUSTOM", (), np.eye(3), "CUSTOM matrix must be square with power-of-two size"),
 ], ids=["custom_text", "custom_0d", "custom_nan", "custom_inf", "custom_imag_inf",
-        "rot_inf", "rot_nan", "phase_minus_inf", "rot_huge_int"])
+        "rot_inf", "rot_nan", "phase_minus_inf", "rot_huge_int", "custom_none", "custom_3x3"])
 def test_bad_gate_inputs_are_config_errors(kind, params, matrix, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning fails the test

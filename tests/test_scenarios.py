@@ -60,7 +60,9 @@ def test_parameter_override_applies():
      "scenario parameter alphas must be a list of real numbers, got 3"),
     ("n_controlled_not", {"params": {"alphas": ["x"]}},
      "scenario parameter alphas must be a list of real numbers, got ['x']"),
-], ids=["params_list", "params_text", "alphas_int", "alphas_text"])
+    ("n_controlled_not", {"params": {"alphas": [0.9, [0.8, 0.6]]}},
+     "scenario parameter alphas must be a list of real numbers, got [0.9, [0.8, 0.6]]"),
+], ids=["params_list", "params_text", "alphas_int", "alphas_text", "alphas_ragged"])
 def test_bad_verify_arguments_are_config_errors(name, kwargs, message):
     with pytest.raises(cs.ConfigError) as info:
         cs.verify_scenario(name, **kwargs)
@@ -153,9 +155,17 @@ def test_each_grandfather_scenario_builds_two_pair_tables(name, monkeypatch):
         return pair_table(*args)
 
     monkeypatch.setattr(cs.engine, "_pair_table", counted)
-    monkeypatch.setattr(cs.scenarios, "_pair_table", counted)
     assert all(r["passed"] for r in cs.verify_scenario(name))
     assert len(calls) == 2
+
+
+def test_a_paradox_check_that_meets_no_paradox_fails_its_record(monkeypatch):
+    # an exact run that does not raise, here the noisy run in its place, fails the check
+    monkeypatch.setattr(cs.ExactBell, "run", lambda self, circuit, tol=None, **options:
+                        cs.NoisyBell(0.2).run(circuit))
+    record = cs.verify_scenario("grandfather_not")[0]
+    assert record == {"model": "exact_bell", "quantity": "paradox", "expected": "ParadoxError",
+                      "actual": "no paradox", "delta": 1.0, "tol": 0.0, "passed": False}
 
 
 def test_an_overflowing_scenario_is_a_typed_error():
@@ -194,17 +204,26 @@ def test_huge_scenario_amplitudes_normalize_exactly():
 def test_the_catalog_evolves_each_circuit_once(monkeypatch):
     # 30 looped scenario circuits, 1 loop-free circuit, 4 variant circuits and 1
     # input-bias probe: every model a check runs, custom boundary pairs and both
-    # conditional modes included, shares its circuit's one evolution
-    calls, evolve = [], cs.engine.evolve
+    # conditional modes included, shares its circuit's one evolution; a check that
+    # reads a pair table reads the one its exact or noisy run built
+    calls, tables, evolve, pair_table = [], [], cs.engine.evolve, cs.engine._pair_table
 
     def counted(*args):
         calls.append(args)
         return evolve(*args)
 
+    def counted_table(*args):
+        tables.append(args)
+        return pair_table(*args)
+
     monkeypatch.setattr(cs.engine, "evolve", counted)
+    monkeypatch.setattr(cs.engine, "_pair_table", counted_table)
     records = [r for name in ALL for r in cs.verify_scenario(name)]
     assert len(records) == 122
     assert len(calls) <= 36
+    assert len(tables) <= 47
+    # the wrapper sees every table only while the catalog holds no reference of its own
+    assert pair_table not in vars(cs.scenarios).values()
     calls.clear()
     cs.verify_scenario("simple_loop")  # exact, noisy, delta, weight matrix and classical
     assert len(calls) == 1

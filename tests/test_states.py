@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ctcsim.errors import ConfigError, CtcSimError, LabelError
+from ctcsim.errors import ConfigError, CtcSimError, LabelError, UnsupportedError
 from ctcsim.states import DensityOperator, PureState, apply_gate, project, unit_vector
 
 from oracles import tensor, tensor_all
@@ -76,24 +76,41 @@ def test_an_amplitude_past_the_float_range_is_a_typed_error(values, shown):
     assert str(info.value) == "amplitudes %s exceed the float range" % shown
 
 
-@pytest.mark.parametrize("make, values, message", [
-    (DensityOperator, [[10**400, 0], [0, 0]],
+# (constructor, values, error, message): a register of 15 qubits, a bra that does not fit
+# its subset and values that do not fit one labeled qubit are typed errors too
+@pytest.mark.parametrize("make, values, error, message", [
+    (DensityOperator, [[10**400, 0], [0, 0]], ConfigError,
      "matrix entries [[%d, 0], [0, 0]] exceed the float range" % 10**400),
-    (DensityOperator, "x", "matrix entries 'x' are not numbers"),
-    (DensityOperator, {}, "matrix entries {} are not numbers"),
-    (PureState, "x", "amplitudes 'x' are not numbers"),
-    (PureState, {}, "amplitudes {} are not numbers"),
+    (DensityOperator, "x", ConfigError, "matrix entries 'x' are not numbers"),
+    (DensityOperator, {}, ConfigError, "matrix entries {} are not numbers"),
+    (PureState, "x", ConfigError, "amplitudes 'x' are not numbers"),
+    (PureState, {}, ConfigError, "amplitudes {} are not numbers"),
     # numeric text and None are no numbers, though a complex cast reads "1" as 1 and None as nan
-    (PureState, ["1", "0"], "amplitudes ['1', '0'] are not numbers"),
-    (PureState, [None, 1], "amplitudes [None, 1] are not numbers"),
-    (DensityOperator, [["1", "0"], ["0", "0"]],
+    (PureState, ["1", "0"], ConfigError, "amplitudes ['1', '0'] are not numbers"),
+    (PureState, [None, 1], ConfigError, "amplitudes [None, 1] are not numbers"),
+    (DensityOperator, [["1", "0"], ["0", "0"]], ConfigError,
      "matrix entries [['1', '0'], ['0', '0']] are not numbers"),
-    (DensityOperator, [[None, 0], [0, 0]], "matrix entries [[None, 0], [0, 0]] are not numbers"),
+    (DensityOperator, [[None, 0], [0, 0]], ConfigError,
+     "matrix entries [[None, 0], [0, 0]] are not numbers"),
+    (DensityOperator, [[np.nan, 0], [0, 0]], ConfigError, "non-finite matrix entry"),
+    (DensityOperator, [[1, 0], [0, np.inf]], ConfigError, "non-finite matrix entry"),
+    (DensityOperator, [[-np.inf, 0], [0, 0]], ConfigError, "non-finite matrix entry"),
+    (DensityOperator, [[1, complex(0, -np.inf)], [0, 0]], ConfigError, "non-finite matrix entry"),
+    (PureState, [1, 0, 0], LabelError,
+     "amplitude vector of length 3 does not fit 1 labeled qubits"),
+    (DensityOperator, [[1]], LabelError, "matrix shape (1, 1) does not fit 1 labeled qubits"),
+    (lambda values, labels: PureState(values, [labels[0] + str(i) for i in range(15)]), [1],
+     UnsupportedError, "register of 15 qubits exceeds the dense cap of 14"),
+    (lambda values, labels: project(PureState(values, labels), PureState(values, labels),
+                                    labels * 2), [1, 0],
+     LabelError, "bra on 1 qubits cannot project 2 labels"),
 ], ids=["matrix_past_float_range", "matrix_text", "matrix_dict", "amplitudes_text",
         "amplitudes_dict", "amplitudes_numeric_text", "amplitudes_none", "matrix_numeric_text",
-        "matrix_none"])
-def test_a_value_that_is_no_float_is_a_typed_error(make, values, message):
-    with pytest.raises(ConfigError) as info:
+        "matrix_none", "matrix_nan", "matrix_inf", "matrix_minus_inf", "matrix_imaginary_minus_inf",
+        "amplitudes_length",
+        "matrix_shape", "register_past_the_cap", "bra_of_another_width"])
+def test_a_value_that_is_no_float_is_a_typed_error(make, values, error, message):
+    with pytest.raises(error) as info:
         make(values, ("a",))
     assert str(info.value) == message
 
