@@ -31,7 +31,7 @@ A 4x4 change of basis along each (reference, loop) pair gives the projection
 table: its bras are real, so the C-ordered real and imaginary planes are contracted
 apart, externals-major, into one (externals, outcomes) array whose transpose is the
 table and whose weights sum over the externals; the reference register read against
-the loop register gives the history tensor.
+the loop register gives the (d^2, 2^e) history rows every history reader takes.
 The evolution is `circuit.evolve` of `pair_out_state`: one pass of the gate
 kernel, `states.apply_gates`, the package's one way to run a circuit, which
 checks finiteness once.  `_evolved_pairs` is the one place an evolution is
@@ -46,9 +46,10 @@ rows of external amplitudes and a Hermitian form over them.  Every run, the
 loop-free `run_conditional` (one row) included, has one finish, `_post_select`:
 Z is the trace of one product, a 2Z that is not finite is a NumericsError, Z
 (exact model: the survival amplitude) below the tolerance is a paradox in the
-model's `paradox` words with its own pair table; only then does `_hermitian`
-make the product exactly Hermitian over Z, in place in cache-sized tiles, and
-rho_loop is divided by Z.
+model's `paradox` words with a pair table, chosen there alone: the run's own if it
+is one, else the evolution's.  Tables hold only data, so results and paradoxes
+pickle.  Only then does `_hermitian` make the product exactly Hermitian over Z, in
+place in cache-sized tiles, and rho_loop is divided by Z.
 
 Z conventions: exact/noisy values include the 2^-m normalization of the m
 reference pairs; weight-matrix weights are normalized to sum d except for the
@@ -69,7 +70,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .circuit import REF_SUFFIX, checked_circuit, evolve
-from .errors import ConfigError, NoCtcError, NumericsError, ParadoxError, UnsupportedError, _shown
+from .errors import (ConfigError, LabelError, NoCtcError, NumericsError, ParadoxError,
+                     UnsupportedError, _shown)
 from .states import (
     DEFAULT_PARADOX_TOL,
     DensityOperator,
@@ -80,6 +82,7 @@ from .states import (
 )
 
 TOLERANCE_ENV_VAR = "CTC_SIM_TOLERANCE"
+CONDITIONAL_MAX_BYTES = 2**30  # run_conditional's largest 2^e x 2^e complex operator: e = 13
 
 _SQ2 = 2**-0.5
 # Orthonormal basis of a reference pair, keyed by outcome label.  "B" is the
@@ -138,19 +141,24 @@ def _unit_interval(value, what):
 class ProjectionSet:
     """Labelled outcomes, one row of surviving external amplitudes each.
 
-    Row i is outcome labels[i]; the labels are built on first read.  A pair table's
-    amps is F-ordered: its transpose is the externals-major (2^e, 4^m) array the
+    Row i is outcome labels[i].  A table holds only data, so it pickles; its labels are
+    built on first read from that data: step 0 is a pair table, whose 4^m outcomes join
+    PAIR_LABELS per loop, step s every s-th (emerging, entering) history "i|j".  A pair
+    table's amps is F-ordered: its transpose is the externals-major (2^e, 4^m) array the
     contraction leaves, and its weights are summed over that array's externals axis.
     """
 
     amps: np.ndarray  # (outcomes, 2^e) unnormalized external amplitudes, declaration order
     weights: np.ndarray  # (outcomes,) weight of each outcome
-    make_labels: object  # zero-argument callable: outcome labels in row order
     channel_order: tuple  # looped channel labels, declaration order
+    step: int = 0  # 0: a pair table; s > 0: every s-th eigenstate history
 
     @functools.cached_property
     def labels(self):
-        return tuple(self.make_labels())
+        m = len(self.channel_order)
+        if not self.step:
+            return tuple(map(",".join, itertools.product(PAIR_LABELS, repeat=m)))
+        return tuple("%d|%d" % divmod(i, 2**m) for i in range(0, 4**m, self.step))
 
     @property
     def total_weight(self):
@@ -202,16 +210,17 @@ def _evolved_pairs(circuit):
     return pairs
 
 
-def _history_tensor(t):
-    """A[i, j]: unnormalized external state of the loop history e_i -> e_j.
+def _history_rows(t):
+    """Row i * d + j: unnormalized external state of the loop history e_i -> e_j.
 
-    `t` is the evolved pair tensor.  Its reference register records the emerging
-    eigenstate e_i, so A[i, j] = sqrt(d) * <ref = i, loop = j| evolved pair state.
+    `t` is the evolved pair tensor (2^e, d, d).  Its reference register records the
+    emerging eigenstate e_i, so row i * d + j = sqrt(d) * <ref = i, loop = j| evolved
+    pair state; the (d^2, 2^e) rows are the one history layout every reader takes.
     """
     # times the reciprocal of pair_out_state's amplitude _SQ2**m (numpy's complex / real
     # does the same), which cancels it exactly for every m <= 7 the qubit cap allows
     m = t.shape[1].bit_length() - 1
-    return np.multiply(t.transpose(2, 1, 0), 1.0 / _SQ2**m, order="C")
+    return np.multiply(t.transpose(2, 1, 0), 1.0 / _SQ2**m, order="C").reshape(-1, len(t))
 
 
 _TILE = 64  # numpy buffers up to 3 tiles of a transposed operand: 0.3 MB here, 0.9 at 128
@@ -235,17 +244,17 @@ def _hermitian(num, z=1.0):
     return num
 
 
-def _post_select(circuit, model, rows, form, tol, paradox, table=None, n=None, loop=None,
-                 pairs=None, **metadata):
+def _post_select(circuit, model, rows, form, tol, paradox, pairs=None, table=None, n=None,
+                 loop=None, **metadata):
     """Finish any run from its `rows` of external amplitudes and their Hermitian `form`.
 
     Z is the trace of sum_kl form[k, l] |rows[k]><rows[l]| (a weight vector is a
     diagonal form), one product; a 2Z or `n` that is not finite raises NumericsError.
     `n` (exact model), else Z, below the resolved `tol` raises ParadoxError with the
-    `paradox` wording (a %-format over n, z and tol) and the pair table of the
-    evolved tensor `pairs` (history models), else `table`, which a result reports;
-    only then is the product made rho by _hermitian and `loop` divided by Z, and the
-    tolerance ends the metadata.
+    `paradox` wording (a %-format over n, z and tol) and a pair table, chosen here only:
+    the run's `table` (which a result reports) if it is one, else that of a loop run's
+    evolved tensor `pairs`.  Only then is the product made rho by _hermitian and `loop`
+    divided by Z, and the tolerance ends the metadata.
     rho is exactly [[1]] on a circuit without externals.
     """
     num = (rows.T @ form if form.ndim == 2 else rows.T * form) @ rows.conj()
@@ -253,7 +262,7 @@ def _post_select(circuit, model, rows, form, tol, paradox, table=None, n=None, l
     if not (math.isfinite(z) and math.isfinite(n or 0.0)):
         raise NumericsError("%s acceptance rate Z = %r is not finite" % (model, z))
     if (z if n is None else n) < tol:
-        if pairs is not None:  # a history model tables its own evolution
+        if pairs is not None and (table is None or table.step):  # a history table is no pair table
             table = _pair_table(circuit, pairs)
         raise ParadoxError(paradox % {"n": n, "z": z, "tol": tol}, projections=table)
     ext, unchecked = circuit.external_labels, DensityOperator._unchecked
@@ -288,9 +297,7 @@ def _pair_table(circuit, t):
     amps = np.empty((4**m, x.shape[1]), dtype=complex, order="F")  # externals-major: no transpose
     amps.T.real, amps.T.imag = x
     x *= x  # squared planes, summed over the externals: no temporary the size of a plane
-    weights = np.add(*x, out=x[0]).sum(axis=0)
-    combos = functools.partial(itertools.product, PAIR_LABELS, repeat=m)
-    return ProjectionSet(amps, weights, lambda: map(",".join, combos()), loops)
+    return ProjectionSet(amps, np.add(*x, out=x[0]).sum(axis=0), loops)
 
 
 def _pair_gram(circuit, pair_states):
@@ -322,9 +329,8 @@ def loop_histories(circuit):
     register emerges as |e_i>, evolves with the externals, and is projected
     onto |e_j> at the end.  Consistent histories are the diagonal i == j.
     """
-    a, ext = _history_tensor(_evolved_pairs(circuit)), circuit.external_labels
-    d = len(a)
-    return {(i, j): PureState(a[i, j], ext) for i in range(d) for j in range(d)}, d
+    rows, d = _history_rows(_evolved_pairs(circuit)), 2 ** len(circuit.loop_labels)
+    return {divmod(i, d): PureState(row, circuit.external_labels) for i, row in enumerate(rows)}, d
 
 
 # the one-loop delta form over the histories (00, 01, 10, 11): the flat-measure integral
@@ -365,6 +371,9 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
     if checked_circuit(circuit).loop_labels:
         raise UnsupportedError("conditional projection on a circuit with looped channels "
                                "is not defined")
+    if 16 * 4 ** len(circuit.external_labels) > CONDITIONAL_MAX_BYTES:  # before any allocation
+        raise UnsupportedError("conditional projection needs a %d-byte operator, over %d bytes"
+                               % (16 * 4 ** len(circuit.external_labels), CONDITIONAL_MAX_BYTES))
     if not isinstance(mode, str) or mode not in ("coupled", "insulated"):
         raise ConfigError("mode must be 'coupled' or 'insulated'")
     try:
@@ -389,6 +398,9 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
         raise ConfigError("deselect labels must be a sequence of channel labels, got %s"
                           % _shown(d_labels)) from None
     d_amps = unit_vector(d_amps, "deselect direction")
+    if len(d_amps) != 2 ** len(d_labels) or len(d_labels) > len(circuit.external_labels):
+        raise LabelError("deselect direction of length %d does not fit %d of the %d externals"
+                         % (len(d_amps), len(d_labels), len(circuit.external_labels)))
     state = PureState(_evolved_pairs(circuit).reshape(-1), circuit.external_labels)
     n = state.n_qubits
     mask = np.ones(2**n, dtype=bool)
@@ -429,8 +441,9 @@ class _Model:
         # _contract returns rows, form and _post_select's keywords (what the result reports)
         params, tol = self._params(circuit, **options), resolve_tolerance(tol)
         with np.errstate(over="ignore", invalid="ignore"):  # _post_select catches overflow
-            rows, form, report = self._contract(circuit, _evolved_pairs(circuit), params)
-            return _post_select(circuit, self.name, rows, form, tol, self.paradox, **report)
+            pairs = _evolved_pairs(circuit)
+            rows, form, report = self._contract(circuit, pairs, params)
+            return _post_select(circuit, self.name, rows, form, tol, self.paradox, pairs, **report)
 
 
 @dataclass(frozen=True)
@@ -454,8 +467,7 @@ class ExactBell(_Model):
     def _contract(self, circuit, pairs, gram):
         table = _pair_table(circuit, pairs) if gram is None else None
         matched = table.amps[0] if gram is None else pairs.reshape(len(pairs), -1) @ gram
-        return matched[None], np.ones(1), dict(table=table, n=float(np.linalg.norm(matched)),
-                                               pairs=None if gram is None else pairs)
+        return matched[None], np.ones(1), dict(table=table, n=float(np.linalg.norm(matched)))
 
 
 @dataclass(frozen=True)
@@ -500,10 +512,8 @@ class Classical(_Model):
         return _unit_interval(self.k, "flip rate k")
 
     def _contract(self, circuit, pairs, k):
-        loops, floor = circuit.loop_labels, bool(self.floor)
-        a = _history_tensor(pairs)
-        d = len(a)
-        rows = a.reshape(d * d, -1)
+        loops, floor, d = circuit.loop_labels, bool(self.floor), pairs.shape[1]
+        rows = _history_rows(pairs)
         if floor:
             # The k/d term is an unconditional random reemission: the loop comes
             # out in |j> regardless of history, so the external register sees the
@@ -514,14 +524,13 @@ class Classical(_Model):
             w = functools.reduce(_kron, [flip] * len(loops))
         # weighted history norms, summed over the externals of the evolution as it lies
         hist = w * (pairs.real**2 + pairs.imag**2).sum(axis=0).T * (1.0 / _SQ2**len(loops))**2
-        # the history table rides on the result, the pair table on a paradox;
+        # the history table rides on the result (_post_select tables a paradox's pairs);
         # floor=True reports each diagonal history with the weight of its whole row
-        keep = slice(None, None, d + 1 if floor else 1)  # a view of the rows, not a copy
+        step = d + 1 if floor else 1  # rows[::step] is a view of the rows, not a copy
         weights = hist.sum(axis=1) if floor else hist.reshape(-1)
-        table = ProjectionSet(rows[keep], weights,
-                              lambda: ("%d|%d" % divmod(i, d) for i in range(d * d)[keep]), loops)
-        return rows, w.reshape(-1), dict(table=table, pairs=pairs,
-                                         loop=np.diag(hist.sum(axis=1)), k=k, floor=floor)
+        table = ProjectionSet(rows[::step], weights, loops, step)
+        return rows, w.reshape(-1), dict(table=table, loop=np.diag(hist.sum(axis=1)), k=k,
+                                         floor=floor)
 
 
 @dataclass(frozen=True)
@@ -574,10 +583,10 @@ class WeightMatrix(_Model):
         return "custom", (mat * (d / total)).reshape(-1)
 
     def _contract(self, circuit, pairs, named_form):
-        (name, form), a = named_form, _history_tensor(pairs)
+        name, form = named_form
         coherent_delta = form is _DELTA_FORM
-        return a.reshape(len(a)**2, -1), form, dict(
-            pairs=pairs, omega=name, coherent_delta=coherent_delta,
+        return _history_rows(pairs), form, dict(
+            omega=name, coherent_delta=coherent_delta,
             quadrature_measure_constant=1.0 if coherent_delta else None)
 
 
@@ -602,11 +611,10 @@ class DeltaQuadrature(_Model):
                                    "model weight_matrix with omega='delta'" % len(loops))
 
     def _contract(self, circuit, pairs, _):
-        rows = _history_tensor(pairs).reshape(4, -1)  # (emerge, enter) major
+        rows = _history_rows(pairs)  # (emerge, enter) major
         # the state rows.T @ coef has squared norm coef^T G conj(coef), G = rows rows^dagger
         loop = _hermitian(np.einsum("abcd,cd->ab", _DELTA_KERNEL, rows @ rows.conj().T))
-        return rows, _DELTA_FORM, dict(pairs=pairs, loop=loop,
-                                       measure="flat theta-xi on [0, pi] x [0, 2*pi]")
+        return rows, _DELTA_FORM, dict(loop=loop, measure="flat theta-xi on [0, pi] x [0, 2*pi]")
 
 
 # the runners: each is its descriptor's run

@@ -13,9 +13,11 @@ functions that make them.
 A budget may only be tightened.
 """
 
+import functools
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import ctcsim as cs
@@ -187,4 +189,34 @@ def test_a_paradox_on_a_kept_circuit_makes_one_pair_table(model, monkeypatch):
     with pytest.raises(cs.ParadoxError) as info:
         model.run(circuit)
     assert counts == {"evolve": 0, "_pair_table": 1}
-    assert len(info.value.projections.amps) == 4
+    # every model shows the pair table, never its own history table: the X loop lands on N
+    table = info.value.projections
+    assert table.labels == ("B", "-", "N", "-N")
+    assert np.max(np.abs(table.weights - [0.0, 0.0, 1.0, 0.0])) <= 1e-12
+
+
+def test_a_mismatched_deselect_direction_is_refused_before_any_allocation():
+    # 2^14 amplitudes on one label: the projector would be a 4 GiB identity
+    circuit, direction = wide_circuit(2, looped=False), np.full(2**14, 2**-7, dtype=complex)
+    tracemalloc.start()
+    try:
+        with pytest.raises(cs.LabelError, match="^deselect direction of length 16384 does not "
+                           "fit 1 of the 2 externals$"):
+            cs.run_conditional(circuit, [("e0", 1)], (("e1",), direction), "coupled")
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_conditional_operator_past_the_byte_bound_is_refused_before_the_evolution(
+        monkeypatch):
+    counts = {"evolve": 0}
+    _counted(monkeypatch, cs.engine, "evolve", counts)
+    monkeypatch.setattr(cs.engine, "CONDITIONAL_MAX_BYTES", 16 * 4**3)
+    run = functools.partial(cs.run_conditional, condition=[("e0", 1)],
+                            deselect=(("e1",), [0.6, 0.8]), mode="coupled")
+    assert run(wide_circuit(3, looped=False)).rho.n_qubits == 3  # 1024 bytes: at the bound
+    with pytest.raises(cs.UnsupportedError, match="^conditional projection needs a 4096-byte "
+                       "operator, over 1024 bytes$"):
+        run(wide_circuit(4, looped=False))
+    assert counts == {"evolve": 1}

@@ -1,8 +1,10 @@
 import ast
+import concurrent.futures
 import functools
 import itertools
 import math
 import pathlib
+import pickle
 import re
 import warnings
 
@@ -161,8 +163,8 @@ def test_history_tensor_matches_per_eigenstate_evolution(seed, n_loops, n_ext):
 def test_the_history_tensor_cancels_the_pair_amplitude_exactly(m):
     # with no gate, history i -> i is the external |0> with amplitude exactly 1
     circuit = build_circuit([Channel("l%d" % i, looped=True) for i in range(m)])
-    a = cs.engine._history_tensor(cs.engine._evolved_pairs(circuit))
-    assert np.array_equal(np.einsum("iix->ix", a), np.ones((2**m, 1)))
+    histories, d = cs.engine.loop_histories(circuit)
+    assert np.array_equal([histories[i, i].amps for i in range(d)], np.ones((2**m, 1)))
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -855,6 +857,79 @@ def test_every_loop_model_tables_its_paradox_from_its_own_evolution(model):
     assert got.channel_order == want.channel_order
     assert got.amps.tobytes() == want.amps.tobytes()
     assert got.weights.tobytes() == want.weights.tobytes()
+
+
+# pickling -------------------------------------------------------------------
+
+
+# one descriptor of every model type, Classical with and without its floor
+PICKLED_MODELS = [cs.ExactBell(), cs.NoisyBell(0.3), cs.Classical(0.3),
+                  cs.Classical(0.3, floor=True), cs.WeightMatrix("quad"), cs.DeltaQuadrature()]
+GRANDFATHER_PARADOXES = [cs.ExactBell(), cs.NoisyBell(0.0), cs.Classical(0.0),
+                         cs.Classical(0.0, floor=True), cs.WeightMatrix([[1, 0], [0, 1]])]
+
+
+def _raised(run):
+    with pytest.raises(cs.ParadoxError) as info:
+        run()
+    return info.value
+
+
+# (scenario, model): every model type's run, the paradox of each loop model that has one on
+# grandfather_not, and run_conditional in each mode
+PICKLED = ([("cnot_gun", model) for model in PICKLED_MODELS]
+           + [("grandfather_not", model) for model in GRANDFATHER_PARADOXES]
+           + [("conditional", mode) for mode in ("coupled", "insulated")])
+
+
+def _same_table(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.amps.tobytes() == want.amps.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.labels == want.labels and got.channel_order == want.channel_order
+
+
+def test_pickling_covers_every_model_type():
+    assert {type(model) for model in PICKLED_MODELS} == set(cs.engine.MODELS.values())
+
+
+@pytest.mark.parametrize("scenario, model", PICKLED, ids=[
+    "%s-%s" % (name, model if isinstance(model, str) else "-".join(
+        map(str, model.describe().values()))) for name, model in PICKLED])
+def test_results_and_paradoxes_survive_a_pickle_round_trip(scenario, model):
+    if scenario == "conditional":
+        out = cs.run_conditional(three_plus(), [("m1", 0)], (("m3",), [0.6, 0.8j]), model)
+    else:
+        try:
+            out = model.run(cs.build_scenario(scenario).circuit)
+        except cs.ParadoxError as err:
+            out = err
+        assert isinstance(out, cs.ParadoxError) == (scenario == "grandfather_not")
+    twin = pickle.loads(pickle.dumps(out))  # before the labels are first read
+    _same_table(twin.projections, out.projections)
+    if isinstance(out, cs.ParadoxError):
+        assert type(twin) is cs.ParadoxError and str(twin) == str(out)
+        return
+    assert (twin.model, twin.z, twin.n, twin.metadata) == (out.model, out.z, out.n, out.metadata)
+    assert twin.rho.mat.tobytes() == out.rho.mat.tobytes() and twin.rho.labels == out.rho.labels
+    assert (twin.rho_loop is None) == (out.rho_loop is None)
+    if out.rho_loop is not None:
+        assert twin.rho_loop.mat.tobytes() == out.rho_loop.mat.tobytes()
+
+
+def test_a_process_pool_returns_runs_and_reraises_paradoxes():
+    gun, grandfather = cs.build_scenario("cnot_gun").circuit, cs.build_scenario(
+        "grandfather_not").circuit
+    with concurrent.futures.ProcessPoolExecutor(2) as pool:
+        noisy, paradox = pool.submit(cs.run_noisy_bell, gun, 0.2), pool.submit(
+            cs.run_exact_bell, grandfather)
+        got, err = noisy.result(), _raised(paradox.result)
+    want, want_err = cs.run_noisy_bell(gun, 0.2), _raised(lambda: cs.run_exact_bell(grandfather))
+    assert got.z == want.z and got.rho.mat.tobytes() == want.rho.mat.tobytes()
+    _same_table(got.projections, want.projections)
+    assert str(err) == str(want_err)
+    _same_table(err.projections, want_err.projections)
 
 
 # classical channel ----------------------------------------------------------
