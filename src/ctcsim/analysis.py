@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .circuit import with_reference
+from .circuit import _kept, checked_circuit, with_reference
 from .engine import _DELTA_FORM, Classical, ExactBell, NoisyBell, _hermitian, _real, _unit_interval
 from .errors import ConfigError, InfiniteSkew, LabelError, ParadoxError, _shown
 from .states import DensityOperator, complex_array, unit_vector
@@ -276,12 +276,15 @@ def input_bias(circuit, channel, model, nodes=64):
     weighted sum of squared norms.  One run, with the channel in a Bell pair with
     a fresh reference qubit (circuit.with_reference), fixes M = 2 Z rho_ref^T; when
     it is a paradox, so is every input.  M is contracted with the moments _DELTA_FORM.
+    The probe is kept on `circuit` per channel; a channel it refuses keeps none.
     """
     if not callable(getattr(model, "run", None)):
         raise ConfigError("input_bias needs a channel model with a run method, got %s"
                           % _shown(model))
+    label = checked_circuit(circuit).channel(channel).label  # a known label keys the probe
+    probe = _kept(circuit, ("probe", label), lambda: with_reference(circuit, label))
     try:
-        result = model.run(with_reference(circuit, channel))
+        result = model.run(probe)
     except ParadoxError:
         raise ParadoxError("every input state of channel %r is a paradox"
                            % (channel,)) from None

@@ -74,8 +74,8 @@ class Circuit:
             external_labels=tuple(c.label for c in channels if not c.looped))
 
     def __getstate__(self):  # numpy restores a pickled array writeable, so a pickled or
-        state = dict(self.__dict__)  # copied circuit keeps no evolution: it evolves afresh
-        state.pop("_pairs", None)
+        state = dict(self.__dict__)  # copied circuit keeps nothing _kept: it derives afresh
+        state.pop("_kept", None)
         return state
 
     def channel(self, label):
@@ -168,6 +168,15 @@ def checked_circuit(circuit):
     if not isinstance(circuit, Circuit):
         raise ConfigError("expected a Circuit, got %s" % type(circuit).__name__)
     return circuit
+
+
+def _kept(circuit, key, make):
+    """`make()`, a value `circuit` alone determines, kept on it under `key` for every later
+    call; a `make` that raises keeps nothing, so it raises again on the next call."""
+    kept = vars(checked_circuit(circuit)).setdefault("_kept", {})  # a frozen Circuit's dict
+    if key not in kept:
+        kept[key] = make()
+    return kept[key]
 
 
 def with_init(circuit, label, init):

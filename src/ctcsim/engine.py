@@ -36,20 +36,21 @@ The evolution is `circuit.evolve` of `pair_out_state`: one pass of the gate
 kernel, `states.apply_gates`, the package's one way to run a circuit, which
 checks finiteness once.  `_evolved_pairs` is the one place an evolution is
 made: it evolves a circuit once and keeps the read-only result on the circuit
-for every later run, so any number of models, custom pairs and
+(`circuit._kept`) for every later run, so any number of models, custom pairs and
 `run_conditional` included, share it; a loop-free circuit is its m = 0 case,
-the evolved external register.  A pickled or copied circuit
-keeps none and evolves afresh.  A descriptor's `run` (so each `run_*`) is the
-one sequence of a model run: it turns a loop-free circuit away (NoCtcError),
-checks the parameters and, with overflow warnings off, reads that tensor into
-rows of external amplitudes and a Hermitian form over them.  Every run, the
-loop-free `run_conditional` (one row) included, has one finish, `_post_select`:
-Z is the trace of one product, a 2Z that is not finite is a NumericsError, Z
-(exact model: the survival amplitude) below the tolerance is a paradox in the
-model's `paradox` words with a pair table, chosen there alone: the run's own if it
-is one, else the evolution's.  Tables hold only data, so results and paradoxes
-pickle.  Only then does `_hermitian` make the product exactly Hermitian over Z, in
-place in cache-sized tiles, and rho_loop is divided by Z.
+the evolved external register.  Its pair table (read-only, built on first read,
+shared by exact and noisy runs, paradoxes and `projection_table`) and the classical
+history norms are kept the same way; a pickled or copied circuit keeps none.  A
+descriptor's `run` (so each `run_*`) is the one sequence of a model run: it turns a
+loop-free circuit away (NoCtcError), checks the parameters and, with overflow warnings
+off, reads that tensor into rows of external amplitudes and a Hermitian form over
+them.  Every run, the loop-free `run_conditional` (one row) included, has one finish,
+`_post_select`: Z is the trace of one product, a 2Z that is not finite is a
+NumericsError, Z (exact model: the survival amplitude) below the tolerance is a paradox
+in the model's `paradox` words with a pair table, chosen there alone: the run's own if
+it is one, else the circuit's kept one.  Tables hold only data, so results and
+paradoxes pickle.  Only then does `_hermitian` make the product exactly Hermitian over
+Z, in place in cache-sized tiles, and rho_loop is divided by Z.
 
 Z conventions: exact/noisy values include the 2^-m normalization of the m
 reference pairs; weight-matrix weights are normalized to sum d except for the
@@ -69,7 +70,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .circuit import REF_SUFFIX, checked_circuit, evolve
+from .circuit import REF_SUFFIX, _kept, checked_circuit, evolve
 from .errors import (ConfigError, LabelError, NoCtcError, NumericsError, ParadoxError,
                      UnsupportedError, _shown)
 from .states import (
@@ -195,19 +196,26 @@ def pair_out_state(circuit):
     return PureState(np.multiply.outer(ext.amps, pairs).reshape(-1), (*ext.labels, *loops, *refs))
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 def _evolved_pairs(circuit):
     """The one evolution of a circuit, kept on it: read-only amplitudes (2^e, 2^m, 2^m).
 
     The axes are the external, loop and reference registers, each in declaration
     order (pair_out_state's labels); m may be 0.  A failed evolution keeps nothing.
+    Its pair table (_table) and classical history norms are kept beside it.
     """
-    pairs = getattr(checked_circuit(circuit), "_pairs", None)
-    if pairs is None:
-        d = 2 ** len(circuit.loop_labels)
-        pairs = evolve(pair_out_state(circuit), circuit).amps.reshape(-1, d, d)
-        pairs.flags.writeable = False
-        object.__setattr__(circuit, "_pairs", pairs)  # a frozen Circuit takes it this way
-    return pairs
+    d = 2 ** len(checked_circuit(circuit).loop_labels)
+    return _kept(circuit, "pairs", lambda: _read_only(
+        evolve(pair_out_state(circuit), circuit).amps.reshape(-1, d, d)))
+
+
+def _table(circuit):
+    """The pair table of the circuit's evolution, kept with it and shared by every reader."""
+    return _kept(circuit, "table", lambda: _pair_table(circuit, _evolved_pairs(circuit)))
 
 
 def _history_rows(t):
@@ -244,16 +252,16 @@ def _hermitian(num, z=1.0):
     return num
 
 
-def _post_select(circuit, model, rows, form, tol, paradox, pairs=None, table=None, n=None,
-                 loop=None, **metadata):
+def _post_select(circuit, model, rows, form, tol, paradox, table=None, n=None, loop=None,
+                 **metadata):
     """Finish any run from its `rows` of external amplitudes and their Hermitian `form`.
 
     Z is the trace of sum_kl form[k, l] |rows[k]><rows[l]| (a weight vector is a
     diagonal form), one product; a 2Z or `n` that is not finite raises NumericsError.
     `n` (exact model), else Z, below the resolved `tol` raises ParadoxError with the
     `paradox` wording (a %-format over n, z and tol) and a pair table, chosen here only:
-    the run's `table` (which a result reports) if it is one, else that of a loop run's
-    evolved tensor `pairs`.  Only then is the product made rho by _hermitian and `loop`
+    the run's `table` (which a result reports) if it is one, else a loop circuit's kept
+    table.  Only then is the product made rho by _hermitian and `loop`
     divided by Z, and the tolerance ends the metadata.
     rho is exactly [[1]] on a circuit without externals.
     """
@@ -262,8 +270,8 @@ def _post_select(circuit, model, rows, form, tol, paradox, pairs=None, table=Non
     if not (math.isfinite(z) and math.isfinite(n or 0.0)):
         raise NumericsError("%s acceptance rate Z = %r is not finite" % (model, z))
     if (z if n is None else n) < tol:
-        if pairs is not None and (table is None or table.step):  # a history table is no pair table
-            table = _pair_table(circuit, pairs)
+        if circuit.loop_labels and (table is None or table.step):  # a history table: no pair
+            table = _table(circuit)
         raise ParadoxError(paradox % {"n": n, "z": z, "tol": tol}, projections=table)
     ext, unchecked = circuit.external_labels, DensityOperator._unchecked
     return PostSelectionResult(
@@ -274,17 +282,17 @@ def _post_select(circuit, model, rows, form, tol, paradox, pairs=None, table=Non
 
 
 def projection_table(circuit):
-    """Project the evolved state onto the full pair basis of every loop.
+    """Project the evolved state onto the full pair basis of every loop: the kept table.
 
-    Returns a ProjectionSet with one row per outcome label combination
-    (4^m rows for m looped channels).  For unitary circuits the weights
-    sum to 1 (resolution of the identity on the reference pairs).
+    The circuit's one read-only ProjectionSet, shared with every run that reports or raises
+    it: one row per outcome label combination (4^m rows for m looped channels).  For unitary
+    circuits the weights sum to 1 (resolution of the identity on the reference pairs).
     """
-    return _pair_table(circuit, _evolved_pairs(circuit))
+    return _table(circuit)
 
 
 def _pair_table(circuit, t):
-    """The projection table of the evolved pair tensor `t` of `circuit`."""
+    """The projection table of the evolved pair tensor `t` of `circuit`, read-only."""
     loops = circuit.loop_labels
     m = len(loops)
     # (externals, loop bits, reference bits) -> (ref_1, loop_1, ..., ref_m, loop_m, externals)
@@ -297,7 +305,7 @@ def _pair_table(circuit, t):
     amps = np.empty((4**m, x.shape[1]), dtype=complex, order="F")  # externals-major: no transpose
     amps.T.real, amps.T.imag = x
     x *= x  # squared planes, summed over the externals: no temporary the size of a plane
-    return ProjectionSet(amps, np.add(*x, out=x[0]).sum(axis=0), loops)
+    return ProjectionSet(_read_only(amps), _read_only(np.add(*x, out=x[0]).sum(axis=0)), loops)
 
 
 def _pair_gram(circuit, pair_states):
@@ -443,7 +451,7 @@ class _Model:
         with np.errstate(over="ignore", invalid="ignore"):  # _post_select catches overflow
             pairs = _evolved_pairs(circuit)
             rows, form, report = self._contract(circuit, pairs, params)
-            return _post_select(circuit, self.name, rows, form, tol, self.paradox, pairs, **report)
+            return _post_select(circuit, self.name, rows, form, tol, self.paradox, **report)
 
 
 @dataclass(frozen=True)
@@ -465,7 +473,7 @@ class ExactBell(_Model):
         return _pair_gram(circuit, pair_states)
 
     def _contract(self, circuit, pairs, gram):
-        table = _pair_table(circuit, pairs) if gram is None else None
+        table = _table(circuit) if gram is None else None
         matched = table.amps[0] if gram is None else pairs.reshape(len(pairs), -1) @ gram
         return matched[None], np.ones(1), dict(table=table, n=float(np.linalg.norm(matched)))
 
@@ -482,7 +490,7 @@ class NoisyBell(_Model):
         return _unit_interval(self.lam, "noise parameter lam")
 
     def _contract(self, circuit, pairs, lam):
-        table = _pair_table(circuit, pairs)
+        table = _table(circuit)
         per_pair = np.array([1.0 - 0.75 * lam] + [0.25 * lam] * 3)
         w = functools.reduce(np.multiply.outer, [per_pair] * len(table.channel_order)).reshape(-1)
         return table.amps, w, dict(table=table, lam=lam)
@@ -522,9 +530,10 @@ class Classical(_Model):
         else:
             flip = np.array([[1.0 - k, k], [k, 1.0 - k]])
             w = functools.reduce(_kron, [flip] * len(loops))
-        # weighted history norms, summed over the externals of the evolution as it lies
-        hist = w * (pairs.real**2 + pairs.imag**2).sum(axis=0).T * (1.0 / _SQ2**len(loops))**2
-        # the history table rides on the result (_post_select tables a paradox's pairs);
+        # weighted history norms, summed over the externals of the evolution as it lies: kept
+        norms = _kept(circuit, "norms", lambda: _read_only((pairs.real**2 + pairs.imag**2).sum(0)))
+        hist = w * norms.T * (1.0 / _SQ2**len(loops))**2
+        # the history table rides on the result (a paradox shows the kept pair table);
         # floor=True reports each diagonal history with the weight of its whole row
         step = d + 1 if floor else 1  # rows[::step] is a view of the rows, not a copy
         weights = hist.sum(axis=1) if floor else hist.reshape(-1)

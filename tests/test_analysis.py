@@ -551,9 +551,12 @@ def test_input_bias_at_the_qubit_cap_names_its_reference_qubit():
     )
     assert cs.run_noisy_bell(circuit, 0.2).z > 0
     model = CountingModel(cs.NoisyBell(0.2))
-    with pytest.raises(cs.UnsupportedError, match=r"reference qubit 'a\.ref'.* cap is 14"):
-        cs.input_bias(circuit, "a", model)
-    assert model.runs == 0
+    for _ in range(2):  # a refused probe is not kept, so every call refuses it
+        with pytest.raises(cs.UnsupportedError, match=r"reference qubit 'a\.ref'.* cap is 14"):
+            cs.input_bias(circuit, "a", model)
+        with pytest.raises(cs.ConfigError, match="channel 't0' is looped"):
+            cs.input_bias(circuit, "t0", model)
+    assert model.runs == 0 and set(vars(circuit)["_kept"]) == {"pairs", "table"}
 
 
 # the library twin of test_cli's test_every_bad_leaf_names_a_document_path: every

@@ -99,7 +99,7 @@ def test_a_conditional_run_peaks_at_one_dense_operator(n_ext):
 @pytest.mark.parametrize("model", MODELS, ids=lambda model: "-".join(
     map(str, model.describe().values())))
 def test_an_input_bias_peaks_at_one_dense_operator_with_its_reference(model, n_ext):
-    circuit = wide_circuit(n_ext)  # each call evolves a fresh probe, traced too
+    circuit = wide_circuit(n_ext)  # the untraced call keeps the probe and its evolution
     peak = traced_peak(lambda: cs.input_bias(circuit, "e0", model))
     assert peak <= 16 * 4**(n_ext + 1) + SLACK
 
@@ -128,8 +128,8 @@ SWEEP = ["--from", "0.1", "--to", "0.7", "--steps", "5"]
     (["scenario", "cnot_gun", "--model", "classical,k=0.3", "--outputs",
       "Z,input_bias:gun"], None, 2, 0),
     (["scenario", "grandfather_not"], None, 1, 1),
-    (["sweep", "{doc}", "--param", "lambda", *SWEEP], ["Z", "input_bias:a"], 6, 10),
-    (["sweep", "{doc}", "--param", "lambda", *SWEEP], ["Z"], 1, 5),
+    (["sweep", "{doc}", "--param", "lambda", *SWEEP], ["Z", "input_bias:a"], 2, 2),
+    (["sweep", "{doc}", "--param", "lambda", *SWEEP], ["Z"], 1, 1),
     (["sweep", "{doc}", "--param", "theta", *SWEEP], ["Z"], 5, 5),
 ], ids=["scenario", "noisy_bias", "classical_bias", "paradox", "lambda_sweep_bias",
         "lambda_sweep", "theta_sweep"])
@@ -148,28 +148,63 @@ def test_a_cli_call_makes_at_most_its_evolutions_and_pair_tables(
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda model: "-".join(
     map(str, model.describe().values())))
-def test_a_library_run_on_a_kept_circuit_makes_no_evolution_and_its_pair_tables(
+def test_a_library_run_on_a_kept_circuit_makes_no_evolution_and_no_pair_table(
         model, monkeypatch):
     circuit = wide_circuit(4)
-    model.run(circuit)  # keeps the evolution
+    model.run(circuit)  # keeps the evolution and, for the exact and noisy models, the table
     counts = {"evolve": 0, "_pair_table": 0}
     _counted(monkeypatch, cs.engine, "evolve", counts)
     _counted(monkeypatch, cs.engine, "_pair_table", counts)
     model.run(circuit)
-    # the exact and noisy models read the pair table; the history models read none
-    tables = 1 if isinstance(model, (cs.ExactBell, cs.NoisyBell)) else 0
-    assert counts == {"evolve": 0, "_pair_table": tables}
+    assert counts == {"evolve": 0, "_pair_table": 0}
 
 
 @pytest.mark.parametrize("model", ["exact", "noisy"])
-def test_a_run_with_three_loops_on_a_kept_circuit_makes_one_pair_table(model, monkeypatch):
+def test_a_run_with_three_loops_on_a_kept_circuit_makes_no_pair_table(model, monkeypatch):
     circuit = grid_circuit(3, 6)
-    PAIR_MODELS[model].run(circuit)  # keeps the evolution
+    PAIR_MODELS[model].run(circuit)  # keeps the evolution and its table
     counts = {"evolve": 0, "_pair_table": 0}
     _counted(monkeypatch, cs.engine, "evolve", counts)
     _counted(monkeypatch, cs.engine, "_pair_table", counts)
     assert len(PAIR_MODELS[model].run(circuit).projections.amps) == 4**3
-    assert counts == {"evolve": 0, "_pair_table": 1}
+    assert counts == {"evolve": 0, "_pair_table": 0}
+
+
+def _counted_makes(monkeypatch):
+    """The keys whose values engine._kept makes from now on, in order."""
+    made, kept = [], cs.engine._kept
+    monkeypatch.setattr(cs.engine, "_kept", lambda circuit, key, make: kept(
+        circuit, key, lambda: made.append(key) or make()))
+    return made
+
+
+def test_the_runs_and_paradoxes_of_a_kept_circuit_share_one_table_and_one_set_of_norms(
+        monkeypatch):
+    circuit, made = wide_circuit(4), _counted_makes(monkeypatch)
+    exact, noisy = cs.ExactBell().run(circuit), cs.NoisyBell(0.3).run(circuit)
+    with pytest.raises(cs.ParadoxError) as info:  # the loop only controls: no history i -> j != i
+        cs.WeightMatrix([[0, 1], [1, 0]]).run(circuit)
+    assert exact.projections is noisy.projections is info.value.projections
+    assert cs.projection_table(circuit) is exact.projections
+    first = cs.Classical(0.3).run(circuit)
+    assert made == ["pairs", "table", "norms"]
+    second = cs.Classical(0.3).run(circuit)
+    assert made == ["pairs", "table", "norms"]  # the second classical run reads the kept norms
+    assert second.projections.weights.tobytes() == first.projections.weights.tobytes()
+
+
+def test_a_shared_table_is_read_only_and_a_failed_write_changes_no_later_run():
+    circuit = grid_circuit(2, 3)
+    result = cs.NoisyBell(0.3).run(circuit)
+    amps, weights = result.projections.amps.copy(), result.projections.weights.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        result.projections.amps[0, 0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        result.projections.weights *= 2.0
+    again = cs.NoisyBell(0.3).run(circuit)
+    assert again.projections.amps.tobytes() == amps.tobytes()
+    assert again.projections.weights.tobytes() == weights.tobytes()
+    assert again.z == result.z and again.rho.mat.tobytes() == result.rho.mat.tobytes()
 
 
 # every model with a paradox on grandfather_not: the delta model has none there
@@ -179,16 +214,16 @@ PARADOX_MODELS = [cs.ExactBell(), cs.NoisyBell(0.0), cs.Classical(0.0),
 
 @pytest.mark.parametrize("model", PARADOX_MODELS, ids=lambda model: "-".join(
     map(str, model.describe().values())))
-def test_a_paradox_on_a_kept_circuit_makes_one_pair_table(model, monkeypatch):
+def test_a_paradox_on_a_kept_circuit_makes_no_pair_table(model, monkeypatch):
     circuit = cs.build_scenario("grandfather_not").circuit
     with pytest.raises(cs.ParadoxError):
-        model.run(circuit)  # keeps the evolution
+        model.run(circuit)  # keeps the evolution and its table
     counts = {"evolve": 0, "_pair_table": 0}
     _counted(monkeypatch, cs.engine, "evolve", counts)
     _counted(monkeypatch, cs.engine, "_pair_table", counts)
     with pytest.raises(cs.ParadoxError) as info:
         model.run(circuit)
-    assert counts == {"evolve": 0, "_pair_table": 1}
+    assert counts == {"evolve": 0, "_pair_table": 0}
     # every model shows the pair table, never its own history table: the X loop lands on N
     table = info.value.projections
     assert table.labels == ("B", "-", "N", "-N")

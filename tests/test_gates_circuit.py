@@ -119,13 +119,20 @@ def test_a_circuit_splits_its_channels_once_and_its_copies_carry_the_split():
     assert "loop_labels" not in repr(c)
     with pytest.raises(dataclasses.FrozenInstanceError):
         c.loop_labels = ("sys",)
-    cs.run_exact_bell(c)  # keeps an evolution on c
+    result = cs.run_noisy_bell(c, 0.2)  # keeps an evolution and its pair table on c,
+    cs.run_classical(c, 0.3)  # the history norms
+    cs.input_bias(c, "sys", cs.ExactBell())  # and a probe of "sys"
+    assert set(vars(c)["_kept"]) == {"pairs", "table", "norms", ("probe", "sys")}
     for twin in (pickle.loads(pickle.dumps(c)), copy.copy(c)):
-        assert not hasattr(twin, "_pairs")
+        assert "_kept" not in vars(twin)
         assert (twin.labels, twin.loop_labels, twin.external_labels) == (
             ("tm", "sys"), ("tm",), ("sys",))
     swapped = dataclasses.replace(c, channels=(Channel("tm"), Channel("sys", looped=True)))
     assert (swapped.loop_labels, swapped.external_labels) == (("sys",), ("tm",))
+    twin = pickle.loads(pickle.dumps(result)).projections  # a result carries its table whole
+    assert twin.labels == result.projections.labels
+    assert twin.amps.tobytes() == result.projections.amps.tobytes()
+    assert twin.weights.tobytes() == result.projections.weights.tobytes()
 
 
 def test_duplicate_labels_rejected():

@@ -145,9 +145,9 @@ def test_catalog_records_match_the_manifest():
 
 @pytest.mark.parametrize("name", [n for n in ALL if n.startswith("grandfather_")
                                   and n != "grandfather_perturbed"])
-def test_each_grandfather_scenario_builds_two_pair_tables(name, monkeypatch):
-    # the exact paradox and the noisy run each table the one evolution; the four
-    # outcome weights are read off the noisy run's table
+def test_each_grandfather_scenario_builds_one_pair_table(name, monkeypatch):
+    # the exact paradox and the noisy run share the one evolution's kept table; the
+    # four outcome weights are read off it
     calls, pair_table = [], cs.engine._pair_table
 
     def counted(*args):
@@ -156,7 +156,7 @@ def test_each_grandfather_scenario_builds_two_pair_tables(name, monkeypatch):
 
     monkeypatch.setattr(cs.engine, "_pair_table", counted)
     assert all(r["passed"] for r in cs.verify_scenario(name))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_a_paradox_check_that_meets_no_paradox_fails_its_record(monkeypatch):
@@ -205,7 +205,7 @@ def test_the_catalog_evolves_each_circuit_once(monkeypatch):
     # 30 looped scenario circuits, 1 loop-free circuit, 4 variant circuits and 1
     # input-bias probe: every model a check runs, custom boundary pairs and both
     # conditional modes included, shares its circuit's one evolution; a check that
-    # reads a pair table reads the one its exact or noisy run built
+    # reads a pair table reads its circuit's kept one
     calls, tables, evolve, pair_table = [], [], cs.engine.evolve, cs.engine._pair_table
 
     def counted(*args):
@@ -221,7 +221,7 @@ def test_the_catalog_evolves_each_circuit_once(monkeypatch):
     records = [r for name in ALL for r in cs.verify_scenario(name)]
     assert len(records) == 122
     assert len(calls) <= 36
-    assert len(tables) <= 47
+    assert len(tables) <= 33
     # the wrapper sees every table only while the catalog holds no reference of its own
     assert pair_table not in vars(cs.scenarios).values()
     calls.clear()
