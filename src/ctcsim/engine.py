@@ -1,10 +1,10 @@
 """Post-selection engine for circuits with looped (time-machine) channels.
 
 The exact model appends one maximally entangled reference pair per looped
-channel, runs the gate list (which never touches the reference qubits), and
-projects every pair back onto the same entangled state.  The squared norm of
-the surviving amplitude is the acceptance rate Z = N^2; a vanishing norm is a
-paradox.  The other models relax the projection:
+channel, |00> + |11> unnormalized, runs the gate list (which never touches the
+reference qubits), and projects every pair back onto the same entangled state.
+The squared norm of the surviving amplitude is the acceptance rate Z = N^2; a
+vanishing norm is a paradox.  The other models relax the projection:
 
 * noisy pairs -- each pair is projected onto the full entangled basis and the
   four outcomes are mixed with weights (1 - 3*lam/4) on the matched outcome
@@ -26,12 +26,13 @@ paradox.  The other models relax the projection:
 One evolution feeds every model: by channel-state duality (Lloyd et al.,
 arXiv:1007.2615) the evolved pair state holds every pair-basis outcome and
 every eigenstate history, and the matched outcome of any other boundary pair
-chi is the Bell evolution read against the Gram matrix sqrt(2) chi^dagger chi.
+chi is the Bell evolution read against the Gram matrix chi^dagger chi.
 A 4x4 change of basis along each (reference, loop) pair gives the projection
-table: its bras are real, so the C-ordered real and imaginary planes are contracted
-apart, externals-major, into one (externals, outcomes) array whose transpose is the
-table and whose weights sum over the externals; the reference register read against
-the loop register gives the (d^2, 2^e) history rows every history reader takes.
+table: its bras are 0 and +-1/2, which carry the 2^-m of Z exactly, so each entry is
+one rounded (x +- y) / 2 on every BLAS kernel; the real and imaginary planes are
+contracted apart, externals-major, into one (externals, outcomes) array whose transpose
+is the table and whose weights sum over the externals.  The reference register read
+against the loop register gives the (d^2, 2^e) history rows every history reader takes.
 The evolution is `circuit.evolve` of `pair_out_state`: one pass of the gate
 kernel, `states.apply_gates`, the package's one way to run a circuit, which
 checks finiteness once.  `_evolved_pairs` is the one place an evolution is
@@ -47,15 +48,14 @@ off, reads that tensor into rows of external amplitudes and a Hermitian form ove
 them.  Every run, the loop-free `run_conditional` (one row) included, has one finish,
 `_post_select`: Z is the trace of one product, a 2Z that is not finite is a
 NumericsError, Z (exact model: the survival amplitude) below the tolerance is a paradox
-in the model's `paradox` words with a pair table, chosen there alone: the run's own if
-it is one, else the circuit's kept one.  Tables hold only data, so results and
-paradoxes pickle.  Only then does `_hermitian` make the product exactly Hermitian over
-Z, in place in cache-sized tiles, and rho_loop is divided by Z.
+in the model's `paradox` words with the circuit's kept pair table.  Tables hold only
+data, so results and paradoxes pickle.  Only then does `_hermitian` make the product
+exactly Hermitian over Z, in place in cache-sized tiles, and rho_loop is divided by Z.
 
 Z conventions: exact/noisy values include the 2^-m normalization of the m
-reference pairs; weight-matrix weights are normalized to sum d except for the
-delta built-in, which carries the flat-measure constant so that it equals the
-quadrature Z exactly; classical product weights carry no extra constant.
+reference pairs, which the pair bras carry; weight-matrix weights are normalized to
+sum d except for the delta built-in, which carries the flat-measure constant so that
+it equals the quadrature Z exactly; classical product weights carry no extra constant.
 Reported density operators are always trace-1, with Z separate.
 """
 
@@ -96,9 +96,9 @@ PAIR_BASIS = {
     "-N": np.array([0, _SQ2, -_SQ2, 0], dtype=complex),
 }
 PAIR_LABELS = ("B", "-", "N", "-N")
-# rows are the conjugated basis vectors: contracting a pair axis with this
-# matrix projects the pair onto all four outcomes at once
-_PAIR_BRAS = np.array([PAIR_BASIS[label] for label in PAIR_LABELS]).conj()
+# rows are the basis vectors' signs over 2: contracting a pair axis of the |00> + |11> start
+# with this matrix projects it onto all four outcomes, each one rounded (x +- y) / 2
+_PAIR_BRAS = np.array([np.sign(PAIR_BASIS[label].real) for label in PAIR_LABELS]) / 2
 
 
 def resolve_tolerance(tol=None):
@@ -182,16 +182,16 @@ def pair_out_state(circuit):
 
     Labels: the external channels, the looped channels (each in declaration
     order), then "<loop>.ref" per loop in loop order.  Each (reference, loop)
-    pair starts as the Bell pair PAIR_BASIS["B"] and the externals in their inits;
-    with no loop (m = 0) it is the external register.  No gate touches a reference
-    qubit, so the gate kernel moves the trailing reference register in contiguous runs.
+    pair starts as the unnormalized |00> + |11> and the externals in their inits, so
+    the state has norm 2^(m/2): the pair bras carry the 2^-m.  With no loop (m = 0) it
+    is the external register.  No gate touches a reference qubit, so the gate kernel
+    moves the trailing reference register in contiguous runs.
     """
     loops = checked_circuit(circuit).loop_labels
     ext = circuit.initial_external_state()
     d = 2 ** len(loops)
     pairs = np.zeros(d * d, dtype=complex)
-    # loop bits equal reference bits; the pair amplitudes multiply as in an outer product
-    pairs[:: d + 1] = _SQ2 ** len(loops)
+    pairs[:: d + 1] = 1.0  # loop bits equal reference bits
     refs = (loop + REF_SUFFIX for loop in loops)
     return PureState(np.multiply.outer(ext.amps, pairs).reshape(-1), (*ext.labels, *loops, *refs))
 
@@ -222,13 +222,10 @@ def _history_rows(t):
     """Row i * d + j: unnormalized external state of the loop history e_i -> e_j.
 
     `t` is the evolved pair tensor (2^e, d, d).  Its reference register records the
-    emerging eigenstate e_i, so row i * d + j = sqrt(d) * <ref = i, loop = j| evolved
-    pair state; the (d^2, 2^e) rows are the one history layout every reader takes.
+    emerging eigenstate e_i, so row i * d + j = <ref = i, loop = j| evolved pair state;
+    the (d^2, 2^e) rows are the one history layout every reader takes.
     """
-    # times the reciprocal of pair_out_state's amplitude _SQ2**m (numpy's complex / real
-    # does the same), which cancels it exactly for every m <= 7 the qubit cap allows
-    m = t.shape[1].bit_length() - 1
-    return np.multiply(t.transpose(2, 1, 0), 1.0 / _SQ2**m, order="C").reshape(-1, len(t))
+    return t.transpose(2, 1, 0).copy().reshape(-1, len(t))  # at m = 0 too, not a view
 
 
 _TILE = 64  # numpy buffers up to 3 tiles of a transposed operand: 0.3 MB here, 0.9 at 128
@@ -259,10 +256,9 @@ def _post_select(circuit, model, rows, form, tol, paradox, table=None, n=None, l
     Z is the trace of sum_kl form[k, l] |rows[k]><rows[l]| (a weight vector is a
     diagonal form), one product; a 2Z or `n` that is not finite raises NumericsError.
     `n` (exact model), else Z, below the resolved `tol` raises ParadoxError with the
-    `paradox` wording (a %-format over n, z and tol) and a pair table, chosen here only:
-    the run's `table` (which a result reports) if it is one, else a loop circuit's kept
-    table.  Only then is the product made rho by _hermitian and `loop`
-    divided by Z, and the tolerance ends the metadata.
+    `paradox` wording (a %-format over n, z and tol) and a loop circuit's kept pair table;
+    a result reports the run's `table`.  Only then is the product made rho by _hermitian
+    and `loop` divided by Z, and the tolerance ends the metadata.
     rho is exactly [[1]] on a circuit without externals.
     """
     num = (rows.T @ form if form.ndim == 2 else rows.T * form) @ rows.conj()
@@ -270,9 +266,8 @@ def _post_select(circuit, model, rows, form, tol, paradox, table=None, n=None, l
     if not (math.isfinite(z) and math.isfinite(n or 0.0)):
         raise NumericsError("%s acceptance rate Z = %r is not finite" % (model, z))
     if (z if n is None else n) < tol:
-        if circuit.loop_labels and (table is None or table.step):  # a history table: no pair
-            table = _table(circuit)
-        raise ParadoxError(paradox % {"n": n, "z": z, "tol": tol}, projections=table)
+        raise ParadoxError(paradox % {"n": n, "z": z, "tol": tol},
+                           projections=_table(circuit) if circuit.loop_labels else None)
     ext, unchecked = circuit.external_labels, DensityOperator._unchecked
     return PostSelectionResult(
         model=model, z=z, rho=unchecked(_hermitian(num, z) if ext else [[1.0]], ext), n=n,
@@ -300,7 +295,7 @@ def _pair_table(circuit, t):
     t = t.transpose([a for q in range(1, m + 1) for a in (q + m, q)] + [0])
     x = np.array((t.real, t.imag))  # C-ordered planes, contracted apart by the real bras
     for _ in loops:  # contract the leading pair axis with the four outcome bras, append them
-        x = x.reshape(2, 4, -1).transpose(0, 2, 1) @ _PAIR_BRAS.real.T
+        x = x.reshape(2, 4, -1).transpose(0, 2, 1) @ _PAIR_BRAS.T
     x = x.reshape(2, -1, 4**m)  # (planes, externals, outcomes)
     amps = np.empty((4**m, x.shape[1]), dtype=complex, order="F")  # externals-major: no transpose
     amps.T.real, amps.T.imag = x
@@ -318,11 +313,11 @@ def _pair_gram(circuit, pair_states):
     for key in pair_states:
         if key not in loops:
             raise ConfigError("pair_states key %s names no looped channel" % _shown(key))
-    grams = [_SQ2 * np.eye(2)] * len(loops)
+    grams = [0.5 * np.eye(2)] * len(loops)
     for i, label in enumerate(loops):
         if label in pair_states:
             chi = normalized_amplitudes(pair_states[label], 2, "pair state for %r" % (label,))
-            grams[i] = 2**0.5 * chi.reshape(2, 2).conj().T @ chi.reshape(2, 2)
+            grams[i] = chi.reshape(2, 2).conj().T @ chi.reshape(2, 2)
     return functools.reduce(_kron, grams).reshape(-1)
 
 
@@ -460,10 +455,10 @@ class ExactBell(_Model):
 
     `run`'s `pair_states` maps looped channels to custom (reference, loop) pair
     amplitudes chi = (I x K)|B>, the Bell pair with K on its loop wire before the
-    gates and K^dagger after.  Moved onto the Bell evolution t, the matched row is
-    t.reshape(len(t), -1) @ G, G the Kronecker product over loops of sqrt(2)
-    chi^dagger chi (chi as its reference-by-loop 2x2 matrix, so I/sqrt(2) for a
-    Bell pair).  Such a run reports a pair table only with its ParadoxError.
+    gates and K^dagger after.  Moved onto the evolution t of the |00> + |11> start, the
+    matched row is t.reshape(len(t), -1) @ G, G the Kronecker product over loops of
+    chi^dagger chi (chi as its reference-by-loop 2x2 matrix, so I/2 for a Bell pair).
+    Such a run reports a pair table only with its ParadoxError.
     """
 
     type = name = "exact_bell"
@@ -532,7 +527,7 @@ class Classical(_Model):
             w = functools.reduce(_kron, [flip] * len(loops))
         # weighted history norms, summed over the externals of the evolution as it lies: kept
         norms = _kept(circuit, "norms", lambda: _read_only((pairs.real**2 + pairs.imag**2).sum(0)))
-        hist = w * norms.T * (1.0 / _SQ2**len(loops))**2
+        hist = w * norms.T
         # the history table rides on the result (a paradox shows the kept pair table);
         # floor=True reports each diagonal history with the weight of its whole row
         step = d + 1 if floor else 1  # rows[::step] is a view of the rows, not a copy

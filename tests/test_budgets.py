@@ -1,7 +1,8 @@
 """Budgets of a run: its memory, read with tracemalloc, and its evolutions and pair tables.
 
 numpy reports its data buffers to tracemalloc, so the traced peak of a run is a
-deterministic count of bytes, unlike its wall time.  Each run here is on a
+deterministic count of bytes, unlike its wall time.  One evolution of a fresh
+circuit at the qubit cap is budgeted in state arrays.  Each run here is on a
 circuit whose evolution is already kept, so the peak is the finish: the dense
 2^e x 2^e complex operator, 16 * 4^e bytes, which the result holds, plus the
 rows, the tiles of the symmetrization and small arrays, under 1 MB.  An
@@ -85,6 +86,38 @@ PAIR_MODELS = {"exact": cs.ExactBell(), "noisy": cs.NoisyBell(0.3), "classical":
 def test_a_model_run_with_several_loops_peaks_within_its_pair_tables(m, e, model, tables):
     circuit, table = grid_circuit(m, e), 16 * 4**m * 2**e
     assert traced_peak(lambda: PAIR_MODELS[model].run(circuit)) <= tables * table + OBJECTS
+
+
+CAP_GATES = (("H", 1, 0), ("ROT", 1, 1), ("CX", 2, 0), ("CPHASE", 2, 1), ("SWAP", 2, 0),
+             ("TOFFOLI", 3, 0), ("CCROT", 3, 1), ("PHASE", 1, 1), ("CZ", 2, 0), ("CROT", 2, 1))
+
+
+def cap_circuit(m, e, seed, n_gates=30):
+    """`m` loops and `e` externals with random gates; 2m + e = 14 puts the evolution at the cap."""
+    rng = np.random.default_rng(seed)
+    labels = ["l%d" % i for i in range(m)] + ["e%d" % i for i in range(e)]
+    gates = []
+    for _ in range(n_gates):
+        kind, arity, n_params = CAP_GATES[rng.integers(len(CAP_GATES))]
+        gates.append(make_gate(kind, tuple(rng.choice(labels, arity, replace=False)),
+                               tuple(rng.uniform(-3.0, 3.0, n_params))))
+    return build_circuit([Channel(label, looped=True) for label in labels[:m]]
+                         + [Channel(label, init=(0.6, 0.8)) for label in labels[m:]], gates)
+
+
+# one evolution of a fresh circuit at the cap, start state included, peaked at 4.52 to 5.09
+# state arrays of 16 * 2^14 bytes over seeds 0-3 (numpy 2.4.6)
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("m, e", [(7, 0), (5, 4), (3, 8), (1, 12), (0, 14)])
+def test_one_evolution_at_the_qubit_cap_peaks_within_five_and_a_half_state_arrays(m, e, seed):
+    circuit = cap_circuit(m, e, seed)
+    tracemalloc.start()
+    try:
+        cs.engine._evolved_pairs(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 16 * 2**14
 
 
 @pytest.mark.parametrize("n_ext", [8, 10])

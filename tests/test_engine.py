@@ -123,7 +123,8 @@ def histories_by_evolution(circuit):
 def table_by_projection(circuit):
     """Reference: project the evolved pair state on each outcome combination in turn."""
     loops = circuit.loop_labels
-    state = evolve(cs.pair_out_state(circuit), circuit)
+    start = cs.pair_out_state(circuit)  # unnormalized: each pair starts as |00> + |11>
+    state = evolve(PureState(start.amps * 2 ** (-len(loops) / 2), start.labels), circuit)
     table = {}
     for combo in itertools.product(cs.engine.PAIR_LABELS, repeat=len(loops)):
         surv = state
@@ -160,7 +161,7 @@ def test_history_tensor_matches_per_eigenstate_evolution(seed, n_loops, n_ext):
 
 
 @pytest.mark.parametrize("m", range(1, 8))
-def test_the_history_tensor_cancels_the_pair_amplitude_exactly(m):
+def test_a_history_of_the_gate_free_circuit_is_exactly_one(m):
     # with no gate, history i -> i is the external |0> with amplitude exactly 1
     circuit = build_circuit([Channel("l%d" % i, looped=True) for i in range(m)])
     histories, d = cs.engine.loop_histories(circuit)
@@ -177,6 +178,28 @@ def test_pair_table_weights_are_the_row_sums_and_rows_match_the_unitary_referenc
     assert table.total_weight == float(table.weights.sum())
     for label, row in pair_rows_by_histories(histories_by_unitary(circuit)).items():
         assert np.max(np.abs(table.amps[table.labels.index(label)] - row)) <= 1e-12, label
+
+
+def table_by_butterflies(circuit):
+    """Reference: each (reference, loop) pair of the evolved |00> + |11> start, leading axis
+    first as in _pair_table, turned into its four outcomes (x00 +- x11) / 2, (x01 +- x10) / 2
+    by numpy ufuncs, which round each element once."""
+    m = len(circuit.loop_labels)
+    x = evolve(cs.pair_out_state(circuit), circuit).amps.reshape((-1,) + (2,) * (2 * m))
+    x = x.transpose([a for q in range(1, m + 1) for a in (q + m, q)] + [0])
+    for _ in range(m):
+        (x00, x01), (x10, x11) = x
+        x = np.stack([0.5 * (x00 + x11), 0.5 * (x00 - x11), 0.5 * (x01 + x10),
+                      0.5 * (x01 - x10)], axis=-1)
+    return x.reshape(-1, 4**m).T
+
+
+@pytest.mark.parametrize("m, e", itertools.product(range(1, 5), range(6)))
+def test_the_pair_table_is_its_elementwise_butterflies_bit_for_bit(m, e):
+    # each entry adds two exact products x / 2 and rounds once, so neither the BLAS kernel's
+    # summation order nor its FMA can change a bit
+    circuit = random_circuit(10 * m + e, m, e, n_gates=20)
+    assert np.array_equal(cs.projection_table(circuit).amps, table_by_butterflies(circuit))
 
 
 @settings(max_examples=30, deadline=None)
@@ -407,16 +430,13 @@ def test_exact_paradox_carries_the_full_projection_table():
     assert table.total_weight == pytest.approx(1.0, abs=1e-12)
 
 
-# (1/sqrt(2))^2 rounds up to 0.5 + 2^-53, and the surviving row adds two of them
-SURVIVOR = 1 + 2**-52
-
-
 @pytest.mark.parametrize("name, table", [
-    ("grandfather_pf", [[0], [SURVIVOR], [0], [0]]),
-    ("grandfather_not", [[0], [0], [SURVIVOR], [0]]),
+    ("grandfather_pf", [[0], [1], [0], [0]]),
+    ("grandfather_not", [[0], [0], [1], [0]]),
 ])
 def test_a_one_row_pair_table_is_exact(name, table):
-    # with no external, each pair-basis row is one product: the cancelled rows are exactly 0
+    # with no external, each pair-basis row is one sum (x +- y) / 2 of the |00> + |11>
+    # start: the cancelled rows are exactly 0 and the surviving row exactly (1 + 1) / 2
     amps = cs.projection_table(cs.build_scenario(name).circuit).amps
     assert amps.shape == (4, 1) and np.array_equal(amps, table)
 
