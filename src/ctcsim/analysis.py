@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from .circuit import _kept, checked_circuit, with_reference
-from .engine import _DELTA_FORM, Classical, ExactBell, NoisyBell, _hermitian, _real, _unit_interval
+from .engine import (_DELTA_FORM, Classical, ExactBell, NoisyBell, _finite, _hermitian, _real,
+                     _unit_interval)
 from .errors import ConfigError, InfiniteSkew, LabelError, ParadoxError, _shown
 from .states import DensityOperator, complex_array, unit_vector
 
@@ -83,9 +84,7 @@ def discrimination_stats(overlap, theta, omega):
     """
     p_n = _unit_interval(overlap, "probability")
     omega = _check_skew(omega)
-    theta = _real(theta, "rotation angle theta")
-    if not math.isfinite(theta):
-        raise ConfigError("rotation angle theta must be finite, got %r" % (theta,))
+    theta = _finite(theta, "rotation angle theta")
     p_theta = 4.0 * p_n * math.cos(theta) ** 2 / (2.0 + 2.0 * p_n)
     p_bar = povm_inconclusive(p_theta, omega)
     return {
@@ -102,11 +101,9 @@ def entropy_skew(a, s0, omega):
     Z' = (Omega - 1) a + 1 is the acceptance factor.  Omega = 1 gives exactly
     zero.
     """
-    a, s0 = _real(a, "member weight a"), _real(s0, "ensemble entropy s0")
+    a, s0 = _real(a, "member weight a"), _finite(s0, "ensemble entropy s0")
     if not 0.0 < a < 1.0:
         raise ConfigError("member weight a must lie in (0, 1)")
-    if not math.isfinite(s0):
-        raise ConfigError("ensemble entropy s0 must be finite, got %r" % (s0,))
     omega = _check_skew(omega)
     if omega == 1.0:
         return 0.0
@@ -268,9 +265,9 @@ def input_bias(circuit, channel, model, nodes=64):
 
     The exact average of the channel's input |psi><psi| over the flat measure
     (polar angle on [0, pi], phase on [0, 2*pi]), weighted by the model's
-    acceptance rate Z(psi); an unbiased channel gives I/2.  A model without a
-    `run` method is a ConfigError.  `nodes` is read by nothing: the average
-    needs no grid, and the keyword stays only for callers that still pass it.
+    acceptance rate Z(psi); an unbiased channel gives I/2.  A model class, or a
+    model without a `run` method, is a ConfigError.  `nodes` is read by nothing:
+    the average needs no grid; the keyword stays for callers that still pass it.
 
     Z(psi) = psi^dagger M psi, as the circuit is linear in psi and every Z is a
     weighted sum of squared norms.  One run, with the channel in a Bell pair with
@@ -278,7 +275,7 @@ def input_bias(circuit, channel, model, nodes=64):
     it is a paradox, so is every input.  M is contracted with the moments _DELTA_FORM.
     The probe is kept on `circuit` per channel; a channel it refuses keeps none.
     """
-    if not callable(getattr(model, "run", None)):
+    if isinstance(model, type) or not callable(getattr(model, "run", None)):
         raise ConfigError("input_bias needs a channel model with a run method, got %s"
                           % _shown(model))
     label = checked_circuit(circuit).channel(channel).label  # a known label keys the probe

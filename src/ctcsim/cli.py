@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, analysis
 from .circuit import Channel, Circuit, validate
-from .engine import MODELS, resolve_tolerance
+from .engine import MODELS, _finite, resolve_tolerance
 from .errors import ArityError, ConfigError, CtcSimError, ParadoxError, ParseError
 from .gates import make_gate, param_names
 from .scenarios import build_scenario, list_scenarios
@@ -71,18 +71,16 @@ def _items(value, path):
 
 
 # ---------------------------------------------------------------------------
-# values: every number a document or argv supplies is read by _number
+# values: every number a document or argv supplies is read by _number, as the library
+# reads it; a scenario's --param values are read by the catalog
 
 
 def _number(value, path):
     """A finite JSON number (not a bool) as a float, else ConfigError at `path`."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    _fail(path, "expected a finite number, got %r" % (value,))
+    try:
+        return _finite(value, path)
+    except ConfigError:
+        _fail(path, "expected a finite number, got %r" % (value,))
 
 
 def _boolean(value, path):
@@ -105,10 +103,8 @@ def _name_or_matrix(value, path):
     return np.array(rows, dtype=float)
 
 
-# annotation of a model field (a string: engine.py postpones annotations), or
-# type name of a scenario default -> the reader of its document value
-_READERS = {"float": _number, "bool": _boolean,
-            "tuple": _numbers, "object": _name_or_matrix}
+# annotation of a model field (a string: engine.py postpones annotations) -> its reader
+_READERS = {"float": _number, "bool": _boolean, "object": _name_or_matrix}
 
 
 def _key_values(items, path):
@@ -403,14 +399,7 @@ def _cmd_run(args):
 
 
 def _cmd_scenario(args):
-    defaults = next((sc["params"] for sc in list_scenarios()
-                     if sc["name"] == args.name), {})
-    params = _key_values(args.param or [], "arg.param")
-    for key, value in params.items():
-        if key in defaults:  # unknown keys are reported by build_scenario
-            reader = _READERS[type(defaults[key]).__name__]
-            params[key] = reader(value, "arg.param." + key)
-    scenario = build_scenario(args.name, **params)
+    scenario = build_scenario(args.name, **_key_values(args.param or [], "arg.param"))
     model = _model_arg(args.model)
     outputs = _parse_outputs(_OUTPUT_COMMA.split(args.outputs) if args.outputs
                              else list(_DEFAULT_OUTPUTS), "arg.outputs")

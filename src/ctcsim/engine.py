@@ -123,11 +123,21 @@ def resolve_tolerance(tol=None):
 
 
 def _real(value, what):
-    """float(value), else ConfigError naming `what`."""
+    """float(value), else ConfigError naming `what`; text and bools are not numbers."""
     try:
+        if isinstance(value, (str, bytes, bool, np.bool_)):
+            raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError("%s must be a real number, got %s" % (what, _shown(value))) from None
+
+
+def _finite(value, what):
+    """_real(value, what), else ConfigError unless it is finite."""
+    value = _real(value, what)
+    if not math.isfinite(value):
+        raise ConfigError("%s must be finite, got %r" % (what, value))
+    return value
 
 
 def _unit_interval(value, what):

@@ -25,6 +25,7 @@ from .engine import (
     ExactBell,
     NoisyBell,
     WeightMatrix,
+    _finite,
     _unit_interval,
     run_conditional,
 )
@@ -140,16 +141,9 @@ def _b_near_not(p):
 
 def _b_n_controlled_not(p):
     """One control c<i> in (alpha_i, sqrt(1 - alpha_i^2)) per entry of `alphas`."""
-    try:
-        alphas = np.asarray(p["alphas"])
-    except ValueError:  # a ragged nesting
-        alphas = None
-    if alphas is None or alphas.ndim != 1 or alphas.dtype.kind not in "iuf":
-        raise ConfigError("scenario parameter alphas must be a list of real numbers, got %s"
-                          % _shown(p["alphas"]))
     channels = [Channel("tm", looped=True)]
     gates = []
-    for i, a in enumerate(alphas.tolist()):
+    for i, a in enumerate(p["alphas"]):
         b = math.sqrt(max(0.0, 1.0 - a * a))
         label = "c%d" % i
         channels.append(Channel(label, init=(a, b)))
@@ -702,6 +696,18 @@ def list_scenarios():
     ]
 
 
+def _read(what, default, value):
+    """An override read as the type of its default: a finite real, or a tuple of them."""
+    if not isinstance(default, tuple):  # every other default is a float
+        return _finite(value, what)
+    try:
+        if isinstance(value, (list, tuple, np.ndarray)):
+            return tuple(_finite(v, what) for v in value)
+    except (TypeError, ConfigError):  # a 0-d array, or an entry that is no finite real
+        pass
+    raise ConfigError("%s must be a list of real numbers, got %s" % (what, _shown(value)))
+
+
 def _resolve(name, params):
     try:
         summary, defaults, build, checks = _REGISTRY[name]
@@ -714,11 +720,11 @@ def _resolve(name, params):
                 "scenario %r has no parameter %s (has: %s)"
                 % (name, _shown(key), ", ".join(sorted(defaults)) or "none")
             )
-        p[key] = value
+        p[key] = _read("scenario parameter %s" % key, defaults[key], value)
     return summary, p, build, checks
 
 
-def build_scenario(name, **params):
+def build_scenario(name, /, **params):
     summary, p, build, _ = _resolve(name, params)
     return Scenario(name, summary, p, build(p))
 

@@ -283,6 +283,13 @@ def test_search_error_rates_skew_beats_chernoff_eventually():
 # TypeError, ValueError or OverflowError, or (a count of 1.5 qubits) a value
 BAD_CLOSED_FORM_INPUTS = {
     "boosted_success_p": (lambda: cs.boosted_success("x", 2.0), "probability must be a real"),
+    # numeric text and bools are not numbers
+    "boosted_success_p_numeric_text": (lambda: cs.boosted_success("0.5", 2.0),
+                                       "probability must be a real"),
+    "boosted_success_p_bool": (lambda: cs.boosted_success(True, 2.0),
+                               "probability must be a real"),
+    "szilard_work_x_bytes": (lambda: cs.szilard_work(b"0.5", 2.0),
+                             "partition position x must be a"),
     "povm_inconclusive_p": (lambda: cs.povm_inconclusive(None, 2.0), "probability must be a"),
     # every probability is read by the engine's one [0, 1] reader, words included
     "boosted_success_p_range": (lambda: cs.boosted_success(1.5, 2.0),
@@ -514,8 +521,9 @@ def test_input_bias_is_exact_below_six_nodes(model):
         assert np.max(np.abs(bias - input_bias_by_node(circuit, "gun", model, nodes))) <= 1e-12
 
 
-@pytest.mark.parametrize("model", ["exact_bell", None, {"name": "exact_bell"}],
-                         ids=["name", "none", "document"])
+@pytest.mark.parametrize("model", ["exact_bell", None, {"name": "exact_bell"},
+                                   cs.DeltaQuadrature, CountingModel],
+                         ids=["name", "none", "document", "class", "wrapper_class"])
 def test_input_bias_needs_a_model_with_a_run_method(model):
     circuit = cs.build_scenario("cnot_gun").circuit
     with pytest.raises(cs.ConfigError, match="input_bias needs a channel model"):

@@ -195,11 +195,15 @@ MALFORMED = [
     ("floor_text", _with(model={"type": "classical", "k": 0.3, "floor": "false"}),
      "doc.model.floor"),
     ("model_type_list", _with(model={"type": ["noisy_bell"]}), "doc.model.type"),
+    ("model_number", _with(model=5), "doc.model: expected a model object"),
+    ("model_list", _with(model=["exact_bell"]), "doc.model: expected a model object"),
     ("flip_unknown_channel", _with(outputs=["flip:nope"]), "'nope'"),
     ("alpha_text", ["scenario", "cnot_gun", "--param", "alpha=abc"],
-     "arg.param.alpha"),
+     "scenario parameter alpha"),
     ("alphas_number", ["scenario", "n_controlled_not", "--param", "alphas=3"],
-     "arg.param.alphas"),
+     "scenario parameter alphas"),
+    ("param_called_name", ["scenario", "simple_loop", "--param", "name=1"],
+     "scenario 'simple_loop' has no parameter 'name'"),
     ("model_arg_text", ["scenario", "simple_loop", "--model", "noisy_bell,lambda=x"],
      "arg.model.lambda"),
     ("model_arg_nodes_key",

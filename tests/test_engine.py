@@ -703,6 +703,9 @@ BAD_PARAMETERS = [
     (lambda c: cs.run_classical(c, -0.1), "k must lie in"),
     (lambda c: cs.WeightMatrix("nope").run(c), "unknown weight-matrix built-in"),
     (lambda c: cs.NoisyBell("abc").run(c), "lam must be a real number"),
+    (lambda c: cs.NoisyBell("0.2").run(c), "lam must be a real number, got '0.2'"),
+    (lambda c: cs.run_classical(c, True), "k must be a real number, got True"),
+    (lambda c: cs.run_noisy_bell(c, np.bool_(False)), "lam must be a real number"),
     (lambda c: cs.Classical(2.0, floor=True).run(c), "k must lie in"),
     (lambda c: cs.Classical(0.3, "no").run(c), "^floor must be true or false, got 'no'$"),
     (lambda c: cs.run_delta_quadrature(c, tol=-1.0), "tolerance -1.0 is not a finite positive"),
@@ -726,7 +729,8 @@ BAD_PARAMETERS = [
 
 @pytest.mark.parametrize("call, message", BAD_PARAMETERS, ids=[
     "omega_name", "omega_ragged", "omega_negative", "omega_shape", "omega_complex", "omega_zero",
-    "lam", "k", "descriptor_omega", "descriptor_lam", "descriptor_k", "descriptor_floor",
+    "lam", "k", "descriptor_omega", "descriptor_lam", "descriptor_lam_numeric_text", "k_bool",
+    "lam_numpy_bool", "descriptor_k", "descriptor_floor",
     "delta_tolerance", "descriptor_delta_tolerance",
     "pairs_text", "pairs_list", "pairs_unknown_key", "pairs_external_key",
     "descriptor_pairs_text", "descriptor_pairs_list", "descriptor_pairs_unknown_key",
@@ -1190,7 +1194,7 @@ TOO_LONG = "<int too long to print>"
     (lambda: cs.build_scenario("n_controlled_not", alphas=[LONG_INT]),
      "scenario parameter alphas must be a list of real numbers"),
     (lambda: cs.verify_scenario("parity_ec", {"lam": LONG_INT}),
-     "noise parameter lam must be a real number"),
+     "scenario parameter lam must be a real number"),
     (lambda: cs.NoisyBell(LONG_INT).run(cpf_gun()), "noise parameter lam must be a real number"),
     (lambda: cs.Classical(LONG_INT).run(cpf_gun()), "flip rate k must be a real number"),
     (lambda: cs.run_delta_quadrature(cpf_gun(), tol=LONG_INT), "bad tolerance " + TOO_LONG),

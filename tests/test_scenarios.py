@@ -3,6 +3,7 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ctcsim as cs
@@ -40,9 +41,12 @@ def test_unknown_scenario_rejected():
         cs.build_scenario({})
 
 
-def test_unknown_parameter_rejected():
-    with pytest.raises(cs.ScenarioNotFound):
-        cs.build_scenario("faulty_gun", omega=3)
+# `name` too: build_scenario takes the scenario's name positionally only
+@pytest.mark.parametrize("name, params", [("faulty_gun", {"omega": 3}),
+                                          ("simple_loop", {"name": 0.5})])
+def test_unknown_parameter_rejected(name, params):
+    with pytest.raises(cs.ScenarioNotFound, match="has no parameter"):
+        cs.build_scenario(name, **params)
 
 
 def test_parameter_override_applies():
@@ -62,11 +66,57 @@ def test_parameter_override_applies():
      "scenario parameter alphas must be a list of real numbers, got ['x']"),
     ("n_controlled_not", {"params": {"alphas": [0.9, [0.8, 0.6]]}},
      "scenario parameter alphas must be a list of real numbers, got [0.9, [0.8, 0.6]]"),
-], ids=["params_list", "params_text", "alphas_int", "alphas_text", "alphas_ragged"])
+    ("n_controlled_not", {"params": {"alphas": "0.9"}},
+     "scenario parameter alphas must be a list of real numbers, got '0.9'"),
+    ("n_controlled_not", {"params": {"alphas": (0.9, True)}},
+     "scenario parameter alphas must be a list of real numbers, got (0.9, True)"),
+    ("n_controlled_not", {"params": {"alphas": np.array(0.9)}},
+     "scenario parameter alphas must be a list of real numbers, got array(0.9)"),
+    ("n_controlled_not", {"params": {"alphas": [0.9, math.nan]}},
+     "scenario parameter alphas must be a list of real numbers, got [0.9, nan]"),
+    ("faulty_gun", {"params": {"zeta": "0.5"}},
+     "scenario parameter zeta must be a real number, got '0.5'"),
+    ("faulty_gun", {"params": {"zeta": True}},
+     "scenario parameter zeta must be a real number, got True"),
+    ("grandfather_perturbed", {"params": {"eps": math.inf}},
+     "scenario parameter eps must be finite, got inf"),
+    ("grandfather_perturbed", {"params": {"eps": 10**400}},
+     "scenario parameter eps must be a real number, got " + str(10**400)),
+], ids=["params_list", "params_text", "alphas_int", "alphas_text", "alphas_ragged",
+        "alphas_string", "alphas_bool", "alphas_0d", "alphas_nan", "numeric_text", "bool", "inf",
+        "huge_int"])
 def test_bad_verify_arguments_are_config_errors(name, kwargs, message):
     with pytest.raises(cs.ConfigError) as info:
         cs.verify_scenario(name, **kwargs)
     assert str(info.value) == message
+
+
+# each value at each parameter of each scenario: a result or a CtcSimError, never a bare
+# Python error or a numpy warning
+HOSTILE = ["0.5", "x", None, [0.5], {}, True, math.nan, math.inf, -math.inf, 10**400, 10**5000]
+PARAMS = {info["name"]: info["params"] for info in cs.list_scenarios() if info["params"]}
+
+
+@pytest.mark.parametrize("name", PARAMS)
+def test_a_hostile_scenario_parameter_is_a_typed_error(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for key in PARAMS[name]:
+            for value in HOSTILE:
+                for call in (lambda: cs.verify_scenario(name, {key: value}),
+                             lambda: cs.build_scenario(name, **{key: value})):
+                    try:
+                        call()
+                    except cs.CtcSimError:
+                        pass
+
+
+def test_scenario_parameters_hold_the_values_as_read():
+    zeta = cs.build_scenario("faulty_gun", zeta=1).params["zeta"]
+    assert zeta == 1.0 and type(zeta) is float
+    assert type(cs.build_scenario("faulty_gun", zeta=np.float32(0.5)).params["zeta"]) is float
+    for alphas in ([0.9, 0.8], np.array([0.9, 0.8]), (0.9, 0.8)):
+        assert cs.build_scenario("n_controlled_not", alphas=alphas).params["alphas"] == (0.9, 0.8)
 
 
 def test_build_scenario_returns_runnable_circuit():
