@@ -16,10 +16,9 @@ import math
 import numpy as np
 
 from .circuit import _kept, checked_circuit, with_reference
-from .engine import (_DELTA_FORM, Classical, ExactBell, NoisyBell, _finite, _hermitian, _real,
-                     _unit_interval)
+from .engine import _DELTA_FORM, Classical, ExactBell, NoisyBell, _hermitian
 from .errors import ConfigError, InfiniteSkew, LabelError, ParadoxError, _shown
-from .states import DensityOperator, complex_array, unit_vector
+from .states import DensityOperator, _finite, _real, _unit_interval, complex_array, unit_vector
 
 
 def skew_factor(model):

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, LabelError, UnsupportedError, _listed, _shown
 from .gates import Gate
-from .states import MAX_QUBITS, PureState, apply_gates, complex_array, normalized_amplitudes
+from .states import (MAX_QUBITS, PureState, _made, _register, apply_gates, complex_array,
+                     normalized_amplitudes)
 
 REF_SUFFIX = ".ref"
 
@@ -69,9 +70,9 @@ class Circuit:
             channels=channels, gates=_listed(self.gates, "gates must be a list of Gate", Gate),
             entangled=_listed(self.entangled, "entangled must be a list of (labels, "
                               "amplitudes) pairs", make=lambda group: _entangled_group(*group)),
-            labels=tuple(c.label for c in channels),  # the split, once
-            loop_labels=tuple(c.label for c in channels if c.looped),
-            external_labels=tuple(c.label for c in channels if not c.looped))
+            labels=tuple([c.label for c in channels]),  # the split, once
+            loop_labels=tuple([c.label for c in channels if c.looped]),
+            external_labels=tuple([c.label for c in channels if not c.looped]))
 
     def __getstate__(self):  # numpy restores a pickled array writeable, so a pickled or
         state = dict(self.__dict__)  # copied circuit keeps nothing _kept: it derives afresh
@@ -88,8 +89,14 @@ class Circuit:
         """The external register, in channel declaration order.
 
         One outer product of the external inits, each entangled group inserted
-        whole where its first channel is declared, then one exact transpose.
+        whole where its first channel is declared, then one exact transpose.  Its
+        labels are checked here, its amplitudes where they entered (a hand-built
+        entangled group's by the gate kernel's finiteness check, when it is evolved).
         """
+        labels = _register(self.external_labels)  # before any amplitude is made
+        return _made(PureState, amps=self._external_amps(), labels=labels)
+
+    def _external_amps(self):  # initial_external_state's amplitudes
         grouped = {l: (labels, amps) for labels, amps in self.entangled for l in labels}
         factors, labels = [], []
         for c in self.channels:
@@ -102,8 +109,7 @@ class Circuit:
                 factors.append(amps.reshape((2,) * len(group)))
                 labels += group
         t = functools.reduce(np.multiply.outer, factors or [np.ones((), dtype=complex)])
-        order = self.external_labels
-        return PureState(t.transpose([labels.index(l) for l in order]).reshape(-1), order)
+        return t.transpose([labels.index(l) for l in self.external_labels]).reshape(-1)
 
 
 def validate(circuit):
@@ -171,9 +177,9 @@ def checked_circuit(circuit):
 
 
 def _kept(circuit, key, make):
-    """`make()`, a value `circuit` alone determines, kept on it under `key` for every later
-    call; a `make` that raises keeps nothing, so it raises again on the next call."""
-    kept = vars(checked_circuit(circuit)).setdefault("_kept", {})  # a frozen Circuit's dict
+    """`make()`, a value the (checked) `circuit` alone determines, kept on it under `key` for
+    every later call; a `make` that raises keeps nothing, so it raises again next time."""
+    kept = vars(circuit).setdefault("_kept", {})  # a frozen Circuit's dict
     if key not in kept:
         kept[key] = make()
     return kept[key]
@@ -194,13 +200,6 @@ def with_init(circuit, label, init):
     return Circuit(channels, circuit.gates, circuit.entangled)
 
 
-class _Reference(Channel):
-    """A reference qubit as an external channel: its label ends in REF_SUFFIX."""
-
-    def __post_init__(self):
-        pass
-
-
 def with_reference(circuit, label):
     """Copy of the circuit with external `label` in a Bell pair with a fresh qubit
     "<label>.ref", declared last and touched by no gate; past MAX_QUBITS, UnsupportedError."""
@@ -211,7 +210,8 @@ def with_reference(circuit, label):
         raise UnsupportedError("reference qubit %r of channel %r makes %d qubits with "
                                "reference partners, cap is %d"
                                % (ref, label, n_total, MAX_QUBITS))
-    return Circuit((*base.channels, _Reference(ref)), base.gates,
+    ref_channel = _made(Channel, label=ref, looped=False, init=None)  # Channel() refuses it
+    return Circuit((*base.channels, ref_channel), base.gates,
                    (*base.entangled, ((label, ref), (2**-0.5, 0.0, 0.0, 2**-0.5))))
 
 

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import __version__, analysis
 from .circuit import Channel, Circuit, validate
-from .engine import MODELS, _finite, resolve_tolerance
+from .engine import MODELS, resolve_tolerance
 from .errors import ArityError, ConfigError, CtcSimError, ParadoxError, ParseError
 from .gates import make_gate, param_names
 from .scenarios import build_scenario, list_scenarios
-from .states import normalized_amplitudes
+from .states import _finite, normalized_amplitudes
 
 _DEFAULT_OUTPUTS = ("Z", "N", "rho", "projections")
 # in --outputs, only a comma that starts an output name separates outputs: flip:p1,p2 stays whole

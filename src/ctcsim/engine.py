@@ -33,13 +33,15 @@ one rounded (x +- y) / 2 on every BLAS kernel; the real and imaginary planes are
 contracted apart, externals-major, into one (externals, outcomes) array whose transpose
 is the table and whose weights sum over the externals.  The reference register read
 against the loop register gives the (d^2, 2^e) history rows every history reader takes.
-The evolution is `circuit.evolve` of `pair_out_state`: one pass of the gate
-kernel, `states.apply_gates`, the package's one way to run a circuit, which
-checks finiteness once.  `_evolved_pairs` is the one place an evolution is
-made: it evolves a circuit once and keeps the read-only result on the circuit
-(`circuit._kept`) for every later run, so any number of models, custom pairs and
-`run_conditional` included, share it; a loop-free circuit is its m = 0 case,
-the evolved external register.  Its pair table (read-only, built on first read,
+The evolution is `circuit.evolve` of `pair_out_state`: one pass of the gate kernel,
+`states.apply_gates`, the package's one way to run a circuit.  Each value is checked
+once, where it enters (a circuit's parts when built, a run's parameters before the
+evolution); what the engine makes from them is not checked again (`states._made`), but
+for the kernel's one finiteness test of its result.  `_evolved_pairs` is the one place
+an evolution is made: it evolves a circuit once and keeps the read-only result on the
+circuit (`circuit._kept`) for every later run, so any number of models, custom pairs and
+`run_conditional` included, share it; a loop-free circuit is its m = 0 case, the evolved
+external register.  Its pair table (read-only, built on first read,
 shared by exact and noisy runs, paradoxes and `projection_table`) and the classical
 history norms are kept the same way; a pickled or copied circuit keeps none.  A
 descriptor's `run` (so each `run_*`) is the one sequence of a model run: it turns a
@@ -73,14 +75,8 @@ import numpy as np
 from .circuit import REF_SUFFIX, _kept, checked_circuit, evolve
 from .errors import (ConfigError, LabelError, NoCtcError, NumericsError, ParadoxError,
                      UnsupportedError, _shown)
-from .states import (
-    DEFAULT_PARADOX_TOL,
-    DensityOperator,
-    PureState,
-    apply_gate,
-    normalized_amplitudes,
-    unit_vector,
-)
+from .states import (DEFAULT_PARADOX_TOL, DensityOperator, PureState, _made, _read_only, _real,
+                     _register, _unit_interval, apply_gate, normalized_amplitudes, unit_vector)
 
 TOLERANCE_ENV_VAR = "CTC_SIM_TOLERANCE"
 CONDITIONAL_MAX_BYTES = 2**30  # run_conditional's largest 2^e x 2^e complex operator: e = 13
@@ -99,6 +95,7 @@ PAIR_LABELS = ("B", "-", "N", "-N")
 # rows are the basis vectors' signs over 2: contracting a pair axis of the |00> + |11> start
 # with this matrix projects it onto all four outcomes, each one rounded (x +- y) / 2
 _PAIR_BRAS = np.array([np.sign(PAIR_BASIS[label].real) for label in PAIR_LABELS]) / 2
+_ONE = _read_only(np.ones(1))  # the form of a run with one row
 
 
 def resolve_tolerance(tol=None):
@@ -107,44 +104,18 @@ def resolve_tolerance(tol=None):
     A tolerance that is not a finite positive number would switch the paradox
     check off, so it raises ConfigError wherever it comes from.
     """
-    where = "tolerance"
+    where, read = "tolerance", _real  # an argument is a number, not text or a bool
     if tol is None:
         tol = os.environ.get(TOLERANCE_ENV_VAR)
         if not tol:
             return DEFAULT_PARADOX_TOL
-        where = "%s value" % TOLERANCE_ENV_VAR
+        where, read = "%s value" % TOLERANCE_ENV_VAR, lambda text, _: float(text)
     try:
-        value = float(tol)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
+        value = read(tol, where)
+    except (ConfigError, ValueError):  # ValueError: environment text that is no number
         raise ConfigError("bad %s %s" % (where, _shown(tol))) from None
     if not 0.0 < value < math.inf:
         raise ConfigError("%s %r is not a finite positive number" % (where, tol))
-    return value
-
-
-def _real(value, what):
-    """float(value), else ConfigError naming `what`; text and bools are not numbers."""
-    try:
-        if isinstance(value, (str, bytes, bool, np.bool_)):
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("%s must be a real number, got %s" % (what, _shown(value))) from None
-
-
-def _finite(value, what):
-    """_real(value, what), else ConfigError unless it is finite."""
-    value = _real(value, what)
-    if not math.isfinite(value):
-        raise ConfigError("%s must be finite, got %r" % (what, value))
-    return value
-
-
-def _unit_interval(value, what):
-    """_real(value, what), else ConfigError unless it lies in [0, 1] (nan does not)."""
-    value = _real(value, what)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError("%s must lie in [0, 1]" % what)
     return value
 
 
@@ -195,20 +166,16 @@ def pair_out_state(circuit):
     pair starts as the unnormalized |00> + |11> and the externals in their inits, so
     the state has norm 2^(m/2): the pair bras carry the 2^-m.  With no loop (m = 0) it
     is the external register.  No gate touches a reference qubit, so the gate kernel
-    moves the trailing reference register in contiguous runs.
+    moves the trailing reference register in contiguous runs.  Only the labels are checked
+    here (distinct, within the cap); the inits were checked where they entered.
     """
     loops = checked_circuit(circuit).loop_labels
-    ext = circuit.initial_external_state()
+    labels = _register((*circuit.external_labels, *loops, *(l + REF_SUFFIX for l in loops)))
     d = 2 ** len(loops)
     pairs = np.zeros(d * d, dtype=complex)
     pairs[:: d + 1] = 1.0  # loop bits equal reference bits
-    refs = (loop + REF_SUFFIX for loop in loops)
-    return PureState(np.multiply.outer(ext.amps, pairs).reshape(-1), (*ext.labels, *loops, *refs))
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
+    return _made(PureState, amps=np.multiply.outer(circuit._external_amps(), pairs).reshape(-1),
+                 labels=labels)
 
 
 def _evolved_pairs(circuit):
@@ -218,7 +185,7 @@ def _evolved_pairs(circuit):
     order (pair_out_state's labels); m may be 0.  A failed evolution keeps nothing.
     Its pair table (_table) and classical history norms are kept beside it.
     """
-    d = 2 ** len(checked_circuit(circuit).loop_labels)
+    d = 2 ** len(circuit.loop_labels)
     return _kept(circuit, "pairs", lambda: _read_only(
         evolve(pair_out_state(circuit), circuit).amps.reshape(-1, d, d)))
 
@@ -272,18 +239,22 @@ def _post_select(circuit, model, rows, form, tol, paradox, table=None, n=None, l
     rho is exactly [[1]] on a circuit without externals.
     """
     num = (rows.T @ form if form.ndim == 2 else rows.T * form) @ rows.conj()
-    z = 2 * float(np.trace(num).real) / 2  # the symmetrized sum's: inf where 2Z overflows
+    # the trace, as np.trace sums it; 2Z / 2 is the symmetrized sum's: inf where 2Z overflows
+    z = 2 * float(np.add.reduce(num.diagonal()).real) / 2
     if not (math.isfinite(z) and math.isfinite(n or 0.0)):
         raise NumericsError("%s acceptance rate Z = %r is not finite" % (model, z))
     if (z if n is None else n) < tol:
         raise ParadoxError(paradox % {"n": n, "z": z, "tol": tol},
                            projections=_table(circuit) if circuit.loop_labels else None)
-    ext, unchecked = circuit.external_labels, DensityOperator._unchecked
-    return PostSelectionResult(
-        model=model, z=z, rho=unchecked(_hermitian(num, z) if ext else [[1.0]], ext), n=n,
-        rho_loop=None if loop is None else unchecked(loop / z, circuit.loop_labels),
-        projections=table, metadata={**metadata, "tolerance": tol},
-    )
+    # every engine form is positive semidefinite, so a finite Z bounds each entry: no check
+    ext, loops = circuit.external_labels, circuit.loop_labels
+    rho = _made(DensityOperator, mat=_hermitian(num, z) if ext else np.ones((1, 1), dtype=complex),
+                labels=ext)
+    if loop is not None:
+        loop = _made(DensityOperator, mat=np.asarray(loop / z, dtype=complex), labels=loops)
+    metadata["tolerance"] = tol  # a fresh dict: the run's keywords
+    return _made(PostSelectionResult, model=model, z=z, rho=rho, n=n, rho_loop=loop,
+                 projections=table, metadata=metadata)
 
 
 def projection_table(circuit):
@@ -293,30 +264,32 @@ def projection_table(circuit):
     it: one row per outcome label combination (4^m rows for m looped channels).  For unitary
     circuits the weights sum to 1 (resolution of the identity on the reference pairs).
     """
-    return _table(circuit)
+    return _table(checked_circuit(circuit))
 
 
 def _pair_table(circuit, t):
     """The projection table of the evolved pair tensor `t` of `circuit`, read-only."""
     loops = circuit.loop_labels
     m = len(loops)
-    # (externals, loop bits, reference bits) -> (ref_1, loop_1, ..., ref_m, loop_m, externals)
-    t = t.reshape((-1,) + (2,) * (2 * m))
-    t = t.transpose([a for q in range(1, m + 1) for a in (q + m, q)] + [0])
-    x = np.array((t.real, t.imag))  # C-ordered planes, contracted apart by the real bras
+    # (externals, loop bits, reference bits, re/im) -> C-ordered real and imaginary planes
+    # (re/im, ref_1, loop_1, ..., ref_m, loop_m, externals), contracted apart by the real bras
+    x = t.view(float).reshape((-1,) + (2,) * (2 * m + 1))
+    x = x.transpose([2 * m + 1] + [a for q in range(1, m + 1) for a in (q + m, q)] + [0]).copy()
     for _ in loops:  # contract the leading pair axis with the four outcome bras, append them
         x = x.reshape(2, 4, -1).transpose(0, 2, 1) @ _PAIR_BRAS.T
     x = x.reshape(2, -1, 4**m)  # (planes, externals, outcomes)
     amps = np.empty((4**m, x.shape[1]), dtype=complex, order="F")  # externals-major: no transpose
     amps.T.real, amps.T.imag = x
     x *= x  # squared planes, summed over the externals: no temporary the size of a plane
-    return ProjectionSet(_read_only(amps), _read_only(np.add(*x, out=x[0]).sum(axis=0)), loops)
+    weights = np.add.reduce(np.add(x[0], x[1], out=x[0]), axis=0)
+    return _made(ProjectionSet, amps=_read_only(amps), weights=_read_only(weights),
+                 channel_order=loops, step=0)
 
 
 def _pair_gram(circuit, pair_states):
     """ExactBell's G, flat; None without custom pairs, ConfigError for a bad one."""
     loops = circuit.loop_labels
-    if not isinstance(pair_states, (Mapping, type(None))):
+    if not isinstance(pair_states, (type(None), Mapping)):
         raise ConfigError("pair_states must be a mapping, got %s" % _shown(pair_states))
     if not pair_states:
         return None
@@ -342,8 +315,9 @@ def loop_histories(circuit):
     register emerges as |e_i>, evolves with the externals, and is projected
     onto |e_j> at the end.  Consistent histories are the diagonal i == j.
     """
-    rows, d = _history_rows(_evolved_pairs(circuit)), 2 ** len(circuit.loop_labels)
-    return {divmod(i, d): PureState(row, circuit.external_labels) for i, row in enumerate(rows)}, d
+    d, ext = 2 ** len(checked_circuit(circuit).loop_labels), circuit.external_labels
+    rows = _history_rows(_evolved_pairs(circuit))
+    return {divmod(i, d): _made(PureState, amps=row, labels=ext) for i, row in enumerate(rows)}, d
 
 
 # the one-loop delta form over the histories (00, 01, 10, 11): the flat-measure integral
@@ -414,7 +388,8 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
     if len(d_amps) != 2 ** len(d_labels) or len(d_labels) > len(circuit.external_labels):
         raise LabelError("deselect direction of length %d does not fit %d of the %d externals"
                          % (len(d_amps), len(d_labels), len(circuit.external_labels)))
-    state = PureState(_evolved_pairs(circuit).reshape(-1), circuit.external_labels)
+    amps = _evolved_pairs(circuit).reshape(-1)
+    state = _made(PureState, amps=amps, labels=circuit.external_labels)
     n = state.n_qubits
     mask = np.ones(2**n, dtype=bool)
     for label, bit in condition:
@@ -424,7 +399,7 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
     w_on, w_off = float(np.linalg.norm(on))**2, float(np.linalg.norm(off))**2
 
     proj = np.eye(len(d_amps), dtype=complex) - d_amps[:, None] * d_amps.conj()
-    kept = apply_gate(PureState(on, state.labels), proj, d_labels).amps
+    kept = apply_gate(_made(PureState, amps=on, labels=state.labels), proj, d_labels).amps
     if mode == "insulated" and w_on > tol:
         norm = float(np.linalg.norm(kept))
         if norm**2 < tol:
@@ -432,7 +407,7 @@ def run_conditional(circuit, condition, deselect, mode, tol=None):
                                % w_on)
         kept = kept * (np.sqrt(w_on) / norm)
     final = off + kept
-    return _post_select(circuit, "conditional", final[None], np.ones(1), tol,
+    return _post_select(circuit, "conditional", final[None], _ONE, tol,
                         "conditional projection removed all amplitude",
                         mode=mode, branch_weight_on=w_on, branch_weight_off=w_off)
 
@@ -448,15 +423,14 @@ class _Model:
     def describe(self):
         return {"name": self.name, **asdict(self)}
 
+    @np.errstate(over="ignore", invalid="ignore")  # _post_select catches overflow
     def run(self, circuit, tol=None, **options):
         if not checked_circuit(circuit).loop_labels:
             raise NoCtcError("circuit has no looped channel")
         # _contract returns rows, form and _post_select's keywords (what the result reports)
         params, tol = self._params(circuit, **options), resolve_tolerance(tol)
-        with np.errstate(over="ignore", invalid="ignore"):  # _post_select catches overflow
-            pairs = _evolved_pairs(circuit)
-            rows, form, report = self._contract(circuit, pairs, params)
-            return _post_select(circuit, self.name, rows, form, tol, self.paradox, **report)
+        rows, form, report = self._contract(circuit, _evolved_pairs(circuit), params)
+        return _post_select(circuit, self.name, rows, form, tol, self.paradox, **report)
 
 
 @dataclass(frozen=True)
@@ -480,7 +454,8 @@ class ExactBell(_Model):
     def _contract(self, circuit, pairs, gram):
         table = _table(circuit) if gram is None else None
         matched = table.amps[0] if gram is None else pairs.reshape(len(pairs), -1) @ gram
-        return matched[None], np.ones(1), dict(table=table, n=float(np.linalg.norm(matched)))
+        re, im = matched.real, matched.imag  # np.linalg.norm's sum, in its order
+        return matched[None], _ONE, dict(table=table, n=math.sqrt(re.dot(re) + im.dot(im)))
 
 
 @dataclass(frozen=True)
@@ -538,13 +513,14 @@ class Classical(_Model):
         # weighted history norms, summed over the externals of the evolution as it lies: kept
         norms = _kept(circuit, "norms", lambda: _read_only((pairs.real**2 + pairs.imag**2).sum(0)))
         hist = w * norms.T
+        sums = np.add.reduce(hist, axis=1)
         # the history table rides on the result (a paradox shows the kept pair table);
         # floor=True reports each diagonal history with the weight of its whole row
         step = d + 1 if floor else 1  # rows[::step] is a view of the rows, not a copy
-        weights = hist.sum(axis=1) if floor else hist.reshape(-1)
-        table = ProjectionSet(rows[::step], weights, loops, step)
-        return rows, w.reshape(-1), dict(table=table, loop=np.diag(hist.sum(axis=1)), k=k,
-                                         floor=floor)
+        weights = sums if floor else hist.reshape(-1)
+        table = _made(ProjectionSet, amps=rows[::step], weights=weights, channel_order=loops,
+                      step=step)
+        return rows, w.reshape(-1), dict(table=table, loop=np.diag(sums), k=k, floor=floor)
 
 
 @dataclass(frozen=True)

@@ -19,32 +19,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArityError, ConfigError, _shown
-from .states import DENSE, complex_array
+from .states import DENSE, _made, _read_only, _real, complex_array
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) * 2**-0.5
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
+_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 def _rot(theta):
-    c, s = np.cos(theta), np.sin(theta)
+    c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def _phase(xi):
-    return np.diag([1.0, np.exp(1j * xi)]).astype(complex)
-
-
-def _controlled(block, n_controls):
-    """Identity except for `block` on the all-controls-on subspace."""
-    k = n_controls + int(np.log2(block.shape[0]))
-    mat = np.eye(2**k, dtype=complex)
-    b = block.shape[0]
-    mat[-b:, -b:] = block
-    return mat
+    return np.array([[1.0, 0.0], [0.0, np.exp(1j * xi)]], dtype=complex)
 
 
 # kind -> (arity, controls, parameter names in positional order, block builder, form);
@@ -65,6 +54,23 @@ _VOCAB = {
     "TOFFOLI": (3, 2, (), lambda: _X, "real"),
     "CCCROT": (4, 3, ("theta",), _rot, "real"),
 }
+
+
+def _bases(kind, params):
+    """The read-only matrix, form name and form data of vocabulary gate `kind` at `params`."""
+    arity, controls, _, builder, form = _VOCAB[kind]
+    block = matrix = builder(*params)
+    if controls:  # the identity but for the block on the all-controls-on subspace
+        matrix = np.eye(2**arity, dtype=complex)
+        matrix[-2:, -2:] = block
+    data = (_read_only(block.real.copy()) if form == "real"
+            else tuple(block.diagonal().tolist()) if form == "diagonal" else None)
+    return _read_only(matrix), form, data
+
+
+# each parameter-free kind's bases, built once; its gates hold views of them, which numpy
+# refuses to make writeable
+_FIXED = {kind: _bases(kind, ()) for kind, entry in _VOCAB.items() if not entry[2]}
 
 
 def param_names(kind):
@@ -97,9 +103,7 @@ class Gate:
     def __post_init__(self):  # its own targets and read-only matrix: no edit, ours or the
         object.__setattr__(self, "targets", tuple(self.targets))  # caller's, can leave a
         if self.matrix is not None:  # circuit's kept evolution behind
-            matrix = np.array(self.matrix, dtype=complex)
-            matrix.setflags(write=False)
-            object.__setattr__(self, "matrix", matrix)
+            object.__setattr__(self, "matrix", _read_only(np.array(self.matrix, dtype=complex)))
 
     def __setstate__(self, state):  # numpy restores a pickled or deep-copied array
         self.__dict__.update(state)  # writeable: freeze the matrix and form data again
@@ -127,8 +131,8 @@ def make_gate(kind, targets, params=(), matrix=None):
     if repeated:
         raise ConfigError("gate %s has a repeated target in %s" % (kind, _shown(targets)))
     try:
-        params = tuple(float(p) for p in params)
-    except (TypeError, ValueError, OverflowError):
+        params = tuple(_real(p, "") for p in params)
+    except (TypeError, ConfigError):  # TypeError: params is not a list
         raise ConfigError("gate parameters must be real numbers: %s" % _shown(params)) from None
     if not all(map(math.isfinite, params)):
         raise ConfigError("gate parameters must be finite real numbers: %r" % (params,))
@@ -136,7 +140,7 @@ def make_gate(kind, targets, params=(), matrix=None):
     if kind == "CUSTOM":
         if matrix is None:
             raise ConfigError("CUSTOM gate requires a matrix")
-        matrix = complex_array(matrix, 2, "CUSTOM matrix on %s" % _shown(targets))
+        matrix = complex_array(matrix, 2, "CUSTOM matrix on %s" % _shown(targets))  # a copy
         d = matrix.shape[0]
         if matrix.shape != (d, d) or d & (d - 1) or d < 2:
             raise ConfigError("CUSTOM matrix must be square with power-of-two size")
@@ -144,25 +148,24 @@ def make_gate(kind, targets, params=(), matrix=None):
             raise ConfigError("CUSTOM matrix on %s has a non-finite entry" % _shown(targets))
         arity = d.bit_length() - 1
         if arity != len(targets):
-            raise ArityError(
-                "CUSTOM matrix on %d qubits bound to %d targets" % (arity, len(targets))
-            )
+            raise ArityError("CUSTOM matrix on %d qubits bound to %d targets"
+                             % (arity, len(targets)))
+        # np.allclose(matrix^dagger matrix, I, atol=1e-12)'s decision, rtol 1e-5 included
+        eye = np.eye(d)
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries: not unitary
-            unitary = bool(np.allclose(matrix.conj().T @ matrix, np.eye(d), atol=1e-12))
-        return Gate(kind, targets, params, matrix, unitary)
+            unitary = bool((abs(matrix.conj().T @ matrix - eye) <= 1e-12 + 1e-5 * eye).all())
+        return _made(Gate, kind=kind, targets=targets, params=params,
+                     matrix=_read_only(matrix), unitary=unitary, controls=0, form=DENSE)
 
     names = param_names(kind)
-    arity, controls, _, builder, form = _VOCAB[kind]
+    arity, controls = _VOCAB[kind][:2]
     if len(targets) != arity:
         raise ArityError("%s acts on %d qubits, got %d targets" % (kind, arity, len(targets)))
     if len(params) != len(names):
         raise ConfigError("%s takes %d parameter(s), got %d" % (kind, len(names), len(params)))
-    block = builder(*params)
-    matrix = _controlled(block, controls) if controls else block
-    gate = Gate(kind, targets, params, matrix, True, controls)
-    data = (np.ascontiguousarray(block.real) if form == "real"
-            else tuple(block.diagonal().tolist()) if form == "diagonal" else None)
+    matrix, form, data = _FIXED.get(kind) or _bases(kind, params)
     if form == "real":
-        data.setflags(write=False)
-    object.__setattr__(gate, "form", (form, data))  # the one place a form is claimed
-    return gate
+        data = data.view()
+    # the one place a form is claimed; views, so no gate can make a shared base writeable
+    return _made(Gate, kind=kind, targets=targets, params=params, matrix=matrix.view(),
+                 unitary=True, controls=controls, form=(form, data))

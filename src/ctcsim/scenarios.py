@@ -19,19 +19,10 @@ import numpy as np
 
 from . import analysis
 from .circuit import Channel, build_circuit, with_init, with_reference
-from .engine import (
-    Classical,
-    DeltaQuadrature,
-    ExactBell,
-    NoisyBell,
-    WeightMatrix,
-    _finite,
-    _unit_interval,
-    run_conditional,
-)
+from .engine import Classical, DeltaQuadrature, ExactBell, NoisyBell, WeightMatrix, run_conditional
 from .errors import ConfigError, ParadoxError, ScenarioNotFound, _shown
 from .gates import make_gate, param_names
-from .states import unit_vector
+from .states import _finite, _unit_interval, unit_vector
 
 _SQ2 = 2**-0.5
 
@@ -45,24 +36,19 @@ class Scenario:
 
 
 def _scalarize(x):
-    arr = np.asarray(x)
-    if arr.ndim == 0:
-        v = complex(arr)
-        return v.real if abs(v.imag) < 1e-15 else [v.real, v.imag]
-    return None
+    """A number as a float (or [real, imag]); None for an array, which its delta reports."""
+    if getattr(x, "ndim", 0):
+        return None
+    v = complex(x)
+    return v.real if abs(v.imag) < 1e-15 else [v.real, v.imag]
 
 
 def _rec(model, quantity, expected, actual, tol=1e-9):
-    delta = float(np.max(np.abs(np.asarray(expected) - np.asarray(actual))))
-    return {
-        "model": model,
-        "quantity": quantity,
-        "expected": _scalarize(expected),
-        "actual": _scalarize(actual),
-        "delta": delta,
-        "tol": tol,
-        "passed": bool(delta <= tol),
-    }
+    """One check record: the largest |expected - actual| against `tol`."""
+    delta = abs(np.subtract(expected, actual))
+    delta = float(np.maximum.reduce(delta, axis=None) if delta.ndim else delta)
+    return {"model": model, "quantity": quantity, "expected": _scalarize(expected),
+            "actual": _scalarize(actual), "delta": delta, "tol": tol, "passed": bool(delta <= tol)}
 
 
 def _exact(c):
@@ -83,7 +69,7 @@ def _paradox_rec(quantity, c):
 
 def _proj(x):
     x = np.asarray(x, dtype=complex)
-    return np.outer(x, x.conj())
+    return x[:, None] * x.conj()  # np.outer's product
 
 
 def _qubit(a, b):

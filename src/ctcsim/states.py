@@ -21,14 +21,29 @@ DEFAULT_PARADOX_TOL = 1e-12
 DENSE = ("dense", None)  # the form any gate may take: its whole matrix, as given
 
 
-def _labels(labels):
-    """`labels` as a tuple of distinct qubit labels, else LabelError."""
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+def _made(cls, **fields):
+    """A frozen `cls` holding `fields` as given: the engine's own value, not checked again."""
+    made = object.__new__(cls)
+    made.__dict__.update(fields)
+    return made
+
+
+def _register(labels):
+    """`labels` as a tuple of distinct labels within the dense cap, else a typed error."""
     try:
         labels = tuple(labels)
     except TypeError:  # None or another non-sequence
         raise LabelError("qubit labels must be a sequence, got %s" % _shown(labels)) from None
     if len(set(labels)) != len(labels):
         raise LabelCollision("duplicate qubit labels: %s" % _shown(labels))
+    if len(labels) > MAX_QUBITS:
+        raise UnsupportedError("register of %d qubits exceeds the dense cap of %d"
+                               % (len(labels), MAX_QUBITS))
     return labels
 
 
@@ -50,6 +65,34 @@ def complex_array(values, ndim, what):
     return arr.astype(complex)
 
 
+def _real(value, what):
+    """float(value), else ConfigError naming `what`.  numpy's dtype decides: text, bools,
+    complex numbers and objects are refused as Python scalars and 0-d arrays alike."""
+    try:
+        kind = np.asarray(value).dtype.kind
+        if kind not in "iuf" and not (kind == "O" and type(value) is int):  # int past int64
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError, OverflowError):  # ValueError: a ragged list
+        raise ConfigError("%s must be a real number, got %s" % (what, _shown(value))) from None
+
+
+def _finite(value, what):
+    """_real(value, what), else ConfigError unless it is finite."""
+    value = _real(value, what)
+    if not math.isfinite(value):
+        raise ConfigError("%s must be finite, got %r" % (what, value))
+    return value
+
+
+def _unit_interval(value, what):
+    """_real(value, what), else ConfigError unless it lies in [0, 1] (nan does not)."""
+    value = _real(value, what)
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError("%s must lie in [0, 1]" % what)
+    return value
+
+
 def normalized_amplitudes(values, n_qubits, what):
     """A normalized n-qubit input state, else ConfigError naming `what`.
 
@@ -59,9 +102,10 @@ def normalized_amplitudes(values, n_qubits, what):
     if amps.size != 2**n_qubits:
         raise ConfigError("%s must hold %d amplitudes" % (what, 2**n_qubits))
     parts = np.abs(amps.view(float))  # real and imaginary parts
-    if not np.isfinite(parts).all():
+    top = np.maximum.reduce(parts)  # nan if any part is nan
+    if not math.isfinite(top):
         raise ConfigError("%s has a non-finite amplitude" % (what,))
-    if parts.max() > 1.0 + 1e-9:
+    if top > 1.0 + 1e-9:
         raise ConfigError("%s has an amplitude above 1 in modulus" % (what,))
     norm = math.sqrt(parts @ parts)
     if abs(norm - 1.0) > 1e-9:
@@ -103,11 +147,8 @@ class PureState:
     def __post_init__(self):
         amps = _complex_values(self.amps, "amplitudes")
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "labels", _labels(self.labels))
+        object.__setattr__(self, "labels", _register(self.labels))
         n = len(self.labels)
-        if n > MAX_QUBITS:
-            raise UnsupportedError("register of %d qubits exceeds the dense cap of %d"
-                                   % (n, MAX_QUBITS))
         if amps.shape != (2**n,):
             raise LabelError("amplitude vector of length %d does not fit %d labeled qubits"
                              % (amps.size, n))
@@ -132,7 +173,7 @@ class DensityOperator:
     def __post_init__(self):
         mat = _complex_values(self.mat, "matrix entries")
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "labels", _labels(self.labels))
+        object.__setattr__(self, "labels", _register(self.labels))
         d = 2 ** len(self.labels)
         if mat.shape != (d, d):
             raise LabelError("matrix shape %r does not fit %d labeled qubits"
@@ -140,19 +181,12 @@ class DensityOperator:
         if not np.isfinite(mat).all():
             raise ConfigError("non-finite matrix entry")
 
-    @classmethod
-    def _unchecked(cls, mat, labels):
-        """A run's operator: a (d, d) array, made complex, on a tuple of distinct labels.  No
-        check: every engine form is positive semidefinite, so a finite Z bounds each entry."""
-        op = object.__new__(cls)
-        op.__dict__.update(mat=np.asarray(mat, dtype=complex), labels=labels)
-        return op
-
     @property
     def n_qubits(self):
         return len(self.labels)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the one finiteness check below catches overflow
 def apply_gates(state, gates):
     """Apply (matrix, targets, controls, form) gates in order to `state`: the one gate kernel.
 
@@ -175,47 +209,50 @@ def apply_gates(state, gates):
     writes its slice, where every control is 1, in place.  The kernel copies the
     caller's amplitudes once on entry, so they are never written, nor shared by
     the result.  Untouched axes keep their order, so trailing ones move in
-    contiguous runs.  One transpose at the end restores label order, and the
-    result is checked once, as a PureState.
+    contiguous runs.  One transpose at the end restores label order.  The state
+    was checked where it was made and each gate is checked here, so the result's
+    one check is finiteness (an overflow in any gate is one ConfigError); it is
+    not validated again as a PureState.
     """
     n = state.n_qubits
     t = state.amps.reshape((2,) * n).copy()  # the kernel owns its array from here
     order = list(range(n))  # order[p]: the label axis that axis p holds
-    with np.errstate(over="ignore", invalid="ignore"):  # the wrap below catches overflow
-        for matrix, targets, controls, (form, data) in gates:
-            matrix, k = np.asarray(matrix, dtype=complex), len(targets)
-            if matrix.shape != (2**k, 2**k):
-                raise LabelError("matrix shape %r does not act on %d qubits"
-                                 % (matrix.shape, k))
-            if len(set(targets)) != k:
-                raise LabelCollision("repeated gate target in %r" % (targets,))
-            if controls not in range(k):
-                raise LabelError("gate on %r has controls %r, not a whole number in [0, %d)"
-                                 % (targets, controls, k))
-            controls = int(controls)
-            perm = [order.index(state.axis(label)) for label in targets]
-            if form == "swap":  # the two axes trade qubits; no amplitude moves
-                order[perm[0]], order[perm[1]] = order[perm[1]], order[perm[0]]
-                continue
-            if form == "diagonal":  # scale the slice of each entry that is not 1
-                at = [1 if p in perm[:controls] else slice(None) for p in range(n)]
-                for bit, z in enumerate(data):
-                    if z != 1:
-                        at[perm[-1]] = bit
-                        t[tuple(at)] *= z
-                continue
-            perm += [p for p in range(n) if p not in perm]
-            b = 2 ** (k - controls)
-            view = t.transpose(perm)[(1,) * controls]  # block targets lead
-            x = view.reshape(b, -1)
-            out = ((data @ np.ascontiguousarray(x).view(float)).view(complex) if form == "real"
-                   else matrix[-b:, -b:] @ x)
-            if controls:
-                view[...] = out.reshape(view.shape)
-            else:
-                t, order = out.reshape(t.shape), [order[p] for p in perm]
+    for matrix, targets, controls, (form, data) in gates:
+        matrix, k = np.asarray(matrix, dtype=complex), len(targets)
+        if matrix.shape != (2**k, 2**k):
+            raise LabelError("matrix shape %r does not act on %d qubits"
+                             % (matrix.shape, k))
+        if len(set(targets)) != k:
+            raise LabelCollision("repeated gate target in %r" % (targets,))
+        if controls not in range(k):
+            raise LabelError("gate on %r has controls %r, not a whole number in [0, %d)"
+                             % (targets, controls, k))
+        controls = int(controls)
+        perm = [order.index(_axis(state.labels, label)) for label in targets]
+        if form == "swap":  # the two axes trade qubits; no amplitude moves
+            order[perm[0]], order[perm[1]] = order[perm[1]], order[perm[0]]
+            continue
+        if form == "diagonal":  # scale the slice of each entry that is not 1
+            at = [1 if p in perm[:controls] else slice(None) for p in range(n)]
+            for bit, z in enumerate(data):
+                if z != 1:
+                    at[perm[-1]] = bit
+                    t[tuple(at)] *= z
+            continue
+        perm += [p for p in range(n) if p not in perm]
+        b = 2 ** (k - controls)
+        view = t.transpose(perm)[(1,) * controls]  # block targets lead
+        x = view.reshape(b, -1)
+        out = ((data @ np.ascontiguousarray(x).view(float)).view(complex) if form == "real"
+               else matrix[-b:, -b:] @ x)
+        if controls:
+            view[...] = out.reshape(view.shape)
+        else:
+            t, order = out.reshape(t.shape), [order[p] for p in perm]
     amps = t.transpose(sorted(range(n), key=order.__getitem__)).reshape(-1)
-    return PureState(amps, state.labels)
+    if not np.isfinite(amps.view(float)).all():
+        raise ConfigError("non-finite amplitude")
+    return _made(PureState, amps=amps, labels=state.labels)
 
 
 def apply_gate(state, matrix, targets):

@@ -288,6 +288,13 @@ BAD_CLOSED_FORM_INPUTS = {
                                        "probability must be a real"),
     "boosted_success_p_bool": (lambda: cs.boosted_success(True, 2.0),
                                "probability must be a real"),
+    # the reader decides on numpy's dtype, so a 0-d array is refused as its scalar is
+    "boosted_success_p_0d_bool": (lambda: cs.boosted_success(np.array(True), 2.0),
+                                  r"^probability must be a real number, got array\(True\)$"),
+    "boosted_success_p_complex": (lambda: cs.boosted_success(np.complex128(0.5), 2.0),
+                                  "probability must be a real number"),
+    "szilard_work_x_0d_text": (lambda: cs.szilard_work(np.array("0.5"), 2.0),
+                               "partition position x must be a real number"),
     "szilard_work_x_bytes": (lambda: cs.szilard_work(b"0.5", 2.0),
                              "partition position x must be a"),
     "povm_inconclusive_p": (lambda: cs.povm_inconclusive(None, 2.0), "probability must be a"),

@@ -825,6 +825,38 @@ def test_tolerance_env_must_be_finite_and_positive(monkeypatch, value):
         cs.run_exact_bell(cs.build_scenario("grandfather_not").circuit)
 
 
+def test_a_run_validates_none_of_the_states_the_engine_makes(monkeypatch):
+    """Start state, evolution and history rows are made from checked parts: no PureState
+    check runs on a fresh circuit, while a PureState built by hand is still checked."""
+    checked = []
+    post_init = PureState.__post_init__
+    monkeypatch.setattr(PureState, "__post_init__",
+                        lambda state: checked.append(state.labels) or post_init(state))
+    for name in ("cnot_gun", "simple_loop_2q", "twice_watched_pot_entangled", "tourist_trap"):
+        circuit = cs.build_scenario(name).circuit  # fresh: nothing is kept on it yet
+        if circuit.loop_labels:
+            cs.run_exact_bell(circuit)
+            cs.run_noisy_bell(circuit, 0.2)
+            cs.run_classical(circuit, 0.3)
+            cs.engine.loop_histories(circuit)
+        else:
+            cs.run_conditional(circuit, [("m1", 0)], (("m3",), [1.0, 0.0]), "coupled")
+    assert checked == []
+    with pytest.raises(cs.ConfigError, match="^non-finite amplitude$"):
+        PureState(np.array([np.nan, 0.0]), ("a",))
+    assert checked == [("a",)]
+
+
+@pytest.mark.parametrize("tol", [True, np.bool_(True), np.array(True), "1e-9", 1e-9 + 0j],
+                         ids=["bool", "numpy_bool", "0d_bool", "text", "complex"])
+def test_a_tolerance_argument_must_be_a_real_number(tol, monkeypatch):
+    """True would read as 1.0 and make nearly every run a paradox; text is the environment's."""
+    with pytest.raises(cs.ConfigError, match="^bad tolerance "):
+        cs.resolve_tolerance(tol)
+    monkeypatch.setenv("CTC_SIM_TOLERANCE", "1e-9")  # environment text is still parsed
+    assert cs.resolve_tolerance(None) == 1e-9
+
+
 LOOP_MODELS = [cs.ExactBell(), cs.NoisyBell(0.2), cs.Classical(0.2), cs.WeightMatrix(),
                cs.DeltaQuadrature()]
 MODEL_NAMES = [m.name for m in LOOP_MODELS]

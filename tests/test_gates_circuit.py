@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctcsim as cs
 from ctcsim import Channel, ConfigError, build_circuit, make_gate, run_exact_bell
@@ -81,16 +83,68 @@ def test_custom_unitarity_check_raises_no_warning(matrix, unitary):
     ("ROT", (math.nan,), None, "gate parameters must be finite real numbers"),
     ("PHASE", (-math.inf,), None, "gate parameters must be finite real numbers"),
     ("ROT", (10**400,), None, "gate parameters must be real numbers"),
+    # numeric text, bools and complex numbers are not real numbers, as scalars or 0-d arrays
+    ("ROT", ("0.5",), None, "gate parameters must be real numbers: ('0.5',)"),
+    ("ROT", (True,), None, "gate parameters must be real numbers: (True,)"),
+    ("ROT", (np.array(True),), None, "gate parameters must be real numbers"),
+    ("PHASE", (1 + 0j,), None, "gate parameters must be real numbers"),
     ("CUSTOM", (), None, "CUSTOM gate requires a matrix"),
     ("CUSTOM", (), np.eye(3), "CUSTOM matrix must be square with power-of-two size"),
 ], ids=["custom_text", "custom_0d", "custom_nan", "custom_inf", "custom_imag_inf",
-        "rot_inf", "rot_nan", "phase_minus_inf", "rot_huge_int", "custom_none", "custom_3x3"])
+        "rot_inf", "rot_nan", "phase_minus_inf", "rot_huge_int", "rot_text", "rot_bool",
+        "rot_0d_bool", "phase_complex", "custom_none", "custom_3x3"])
 def test_bad_gate_inputs_are_config_errors(kind, params, matrix, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning fails the test
         with pytest.raises(ConfigError) as info:
             make_gate(kind, ("a",), params=params, matrix=matrix)
     assert str(info.value).startswith(message)
+
+
+def test_gate_parameters_are_read_as_real_numbers():
+    """Any real number numpy reads as one is a parameter, a Python int past int64 included."""
+    for value in (0.5, 1, np.float32(0.5), np.int8(3), np.array(0.25), 2**70):
+        assert make_gate("ROT", ("a",), (value,)).params == (float(value),)
+
+
+def _unitary_case(d, seed, kind, size):
+    """A d x d unitary, or one moved off unitarity by `kind` at `size`."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    if kind == "off":  # absolute: every entry of U^dagger U moves by about `size`
+        return u + size * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    if kind == "diagonal":  # relative: U^dagger U = diag(1 + size)^2, against rtol 1e-5
+        return u * (1.0 + size)
+    if kind == "huge":  # U^dagger U overflows: inf, and nan where infinities cancel
+        return u * size
+    return u
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 4]), st.integers(0, 2**32 - 1), st.sampled_from([
+    ("unitary", st.just(0.0)), ("off", st.sampled_from([1e-13, 1e-11])),
+    ("off", st.floats(1e-14, 1e-9)), ("diagonal", st.sampled_from([1e-6, -1e-6])),
+    ("diagonal", st.floats(-1e-4, 1e-4)), ("huge", st.sampled_from([1e200, 1e300])),
+]).flatmap(lambda case: st.tuples(st.just(case[0]), case[1])))
+def test_custom_unitarity_is_np_allclose_s_decision(d, seed, case):
+    matrix = _unitary_case(d, seed, *case)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = bool(np.allclose(matrix.conj().T @ matrix, np.eye(d), atol=1e-12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        assert make_gate("CUSTOM", "ab"[:d.bit_length() - 1], matrix=matrix).unitary is want
+
+
+def test_custom_unitarity_cases_cover_both_decisions_and_a_nan_product():
+    """The cases the property test draws from: each decision, and a product holding nan."""
+    flags = {case: make_gate("CUSTOM", ("a",), matrix=_unitary_case(2, 3, *case)).unitary
+             for case in [("unitary", 0.0), ("off", 1e-13), ("off", 1e-11), ("diagonal", 1e-6),
+                          ("diagonal", 1e-5), ("huge", 1e200)]}
+    assert flags == {("unitary", 0.0): True, ("off", 1e-13): True, ("off", 1e-11): False,
+                     ("diagonal", 1e-6): True, ("diagonal", 1e-5): False, ("huge", 1e200): False}
+    huge = _unitary_case(2, 3, "huge", 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(huge.conj().T @ huge).any()
 
 
 def test_unknown_kind_rejected():
@@ -640,6 +694,21 @@ def test_gate_arrays_are_read_only_but_the_callers_array_is_not():
     for kind in FORM_GATES:  # a shared vocabulary block cannot be reached through a gate
         gate = make_gate(kind, "abcd"[:FORM_GATES[kind]], (0.3,) * len(param_names(kind)))
         assert not gate.matrix.flags.writeable
+        for data in (gate.matrix, gate.form[1]):  # not even by asking numpy to unfreeze it
+            if isinstance(data, np.ndarray):
+                with pytest.raises(ValueError):
+                    data.setflags(write=True)
+    first, second = make_gate("X", ("a",)), make_gate("X", ("b",))  # one block per kind
+    assert np.shares_memory(first.matrix, second.matrix)
+    assert np.shares_memory(first.form[1], second.form[1])
+    frozen = np.eye(2, dtype=complex)
+    frozen.setflags(write=False)
+    for given_matrix in (np.eye(2, dtype=complex), frozen):  # a matrix given is copied
+        for gate in (make_gate("CUSTOM", ("a",), matrix=given_matrix),
+                     Gate("Y", ("a",), matrix=given_matrix)):
+            assert not np.shares_memory(given_matrix, gate.matrix)
+            assert not gate.matrix.flags.writeable
+        assert given_matrix.flags.writeable is (given_matrix is not frozen)  # its flag kept
     mine = np.eye(2, dtype=complex)
     gate = Gate("Y", ("a",), matrix=mine)
     assert mine.flags.writeable and not gate.matrix.flags.writeable
